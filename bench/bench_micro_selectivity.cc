@@ -10,16 +10,20 @@
 // --json[=path] switches to a machine-readable sweep instead of the
 // google-benchmark console: it times ComputeSelectivities for every
 // (dataset, threads, strategy, kernel) cell — best wall time of
-// PATHEST_REPS runs — and writes one JSON array to `path` (default
-// BENCH_selectivity.json), one object per cell: {"dataset", "k",
-// "threads", "strategy", "kernel", "build_ms"}. Cross-strategy /
+// PATHEST_REPS runs, taken round-robin over the cells — and writes one
+// JSON array to `path` (default BENCH_selectivity.json), one object per
+// cell: {"dataset", "k", "threads", "strategy", "kernel", "build_ms"},
+// plus "auto_vs_best" on auto rows (auto's build_ms over the better
+// forced kernel's at the same strategy and threads). Cross-strategy /
 // cross-kernel / cross-thread bit-identity of the map is asserted inside
 // the sweep (every cell against the first cell's values). The er-dense
 // dataset is an Erdős–Rényi configuration dense enough that the dense
-// bitmap kernel should win by an integer factor; the printed summary
-// reports the fused-vs-per-label and dense-vs-sparse speedups and how
-// close auto tracks the better kernel. Scale knobs: PATHEST_SCALE,
-// PATHEST_REPS, PATHEST_K.
+// bitmap kernel should win by an integer factor; moreno is the
+// quarter-size moreno-like graph at k = PATHEST_K (default 4); moreno-full
+// is the full-size one at k = 6 on two workers, the offline build of
+// perfbench's build workload. The printed summary reports the
+// fused-vs-per-label speedup and auto's ratio to the best forced kernel
+// per config. Scale knobs: PATHEST_SCALE, PATHEST_REPS, PATHEST_K.
 
 #include <benchmark/benchmark.h>
 
@@ -176,7 +180,16 @@ struct JsonRow {
   ExtendStrategy strategy;
   PairKernel kernel;
   double build_ms;
+  double auto_vs_best = 0;  // auto rows: build_ms / best forced kernel's
 };
+
+// Auto's wall time over the better forced kernel's, from one strategy's
+// build_ms triple indexed by PairKernel.
+double AutoVsBest(const double (&ms)[3]) {
+  return ms[static_cast<size_t>(PairKernel::kAuto)] /
+         std::min(ms[static_cast<size_t>(PairKernel::kSparse)],
+                  ms[static_cast<size_t>(PairKernel::kDense)]);
+}
 
 int RunJsonMode(const std::string& out_path) {
   const double scale = ScaleFromEnv();
@@ -186,14 +199,23 @@ int RunJsonMode(const std::string& out_path) {
     std::string name;
     Graph graph;
     size_t k;
+    // Empty: threads=1, plus the hardware-resolved count when it differs.
+    std::vector<size_t> thread_counts;
   };
   std::vector<Config> configs;
-  configs.push_back({"er-dense", BuildDenseErGraph(scale), 3});
+  configs.push_back({"er-dense", BuildDenseErGraph(scale), 3, {}});
   {
     auto moreno = BuildDataset(DatasetId::kMorenoHealth, 0.25 * scale, 42);
     bench::DieIf(moreno.status(), "moreno generation");
     configs.push_back({"moreno", std::move(moreno).ValueOrDie(),
-                       bench::SizeFromEnv("PATHEST_K", 4)});
+                       bench::SizeFromEnv("PATHEST_K", 4), {}});
+  }
+  {
+    // The offline k = 6 build on the full-size moreno-like graph at two
+    // workers: the shape of perfbench's build workload.
+    auto moreno = BuildDataset(DatasetId::kMorenoHealth, scale, 42);
+    bench::DieIf(moreno.status(), "moreno-full generation");
+    configs.push_back({"moreno-full", std::move(moreno).ValueOrDie(), 6, {2}});
   }
 
   constexpr PairKernel kKernels[] = {PairKernel::kSparse, PairKernel::kDense,
@@ -205,30 +227,35 @@ int RunJsonMode(const std::string& out_path) {
     std::printf("%s: |V|=%zu |E|=%zu |L|=%zu k=%zu\n", config.name.c_str(),
                 config.graph.num_vertices(), config.graph.num_edges(),
                 config.graph.num_labels(), config.k);
-    // threads=1 always; the hardware-resolved count too when it differs.
-    std::vector<size_t> thread_counts{1};
-    SelectivityOptions hw;
-    hw.num_threads = 0;
-    const size_t resolved =
-        ResolvedNumThreads(hw, config.graph.num_labels(), config.k);
-    if (resolved > 1) thread_counts.push_back(resolved);
+    std::vector<size_t> thread_counts = config.thread_counts;
+    if (thread_counts.empty()) {
+      thread_counts.push_back(1);
+      SelectivityOptions hw;
+      hw.num_threads = 0;
+      const size_t resolved =
+          ResolvedNumThreads(hw, config.graph.num_labels(), config.k);
+      if (resolved > 1) thread_counts.push_back(resolved);
+    }
 
     std::vector<uint64_t> baseline_values;
     for (size_t threads : thread_counts) {
-      // [strategy][kernel], indexed by the enum values.
+      // Best wall time per [strategy][kernel] cell, indexed by the enum
+      // values. Reps run round-robin over the cells, so host drift during
+      // the sweep hits every kernel alike instead of biasing a ratio.
       double ms_cell[2][3] = {{0, 0, 0}, {0, 0, 0}};
-      for (ExtendStrategy strategy : kStrategies) {
-        for (PairKernel kernel : kKernels) {
-          SelectivityOptions options;
-          options.num_threads = threads;
-          options.kernel = kernel;
-          options.strategy = strategy;
-          double best_ms = 0.0;
-          for (size_t rep = 0; rep < reps; ++rep) {
+      for (size_t rep = 0; rep < reps; ++rep) {
+        for (ExtendStrategy strategy : kStrategies) {
+          for (PairKernel kernel : kKernels) {
+            SelectivityOptions options;
+            options.num_threads = threads;
+            options.kernel = kernel;
+            options.strategy = strategy;
             Timer timer;
             auto map = ComputeSelectivities(config.graph, config.k, options);
             const double ms = timer.ElapsedMillis();
             bench::DieIf(map.status(), "selectivity computation");
+            double& best_ms = ms_cell[static_cast<size_t>(strategy)]
+                                     [static_cast<size_t>(kernel)];
             if (rep == 0 || ms < best_ms) best_ms = ms;
             // Cross-strategy / cross-kernel / cross-thread identity: every
             // cell's map must equal the first cell's, bit for bit.
@@ -239,27 +266,31 @@ int RunJsonMode(const std::string& out_path) {
                             "map differs across strategies/kernels/threads");
             }
           }
-          rows.push_back(
-              {config.name, config.k, threads, strategy, kernel, best_ms});
-          ms_cell[static_cast<size_t>(strategy)]
-                 [static_cast<size_t>(kernel)] = best_ms;
-          std::printf("  threads=%zu strategy=%-9s kernel=%-6s build_ms=%.3f\n",
-                      threads, ExtendStrategyName(strategy),
-                      PairKernelName(kernel), best_ms);
         }
       }
-      const double per_label_auto = ms_cell[1][0];
-      const double fused_auto = ms_cell[0][0];
-      const double sparse_ms = ms_cell[1][1];
-      const double dense_ms = ms_cell[1][2];
-      const double best = std::min(sparse_ms, dense_ms);
-      if (fused_auto > 0 && dense_ms > 0 && best > 0) {
-        std::printf(
-            "  threads=%zu summary: fused %.2fx vs per-label (auto kernel), "
-            "dense %.2fx vs sparse (per-label), auto/best %.2f\n",
-            threads, per_label_auto / fused_auto, sparse_ms / dense_ms,
-            per_label_auto / best);
+      for (ExtendStrategy strategy : kStrategies) {
+        const double (&ms)[3] = ms_cell[static_cast<size_t>(strategy)];
+        for (PairKernel kernel : kKernels) {
+          JsonRow row{config.name, config.k, threads, strategy, kernel,
+                      ms[static_cast<size_t>(kernel)]};
+          if (kernel == PairKernel::kAuto) row.auto_vs_best = AutoVsBest(ms);
+          rows.push_back(row);
+          std::printf("  threads=%zu strategy=%-9s kernel=%-6s build_ms=%.3f\n",
+                      threads, ExtendStrategyName(strategy),
+                      PairKernelName(kernel), row.build_ms);
+        }
       }
+      const double (&fused)[3] =
+          ms_cell[static_cast<size_t>(ExtendStrategy::kFused)];
+      const double (&per_label)[3] =
+          ms_cell[static_cast<size_t>(ExtendStrategy::kPerLabel)];
+      std::printf(
+          "  threads=%zu summary: fused %.2fx vs per-label (auto kernel); "
+          "auto / best forced kernel: fused %.3f, per-label %.3f\n",
+          threads,
+          per_label[static_cast<size_t>(PairKernel::kAuto)] /
+              fused[static_cast<size_t>(PairKernel::kAuto)],
+          AutoVsBest(fused), AutoVsBest(per_label));
     }
   }
 
@@ -274,10 +305,14 @@ int RunJsonMode(const std::string& out_path) {
     std::fprintf(out,
                  "  {\"dataset\": \"%s\", \"k\": %zu, \"threads\": %zu, "
                  "\"strategy\": \"%s\", \"kernel\": \"%s\", "
-                 "\"build_ms\": %.3f}%s\n",
+                 "\"build_ms\": %.3f",
                  r.dataset.c_str(), r.k, r.threads,
                  ExtendStrategyName(r.strategy), PairKernelName(r.kernel),
-                 r.build_ms, i + 1 < rows.size() ? "," : "");
+                 r.build_ms);
+    if (r.kernel == PairKernel::kAuto) {
+      std::fprintf(out, ", \"auto_vs_best\": %.3f", r.auto_vs_best);
+    }
+    std::fprintf(out, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "]\n");
   std::fclose(out);

@@ -33,7 +33,6 @@ int Run() {
   Graph graph = bench::BuildBenchDataset(DatasetId::kMorenoHealth);
   SelectivityOptions sel_options;
   sel_options.num_threads = bench::ThreadsFromEnv();
-  sel_options.kernel = bench::KernelFromEnv();
   auto build = MeasureSelectivityBuild(graph, k, sel_options);
   bench::DieIf(build.status(), "selectivity computation");
   std::printf("selectivity build profile (ground truth for the sweep):\n%s\n",

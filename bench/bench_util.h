@@ -51,28 +51,15 @@ inline size_t SizeFromEnv(const char* name, size_t def) {
 // fastest build; determinism is unaffected by thread count).
 inline size_t ThreadsFromEnv() { return SizeFromEnv("PATHEST_THREADS", 0); }
 
-// Extension-kernel override for selectivity evaluation: PATHEST_KERNEL env
-// (auto|sparse|dense), default auto. The map is bit-identical across
-// kernels; the knob exists to measure each kernel in isolation.
-inline PairKernel KernelFromEnv() {
-  const char* env = std::getenv("PATHEST_KERNEL");
-  if (env == nullptr || *env == '\0') return PairKernel::kAuto;
-  auto kernel = ParsePairKernel(env);
-  DieIf(kernel.status(), "PATHEST_KERNEL");
-  return *kernel;
-}
-
 // Computes exact selectivities with a progress line per root label.
 // `num_threads` follows SelectivityOptions semantics (0 = hardware) and
-// defaults to the PATHEST_THREADS env override; the extension kernel
-// follows PATHEST_KERNEL.
+// defaults to the PATHEST_THREADS env override.
 inline SelectivityMap ComputeWithProgress(const Graph& graph, size_t k,
                                           const std::string& name,
                                           size_t num_threads = ThreadsFromEnv()) {
   Timer timer;
   SelectivityOptions options;
   options.num_threads = num_threads;
-  options.kernel = KernelFromEnv();
   // Progress callbacks are mutex-serialized by the evaluator, so a plain
   // counter is safe. Count completions rather than echoing the root id:
   // under parallelism roots finish in unspecified order.

@@ -4,8 +4,8 @@
 // integrating the library.
 //
 // Usage:
-//   pathest_cli [--threads N] [--kernel auto|sparse|dense]
-//               [--strategy fused|per-label] [--graph G] <command> ...
+//   pathest_cli [--threads N] [--strategy fused|per-label] [--graph G]
+//               <command> ...
 //   pathest_cli generate <dataset> <out.graph> [scale] [seed]
 //   pathest_cli stats <graph-file>
 //   pathest_cli analyze <graph-file> <k> <ordering> <beta> <out.stats>
@@ -32,12 +32,10 @@
 //
 // --threads N controls the parallel selectivity engine (the dominant cost
 // of analyze/accuracy): N worker threads, 0 = one per hardware core (the
-// default). --kernel forces the pair-set extension kernel (default: auto,
-// a per-group cost-based choice); --strategy picks the evaluator
-// decomposition (default: fused — the all-labels kernel with prefix
-// tasks). Results are bit-identical for every thread count, kernel, and
-// strategy; the flags only change speed. All three are validated up
-// front (a malformed value is an error, not a silent fallback), and the
+// default). --strategy picks the evaluator decomposition (default: fused —
+// the all-labels kernel with prefix tasks). Results are bit-identical for
+// every thread count and strategy; the flags only change speed. Both are
+// validated up front (a malformed value is an error, not a silent fallback), and the
 // commands that build ground truth echo the RESOLVED configuration —
 // including the post-clamp worker count — in their build report line.
 //
@@ -113,9 +111,6 @@ namespace {
 // hardware core). Shared by every subcommand that computes ground truth.
 size_t g_num_threads = 0;
 
-// Extension-kernel override; set by --kernel (auto = per-group choice).
-PairKernel g_kernel = PairKernel::kAuto;
-
 // Evaluator strategy; set by --strategy (fused = all-labels kernel with
 // depth-2 prefix tasks, per-label = the baseline engine).
 ExtendStrategy g_strategy = ExtendStrategy::kFused;
@@ -155,7 +150,6 @@ Result<Graph> LoadCliGraph(const std::string& spec) {
 SelectivityOptions CliSelectivityOptions() {
   SelectivityOptions options;
   options.num_threads = g_num_threads;
-  options.kernel = g_kernel;
   options.strategy = g_strategy;
   return options;
 }
@@ -166,10 +160,10 @@ SelectivityOptions CliSelectivityOptions() {
 void PrintBuildConfig(const Graph& graph, size_t k) {
   SelectivityOptions options = CliSelectivityOptions();
   std::printf(
-      "selectivity build: threads=%zu (requested %zu), kernel=%s, "
-      "strategy=%s, tasks=%zu\n",
+      "selectivity build: threads=%zu (requested %zu), strategy=%s, "
+      "tasks=%zu\n",
       ResolvedNumThreads(options, graph.num_labels(), k), g_num_threads,
-      PairKernelName(g_kernel), ExtendStrategyName(g_strategy),
+      ExtendStrategyName(g_strategy),
       SelectivityTaskCount(graph.num_labels(), k, g_strategy));
 }
 
@@ -182,8 +176,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  pathest_cli [--threads N] [--kernel K] [--strategy S] <command> "
-      "...\n"
+      "  pathest_cli [--threads N] [--strategy S] <command> ...\n"
       "  pathest_cli generate <dataset> <out.graph> [scale] [seed]\n"
       "  pathest_cli stats <graph-file>\n"
       "  pathest_cli analyze <graph-file> <k> <ordering> <beta> <out.stats>\n"
@@ -227,8 +220,6 @@ int Usage() {
       "be '-' to read the edge list from stdin\n"
       "--threads N: selectivity AND ingest worker threads (0 = hardware "
       "cores, default)\n"
-      "--kernel K: pair-set extension kernel, auto|sparse|dense "
-      "(auto = per-group cost-based choice, default)\n"
       "--strategy S: evaluator decomposition, fused|per-label "
       "(fused = all-labels kernel + prefix tasks, default)\n"
       "--format F: catalog format analyze writes / convert targets, "
@@ -693,12 +684,10 @@ int main(int argc, char** argv) {
   // via strtoull.
   std::vector<std::string> rest;
   bool threads_seen = false;
-  bool kernel_seen = false;
   bool strategy_seen = false;
   bool graph_seen = false;
   bool format_seen = false;
   std::string threads_text;
-  std::string kernel_name;
   std::string strategy_name;
   std::string graph_spec;
   std::string format_name;
@@ -715,12 +704,6 @@ int main(int argc, char** argv) {
     } else if (all[i].rfind("--graph=", 0) == 0) {
       graph_seen = true;
       graph_spec = all[i].substr(8);
-    } else if (all[i] == "--kernel" && i + 1 < all.size()) {
-      kernel_seen = true;
-      kernel_name = all[++i];
-    } else if (all[i].rfind("--kernel=", 0) == 0) {
-      kernel_seen = true;
-      kernel_name = all[i].substr(9);
     } else if (all[i] == "--strategy" && i + 1 < all.size()) {
       strategy_seen = true;
       strategy_name = all[++i];
@@ -746,11 +729,6 @@ int main(int argc, char** argv) {
           "' (expected a non-negative integer; 0 = hardware cores)"));
     }
     g_num_threads = std::strtoull(threads_text.c_str(), nullptr, 10);
-  }
-  if (kernel_seen) {
-    auto kernel = ParsePairKernel(kernel_name);
-    if (!kernel.ok()) return Fail(kernel.status());
-    g_kernel = *kernel;
   }
   if (strategy_seen) {
     auto strategy = ParseExtendStrategy(strategy_name);
@@ -784,11 +762,10 @@ int main(int argc, char** argv) {
   // The engine flags only matter to commands that compute ground truth
   // (--threads also drives the ingest of a loaded graph); flag a no-op
   // combination instead of ignoring it silently.
-  if ((kernel_seen || strategy_seen) && cmd != "analyze" &&
-      cmd != "accuracy") {
+  if (strategy_seen && cmd != "analyze" && cmd != "accuracy") {
     std::fprintf(stderr,
-                 "note: --kernel/--strategy have no effect on '%s' (they "
-                 "configure the selectivity build of analyze/accuracy)\n",
+                 "note: --strategy has no effect on '%s' (it configures "
+                 "the selectivity build of analyze/accuracy)\n",
                  cmd.c_str());
   } else if (threads_seen && !takes_graph) {
     std::fprintf(stderr,

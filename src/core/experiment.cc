@@ -65,7 +65,6 @@ Result<SelectivityBuildResult> MeasureSelectivityBuild(
   if (!map.ok()) return map.status();
   return SelectivityBuildResult{k,
                                 num_threads,
-                                options.kernel,
                                 options.strategy,
                                 wall_ms,
                                 std::move(per_label_ms),
@@ -119,7 +118,6 @@ ReportTable SelectivityBuildReport(const Graph& graph,
   }
   table.AddRow({"total(wall, " + std::to_string(result.num_threads) +
                     " thread" + (result.num_threads == 1 ? "" : "s") + ", " +
-                    PairKernelName(result.kernel) + " kernel, " +
                     ExtendStrategyName(result.strategy) + " strategy)",
                 std::to_string(graph.num_edges()),
                 FormatDouble(result.wall_ms, 4), "100"});

@@ -36,9 +36,6 @@ struct SelectivityBuildResult {
   /// hardware concurrency, then clamped to the build's task count — |L|
   /// roots for the per-label strategy, |L|² prefix tasks for fused).
   size_t num_threads = 1;
-  /// Extension-kernel mode the build ran under (auto/sparse/dense). The
-  /// map is identical across modes; this records what was measured.
-  PairKernel kernel = PairKernel::kAuto;
   /// Evaluator strategy the build ran under (fused/per-label). The map is
   /// identical across strategies; this records what was measured.
   ExtendStrategy strategy = ExtendStrategy::kFused;

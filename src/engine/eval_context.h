@@ -45,8 +45,9 @@ struct EvalContext {
 
   Marker marker;
   LeafCounter leaf_counter;
-  /// The fused all-labels kernel's scratch (per-label bitsets + emission
-  /// arenas + vertex-major binding); rebound per evaluation scope.
+  /// The fused all-labels kernel's scratch (per-label bitsets, the flat
+  /// epoch array or emission arenas) and its binding to the graph's
+  /// vertex-major view and packed edge keys; rebound per evaluation scope.
   FusedExtender fused;
   /// Dense-kernel accumulator for ExtendPairSet; all-zero between uses
   /// (the kernel's drain restores that invariant).

@@ -67,6 +67,12 @@ Graph::VertexMajorView Graph::VertexMajor() const {
                          vm_tgt_offsets_.data(), vm_targets_.data()};
 }
 
+Graph::PackedEdgeView Graph::PackedEdges() const {
+  PATHEST_CHECK(has_packed_edges(), "packed edge keys not built");
+  return PackedEdgeView{pk_edge_offsets_.data(), pk_keys_.data(),
+                        pk_label_shift_};
+}
+
 Graph::AdjacencyPlane Graph::AdjacencyBitmaps() const {
   AdjacencyPlane plane;
   plane.kind = plane_kind_;
@@ -119,6 +125,9 @@ bool Graph::IdenticalTo(const Graph& other) const {
          vm_seg_labels_ == other.vm_seg_labels_ &&
          vm_tgt_offsets_ == other.vm_tgt_offsets_ &&
          vm_targets_ == other.vm_targets_ &&
+         pk_edge_offsets_ == other.pk_edge_offsets_ &&
+         pk_keys_ == other.pk_keys_ &&
+         pk_label_shift_ == other.pk_label_shift_ &&
          plane_kind_ == other.plane_kind_ && plane_ == other.plane_ &&
          plane_stride_words_ == other.plane_stride_words_ &&
          plane_seg_rows_ == other.plane_seg_rows_ &&

@@ -52,6 +52,27 @@ inline constexpr size_t kAdjacencyPlaneMaxBytes = 32 * 1024 * 1024;
 /// hub plane's materialization floor).
 inline constexpr uint64_t kPlaneRowWinFactor = 4;
 
+/// Entry budget of the packed edge keys (Graph::PackedEdges): they are
+/// built only while |V| · 2^⌈log₂|L|⌉ — the key space, and the size of the
+/// u32 epoch array the fused kernel's flat sparse loop indexes with them
+/// (FusedExtender::kMaxMarkerEntries) — stays at or below this many
+/// entries. Also keeps every key below 2^32.
+inline constexpr size_t kPackedKeyMaxEntries = 4u << 20;
+
+/// \brief ⌈log₂|L|⌉: the low bits a packed edge key spends on its label
+/// (0 for |L| <= 1).
+inline uint32_t PackedLabelShift(size_t num_labels) {
+  uint32_t shift = 0;
+  while ((size_t{1} << shift) < num_labels) ++shift;
+  return shift;
+}
+
+/// \brief True when a graph of this shape carries packed edge keys.
+inline bool PackedKeysFit(size_t num_vertices, size_t num_labels) {
+  return num_labels > 0 && num_vertices <= (kPackedKeyMaxEntries >>
+                                            PackedLabelShift(num_labels));
+}
+
 /// \brief Which adjacency-plane representation a graph carries.
 enum class PlaneKind : uint8_t {
   kNone = 0,   ///< no rows materialized (over budget even for hubs)
@@ -166,6 +187,29 @@ class Graph {
   /// \brief Checked-once accessor for VertexMajorView.
   VertexMajorView VertexMajor() const;
 
+  /// \brief Borrowed view of the packed edge keys: every vertex-major edge
+  /// re-encoded as one u32, key = (target << label_shift) | label with
+  /// label_shift = ⌈log₂|L|⌉, in VertexMajorView edge order. The out-edges
+  /// of v are keys[edge_offsets[v] .. edge_offsets[v+1]), all labels
+  /// together. This is the fused kernel's flat sparse loop input: one
+  /// sequential read per member yields both the successor and the index of
+  /// its (vertex, label) epoch. Built once per graph, only when
+  /// PackedKeysFit (see has_packed_edges); costs 4 bytes per edge plus
+  /// 8 bytes per vertex. Valid while the Graph is alive.
+  struct PackedEdgeView {
+    const uint64_t* edge_offsets;  // num_vertices() + 1 entries
+    const uint32_t* keys;          // num_edges() entries
+    uint32_t label_shift;
+  };
+
+  /// \brief True when the packed edge keys were built
+  /// (PackedKeysFit(num_vertices(), num_labels())).
+  bool has_packed_edges() const { return !pk_edge_offsets_.empty(); }
+
+  /// \brief Checked accessor for PackedEdgeView; requires
+  /// has_packed_edges().
+  PackedEdgeView PackedEdges() const;
+
   /// \brief Borrowed view of the per-(vertex, label) adjacency bitmap
   /// plane: a row is a |V|-bit bitmap (stride_words 64-bit words) of one
   /// cell's l-successors.
@@ -204,7 +248,8 @@ class Graph {
   const uint64_t* PlaneRow(VertexId v, LabelId l) const;
 
   /// \brief Deep structural equality: vertex/edge/label counts, label
-  /// names, forward and reverse CSRs, vertex-major arrays, and the plane
+  /// names, forward and reverse CSRs, vertex-major arrays, packed edge
+  /// keys, and the plane
   /// (kind, threshold, directory, and row words). This is the ingest
   /// determinism contract — builds of the same edge multiset must compare
   /// equal at every thread count — and is what the build tests assert.
@@ -234,6 +279,11 @@ class Graph {
   std::vector<LabelId> vm_seg_labels_;    // one per non-empty (v, l) cell
   std::vector<uint64_t> vm_tgt_offsets_;  // segments + 1
   std::vector<VertexId> vm_targets_;      // num_edges_
+
+  // Packed edge keys (PackedEdgeView); both empty unless PackedKeysFit.
+  std::vector<uint64_t> pk_edge_offsets_;  // num_vertices_ + 1
+  std::vector<uint32_t> pk_keys_;          // num_edges_
+  uint32_t pk_label_shift_ = 0;
 
   // Adjacency bitmap plane (AdjacencyBitmaps); empty when not even hub
   // rows fit the byte budget.

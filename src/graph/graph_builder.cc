@@ -1,6 +1,7 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "engine/thread_pool.h"
 #include "util/timer.h"
@@ -159,7 +160,9 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options,
 
   // Phase 3 — vertex-major, label-segmented adjacency: count segments and
   // out-degree per vertex (parallel over vertex ranges), prefix-sum both,
-  // then fill each vertex's disjoint directory/target slice in parallel.
+  // then fill each vertex's disjoint directory/target slice in parallel —
+  // and its packed-key slice, when the graph carries packed keys (the
+  // out-degree prefix sum is then kept as their per-vertex offsets).
   phase.Reset();
   constexpr size_t kVertexChunk = 4096;
   const size_t num_chunks = (num_vertices + kVertexChunk - 1) / kVertexChunk;
@@ -190,6 +193,9 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options,
   g.vm_tgt_offsets_.resize(num_segments + 1);
   g.vm_tgt_offsets_[0] = 0;
   g.vm_targets_.resize(total_edges);
+  const bool packed = PackedKeysFit(num_vertices, num_labels);
+  const uint32_t key_shift = PackedLabelShift(num_labels);
+  if (packed) g.pk_keys_.resize(total_edges);
   pool.ParallelFor(num_chunks, [&](size_t c, size_t) {
     const size_t begin = c * kVertexChunk;
     const size_t end = std::min(num_vertices, begin + kVertexChunk);
@@ -204,12 +210,22 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options,
         g.vm_seg_labels_[s] = static_cast<LabelId>(l);
         std::copy(csr.targets.begin() + b, csr.targets.begin() + e,
                   g.vm_targets_.begin() + t);
+        if (packed) {
+          for (uint64_t i = b; i < e; ++i) {
+            g.pk_keys_[t + (i - b)] =
+                (csr.targets[i] << key_shift) | static_cast<uint32_t>(l);
+          }
+        }
         t += e - b;
         g.vm_tgt_offsets_[s + 1] = t;
         ++s;
       }
     }
   });
+  if (packed) {
+    g.pk_label_shift_ = key_shift;
+    g.pk_edge_offsets_ = std::move(vtx_tgt_base);
+  }
   stats.vm_ms = phase.ElapsedMillis();
 
   // Phase 4 — adjacency bitmap plane, per the decision rule documented at
@@ -403,6 +419,23 @@ Result<Graph> GraphBuilder::BuildReference(bool with_reverse) {
       g.vm_tgt_offsets_.push_back(g.vm_targets_.size());
     }
     g.vm_seg_offsets_[v + 1] = g.vm_seg_labels_.size();
+  }
+
+  // Packed edge keys, re-derived from the vertex-major arrays.
+  if (PackedKeysFit(num_vertices_, num_labels)) {
+    g.pk_label_shift_ = PackedLabelShift(num_labels);
+    g.pk_edge_offsets_.resize(num_vertices_ + 1);
+    g.pk_keys_.resize(g.vm_targets_.size());
+    for (size_t v = 0; v <= num_vertices_; ++v) {
+      g.pk_edge_offsets_[v] = g.vm_tgt_offsets_[g.vm_seg_offsets_[v]];
+    }
+    for (size_t s = 0; s < g.vm_seg_labels_.size(); ++s) {
+      for (uint64_t e = g.vm_tgt_offsets_[s]; e < g.vm_tgt_offsets_[s + 1];
+           ++e) {
+        g.pk_keys_[e] = (g.vm_targets_[e] << g.pk_label_shift_) |
+                        g.vm_seg_labels_[s];
+      }
+    }
   }
 
   // Adjacency bitmap plane: the seed's dense-or-none rule — one |V|-bit

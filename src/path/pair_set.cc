@@ -1,6 +1,7 @@
 #include "path/pair_set.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 namespace pathest {
@@ -17,21 +18,14 @@ const char* PairKernelName(PairKernel kernel) {
   }
 }
 
-Result<PairKernel> ParsePairKernel(const std::string& name) {
-  if (name == "auto") return PairKernel::kAuto;
-  if (name == "sparse") return PairKernel::kSparse;
-  if (name == "dense") return PairKernel::kDense;
-  return Status::InvalidArgument("unknown kernel '" + name +
-                                 "' (expected auto|sparse|dense)");
-}
-
 namespace {
 
 // Effective per-label group-size threshold for one evaluation: forced
 // kernels degenerate to the all/none sentinels, kAuto to the graph-derived
 // density bound. Every kernel decision is then one integer compare.
 inline uint64_t EffectiveThreshold(PairKernel kernel, uint64_t label_cardinality,
-                                   size_t num_vertices, size_t num_words) {
+                                   size_t num_vertices, size_t num_words,
+                                   uint64_t margin = kDenseEmissionsPerWord) {
   switch (kernel) {
     case PairKernel::kSparse:
       return UINT64_MAX;
@@ -39,7 +33,8 @@ inline uint64_t EffectiveThreshold(PairKernel kernel, uint64_t label_cardinality
       return 0;
     case PairKernel::kAuto:
     default:
-      return DenseGroupThreshold(label_cardinality, num_vertices, num_words);
+      return DenseGroupThreshold(label_cardinality, num_vertices, num_words,
+                                 margin);
   }
 }
 
@@ -94,6 +89,17 @@ void LeafCounter::CountExtensions(const Graph::CsrView* views,
   }
 }
 
+namespace {
+
+// Start value of every newly allocated flat epoch counter (test hook).
+std::atomic<uint32_t> g_initial_flat_epoch{0};
+
+}  // namespace
+
+void FusedExtender::SetInitialEpochForTesting(uint32_t epoch) {
+  g_initial_flat_epoch.store(epoch, std::memory_order_relaxed);
+}
+
 FusedExtender::FusedExtender(size_t num_vertices, size_t num_labels)
     : cap_vertices_(num_vertices), cap_labels_(num_labels) {}
 
@@ -102,91 +108,130 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel) {
   const size_t num_labels = graph.num_labels();
   PATHEST_CHECK(num_labels <= cap_labels_ && num_vertices <= cap_vertices_,
                 "graph exceeds FusedExtender capacity");
-  // The heavy scratch (|L| full-|V| bitsets, per-label epoch markers) is
-  // allocated on FIRST Bind, not construction: every EvalContext owns a
-  // FusedExtender, but only the fused strategy ever binds one — the
-  // per-label engine must not pay for fused-only scratch.
+  // The per-label bitsets are allocated on FIRST Bind, not construction:
+  // every EvalContext owns a FusedExtender, but only the fused strategy
+  // ever binds one — the per-label engine must not pay for fused-only
+  // scratch.
   if (bits_.empty()) {
-    marker_ = Marker(cap_vertices_);
     bits_.resize(cap_labels_);
     for (DynamicBitset& b : bits_) b.Reset(cap_vertices_);
-    emit_.resize(cap_labels_);
     dense_threshold_.assign(cap_labels_, 0);
-    count_threshold_.assign(cap_labels_, 0);
-    sparse_counts_.assign(cap_labels_, 0);
     group_before_.assign(cap_labels_, 0);
-    if (cap_labels_ > 0 && cap_vertices_ <= kMaxMarkerEntries / cap_labels_) {
-      markers_.reserve(cap_labels_);
-      for (size_t l = 0; l < cap_labels_; ++l) {
-        markers_.emplace_back(cap_vertices_);
-      }
-    }
+    // Empty arenas cost nothing, and every segment-walk drain reads them:
+    // with the flat epoch array they simply stay empty (only labels without
+    // edges are sparse for a group that reaches the segment walk).
+    emit_.resize(cap_labels_);
   }
   vm_ = graph.VertexMajor();
   plane_ = graph.AdjacencyBitmaps();
   num_labels_ = num_labels;
-  slab_threshold_ = UINT64_MAX;
-  uint64_t slab_bound = 0;
-  bool any_edges = false;
+  row_edge_min_ = plane_.rows != nullptr
+                      ? (plane_.stride_words + kRowWinFactor - 1) /
+                            kRowWinFactor
+                      : UINT64_MAX;
+
+  // Flat sparse path: borrow the graph's packed edge keys; this context
+  // owns only the epoch array they index.
+  flat_ = graph.has_packed_edges();
+  if (flat_) {
+    const Graph::PackedEdgeView packed = graph.PackedEdges();
+    keys_ = packed.keys;
+    edge_offsets_ = packed.edge_offsets;
+    label_shift_ = packed.label_shift;
+    label_mask_ = (uint32_t{1} << label_shift_) - 1;
+    const size_t entries = num_vertices << label_shift_;
+    if (epoch_of_.empty()) {
+      epoch_ = g_initial_flat_epoch.load(std::memory_order_relaxed);
+    }
+    // Grown entries are zero, below every epoch still to be handed out.
+    if (epoch_of_.size() < entries) epoch_of_.resize(entries, 0);
+    flat_counts_.assign(size_t{1} << label_shift_, 0);
+  } else {
+    keys_ = nullptr;
+    edge_offsets_ = nullptr;
+    if (marker_.capacity() == 0) marker_ = Marker(cap_vertices_);
+  }
+
+  // all_dense: the smallest group size dense for EVERY label with edges.
+  uint64_t all_dense = 0;
   for (LabelId l = 0; l < num_labels; ++l) {
     // Scan cost is what each per-label bitset actually walks — its full
     // capacity, which may exceed this graph's vertex count under reuse.
     const uint64_t cardinality = graph.LabelCardinality(l);
-    const uint64_t base = EffectiveThreshold(kernel, cardinality,
-                                             num_vertices,
-                                             bits_[l].num_words());
-    dense_threshold_[l] = base;
-    // Counting drains by bare popcount, and with the adjacency plane a
-    // dense cell accumulates by vectorized row unions (~kRowWinFactor
-    // words per bit-RMW equivalent) — so CountAll's bitset-vs-marker
-    // crossover moves far left of DenseGroupThreshold: rows win once the
-    // group's OR work, stride/kRowWinFactor words per member, undercuts
-    // its ~group · mean-degree marker probes, i.e. from group sizes near
-    // stride · |V| / cardinality. Still a pure function of the graph, so
-    // kernel choice stays schedule-independent. ExtendAll keeps the plain
-    // threshold: its drain extracts positions, which is what the sparse
-    // path avoids. Dense planes only — a hub plane guarantees rows for
-    // hub cells alone, and a lowered threshold would push rowless cells
-    // onto per-edge bit-RMWs that lose to the marker.
-    uint64_t count_threshold = base;
-    if (kernel == PairKernel::kAuto && plane_.kind == PlaneKind::kDense &&
-        cardinality > 0) {
-      const uint64_t row_threshold = std::max<uint64_t>(
-          2, plane_.stride_words * num_vertices / cardinality);
-      count_threshold = std::min(base, row_threshold);
-    }
-    count_threshold_[l] = count_threshold;
-    if (cardinality > 0) {
-      any_edges = true;
-      slab_bound = std::max(slab_bound, count_threshold);
-    }
+    dense_threshold_[l] =
+        EffectiveThreshold(kernel, cardinality, num_vertices,
+                           bits_[l].num_words(), kFusedDenseEmissionsPerWord);
+    if (cardinality > 0) all_dense = std::max(all_dense, dense_threshold_[l]);
   }
-  // Slab fast path: once a group is dense for EVERY label that has edges,
-  // CountAll can union each member's whole plane slab (zero rows of
-  // edgeless labels are no-ops) and skip the segment directory entirely.
-  // Dense planes only: the slab union assumes the contiguous |L|·stride
-  // per-vertex layout, which hub planes do not have.
-  if (plane_.kind == PlaneKind::kDense && any_edges &&
-      slab_bound != UINT64_MAX) {
-    slab_threshold_ = slab_bound;
+  // A group leaves the flat loop only once every label is dense for it: a
+  // group with one sparse cell would give up the flat loop for ALL its
+  // labels to win on a few (measured on a 4-core Xeon host, such mixed
+  // groups made auto up to 38% slower than the sparse kernel on the
+  // 1/20-scale moreno-like graph of bench_micro_selectivity at k = 6).
+  flat_bound_ = flat_ ? all_dense : 0;
+  // Slab fast path: such a group can union each member's whole plane slab
+  // in CountAll (zero rows of edgeless labels are no-ops) and skip the
+  // segment directory entirely. It ORs all |L| rows of every member, so it
+  // beats the segment walk only when a member's rows carry, on average,
+  // enough edges for row ORs to win — the per-segment kRowWinFactor
+  // crossover summed over the slab. Dense planes only: the slab union
+  // assumes the contiguous |L|·stride per-vertex layout, which hub planes
+  // do not have.
+  slab_threshold_ = UINT64_MAX;
+  if (plane_.kind == PlaneKind::kDense && all_dense != UINT64_MAX &&
+      graph.num_edges() * kRowWinFactor >=
+          static_cast<uint64_t>(num_vertices) * num_labels *
+              plane_.stride_words) {
+    slab_threshold_ = all_dense;
     slab_.assign(plane_.stride_words * num_labels, 0);
   } else {
     slab_.clear();
   }
 }
 
+void FusedExtender::AccumulateDense(VertexId t, LabelId l, uint64_t s) {
+  const uint64_t tgt_begin = vm_.tgt_offsets[s];
+  const uint64_t tgt_end = vm_.tgt_offsets[s + 1];
+  const uint64_t* row =
+      tgt_end - tgt_begin >= row_edge_min_ ? RowFor(t, l, s) : nullptr;
+  if (row != nullptr) {
+    bits_[l].OrWords(row, plane_.stride_words);
+  } else {
+    DynamicBitset& bits = bits_[l];
+    for (uint64_t e = tgt_begin; e < tgt_end; ++e) {
+      bits.SetBitBlind(vm_.targets[e]);
+    }
+  }
+}
+
 void FusedExtender::CountAll(const PairSet& parent, uint64_t* counts) {
   const VertexId* targets = parent.targets.data();
-  const bool inline_sparse = !markers_.empty();
-  const uint64_t row_edge_min =
-      plane_.rows != nullptr
-          ? (plane_.stride_words + kRowWinFactor - 1) / kRowWinFactor
-          : UINT64_MAX;
+  const uint32_t* keys = keys_;
+  const uint64_t* edge_offsets = edge_offsets_;
+  uint32_t* epoch_of = epoch_of_.data();
+  uint64_t* flat_counts = flat_counts_.data();
+  const uint32_t mask = label_mask_;
   const size_t slab_words = plane_.stride_words * num_labels_;
   for (size_t i = 0; i < parent.srcs.size(); ++i) {
     const uint64_t begin = parent.offsets[i];
     const uint64_t end = parent.offsets[i + 1];
     const uint64_t group_size = end - begin;
+    if (group_size < flat_bound_) {
+      // Flat sparse path: one loop over each member's whole out-edge range,
+      // every label at once; counts accumulate across groups and are
+      // flushed once per call.
+      const uint32_t cur = NextFlatEpoch();
+      for (uint64_t j = begin; j < end; ++j) {
+        const VertexId t = targets[j];
+        const uint64_t e_end = edge_offsets[t + 1];
+        for (uint64_t e = edge_offsets[t]; e < e_end; ++e) {
+          const uint32_t key = keys[e];
+          flat_counts[key & mask] += epoch_of[key] != cur;
+          epoch_of[key] = cur;
+        }
+      }
+      continue;
+    }
     if (group_size >= slab_threshold_) {
       // Slab fast path: every label is dense for this group, so each
       // member contributes its whole contiguous |L|·stride plane slab in
@@ -210,47 +255,25 @@ void FusedExtender::CountAll(const PairSet& parent, uint64_t* counts) {
       }
       continue;
     }
-    if (inline_sparse) {
-      for (LabelId l = 0; l < num_labels_; ++l) markers_[l].NextEpoch();
-    }
+    // Segment walk: dense cells into the bitsets; sparse cells (arena
+    // fallback only — with the flat epoch array every cell here is dense)
+    // into the emission arenas.
     for (uint64_t j = begin; j < end; ++j) {
       const VertexId t = targets[j];
       const uint64_t seg_end = vm_.seg_offsets[t + 1];
       for (uint64_t s = vm_.seg_offsets[t]; s < seg_end; ++s) {
         const LabelId l = vm_.seg_labels[s];
-        const uint64_t tgt_begin = vm_.tgt_offsets[s];
-        const uint64_t tgt_end = vm_.tgt_offsets[s + 1];
-        if (group_size >= count_threshold_[l]) {
-          const uint64_t* row = tgt_end - tgt_begin >= row_edge_min
-                                    ? RowFor(t, l, s)
-                                    : nullptr;
-          if (row != nullptr) {
-            bits_[l].OrWords(row, plane_.stride_words);
-          } else {
-            DynamicBitset& bits = bits_[l];
-            for (uint64_t e = tgt_begin; e < tgt_end; ++e) {
-              bits.SetBitBlind(vm_.targets[e]);
-            }
-          }
-        } else if (inline_sparse) {
-          Marker& marker = markers_[l];
-          uint64_t distinct = 0;
-          for (uint64_t e = tgt_begin; e < tgt_end; ++e) {
-            distinct += marker.Mark(vm_.targets[e]);
-          }
-          sparse_counts_[l] += distinct;
+        if (group_size >= dense_threshold_[l]) {
+          AccumulateDense(t, l, s);
         } else {
-          emit_[l].insert(emit_[l].end(), vm_.targets + tgt_begin,
-                          vm_.targets + tgt_end);
+          emit_[l].insert(emit_[l].end(), vm_.targets + vm_.tgt_offsets[s],
+                          vm_.targets + vm_.tgt_offsets[s + 1]);
         }
       }
     }
     for (LabelId l = 0; l < num_labels_; ++l) {
-      if (group_size >= count_threshold_[l]) {
+      if (group_size >= dense_threshold_[l]) {
         counts[l] += bits_[l].CountAndClear();
-      } else if (inline_sparse) {
-        counts[l] += sparse_counts_[l];
-        sparse_counts_[l] = 0;
       } else if (!emit_[l].empty()) {
         marker_.NextEpoch();
         uint64_t distinct = 0;
@@ -258,6 +281,12 @@ void FusedExtender::CountAll(const PairSet& parent, uint64_t* counts) {
         counts[l] += distinct;
         emit_[l].clear();
       }
+    }
+  }
+  if (flat_) {
+    for (LabelId l = 0; l < num_labels_; ++l) {
+      counts[l] += flat_counts[l];
+      flat_counts[l] = 0;
     }
   }
 }
@@ -268,66 +297,66 @@ void FusedExtender::ExtendAll(const PairSet& parent, PairSet* children) {
     children[l].offsets.push_back(0);
   }
   const VertexId* targets = parent.targets.data();
-  const bool inline_sparse = !markers_.empty();
-  const uint64_t row_edge_min =
-      plane_.rows != nullptr
-          ? (plane_.stride_words + kRowWinFactor - 1) / kRowWinFactor
-          : UINT64_MAX;
+  const uint32_t* keys = keys_;
+  const uint64_t* edge_offsets = edge_offsets_;
+  uint32_t* epoch_of = epoch_of_.data();
+  const uint32_t shift = label_shift_;
+  const uint32_t mask = label_mask_;
   for (size_t i = 0; i < parent.srcs.size(); ++i) {
     const uint64_t begin = parent.offsets[i];
     const uint64_t end = parent.offsets[i + 1];
     const uint64_t group_size = end - begin;
     for (LabelId l = 0; l < num_labels_; ++l) {
       group_before_[l] = children[l].targets.size();
-      if (inline_sparse) markers_[l].NextEpoch();
     }
-    for (uint64_t j = begin; j < end; ++j) {
-      const VertexId t = targets[j];
-      const uint64_t seg_end = vm_.seg_offsets[t + 1];
-      for (uint64_t s = vm_.seg_offsets[t]; s < seg_end; ++s) {
-        const LabelId l = vm_.seg_labels[s];
-        const uint64_t tgt_begin = vm_.tgt_offsets[s];
-        const uint64_t tgt_end = vm_.tgt_offsets[s + 1];
-        if (group_size >= dense_threshold_[l]) {
-          const uint64_t* row = tgt_end - tgt_begin >= row_edge_min
-                                    ? RowFor(t, l, s)
-                                    : nullptr;
-          if (row != nullptr) {
-            bits_[l].OrWords(row, plane_.stride_words);
+    if (group_size < flat_bound_) {
+      // Flat sparse path: first-seen keys go straight into their label's
+      // child builder, in the per-label kernel's discovery order.
+      const uint32_t cur = NextFlatEpoch();
+      for (uint64_t j = begin; j < end; ++j) {
+        const VertexId t = targets[j];
+        const uint64_t e_end = edge_offsets[t + 1];
+        for (uint64_t e = edge_offsets[t]; e < e_end; ++e) {
+          const uint32_t key = keys[e];
+          if (epoch_of[key] != cur) {
+            epoch_of[key] = cur;
+            children[key & mask].targets.push_back(key >> shift);
+          }
+        }
+      }
+    } else {
+      // Segment walk, as in CountAll.
+      for (uint64_t j = begin; j < end; ++j) {
+        const VertexId t = targets[j];
+        const uint64_t seg_end = vm_.seg_offsets[t + 1];
+        for (uint64_t s = vm_.seg_offsets[t]; s < seg_end; ++s) {
+          const LabelId l = vm_.seg_labels[s];
+          if (group_size >= dense_threshold_[l]) {
+            AccumulateDense(t, l, s);
           } else {
-            DynamicBitset& bits = bits_[l];
-            for (uint64_t e = tgt_begin; e < tgt_end; ++e) {
-              bits.SetBitBlind(vm_.targets[e]);
-            }
+            emit_[l].insert(emit_[l].end(),
+                            vm_.targets + vm_.tgt_offsets[s],
+                            vm_.targets + vm_.tgt_offsets[s + 1]);
           }
-        } else if (inline_sparse) {
-          // Inline dedup: first-seen targets go straight into the child
-          // builder, in the same discovery order as the per-label kernel.
-          Marker& marker = markers_[l];
-          std::vector<VertexId>& out = children[l].targets;
-          for (uint64_t e = tgt_begin; e < tgt_end; ++e) {
-            const VertexId u = vm_.targets[e];
-            if (marker.Mark(u)) out.push_back(u);
+        }
+      }
+      for (LabelId l = 0; l < num_labels_; ++l) {
+        std::vector<VertexId>& out = children[l].targets;
+        if (group_size >= dense_threshold_[l]) {
+          bits_[l].ExtractAndClear([&out](size_t u) {
+            out.push_back(static_cast<VertexId>(u));
+          });
+        } else if (!emit_[l].empty()) {
+          marker_.NextEpoch();
+          for (VertexId u : emit_[l]) {
+            if (marker_.Mark(u)) out.push_back(u);
           }
-        } else {
-          emit_[l].insert(emit_[l].end(), vm_.targets + tgt_begin,
-                          vm_.targets + tgt_end);
+          emit_[l].clear();
         }
       }
     }
     for (LabelId l = 0; l < num_labels_; ++l) {
       PairSet& child = children[l];
-      if (group_size >= dense_threshold_[l]) {
-        bits_[l].ExtractAndClear([&child](size_t u) {
-          child.targets.push_back(static_cast<VertexId>(u));
-        });
-      } else if (!inline_sparse && !emit_[l].empty()) {
-        marker_.NextEpoch();
-        for (VertexId u : emit_[l]) {
-          if (marker_.Mark(u)) child.targets.push_back(u);
-        }
-        emit_[l].clear();
-      }
       if (child.targets.size() > group_before_[l]) {
         child.srcs.push_back(parent.srcs[i]);
         child.offsets.push_back(child.targets.size());

@@ -7,12 +7,18 @@
 // across evaluations and none is thread-safe on its own — parallel callers
 // get isolation by owning disjoint instances, one per worker.
 //
-// Kernels. Both extension passes (ExtendPairSet, LeafCounter) deduplicate
-// the successors of one source group, and do so with one of two kernels
-// chosen per (group, label) cell:
-//   * sparse — the epoch-marker loop: each candidate successor probes a
-//     per-vertex epoch word; first-seen vertices are emitted in discovery
-//     order. Cost ~ O(emissions) with a branchy random 8-byte access each.
+// Kernels. Every extension pass deduplicates the successors of one source
+// group, and does so with one of two kernels chosen per (group, label)
+// cell:
+//   * sparse — epoch marking: each candidate successor probes an epoch
+//     word; first-seen vertices are emitted in discovery order. Cost ~
+//     O(emissions) with one random access each. The fused engine
+//     (FusedExtender) runs it label-fused: one u32 epoch array indexed by
+//     the packed key (vertex << ⌈log₂|L|⌉) | label serves every label of a
+//     group at once, so a group is one flat loop over each member's whole
+//     out-edge range until it is dense for every label. The per-label
+//     kernels (ExtendPairSet, LeafCounter) keep one 64-bit Marker and one
+//     loop per label.
 //   * dense  — the bitmap loop: candidates are blindly OR-ed into a
 //     DynamicBitset (1 bit/vertex, branch-free), then drained by an
 //     ascending word scan (ExtractAndClear / CountAndClear). Cost ~
@@ -22,13 +28,14 @@
 // only on the graph and the prefix's pair set — never on threads or prior
 // scratch state — and both kernels produce the same distinct sets, so the
 // computed SelectivityMap is bit-identical across kernels (test-enforced by
-// tests/kernel_selectivity_test.cc).
+// tests/kernel_selectivity_test.cc). Forcing one kernel everywhere
+// (PairKernel::kSparse / kDense) is a test hook, not a tuning knob.
 
 #ifndef PATHEST_PATH_PAIR_SET_H_
 #define PATHEST_PATH_PAIR_SET_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/graph.h"
@@ -37,6 +44,9 @@
 namespace pathest {
 
 /// \brief Extension-kernel selection for the pair-set joins.
+///
+/// Only kAuto serves. The forced modes exist so the kernel-identity tests
+/// and bench_micro_selectivity --json can run each kernel in isolation.
 enum class PairKernel : uint8_t {
   kAuto = 0,    ///< per-(group, label) cost-based choice (the default)
   kSparse = 1,  ///< force the epoch-marker kernel everywhere
@@ -46,17 +56,24 @@ enum class PairKernel : uint8_t {
 /// \brief Stable lowercase name ("auto" / "sparse" / "dense").
 const char* PairKernelName(PairKernel kernel);
 
-/// \brief Inverse of PairKernelName; InvalidArgument on unknown names.
-Result<PairKernel> ParsePairKernel(const std::string& name);
-
 /// \brief Margin of the adaptive density test: the dense kernel must expect
 /// this many candidate emissions per bitmap word before it is chosen. At 1
 /// the word scan merely breaks even against the emission loop; requiring a
 /// multiple keeps borderline cells — where the bitmap's per-emission edge
 /// is smallest — on the sparse kernel (measured via bench_micro_selectivity
 /// --json: small margins made auto lag the sparse kernel on skewed-label
-/// graphs by ~15%).
+/// graphs by ~15%). This is the per-label kernels' margin.
 inline constexpr uint64_t kDenseEmissionsPerWord = 4;
+
+/// \brief The fused engine's margin (FusedExtender). Its flat sparse loop
+/// costs about half the per-label marker walk per edge, so a bitmap must
+/// amortize more before it pays. Measured on a 4-core Xeon host with the
+/// bench_micro_selectivity --json graphs, kernels interleaved: at margin 4
+/// auto lagged the sparse kernel by up to 6% on the moreno-like graphs at
+/// k = 6; at 32 it lagged the dense kernel by ~12% on er-dense k = 3; 16
+/// keeps auto within 5% of the better kernel on every config, in the
+/// median of five full-scale sweeps.
+inline constexpr uint64_t kFusedDenseEmissionsPerWord = 16;
 
 /// \brief The adaptive density test, precomputed per label: the smallest
 /// source-group size for which the dense kernel is expected to win.
@@ -68,16 +85,17 @@ inline constexpr uint64_t kDenseEmissionsPerWord = 4;
 /// much as the sparse kernel itself on low-degree graphs, which is
 /// exactly where the estimate must be cheap. The dense kernel is chosen
 /// when that expectation covers scanning the whole bitmap (one word per
-/// 64 vertices) kDenseEmissionsPerWord times over:
+/// 64 vertices) `margin` times over:
 ///   group_size × card / |V| >= margin × num_words
 /// Returns the group-size threshold (never 0; ~0 cardinality labels never
 /// go dense — they have next to no emissions to amortize a scan with).
 /// Deterministic in the graph alone, so kernel choice can never depend on
 /// scheduling.
-inline uint64_t DenseGroupThreshold(uint64_t label_cardinality,
-                                    size_t num_vertices, size_t num_words) {
+inline uint64_t DenseGroupThreshold(
+    uint64_t label_cardinality, size_t num_vertices, size_t num_words,
+    uint64_t margin = kDenseEmissionsPerWord) {
   if (label_cardinality == 0) return UINT64_MAX;
-  const uint64_t cost = kDenseEmissionsPerWord *
+  const uint64_t cost = margin *
                         static_cast<uint64_t>(num_words) *
                         static_cast<uint64_t>(num_vertices);
   const uint64_t threshold =
@@ -114,6 +132,9 @@ class Marker {
 
   /// \brief Starts a new distinct-set scope.
   void NextEpoch() { ++epoch_; }
+
+  /// \brief Number of vertices this marker can mark.
+  size_t capacity() const { return epoch_of_.size(); }
 
   /// \brief Returns true the first time `v` is seen in the current scope.
   bool Mark(VertexId v) {
@@ -171,22 +192,45 @@ class LeafCounter {
 /// target lists once per label, paying |L| random CSR row accesses per
 /// target. This kernel walks each target exactly once and reads its FULL
 /// out-adjacency sequentially from the graph's vertex-major view
-/// (Graph::VertexMajor), dispatching each label segment into a per-label
-/// accumulator:
-///   * dense cells (per-cell DenseGroupThreshold, same rule as the
-///     per-label kernels) accumulate into a per-label DynamicBitset —
-///     segments that carry enough edges union their PRECOMPUTED adjacency
-///     bitmap row (Graph::AdjacencyBitmaps, stride vectorized word-ORs)
-///     instead of one bit-RMW per edge; the bitset is drained per group by
-///     CountAndClear / ExtractAndClear;
-///   * sparse cells deduplicate INLINE through a per-label epoch Marker,
-///     emitting straight into the child builder (or a per-label counter)
-///     with no second pass; when |V|·|L| makes per-label markers too big
-///     they fall back to per-label emission arenas deduplicated by one
-///     shared marker after the pass.
-/// All scratch (bitsets, markers, arenas) is owned by this object and
-/// allocated once, so steady-state extension of |L| children allocates
-/// nothing (arenas keep their high-water capacity).
+/// (Graph::VertexMajor). Each source group takes one of three paths, all
+/// chosen from the group's size alone:
+///   * flat sparse — groups below the size at which EVERY label turns
+///     dense (the common case: most groups hold a handful of members).
+///     The graph packs every vertex-major edge into a u32 key
+///     (target << ⌈log₂|L|⌉) | label once (Graph::PackedEdges), and the
+///     group runs ONE branch-light loop over each member's whole out-edge
+///     range of keys against this context's u32 epoch array of
+///     |V|·2^⌈log₂|L|⌉ entries:
+///       new = epoch[key] != cur; epoch[key] = cur; count[key & mask] += new
+///     (ExtendAll pushes key >> shift into children[key & mask] instead).
+///     Within each label this is the per-label kernel's discovery order,
+///     so child sets match it element for element. A group with only
+///     some labels dense stays here too: leaving the flat loop would cost
+///     all its labels to win on a few.
+///   * slab (CountAll, dense plane) — groups dense for every label OR
+///     each member's whole contiguous |L|·stride plane slab into one
+///     scratch slab and popcount it per label, on graphs whose mean
+///     out-degree · kRowWinFactor covers the |L|·stride words per member.
+///   * segment walk — the other groups dense for every label, walked
+///     segment by segment into per-label DynamicBitsets (segments with
+///     enough edges union their precomputed adjacency bitmap row,
+///     Graph::AdjacencyBitmaps, in vectorized word-ORs) drained by
+///     CountAndClear / ExtractAndClear.
+/// The per-label thresholds are DenseGroupThreshold at margin
+/// kFusedDenseEmissionsPerWord, shared by CountAll and ExtendAll: against
+/// the flat loop, roughly twice as cheap per edge as the per-label marker
+/// walk, a bitmap pays only on groups four times larger than it did there.
+///
+/// When |V|·2^⌈log₂|L|⌉ exceeds kMaxMarkerEntries the graph has no packed
+/// keys and there is no epoch array: every group takes the segment walk,
+/// whose sparse cells append to per-label emission arenas, deduplicated by
+/// one shared 64-bit Marker after the group (allocated only then). With
+/// the epoch array, a group on the segment walk is dense for every label
+/// with edges, so its arenas stay empty — labels without edges are the
+/// only sparse cells left there. All scratch is owned by
+/// this object and allocated by Bind, so steady-state extension of |L|
+/// children allocates nothing (arenas and children keep their high-water
+/// capacity).
 ///
 /// Determinism: the per-cell kernel choice depends only on the graph and
 /// the parent's group sizes (never on threads or prior scratch), and every
@@ -195,10 +239,11 @@ class LeafCounter {
 /// by tests/fused_selectivity_test.cc.
 class FusedExtender {
  public:
-  /// Per-label-marker budget: inline sparse-cell dedup needs |V|·|L| epoch
-  /// words per context; above this many entries the emission-arena
-  /// fallback is used instead.
-  static constexpr size_t kMaxMarkerEntries = 4u << 20;  // 32 MB of epochs
+  /// Flat-epoch budget: the label-fused sparse path needs |V|·2^⌈log₂|L|⌉
+  /// u32 epochs per context; above this many entries (16 MB) the graph
+  /// carries no packed keys and the emission-arena fallback is used
+  /// instead (graph.h kPackedKeyMaxEntries, the same bound).
+  static constexpr size_t kMaxMarkerEntries = kPackedKeyMaxEntries;
 
   /// A segment ORs its precomputed bitmap row (stride_words word-ORs)
   /// instead of its edge list (seg_len bit-RMWs) when
@@ -211,15 +256,16 @@ class FusedExtender {
   /// Capacities: reusable for any graph with at most `num_vertices`
   /// vertices and `num_labels` labels (the EvalContext reuse contract).
   /// Construction records the capacities only — the scratch itself is
-  /// allocated by the first Bind, so contexts that never run the fused
-  /// strategy pay nothing for it.
+  /// allocated by Bind, so contexts that never run the fused strategy pay
+  /// nothing for it.
   FusedExtender(size_t num_vertices, size_t num_labels);
 
   /// \brief Binds the graph (and kernel policy) this extender reads:
-  /// allocates the scratch on first call, caches the vertex-major view
+  /// allocates the scratch, caches the vertex-major view, packed edge keys
   /// and adjacency plane, and refreshes the per-label density thresholds.
   /// Must be called before CountAll / ExtendAll whenever the graph or
-  /// kernel changes; O(|L|) after the first call.
+  /// kernel changes; O(|L|) once the scratch exists (the first Bind
+  /// allocates it, the epoch array included).
   void Bind(const Graph& graph, PairKernel kernel);
 
   /// \brief Fused leaf pass: adds, for each label l, the number of
@@ -231,6 +277,16 @@ class FusedExtender {
   /// at least the bound graph's label count of PairSets; prior contents
   /// are discarded.
   void ExtendAll(const PairSet& parent, PairSet* children);
+
+  /// \brief True when the bound graph runs the flat epoch array, false
+  /// when it takes the emission-arena fallback.
+  bool flat_sparse() const { return flat_; }
+
+  /// \brief Test hook: every FusedExtender whose epoch array is allocated
+  /// after this call starts its u32 epoch counter at `epoch`, so tests can
+  /// drive the wraparound (which clears the array) within a small build.
+  /// Process-wide; restore 0 when done.
+  static void SetInitialEpochForTesting(uint32_t epoch);
 
  private:
   /// The bitmap row of vertex-major segment `s` (= cell (t, l)), or
@@ -255,30 +311,56 @@ class FusedExtender {
     }
   }
 
+  /// Opens a new distinct-set scope of the flat epoch array; on u32
+  /// wraparound the array is cleared so no stale epoch can match.
+  uint32_t NextFlatEpoch() {
+    if (++epoch_ == 0) {
+      std::fill(epoch_of_.begin(), epoch_of_.end(), 0u);
+      epoch_ = 1;
+    }
+    return epoch_;
+  }
+
+  /// Accumulates the dense cell (t, l) = vertex-major segment `s` into
+  /// bits_[l]: one row union when the segment carries enough edges and the
+  /// plane has its row, one blind bit-set per edge otherwise.
+  void AccumulateDense(VertexId t, LabelId l, uint64_t s);
+
   size_t cap_vertices_;
   size_t cap_labels_;
   size_t num_labels_ = 0;        // bound graph's label count
   Graph::VertexMajorView vm_{};  // bound graph's vertex-major adjacency
   Graph::AdjacencyPlane plane_{};  // bitmap rows (rows == nullptr if absent)
-  Marker marker_{0};             // shared dedup scratch (arena fallback)
-  std::vector<Marker> markers_;  // per-label inline dedup (may be empty)
-  std::vector<DynamicBitset> bits_;          // per label; all-zero between groups
-  std::vector<std::vector<VertexId>> emit_;  // per label arenas (fallback)
-  /// ExtendAll's per-label group-size thresholds: the plain
-  /// DenseGroupThreshold — materialization pays a position-extraction
-  /// drain, so the bitset only wins where it did for the per-label kernel.
+  uint64_t row_edge_min_ = UINT64_MAX;  // min segment length for a row OR
+  // Flat sparse path (flat_ == true).
+  bool flat_ = false;
+  uint32_t label_shift_ = 0;       // ⌈log₂|L|⌉
+  uint32_t label_mask_ = 0;        // 2^label_shift_ - 1
+  const uint32_t* keys_ = nullptr;          // bound graph's packed keys
+  const uint64_t* edge_offsets_ = nullptr;  // and their per-vertex offsets
+  std::vector<uint32_t> epoch_of_;      // |V| << shift epochs
+  uint32_t epoch_ = 0;
+  std::vector<uint64_t> flat_counts_;   // CountAll sparse counts, 2^shift
+  // Emission-arena fallback (flat_ == false); the arenas exist, empty,
+  // after every Bind.
+  Marker marker_{0};
+  std::vector<std::vector<VertexId>> emit_;
+  // Dense path.
+  std::vector<DynamicBitset> bits_;  // per label; all-zero between groups
+  /// Per-label group-size thresholds (DenseGroupThreshold, or the forced
+  /// kernel's all/none sentinel), shared by CountAll and ExtendAll.
   std::vector<uint64_t> dense_threshold_;
-  /// CountAll's thresholds: with the adjacency plane the drain is a bare
-  /// popcount, so the crossover moves to the row-OR bound (see Bind).
-  std::vector<uint64_t> count_threshold_;
+  /// Groups smaller than this take the flat loop: the largest
+  /// dense_threshold_ over labels with edges, or 0 without the flat epoch
+  /// array.
+  uint64_t flat_bound_ = 0;
   /// Slab fast-path bound: groups at least this large have EVERY
-  /// (nonzero-cardinality) label dense under count_threshold_, so CountAll
-  /// ORs each member's whole contiguous plane slab — all |L| rows, no
-  /// segment directory — into slab_ and popcounts per label section.
+  /// (nonzero-cardinality) label dense, so CountAll ORs each member's
+  /// whole contiguous plane slab — all |L| rows, no segment directory —
+  /// into slab_ and popcounts per label section. Dense planes only.
   uint64_t slab_threshold_ = UINT64_MAX;
-  std::vector<uint64_t> slab_;               // |L| · stride words, all-zero
-  std::vector<uint64_t> sparse_counts_;      // CountAll inline counters
-  std::vector<size_t> group_before_;         // ExtendAll per-label watermark
+  std::vector<uint64_t> slab_;           // |L| · stride words, all-zero
+  std::vector<size_t> group_before_;     // ExtendAll per-label watermark
 };
 
 /// \brief Builds the level-1 pair set for label `l` directly from the CSR,

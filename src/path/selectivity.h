@@ -27,10 +27,12 @@
 // sparse epoch-marker kernel or the dense bitmap kernel, chosen per
 // (source group, label) by a cost estimate (see path/pair_set.h). The
 // fused strategy additionally walks each pair ONCE for all labels via the
-// graph's vertex-major view instead of once per label (FusedExtender).
-// SelectivityOptions::kernel / ::strategy can force any combination for
-// measurement; the contract is that the choice NEVER changes the computed
-// map, only speed.
+// graph's vertex-major view instead of once per label (FusedExtender),
+// and runs its sparse groups as one label-fused flat loop over packed
+// (vertex, label) epoch keys. SelectivityOptions::strategy selects the
+// engine; SelectivityOptions::kernel forces a kernel for the identity
+// tests only. The contract is that neither choice EVER changes the
+// computed map, only speed.
 
 #ifndef PATHEST_PATH_SELECTIVITY_H_
 #define PATHEST_PATH_SELECTIVITY_H_
@@ -150,9 +152,19 @@ struct SelectivityOptions {
   /// cells whose expected emission count (group size × the label's mean
   /// degree) covers the cost of a bitmap word scan with margin
   /// (DenseGroupThreshold) run the dense bitmap kernel, everything else
-  /// the sparse epoch-marker kernel. kSparse / kDense force one kernel
-  /// everywhere — useful only to measure each kernel in isolation
-  /// (pathest_cli --kernel, benches via PATHEST_KERNEL).
+  /// the sparse epoch-marker kernel. The margin is re-derived per engine:
+  /// kDenseEmissionsPerWord (4) for the per-label kernels,
+  /// kFusedDenseEmissionsPerWord (16) for the fused engine, whose flat
+  /// sparse loop halves the sparse side's cost; the fused engine also
+  /// keeps a group on that loop until every label is dense for it
+  /// (BENCH_selectivity.json records auto against the better forced
+  /// kernel per config).
+  ///
+  /// Test hook, not a tuning knob: kSparse / kDense force one kernel
+  /// everywhere, for the identity suites (kernel_selectivity_test,
+  /// fused_selectivity_test, incremental_test) and the kernel sweep of
+  /// bench_micro_selectivity --json. No CLI flag or environment variable
+  /// reaches it.
   ///
   /// Kernel-selection contract: the computed SelectivityMap (and, on
   /// failure, the returned status) is bit-identical across all three values

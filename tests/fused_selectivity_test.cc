@@ -7,8 +7,22 @@
 // independent EvaluatePathPairs oracle, shallow builds (k = 1, 2) that
 // bypass the prefix tasks, >64-label graphs, task-count resolution, and
 // the once-per-root callback contract under task decomposition.
+//
+// The FlatKernel tests pin down the label-fused flat sparse path of
+// FusedExtender: packed (vertex << ⌈log₂|L|⌉) | label keys over one u32
+// epoch array. Each checks the fused build against the per-label DFS and
+// EvaluatePathPairs at threads {1, 2, 4} on every plane kind the graph
+// admits: u32 epoch wraparound, non-power-of-two and >64 label counts, the
+// kMaxMarkerEntries boundary where the arena fallback takes over,
+// ExtendAll's child contents and order against ExtendPairSet, and labels
+// without edges on a graph dense enough for groups to leave the flat loop.
 
+#include <algorithm>
+#include <cstdint>
+#include <initializer_list>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +30,7 @@
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
 #include "graph/graph_builder.h"
+#include "path/pair_set.h"
 #include "path/selectivity.h"
 #include "test_util.h"
 
@@ -323,6 +338,249 @@ TEST(FusedSelectivityTest, StrategyParseAndNameRoundTrip) {
   }
   EXPECT_FALSE(ParseExtendStrategy("perlabel").ok());
   EXPECT_FALSE(ParseExtendStrategy("").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Flat sparse kernel
+
+// Every plane kind `base` admits: none, dense (when the full plane fits the
+// default budget) and hub.
+std::vector<Graph> PlaneVariants(const Graph& base) {
+  std::vector<Graph> variants;
+  variants.push_back(
+      RebuildWithPlane(base, PlanePolicy::kNone, kAdjacencyPlaneMaxBytes));
+  Graph dense =
+      RebuildWithPlane(base, PlanePolicy::kDense, kAdjacencyPlaneMaxBytes);
+  if (dense.AdjacencyBitmaps().kind == PlaneKind::kDense) {
+    variants.push_back(std::move(dense));
+  }
+  variants.push_back(
+      RebuildWithPlane(base, PlanePolicy::kHub, kAdjacencyPlaneMaxBytes));
+  return variants;
+}
+
+// The fused build of `g` must equal the per-label DFS (sparse, serial) at
+// every listed kernel and every thread count, and EvaluatePathPairs must
+// agree with it on every `oracle_stride`-th path of L_k.
+void ExpectFusedMatchesOracles(
+    const Graph& g, size_t k, uint64_t oracle_stride,
+    std::initializer_list<PairKernel> kernels = {
+        PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
+  const std::string plane = PlaneKindName(g.AdjacencyBitmaps().kind);
+  const SelectivityMap reference =
+      Compute(g, k, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
+  for (PairKernel kernel : kernels) {
+    for (size_t threads : {1u, 2u, 4u}) {
+      const SelectivityMap map =
+          Compute(g, k, ExtendStrategy::kFused, kernel, threads);
+      EXPECT_EQ(map.values(), reference.values())
+          << "plane=" << plane << " kernel=" << PairKernelName(kernel)
+          << " threads=" << threads;
+    }
+  }
+  uint64_t index = 0;
+  reference.space().ForEach([&](const LabelPath& path) {
+    if (index++ % oracle_stride != 0) return;
+    auto pairs = EvaluatePathPairs(g, path);
+    ASSERT_TRUE(pairs.ok()) << path.ToIdString();
+    EXPECT_EQ(pairs->size(), reference.Get(path))
+        << "plane=" << plane << " path=" << path.ToIdString();
+  });
+}
+
+// Resets the flat-epoch test hook even when an assertion bails out.
+struct InitialEpochGuard {
+  explicit InitialEpochGuard(uint32_t epoch) {
+    FusedExtender::SetInitialEpochForTesting(epoch);
+  }
+  ~InitialEpochGuard() { FusedExtender::SetInitialEpochForTesting(0); }
+};
+
+TEST(FlatKernelTest, EpochWraparoundClearsStaleMarks) {
+  // Every context starts its u32 epoch a few groups short of UINT32_MAX,
+  // so each build wraps (and clears the epoch array) within its first
+  // handful of groups — or, from further back, in mid-task with marks of
+  // the last epochs before the wrap still in the array.
+  const Graph base = ErdosRenyiGraph(150, 1200, 3, 41);
+  for (uint32_t headroom : {2u, 300u}) {
+    InitialEpochGuard guard(UINT32_MAX - headroom);
+    for (const Graph& g : PlaneVariants(base)) {
+      ExpectFusedMatchesOracles(g, /*k=*/4, /*oracle_stride=*/1);
+    }
+  }
+}
+
+TEST(FlatKernelTest, NonPowerOfTwoLabelCountPadsKeys) {
+  // |L| = 3 packs labels into 2 bits: key & mask never reaches the unused
+  // fourth slot, and key >> shift recovers every target.
+  const Graph base = ErdosRenyiGraph(220, 1800, 3, 8);
+  for (const Graph& g : PlaneVariants(base)) {
+    ASSERT_EQ(g.num_labels(), 3u);
+    ExpectFusedMatchesOracles(g, /*k=*/4, /*oracle_stride=*/1);
+  }
+}
+
+TEST(FlatKernelTest, SeventyLabelsUseSevenBitKeys) {
+  // |L| = 70 > 64: 7-bit label fields padded to 128 slots per vertex.
+  const Graph base = ErdosRenyiGraph(90, 3000, 70, 17);
+  for (const Graph& g : PlaneVariants(base)) {
+    ASSERT_EQ(g.num_labels(), 70u);
+    ExpectFusedMatchesOracles(g, /*k=*/3, /*oracle_stride=*/97);
+  }
+}
+
+TEST(FlatKernelTest, MarkerBudgetBoundarySwitchesToArenas) {
+  // 64 labels pack into 6 bits, so |V| = kMaxMarkerEntries / 64 is the
+  // largest graph on the flat epoch array and one more vertex takes the
+  // emission-arena fallback. Both sides must give the same maps. A dense
+  // plane cannot exist at this size (|V|² · |L| / 8 bytes is far over its
+  // budget), so the plane kinds here are none and hub; the forced dense
+  // kernel (a 1024-word bitmap drain per group and label) is left out, as
+  // it never reaches the sparse path this boundary is about.
+  constexpr size_t kLabels = 64;
+  const size_t flat_vertices = FusedExtender::kMaxMarkerEntries / kLabels;
+  for (size_t num_vertices : {flat_vertices, flat_vertices + 1}) {
+    const Graph base = ErdosRenyiGraph(num_vertices, 4000, kLabels, 5);
+    ASSERT_EQ(base.num_vertices(), num_vertices);
+    FusedExtender probe(base.num_vertices(), base.num_labels());
+    probe.Bind(base, PairKernel::kAuto);
+    EXPECT_EQ(probe.flat_sparse(), num_vertices == flat_vertices);
+    for (const Graph& g : PlaneVariants(base)) {
+      ExpectFusedMatchesOracles(g, /*k=*/3, /*oracle_stride=*/1031,
+                                {PairKernel::kAuto, PairKernel::kSparse});
+    }
+  }
+}
+
+// ExtendAll must reproduce ExtendPairSet for every label: the same sources,
+// offsets and — under the sparse kernel, where both emit in discovery
+// order — the same targets in the same order. Under the other kernels the
+// fused and per-label crossovers differ, so a group's targets may come out
+// in another order but never as another set. Checked on the level-1 sets
+// and, for larger groups, on every level-2 set. CountAll must count what
+// ExtendAll materializes.
+void ExpectExtendAllMatchesPerLabel(const Graph& g, PairKernel kernel) {
+  const size_t num_labels = g.num_labels();
+  FusedExtender fused(g.num_vertices(), num_labels);
+  fused.Bind(g, kernel);
+  Marker marker(g.num_vertices());
+  DynamicBitset bits(g.num_vertices());
+  std::vector<PairSet> children(num_labels);
+  std::vector<PairSet> grandchildren(num_labels);
+  std::vector<uint64_t> counts(num_labels);
+  PairSet level1;
+  PairSet expected;
+  const auto check = [&](const PairSet& parent, const PairSet* got,
+                         const std::string& where) {
+    std::fill(counts.begin(), counts.end(), 0);
+    fused.CountAll(parent, counts.data());
+    for (LabelId l = 0; l < num_labels; ++l) {
+      ExtendPairSet(g, parent, l, &marker, &bits, kernel, &expected);
+      const PairSet& child = got[l];
+      const std::string at = where + "/" + std::to_string(l) +
+                             " kernel=" + PairKernelName(kernel);
+      ASSERT_EQ(child.srcs, expected.srcs) << at;
+      ASSERT_EQ(child.offsets, expected.offsets) << at;
+      EXPECT_EQ(counts[l], child.size()) << at;
+      if (kernel == PairKernel::kSparse) {
+        EXPECT_EQ(child.targets, expected.targets) << at;
+        continue;
+      }
+      for (size_t i = 0; i < child.srcs.size(); ++i) {
+        std::vector<VertexId> a(child.targets.begin() + child.offsets[i],
+                                child.targets.begin() + child.offsets[i + 1]);
+        std::vector<VertexId> b(
+            expected.targets.begin() + expected.offsets[i],
+            expected.targets.begin() + expected.offsets[i + 1]);
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        EXPECT_EQ(a, b) << at << " group " << i;
+      }
+    }
+  };
+  for (LabelId root = 0; root < num_labels; ++root) {
+    InitialPairSet(g, root, &level1);
+    fused.ExtendAll(level1, children.data());
+    check(level1, children.data(), std::to_string(root));
+    for (LabelId l = 0; l < num_labels; ++l) {
+      fused.ExtendAll(children[l], grandchildren.data());
+      check(children[l], grandchildren.data(),
+            std::to_string(root) + "/" + std::to_string(l));
+    }
+  }
+}
+
+TEST(FlatKernelTest, ExtendAllChildContentsAndOrder) {
+  for (const Graph& g : PlaneVariants(ErdosRenyiGraph(160, 2600, 3, 23))) {
+    for (PairKernel kernel :
+         {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
+      ExpectExtendAllMatchesPerLabel(g, kernel);
+    }
+  }
+  ExpectExtendAllMatchesPerLabel(ForestFireGraph(300, 5, 4),
+                                 PairKernel::kSparse);
+  // The arena fallback also emits in discovery order.
+  const Graph wide = ErdosRenyiGraph(
+      FusedExtender::kMaxMarkerEntries / 64 + 1, 6000, 64, 9);
+  ExpectExtendAllMatchesPerLabel(wide, PairKernel::kSparse);
+}
+
+// `base` with one more label, `extra`, that carries no edges.
+Graph WithEdgelessLabel(const Graph& base, const std::string& extra) {
+  LabelDictionary labels = base.labels();
+  labels.Intern(extra);
+  GraphBuilder builder;
+  builder.Adopt(std::move(labels), base.CollectEdges(), base.num_vertices());
+  auto built = builder.Build();
+  PATHEST_CHECK(built.ok(), "edgeless-label rebuild failed");
+  return std::move(built).ValueOrDie();
+}
+
+TEST(FlatKernelTest, EdgelessLabelOnDenseGraph) {
+  // A label without edges never turns dense (its threshold is "never"),
+  // while the dense graph's level-1 groups (~10 members per label) reach
+  // the size at which every label WITH edges is dense, so they leave the
+  // flat loop for the segment walk (or the slab) and drain every label —
+  // the edgeless one included, whose emission arena must exist, empty.
+  const Graph base =
+      WithEdgelessLabel(ErdosRenyiGraph(200, 6000, 3, 61), "edgeless");
+  ASSERT_EQ(base.num_labels(), 4u);
+  ASSERT_EQ(base.LabelCardinality(3), 0u);
+  for (const Graph& g : PlaneVariants(base)) {
+    ExpectFusedMatchesOracles(g, /*k=*/3, /*oracle_stride=*/1);
+  }
+  ExpectExtendAllMatchesPerLabel(base, PairKernel::kAuto);
+}
+
+TEST(FlatKernelTest, AllLabelsEdgeless) {
+  // No label has edges, so no group size is dense for all of them and the
+  // flat loop takes no group at all: every group goes to the segment walk
+  // and drains arenas that stay empty.
+  GraphBuilder builder;
+  builder.AddLabel("a");
+  builder.AddLabel("b");
+  builder.SetNumVertices(8);
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok());
+  const Graph& g = *built;
+  FusedExtender fused(g.num_vertices(), g.num_labels());
+  fused.Bind(g, PairKernel::kAuto);
+  EXPECT_TRUE(fused.flat_sparse());
+  PairSet parent;
+  parent.srcs = {0, 5};
+  parent.offsets = {0, 2, 3};
+  parent.targets = {1, 2, 7};
+  uint64_t counts[2] = {0, 0};
+  fused.CountAll(parent, counts);
+  EXPECT_EQ(counts[0], 0u);
+  EXPECT_EQ(counts[1], 0u);
+  std::vector<PairSet> children(2);
+  fused.ExtendAll(parent, children.data());
+  for (const PairSet& child : children) {
+    EXPECT_TRUE(child.srcs.empty());
+    EXPECT_EQ(child.offsets, std::vector<uint64_t>{0});
+    EXPECT_TRUE(child.targets.empty());
+  }
 }
 
 }  // namespace

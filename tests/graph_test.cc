@@ -205,6 +205,51 @@ TEST(GraphTest, VertexMajorViewMatchesPerLabelCsr) {
   EXPECT_GT(segments_seen, 0u);
 }
 
+// The packed edge keys re-encode the vertex-major edges one for one:
+// key >> shift is the target, key & mask the segment's label, and the
+// per-vertex offsets are the vertex-major edge ranges. Both builders
+// produce them, and only while |V| · 2^⌈log₂|L|⌉ fits the key budget.
+TEST(GraphTest, PackedEdgesMatchVertexMajor) {
+  for (bool reference : {false, true}) {
+    GraphBuilder builder;
+    const Graph small = testing_util::SmallGraph();
+    builder.Adopt(small.labels(), small.CollectEdges(), small.num_vertices());
+    auto built = reference ? builder.BuildReference() : builder.Build();
+    ASSERT_TRUE(built.ok());
+    const Graph& g = *built;
+    ASSERT_TRUE(g.has_packed_edges());
+    const Graph::PackedEdgeView packed = g.PackedEdges();
+    EXPECT_EQ(packed.label_shift, PackedLabelShift(g.num_labels()));
+    EXPECT_EQ(size_t{1} << packed.label_shift,
+              std::bit_ceil(g.num_labels()));
+    const uint32_t mask = (uint32_t{1} << packed.label_shift) - 1;
+    const Graph::VertexMajorView vm = g.VertexMajor();
+    for (VertexId v = 0; v <= g.num_vertices(); ++v) {
+      EXPECT_EQ(packed.edge_offsets[v], vm.tgt_offsets[vm.seg_offsets[v]]);
+    }
+    for (uint64_t s = 0; s < vm.seg_offsets[g.num_vertices()]; ++s) {
+      for (uint64_t e = vm.tgt_offsets[s]; e < vm.tgt_offsets[s + 1]; ++e) {
+        EXPECT_EQ(packed.keys[e] >> packed.label_shift, vm.targets[e]);
+        EXPECT_EQ(packed.keys[e] & mask, vm.seg_labels[s]);
+      }
+    }
+  }
+  // 4 labels pack into 2 bits: the budget admits kPackedKeyMaxEntries / 4
+  // vertices, and not one more.
+  const size_t fit = kPackedKeyMaxEntries / 4;
+  EXPECT_TRUE(PackedKeysFit(fit, 4));
+  EXPECT_FALSE(PackedKeysFit(fit + 1, 4));
+  EXPECT_TRUE(PackedKeysFit(fit + 1, 2));
+  EXPECT_FALSE(PackedKeysFit(10, 0));
+  GraphBuilder wide;
+  for (const char* name : {"a", "b", "c", "d"}) wide.AddLabel(name);
+  wide.AddEdge(0, 0, 1);
+  wide.SetNumVertices(fit + 1);
+  auto over = wide.Build();
+  ASSERT_TRUE(over.ok());
+  EXPECT_FALSE(over->has_packed_edges());
+}
+
 TEST(GraphTest, AdjacencyBitmapPlaneMatchesCsr) {
   Graph g = testing_util::GraphWithCardinalities({{"p", 40}, {"q", 9}});
   const Graph::AdjacencyPlane plane = g.AdjacencyBitmaps();

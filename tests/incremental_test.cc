@@ -266,6 +266,20 @@ TEST(IncrementalTest, RemoveEveryEdgeOfALabel) {
   }
 }
 
+TEST(IncrementalTest, EmptyALabelOfADenseGraph) {
+  // As above on a graph dense enough (~10 level-1 members per label) that
+  // the fused kernel's groups leave its flat loop for the bitmap paths,
+  // which then drain the emptied label too.
+  std::vector<EdgeTriple> edges;
+  Graph graph = RandomGraph(78, 200, 3, 6000, &edges);
+  std::vector<EdgeDelta> deltas;
+  for (const EdgeTriple& t : edges) {
+    if (t.label == 1) deltas.push_back({false, t.src, t.dst, t.label});
+  }
+  ASSERT_FALSE(deltas.empty());
+  ExpectBitIdentity(graph, deltas, 3, "dense label emptied");
+}
+
 TEST(IncrementalTest, GuardViolationMatchesFullBuildError) {
   // A pair guard the BASE graph satisfies but the patched graph trips:
   // the incremental rebuild (same guard as the original build, per its
