@@ -1,11 +1,12 @@
 // Ablation A3: quality of the scalable greedy-merge V-optimal builder
-// against the exact O(n beta log n) divide-and-conquer dynamic program, on
-// domains small enough for the DP. Reports the SSE ratio (greedy / exact)
-// and the resulting mean |err| of both, under the sum-based ordering.
+// against the exact dynamic program, on domains small enough for the DP.
+// Reports the SSE ratio (greedy / exact) and the resulting mean |err| of
+// both, under the sum-based ordering.
 //
-// This justifies the substitution documented in DESIGN.md §3: at paper scale
-// the DP is infeasible, and this ablation shows the greedy builder's SSE is
-// within a few percent of optimal on realistic path-frequency distributions.
+// This justifies the substitution documented in "Design notes" in
+// README.md: at paper scale the DP is infeasible, and this ablation shows
+// the greedy builder's SSE is within a few percent of optimal on realistic
+// path-frequency distributions.
 
 #include <cstdio>
 #include <vector>

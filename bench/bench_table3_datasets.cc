@@ -2,9 +2,9 @@
 // #vertices, #edges, real-world flag) for the four evaluation datasets.
 //
 // The real datasets (Moreno Health, DBpedia) are synthesized stand-ins with
-// the published shape — see DESIGN.md §5; this bench verifies the generated
-// graphs actually land on the paper's row values, and prints per-label
-// cardinalities as supplementary detail.
+// the published shape — see "Design notes" in README.md; this bench
+// verifies the generated graphs actually land on the paper's row values, and
+// prints per-label cardinalities as supplementary detail.
 
 #include <cstdio>
 

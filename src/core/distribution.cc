@@ -17,10 +17,16 @@ Result<std::vector<uint64_t>> BuildDistribution(
         "selectivity map covers k=" + std::to_string(source.k()) +
         " but ordering needs k=" + std::to_string(target.k()));
   }
+  // Scatter in canonical order (see distribution.h): the first
+  // target.size() values of the map are the target space's paths.
+  const std::vector<uint64_t>& values = selectivities.values();
   std::vector<uint64_t> dist(target.size());
-  for (uint64_t i = 0; i < target.size(); ++i) {
-    dist[i] = selectivities.Get(ordering.Unrank(i));
-  }
+  RankScratch scratch;
+  scratch.Reserve(target.num_labels());
+  uint64_t canonical = 0;
+  target.ForEach([&](const LabelPath& path) {
+    dist[ordering.Rank(path, scratch)] = values[canonical++];
+  });
   return dist;
 }
 

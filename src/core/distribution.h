@@ -20,6 +20,14 @@ namespace pathest {
 ///
 /// The selectivity map must cover the ordering's space (same label count and
 /// k >= the ordering's k).
+///
+/// Built as a scatter rather than a gather: the ordering's space is walked
+/// in canonical order with one RankScratch, and each path's value lands at
+/// D[O.Rank(p, scratch)]. That avoids an allocating virtual Unrank plus a
+/// map lookup per index, and reads the map sequentially. A path's canonical
+/// index depends only on its labels, not on k, so the walk reads the first
+/// |L_k| values of a map built at a larger k unchanged. The result equals
+/// the Unrank formulation element for element (tests/core_test.cc).
 Result<std::vector<uint64_t>> BuildDistribution(
     const SelectivityMap& selectivities, const Ordering& ordering);
 

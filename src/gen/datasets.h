@@ -4,7 +4,8 @@
 // SNAP-generated synthetic graphs (Erdős–Rényi and Forest Fire). The real
 // datasets are not redistributable/offline-available, so this module builds
 // synthetic stand-ins with the same |V| / |E| / |L| and the structural
-// properties the paper's analysis relies on (see DESIGN.md §5):
+// properties the paper's analysis relies on (see "Design notes" in
+// README.md):
 //   * moreno-like  — preferential attachment + Zipf-skewed labels,
 //   * dbpedia-like — preferential attachment + typed-predicate labels
 //                    (correlated labels, as in real RDF data),

@@ -10,9 +10,15 @@
 //     distributions (see v_optimal.cc for why the textbook monotone-split
 //     divide-and-conquer is unsound for segment SSE); reference quality,
 //     guarded by max_n;
-//   * BuildVOptimalGreedy — bottom-up adjacent-bucket merging with a lazy
-//     min-heap, O(n log n); the scalable builder used at paper scale
-//     (n = 55 986 with β up to n/2), see DESIGN.md §3.
+//   * BuildVOptimalGreedy — bottom-up adjacent-bucket merging, O(n log n);
+//     the scalable builder used at paper scale (n = 55 986 with β up to
+//     n/2), see the README's "Design notes". An indexed binary heap holds
+//     exactly one entry per live adjacent pair, keyed by its ΔSSE; a merge
+//     re-keys or erases the affected pairs in place, so no stale entry is
+//     ever popped. Each step merges the pair with the smallest
+//     (ΔSSE, left bucket position): an exact ΔSSE tie goes to the leftmost
+//     pair, so the result depends on the data alone, not on the heap
+//     layout or the standard library.
 //
 // Shared-stats engine: every builder also has an overload taking a
 // DistributionStats (histogram/stats.h) — prefix sums of counts and squared
@@ -32,7 +38,7 @@
 // double-precision bucket sums (enforced by tests/histogram_sweep_test.cc).
 // Where the policy has an incremental form the sweep shares the dominant
 // work across all β:
-//   * kVOptimal — BuildVOptimalGreedySweep runs the lazy-min-heap merge
+//   * kVOptimal — BuildVOptimalGreedySweep runs the indexed-heap merge
 //     ONCE from n singletons down to the smallest requested β and snapshots
 //     boundaries every time the live-bucket count crosses a requested
 //     level: the whole β = n/2 ... n/128 sweep costs one merge run instead
@@ -88,7 +94,9 @@ Result<Histogram> BuildVOptimalExact(const DistributionStats& stats,
                                      size_t max_n = kVOptimalExactDefaultMaxN);
 
 /// \brief Greedy approximate V-optimal: start from singleton buckets and
-/// repeatedly merge the adjacent pair with the smallest SSE increase.
+/// repeatedly merge the adjacent pair with the smallest SSE increase, the
+/// leftmost pair on an exact tie. Domains are limited to 2^32 - 2
+/// positions.
 Result<Histogram> BuildVOptimalGreedy(const std::vector<uint64_t>& data,
                                       size_t num_buckets);
 Result<Histogram> BuildVOptimalGreedy(const DistributionStats& stats,

@@ -1,6 +1,6 @@
 #include <algorithm>
 #include <functional>
-#include <queue>
+#include <limits>
 #include <utility>
 
 #include "histogram/builders.h"
@@ -9,47 +9,134 @@ namespace pathest {
 
 namespace {
 
-// Live bucket during greedy merging; linked-list via prev/next indexes.
+constexpr uint32_t kNoNode = std::numeric_limits<uint32_t>::max();
+
+// Live bucket during greedy merging. A node's index is its begin position
+// (a merge keeps the left bucket's node), so the bucket spans
+// [index, next): `next` is both the right neighbour's index and this
+// bucket's end, and equals n for the last bucket.
 struct Node {
-  uint64_t begin;
-  uint64_t end;
   double sum;
   double sumsq;
-  int64_t prev;
-  int64_t next;
-  uint64_t version;  // bumped on every mutation to invalidate heap entries
-  bool alive;
-
-  double Sse() const {
-    double w = static_cast<double>(end - begin);
-    return sumsq - (sum * sum) / w;
-  }
+  uint32_t prev;  // kNoNode for the first bucket
+  uint32_t next;
 };
 
-struct Candidate {
-  double delta;  // SSE increase of merging node with its next neighbor
-  size_t node;
-  // Versions of the pair at creation; any later mutation invalidates them.
-  uint64_t left_version;
-  uint64_t right_version;
-  bool operator>(const Candidate& other) const { return delta > other.delta; }
-};
-
-double MergeDelta(const Node& a, const Node& b) {
-  double sum = a.sum + b.sum;
-  double sumsq = a.sumsq + b.sumsq;
-  double w = static_cast<double>(b.end - a.begin);
-  double merged_sse = sumsq - (sum * sum) / w;
-  return merged_sse - a.Sse() - b.Sse();
+double Sse(const Node& node, uint32_t begin) {
+  double w = static_cast<double>(node.next - begin);
+  return node.sumsq - (node.sum * node.sum) / w;
 }
 
-// The shared merge engine: ONE lazy-min-heap merge pass from n singleton
-// buckets down to the smallest requested level, snapshotting boundaries
-// each time the live-bucket count reaches a requested level. Both the
-// per-β builder and the sweep run through here, which is what makes their
-// outputs bit-identical: the merge trajectory never depends on the target
-// β — the target only decides where along the trajectory to stop (or, for
-// the sweep, where to snapshot and keep going).
+// SSE increase of merging bucket `left` with its right neighbour.
+double MergeDelta(const std::vector<Node>& nodes, uint32_t left) {
+  const Node& a = nodes[left];
+  const Node& b = nodes[a.next];
+  double sum = a.sum + b.sum;
+  double sumsq = a.sumsq + b.sumsq;
+  double w = static_cast<double>(b.next - left);
+  double merged_sse = sumsq - (sum * sum) / w;
+  return merged_sse - Sse(a, left) - Sse(b, a.next);
+}
+
+// One entry per live adjacent pair (left, nodes[left].next), its merge cost
+// inline. Entries are ordered by (delta, left): a total order, since the
+// left position identifies the pair.
+struct PairEntry {
+  double delta;
+  uint32_t left;
+};
+
+bool Before(const PairEntry& x, const PairEntry& y) {
+  return x.delta < y.delta || (x.delta == y.delta && x.left < y.left);
+}
+
+// Indexed binary min-heap of the live pairs. pos_[left] is the heap slot
+// of pair `left`, so a merge can erase or re-key any pair in place and the
+// heap never holds a stale entry.
+class PairHeap {
+ public:
+  // O(n) bottom-up heapify of `entries`; every `left` must be < num_nodes.
+  PairHeap(std::vector<PairEntry> entries, size_t num_nodes)
+      : heap_(std::move(entries)), pos_(num_nodes, kNoNode) {
+    for (size_t i = 0; i < heap_.size(); ++i) {
+      pos_[heap_[i].left] = static_cast<uint32_t>(i);
+    }
+    for (size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i, heap_[i]);
+  }
+
+  bool empty() const { return heap_.empty(); }
+  const PairEntry& top() const { return heap_[0]; }
+
+  // Sets the merge cost of the queued pair `left`.
+  void Update(uint32_t left, double delta) {
+    Reseat(pos_[left], PairEntry{delta, left});
+  }
+
+  // Drops the queued pair `left`.
+  void Erase(uint32_t left) {
+    const size_t slot = pos_[left];
+    pos_[left] = kNoNode;
+    const PairEntry last = heap_.back();
+    heap_.pop_back();
+    if (slot < heap_.size()) Reseat(slot, last);
+  }
+
+ private:
+  // Moves `e` into the hole at `slot` and restores the heap order.
+  void Reseat(size_t slot, PairEntry e) {
+    if (slot > 0 && Before(e, heap_[(slot - 1) / 2])) {
+      SiftUp(slot, e);
+    } else {
+      SiftDown(slot, e);
+    }
+  }
+
+  void SiftUp(size_t hole, PairEntry e) {
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!Before(e, heap_[parent])) break;
+      Place(hole, heap_[parent]);
+      hole = parent;
+    }
+    Place(hole, e);
+  }
+
+  void SiftDown(size_t hole, PairEntry e) {
+    const size_t size = heap_.size();
+    for (;;) {
+      size_t child = 2 * hole + 1;
+      if (child >= size) break;
+      if (child + 1 < size && Before(heap_[child + 1], heap_[child])) ++child;
+      if (!Before(heap_[child], e)) break;
+      Place(hole, heap_[child]);
+      hole = child;
+    }
+    Place(hole, e);
+  }
+
+  void Place(size_t slot, const PairEntry& e) {
+    heap_[slot] = e;
+    pos_[e.left] = static_cast<uint32_t>(slot);
+  }
+
+  std::vector<PairEntry> heap_;
+  std::vector<uint32_t> pos_;
+};
+
+// The shared merge engine: ONE merge pass from n singleton buckets down to
+// the smallest requested level, snapshotting boundaries each time the
+// live-bucket count reaches a requested level. Both the per-β builder and
+// the sweep run through here, which is what makes their outputs
+// bit-identical: the merge trajectory never depends on the target β — the
+// target only decides where along the trajectory to stop (or, for the
+// sweep, where to snapshot and keep going).
+//
+// Each step merges the live pair with the smallest (ΔSSE, left position),
+// taken from an indexed heap holding exactly one entry per live pair. A
+// merge re-keys the merged bucket's pairs with both neighbours and erases
+// the absorbed bucket's pair in place, so no stale entry is ever queued or
+// popped. Pinning ties to the left position makes the trajectory a function
+// of the data alone, independent of the heap's internal layout.
 Result<std::vector<Histogram>> RunGreedyMerge(const std::vector<uint64_t>& data,
                                               const std::vector<size_t>& betas,
                                               GreedyMergeMetrics* metrics) {
@@ -59,6 +146,9 @@ Result<std::vector<Histogram>> RunGreedyMerge(const std::vector<uint64_t>& data,
   }
   if (betas.empty()) return std::vector<Histogram>{};
   const size_t n = data.size();
+  if (n >= kNoNode) {
+    return Status::InvalidArgument("greedy merge domain exceeds 2^32 - 2");
+  }
   if (metrics != nullptr) ++metrics->merge_runs;
 
   // Requested live-bucket levels, clamped like the per-β builder, visited
@@ -72,13 +162,12 @@ Result<std::vector<Histogram>> RunGreedyMerge(const std::vector<uint64_t>& data,
   std::vector<Node> nodes(n);
   for (size_t i = 0; i < n; ++i) {
     double v = static_cast<double>(data[i]);
-    nodes[i] = Node{i, i + 1, v,       v * v,
-                    static_cast<int64_t>(i) - 1,
-                    i + 1 < n ? static_cast<int64_t>(i + 1) : -1,
-                    0,       true};
+    nodes[i] = Node{v, v * v, i == 0 ? kNoNode : static_cast<uint32_t>(i - 1),
+                    static_cast<uint32_t>(i + 1)};
   }
 
-  // Boundary snapshots per target level, in descending-level order.
+  // Boundary snapshots per target level, in descending-level order. Node 0
+  // is never absorbed, so the live buckets are the list from node 0.
   std::vector<std::pair<size_t, std::vector<uint64_t>>> snapshots;
   snapshots.reserve(targets.size());
   size_t live = n;
@@ -87,10 +176,8 @@ Result<std::vector<Histogram>> RunGreedyMerge(const std::vector<uint64_t>& data,
     if (next_target >= targets.size() || live != targets[next_target]) return;
     std::vector<uint64_t> boundaries;
     boundaries.reserve(live - 1);
-    for (size_t i = 0; i < n; ++i) {
-      if (nodes[i].alive && nodes[i].begin > 0) {
-        boundaries.push_back(nodes[i].begin);
-      }
+    for (uint32_t i = nodes[0].next; i < n; i = nodes[i].next) {
+      boundaries.push_back(i);
     }
     snapshots.emplace_back(live, std::move(boundaries));
     ++next_target;
@@ -98,41 +185,32 @@ Result<std::vector<Histogram>> RunGreedyMerge(const std::vector<uint64_t>& data,
   snapshot_if_requested();  // covers targets equal to n
 
   if (live > targets.back()) {
-    auto make_candidate = [&](size_t i) {
-      size_t j = static_cast<size_t>(nodes[i].next);
-      return Candidate{MergeDelta(nodes[i], nodes[j]), i, nodes[i].version,
-                       nodes[j].version};
-    };
-
-    std::priority_queue<Candidate, std::vector<Candidate>,
-                        std::greater<Candidate>>
-        heap;
-    for (size_t i = 0; i + 1 < n; ++i) heap.push(make_candidate(i));
+    std::vector<PairEntry> pairs(n - 1);
+    for (uint32_t i = 0; i + 1 < n; ++i) {
+      pairs[i] = PairEntry{MergeDelta(nodes, i), i};
+    }
+    PairHeap heap(std::move(pairs), n);
 
     while (live > targets.back()) {
       PATHEST_CHECK(!heap.empty(), "greedy merge heap exhausted early");
-      Candidate c = heap.top();
-      heap.pop();
-      Node& a = nodes[c.node];
-      if (!a.alive || a.next < 0 || c.left_version != a.version ||
-          c.right_version != nodes[a.next].version) {
-        continue;  // stale entry
-      }
-      Node& b = nodes[a.next];
+      const uint32_t left = heap.top().left;
+      Node& a = nodes[left];
+      const uint32_t right = a.next;
+      const Node& b = nodes[right];
       // Merge b into a.
-      a.end = b.end;
       a.sum += b.sum;
       a.sumsq += b.sumsq;
       a.next = b.next;
-      ++a.version;
-      b.alive = false;
-      ++b.version;
-      if (a.next >= 0) nodes[a.next].prev = static_cast<int64_t>(c.node);
+      if (a.next < n) {
+        nodes[a.next].prev = left;
+        heap.Update(left, MergeDelta(nodes, left));
+        heap.Erase(right);
+      } else {
+        heap.Erase(left);
+      }
+      if (a.prev != kNoNode) heap.Update(a.prev, MergeDelta(nodes, a.prev));
       --live;
       if (metrics != nullptr) ++metrics->merges;
-      // Refresh candidates with both neighbors.
-      if (a.prev >= 0) heap.push(make_candidate(static_cast<size_t>(a.prev)));
-      if (a.next >= 0) heap.push(make_candidate(c.node));
       snapshot_if_requested();
     }
   }

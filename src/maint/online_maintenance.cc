@@ -366,7 +366,8 @@ Result<RefreshOutcome> OnlineMaintenance::Refresh() {
 
   graph_ = std::make_unique<Graph>(std::move(*patched));
   map_ = std::make_unique<SelectivityMap>(std::move(*new_map));
-  labels_ = graph_->labels();
+  // labels_ stays as Recover set it: PatchGraph adopts the dictionary
+  // unchanged, and request workers read labels_ without a lock.
   epoch_ += 1;
   outcome.epoch = epoch_;
   outcome.applied_edges = batch.size();

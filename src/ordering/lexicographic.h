@@ -5,7 +5,7 @@
 // states rank(blank) > rank(l), but its own Table 2 ("lex-alph": 1, 1/1,
 // 1/2, ..., i.e., a path precedes its extensions) requires blanks to sort
 // BEFORE labels — ordinary dictionary order, where "a" < "ab". We implement
-// the Table 2 behaviour; see DESIGN.md §3.
+// the Table 2 behaviour; see "Design notes" in README.md.
 //
 // Closed form used for O(k) (un)ranking: with T(d) = sum_{i=0}^{k-d} |L|^i
 // the number of paths in the subtree rooted at a depth-d node (itself

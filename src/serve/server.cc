@@ -118,7 +118,7 @@ Status ServeServer::Start() {
 void ServeServer::RequestStop() {
   stop_.store(true, std::memory_order_release);
   pending_.Stop();
-  maint_cv_.notify_all();
+  WakeMaintenanceWaiters();
 }
 
 void ServeServer::Wait() {
@@ -150,7 +150,7 @@ void ServeServer::MaintenanceLoop() {
   // the catalog fresh. Best-effort — anything unapplied stays journaled
   // and replays on the next start.
   if (maint_->pending_count() > 0) RunRefresh();
-  maint_cv_.notify_all();  // release any update wait=1 stragglers
+  WakeMaintenanceWaiters();  // release any update wait=1 stragglers
 }
 
 void ServeServer::RunRefresh() {
@@ -196,7 +196,12 @@ void ServeServer::RunRefresh() {
     std::lock_guard<std::mutex> lock(report_mu_);
     last_maintenance_json_ = std::move(json);
   }
-  maint_cv_.notify_all();  // wake update wait=1 clients
+  WakeMaintenanceWaiters();  // wake update wait=1 clients
+}
+
+void ServeServer::WakeMaintenanceWaiters() {
+  { std::lock_guard<std::mutex> lock(maint_mu_); }
+  maint_cv_.notify_all();
 }
 
 void ServeServer::AcceptLoop() {

@@ -193,6 +193,12 @@ class ServeServer {
   // Runs one Refresh under maint_op_mu_, publishes the refreshed entries,
   // and wakes wait=1 update clients; quarantines the journal on failure.
   void RunRefresh();
+  // notify_all on maint_cv_ after a change to state its waits read
+  // (stop_, the applied ticket, the quarantine generation). That state
+  // changes outside maint_mu_, so the notifier takes maint_mu_ first: a
+  // waiter that checked its predicate before the change is then already
+  // blocked and gets this wakeup instead of sleeping through it.
+  void WakeMaintenanceWaiters();
 
   ServeOptions options_;
   SnapshotRegistry registry_;

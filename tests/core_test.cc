@@ -2,6 +2,8 @@
 // PathHistogram estimator, and the experiment runner.
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,8 @@
 #include "core/path_histogram.h"
 #include "core/report.h"
 #include "core/workload.h"
+#include "gen/generator.h"
+#include "gen/label_assigner.h"
 #include "ordering/factory.h"
 #include "ordering/ideal.h"
 #include "path/selectivity.h"
@@ -96,6 +100,84 @@ TEST(DistributionTest, RejectsMismatchedSpaces) {
   auto ordering = MakeOrdering("num-alph", g, 3);
   ASSERT_TRUE(ordering.ok());
   EXPECT_FALSE(BuildDistribution(*map_small, **ordering).ok());
+}
+
+// The gather formulation BuildDistribution replaced: D[i] = f(Unrank(i)).
+std::vector<uint64_t> GatherDistribution(const SelectivityMap& map,
+                                         const Ordering& ordering) {
+  std::vector<uint64_t> dist(ordering.size());
+  for (uint64_t i = 0; i < dist.size(); ++i) {
+    dist[i] = map.Get(ordering.Unrank(i));
+  }
+  return dist;
+}
+
+// Every ordering the factories build: the closed forms, the random
+// baseline, the ideal ordering and the sum-L2 composite.
+const std::vector<std::string>& AllOrderingNames() {
+  static const std::vector<std::string> names = {
+      "num-alph", "num-card",  "lex-alph",  "lex-card", "sum-based",
+      "sum-alph", "gray-alph", "gray-card", "random",   "ideal",
+      "sum-L2"};
+  return names;
+}
+
+// Checks BuildDistribution(map, O) against the gather formulation for every
+// ordering O over (graph, k). `exact` is a map at exactly k, which the
+// selectivity-driven orderings are built from; `map` may have a larger k.
+void ExpectScatterMatchesGather(const Graph& graph, size_t k,
+                                const SelectivityMap& exact,
+                                const SelectivityMap& map) {
+  for (const std::string& name : AllOrderingNames()) {
+    auto ordering = MakeOrderingWithSelectivities(name, graph, k, exact);
+    ASSERT_TRUE(ordering.ok()) << name;
+    auto dist = BuildDistribution(map, **ordering);
+    ASSERT_TRUE(dist.ok()) << name;
+    EXPECT_EQ(*dist, GatherDistribution(map, **ordering))
+        << name << " |L|=" << graph.num_labels() << " k=" << k
+        << " map k=" << map.space().k();
+  }
+}
+
+TEST(DistributionTest, ScatterMatchesGatherForEveryOrdering) {
+  Graph g = SmallGraph();
+  auto map = ComputeSelectivities(g, 3);
+  ASSERT_TRUE(map.ok());
+  ExpectScatterMatchesGather(g, 3, *map, *map);
+}
+
+TEST(DistributionTest, ScatterMatchesGatherWithLargerMapK) {
+  Graph g = SmallGraph();
+  auto exact = ComputeSelectivities(g, 2);
+  auto larger = ComputeSelectivities(g, 4);
+  ASSERT_TRUE(exact.ok());
+  ASSERT_TRUE(larger.ok());
+  ExpectScatterMatchesGather(g, 2, *exact, *larger);
+}
+
+TEST(DistributionTest, ScatterMatchesGatherWithSeventyLabels) {
+  UniformLabelAssigner labels(70);
+  ErdosRenyiParams params;
+  params.num_vertices = 400;
+  params.num_edges = 6000;
+  params.seed = 70;
+  auto g = GenerateErdosRenyi(params, &labels);
+  ASSERT_TRUE(g.ok());
+  ASSERT_EQ(g->num_labels(), 70u);
+  auto map = ComputeSelectivities(*g, 2);
+  ASSERT_TRUE(map.ok());
+  ASSERT_GT(map->CountNonZero(), 70u);
+  ExpectScatterMatchesGather(*g, 2, *map, *map);
+}
+
+TEST(DistributionTest, RejectsDifferentLabelCounts) {
+  Graph g = SmallGraph();  // 3 labels
+  SelectivityMap four_labels(PathSpace(4, 3));
+  auto ordering = MakeOrdering("num-alph", g, 3);
+  ASSERT_TRUE(ordering.ok());
+  auto dist = BuildDistribution(four_labels, **ordering);
+  ASSERT_FALSE(dist.ok());
+  EXPECT_EQ(dist.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DistributionTest, ProfileBasics) {

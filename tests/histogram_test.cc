@@ -1,11 +1,15 @@
 // Unit tests for the Histogram container and all builder policies.
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "histogram/builders.h"
+#include "histogram/stats.h"
+#include "oracles/greedy_merge_oracle.h"
 #include "util/random.h"
 
 namespace pathest {
@@ -230,6 +234,107 @@ TEST(VOptimalGreedyTest, CloseToExactOnSmallInputs) {
       EXPECT_LE(greedy->TotalSse(), exact->TotalSse() * 2.0 + 1e-9)
           << "seed " << seed << " beta " << beta;
     }
+  }
+}
+
+// Seeded inputs shaped like path distributions, where exact ΔSSE ties are
+// common: small alphabets, plateaus and ×1000 spikes, n in [2, 3000]. Values
+// stay below 10^6, so every bucket sum and sum of squares is an integer a
+// double holds exactly and the merge's running sums must equal the sums
+// recomputed from the data bit for bit.
+std::vector<uint64_t> TieHeavyData(Rng& rng) {
+  const size_t n = 2 + rng.NextBounded(2999);
+  const uint64_t alphabet = 1 + rng.NextBounded(rng.NextBool() ? 4 : 1000);
+  std::vector<uint64_t> data;
+  data.reserve(n);
+  while (data.size() < n) {
+    uint64_t v = rng.NextBounded(alphabet);
+    if (rng.NextBounded(40) == 0) v = (v + 1) * 1000;
+    const size_t run = rng.NextBool(0.3) ? 1 + rng.NextBounded(40) : 1;
+    for (size_t i = 0; i < run && data.size() < n; ++i) data.push_back(v);
+  }
+  return data;
+}
+
+::testing::AssertionResult SameBuckets(const Histogram& h,
+                                       const std::vector<Bucket>& want) {
+  if (h.num_buckets() != want.size()) {
+    return ::testing::AssertionFailure()
+           << h.num_buckets() << " buckets, oracle has " << want.size();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    const Bucket& got = h.buckets()[i];
+    if (got.begin != want[i].begin || got.end != want[i].end ||
+        got.sum != want[i].sum || got.sumsq != want[i].sumsq) {
+      return ::testing::AssertionFailure()
+             << "bucket " << i << ": [" << got.begin << ", " << got.end
+             << ") sum " << got.sum << " sumsq " << got.sumsq
+             << ", oracle [" << want[i].begin << ", " << want[i].end
+             << ") sum " << want[i].sum << " sumsq " << want[i].sumsq;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(GreedyOracleTest, SweepMatchesNaiveReferenceOnTieHeavyInputs) {
+  Rng rng(1998);
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::vector<uint64_t> data = TieHeavyData(rng);
+    const size_t n = data.size();
+    // Halving levels plus random ones (possibly > n, which clamps).
+    std::vector<size_t> betas;
+    for (size_t b = n / 2; b >= 1 && betas.size() < 7; b /= 2) {
+      betas.push_back(b);
+    }
+    for (int r = 0; r < 3; ++r) betas.push_back(1 + rng.NextBounded(n + 10));
+
+    const oracles::GreedyOracleRun want =
+        oracles::NaiveGreedyMerge(data, betas);
+    DistributionStats stats(data);
+    GreedyMergeMetrics metrics;
+    auto sweep = BuildVOptimalGreedySweep(stats, betas, &metrics);
+    ASSERT_TRUE(sweep.ok());
+    ASSERT_EQ(sweep->size(), betas.size());
+    EXPECT_EQ(metrics.merge_runs, 1u);
+    EXPECT_EQ(metrics.merges, want.merges) << "trial " << trial;
+    for (size_t i = 0; i < betas.size(); ++i) {
+      const size_t level = std::min(betas[i], n);
+      ASSERT_TRUE(SameBuckets((*sweep)[i], want.levels.at(level)))
+          << "trial " << trial << " n=" << n << " beta=" << betas[i];
+    }
+    // The per-β entry point walks the same trajectory.
+    auto single = BuildVOptimalGreedy(data, betas.back());
+    ASSERT_TRUE(single.ok());
+    ASSERT_TRUE(SameBuckets(*single,
+                            want.levels.at(std::min(betas.back(), n))))
+        << "trial " << trial << " per-beta " << betas.back();
+  }
+}
+
+TEST(GreedyOracleTest, ExactTieMergesLeftPairFirst) {
+  // The pairs (1, 2) at positions 0, 3 and 6 tie exactly (ΔSSE 0.5); every
+  // other pair costs far more. They must merge left to right.
+  const std::vector<uint64_t> data = {1, 2, 50, 1, 2, 50, 1, 2};
+  const std::vector<std::vector<uint64_t>> want_begins = {
+      {0, 2, 3, 4, 5, 6, 7},  // β = 7
+      {0, 2, 3, 5, 6, 7},     // β = 6
+      {0, 2, 3, 5, 6},        // β = 5
+  };
+  DistributionStats stats(data);
+  auto sweep = BuildVOptimalGreedySweep(stats, {7, 6, 5});
+  ASSERT_TRUE(sweep.ok());
+  for (size_t i = 0; i < want_begins.size(); ++i) {
+    std::vector<uint64_t> begins;
+    for (const Bucket& b : (*sweep)[i].buckets()) begins.push_back(b.begin);
+    EXPECT_EQ(begins, want_begins[i]) << "beta " << 7 - i;
+    auto single = BuildVOptimalGreedy(data, 7 - i);
+    ASSERT_TRUE(single.ok());
+    EXPECT_TRUE(SameBuckets(*single, (*sweep)[i].buckets()));
+  }
+  const oracles::GreedyOracleRun want =
+      oracles::NaiveGreedyMerge(data, {7, 6, 5});
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(SameBuckets((*sweep)[i], want.levels.at(7 - i)));
   }
 }
 

@@ -80,9 +80,11 @@ class FlakyMockServer {
   }
 
   ~FlakyMockServer() {
+    // shutdown() wakes the blocked accept(); close only after the join,
+    // since Run() reads listener_ until it returns.
     ::shutdown(listener_.get(), SHUT_RDWR);
-    listener_.reset();
     thread_.join();
+    listener_.reset();
   }
 
   size_t connections() const { return served_.load(); }
@@ -543,7 +545,14 @@ TEST_F(MaintServeTest, TortureConcurrentEstimatesAgainstUpdateStreamAndRestart) 
         paths));
   }
 
-  ServeServer server(MaintOptions());
+  // A worker owns one connection at a time, and every client below keeps
+  // its connection open: one worker per estimator plus one for the
+  // updater, or the updater can queue behind estimators that never
+  // disconnect and its wait=1 call times out.
+  constexpr int kEstimators = 3;
+  ServeOptions options = MaintOptions();
+  options.num_workers = kEstimators + 1;
+  ServeServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<bool> done{false};
@@ -553,7 +562,27 @@ TEST_F(MaintServeTest, TortureConcurrentEstimatesAgainstUpdateStreamAndRestart) 
   std::mutex unexpected_mu;
 
   std::vector<std::thread> estimators;
-  for (int t = 0; t < 3; ++t) {
+  // Stops and joins the estimators on every exit path: a failed ASSERT
+  // below then reports, where destroying joinable threads would abort the
+  // whole binary.
+  class JoinOnExit {
+   public:
+    JoinOnExit(std::atomic<bool>& done, std::vector<std::thread>& threads)
+        : done_(done), threads_(threads) {}
+    JoinOnExit(const JoinOnExit&) = delete;
+    JoinOnExit& operator=(const JoinOnExit&) = delete;
+    ~JoinOnExit() {
+      done_.store(true, std::memory_order_release);
+      for (auto& t : threads_) {
+        if (t.joinable()) t.join();
+      }
+    }
+
+   private:
+    std::atomic<bool>& done_;
+    std::vector<std::thread>& threads_;
+  } join_estimators(done, estimators);
+  for (int t = 0; t < kEstimators; ++t) {
     estimators.emplace_back([&] {
       auto client = ServeClient::Connect(server.options().socket_path);
       if (!client.ok()) return;
@@ -592,8 +621,8 @@ TEST_F(MaintServeTest, TortureConcurrentEstimatesAgainstUpdateStreamAndRestart) 
                         ' ' + std::to_string(d.dst) + ' ' +
                         graph_.labels().Name(d.label);
       auto resp = updater.Call(req);
-      ASSERT_TRUE(resp.ok());
-      ASSERT_EQ(resp->rfind("ok applied=1 ", 0), 0u) << *resp;
+      ASSERT_TRUE(resp.ok()) << req << ": " << resp.status().ToString();
+      ASSERT_EQ(resp->rfind("ok applied=1 ", 0), 0u) << req << ": " << *resp;
     }
   }
   done.store(true, std::memory_order_release);
