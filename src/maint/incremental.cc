@@ -209,7 +209,12 @@ Result<SelectivityMap> IncrementalSelectivities(
   } else {
     contexts.emplace_back(num_vertices, num_labels, k);
   }
-  for (EvalContext& ctx : contexts) ctx.fused.Bind(patched, options.kernel);
+  // The two-hop index of the PATCHED graph: the prefix tasks re-run
+  // below must see the deltas in their last two levels too.
+  const TwoHopIndex two_hop = TwoHopIndex::Build(patched, k, options.kernel);
+  for (EvalContext& ctx : contexts) {
+    ctx.fused.Bind(patched, options.kernel, &two_hop);
+  }
   auto parallel_for = [&](size_t n, const ThreadPool::Task& task) {
     if (pool != nullptr) {
       pool->ParallelFor(n, task);

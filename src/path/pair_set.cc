@@ -91,10 +91,95 @@ void LeafCounter::CountExtensions(const Graph::CsrView* views,
 
 namespace {
 
-// Start value of every newly allocated flat epoch counter (test hook).
+// Restart value of the flat epoch counter at every Bind (test hook; 0 =
+// off).
 std::atomic<uint32_t> g_initial_flat_epoch{0};
 
+// ⌈log₂(|V|·|L|²)⌉ and ⌈log₂|L|²⌉: the bits of a two-hop entry's key and
+// of its label pair.
+uint32_t TwoHopKeyBits(size_t num_vertices, size_t num_labels) {
+  return static_cast<uint32_t>(std::bit_width(
+      std::max<size_t>(num_vertices * num_labels * num_labels, 1) - 1));
+}
+uint32_t TwoHopPairBits(size_t num_labels) {
+  return static_cast<uint32_t>(std::bit_width(num_labels * num_labels - 1));
+}
+
+// Σ_{t→x} outdeg(x): every two-hop walk once, duplicates included — an
+// upper bound on the index size, in one O(|E|) pass. Stops counting once
+// past kPackedKeyMaxEntries.
+uint64_t CountTwoHopWalks(const Graph& graph) {
+  const Graph::PackedEdgeView packed = graph.PackedEdges();
+  const uint64_t num_edges = packed.edge_offsets[graph.num_vertices()];
+  uint64_t walks = 0;
+  for (uint64_t e = 0; e < num_edges && walks <= kPackedKeyMaxEntries; ++e) {
+    const VertexId x = packed.keys[e] >> packed.label_shift;
+    walks += packed.edge_offsets[x + 1] - packed.edge_offsets[x];
+  }
+  return walks;
+}
+
 }  // namespace
+
+bool TwoHopIndex::Eligible(const Graph& graph, size_t k, PairKernel kernel) {
+  if (k < 4 || kernel == PairKernel::kDense || !graph.has_packed_edges()) {
+    return false;
+  }
+  const size_t num_vertices = graph.num_vertices();
+  const size_t num_labels = graph.num_labels();
+  return num_vertices <= kPackedKeyMaxEntries / (num_labels * num_labels) &&
+         TwoHopKeyBits(num_vertices, num_labels) +
+                 TwoHopPairBits(num_labels) <=
+             32 &&
+         CountTwoHopWalks(graph) <= kPackedKeyMaxEntries;
+}
+
+TwoHopIndex TwoHopIndex::Build(const Graph& graph, size_t k,
+                               PairKernel kernel) {
+  TwoHopIndex index;
+  if (!Eligible(graph, k, kernel)) return index;
+  const size_t num_vertices = graph.num_vertices();
+  const uint32_t num_labels = static_cast<uint32_t>(graph.num_labels());
+  const uint32_t num_pairs = num_labels * num_labels;
+  index.num_labels_ = num_labels;
+  index.key_bits_ = TwoHopKeyBits(num_vertices, num_labels);
+  const uint32_t key_bits = index.key_bits_;
+
+  const Graph::PackedEdgeView packed = graph.PackedEdges();
+  const uint32_t shift = packed.label_shift;
+  const uint32_t mask = (uint32_t{1} << shift) - 1;
+  const uint64_t* edge_offsets = packed.edge_offsets;
+  const uint32_t* keys = packed.keys;
+  // One dedup scope per t over a bitmap of the key space, cleared again
+  // through t's own entries: the build's scratch is |V|·|L|² bits. The
+  // walk bound sizes the entries in one allocation (the walks of a sparse
+  // graph are nearly all distinct).
+  std::vector<uint64_t> seen((num_vertices * num_pairs + 63) / 64, 0);
+  index.entries_.reserve(CountTwoHopWalks(graph));
+  index.offsets_.reserve(num_vertices + 1);
+  index.offsets_.push_back(0);
+  for (VertexId t = 0; t < num_vertices; ++t) {
+    for (uint64_t e = edge_offsets[t]; e < edge_offsets[t + 1]; ++e) {
+      const VertexId x = keys[e] >> shift;
+      const uint32_t a_base = (keys[e] & mask) * num_labels;
+      for (uint64_t f = edge_offsets[x]; f < edge_offsets[x + 1]; ++f) {
+        const uint32_t pair = a_base + (keys[f] & mask);
+        const uint32_t key = (keys[f] >> shift) * num_pairs + pair;
+        uint64_t& word = seen[key >> 6];
+        const uint64_t bit = uint64_t{1} << (key & 63);
+        if ((word & bit) == 0) {
+          word |= bit;
+          index.entries_.push_back((pair << key_bits) | key);
+        }
+      }
+    }
+    for (size_t i = index.offsets_.back(); i < index.entries_.size(); ++i) {
+      seen[(index.entries_[i] & index.key_mask()) >> 6] = 0;
+    }
+    index.offsets_.push_back(static_cast<uint32_t>(index.entries_.size()));
+  }
+  return index;
+}
 
 void FusedExtender::SetInitialEpochForTesting(uint32_t epoch) {
   g_initial_flat_epoch.store(epoch, std::memory_order_relaxed);
@@ -103,7 +188,8 @@ void FusedExtender::SetInitialEpochForTesting(uint32_t epoch) {
 FusedExtender::FusedExtender(size_t num_vertices, size_t num_labels)
     : cap_vertices_(num_vertices), cap_labels_(num_labels) {}
 
-void FusedExtender::Bind(const Graph& graph, PairKernel kernel) {
+void FusedExtender::Bind(const Graph& graph, PairKernel kernel,
+                         const TwoHopIndex* two_hop) {
   const size_t num_vertices = graph.num_vertices();
   const size_t num_labels = graph.num_labels();
   PATHEST_CHECK(num_labels <= cap_labels_ && num_vertices <= cap_vertices_,
@@ -139,9 +225,20 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel) {
     edge_offsets_ = packed.edge_offsets;
     label_shift_ = packed.label_shift;
     label_mask_ = (uint32_t{1} << label_shift_) - 1;
-    const size_t entries = num_vertices << label_shift_;
-    if (epoch_of_.empty()) {
-      epoch_ = g_initial_flat_epoch.load(std::memory_order_relaxed);
+    size_t entries = num_vertices << label_shift_;
+    two_hop_ = two_hop != nullptr && two_hop->enabled() ? two_hop : nullptr;
+    if (two_hop_ != nullptr) {
+      PATHEST_CHECK(two_hop_->num_vertices() == num_vertices &&
+                        two_hop_->num_labels() == num_labels,
+                    "two-hop index built for another graph");
+      entries = std::max(entries, two_hop_->key_space());
+      two_hop_counts_.assign(num_labels * num_labels, 0);
+    }
+    // Test hook: a nonzero start restarts the counter on every Bind.
+    if (const uint32_t initial =
+            g_initial_flat_epoch.load(std::memory_order_relaxed);
+        initial != 0) {
+      epoch_ = initial;
     }
     // Grown entries are zero, below every epoch still to be handed out.
     if (epoch_of_.size() < entries) epoch_of_.resize(entries, 0);
@@ -149,6 +246,7 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel) {
   } else {
     keys_ = nullptr;
     edge_offsets_ = nullptr;
+    two_hop_ = nullptr;
     if (marker_.capacity() == 0) marker_ = Marker(cap_vertices_);
   }
 
@@ -289,6 +387,41 @@ void FusedExtender::CountAll(const PairSet& parent, uint64_t* counts) {
       flat_counts[l] = 0;
     }
   }
+}
+
+bool FusedExtender::TwoHopCovers(const PairSet& parent) const {
+  if (two_hop_ == nullptr) return false;
+  for (size_t i = 0; i < parent.srcs.size(); ++i) {
+    if (parent.offsets[i + 1] - parent.offsets[i] >= flat_bound_) return false;
+  }
+  return true;
+}
+
+const uint64_t* FusedExtender::CountAll2(const PairSet& parent) {
+  PATHEST_CHECK(two_hop_ != nullptr, "no two-hop index bound");
+  const VertexId* targets = parent.targets.data();
+  const uint32_t* offsets = two_hop_->offsets();
+  const uint32_t* entries = two_hop_->entries();
+  uint32_t* epoch_of = epoch_of_.data();
+  uint64_t* counts = two_hop_counts_.data();
+  const uint32_t key_bits = two_hop_->key_bits();
+  const uint32_t key_mask = two_hop_->key_mask();
+  std::fill(two_hop_counts_.begin(), two_hop_counts_.end(), uint64_t{0});
+  for (size_t i = 0; i < parent.srcs.size(); ++i) {
+    // CountAll's flat loop, over each member's two-hop entries.
+    const uint32_t cur = NextFlatEpoch();
+    for (uint64_t j = parent.offsets[i]; j < parent.offsets[i + 1]; ++j) {
+      const VertexId t = targets[j];
+      const uint32_t e_end = offsets[t + 1];
+      for (uint32_t e = offsets[t]; e < e_end; ++e) {
+        const uint32_t entry = entries[e];
+        const uint32_t key = entry & key_mask;
+        counts[entry >> key_bits] += epoch_of[key] != cur;
+        epoch_of[key] = cur;
+      }
+    }
+  }
+  return counts;
 }
 
 void FusedExtender::ExtendAll(const PairSet& parent, PairSet* children) {

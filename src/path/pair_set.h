@@ -185,6 +185,84 @@ class LeafCounter {
   std::vector<uint64_t> dense_threshold_;
 };
 
+/// \brief Per-graph two-hop key index: for every vertex t, one entry per
+/// distinct two-hop walk target and label pair (u, a, b) of
+/// t −a→ x −b→ u, holding
+///   key  = u·|L|² + p,   p = a·|L| + b   (the epoch index), and
+///   entry = (p << key_bits) | key,       key_bits = ⌈log₂(|V|·|L|²)⌉,
+/// so the pass reads the epoch index with a mask and the label pair with
+/// a shift.
+///
+/// It serves the fused engine's two-hop leaf pass (FusedExtender::CountAll2),
+/// which counts the last TWO levels of a prefix in one walk: for a pair
+/// set R_ℓ, R_ℓab(s) = ∪_{t ∈ R_ℓ(s)} N_ab(t), so deduplicating each
+/// group's two-hop keys against one epoch array yields all |L|² grandchild
+/// counts without materializing the |L| children. This is the Markov-table
+/// idea (precomputed length-2 path statistics, reused for every longer
+/// path) applied inside the exact evaluator.
+///
+/// The key space is the exact |V|·|L|², so the epoch array a bound
+/// extender needs is no larger than the pass requires. The label pair
+/// rides in the spare high bits of each entry because recovering it from
+/// the key (key mod |L|², a multiply by a reciprocal) made the pass ~10%
+/// slower on a 4-core Xeon host (k = 6 builds of the full-size
+/// moreno-like graph, CPU time, slower in 9 of 10 interleaved runs).
+/// Padding the pair to a power-of-two field, read with a mask, ran a
+/// median 3% faster than the tag, but costs up to 2× the epoch memory
+/// (|L| = 6: 64 slots per vertex instead of 36): on that graph a k = 4
+/// build then peaked ~190 KiB above the engine without the pass, where
+/// with the tag it peaks ~130 KiB below it.
+///
+/// Its size is Σ_{a,b} f(ab) entries — the level-2 selectivity mass —
+/// plus 4 bytes per vertex. It is built once per fused build (full or
+/// incremental), shared read-only by every worker through
+/// FusedExtender::Bind, and freed with the build; it is deliberately not
+/// part of Graph, whose lifetime in the daemon is much longer.
+class TwoHopIndex {
+ public:
+  /// \brief True when a depth-k fused build of `graph` under `kernel` runs
+  /// the two-hop leaf pass: k >= 4 (the pass starts at depth k − 2, which
+  /// must be a prefix task), the graph has packed edge keys, the kernel is
+  /// not forced dense (that kernel never takes the flat path the pass
+  /// extends), the key space |V|·|L|² and the build's upper bound
+  /// Σ_{t→x} outdeg(x) on the index size both fit kPackedKeyMaxEntries,
+  /// and a key and its label pair fit one 32-bit entry together.
+  static bool Eligible(const Graph& graph, size_t k, PairKernel kernel);
+
+  /// \brief Builds the index of `graph`, or an empty one (enabled() ==
+  /// false) when the build is not Eligible.
+  static TwoHopIndex Build(const Graph& graph, size_t k, PairKernel kernel);
+
+  /// An empty index: the leaf pass is off.
+  TwoHopIndex() = default;
+
+  bool enabled() const { return !offsets_.empty(); }
+
+  /// Number of vertices / labels of the indexed graph.
+  size_t num_vertices() const { return enabled() ? offsets_.size() - 1 : 0; }
+  size_t num_labels() const { return num_labels_; }
+
+  /// Number of distinct keys, |V|·|L|²: the epoch entries the pass needs.
+  size_t key_space() const {
+    return num_vertices() * num_labels_ * num_labels_;
+  }
+
+  /// entry & key_mask() is the key, entry >> key_bits() its label pair.
+  uint32_t key_bits() const { return key_bits_; }
+  uint32_t key_mask() const { return (uint32_t{1} << key_bits_) - 1; }
+
+  /// The entries of t are entries()[offsets()[t] .. offsets()[t + 1]).
+  const uint32_t* offsets() const { return offsets_.data(); }
+  const uint32_t* entries() const { return entries_.data(); }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  size_t num_labels_ = 0;
+  uint32_t key_bits_ = 0;
+  std::vector<uint32_t> offsets_;  // |V| + 1 when enabled
+  std::vector<uint32_t> entries_;
+};
+
 /// \brief Fused all-labels extension kernel: joins a parent pair set with
 /// EVERY label in a single pass over its target lists.
 ///
@@ -221,6 +299,17 @@ class LeafCounter {
 /// the flat loop, roughly twice as cheap per edge as the per-label marker
 /// walk, a bitmap pays only on groups four times larger than it did there.
 ///
+/// Two-hop leaf pass. Bound with a TwoHopIndex, the extender can count
+/// the last two levels of a prefix at once: CountAll2 runs the flat loop
+/// over each member's two-hop keys instead of its out-edge keys, giving
+/// the |L|² grandchild counts of a depth k − 2 node without building its
+/// |L| children. The DFS takes it only where CountAll would keep every
+/// group on the flat path anyway (TwoHopCovers: every group below the flat
+/// bound), and runs CountAll on the same node for the |L| child counts;
+/// nodes with a larger group keep ExtendAll + CountAll. The epoch array
+/// then spans the larger two-hop key space, and both passes draw their
+/// scopes from its one counter.
+///
 /// When |V|·2^⌈log₂|L|⌉ exceeds kMaxMarkerEntries the graph has no packed
 /// keys and there is no epoch array: every group takes the segment walk,
 /// whose sparse cells append to per-label emission arenas, deduplicated by
@@ -242,7 +331,9 @@ class FusedExtender {
   /// Flat-epoch budget: the label-fused sparse path needs |V|·2^⌈log₂|L|⌉
   /// u32 epochs per context; above this many entries (16 MB) the graph
   /// carries no packed keys and the emission-arena fallback is used
-  /// instead (graph.h kPackedKeyMaxEntries, the same bound).
+  /// instead (graph.h kPackedKeyMaxEntries, the same bound). A bound
+  /// TwoHopIndex widens the array to its key space, which the same bound
+  /// caps (TwoHopIndex::Eligible).
   static constexpr size_t kMaxMarkerEntries = kPackedKeyMaxEntries;
 
   /// A segment ORs its precomputed bitmap row (stride_words word-ORs)
@@ -266,11 +357,27 @@ class FusedExtender {
   /// Must be called before CountAll / ExtendAll whenever the graph or
   /// kernel changes; O(|L|) once the scratch exists (the first Bind
   /// allocates it, the epoch array included).
-  void Bind(const Graph& graph, PairKernel kernel);
+  ///
+  /// `two_hop`, when non-null and enabled, must be the index of `graph`
+  /// and outlive the binding; it enables TwoHopCovers / CountAll2 and
+  /// grows the epoch array to its key space.
+  void Bind(const Graph& graph, PairKernel kernel,
+            const TwoHopIndex* two_hop = nullptr);
 
   /// \brief Fused leaf pass: adds, for each label l, the number of
   /// distinct (s, u) pairs of parent ⋈ l into counts[l].
   void CountAll(const PairSet& parent, uint64_t* counts);
+
+  /// \brief True when CountAll2 may run on `parent`: a two-hop index is
+  /// bound and every group of `parent` is below the flat bound, so
+  /// CountAll on it is wholly on the flat sparse path too.
+  bool TwoHopCovers(const PairSet& parent) const;
+
+  /// \brief Two-hop leaf pass: the number of distinct (s, u) pairs of
+  /// parent ⋈ a ⋈ b for every label pair, at index a·|L| + b of the
+  /// returned |L|² counts (this extender's buffer, valid until the next
+  /// CountAll2 or Bind). Requires TwoHopCovers(parent).
+  const uint64_t* CountAll2(const PairSet& parent);
 
   /// \brief Fused interior pass: children[l] = distinct pair set of
   /// parent ⋈ l, for every label l in one pass. `children` must point to
@@ -282,10 +389,13 @@ class FusedExtender {
   /// when it takes the emission-arena fallback.
   bool flat_sparse() const { return flat_; }
 
-  /// \brief Test hook: every FusedExtender whose epoch array is allocated
-  /// after this call starts its u32 epoch counter at `epoch`, so tests can
-  /// drive the wraparound (which clears the array) within a small build.
-  /// Process-wide; restore 0 when done.
+  /// \brief Test hook: while `epoch` is nonzero, every Bind restarts the
+  /// extender's u32 epoch counter at `epoch`, so tests can drive the
+  /// wraparound (which clears the array) within a small build. Marks an
+  /// extender wrote before are kept, so `epoch` must exceed every epoch it
+  /// has handed out; marks from low epochs then collide with the scopes
+  /// after the wrap unless the clear reaches them. Process-wide; restore 0
+  /// when done.
   static void SetInitialEpochForTesting(uint32_t epoch);
 
  private:
@@ -338,9 +448,13 @@ class FusedExtender {
   uint32_t label_mask_ = 0;        // 2^label_shift_ - 1
   const uint32_t* keys_ = nullptr;          // bound graph's packed keys
   const uint64_t* edge_offsets_ = nullptr;  // and their per-vertex offsets
-  std::vector<uint32_t> epoch_of_;      // |V| << shift epochs
+  // |V| << shift epochs, or the two-hop key space when that is larger.
+  std::vector<uint32_t> epoch_of_;
   uint32_t epoch_ = 0;
   std::vector<uint64_t> flat_counts_;   // CountAll sparse counts, 2^shift
+  // Two-hop leaf pass (two_hop_ != nullptr).
+  const TwoHopIndex* two_hop_ = nullptr;
+  std::vector<uint64_t> two_hop_counts_;  // CountAll2 counts, |L|²
   // Emission-arena fallback (flat_ == false); the arenas exist, empty,
   // after every Bind.
   Marker marker_{0};

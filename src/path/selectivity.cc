@@ -168,10 +168,43 @@ Status FusedDfsExtend(FusedDfs* r, LabelPath* path, const PairSet& parent,
     }
     return Status::OK();
   }
+  if (depth + 2 == r->k && r->ctx->fused.TwoHopCovers(parent)) {
+    // Two-hop leaf pass: the children's counts from CountAll, then all
+    // |L|² grandchild counts from one walk over the two-hop keys; the
+    // children's pair sets are never built. The guard checks the children
+    // in label order, as the interior path below does.
+    uint64_t* counts = r->ctx->leaf_counts.data();
+    std::fill_n(counts, num_labels, uint64_t{0});
+    r->ctx->fused.CountAll(parent, counts);
+    for (LabelId l = 0; l < num_labels; ++l) {
+      path->PushBack(l);
+      assert(child_base + l == space.CanonicalIndex(*path));
+      r->map->SetByCanonicalIndex(child_base + l, counts[l]);
+      if (r->options->max_pairs_per_prefix != 0 &&
+          counts[l] > r->options->max_pairs_per_prefix) {
+        return PairLimitExceeded(*path);
+      }
+      path->PopBack();
+    }
+    const uint64_t* pair_counts = r->ctx->fused.CountAll2(parent);
+    const uint64_t grandchild_base =
+        space.LengthOffset(depth + 2) + radix * num_labels * num_labels;
+    for (uint64_t ab = 0; ab < num_labels * num_labels; ++ab) {
+#ifndef NDEBUG
+      path->PushBack(static_cast<LabelId>(ab / num_labels));
+      path->PushBack(static_cast<LabelId>(ab % num_labels));
+      assert(grandchild_base + ab == space.CanonicalIndex(*path));
+      path->PopBack();
+      path->PopBack();
+#endif
+      r->map->SetByCanonicalIndex(grandchild_base + ab, pair_counts[ab]);
+    }
+    return Status::OK();
+  }
   // Interior: the whole child block at depth+1 is built in one pass; the
   // recursion below only ever writes blocks at depth+2 and deeper, so the
   // block stays intact while its members are visited.
-  PairSet* children = r->ctx->blocks[depth + 1].data();
+  PairSet* children = r->ctx->blocks[depth - 2].data();
   r->ctx->fused.ExtendAll(parent, children);
   for (LabelId l = 0; l < num_labels; ++l) {
     const uint64_t child_size = children[l].size();
@@ -230,8 +263,12 @@ Result<SelectivityMap> ComputeSelectivitiesFused(
     contexts.emplace_back(graph.num_vertices(), num_labels, k);
   }
   // Graph and kernel are fixed for the whole build: bind each worker's
-  // fused extender once instead of per root/task.
-  for (EvalContext& ctx : contexts) ctx.fused.Bind(graph, options.kernel);
+  // fused extender once instead of per root/task, all of them to the one
+  // two-hop index of this build (enabled only for k >= 4).
+  const TwoHopIndex two_hop = TwoHopIndex::Build(graph, k, options.kernel);
+  for (EvalContext& ctx : contexts) {
+    ctx.fused.Bind(graph, options.kernel, &two_hop);
+  }
   auto parallel_for = [&](size_t n, const ThreadPool::Task& task) {
     if (pool != nullptr) {
       pool->ParallelFor(n, task);

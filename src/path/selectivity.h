@@ -6,7 +6,25 @@
 // the distinct pair set of the prefix, grouped by source vertex, and joins
 // it with the per-label adjacency to produce each child. Empty prefixes
 // prune their whole subtree, which is what makes k = 6 tractable on sparse
-// data. Only the <= k pair sets on the current DFS branch are resident.
+// data. What stays resident depends on the strategy: the per-label engine
+// holds the <= k pair sets of its current DFS branch per worker; the fused
+// engine holds the whole level-2 layer (the prefix tasks' starting sets,
+// each freed as its task completes) plus, per worker, one block of |L|
+// sibling sets for each depth 3..k-1 of its current branch.
+//
+// Two-hop leaf pass (fused, k >= 4): the last two levels of a prefix task
+// are counted together. A per-build TwoHopIndex (path/pair_set.h) lists,
+// for every vertex t, the distinct (u, a, b) with t -a-> x -b-> u; a depth
+// k-2 node counts its |L| children with the 1-hop flat loop and all |L|²
+// grandchildren with one flat loop over its members' two-hop keys, since
+// R_lab(s) is the union of N_ab(t) over t in R_l(s). The children's pair
+// sets are never built. It runs where the 1-hop flat loop would take every
+// group of the node anyway (each below the size at which every label turns
+// dense), so nodes with a dense group keep ExtendAll + CountAll. The index
+// is built when k >= 4, the graph has packed edge keys, the kernel is not
+// forced dense, both its key space and its size bound fit
+// kPackedKeyMaxEntries, and a key tagged with its label pair fits 32 bits;
+// otherwise every node takes the 1-hop path.
 //
 // Parallelism: any two distinct label-path PREFIXES root independent
 // subtrees — they read the same immutable Graph and write DISJOINT slices
@@ -29,10 +47,11 @@
 // fused strategy additionally walks each pair ONCE for all labels via the
 // graph's vertex-major view instead of once per label (FusedExtender),
 // and runs its sparse groups as one label-fused flat loop over packed
-// (vertex, label) epoch keys. SelectivityOptions::strategy selects the
-// engine; SelectivityOptions::kernel forces a kernel for the identity
-// tests only. The contract is that neither choice EVER changes the
-// computed map, only speed.
+// (vertex, label) epoch keys — and over two-hop keys in the leaf pass
+// above. SelectivityOptions::strategy selects the engine;
+// SelectivityOptions::kernel forces a kernel for the identity tests only.
+// The contract is that neither choice EVER changes the computed map, only
+// speed.
 
 #ifndef PATHEST_PATH_SELECTIVITY_H_
 #define PATHEST_PATH_SELECTIVITY_H_
@@ -142,9 +161,12 @@ struct SelectivityOptions {
   /// Memory trade-off: for k >= 3 the fused pre-pass keeps the WHOLE
   /// level-2 layer of pair sets resident (the prefix tasks' starting
   /// sets; each is freed as its task completes), where the per-label
-  /// engine holds at most k sets per worker. On graphs where the level-2
-  /// selectivity mass is problematic, set max_pairs_per_prefix (which
-  /// bounds every cell) or fall back to kPerLabel.
+  /// engine holds at most k sets per worker. For k >= 4 the build also
+  /// holds the shared two-hop index (one u32 per unit of level-2 mass,
+  /// bounded by kPackedKeyMaxEntries) and widens each worker's u32 epoch
+  /// array to |V|·|L|² entries. On graphs where the level-2 selectivity
+  /// mass is problematic, set max_pairs_per_prefix (which bounds every
+  /// cell) or fall back to kPerLabel.
   ExtendStrategy strategy = ExtendStrategy::kFused;
 
   /// Extension-kernel selection (see path/pair_set.h). kAuto (default)

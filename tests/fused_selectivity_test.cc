@@ -16,10 +16,17 @@
 // kMaxMarkerEntries boundary where the arena fallback takes over,
 // ExtendAll's child contents and order against ExtendPairSet, and labels
 // without edges on a graph dense enough for groups to leave the flat loop.
+//
+// The TwoHop tests pin down the two-hop leaf pass (TwoHopIndex and
+// FusedExtender::CountAll2): the index contents, identity at every
+// pair-field width, nodes that mix dense and sparse groups, the budget
+// fallbacks, the pair guard at depth k - 1, and epoch wraparound inside
+// the pass.
 
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -580,6 +587,342 @@ TEST(FlatKernelTest, AllLabelsEdgeless) {
     EXPECT_TRUE(child.srcs.empty());
     EXPECT_EQ(child.offsets, std::vector<uint64_t>{0});
     EXPECT_TRUE(child.targets.empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Two-hop leaf pass
+
+TEST(TwoHopTest, IndexListsDistinctTwoHopKeys) {
+  // Brute force over every walk t -a-> x -b-> u: the index of t must hold
+  // exactly the distinct (u, p = a·|L| + b), each entry the key u·|L|² + p
+  // tagged with p above it.
+  const Graph g = ErdosRenyiGraph(60, 400, 5, 3);
+  const TwoHopIndex index = TwoHopIndex::Build(g, 4, PairKernel::kAuto);
+  ASSERT_TRUE(index.enabled());
+  const uint32_t num_labels = static_cast<uint32_t>(g.num_labels());
+  ASSERT_EQ(g.num_vertices(), 60u);
+  EXPECT_EQ(index.key_space(), 60u * 25u);
+  EXPECT_EQ(index.key_bits(), 11u);  // ⌈log₂ 1500⌉
+  size_t total = 0;
+  for (VertexId t = 0; t < g.num_vertices(); ++t) {
+    std::set<uint32_t> expected;
+    for (LabelId a = 0; a < num_labels; ++a) {
+      const Graph::CsrView first = g.ForwardView(a);
+      for (uint64_t e = first.offsets[t]; e < first.offsets[t + 1]; ++e) {
+        const VertexId x = first.targets[e];
+        for (LabelId b = 0; b < num_labels; ++b) {
+          const Graph::CsrView second = g.ForwardView(b);
+          for (uint64_t f = second.offsets[x]; f < second.offsets[x + 1];
+               ++f) {
+            const uint32_t pair = a * num_labels + b;
+            expected.insert((pair << index.key_bits()) |
+                            (second.targets[f] * num_labels * num_labels +
+                             pair));
+          }
+        }
+      }
+    }
+    const std::vector<uint32_t> got(index.entries() + index.offsets()[t],
+                                    index.entries() + index.offsets()[t + 1]);
+    EXPECT_EQ(got.size(), expected.size()) << "t=" << t;  // distinct
+    EXPECT_EQ(std::set<uint32_t>(got.begin(), got.end()), expected)
+        << "t=" << t;
+    total += expected.size();
+  }
+  EXPECT_EQ(index.size(), total);
+  // The leaf pass starts at depth k - 2 of a prefix task, so k >= 4; the
+  // forced dense kernel never runs the flat loop the pass extends.
+  EXPECT_FALSE(TwoHopIndex::Eligible(g, 3, PairKernel::kAuto));
+  EXPECT_FALSE(TwoHopIndex::Eligible(g, 4, PairKernel::kDense));
+  EXPECT_FALSE(TwoHopIndex::Build(g, 6, PairKernel::kDense).enabled());
+  EXPECT_TRUE(TwoHopIndex::Eligible(g, 4, PairKernel::kSparse));
+}
+
+// Checks CountAll2 of `fused`, bound to `g` and its two-hop index, on
+// every non-empty depth-2 pair set the index covers: each of its |L|²
+// counts must equal the size of EvaluatePathPairs on the extended path.
+// Returns the number of covered nodes.
+size_t ExpectCountAll2MatchesOracle(const Graph& g, FusedExtender& fused) {
+  const size_t num_labels = g.num_labels();
+  std::vector<PairSet> children(num_labels);
+  PairSet level1;
+  size_t covered = 0;
+  for (LabelId root = 0; root < num_labels; ++root) {
+    InitialPairSet(g, root, &level1);
+    if (level1.size() == 0) continue;
+    fused.ExtendAll(level1, children.data());
+    for (LabelId l2 = 0; l2 < num_labels; ++l2) {
+      const PairSet& node = children[l2];
+      if (node.size() == 0 || !fused.TwoHopCovers(node)) continue;
+      ++covered;
+      const uint64_t* counts = fused.CountAll2(node);
+      for (LabelId a = 0; a < num_labels; ++a) {
+        for (LabelId b = 0; b < num_labels; ++b) {
+          const LabelPath path{root, l2, a, b};
+          auto pairs = EvaluatePathPairs(g, path);
+          PATHEST_CHECK(pairs.ok(), "oracle failed");
+          EXPECT_EQ(counts[a * num_labels + b], pairs->size())
+              << path.ToIdString();
+        }
+      }
+    }
+  }
+  return covered;
+}
+
+// As above on a fresh extender bound under `kernel`.
+size_t ExpectCountAll2MatchesOracle(const Graph& g, PairKernel kernel) {
+  const TwoHopIndex index = TwoHopIndex::Build(g, /*k=*/4, kernel);
+  FusedExtender fused(g.num_vertices(), g.num_labels());
+  fused.Bind(g, kernel, &index);
+  SCOPED_TRACE(std::string("kernel=") + PairKernelName(kernel));
+  return ExpectCountAll2MatchesOracle(g, fused);
+}
+
+TEST(TwoHopTest, IdentityAtEveryPairFieldWidth) {
+  // |L| = 1, 3, 5, 6, 7, 9 give label pairs of 0, 4, 5, 6, 6 and 7 bits
+  // above keys of 6 to 12 bits.
+  // The fused map must equal the per-label DFS and EvaluatePathPairs on
+  // every path of L_k for k = 4..6, every kernel and threads 1/2/4. The
+  // forced sparse kernel runs the two-hop pass at every depth k - 2 node,
+  // the forced dense one at none.
+  for (size_t num_labels : {1u, 3u, 5u, 6u, 7u, 9u}) {
+    const Graph g = ErdosRenyiGraph(40, 30 + 20 * num_labels, num_labels,
+                                    100 + num_labels);
+    for (size_t k : {4u, 5u, 6u}) {
+      ASSERT_TRUE(TwoHopIndex::Eligible(g, k, PairKernel::kSparse));
+      ASSERT_FALSE(TwoHopIndex::Eligible(g, k, PairKernel::kDense));
+      SCOPED_TRACE("labels=" + std::to_string(num_labels) +
+                   " k=" + std::to_string(k));
+      ExpectFusedMatchesOracles(g, k, /*oracle_stride=*/1);
+    }
+    EXPECT_GT(ExpectCountAll2MatchesOracle(g, PairKernel::kSparse), 0u)
+        << "labels=" << num_labels;
+    EXPECT_EQ(ExpectCountAll2MatchesOracle(g, PairKernel::kDense), 0u)
+        << "labels=" << num_labels;
+  }
+}
+
+TEST(TwoHopTest, HubGraphMixesDenseAndSparseGroups) {
+  // A sparse background plus one hub that fans out to half the graph
+  // under label 0: at a depth-2 node (l1, 0), the sources with an l1-edge
+  // into the hub hold groups past the all-labels-dense size and the
+  // others stay small. Such mixed nodes keep ExtendAll + CountAll, wholly
+  // small nodes take the two-hop pass, and the map must not notice.
+  const Graph sparse = ErdosRenyiGraph(240, 900, 3, 71);
+  GraphBuilder builder;
+  builder.Adopt(sparse.labels(), sparse.CollectEdges(),
+                sparse.num_vertices());
+  for (VertexId u = 1; u <= 120; ++u) builder.AddEdge(0, LabelId{0}, u);
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok());
+  const Graph& g = *built;
+  ASSERT_EQ(g.num_labels(), 3u);
+
+  const TwoHopIndex index = TwoHopIndex::Build(g, 4, PairKernel::kAuto);
+  ASSERT_TRUE(index.enabled());
+  FusedExtender fused(g.num_vertices(), g.num_labels());
+  fused.Bind(g, PairKernel::kAuto, &index);
+  std::vector<PairSet> children(g.num_labels());
+  PairSet level1;
+  PairSet group;
+  size_t mixed = 0;
+  for (LabelId root = 0; root < g.num_labels(); ++root) {
+    InitialPairSet(g, root, &level1);
+    fused.ExtendAll(level1, children.data());
+    for (const PairSet& node : children) {
+      if (node.size() == 0 || fused.TwoHopCovers(node)) continue;
+      // Not covered: does it hold a group the pass would cover too?
+      for (size_t i = 0; i < node.srcs.size(); ++i) {
+        group.srcs = {node.srcs[i]};
+        group.offsets = {0, node.offsets[i + 1] - node.offsets[i]};
+        group.targets.assign(node.targets.begin() + node.offsets[i],
+                             node.targets.begin() + node.offsets[i + 1]);
+        if (fused.TwoHopCovers(group)) {
+          ++mixed;
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_GT(mixed, 0u);
+  EXPECT_GT(ExpectCountAll2MatchesOracle(g, PairKernel::kAuto), 0u);
+  for (size_t k : {4u, 5u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ExpectFusedMatchesOracles(g, k, /*oracle_stride=*/7);
+  }
+}
+
+TEST(TwoHopTest, OverBudgetGraphsFallBack) {
+  // Key space: with 6 labels, |V| = budget / 36 is the largest graph with
+  // an index and one more vertex has none, while both keep the 1-hop
+  // packed keys (3-bit label field).
+  const size_t largest = kPackedKeyMaxEntries / 36;
+  for (size_t num_vertices : {largest, largest + 1}) {
+    const Graph g = ErdosRenyiGraph(num_vertices, 30000, 6, 13);
+    ASSERT_TRUE(g.has_packed_edges());
+    EXPECT_EQ(TwoHopIndex::Build(g, 4, PairKernel::kAuto).enabled(),
+              num_vertices == largest);
+    ExpectFusedMatchesOracles(g, /*k=*/4, /*oracle_stride=*/37,
+                              {PairKernel::kAuto, PairKernel::kSparse});
+  }
+  // Size bound: a small dense one-label graph whose two-hop walks
+  // Σ_{t→x} outdeg(x) (~300 · 150 · 150) exceed the budget although its
+  // key space is tiny.
+  const Graph dense = ErdosRenyiGraph(300, 45000, 1, 19);
+  EXPECT_FALSE(TwoHopIndex::Eligible(dense, 4, PairKernel::kAuto));
+  EXPECT_FALSE(TwoHopIndex::Build(dense, 4, PairKernel::kSparse).enabled());
+  ExpectFusedMatchesOracles(dense, /*k=*/4, /*oracle_stride=*/1);
+}
+
+// The first path, in the DFS pre-order of the engines, of length at most
+// `max_len` whose selectivity exceeds `guard` (leaves are never checked, so
+// max_len is k - 1).
+std::optional<LabelPath> FirstGuardViolation(const SelectivityMap& map,
+                                             size_t max_len, uint64_t guard,
+                                             LabelPath* path) {
+  for (LabelId l = 0; l < map.space().num_labels(); ++l) {
+    path->PushBack(l);
+    const uint64_t f = map.Get(*path);
+    if (f > guard) return *path;
+    if (f > 0 && path->length() < max_len) {
+      if (auto found = FirstGuardViolation(map, max_len, guard, path)) {
+        return found;
+      }
+    }
+    path->PopBack();
+  }
+  return std::nullopt;
+}
+
+TEST(TwoHopTest, GuardAtDepthKMinus1KeepsStatus) {
+  // A guard every prefix up to depth k - 2 satisfies and some depth k - 1
+  // child breaks: the two-hop pass counts those children with CountAll and
+  // must report the first one in label order — the same status and path
+  // string as the per-label DFS, and the first violation in pre-order.
+  const Graph g = ErdosRenyiGraph(90, 700, 3, 43);
+  for (size_t k : {4u, 5u}) {
+    const SelectivityMap full =
+        Compute(g, k, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
+    uint64_t shallow_max = 0;
+    uint64_t deep_max = 0;
+    full.space().ForEach([&](const LabelPath& path) {
+      if (path.length() <= k - 2) {
+        shallow_max = std::max(shallow_max, full.Get(path));
+      } else if (path.length() == k - 1) {
+        deep_max = std::max(deep_max, full.Get(path));
+      }
+    });
+    ASSERT_GT(deep_max, shallow_max) << "k=" << k;
+    for (uint64_t guard : {shallow_max, (shallow_max + deep_max) / 2}) {
+      LabelPath scratch;
+      const std::optional<LabelPath> first =
+          FirstGuardViolation(full, k - 1, guard, &scratch);
+      ASSERT_TRUE(first.has_value());
+      ASSERT_EQ(first->length(), k - 1);
+      SelectivityOptions options;
+      options.max_pairs_per_prefix = guard;
+      options.strategy = ExtendStrategy::kPerLabel;
+      auto reference = ComputeSelectivities(g, k, options);
+      ASSERT_FALSE(reference.ok());
+      EXPECT_EQ(reference.status().ToString(),
+                Status::ResourceExhausted(
+                    "pair set exceeds max_pairs_per_prefix at path " +
+                    first->ToIdString())
+                    .ToString());
+      options.strategy = ExtendStrategy::kFused;
+      for (PairKernel kernel : {PairKernel::kAuto, PairKernel::kSparse}) {
+        for (size_t threads : {1u, 2u, 4u}) {
+          options.kernel = kernel;
+          options.num_threads = threads;
+          auto result = ComputeSelectivities(g, k, options);
+          ASSERT_FALSE(result.ok());
+          EXPECT_EQ(result.status().ToString(),
+                    reference.status().ToString())
+              << "k=" << k << " guard=" << guard
+              << " kernel=" << PairKernelName(kernel)
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(TwoHopTest, EpochWraparoundInsideTheTwoHopPass) {
+  // The two-hop pass draws its scopes from the same u32 counter as the
+  // 1-hop loop, over the wider array: starting a few scopes short of the
+  // wrap puts the clear inside a build's first CountAll2 calls (or, from
+  // further back, between them), with marks of the last pre-wrap epochs
+  // still in the two-hop part of the array.
+  const Graph g = ErdosRenyiGraph(120, 700, 5, 57);
+  for (uint32_t headroom : {1u, 2u, 40u, 300u}) {
+    InitialEpochGuard guard(UINT32_MAX - headroom);
+    SCOPED_TRACE("headroom=" + std::to_string(headroom));
+    EXPECT_GT(ExpectCountAll2MatchesOracle(g, PairKernel::kSparse), 0u);
+    for (size_t k : {4u, 5u}) {
+      ExpectFusedMatchesOracles(g, k, /*oracle_stride=*/1,
+                                {PairKernel::kAuto, PairKernel::kSparse});
+    }
+  }
+}
+
+TEST(TwoHopTest, WraparoundClearsLowMarksOfBothPasses) {
+  // A fresh extender counts Y, one group holding every vertex: its one
+  // scope (epoch 1) marks every key of the 1-hop pass (CountAll) or of the
+  // two-hop pass (CountAll2). Restarted h scopes short of the wrap, it
+  // counts a node X: X's group h + 1 runs right after the wrap with epoch
+  // 1 again, so unless the clear reached that part of the array, its keys
+  // count as already seen.
+  const Graph g = ErdosRenyiGraph(100, 1200, 3, 57);
+  const size_t num_labels = g.num_labels();
+  const TwoHopIndex index = TwoHopIndex::Build(g, 4, PairKernel::kSparse);
+  PairSet y;
+  y.srcs = {0};
+  y.offsets = {0, g.num_vertices()};
+  for (VertexId v = 0; v < g.num_vertices(); ++v) y.targets.push_back(v);
+  // X, with the reference counts of a fresh extender.
+  PairSet x;
+  std::vector<uint64_t> counts(num_labels, 0);
+  std::vector<uint64_t> pair_counts;
+  {
+    FusedExtender fused(g.num_vertices(), num_labels);
+    fused.Bind(g, PairKernel::kSparse, &index);
+    std::vector<PairSet> children(num_labels);
+    PairSet level1;
+    InitialPairSet(g, 0, &level1);
+    fused.ExtendAll(level1, children.data());
+    x = children[1];
+    ASSERT_TRUE(fused.TwoHopCovers(x));
+    fused.CountAll(x, counts.data());
+    const uint64_t* got = fused.CountAll2(x);
+    pair_counts.assign(got, got + num_labels * num_labels);
+  }
+  ASSERT_GT(x.srcs.size(), 10u);
+  for (uint32_t headroom : {1u, 4u}) {
+    SCOPED_TRACE("headroom=" + std::to_string(headroom));
+    {
+      FusedExtender fused(g.num_vertices(), num_labels);
+      fused.Bind(g, PairKernel::kSparse, &index);
+      std::vector<uint64_t> scratch(num_labels, 0);
+      fused.CountAll(y, scratch.data());
+      InitialEpochGuard guard(UINT32_MAX - headroom);
+      fused.Bind(g, PairKernel::kSparse, &index);
+      std::vector<uint64_t> again(num_labels, 0);
+      fused.CountAll(x, again.data());
+      EXPECT_EQ(again, counts) << "1-hop part";
+    }
+    {
+      FusedExtender fused(g.num_vertices(), num_labels);
+      fused.Bind(g, PairKernel::kSparse, &index);
+      fused.CountAll2(y);
+      InitialEpochGuard guard(UINT32_MAX - headroom);
+      fused.Bind(g, PairKernel::kSparse, &index);
+      const uint64_t* got = fused.CountAll2(x);
+      EXPECT_EQ(std::vector<uint64_t>(got, got + num_labels * num_labels),
+                pair_counts)
+          << "two-hop part";
+    }
   }
 }
 

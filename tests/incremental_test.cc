@@ -280,6 +280,73 @@ TEST(IncrementalTest, EmptyALabelOfADenseGraph) {
   ExpectBitIdentity(graph, deltas, 3, "dense label emptied");
 }
 
+TEST(IncrementalTest, TwoHopIndexFollowsEveryRefresh) {
+  // The two-hop leaf pass counts depth k from an index of the graph's
+  // two-hop walks t -a-> x -b-> u. Each batch below adds or removes one
+  // edge at the far end of a labeled chain 30 -> 31 -> ... -> 36 hung off
+  // a random graph, so the walks it changes start at least three hops
+  // below the chain's first vertex, and only the last two levels of the
+  // prefix tasks that reach them see it. Batches are applied in
+  // succession, each refresh patching the previous one's map, and after
+  // every step the incremental map must equal a full rebuild. An index
+  // left over from an earlier graph (or built before the patch) misses
+  // the change at depth k.
+  for (size_t k : {size_t{4}, size_t{5}}) {
+    std::vector<EdgeTriple> edges;
+    Graph graph = RandomGraph(90 + static_cast<uint32_t>(k), 30, 3, 40,
+                              &edges);
+    // Chain 30 -a-> 31 -b-> 32 -c-> ... -> 36.
+    std::vector<EdgeDelta> chain;
+    for (uint32_t v = 30; v < 36; ++v) {
+      chain.push_back({true, v, v + 1, (v - 30) % 3});
+    }
+    auto chained = PatchGraph(graph, chain);
+    ASSERT_TRUE(chained.ok());
+    graph = std::move(*chained);
+    const std::vector<std::vector<EdgeDelta>> batches = {
+        {{true, 35, 37, 2}},   // new walk 34 -> 35 -> 37
+        {{true, 36, 38, 0}},   // new walk 35 -> 36 -> 38
+        {{false, 35, 37, 2}},  // removes the first walk again
+        {{true, 36, 5, 1}},    // back into the random part
+        {{false, 36, 38, 0}},
+    };
+    for (PairKernel kernel : {PairKernel::kAuto, PairKernel::kSparse}) {
+      for (size_t threads : {size_t{1}, size_t{2}}) {
+        SelectivityOptions options;
+        options.kernel = kernel;
+        options.num_threads = threads;
+        auto map = ComputeSelectivities(graph, k, options);
+        ASSERT_TRUE(map.ok());
+        Graph current = graph;
+        for (size_t step = 0; step < batches.size(); ++step) {
+          const std::string what = "k=" + std::to_string(k) +
+                                   " kernel=" + PairKernelName(kernel) +
+                                   " threads=" + std::to_string(threads) +
+                                   " step=" + std::to_string(step);
+          auto patched = PatchGraph(current, batches[step]);
+          ASSERT_TRUE(patched.ok()) << what;
+          auto full = ComputeSelectivities(*patched, k, options);
+          ASSERT_TRUE(full.ok()) << what;
+          auto inc = IncrementalSelectivities(*patched, *map, batches[step],
+                                              options);
+          ASSERT_TRUE(inc.ok()) << what << ": " << inc.status().ToString();
+          ASSERT_EQ(inc->values(), full->values()) << what;
+          // The step changed some length-k count: the pass had work.
+          const PathSpace& space = full->space();
+          bool leaf_changed = false;
+          for (uint64_t i = space.LengthOffset(k); i < space.size(); ++i) {
+            leaf_changed |= full->GetByCanonicalIndex(i) !=
+                            map->GetByCanonicalIndex(i);
+          }
+          EXPECT_TRUE(leaf_changed) << what;
+          map = std::move(inc);
+          current = std::move(*patched);
+        }
+      }
+    }
+  }
+}
+
 TEST(IncrementalTest, GuardViolationMatchesFullBuildError) {
   // A pair guard the BASE graph satisfies but the patched graph trips:
   // the incremental rebuild (same guard as the original build, per its
