@@ -2,28 +2,26 @@
 // evaluator and of histogram construction, the two build-time costs of the
 // pipeline.
 //
-// The selectivity rows take {k, threads, kernel, strategy} (kernel: 0 =
-// auto, 1 = sparse, 2 = dense; strategy: 0 = fused, 1 = per-label). The
-// threads=1/kernel=sparse/strategy=per-label rows are the scalar baseline;
-// every other row's map is asserted bit-identical to it.
+// The selectivity rows take {k, threads, kernel} (kernel: 0 = auto, 1 =
+// sparse, 2 = dense). The threads=1/kernel=sparse rows are the scalar
+// baseline; every other row's map is asserted bit-identical to it.
 //
 // --json[=path] switches to a machine-readable sweep instead of the
 // google-benchmark console: it times ComputeSelectivities for every
-// (dataset, threads, strategy, kernel) cell — best wall time of
-// PATHEST_REPS runs, taken round-robin over the cells — and writes one
-// JSON array to `path` (default BENCH_selectivity.json), one object per
-// cell: {"dataset", "k", "threads", "strategy", "kernel", "build_ms"},
-// plus "auto_vs_best" on auto rows (auto's build_ms over the better
-// forced kernel's at the same strategy and threads). Cross-strategy /
-// cross-kernel / cross-thread bit-identity of the map is asserted inside
+// (dataset, threads, kernel) cell — best wall time of PATHEST_REPS runs,
+// taken round-robin over the cells — and writes one JSON array to `path`
+// (default BENCH_selectivity.json), one object per cell: {"dataset", "k",
+// "threads", "kernel", "build_ms"}, plus "auto_vs_best" on auto rows
+// (auto's build_ms over the better forced kernel's at the same threads).
+// Cross-kernel / cross-thread bit-identity of the map is asserted inside
 // the sweep (every cell against the first cell's values). The er-dense
 // dataset is an Erdős–Rényi configuration dense enough that the dense
 // bitmap kernel should win by an integer factor; moreno is the
 // quarter-size moreno-like graph at k = PATHEST_K (default 4); moreno-full
 // is the full-size one at k = 6 on two workers, the offline build of
-// perfbench's build workload. The printed summary reports the
-// fused-vs-per-label speedup and auto's ratio to the best forced kernel
-// per config. Scale knobs: PATHEST_SCALE, PATHEST_REPS, PATHEST_K.
+// perfbench's build workload. The printed summary reports auto's ratio to
+// the best forced kernel per config. Scale knobs: PATHEST_SCALE,
+// PATHEST_REPS, PATHEST_K.
 
 #include <benchmark/benchmark.h>
 
@@ -56,29 +54,25 @@ const Graph& BenchGraph() {
   return *graph;
 }
 
-// Args: {k, num_threads, kernel, strategy}. The threads=1/kernel=sparse/
-// strategy=per-label rows are the scalar baseline; the parallel-engine
-// speedup is threads=N vs threads=1 at equal k, the kernel speedup is
-// kernel=dense/auto vs kernel=sparse at threads=1, and the fusion speedup
-// is strategy=fused vs strategy=per-label at equal everything else. Every
-// row's map is asserted bit-identical to the baseline.
+// Args: {k, num_threads, kernel}. The threads=1/kernel=sparse rows are
+// the scalar baseline; the parallel-engine speedup is threads=N vs
+// threads=1 at equal k, and the kernel speedup is kernel=dense/auto vs
+// kernel=sparse at threads=1. Every row's map is asserted bit-identical to
+// the baseline.
 void BM_ComputeSelectivities(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const size_t threads = static_cast<size_t>(state.range(1));
   const PairKernel kernel = static_cast<PairKernel>(state.range(2));
-  const ExtendStrategy strategy = static_cast<ExtendStrategy>(state.range(3));
   SelectivityOptions options;
   options.num_threads = threads;
   options.kernel = kernel;
-  options.strategy = strategy;
   static std::map<size_t, std::vector<uint64_t>>* baseline_maps =
       new std::map<size_t, std::vector<uint64_t>>();
   for (auto _ : state) {
     auto map = ComputeSelectivities(BenchGraph(), k, options);
     PATHEST_CHECK(map.ok(), "selectivity failed");
     benchmark::DoNotOptimize(map->Total());
-    if (threads == 1 && kernel == PairKernel::kSparse &&
-        strategy == ExtendStrategy::kPerLabel) {
+    if (threads == 1 && kernel == PairKernel::kSparse) {
       (*baseline_maps)[k] = map->values();
     } else if (auto it = baseline_maps->find(k); it != baseline_maps->end()) {
       PATHEST_CHECK(it->second == map->values(),
@@ -89,21 +83,19 @@ void BM_ComputeSelectivities(benchmark::State& state) {
                           static_cast<int64_t>(PathSpace(6, k).size()));
 }
 BENCHMARK(BM_ComputeSelectivities)
-    ->ArgNames({"k", "threads", "kernel", "strategy"})
-    ->Args({2, 1, 1, 1})
-    ->Args({3, 1, 1, 1})
-    ->Args({4, 1, 1, 1})  // per-label sparse baselines first: later rows
-    ->Args({4, 1, 2, 1})  // check against them
-    ->Args({4, 1, 0, 1})
-    ->Args({4, 1, 0, 0})
-    ->Args({4, 2, 0, 0})
-    ->Args({4, 4, 0, 0})
-    ->Args({5, 1, 1, 1})
-    ->Args({5, 1, 2, 1})
-    ->Args({5, 1, 0, 1})
-    ->Args({5, 1, 0, 0})
-    ->Args({5, 2, 0, 0})
-    ->Args({5, 4, 0, 0})
+    ->ArgNames({"k", "threads", "kernel"})
+    ->Args({2, 1, 1})
+    ->Args({3, 1, 1})
+    ->Args({4, 1, 1})  // sparse serial baselines first: later rows check
+    ->Args({4, 1, 2})  // against them
+    ->Args({4, 1, 0})
+    ->Args({4, 2, 0})
+    ->Args({4, 4, 0})
+    ->Args({5, 1, 1})
+    ->Args({5, 1, 2})
+    ->Args({5, 1, 0})
+    ->Args({5, 2, 0})
+    ->Args({5, 4, 0})
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
@@ -177,14 +169,13 @@ struct JsonRow {
   std::string dataset;
   size_t k;
   size_t threads;
-  ExtendStrategy strategy;
   PairKernel kernel;
   double build_ms;
   double auto_vs_best = 0;  // auto rows: build_ms / best forced kernel's
 };
 
-// Auto's wall time over the better forced kernel's, from one strategy's
-// build_ms triple indexed by PairKernel.
+// Auto's wall time over the better forced kernel's, from a build_ms
+// triple indexed by PairKernel.
 double AutoVsBest(const double (&ms)[3]) {
   return ms[static_cast<size_t>(PairKernel::kAuto)] /
          std::min(ms[static_cast<size_t>(PairKernel::kSparse)],
@@ -220,8 +211,6 @@ int RunJsonMode(const std::string& out_path) {
 
   constexpr PairKernel kKernels[] = {PairKernel::kSparse, PairKernel::kDense,
                                      PairKernel::kAuto};
-  constexpr ExtendStrategy kStrategies[] = {ExtendStrategy::kPerLabel,
-                                            ExtendStrategy::kFused};
   std::vector<JsonRow> rows;
   for (const Config& config : configs) {
     std::printf("%s: |V|=%zu |E|=%zu |L|=%zu k=%zu\n", config.name.c_str(),
@@ -239,58 +228,41 @@ int RunJsonMode(const std::string& out_path) {
 
     std::vector<uint64_t> baseline_values;
     for (size_t threads : thread_counts) {
-      // Best wall time per [strategy][kernel] cell, indexed by the enum
-      // values. Reps run round-robin over the cells, so host drift during
-      // the sweep hits every kernel alike instead of biasing a ratio.
-      double ms_cell[2][3] = {{0, 0, 0}, {0, 0, 0}};
+      // Best wall time per kernel cell, indexed by the enum values. Reps
+      // run round-robin over the cells, so host drift during the sweep
+      // hits every kernel alike instead of biasing a ratio.
+      double ms[3] = {0, 0, 0};
       for (size_t rep = 0; rep < reps; ++rep) {
-        for (ExtendStrategy strategy : kStrategies) {
-          for (PairKernel kernel : kKernels) {
-            SelectivityOptions options;
-            options.num_threads = threads;
-            options.kernel = kernel;
-            options.strategy = strategy;
-            Timer timer;
-            auto map = ComputeSelectivities(config.graph, config.k, options);
-            const double ms = timer.ElapsedMillis();
-            bench::DieIf(map.status(), "selectivity computation");
-            double& best_ms = ms_cell[static_cast<size_t>(strategy)]
-                                     [static_cast<size_t>(kernel)];
-            if (rep == 0 || ms < best_ms) best_ms = ms;
-            // Cross-strategy / cross-kernel / cross-thread identity: every
-            // cell's map must equal the first cell's, bit for bit.
-            if (baseline_values.empty()) {
-              baseline_values = map->values();
-            } else {
-              PATHEST_CHECK(map->values() == baseline_values,
-                            "map differs across strategies/kernels/threads");
-            }
+        for (PairKernel kernel : kKernels) {
+          SelectivityOptions options;
+          options.num_threads = threads;
+          options.kernel = kernel;
+          Timer timer;
+          auto map = ComputeSelectivities(config.graph, config.k, options);
+          const double elapsed_ms = timer.ElapsedMillis();
+          bench::DieIf(map.status(), "selectivity computation");
+          double& best_ms = ms[static_cast<size_t>(kernel)];
+          if (rep == 0 || elapsed_ms < best_ms) best_ms = elapsed_ms;
+          // Cross-kernel / cross-thread identity: every cell's map must
+          // equal the first cell's, bit for bit.
+          if (baseline_values.empty()) {
+            baseline_values = map->values();
+          } else {
+            PATHEST_CHECK(map->values() == baseline_values,
+                          "map differs across kernels/threads");
           }
         }
       }
-      for (ExtendStrategy strategy : kStrategies) {
-        const double (&ms)[3] = ms_cell[static_cast<size_t>(strategy)];
-        for (PairKernel kernel : kKernels) {
-          JsonRow row{config.name, config.k, threads, strategy, kernel,
-                      ms[static_cast<size_t>(kernel)]};
-          if (kernel == PairKernel::kAuto) row.auto_vs_best = AutoVsBest(ms);
-          rows.push_back(row);
-          std::printf("  threads=%zu strategy=%-9s kernel=%-6s build_ms=%.3f\n",
-                      threads, ExtendStrategyName(strategy),
-                      PairKernelName(kernel), row.build_ms);
-        }
+      for (PairKernel kernel : kKernels) {
+        JsonRow row{config.name, config.k, threads, kernel,
+                    ms[static_cast<size_t>(kernel)]};
+        if (kernel == PairKernel::kAuto) row.auto_vs_best = AutoVsBest(ms);
+        rows.push_back(row);
+        std::printf("  threads=%zu kernel=%-6s build_ms=%.3f\n", threads,
+                    PairKernelName(kernel), row.build_ms);
       }
-      const double (&fused)[3] =
-          ms_cell[static_cast<size_t>(ExtendStrategy::kFused)];
-      const double (&per_label)[3] =
-          ms_cell[static_cast<size_t>(ExtendStrategy::kPerLabel)];
-      std::printf(
-          "  threads=%zu summary: fused %.2fx vs per-label (auto kernel); "
-          "auto / best forced kernel: fused %.3f, per-label %.3f\n",
-          threads,
-          per_label[static_cast<size_t>(PairKernel::kAuto)] /
-              fused[static_cast<size_t>(PairKernel::kAuto)],
-          AutoVsBest(fused), AutoVsBest(per_label));
+      std::printf("  threads=%zu summary: auto / best forced kernel %.3f\n",
+                  threads, AutoVsBest(ms));
     }
   }
 
@@ -304,10 +276,8 @@ int RunJsonMode(const std::string& out_path) {
     const JsonRow& r = rows[i];
     std::fprintf(out,
                  "  {\"dataset\": \"%s\", \"k\": %zu, \"threads\": %zu, "
-                 "\"strategy\": \"%s\", \"kernel\": \"%s\", "
-                 "\"build_ms\": %.3f",
-                 r.dataset.c_str(), r.k, r.threads,
-                 ExtendStrategyName(r.strategy), PairKernelName(r.kernel),
+                 "\"kernel\": \"%s\", \"build_ms\": %.3f",
+                 r.dataset.c_str(), r.k, r.threads, PairKernelName(r.kernel),
                  r.build_ms);
     if (r.kernel == PairKernel::kAuto) {
       std::fprintf(out, ", \"auto_vs_best\": %.3f", r.auto_vs_best);

@@ -4,8 +4,7 @@
 // integrating the library.
 //
 // Usage:
-//   pathest_cli [--threads N] [--strategy fused|per-label] [--graph G]
-//               <command> ...
+//   pathest_cli [--threads N] [--graph G] <command> ...
 //   pathest_cli generate <dataset> <out.graph> [scale] [seed]
 //   pathest_cli stats <graph-file>
 //   pathest_cli analyze <graph-file> <k> <ordering> <beta> <out.stats>
@@ -32,12 +31,11 @@
 //
 // --threads N controls the parallel selectivity engine (the dominant cost
 // of analyze/accuracy): N worker threads, 0 = one per hardware core (the
-// default). --strategy picks the evaluator decomposition (default: fused —
-// the all-labels kernel with prefix tasks). Results are bit-identical for
-// every thread count and strategy; the flags only change speed. Both are
-// validated up front (a malformed value is an error, not a silent fallback), and the
-// commands that build ground truth echo the RESOLVED configuration —
-// including the post-clamp worker count — in their build report line.
+// default). Results are bit-identical for every thread count; the flag
+// only changes speed. It is validated up front (a malformed value is an
+// error, not a silent fallback), and the commands that build ground truth
+// echo the RESOLVED configuration — the post-clamp worker count and the
+// task count — in their build report line.
 //
 // --format text|binary picks the on-disk catalog format analyze writes
 // (default text; binary is the checksummed v1 layout of core/serialize.h —
@@ -111,10 +109,6 @@ namespace {
 // hardware core). Shared by every subcommand that computes ground truth.
 size_t g_num_threads = 0;
 
-// Evaluator strategy; set by --strategy (fused = all-labels kernel with
-// depth-2 prefix tasks, per-label = the baseline engine).
-ExtendStrategy g_strategy = ExtendStrategy::kFused;
-
 // On-disk catalog format for analyze's save and catalog convert's target;
 // set by --format. Readers sniff, so there is no corresponding load flag.
 CatalogFormat g_format = CatalogFormat::kText;
@@ -150,7 +144,6 @@ Result<Graph> LoadCliGraph(const std::string& spec) {
 SelectivityOptions CliSelectivityOptions() {
   SelectivityOptions options;
   options.num_threads = g_num_threads;
-  options.strategy = g_strategy;
   return options;
 }
 
@@ -159,12 +152,9 @@ SelectivityOptions CliSelectivityOptions() {
 // clamped or defaulted value is visible instead of silent.
 void PrintBuildConfig(const Graph& graph, size_t k) {
   SelectivityOptions options = CliSelectivityOptions();
-  std::printf(
-      "selectivity build: threads=%zu (requested %zu), strategy=%s, "
-      "tasks=%zu\n",
-      ResolvedNumThreads(options, graph.num_labels(), k), g_num_threads,
-      ExtendStrategyName(g_strategy),
-      SelectivityTaskCount(graph.num_labels(), k, g_strategy));
+  std::printf("selectivity build: threads=%zu (requested %zu), tasks=%zu\n",
+              ResolvedNumThreads(options, graph.num_labels(), k),
+              g_num_threads, SelectivityTaskCount(graph.num_labels(), k));
 }
 
 int Fail(const Status& status) {
@@ -176,7 +166,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  pathest_cli [--threads N] [--strategy S] <command> ...\n"
+      "  pathest_cli [--threads N] <command> ...\n"
       "  pathest_cli generate <dataset> <out.graph> [scale] [seed]\n"
       "  pathest_cli stats <graph-file>\n"
       "  pathest_cli analyze <graph-file> <k> <ordering> <beta> <out.stats>\n"
@@ -220,8 +210,6 @@ int Usage() {
       "be '-' to read the edge list from stdin\n"
       "--threads N: selectivity AND ingest worker threads (0 = hardware "
       "cores, default)\n"
-      "--strategy S: evaluator decomposition, fused|per-label "
-      "(fused = all-labels kernel + prefix tasks, default)\n"
       "--format F: catalog format analyze writes / convert targets, "
       "text|binary|binary-v2 (text default; binary = checksummed catalog "
       "v1; binary-v2 = page-aligned mmap-servable; readers sniff)\n");
@@ -684,11 +672,9 @@ int main(int argc, char** argv) {
   // via strtoull.
   std::vector<std::string> rest;
   bool threads_seen = false;
-  bool strategy_seen = false;
   bool graph_seen = false;
   bool format_seen = false;
   std::string threads_text;
-  std::string strategy_name;
   std::string graph_spec;
   std::string format_name;
   for (size_t i = 0; i < all.size(); ++i) {
@@ -704,12 +690,6 @@ int main(int argc, char** argv) {
     } else if (all[i].rfind("--graph=", 0) == 0) {
       graph_seen = true;
       graph_spec = all[i].substr(8);
-    } else if (all[i] == "--strategy" && i + 1 < all.size()) {
-      strategy_seen = true;
-      strategy_name = all[++i];
-    } else if (all[i].rfind("--strategy=", 0) == 0) {
-      strategy_seen = true;
-      strategy_name = all[i].substr(11);
     } else if (all[i] == "--format" && i + 1 < all.size()) {
       format_seen = true;
       format_name = all[++i];
@@ -729,11 +709,6 @@ int main(int argc, char** argv) {
           "' (expected a non-negative integer; 0 = hardware cores)"));
     }
     g_num_threads = std::strtoull(threads_text.c_str(), nullptr, 10);
-  }
-  if (strategy_seen) {
-    auto strategy = ParseExtendStrategy(strategy_name);
-    if (!strategy.ok()) return Fail(strategy.status());
-    g_strategy = *strategy;
   }
   if (format_seen) {
     auto format = ParseCatalogFormat(format_name);
@@ -759,15 +734,10 @@ int main(int argc, char** argv) {
       args.insert(args.begin(), graph_spec);
     }
   }
-  // The engine flags only matter to commands that compute ground truth
-  // (--threads also drives the ingest of a loaded graph); flag a no-op
-  // combination instead of ignoring it silently.
-  if (strategy_seen && cmd != "analyze" && cmd != "accuracy") {
-    std::fprintf(stderr,
-                 "note: --strategy has no effect on '%s' (it configures "
-                 "the selectivity build of analyze/accuracy)\n",
-                 cmd.c_str());
-  } else if (threads_seen && !takes_graph) {
+  // --threads only matters to commands that load a graph (ingest, and the
+  // selectivity build of analyze/accuracy); flag a no-op combination
+  // instead of ignoring it silently.
+  if (threads_seen && !takes_graph) {
     std::fprintf(stderr,
                  "note: --threads has no effect on '%s' (it configures "
                  "graph ingest and the selectivity build)\n",

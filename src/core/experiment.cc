@@ -63,12 +63,8 @@ Result<SelectivityBuildResult> MeasureSelectivityBuild(
   auto map = ComputeSelectivities(graph, k, options);
   const double wall_ms = timer.ElapsedMillis();
   if (!map.ok()) return map.status();
-  return SelectivityBuildResult{k,
-                                num_threads,
-                                options.strategy,
-                                wall_ms,
-                                std::move(per_label_ms),
-                                std::move(*map)};
+  return SelectivityBuildResult{k, num_threads, wall_ms,
+                                std::move(per_label_ms), std::move(*map)};
 }
 
 ReportTable GraphIngestReport(const GraphLoadStats& stats) {
@@ -117,8 +113,7 @@ ReportTable SelectivityBuildReport(const Graph& graph,
                   FormatDouble(ms, 4), FormatDouble(share, 3)});
   }
   table.AddRow({"total(wall, " + std::to_string(result.num_threads) +
-                    " thread" + (result.num_threads == 1 ? "" : "s") + ", " +
-                    ExtendStrategyName(result.strategy) + " strategy)",
+                    " thread" + (result.num_threads == 1 ? "" : "s") + ")",
                 std::to_string(graph.num_edges()),
                 FormatDouble(result.wall_ms, 4), "100"});
   return table;

@@ -33,18 +33,14 @@ ReportTable GraphIngestReport(const GraphLoadStats& stats);
 struct SelectivityBuildResult {
   size_t k = 0;
   /// Worker threads the engine actually used (ResolvedNumThreads: 0 ->
-  /// hardware concurrency, then clamped to the build's task count — |L|
-  /// roots for the per-label strategy, |L|² prefix tasks for fused).
+  /// hardware concurrency, then clamped to the build's task count, |L|²
+  /// prefix tasks for k >= 3).
   size_t num_threads = 1;
-  /// Evaluator strategy the build ran under (fused/per-label). The map is
-  /// identical across strategies; this records what was measured.
-  ExtendStrategy strategy = ExtendStrategy::kFused;
   /// End-to-end wall time of ComputeSelectivities, milliseconds.
   double wall_ms = 0.0;
-  /// Per-root-label subtree evaluation time, indexed by LabelId. Under
-  /// num_threads > 1 these overlap, so they sum to more than wall_ms (and
-  /// under the fused strategy each entry is itself the sum of the root's
-  /// pre-pass and prefix-task spans).
+  /// Per-root-label subtree evaluation time, indexed by LabelId: the sum
+  /// of the root's pre-pass and prefix-task spans. Under num_threads > 1
+  /// these overlap, so they sum to more than wall_ms.
   std::vector<double> per_label_ms;
   SelectivityMap map;
 };

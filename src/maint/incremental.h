@@ -1,7 +1,7 @@
 // pathest: incremental statistics rebuild — re-evaluate ONLY the
 // selectivity-map slices an edge delta can have changed.
 //
-// The full build (path/selectivity.h, fused strategy) decomposes into a
+// The full build (path/selectivity.h) decomposes into a
 // per-root pre-pass plus |L|² depth-2 prefix tasks (root, l₂), each
 // writing a disjoint canonical-index slice. That decomposition is exactly
 // what makes maintenance incremental: a batch of edge deltas dirties a
@@ -11,7 +11,7 @@
 // map into precisely the map a full rebuild on the patched graph would
 // produce. Equality is exact (the map holds exact uint64 counts), and the
 // oracle test grid (tests/incremental_test.cc) enforces it bit-for-bit
-// across kernels × strategies × thread counts.
+// across kernels × thread counts.
 //
 // Dirtiness analysis. Let D = the set of labels carried by some delta
 // edge, and U = the set of delta-edge SOURCE vertices. Define the
@@ -102,10 +102,8 @@ struct IncrementalStats {
 /// full ComputeSelectivities(patched, k, options) bit-for-bit — including,
 /// on guard violations, returning the same DFS-order-first error.
 ///
-/// `options.strategy` is ignored: the incremental engine IS the fused
-/// depth-2 decomposition. `options.num_threads` parallelizes the touched
-/// roots and dirty tasks exactly like the full build (bit-identical at
-/// every thread count).
+/// `options.num_threads` parallelizes the touched roots and dirty tasks
+/// exactly like the full build (bit-identical at every thread count).
 Result<SelectivityMap> IncrementalSelectivities(
     const Graph& patched, const SelectivityMap& old_map,
     const std::vector<EdgeDelta>& deltas, const SelectivityOptions& options,

@@ -68,7 +68,7 @@ struct MaintenanceOptions {
   /// the healthy catalog entries; entries with a smaller k are rebuilt
   /// from a prefix of the map (the canonical layout nests spaces).
   size_t k = 0;
-  /// Rebuild engine knobs (threads, strategy, pair guard).
+  /// Rebuild engine knobs (threads, pair guard).
   /// max_pairs_per_prefix must not shrink between builds of the same base.
   SelectivityOptions selectivity;
   /// Format for re-persisted entries.

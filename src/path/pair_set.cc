@@ -24,8 +24,7 @@ namespace {
 // kernels degenerate to the all/none sentinels, kAuto to the graph-derived
 // density bound. Every kernel decision is then one integer compare.
 inline uint64_t EffectiveThreshold(PairKernel kernel, uint64_t label_cardinality,
-                                   size_t num_vertices, size_t num_words,
-                                   uint64_t margin = kDenseEmissionsPerWord) {
+                                   size_t num_vertices, size_t num_words) {
   switch (kernel) {
     case PairKernel::kSparse:
       return UINT64_MAX;
@@ -33,63 +32,9 @@ inline uint64_t EffectiveThreshold(PairKernel kernel, uint64_t label_cardinality
       return 0;
     case PairKernel::kAuto:
     default:
-      return DenseGroupThreshold(label_cardinality, num_vertices, num_words,
-                                 margin);
+      return DenseGroupThreshold(label_cardinality, num_vertices, num_words);
   }
 }
-
-}  // namespace
-
-LeafCounter::LeafCounter(size_t num_vertices, size_t num_labels)
-    : num_labels_(num_labels),
-      marker_(num_vertices),
-      bits_(num_vertices),
-      dense_threshold_(num_labels, 0) {}
-
-void LeafCounter::CountExtensions(const Graph::CsrView* views,
-                                  size_t num_vertices, size_t num_labels,
-                                  const PairSet& parent, PairKernel kernel,
-                                  uint64_t* counts) {
-  PATHEST_CHECK(num_vertices <= bits_.num_bits() && num_labels <= num_labels_,
-                "graph exceeds LeafCounter capacity");
-  // Scan cost is what the bitset actually walks — its full capacity, which
-  // may exceed this graph's vertex count under EvalContext reuse.
-  const size_t num_words = bits_.num_words();
-  for (LabelId l = 0; l < num_labels; ++l) {
-    dense_threshold_[l] = EffectiveThreshold(
-        kernel, views[l].offsets[num_vertices], num_vertices, num_words);
-  }
-  const VertexId* targets = parent.targets.data();
-  for (size_t i = 0; i < parent.srcs.size(); ++i) {
-    const uint64_t begin = parent.offsets[i];
-    const uint64_t end = parent.offsets[i + 1];
-    const uint64_t group_size = end - begin;
-    for (LabelId l = 0; l < num_labels; ++l) {
-      const Graph::CsrView& adj = views[l];
-      if (group_size >= dense_threshold_[l]) {
-        for (uint64_t j = begin; j < end; ++j) {
-          const VertexId t = targets[j];
-          for (uint64_t e = adj.offsets[t]; e < adj.offsets[t + 1]; ++e) {
-            bits_.SetBitBlind(adj.targets[e]);
-          }
-        }
-        counts[l] += bits_.CountAndClear();
-      } else {
-        marker_.NextEpoch();
-        uint64_t distinct = 0;
-        for (uint64_t j = begin; j < end; ++j) {
-          const VertexId t = targets[j];
-          for (uint64_t e = adj.offsets[t]; e < adj.offsets[t + 1]; ++e) {
-            distinct += marker_.Mark(adj.targets[e]);
-          }
-        }
-        counts[l] += distinct;
-      }
-    }
-  }
-}
-
-namespace {
 
 // Restart value of the flat epoch counter at every Bind (test hook; 0 =
 // off).
@@ -186,7 +131,14 @@ void FusedExtender::SetInitialEpochForTesting(uint32_t epoch) {
 }
 
 FusedExtender::FusedExtender(size_t num_vertices, size_t num_labels)
-    : cap_vertices_(num_vertices), cap_labels_(num_labels) {}
+    : cap_vertices_(num_vertices),
+      cap_labels_(num_labels),
+      emit_(num_labels),
+      bits_(num_labels),
+      dense_threshold_(num_labels, 0),
+      group_before_(num_labels, 0) {
+  for (DynamicBitset& b : bits_) b.Reset(num_vertices);
+}
 
 void FusedExtender::Bind(const Graph& graph, PairKernel kernel,
                          const TwoHopIndex* two_hop) {
@@ -194,20 +146,6 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel,
   const size_t num_labels = graph.num_labels();
   PATHEST_CHECK(num_labels <= cap_labels_ && num_vertices <= cap_vertices_,
                 "graph exceeds FusedExtender capacity");
-  // The per-label bitsets are allocated on FIRST Bind, not construction:
-  // every EvalContext owns a FusedExtender, but only the fused strategy
-  // ever binds one — the per-label engine must not pay for fused-only
-  // scratch.
-  if (bits_.empty()) {
-    bits_.resize(cap_labels_);
-    for (DynamicBitset& b : bits_) b.Reset(cap_vertices_);
-    dense_threshold_.assign(cap_labels_, 0);
-    group_before_.assign(cap_labels_, 0);
-    // Empty arenas cost nothing, and every segment-walk drain reads them:
-    // with the flat epoch array they simply stay empty (only labels without
-    // edges are sparse for a group that reaches the segment walk).
-    emit_.resize(cap_labels_);
-  }
   vm_ = graph.VertexMajor();
   plane_ = graph.AdjacencyBitmaps();
   num_labels_ = num_labels;
@@ -256,9 +194,8 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel,
     // Scan cost is what each per-label bitset actually walks — its full
     // capacity, which may exceed this graph's vertex count under reuse.
     const uint64_t cardinality = graph.LabelCardinality(l);
-    dense_threshold_[l] =
-        EffectiveThreshold(kernel, cardinality, num_vertices,
-                           bits_[l].num_words(), kFusedDenseEmissionsPerWord);
+    dense_threshold_[l] = EffectiveThreshold(kernel, cardinality,
+                                             num_vertices, bits_[l].num_words());
     if (cardinality > 0) all_dense = std::max(all_dense, dense_threshold_[l]);
   }
   // A group leaves the flat loop only once every label is dense for it: a
@@ -444,7 +381,7 @@ void FusedExtender::ExtendAll(const PairSet& parent, PairSet* children) {
     }
     if (group_size < flat_bound_) {
       // Flat sparse path: first-seen keys go straight into their label's
-      // child builder, in the per-label kernel's discovery order.
+      // child builder, in each label's discovery order.
       const uint32_t cur = NextFlatEpoch();
       for (uint64_t j = begin; j < end; ++j) {
         const VertexId t = targets[j];
@@ -513,47 +450,6 @@ void InitialPairSet(const Graph& graph, LabelId l, PairSet* out) {
     out->targets.insert(out->targets.end(), adj.targets + begin,
                         adj.targets + end);
     out->offsets.push_back(out->targets.size());
-  }
-}
-
-void ExtendPairSet(const Graph& graph, const PairSet& parent, LabelId l,
-                   Marker* marker, DynamicBitset* bits, PairKernel kernel,
-                   PairSet* child) {
-  child->Clear();
-  child->offsets.push_back(0);
-  const Graph::CsrView adj = graph.ForwardView(l);
-  const size_t num_vertices = graph.num_vertices();
-  const uint64_t dense_threshold = EffectiveThreshold(
-      kernel, adj.offsets[num_vertices], num_vertices, bits->num_words());
-  const VertexId* targets = parent.targets.data();
-  for (size_t i = 0; i < parent.srcs.size(); ++i) {
-    const uint64_t begin = parent.offsets[i];
-    const uint64_t end = parent.offsets[i + 1];
-    const size_t before = child->targets.size();
-    if (end - begin >= dense_threshold) {
-      for (uint64_t j = begin; j < end; ++j) {
-        const VertexId t = targets[j];
-        for (uint64_t e = adj.offsets[t]; e < adj.offsets[t + 1]; ++e) {
-          bits->SetBitBlind(adj.targets[e]);
-        }
-      }
-      bits->ExtractAndClear([child](size_t u) {
-        child->targets.push_back(static_cast<VertexId>(u));
-      });
-    } else {
-      marker->NextEpoch();
-      for (uint64_t j = begin; j < end; ++j) {
-        const VertexId t = targets[j];
-        for (uint64_t e = adj.offsets[t]; e < adj.offsets[t + 1]; ++e) {
-          const VertexId u = adj.targets[e];
-          if (marker->Mark(u)) child->targets.push_back(u);
-        }
-      }
-    }
-    if (child->targets.size() > before) {
-      child->srcs.push_back(parent.srcs[i]);
-      child->offsets.push_back(child->targets.size());
-    }
   }
 }
 

@@ -1,24 +1,23 @@
-// pathest: the evaluator's scratch data structures — distinct pair sets and
-// the adaptive kernels that extend them.
+// pathest: the evaluator's scratch data structures — distinct pair sets,
+// the two-hop index, and the fused kernel that extends a pair set into all
+// |L| children at once.
 //
-// These types used to live inside selectivity.cc; they are exposed here so
-// the engine layer (engine/eval_context.h) can own one instance of each per
-// worker thread. They are scratch, not values: every structure is reusable
-// across evaluations and none is thread-safe on its own — parallel callers
-// get isolation by owning disjoint instances, one per worker.
+// They are exposed here so the engine layer (engine/eval_context.h) can
+// own one FusedExtender per worker thread. They are scratch, not values:
+// every structure is reusable across evaluations and none is thread-safe
+// on its own — parallel callers get isolation by owning disjoint
+// instances, one per worker (the TwoHopIndex is built once and only read).
 //
 // Kernels. Every extension pass deduplicates the successors of one source
 // group, and does so with one of two kernels chosen per (group, label)
 // cell:
 //   * sparse — epoch marking: each candidate successor probes an epoch
 //     word; first-seen vertices are emitted in discovery order. Cost ~
-//     O(emissions) with one random access each. The fused engine
-//     (FusedExtender) runs it label-fused: one u32 epoch array indexed by
-//     the packed key (vertex << ⌈log₂|L|⌉) | label serves every label of a
-//     group at once, so a group is one flat loop over each member's whole
-//     out-edge range until it is dense for every label. The per-label
-//     kernels (ExtendPairSet, LeafCounter) keep one 64-bit Marker and one
-//     loop per label.
+//     O(emissions) with one random access each. FusedExtender runs it
+//     label-fused: one u32 epoch array indexed by the packed key
+//     (vertex << ⌈log₂|L|⌉) | label serves every label of a group at once,
+//     so a group is one flat loop over each member's whole out-edge range
+//     until it is dense for every label.
 //   * dense  — the bitmap loop: candidates are blindly OR-ed into a
 //     DynamicBitset (1 bit/vertex, branch-free), then drained by an
 //     ascending word scan (ExtractAndClear / CountAndClear). Cost ~
@@ -60,20 +59,14 @@ const char* PairKernelName(PairKernel kernel);
 /// this many candidate emissions per bitmap word before it is chosen. At 1
 /// the word scan merely breaks even against the emission loop; requiring a
 /// multiple keeps borderline cells — where the bitmap's per-emission edge
-/// is smallest — on the sparse kernel (measured via bench_micro_selectivity
-/// --json: small margins made auto lag the sparse kernel on skewed-label
-/// graphs by ~15%). This is the per-label kernels' margin.
-inline constexpr uint64_t kDenseEmissionsPerWord = 4;
-
-/// \brief The fused engine's margin (FusedExtender). Its flat sparse loop
-/// costs about half the per-label marker walk per edge, so a bitmap must
-/// amortize more before it pays. Measured on a 4-core Xeon host with the
-/// bench_micro_selectivity --json graphs, kernels interleaved: at margin 4
-/// auto lagged the sparse kernel by up to 6% on the moreno-like graphs at
-/// k = 6; at 32 it lagged the dense kernel by ~12% on er-dense k = 3; 16
-/// keeps auto within 5% of the better kernel on every config, in the
-/// median of five full-scale sweeps.
-inline constexpr uint64_t kFusedDenseEmissionsPerWord = 16;
+/// is smallest — on the sparse kernel. FusedExtender's flat sparse loop is
+/// cheap per edge, so a bitmap must amortize a lot before it pays.
+/// Measured on a 4-core Xeon host with the bench_micro_selectivity --json
+/// graphs, kernels interleaved: at margin 4 auto lagged the sparse kernel
+/// by up to 6% on the moreno-like graphs at k = 6; at 32 it lagged the
+/// dense kernel by ~12% on er-dense k = 3; 16 keeps auto within 5% of the
+/// better kernel on every config, in the median of five full-scale sweeps.
+inline constexpr uint64_t kDenseEmissionsPerWord = 16;
 
 /// \brief The adaptive density test, precomputed per label: the smallest
 /// source-group size for which the dense kernel is expected to win.
@@ -120,69 +113,6 @@ struct PairSet {
     offsets.clear();
     targets.clear();
   }
-};
-
-/// \brief Epoch-based distinct-marking scratch, shared across a whole DFS.
-///
-/// O(1) reset between distinct-set scopes: bumping the epoch invalidates
-/// every previous mark without touching memory.
-class Marker {
- public:
-  explicit Marker(size_t num_vertices) : epoch_of_(num_vertices, 0) {}
-
-  /// \brief Starts a new distinct-set scope.
-  void NextEpoch() { ++epoch_; }
-
-  /// \brief Number of vertices this marker can mark.
-  size_t capacity() const { return epoch_of_.size(); }
-
-  /// \brief Returns true the first time `v` is seen in the current scope.
-  bool Mark(VertexId v) {
-    if (epoch_of_[v] == epoch_) return false;
-    epoch_of_[v] = epoch_;
-    return true;
-  }
-
- private:
-  uint64_t epoch_ = 0;
-  std::vector<uint64_t> epoch_of_;
-};
-
-/// \brief Fused leaf counter: computes the distinct-pair counts of ALL
-/// single-label extensions of a parent in one pass over its groups.
-///
-/// Children at the deepest DFS level are never extended further, so their
-/// pair sets need not be materialized — only counted. Each (group, label)
-/// cell runs the sparse or dense kernel independently (labels differ wildly
-/// in density under skewed label assignment, so per-label choice beats a
-/// per-group one). The leaf level holds the vast majority (a fraction
-/// (|L|-1)/|L|) of all path-tree nodes, so this pass dominates evaluator
-/// cost. Any label count is supported — the former 64-label ceiling of the
-/// per-vertex bitmask implementation is gone.
-class LeafCounter {
- public:
-  LeafCounter(size_t num_vertices, size_t num_labels);
-
-  /// \brief Adds, for each label l, the number of distinct (s, u) pairs of
-  /// parent ⋈ l into counts[l].
-  ///
-  /// `views` must hold one Graph::ForwardView per label — hoisted by the
-  /// caller (see EvalContext::fwd_views) so this pass allocates nothing.
-  /// `num_vertices`/`num_labels` are the CURRENT graph's counts; they may
-  /// be smaller than the capacities this counter was constructed with (the
-  /// EvalContext reuse contract), and bound which views are read and how
-  /// mean degrees are computed.
-  void CountExtensions(const Graph::CsrView* views, size_t num_vertices,
-                       size_t num_labels, const PairSet& parent,
-                       PairKernel kernel, uint64_t* counts);
-
- private:
-  size_t num_labels_;
-  Marker marker_;       // sparse-kernel scratch
-  DynamicBitset bits_;  // dense-kernel scratch; all-zero between cells
-  // Per-label group-size thresholds (DenseGroupThreshold), refreshed at the
-  // top of each CountExtensions call — member scratch, not allocation.
-  std::vector<uint64_t> dense_threshold_;
 };
 
 /// \brief Per-graph two-hop key index: for every vertex t, one entry per
@@ -266,12 +196,11 @@ class TwoHopIndex {
 /// \brief Fused all-labels extension kernel: joins a parent pair set with
 /// EVERY label in a single pass over its target lists.
 ///
-/// The per-label kernels (ExtendPairSet, LeafCounter) re-walk the parent's
-/// target lists once per label, paying |L| random CSR row accesses per
-/// target. This kernel walks each target exactly once and reads its FULL
-/// out-adjacency sequentially from the graph's vertex-major view
-/// (Graph::VertexMajor). Each source group takes one of three paths, all
-/// chosen from the group's size alone:
+/// A per-label join would re-walk the parent's target lists once per
+/// label, paying |L| random CSR row accesses per target. This kernel walks
+/// each target exactly once and reads its FULL out-adjacency sequentially
+/// from the graph's vertex-major view (Graph::VertexMajor). Each source
+/// group takes one of three paths, all chosen from the group's size alone:
 ///   * flat sparse — groups below the size at which EVERY label turns
 ///     dense (the common case: most groups hold a handful of members).
 ///     The graph packs every vertex-major edge into a u32 key
@@ -281,10 +210,11 @@ class TwoHopIndex {
 ///     |V|·2^⌈log₂|L|⌉ entries:
 ///       new = epoch[key] != cur; epoch[key] = cur; count[key & mask] += new
 ///     (ExtendAll pushes key >> shift into children[key & mask] instead).
-///     Within each label this is the per-label kernel's discovery order,
-///     so child sets match it element for element. A group with only
-///     some labels dense stays here too: leaving the flat loop would cost
-///     all its labels to win on a few.
+///     Within each label this is discovery order — members in order, each
+///     member's targets in CSR order — so child sets match a plain
+///     per-label join element for element. A group with only some labels
+///     dense stays here too: leaving the flat loop would cost all its
+///     labels to win on a few.
 ///   * slab (CountAll, dense plane) — groups dense for every label OR
 ///     each member's whole contiguous |L|·stride plane slab into one
 ///     scratch slab and popcount it per label, on graphs whose mean
@@ -295,9 +225,7 @@ class TwoHopIndex {
 ///     Graph::AdjacencyBitmaps, in vectorized word-ORs) drained by
 ///     CountAndClear / ExtractAndClear.
 /// The per-label thresholds are DenseGroupThreshold at margin
-/// kFusedDenseEmissionsPerWord, shared by CountAll and ExtendAll: against
-/// the flat loop, roughly twice as cheap per edge as the per-label marker
-/// walk, a bitmap pays only on groups four times larger than it did there.
+/// kDenseEmissionsPerWord, shared by CountAll and ExtendAll.
 ///
 /// Two-hop leaf pass. Bound with a TwoHopIndex, the extender can count
 /// the last two levels of a prefix at once: CountAll2 runs the flat loop
@@ -316,16 +244,18 @@ class TwoHopIndex {
 /// one shared 64-bit Marker after the group (allocated only then). With
 /// the epoch array, a group on the segment walk is dense for every label
 /// with edges, so its arenas stay empty — labels without edges are the
-/// only sparse cells left there. All scratch is owned by
-/// this object and allocated by Bind, so steady-state extension of |L|
+/// only sparse cells left there. All scratch is owned by this object and
+/// allocated by the constructor or Bind, so steady-state extension of |L|
 /// children allocates nothing (arenas and children keep their high-water
 /// capacity).
 ///
 /// Determinism: the per-cell kernel choice depends only on the graph and
 /// the parent's group sizes (never on threads or prior scratch), and every
 /// accumulator produces the same distinct sets, so maps computed through
-/// this kernel are bit-identical to the per-label kernels' — test-enforced
-/// by tests/fused_selectivity_test.cc.
+/// this kernel are bit-identical across kernels and thread counts and
+/// equal to the independent serial oracle's
+/// (tests/oracles/selectivity_oracle.h) — test-enforced by
+/// tests/fused_selectivity_test.cc.
 class FusedExtender {
  public:
   /// Flat-epoch budget: the label-fused sparse path needs |V|·2^⌈log₂|L|⌉
@@ -346,17 +276,18 @@ class FusedExtender {
 
   /// Capacities: reusable for any graph with at most `num_vertices`
   /// vertices and `num_labels` labels (the EvalContext reuse contract).
-  /// Construction records the capacities only — the scratch itself is
-  /// allocated by Bind, so contexts that never run the fused strategy pay
-  /// nothing for it.
+  /// Construction allocates the per-label scratch (bitsets, thresholds,
+  /// watermarks, emission arenas); Bind allocates what depends on the
+  /// bound graph.
   FusedExtender(size_t num_vertices, size_t num_labels);
 
   /// \brief Binds the graph (and kernel policy) this extender reads:
-  /// allocates the scratch, caches the vertex-major view, packed edge keys
-  /// and adjacency plane, and refreshes the per-label density thresholds.
-  /// Must be called before CountAll / ExtendAll whenever the graph or
-  /// kernel changes; O(|L|) once the scratch exists (the first Bind
-  /// allocates it, the epoch array included).
+  /// caches the vertex-major view, packed edge keys and adjacency plane,
+  /// and refreshes the per-label density thresholds. Must be called before
+  /// CountAll / ExtendAll whenever the graph or kernel changes; O(|L|)
+  /// once the graph-dependent scratch exists (the first Bind grows the
+  /// epoch array, or allocates the Marker on a graph without packed
+  /// keys).
   ///
   /// `two_hop`, when non-null and enabled, must be the index of `graph`
   /// and outlive the binding; it enables TwoHopCovers / CountAll2 and
@@ -436,6 +367,34 @@ class FusedExtender {
   /// plane has its row, one blind bit-set per edge otherwise.
   void AccumulateDense(VertexId t, LabelId l, uint64_t s);
 
+  /// 64-bit epoch marker of the emission-arena fallback: deduplicates a
+  /// group's arena per label. O(1) reset between scopes: bumping the epoch
+  /// invalidates every previous mark without touching memory. The flat
+  /// epoch array replaces it on every graph with packed keys; it stays for
+  /// graphs whose |V|·2^⌈log₂|L|⌉ exceeds kMaxMarkerEntries, where a u32
+  /// key array cannot exist.
+  class Marker {
+   public:
+    explicit Marker(size_t num_vertices) : epoch_of_(num_vertices, 0) {}
+
+    /// \brief Starts a new distinct-set scope.
+    void NextEpoch() { ++epoch_; }
+
+    /// \brief Number of vertices this marker can mark.
+    size_t capacity() const { return epoch_of_.size(); }
+
+    /// \brief Returns true the first time `v` is seen in the current scope.
+    bool Mark(VertexId v) {
+      if (epoch_of_[v] == epoch_) return false;
+      epoch_of_[v] = epoch_;
+      return true;
+    }
+
+   private:
+    uint64_t epoch_ = 0;
+    std::vector<uint64_t> epoch_of_;
+  };
+
   size_t cap_vertices_;
   size_t cap_labels_;
   size_t num_labels_ = 0;        // bound graph's label count
@@ -455,8 +414,9 @@ class FusedExtender {
   // Two-hop leaf pass (two_hop_ != nullptr).
   const TwoHopIndex* two_hop_ = nullptr;
   std::vector<uint64_t> two_hop_counts_;  // CountAll2 counts, |L|²
-  // Emission-arena fallback (flat_ == false); the arenas exist, empty,
-  // after every Bind.
+  // Emission-arena fallback (flat_ == false). The arenas exist, empty, on
+  // every graph: a segment-walk drain reads the arena of every label. The
+  // Marker is allocated by the first Bind to a graph without packed keys.
   Marker marker_{0};
   std::vector<std::vector<VertexId>> emit_;
   // Dense path.
@@ -480,16 +440,6 @@ class FusedExtender {
 /// \brief Builds the level-1 pair set for label `l` directly from the CSR,
 /// in one unchecked ForwardView sweep.
 void InitialPairSet(const Graph& graph, LabelId l, PairSet* out);
-
-/// \brief parent ⋈ label -> child: for every (s, t) in parent and t -l-> u,
-/// emit the distinct (s, u). The dominant loop of ComputeSelectivities.
-///
-/// `marker` and `bits` are the sparse/dense kernel scratch (bits must be
-/// sized to the graph's vertex count and all-zero, which the kernel
-/// restores before returning); `kernel` follows DenseGroupThreshold.
-void ExtendPairSet(const Graph& graph, const PairSet& parent, LabelId l,
-                   Marker* marker, DynamicBitset* bits, PairKernel kernel,
-                   PairSet* child);
 
 }  // namespace pathest
 

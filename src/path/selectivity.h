@@ -3,18 +3,17 @@
 // The selectivity f(ℓ) of a label path ℓ is the number of DISTINCT vertex
 // pairs (vs, vt) connected by an ℓ-labeled path (paper Section 2). The
 // evaluator walks the label-prefix trie depth-first; at each node it holds
-// the distinct pair set of the prefix, grouped by source vertex, and joins
-// it with the per-label adjacency to produce each child. Empty prefixes
+// the distinct pair set of the prefix, grouped by source vertex, and
+// extends it into ALL |L| children in one pass over the graph's
+// vertex-major adjacency (FusedExtender, path/pair_set.h). Empty prefixes
 // prune their whole subtree, which is what makes k = 6 tractable on sparse
-// data. What stays resident depends on the strategy: the per-label engine
-// holds the <= k pair sets of its current DFS branch per worker; the fused
-// engine holds the whole level-2 layer (the prefix tasks' starting sets,
-// each freed as its task completes) plus, per worker, one block of |L|
-// sibling sets for each depth 3..k-1 of its current branch.
+// data. Resident are the whole level-2 layer (the prefix tasks' starting
+// sets, each freed as its task completes) plus, per worker, one block of
+// |L| sibling sets for each depth 3..k-1 of its current branch.
 //
-// Two-hop leaf pass (fused, k >= 4): the last two levels of a prefix task
-// are counted together. A per-build TwoHopIndex (path/pair_set.h) lists,
-// for every vertex t, the distinct (u, a, b) with t -a-> x -b-> u; a depth
+// Two-hop leaf pass (k >= 4): the last two levels of a prefix task are
+// counted together. A per-build TwoHopIndex (path/pair_set.h) lists, for
+// every vertex t, the distinct (u, a, b) with t -a-> x -b-> u; a depth
 // k-2 node counts its |L| children with the 1-hop flat loop and all |L|²
 // grandchildren with one flat loop over its members' two-hop keys, since
 // R_lab(s) is the union of N_ab(t) over t in R_l(s). The children's pair
@@ -30,28 +29,23 @@
 // subtrees — they read the same immutable Graph and write DISJOINT slices
 // of the canonical index space (a prefix's digits are the most significant
 // radix digits of the canonical index, so its descendants of each length
-// form one contiguous run). The default (fused) strategy decomposes the
-// build into depth-2 prefix tasks (root, l2): a parallel pre-pass builds
-// every root's level-1 pair set and fused-extends it into all |L| level-2
-// sets at once, then the |L|² tasks are dispatched heaviest-first (by their
-// exact level-2 pair-set size) over the engine ThreadPool, whose atomic
-// work queue lets idle workers steal the next-heaviest pending task. The
-// legacy per-label strategy fans out whole root subtrees instead (|L|
-// tasks, weighted by label cardinality). Either way there is one
-// EvalContext per worker and the result is bit-identical for every
-// num_threads value and both strategies.
+// form one contiguous run). The build decomposes into depth-2 prefix tasks
+// (root, l2): a parallel pre-pass builds every root's level-1 pair set and
+// extends it into all |L| level-2 sets at once, then the |L|² tasks are
+// dispatched heaviest-first (by their exact level-2 pair-set size) over
+// the engine ThreadPool, whose atomic work queue lets idle workers steal
+// the next-heaviest pending task. There is one EvalContext per worker and
+// the result is bit-identical for every num_threads value.
 //
 // Kernels: each extension step deduplicates successors with either the
-// sparse epoch-marker kernel or the dense bitmap kernel, chosen per
-// (source group, label) by a cost estimate (see path/pair_set.h). The
-// fused strategy additionally walks each pair ONCE for all labels via the
-// graph's vertex-major view instead of once per label (FusedExtender),
-// and runs its sparse groups as one label-fused flat loop over packed
-// (vertex, label) epoch keys — and over two-hop keys in the leaf pass
-// above. SelectivityOptions::strategy selects the engine;
-// SelectivityOptions::kernel forces a kernel for the identity tests only.
-// The contract is that neither choice EVER changes the computed map, only
-// speed.
+// sparse epoch kernel or the dense bitmap kernel, chosen per (source
+// group, label) by a cost estimate (see path/pair_set.h); sparse groups
+// run as one label-fused flat loop over packed (vertex, label) epoch keys
+// — and over two-hop keys in the leaf pass above.
+// SelectivityOptions::kernel forces a kernel for the identity tests only;
+// it NEVER changes the computed map, only speed. The tests check every
+// build against an independent serial oracle
+// (tests/oracles/selectivity_oracle.h).
 
 #ifndef PATHEST_PATH_SELECTIVITY_H_
 #define PATHEST_PATH_SELECTIVITY_H_
@@ -67,23 +61,6 @@
 #include "util/status.h"
 
 namespace pathest {
-
-/// \brief Evaluator decomposition + extension strategy.
-enum class ExtendStrategy : uint8_t {
-  /// Fused all-labels extension (vertex-major single pass, FusedExtender)
-  /// with depth-2 prefix-task decomposition. The default.
-  kFused = 0,
-  /// Per-label ExtendPairSet/LeafCounter loops with per-root-label
-  /// decomposition — the pre-fusion engine, kept as the measurable
-  /// baseline and as an independently-derived oracle for the fused path.
-  kPerLabel = 1,
-};
-
-/// \brief Stable lowercase name ("fused" / "per-label").
-const char* ExtendStrategyName(ExtendStrategy strategy);
-
-/// \brief Inverse of ExtendStrategyName; InvalidArgument on unknown names.
-Result<ExtendStrategy> ParseExtendStrategy(const std::string& name);
 
 /// \brief Dense map from every path in L_k to its exact selectivity.
 class SelectivityMap {
@@ -132,53 +109,36 @@ class SelectivityMap {
 struct SelectivityOptions {
   /// Abort with ResourceExhausted when a single prefix's distinct pair set
   /// exceeds this many pairs (0 = unlimited). Guards against dense graphs
-  /// where |R| would approach |V|^2. Every root subtree is still evaluated
-  /// (each aborting at its own first violation), and the error of the
-  /// lowest-id failing root is returned — so the reported status is
-  /// deterministic and independent of num_threads.
+  /// where |R| would approach |V|^2. Every length-1 prefix and every
+  /// prefix shorter than k is checked; the returned error names the first
+  /// violating prefix in the DFS pre-order (label order at every depth),
+  /// so the reported status is deterministic and independent of
+  /// num_threads, kernel and task order.
   uint64_t max_pairs_per_prefix = 0;
 
   /// Number of worker threads for the parallel fan-out. 1 (default) is
   /// fully serial and spawns no threads; 0 means one thread per hardware
   /// core. The computed SelectivityMap is bit-identical for every value:
-  /// every task writes a disjoint slice of the map. Under the fused
-  /// strategy the unit of fan-out is the depth-2 prefix task (root, l2),
-  /// so useful parallelism reaches |L|² instead of the per-label
-  /// strategy's |L| (see ResolvedNumThreads / SelectivityTaskCount).
-  size_t num_threads = 1;
-
-  /// Evaluator strategy (see ExtendStrategy). kFused (default) extends
-  /// each interior DFS node into ALL |L| children in one pass over its
-  /// pair set via the graph's vertex-major adjacency, and decomposes the
-  /// build into depth-2 prefix tasks scheduled heaviest-first by exact
-  /// level-2 pair-set size. kPerLabel is the pre-fusion engine (per-label
-  /// extension loops, per-root decomposition), kept as the measurable
-  /// baseline. Strategy-selection contract: the computed SelectivityMap
-  /// (and, on failure, the returned status) is bit-identical across both
-  /// strategies, every kernel, and every num_threads — only wall time
-  /// differs. Enforced by tests/fused_selectivity_test.cc.
+  /// every task writes a disjoint slice of the map. The unit of fan-out is
+  /// the depth-2 prefix task (root, l2), so useful parallelism reaches |L|²
+  /// (see ResolvedNumThreads / SelectivityTaskCount).
   ///
-  /// Memory trade-off: for k >= 3 the fused pre-pass keeps the WHOLE
-  /// level-2 layer of pair sets resident (the prefix tasks' starting
-  /// sets; each is freed as its task completes), where the per-label
-  /// engine holds at most k sets per worker. For k >= 4 the build also
-  /// holds the shared two-hop index (one u32 per unit of level-2 mass,
-  /// bounded by kPackedKeyMaxEntries) and widens each worker's u32 epoch
-  /// array to |V|·|L|² entries. On graphs where the level-2 selectivity
-  /// mass is problematic, set max_pairs_per_prefix (which bounds every
-  /// cell) or fall back to kPerLabel.
-  ExtendStrategy strategy = ExtendStrategy::kFused;
+  /// Memory: for k >= 3 the pre-pass keeps the WHOLE level-2 layer of pair
+  /// sets resident (the prefix tasks' starting sets; each is freed as its
+  /// task completes). For k >= 4 the build also holds the shared two-hop
+  /// index (one u32 per unit of level-2 mass, bounded by
+  /// kPackedKeyMaxEntries) and widens each worker's u32 epoch array to
+  /// |V|·|L|² entries. On graphs where the level-2 selectivity mass is
+  /// problematic, set max_pairs_per_prefix, which bounds every cell.
+  size_t num_threads = 1;
 
   /// Extension-kernel selection (see path/pair_set.h). kAuto (default)
   /// decides per (source group, label) cell with an O(1) cost estimate:
   /// cells whose expected emission count (group size × the label's mean
   /// degree) covers the cost of a bitmap word scan with margin
-  /// (DenseGroupThreshold) run the dense bitmap kernel, everything else
-  /// the sparse epoch-marker kernel. The margin is re-derived per engine:
-  /// kDenseEmissionsPerWord (4) for the per-label kernels,
-  /// kFusedDenseEmissionsPerWord (16) for the fused engine, whose flat
-  /// sparse loop halves the sparse side's cost; the fused engine also
-  /// keeps a group on that loop until every label is dense for it
+  /// kDenseEmissionsPerWord (DenseGroupThreshold) run the dense bitmap
+  /// kernel, everything else the sparse epoch kernel; a group stays on the
+  /// flat sparse loop until every label is dense for it
   /// (BENCH_selectivity.json records auto against the better forced
   /// kernel per config).
   ///
@@ -193,7 +153,7 @@ struct SelectivityOptions {
   /// and across every num_threads — kAuto's choice depends only on the
   /// graph and the prefix's pair set, never on scheduling or prior scratch
   /// state. Only wall time differs. Enforced by
-  /// tests/kernel_selectivity_test.cc.
+  /// tests/kernel_selectivity_test.cc and tests/fused_selectivity_test.cc.
   PairKernel kernel = PairKernel::kAuto;
 
   /// Optional progress callback invoked after each length-1 subtree
@@ -202,35 +162,29 @@ struct SelectivityOptions {
   /// Thread-safety guarantee: invocations are serialized behind an internal
   /// mutex (shared with `label_time`), so the callback may mutate shared
   /// state without its own locking. The COMPLETION ORDER of roots is
-  /// unspecified, except with num_threads == 1 under the per-label
-  /// strategy, where roots complete in ascending label order on the
-  /// calling thread (the fused strategy dispatches a root's prefix tasks
-  /// heaviest-first even serially, so its completion order follows task
-  /// weights).
+  /// unspecified, even with num_threads == 1: a root's prefix tasks are
+  /// dispatched heaviest-first among all roots' tasks, so roots complete
+  /// in an order that follows task weights, not label order.
   std::function<void(LabelId done_root)> progress;
 
   /// Optional timing sink: receives each root label's subtree evaluation
   /// time in milliseconds, immediately before `progress` fires for that
-  /// root. Under the per-label strategy this is the subtree's wall time;
-  /// under the fused strategy it is the SUM of the root's pre-pass span
-  /// and its prefix tasks' spans (which may overlap in wall time when
-  /// parallel). Serialized behind the same mutex as `progress`.
+  /// root: the SUM of the root's pre-pass span and its prefix tasks' spans
+  /// (which may overlap in wall time when parallel). Serialized behind the
+  /// same mutex as `progress`.
   std::function<void(LabelId root, double millis)> label_time;
 };
 
 /// \brief The number of independent work items ComputeSelectivities fans
-/// out for a (num_labels, k, strategy) build: num_labels roots for the
-/// per-label strategy, num_labels² depth-2 prefix tasks for the fused
-/// strategy when k >= 3 (below that there is nothing under the prefixes
-/// and the fan-out stays per-root).
-size_t SelectivityTaskCount(size_t num_labels, size_t k,
-                            ExtendStrategy strategy);
+/// out for a (num_labels, k) build: num_labels² depth-2 prefix tasks when
+/// k >= 3, num_labels roots below that (there is nothing under the
+/// prefixes, and the pre-pass is per root).
+size_t SelectivityTaskCount(size_t num_labels, size_t k);
 
 /// \brief The worker count ComputeSelectivities actually uses for
 /// `options` on a graph with `num_labels` labels at depth `k`: 0 resolves
 /// to hardware concurrency, then clamps to SelectivityTaskCount (extra
-/// workers would idle). The former min(threads, num_labels) cap applies
-/// only to the per-label strategy; fused builds scale to |L|² workers.
+/// workers would idle).
 size_t ResolvedNumThreads(const SelectivityOptions& options,
                           size_t num_labels, size_t k);
 
@@ -239,29 +193,15 @@ Result<SelectivityMap> ComputeSelectivities(
     const Graph& graph, size_t k,
     const SelectivityOptions& options = SelectivityOptions{});
 
-/// \brief Evaluates the subtree of one root label: writes f(ℓ) for every
-/// path ℓ in L_k whose FIRST label is `root` into `map`, leaving all other
-/// entries untouched.
-///
-/// This is the per-label strategy's unit of work: a pure function of
-/// (graph, ctx, root) whose writes are confined to the root's disjoint
-/// canonical-index slices, making concurrent calls on distinct roots with
-/// distinct contexts race-free. `ctx` must have been built for at least
-/// this graph's vertex/label counts and depth k; its prior contents are
-/// irrelevant. `map` must cover space (graph.num_labels(), k).
-Status EvaluateRootSubtree(const Graph& graph, EvalContext& ctx, LabelId root,
-                           size_t k, const SelectivityOptions& options,
-                           SelectivityMap* map);
-
-/// \brief Runs the fused strategy's per-root pre-pass for `root` (Phase A
-/// of the depth-2 decomposition): builds the root's level-1 pair set into
-/// `ctx.levels[1]`, writes the length-1 map entry, and — for k >= 2 with a
-/// non-empty level — either counts the length-2 leaves directly (k == 2)
-/// or fused-extends into `level2_cells` (an array of num_labels PairSets,
-/// the prefix tasks' starting sets), writing every length-2 entry and
-/// recording per-cell guard violations into `cell_status` (an array of
-/// num_labels Status slots; only violating cells are written). Returns the
-/// root's own guard status (a level-1 violation skips level 2 entirely).
+/// \brief Runs the per-root pre-pass for `root` (Phase A of the depth-2
+/// decomposition): builds the root's level-1 pair set into `ctx.level1`,
+/// writes the length-1 map entry, and — for k >= 2 with a non-empty level
+/// — either counts the length-2 leaves directly (k == 2) or extends into
+/// `level2_cells` (an array of num_labels PairSets, the prefix tasks'
+/// starting sets), writing every length-2 entry and recording per-cell
+/// guard violations into `cell_status` (an array of num_labels Status
+/// slots; only violating cells are written). Returns the root's own guard
+/// status (a level-1 violation skips level 2 entirely).
 ///
 /// Preconditions: `ctx.fused` is Bound to (graph, options.kernel); for
 /// k >= 3, `level2_cells` and `cell_status` are non-null; `map` covers
@@ -269,11 +209,10 @@ Status EvaluateRootSubtree(const Graph& graph, EvalContext& ctx, LabelId root,
 /// disjoint canonical-index slices, so concurrent calls on distinct roots
 /// with distinct contexts are race-free.
 ///
-/// Exported (rather than kept a lambda of the fused build) so the
-/// incremental maintenance engine (src/maint/incremental.h) re-runs
-/// EXACTLY the code path of the full build on dirtied roots — bit-identity
-/// of incremental and full rebuilds is by construction, not by parallel
-/// implementation.
+/// Exported (rather than kept a lambda of the build) so the incremental
+/// maintenance engine (src/maint/incremental.h) re-runs EXACTLY the code
+/// path of the full build on dirtied roots — bit-identity of incremental
+/// and full rebuilds is by construction, not by parallel implementation.
 Status EvaluateFusedRootPrepass(const Graph& graph, EvalContext& ctx,
                                 LabelId root, size_t k,
                                 const SelectivityOptions& options,
@@ -281,13 +220,13 @@ Status EvaluateFusedRootPrepass(const Graph& graph, EvalContext& ctx,
                                 Status* cell_status);
 
 /// \brief Evaluates one depth-2 prefix task (root, l2) — Phase B of the
-/// fused decomposition: the DFS over every extension of the length-2
-/// prefix whose (non-empty) pair set is `level2`, writing each
-/// length-3..k entry under the prefix. The subtree's map entries MUST be
-/// zero on entry (the DFS prunes empty children without visiting them) —
-/// guaranteed for a freshly-constructed map, restored by ZeroPrefixSubtree
-/// when patching one in place. `ctx.fused` must be Bound to
-/// (graph, options.kernel). Requires k >= 3.
+/// decomposition: the DFS over every extension of the length-2 prefix
+/// whose (non-empty) pair set is `level2`, writing each length-3..k entry
+/// under the prefix. The subtree's map entries MUST be zero on entry (the
+/// DFS prunes empty children without visiting them) — guaranteed for a
+/// freshly-constructed map, restored by ZeroPrefixSubtree when patching
+/// one in place. `ctx.fused` must be Bound to (graph, options.kernel).
+/// Requires k >= 3.
 Status EvaluateFusedPrefixTask(const Graph& graph, EvalContext& ctx,
                                LabelId root, LabelId l2, const PairSet& level2,
                                size_t k, const SelectivityOptions& options,
@@ -298,16 +237,6 @@ Status EvaluateFusedPrefixTask(const Graph& graph, EvalContext& ctx,
 /// incremental engine calls this on every dirtied task before re-running
 /// it against the patched graph.
 void ZeroPrefixSubtree(LabelId root, LabelId l2, SelectivityMap* map);
-
-/// \brief Evaluates a single path, returning its exact selectivity.
-/// Convenience for spot checks and tests; does not share work across calls.
-Result<uint64_t> EvaluatePathSelectivity(const Graph& graph,
-                                         const LabelPath& path);
-
-/// \brief Materializes the distinct pair set of one path (testing utility).
-/// Pairs are returned as packed (src << 32 | dst), sorted ascending.
-Result<std::vector<uint64_t>> EvaluatePathPairs(const Graph& graph,
-                                                const LabelPath& path);
 
 }  // namespace pathest
 

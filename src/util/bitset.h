@@ -7,9 +7,9 @@
 // no read-check), then drained either as a popcount total or as an
 // ascending word scan that emits set positions and zeroes each word on the
 // way out, so the structure is all-zero again when the scan finishes and
-// reset costs nothing between uses. One bit per vertex is 64× denser than
-// the Marker's per-vertex epoch word, which is what lets dense target sets
-// stay cache-resident.
+// reset costs nothing between uses. One bit per vertex is 32× denser than
+// a u32 slot of the sparse kernel's epoch array (FusedExtender), which is
+// what lets dense target sets stay cache-resident.
 
 #ifndef PATHEST_UTIL_BITSET_H_
 #define PATHEST_UTIL_BITSET_H_

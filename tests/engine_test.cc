@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,24 @@ namespace pathest {
 namespace {
 
 using testing_util::SmallGraph;
+
+// One root's subtree through the build's own primitives on a context bound
+// to `g`: the pre-pass, then every non-empty, non-violating depth-2 prefix
+// task in label order. Returns the first guard violation in pre-order.
+Status EvaluateRoot(const Graph& g, EvalContext& ctx, LabelId root, size_t k,
+                    const SelectivityOptions& options, SelectivityMap* map) {
+  std::vector<PairSet> level2(g.num_labels());
+  std::vector<Status> cell_status(g.num_labels());
+  PATHEST_RETURN_NOT_OK(EvaluateFusedRootPrepass(
+      g, ctx, root, k, options, map, level2.data(), cell_status.data()));
+  for (LabelId l2 = 0; k >= 3 && l2 < g.num_labels(); ++l2) {
+    if (!cell_status[l2].ok()) return std::move(cell_status[l2]);
+    if (level2[l2].size() == 0) continue;
+    PATHEST_RETURN_NOT_OK(EvaluateFusedPrefixTask(g, ctx, root, l2, level2[l2],
+                                                  k, options, map));
+  }
+  return Status::OK();
+}
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   for (size_t num_threads : {1u, 2u, 4u, 7u}) {
@@ -121,13 +140,14 @@ TEST(EvalContextTest, RootSubtreeIsPureAndContextReusable) {
   // Evaluate every root twice through ONE context; a full fresh evaluation
   // must agree, proving prior scratch contents don't leak into results.
   EvalContext ctx(g.num_vertices(), g.num_labels(), k);
+  ctx.fused.Bind(g, options.kernel);
   SelectivityMap first(space);
   SelectivityMap second(space);
   for (LabelId root = 0; root < g.num_labels(); ++root) {
-    ASSERT_TRUE(EvaluateRootSubtree(g, ctx, root, k, options, &first).ok());
+    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &first).ok());
   }
   for (LabelId root = g.num_labels(); root-- > 0;) {  // reverse order
-    ASSERT_TRUE(EvaluateRootSubtree(g, ctx, root, k, options, &second).ok());
+    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &second).ok());
   }
   EXPECT_EQ(first.values(), second.values());
 
@@ -145,9 +165,10 @@ TEST(EvalContextTest, OversizedContextEvaluatesSmallerGraph) {
   PathSpace space(g.num_labels(), k);
   EvalContext ctx(g.num_vertices() + 100, g.num_labels() + 5, k + 2);
   SelectivityOptions options;
+  ctx.fused.Bind(g, options.kernel);
   SelectivityMap map(space);
   for (LabelId root = 0; root < g.num_labels(); ++root) {
-    ASSERT_TRUE(EvaluateRootSubtree(g, ctx, root, k, options, &map).ok());
+    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &map).ok());
   }
   auto reference = ComputeSelectivities(g, k);
   ASSERT_TRUE(reference.ok());
@@ -271,10 +292,11 @@ TEST(EvalContextTest, RootSubtreeWritesOnlyItsSlice) {
   PathSpace space(g.num_labels(), k);
   EvalContext ctx(g.num_vertices(), g.num_labels(), k);
   SelectivityOptions options;
+  ctx.fused.Bind(g, options.kernel);
 
   const LabelId root = 1;
   SelectivityMap map(space);
-  ASSERT_TRUE(EvaluateRootSubtree(g, ctx, root, k, options, &map).ok());
+  ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &map).ok());
   space.ForEach([&](const LabelPath& p) {
     if (p.label(0) != root) {
       EXPECT_EQ(map.Get(p), 0u) << "foreign-slice write at " << p.ToIdString();

@@ -1,21 +1,23 @@
-// The strategy-selection contract (selectivity.h): the SelectivityMap is
-// bit-identical across strategy ∈ {fused, per-label}, kernel ∈ {auto,
-// sparse, dense}, and num_threads ∈ {1, 2, 4}; the max_pairs_per_prefix
-// abort status is identical too (the fused engine's prefix tasks must
-// reproduce the per-label DFS's first-violation semantics exactly). Also
-// covers the vertex-major view / adjacency-plane backed kernel against the
-// independent EvaluatePathPairs oracle, shallow builds (k = 1, 2) that
-// bypass the prefix tasks, >64-label graphs, task-count resolution, and
-// the once-per-root callback contract under task decomposition.
+// The engine contract (selectivity.h): the SelectivityMap is bit-identical
+// across kernel ∈ {auto, sparse, dense} and num_threads ∈ {1, 2, 4}, and
+// equal to the serial oracle's (oracles::ReferenceSelectivities, which
+// shares no code with FusedExtender); the max_pairs_per_prefix abort
+// status is identical too (the prefix tasks must reproduce the oracle's
+// first violation in DFS pre-order exactly). Also covers the vertex-major
+// view / adjacency-plane backed kernel against the single-path oracle
+// (oracles::EvaluatePathPairs), shallow builds (k = 1, 2) that bypass the
+// prefix tasks, >64-label graphs, task-count resolution, and the
+// once-per-root callback contract under task decomposition.
 //
 // The FlatKernel tests pin down the label-fused flat sparse path of
 // FusedExtender: packed (vertex << ⌈log₂|L|⌉) | label keys over one u32
-// epoch array. Each checks the fused build against the per-label DFS and
+// epoch array. Each checks the build against ReferenceSelectivities and
 // EvaluatePathPairs at threads {1, 2, 4} on every plane kind the graph
 // admits: u32 epoch wraparound, non-power-of-two and >64 label counts, the
 // kMaxMarkerEntries boundary where the arena fallback takes over,
-// ExtendAll's child contents and order against ExtendPairSet, and labels
-// without edges on a graph dense enough for groups to leave the flat loop.
+// ExtendAll's child contents and order against the oracle's join, and
+// labels without edges on a graph dense enough for groups to leave the
+// flat loop.
 //
 // The TwoHop tests pin down the two-hop leaf pass (TwoHopIndex and
 // FusedExtender::CountAll2): the index contents, identity at every
@@ -37,6 +39,7 @@
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
 #include "graph/graph_builder.h"
+#include "oracles/selectivity_oracle.h"
 #include "path/pair_set.h"
 #include "path/selectivity.h"
 #include "test_util.h"
@@ -66,10 +69,9 @@ Graph ForestFireGraph(size_t num_vertices, size_t num_labels, uint64_t seed) {
   return std::move(g).ValueOrDie();
 }
 
-SelectivityMap Compute(const Graph& g, size_t k, ExtendStrategy strategy,
-                       PairKernel kernel, size_t threads) {
+SelectivityMap Compute(const Graph& g, size_t k, PairKernel kernel,
+                       size_t threads) {
   SelectivityOptions options;
-  options.strategy = strategy;
   options.kernel = kernel;
   options.num_threads = threads;
   auto map = ComputeSelectivities(g, k, options);
@@ -77,21 +79,22 @@ SelectivityMap Compute(const Graph& g, size_t k, ExtendStrategy strategy,
   return std::move(map).ValueOrDie();
 }
 
-// Asserts the full strategy × kernel × threads grid against the per-label
-// sparse serial map.
-void ExpectStrategyInvariance(const Graph& g, size_t k) {
-  const SelectivityMap baseline =
-      Compute(g, k, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
-  for (ExtendStrategy strategy :
-       {ExtendStrategy::kFused, ExtendStrategy::kPerLabel}) {
-    for (PairKernel kernel :
-         {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
-      for (size_t threads : {1u, 2u, 4u}) {
-        const SelectivityMap map = Compute(g, k, strategy, kernel, threads);
-        EXPECT_EQ(map.values(), baseline.values())
-            << "strategy=" << ExtendStrategyName(strategy)
-            << " kernel=" << PairKernelName(kernel) << " threads=" << threads;
-      }
+// The serial oracle's map of L_k on `g`.
+SelectivityMap Reference(const Graph& g, size_t k) {
+  auto map = oracles::ReferenceSelectivities(g, k);
+  PATHEST_CHECK(map.ok(), "reference computation failed");
+  return std::move(map).ValueOrDie();
+}
+
+// Asserts the full kernel × threads grid against the oracle's map.
+void ExpectOracleInvariance(const Graph& g, size_t k) {
+  const SelectivityMap baseline = Reference(g, k);
+  for (PairKernel kernel :
+       {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
+    for (size_t threads : {1u, 2u, 4u}) {
+      const SelectivityMap map = Compute(g, k, kernel, threads);
+      EXPECT_EQ(map.values(), baseline.values())
+          << "kernel=" << PairKernelName(kernel) << " threads=" << threads;
     }
   }
 }
@@ -112,12 +115,10 @@ Graph RebuildWithPlane(const Graph& g, PlanePolicy policy,
 TEST(FusedSelectivityTest, PlaneKindInvariance) {
   // The plane dimension of the grid: no plane, dense plane, and the hub
   // plane (forced by a budget the dense plane cannot fit) must all give
-  // bit-identical maps across strategy × kernel × threads — the hub path
-  // falls back to target-list scans per rowless cell, never changing the
-  // computed sets.
+  // the oracle's map across kernel × threads — the hub path falls back to
+  // target-list scans per rowless cell, never changing the computed sets.
   const Graph base = ErdosRenyiGraph(200, 2400, 3, 29);
-  const SelectivityMap baseline =
-      Compute(base, 3, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
+  const SelectivityMap baseline = Reference(base, 3);
   const struct {
     PlanePolicy policy;
     size_t budget_bytes;
@@ -136,56 +137,50 @@ TEST(FusedSelectivityTest, PlaneKindInvariance) {
       // The bitmap path must actually be live, not vacuously absent.
       ASSERT_GT(g.AdjacencyBitmaps().num_rows, 0u);
     }
-    for (ExtendStrategy strategy :
-         {ExtendStrategy::kFused, ExtendStrategy::kPerLabel}) {
-      for (PairKernel kernel :
-           {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
-        for (size_t threads : {1u, 2u, 4u}) {
-          const SelectivityMap map = Compute(g, 3, strategy, kernel, threads);
-          EXPECT_EQ(map.values(), baseline.values())
-              << "plane=" << PlaneKindName(c.want)
-              << " strategy=" << ExtendStrategyName(strategy)
-              << " kernel=" << PairKernelName(kernel)
-              << " threads=" << threads;
-        }
+    for (PairKernel kernel :
+         {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
+      for (size_t threads : {1u, 2u, 4u}) {
+        const SelectivityMap map = Compute(g, 3, kernel, threads);
+        EXPECT_EQ(map.values(), baseline.values())
+            << "plane=" << PlaneKindName(c.want)
+            << " kernel=" << PairKernelName(kernel) << " threads=" << threads;
       }
     }
   }
 }
 
 TEST(FusedSelectivityTest, SparseErdosRenyi) {
-  ExpectStrategyInvariance(ErdosRenyiGraph(300, 600, 4, 13), /*k=*/4);
+  ExpectOracleInvariance(ErdosRenyiGraph(300, 600, 4, 13), /*k=*/4);
 }
 
 TEST(FusedSelectivityTest, MidDensityErdosRenyi) {
-  ExpectStrategyInvariance(ErdosRenyiGraph(200, 2400, 3, 29), /*k=*/4);
+  ExpectOracleInvariance(ErdosRenyiGraph(200, 2400, 3, 29), /*k=*/4);
 }
 
 TEST(FusedSelectivityTest, DenseErdosRenyi) {
   // Near-complete: the leaf cells run the adjacency-plane row unions.
-  ExpectStrategyInvariance(ErdosRenyiGraph(60, 1500, 3, 7), /*k=*/4);
+  ExpectOracleInvariance(ErdosRenyiGraph(60, 1500, 3, 7), /*k=*/4);
 }
 
 TEST(FusedSelectivityTest, ForestFire) {
-  ExpectStrategyInvariance(ForestFireGraph(350, 5, 17), /*k=*/4);
+  ExpectOracleInvariance(ForestFireGraph(350, 5, 17), /*k=*/4);
 }
 
 TEST(FusedSelectivityTest, ShallowBuildsBypassPrefixTasks) {
   // k = 1 and k = 2 complete entirely in the pre-pass (no prefix tasks);
-  // they must still agree with the per-label engine.
+  // they must still agree with the oracle.
   const Graph g = ForestFireGraph(250, 4, 99);
   for (size_t k : {1u, 2u}) {
-    ExpectStrategyInvariance(g, k);
-    EXPECT_EQ(SelectivityTaskCount(g.num_labels(), k, ExtendStrategy::kFused),
-              g.num_labels());
+    ExpectOracleInvariance(g, k);
+    EXPECT_EQ(SelectivityTaskCount(g.num_labels(), k), g.num_labels());
   }
 }
 
 TEST(FusedSelectivityTest, RandomizedSeedSweep) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    ExpectStrategyInvariance(ErdosRenyiGraph(120, 40 * seed * seed, 4, seed),
+    ExpectOracleInvariance(ErdosRenyiGraph(120, 40 * seed * seed, 4, seed),
                              /*k=*/3);
-    ExpectStrategyInvariance(ForestFireGraph(100 + 30 * seed, 4, seed),
+    ExpectOracleInvariance(ForestFireGraph(100 + 30 * seed, 4, seed),
                              /*k=*/3);
   }
 }
@@ -197,72 +192,63 @@ TEST(FusedSelectivityTest, AgreesWithIndependentPathOracle) {
   // and the index bookkeeping.
   const Graph g = ErdosRenyiGraph(120, 1400, 3, 5);
   const size_t k = 4;
-  const SelectivityMap fused =
-      Compute(g, k, ExtendStrategy::kFused, PairKernel::kAuto, 2);
+  const SelectivityMap fused = Compute(g, k, PairKernel::kAuto, 2);
   PathSpace space(g.num_labels(), k);
   space.ForEach([&](const LabelPath& path) {
-    auto pairs = EvaluatePathPairs(g, path);
+    auto pairs = oracles::EvaluatePathPairs(g, path);
     ASSERT_TRUE(pairs.ok()) << path.ToIdString();
     EXPECT_EQ(pairs->size(), fused.Get(path)) << path.ToIdString();
   });
 }
 
 TEST(FusedSelectivityTest, MoreThan64LabelsSupported) {
-  // Wide label sets exercise the per-label marker/bitset arrays well past
-  // the old 64-label bitmask ceiling; k = 3 exercises the |L|² = 4900
+  // Wide label sets exercise the per-label bitset and threshold arrays well
+  // past the old 64-label bitmask ceiling; k = 3 exercises the |L|² = 4900
   // prefix tasks.
   const Graph g = ErdosRenyiGraph(80, 4000, 70, 3);
   ASSERT_EQ(g.num_labels(), 70u);
-  const SelectivityMap baseline =
-      Compute(g, 2, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
+  const SelectivityMap baseline = Reference(g, 2);
   for (size_t threads : {1u, 4u}) {
-    const SelectivityMap map =
-        Compute(g, 2, ExtendStrategy::kFused, PairKernel::kAuto, threads);
+    const SelectivityMap map = Compute(g, 2, PairKernel::kAuto, threads);
     EXPECT_EQ(map.values(), baseline.values()) << "threads=" << threads;
   }
-  const SelectivityMap deep_baseline =
-      Compute(g, 3, ExtendStrategy::kPerLabel, PairKernel::kAuto, 1);
-  const SelectivityMap deep =
-      Compute(g, 3, ExtendStrategy::kFused, PairKernel::kAuto, 4);
+  const SelectivityMap deep_baseline = Reference(g, 3);
+  const SelectivityMap deep = Compute(g, 3, PairKernel::kAuto, 4);
   EXPECT_EQ(deep.values(), deep_baseline.values());
 }
 
-TEST(FusedSelectivityTest, AbortStatusIdenticalAcrossStrategies) {
-  // Level-1 violations surface from the fused pre-pass, level-2 ones from
-  // the cell guard, deeper ones from inside prefix tasks; all three must
-  // reproduce the per-label DFS's first-violation path and message.
+TEST(FusedSelectivityTest, AbortStatusMatchesOracle) {
+  // Level-1 violations surface from the pre-pass, level-2 ones from the
+  // cell guard, deeper ones from inside prefix tasks; all three must
+  // reproduce the oracle's first-violation path and message.
   const Graph g = ErdosRenyiGraph(80, 1200, 3, 5);
   uint64_t level1_max = 0;
   uint64_t level2_max = 0;
   for (LabelId a = 0; a < g.num_labels(); ++a) {
-    auto f1 = EvaluatePathSelectivity(g, LabelPath{a});
+    auto f1 = oracles::EvaluatePathSelectivity(g, LabelPath{a});
     ASSERT_TRUE(f1.ok());
     level1_max = std::max(level1_max, *f1);
     for (LabelId b = 0; b < g.num_labels(); ++b) {
-      auto f2 = EvaluatePathSelectivity(g, LabelPath{a, b});
+      auto f2 = oracles::EvaluatePathSelectivity(g, LabelPath{a, b});
       ASSERT_TRUE(f2.ok());
       level2_max = std::max(level2_max, *f2);
     }
   }
   // Guards tripping at level 1, level 2, and (when the graph densifies
   // deeper) strictly below level 2. level1_max - 1 and level2_max - 1 must
-  // fail by construction; for each guard the fused engine must reproduce
-  // the per-label outcome exactly, whatever it is.
+  // fail by construction; for each guard the engine must reproduce the
+  // oracle's outcome exactly, whatever it is.
   size_t failures_checked = 0;
   for (uint64_t guard : {level1_max - 1, level1_max, level2_max - 1,
                          level2_max}) {
-    SelectivityOptions reference_options;
-    reference_options.strategy = ExtendStrategy::kPerLabel;
-    reference_options.num_threads = 1;
-    reference_options.max_pairs_per_prefix = guard;
-    auto reference = ComputeSelectivities(g, 4, reference_options);
+    auto reference = oracles::ReferenceSelectivities(g, 4, guard);
     if (!reference.ok()) {
       ASSERT_EQ(reference.status().code(), StatusCode::kResourceExhausted);
       ++failures_checked;
     }
     for (size_t threads : {1u, 2u, 4u}) {
-      SelectivityOptions options = reference_options;
-      options.strategy = ExtendStrategy::kFused;
+      SelectivityOptions options;
+      options.max_pairs_per_prefix = guard;
       options.num_threads = threads;
       auto result = ComputeSelectivities(g, 4, options);
       ASSERT_EQ(result.ok(), reference.ok())
@@ -277,26 +263,40 @@ TEST(FusedSelectivityTest, AbortStatusIdenticalAcrossStrategies) {
     }
   }
   EXPECT_GE(failures_checked, 2u);
+
+  // Shallow builds: level 1 is guarded even when it is the leaf level
+  // (k = 1), while the leaves of a k = 2 build are only counted, so a
+  // guard of level1_max fails nowhere there.
+  for (size_t k : {1u, 2u}) {
+    for (uint64_t guard : {level1_max - 1, level1_max}) {
+      auto reference = oracles::ReferenceSelectivities(g, k, guard);
+      ASSERT_EQ(reference.ok(), guard == level1_max) << "k=" << k;
+      SelectivityOptions options;
+      options.max_pairs_per_prefix = guard;
+      auto result = ComputeSelectivities(g, k, options);
+      ASSERT_EQ(result.ok(), reference.ok()) << "k=" << k << " guard=" << guard;
+      if (!reference.ok()) {
+        EXPECT_EQ(result.status().ToString(), reference.status().ToString())
+            << "k=" << k << " guard=" << guard;
+      } else {
+        EXPECT_EQ(result->values(), reference->values())
+            << "k=" << k << " guard=" << guard;
+      }
+    }
+  }
 }
 
 TEST(FusedSelectivityTest, TaskCountAndThreadResolution) {
-  EXPECT_EQ(SelectivityTaskCount(6, 4, ExtendStrategy::kFused), 36u);
-  EXPECT_EQ(SelectivityTaskCount(6, 2, ExtendStrategy::kFused), 6u);
-  EXPECT_EQ(SelectivityTaskCount(6, 4, ExtendStrategy::kPerLabel), 6u);
+  EXPECT_EQ(SelectivityTaskCount(6, 4), 36u);
+  EXPECT_EQ(SelectivityTaskCount(6, 2), 6u);
 
-  SelectivityOptions fused;
-  fused.strategy = ExtendStrategy::kFused;
-  fused.num_threads = 64;
-  // The per-label |L| clamp is gone: fused builds scale to |L|² workers.
-  EXPECT_EQ(ResolvedNumThreads(fused, 6, 4), 36u);
-  EXPECT_EQ(ResolvedNumThreads(fused, 6, 2), 6u);
-  fused.num_threads = 8;
-  EXPECT_EQ(ResolvedNumThreads(fused, 6, 4), 8u);
-
-  SelectivityOptions per_label;
-  per_label.strategy = ExtendStrategy::kPerLabel;
-  per_label.num_threads = 64;
-  EXPECT_EQ(ResolvedNumThreads(per_label, 6, 4), 6u);
+  SelectivityOptions options;
+  options.num_threads = 64;
+  // Builds scale to |L|² workers, not |L|.
+  EXPECT_EQ(ResolvedNumThreads(options, 6, 4), 36u);
+  EXPECT_EQ(ResolvedNumThreads(options, 6, 2), 6u);
+  options.num_threads = 8;
+  EXPECT_EQ(ResolvedNumThreads(options, 6, 4), 8u);
 }
 
 TEST(FusedSelectivityTest, ThreadCountAboveTaskCountIsClamped) {
@@ -317,7 +317,6 @@ TEST(FusedSelectivityTest, ProgressAndLabelTimeFireOncePerRoot) {
   Graph g = ForestFireGraph(300, 6, 3);
   for (size_t threads : {1u, 4u}) {
     SelectivityOptions options;
-    options.strategy = ExtendStrategy::kFused;
     options.num_threads = threads;
     std::multiset<LabelId> progress_roots;
     std::vector<double> times;
@@ -334,17 +333,6 @@ TEST(FusedSelectivityTest, ProgressAndLabelTimeFireOncePerRoot) {
     }
     EXPECT_EQ(times.size(), g.num_labels());
   }
-}
-
-TEST(FusedSelectivityTest, StrategyParseAndNameRoundTrip) {
-  for (ExtendStrategy strategy :
-       {ExtendStrategy::kFused, ExtendStrategy::kPerLabel}) {
-    auto parsed = ParseExtendStrategy(ExtendStrategyName(strategy));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, strategy);
-  }
-  EXPECT_FALSE(ParseExtendStrategy("perlabel").ok());
-  EXPECT_FALSE(ParseExtendStrategy("").ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -366,20 +354,18 @@ std::vector<Graph> PlaneVariants(const Graph& base) {
   return variants;
 }
 
-// The fused build of `g` must equal the per-label DFS (sparse, serial) at
-// every listed kernel and every thread count, and EvaluatePathPairs must
-// agree with it on every `oracle_stride`-th path of L_k.
+// The build of `g` must equal ReferenceSelectivities at every listed
+// kernel and every thread count, and EvaluatePathPairs must agree with it
+// on every `oracle_stride`-th path of L_k.
 void ExpectFusedMatchesOracles(
     const Graph& g, size_t k, uint64_t oracle_stride,
     std::initializer_list<PairKernel> kernels = {
         PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
   const std::string plane = PlaneKindName(g.AdjacencyBitmaps().kind);
-  const SelectivityMap reference =
-      Compute(g, k, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
+  const SelectivityMap reference = Reference(g, k);
   for (PairKernel kernel : kernels) {
     for (size_t threads : {1u, 2u, 4u}) {
-      const SelectivityMap map =
-          Compute(g, k, ExtendStrategy::kFused, kernel, threads);
+      const SelectivityMap map = Compute(g, k, kernel, threads);
       EXPECT_EQ(map.values(), reference.values())
           << "plane=" << plane << " kernel=" << PairKernelName(kernel)
           << " threads=" << threads;
@@ -388,7 +374,7 @@ void ExpectFusedMatchesOracles(
   uint64_t index = 0;
   reference.space().ForEach([&](const LabelPath& path) {
     if (index++ % oracle_stride != 0) return;
-    auto pairs = EvaluatePathPairs(g, path);
+    auto pairs = oracles::EvaluatePathPairs(g, path);
     ASSERT_TRUE(pairs.ok()) << path.ToIdString();
     EXPECT_EQ(pairs->size(), reference.Get(path))
         << "plane=" << plane << " path=" << path.ToIdString();
@@ -459,10 +445,10 @@ TEST(FlatKernelTest, MarkerBudgetBoundarySwitchesToArenas) {
   }
 }
 
-// ExtendAll must reproduce ExtendPairSet for every label: the same sources,
-// offsets and — under the sparse kernel, where both emit in discovery
-// order — the same targets in the same order. Under the other kernels the
-// fused and per-label crossovers differ, so a group's targets may come out
+// ExtendAll must reproduce the oracle's per-label join for every label:
+// the same sources, offsets and — under the sparse kernel, where both emit
+// in discovery order — the same targets in the same order. Under the other
+// kernels a dense group's targets come out ascending, so they may come out
 // in another order but never as another set. Checked on the level-1 sets
 // and, for larger groups, on every level-2 set. CountAll must count what
 // ExtendAll materializes.
@@ -470,8 +456,7 @@ void ExpectExtendAllMatchesPerLabel(const Graph& g, PairKernel kernel) {
   const size_t num_labels = g.num_labels();
   FusedExtender fused(g.num_vertices(), num_labels);
   fused.Bind(g, kernel);
-  Marker marker(g.num_vertices());
-  DynamicBitset bits(g.num_vertices());
+  std::vector<uint8_t> seen(g.num_vertices(), 0);
   std::vector<PairSet> children(num_labels);
   std::vector<PairSet> grandchildren(num_labels);
   std::vector<uint64_t> counts(num_labels);
@@ -482,7 +467,7 @@ void ExpectExtendAllMatchesPerLabel(const Graph& g, PairKernel kernel) {
     std::fill(counts.begin(), counts.end(), 0);
     fused.CountAll(parent, counts.data());
     for (LabelId l = 0; l < num_labels; ++l) {
-      ExtendPairSet(g, parent, l, &marker, &bits, kernel, &expected);
+      oracles::OracleJoin(g, parent, l, &seen, &expected);
       const PairSet& child = got[l];
       const std::string at = where + "/" + std::to_string(l) +
                              " kernel=" + PairKernelName(kernel);
@@ -641,7 +626,8 @@ TEST(TwoHopTest, IndexListsDistinctTwoHopKeys) {
 
 // Checks CountAll2 of `fused`, bound to `g` and its two-hop index, on
 // every non-empty depth-2 pair set the index covers: each of its |L|²
-// counts must equal the size of EvaluatePathPairs on the extended path.
+// counts must equal the size of oracles::EvaluatePathPairs on the
+// extended path.
 // Returns the number of covered nodes.
 size_t ExpectCountAll2MatchesOracle(const Graph& g, FusedExtender& fused) {
   const size_t num_labels = g.num_labels();
@@ -660,7 +646,7 @@ size_t ExpectCountAll2MatchesOracle(const Graph& g, FusedExtender& fused) {
       for (LabelId a = 0; a < num_labels; ++a) {
         for (LabelId b = 0; b < num_labels; ++b) {
           const LabelPath path{root, l2, a, b};
-          auto pairs = EvaluatePathPairs(g, path);
+          auto pairs = oracles::EvaluatePathPairs(g, path);
           PATHEST_CHECK(pairs.ok(), "oracle failed");
           EXPECT_EQ(counts[a * num_labels + b], pairs->size())
               << path.ToIdString();
@@ -683,7 +669,7 @@ size_t ExpectCountAll2MatchesOracle(const Graph& g, PairKernel kernel) {
 TEST(TwoHopTest, IdentityAtEveryPairFieldWidth) {
   // |L| = 1, 3, 5, 6, 7, 9 give label pairs of 0, 4, 5, 6, 6 and 7 bits
   // above keys of 6 to 12 bits.
-  // The fused map must equal the per-label DFS and EvaluatePathPairs on
+  // The map must equal ReferenceSelectivities and EvaluatePathPairs on
   // every path of L_k for k = 4..6, every kernel and threads 1/2/4. The
   // forced sparse kernel runs the two-hop pass at every depth k - 2 node,
   // the forced dense one at none.
@@ -800,11 +786,10 @@ TEST(TwoHopTest, GuardAtDepthKMinus1KeepsStatus) {
   // A guard every prefix up to depth k - 2 satisfies and some depth k - 1
   // child breaks: the two-hop pass counts those children with CountAll and
   // must report the first one in label order — the same status and path
-  // string as the per-label DFS, and the first violation in pre-order.
+  // string as the oracle, and the first violation in pre-order.
   const Graph g = ErdosRenyiGraph(90, 700, 3, 43);
   for (size_t k : {4u, 5u}) {
-    const SelectivityMap full =
-        Compute(g, k, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
+    const SelectivityMap full = Reference(g, k);
     uint64_t shallow_max = 0;
     uint64_t deep_max = 0;
     full.space().ForEach([&](const LabelPath& path) {
@@ -821,17 +806,15 @@ TEST(TwoHopTest, GuardAtDepthKMinus1KeepsStatus) {
           FirstGuardViolation(full, k - 1, guard, &scratch);
       ASSERT_TRUE(first.has_value());
       ASSERT_EQ(first->length(), k - 1);
-      SelectivityOptions options;
-      options.max_pairs_per_prefix = guard;
-      options.strategy = ExtendStrategy::kPerLabel;
-      auto reference = ComputeSelectivities(g, k, options);
+      auto reference = oracles::ReferenceSelectivities(g, k, guard);
       ASSERT_FALSE(reference.ok());
       EXPECT_EQ(reference.status().ToString(),
                 Status::ResourceExhausted(
                     "pair set exceeds max_pairs_per_prefix at path " +
                     first->ToIdString())
                     .ToString());
-      options.strategy = ExtendStrategy::kFused;
+      SelectivityOptions options;
+      options.max_pairs_per_prefix = guard;
       for (PairKernel kernel : {PairKernel::kAuto, PairKernel::kSparse}) {
         for (size_t threads : {1u, 2u, 4u}) {
           options.kernel = kernel;

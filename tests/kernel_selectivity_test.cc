@@ -11,6 +11,7 @@
 
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
+#include "oracles/selectivity_oracle.h"
 #include "path/selectivity.h"
 
 namespace pathest {
@@ -105,7 +106,7 @@ TEST(KernelSelectivityTest, EvaluatePathPairsAgreesWithBothKernels) {
   const SelectivityMap dense = Compute(g, k, PairKernel::kDense, 1);
   PathSpace space(g.num_labels(), k);
   space.ForEach([&](const LabelPath& path) {
-    auto pairs = EvaluatePathPairs(g, path);
+    auto pairs = oracles::EvaluatePathPairs(g, path);
     ASSERT_TRUE(pairs.ok()) << path.ToIdString();
     EXPECT_EQ(pairs->size(), sparse.Get(path)) << path.ToIdString();
     EXPECT_EQ(pairs->size(), dense.Get(path)) << path.ToIdString();
@@ -134,7 +135,7 @@ TEST(KernelSelectivityTest, MoreThan64LabelsSupported) {
   for (LabelId l : {0u, 13u, 37u, 69u}) {
     for (LabelId m : {5u, 42u, 69u}) {
       LabelPath path{l, m};
-      auto f = EvaluatePathSelectivity(g, path);
+      auto f = oracles::EvaluatePathSelectivity(g, path);
       ASSERT_TRUE(f.ok());
       EXPECT_EQ(*f, baseline.Get(path)) << path.ToIdString();
     }

@@ -11,6 +11,7 @@
 
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
+#include "oracles/selectivity_oracle.h"
 #include "path/selectivity.h"
 #include "test_util.h"
 
@@ -102,7 +103,7 @@ TEST(ParallelSelectivityTest, MaxPairsAbortDeepInTreeUnderParallelism) {
   serial.num_threads = 1;
   uint64_t level1_max = 0;
   for (LabelId l = 0; l < g.num_labels(); ++l) {
-    auto f = EvaluatePathSelectivity(g, LabelPath{l});
+    auto f = oracles::EvaluatePathSelectivity(g, LabelPath{l});
     ASSERT_TRUE(f.ok());
     level1_max = std::max(level1_max, *f);
   }

@@ -1,11 +1,11 @@
 // Scheduler-skew coverage: a graph where one label owns >90% of the edges
-// is the worst case for per-root decomposition — the monster root
-// serializes the build's tail however many workers there are. The fused
-// engine's depth-2 prefix tasks split that root into |L| independently
-// schedulable pieces. This test asserts DETERMINISM (bit-identical maps at
-// threads {1, 2, 4} for both decompositions); the wall-time comparison is
-// measured and printed but NOT asserted — the CI container may have a
-// single core, where no decomposition can show a parallel speedup.
+// is the worst case for per-root decomposition — the monster root would
+// serialize the build's tail however many workers there are. The engine's
+// depth-2 prefix tasks split that root into |L| independently schedulable
+// pieces. This test asserts DETERMINISM (maps at threads {1, 2, 4}
+// bit-identical to the serial oracle's); the wall times are measured and
+// printed but NOT asserted — the CI container may have a single core,
+// where no decomposition can show a parallel speedup.
 
 #include <cstdio>
 #include <vector>
@@ -14,6 +14,7 @@
 
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
+#include "oracles/selectivity_oracle.h"
 #include "path/selectivity.h"
 #include "util/timer.h"
 
@@ -49,7 +50,7 @@ Graph SkewedGraph(size_t num_vertices, size_t num_edges, size_t num_labels,
   return std::move(g).ValueOrDie();
 }
 
-TEST(SchedulerSkewTest, SkewedLabelDeterminismAcrossDecompositions) {
+TEST(SchedulerSkewTest, SkewedLabelDeterminismAcrossThreads) {
   const Graph g = SkewedGraph(400, 6000, 4, 0.93, 11);
   // The premise: one label really does own >90% of the edges.
   uint64_t total = 0;
@@ -60,35 +61,24 @@ TEST(SchedulerSkewTest, SkewedLabelDeterminismAcrossDecompositions) {
       << "label 0 owns " << g.LabelCardinality(0) << " of " << total;
 
   const size_t k = 4;
-  SelectivityOptions serial;
-  serial.strategy = ExtendStrategy::kPerLabel;
-  serial.num_threads = 1;
-  auto baseline = ComputeSelectivities(g, k, serial);
+  auto baseline = oracles::ReferenceSelectivities(g, k);
   ASSERT_TRUE(baseline.ok());
 
-  for (ExtendStrategy strategy :
-       {ExtendStrategy::kFused, ExtendStrategy::kPerLabel}) {
-    std::printf("%-9s decomposition:", ExtendStrategyName(strategy));
-    for (size_t threads : {1u, 2u, 4u}) {
-      SelectivityOptions options;
-      options.strategy = strategy;
-      options.num_threads = threads;
-      Timer timer;
-      auto map = ComputeSelectivities(g, k, options);
-      const double ms = timer.ElapsedMillis();
-      ASSERT_TRUE(map.ok())
-          << "strategy=" << ExtendStrategyName(strategy)
-          << " threads=" << threads;
-      // The determinism assert: bit-identical to the serial per-label map.
-      EXPECT_EQ(map->values(), baseline->values())
-          << "strategy=" << ExtendStrategyName(strategy)
-          << " threads=" << threads;
-      // Timing is informational only (a 1-core container cannot show a
-      // monotone non-increasing profile): printed for humans and CI logs.
-      std::printf("  threads=%zu %.1fms", threads, ms);
-    }
-    std::printf("\n");
+  std::printf("prefix-task decomposition:");
+  for (size_t threads : {1u, 2u, 4u}) {
+    SelectivityOptions options;
+    options.num_threads = threads;
+    Timer timer;
+    auto map = ComputeSelectivities(g, k, options);
+    const double ms = timer.ElapsedMillis();
+    ASSERT_TRUE(map.ok()) << "threads=" << threads;
+    // The determinism assert: bit-identical to the serial oracle's map.
+    EXPECT_EQ(map->values(), baseline->values()) << "threads=" << threads;
+    // Timing is informational only (a 1-core container cannot show a
+    // monotone non-increasing profile): printed for humans and CI logs.
+    std::printf("  threads=%zu %.1fms", threads, ms);
   }
+  std::printf("\n");
 }
 
 TEST(SchedulerSkewTest, PrefixTasksSplitTheMonsterRoot) {
@@ -96,11 +86,9 @@ TEST(SchedulerSkewTest, PrefixTasksSplitTheMonsterRoot) {
   // combined weight dwarfs the others — verify the fused build still
   // matches the baseline when the task count far exceeds the threads.
   const Graph g = SkewedGraph(250, 3000, 6, 0.92, 7);
-  auto baseline = ComputeSelectivities(g, 3);  // fused serial (default)
+  auto baseline = ComputeSelectivities(g, 3);  // serial (default)
   ASSERT_TRUE(baseline.ok());
-  SelectivityOptions reference;
-  reference.strategy = ExtendStrategy::kPerLabel;
-  auto expect = ComputeSelectivities(g, 3, reference);
+  auto expect = oracles::ReferenceSelectivities(g, 3);
   ASSERT_TRUE(expect.ok());
   EXPECT_EQ(baseline->values(), expect->values());
   for (size_t threads : {3u, 4u}) {

@@ -8,6 +8,7 @@
 #include "gen/datasets.h"
 #include "gen/generator.h"
 #include "graph/graph_builder.h"
+#include "oracles/selectivity_oracle.h"
 #include "path/selectivity.h"
 #include "test_util.h"
 
@@ -115,7 +116,7 @@ TEST(SelectivityTest, EvaluateSinglePathAgreesWithMap) {
   ASSERT_TRUE(map.ok());
   PathSpace space(g.num_labels(), 3);
   space.ForEach([&](const LabelPath& p) {
-    auto f = EvaluatePathSelectivity(g, p);
+    auto f = oracles::EvaluatePathSelectivity(g, p);
     ASSERT_TRUE(f.ok());
     EXPECT_EQ(*f, map->Get(p));
   });
@@ -125,7 +126,7 @@ TEST(SelectivityTest, PairsAreSortedAndDistinct) {
   Graph g = SmallGraph();
   LabelId a = *g.labels().Find("a");
   LabelId b = *g.labels().Find("b");
-  auto pairs = EvaluatePathPairs(g, LabelPath{a, b});
+  auto pairs = oracles::EvaluatePathPairs(g, LabelPath{a, b});
   ASSERT_TRUE(pairs.ok());
   ASSERT_EQ(pairs->size(), 1u);
   EXPECT_EQ((*pairs)[0], (uint64_t{0} << 32) | 3u);
@@ -133,8 +134,8 @@ TEST(SelectivityTest, PairsAreSortedAndDistinct) {
 
 TEST(SelectivityTest, RejectsBadInput) {
   Graph g = SmallGraph();
-  EXPECT_FALSE(EvaluatePathSelectivity(g, LabelPath{}).ok());
-  EXPECT_FALSE(EvaluatePathSelectivity(g, LabelPath{99}).ok());
+  EXPECT_FALSE(oracles::EvaluatePathSelectivity(g, LabelPath{}).ok());
+  EXPECT_FALSE(oracles::EvaluatePathSelectivity(g, LabelPath{99}).ok());
   EXPECT_FALSE(ComputeSelectivities(g, 0).ok());
   EXPECT_FALSE(ComputeSelectivities(g, kMaxPathLength + 1).ok());
 }
