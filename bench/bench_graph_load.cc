@@ -147,10 +147,9 @@ int Run(bool json_mode, const std::string& json_path) {
                 row.stats.build.plane_ms, row.identical ? "yes" : "no");
   }
   const GraphBuildStats& plane = rows.front().stats.build;
-  std::printf("  plane: kind=%s rows=%zu bytes=%zu hub_threshold=%llu\n",
+  std::printf("  plane: kind=%s rows=%zu bytes=%zu\n",
               PlaneKindName(plane.plane_kind), plane.plane_rows,
-              plane.plane_bytes,
-              static_cast<unsigned long long>(plane.hub_degree_threshold));
+              plane.plane_bytes);
   const bool multicore = cores >= 4;
   if (!multicore) {
     std::printf("  note: %zu hardware core(s) — thread rows are "
@@ -195,10 +194,9 @@ int Run(bool json_mode, const std::string& json_path) {
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
                "  \"plane\": {\"kind\": \"%s\", \"rows\": %zu, \"bytes\": "
-               "%zu, \"hub_degree_threshold\": %llu},\n",
+               "%zu},\n",
                PlaneKindName(plane.plane_kind), plane.plane_rows,
-               plane.plane_bytes,
-               static_cast<unsigned long long>(plane.hub_degree_threshold));
+               plane.plane_bytes);
   std::fprintf(out, "  \"caveat\": \"%s\"\n",
                multicore
                    ? ""

@@ -72,14 +72,6 @@ struct Row {
   size_t resident_bytes = 0;
 };
 
-double Percentile(std::vector<double>* samples, double p) {
-  if (samples->empty()) return 0.0;
-  std::sort(samples->begin(), samples->end());
-  const size_t i = static_cast<size_t>(p * static_cast<double>(
-                                               samples->size() - 1));
-  return (*samples)[i];
-}
-
 Row MeasureOrdering(const Graph& graph, const std::string& name, size_t k,
                     const Histogram& histogram,
                     const std::vector<LabelPath>& workload, size_t reps,
@@ -172,8 +164,8 @@ Row MeasureOrdering(const Graph& graph, const std::string& name, size_t k,
     }
   }
   row.speedup = row.fast_ns > 0.0 ? row.legacy_ns / row.fast_ns : 0.0;
-  row.p50_ns = Percentile(&chunk_ns, 0.50);
-  row.p99_ns = Percentile(&chunk_ns, 0.99);
+  row.p50_ns = bench::Percentile(&chunk_ns, 0.50);
+  row.p99_ns = bench::Percentile(&chunk_ns, 0.99);
   if (sink == -1.0) row.queries += 1;  // defeat dead-code elimination
   return row;
 }

@@ -11,8 +11,10 @@
 // (dataset, threads, kernel) cell — best wall time of PATHEST_REPS runs,
 // taken round-robin over the cells — and writes one JSON array to `path`
 // (default BENCH_selectivity.json), one object per cell: {"dataset", "k",
-// "threads", "kernel", "build_ms"}, plus "auto_vs_best" on auto rows
-// (auto's build_ms over the better forced kernel's at the same threads).
+// "threads", "kernel", "build_ms", "build_ms_p25", "build_ms_p75"} (the
+// best, and the quartiles of the reps: the cell's spread), plus
+// "auto_vs_best" on auto rows (auto's build_ms over the better forced
+// kernel's at the same threads).
 // Cross-kernel / cross-thread bit-identity of the map is asserted inside
 // the sweep (every cell against the first cell's values). The er-dense
 // dataset is an Erdős–Rényi configuration dense enough that the dense
@@ -170,7 +172,9 @@ struct JsonRow {
   size_t k;
   size_t threads;
   PairKernel kernel;
-  double build_ms;
+  double build_ms;      // best of the reps
+  double build_ms_p25;  // quartiles of the reps
+  double build_ms_p75;
   double auto_vs_best = 0;  // auto rows: build_ms / best forced kernel's
 };
 
@@ -232,6 +236,7 @@ int RunJsonMode(const std::string& out_path) {
       // run round-robin over the cells, so host drift during the sweep
       // hits every kernel alike instead of biasing a ratio.
       double ms[3] = {0, 0, 0};
+      std::vector<double> samples[3];
       for (size_t rep = 0; rep < reps; ++rep) {
         for (PairKernel kernel : kKernels) {
           SelectivityOptions options;
@@ -243,6 +248,7 @@ int RunJsonMode(const std::string& out_path) {
           bench::DieIf(map.status(), "selectivity computation");
           double& best_ms = ms[static_cast<size_t>(kernel)];
           if (rep == 0 || elapsed_ms < best_ms) best_ms = elapsed_ms;
+          samples[static_cast<size_t>(kernel)].push_back(elapsed_ms);
           // Cross-kernel / cross-thread identity: every cell's map must
           // equal the first cell's, bit for bit.
           if (baseline_values.empty()) {
@@ -254,12 +260,20 @@ int RunJsonMode(const std::string& out_path) {
         }
       }
       for (PairKernel kernel : kKernels) {
-        JsonRow row{config.name, config.k, threads, kernel,
-                    ms[static_cast<size_t>(kernel)]};
+        const size_t cell = static_cast<size_t>(kernel);
+        JsonRow row{config.name,
+                    config.k,
+                    threads,
+                    kernel,
+                    ms[cell],
+                    bench::Percentile(&samples[cell], 0.25),
+                    bench::Percentile(&samples[cell], 0.75)};
         if (kernel == PairKernel::kAuto) row.auto_vs_best = AutoVsBest(ms);
         rows.push_back(row);
-        std::printf("  threads=%zu kernel=%-6s build_ms=%.3f\n", threads,
-                    PairKernelName(kernel), row.build_ms);
+        std::printf("  threads=%zu kernel=%-6s build_ms=%.3f "
+                    "(p25 %.3f, p75 %.3f)\n",
+                    threads, PairKernelName(kernel), row.build_ms,
+                    row.build_ms_p25, row.build_ms_p75);
       }
       std::printf("  threads=%zu summary: auto / best forced kernel %.3f\n",
                   threads, AutoVsBest(ms));
@@ -276,9 +290,10 @@ int RunJsonMode(const std::string& out_path) {
     const JsonRow& r = rows[i];
     std::fprintf(out,
                  "  {\"dataset\": \"%s\", \"k\": %zu, \"threads\": %zu, "
-                 "\"kernel\": \"%s\", \"build_ms\": %.3f",
+                 "\"kernel\": \"%s\", \"build_ms\": %.3f, "
+                 "\"build_ms_p25\": %.3f, \"build_ms_p75\": %.3f",
                  r.dataset.c_str(), r.k, r.threads, PairKernelName(r.kernel),
-                 r.build_ms);
+                 r.build_ms, r.build_ms_p25, r.build_ms_p75);
     if (r.kernel == PairKernel::kAuto) {
       std::fprintf(out, ", \"auto_vs_best\": %.3f", r.auto_vs_best);
     }

@@ -3,9 +3,11 @@
 #ifndef PATHEST_BENCH_BENCH_UTIL_H_
 #define PATHEST_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "gen/datasets.h"
 #include "graph/graph.h"
@@ -44,6 +46,17 @@ inline size_t SizeFromEnv(const char* name, size_t def) {
   unsigned long long v = std::strtoull(env, &end, 10);
   if (end == env || v == 0) return def;
   return static_cast<size_t>(v);
+}
+
+// The p-quantile of `samples` (0 <= p <= 1) by nearest rank, rounding the
+// rank down: the sample at index ⌊p · (n − 1)⌋ once sorted. Sorts
+// `samples` in place; 0 when empty.
+inline double Percentile(std::vector<double>* samples, double p) {
+  if (samples->empty()) return 0.0;
+  std::sort(samples->begin(), samples->end());
+  const size_t i =
+      static_cast<size_t>(p * static_cast<double>(samples->size() - 1));
+  return (*samples)[i];
 }
 
 // Worker-thread count for selectivity evaluation: PATHEST_THREADS env, or

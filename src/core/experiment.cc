@@ -85,15 +85,11 @@ ReportTable GraphIngestReport(const GraphLoadStats& stats) {
   if (stats.build.reverse_ms > 0.0) {
     add_stage("build/reverse", stats.build.reverse_ms);
   }
-  std::string plane = std::string("plane(") +
-                      PlaneKindName(stats.build.plane_kind) + ", " +
-                      std::to_string(stats.build.plane_rows) + " rows, " +
-                      std::to_string(stats.build.plane_bytes) + " B";
-  if (stats.build.plane_kind == PlaneKind::kHub) {
-    plane += ", deg>=" + std::to_string(stats.build.hub_degree_threshold);
-  }
-  plane += ")";
-  table.AddRow({plane, "", ""});
+  table.AddRow({std::string("plane(") +
+                    PlaneKindName(stats.build.plane_kind) + ", " +
+                    std::to_string(stats.build.plane_rows) + " rows, " +
+                    std::to_string(stats.build.plane_bytes) + " B)",
+                "", ""});
   table.AddRow({"total(wall, " + std::to_string(stats.num_threads) +
                     " thread" + (stats.num_threads == 1 ? "" : "s") + ")",
                 FormatDouble(stats.total_ms, 4), "100"});

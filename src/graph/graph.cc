@@ -1,15 +1,11 @@
 #include "graph/graph.h"
 
-#include <algorithm>
-
 namespace pathest {
 
 const char* PlaneKindName(PlaneKind kind) {
   switch (kind) {
     case PlaneKind::kDense:
       return "dense";
-    case PlaneKind::kHub:
-      return "hub";
     case PlaneKind::kNone:
     default:
       return "none";
@@ -74,36 +70,8 @@ Graph::PackedEdgeView Graph::PackedEdges() const {
 }
 
 Graph::AdjacencyPlane Graph::AdjacencyBitmaps() const {
-  AdjacencyPlane plane;
-  plane.kind = plane_kind_;
-  plane.rows = plane_.empty() ? nullptr : plane_.data();
-  plane.stride_words = plane_stride_words_;
-  plane.seg_rows = plane_seg_rows_.empty() ? nullptr : plane_seg_rows_.data();
-  plane.num_rows =
-      plane_stride_words_ == 0 ? 0 : plane_.size() / plane_stride_words_;
-  plane.hub_degree_threshold = hub_degree_threshold_;
-  return plane;
-}
-
-const uint64_t* Graph::PlaneRow(VertexId v, LabelId l) const {
-  PATHEST_CHECK(v < num_vertices_ && l < num_labels(),
-                "plane cell out of range");
-  if (plane_kind_ == PlaneKind::kNone) return nullptr;
-  if (plane_kind_ == PlaneKind::kDense) {
-    return plane_.data() +
-           (static_cast<size_t>(v) * num_labels() + l) * plane_stride_words_;
-  }
-  // Hub plane: find v's segment for l (labels ascending within a vertex),
-  // then follow the segment directory.
-  const uint64_t begin = vm_seg_offsets_[v];
-  const uint64_t end = vm_seg_offsets_[v + 1];
-  const LabelId* first = vm_seg_labels_.data() + begin;
-  const LabelId* last = vm_seg_labels_.data() + end;
-  const LabelId* it = std::lower_bound(first, last, l);
-  if (it == last || *it != l) return nullptr;
-  const uint32_t row = plane_seg_rows_[begin + (it - first)];
-  if (row == kNoPlaneRow) return nullptr;
-  return plane_.data() + static_cast<size_t>(row) * plane_stride_words_;
+  return AdjacencyPlane{plane_.empty() ? nullptr : plane_.data(),
+                        plane_stride_words_, plane_kind_};
 }
 
 bool Graph::IdenticalTo(const Graph& other) const {
@@ -129,9 +97,7 @@ bool Graph::IdenticalTo(const Graph& other) const {
          pk_keys_ == other.pk_keys_ &&
          pk_label_shift_ == other.pk_label_shift_ &&
          plane_kind_ == other.plane_kind_ && plane_ == other.plane_ &&
-         plane_stride_words_ == other.plane_stride_words_ &&
-         plane_seg_rows_ == other.plane_seg_rows_ &&
-         hub_degree_threshold_ == other.hub_degree_threshold_;
+         plane_stride_words_ == other.plane_stride_words_;
 }
 
 uint64_t Graph::LabelCardinality(LabelId l) const {

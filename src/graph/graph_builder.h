@@ -13,10 +13,9 @@ namespace pathest {
 
 /// \brief Adjacency-plane materialization policy for GraphBuilder::Build.
 enum class PlanePolicy : uint8_t {
-  kAuto = 0,   ///< dense when it fits the budget, else hub, else none
+  kAuto = 0,   ///< dense when DensePlanePays, else none
   kNone = 1,   ///< never materialize a plane
-  kDense = 2,  ///< dense when it fits the budget, else none (no hub)
-  kHub = 3,    ///< hub plane even when dense would fit (test/measure knob)
+  kDense = 2,  ///< dense when it fits the cap (DensePlaneFits), else none
 };
 
 /// \brief Options for GraphBuilder::Build.
@@ -35,12 +34,8 @@ struct GraphBuildOptions {
 
   /// Plane materialization policy (the decision rule documented at
   /// kAdjacencyPlaneMaxBytes). kAuto for real use; the forcing values
-  /// exist so tests and benches can pin a representation.
+  /// exist so tests can pin a representation.
   PlanePolicy plane = PlanePolicy::kAuto;
-
-  /// Byte budget for plane rows (default kAdjacencyPlaneMaxBytes).
-  /// Tests shrink it to force the hub path on small graphs.
-  size_t plane_budget_bytes = kAdjacencyPlaneMaxBytes;
 };
 
 /// \brief Where the wall-clock of one Build went, plus what it decided.
@@ -55,7 +50,6 @@ struct GraphBuildStats {
   PlaneKind plane_kind = PlaneKind::kNone;
   size_t plane_bytes = 0;    ///< bytes of materialized rows
   size_t plane_rows = 0;     ///< materialized row count
-  uint64_t hub_degree_threshold = 0;  ///< hub only: min cell out-degree
 };
 
 /// Below this many pending edges Build runs serially regardless of
@@ -114,7 +108,8 @@ class GraphBuilder {
 
   /// \brief The seed implementation — one global std::sort + unique over
   /// the full edge list, then single-threaded CSR/vertex-major/plane
-  /// materialization (dense-or-none plane under kAdjacencyPlaneMaxBytes).
+  /// materialization (dense-or-none plane by DensePlanePays, the rule
+  /// Build applies under PlanePolicy::kAuto).
   /// Kept verbatim as the independently-derived oracle the counting-sort
   /// path is tested and benchmarked against. Sorts the pending edge list
   /// in place (the graph produced by a later Build is unaffected).

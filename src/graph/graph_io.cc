@@ -222,8 +222,6 @@ Result<Graph> ReadGraphText(std::istream* in, const GraphLoadOptions& options,
   GraphBuildOptions build_options;
   build_options.with_reverse = options.with_reverse;
   build_options.num_threads = options.num_threads;
-  build_options.plane = options.plane;
-  build_options.plane_budget_bytes = options.plane_budget_bytes;
   Result<Graph> graph = builder.Build(build_options, &stats.build);
   stats.total_ms = total_timer.ElapsedMillis();
   if (stats_out != nullptr) *stats_out = stats;

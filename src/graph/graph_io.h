@@ -31,10 +31,6 @@ struct GraphLoadOptions {
   /// reproduces file-order first-appearance interning exactly), and the
   /// earliest error line wins.
   size_t num_threads = 0;
-
-  /// Plane policy / budget forwarded to GraphBuilder::Build.
-  PlanePolicy plane = PlanePolicy::kAuto;
-  size_t plane_budget_bytes = kAdjacencyPlaneMaxBytes;
 };
 
 /// \brief Where one load's wall-clock went.

@@ -150,8 +150,8 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel,
   plane_ = graph.AdjacencyBitmaps();
   num_labels_ = num_labels;
   row_edge_min_ = plane_.rows != nullptr
-                      ? (plane_.stride_words + kRowWinFactor - 1) /
-                            kRowWinFactor
+                      ? (plane_.stride_words + kPlaneRowWinFactor - 1) /
+                            kPlaneRowWinFactor
                       : UINT64_MAX;
 
   // Flat sparse path: borrow the graph's packed edge keys; this context
@@ -208,15 +208,10 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel,
   // in CountAll (zero rows of edgeless labels are no-ops) and skip the
   // segment directory entirely. It ORs all |L| rows of every member, so it
   // beats the segment walk only when a member's rows carry, on average,
-  // enough edges for row ORs to win — the per-segment kRowWinFactor
-  // crossover summed over the slab. Dense planes only: the slab union
-  // assumes the contiguous |L|·stride per-vertex layout, which hub planes
-  // do not have.
+  // enough edges for row ORs to win — the graph layer's plane rule
+  // (DensePlanePays), so a bound dense plane is the whole gate.
   slab_threshold_ = UINT64_MAX;
-  if (plane_.kind == PlaneKind::kDense && all_dense != UINT64_MAX &&
-      graph.num_edges() * kRowWinFactor >=
-          static_cast<uint64_t>(num_vertices) * num_labels *
-              plane_.stride_words) {
+  if (plane_.kind == PlaneKind::kDense && all_dense != UINT64_MAX) {
     slab_threshold_ = all_dense;
     slab_.assign(plane_.stride_words * num_labels, 0);
   } else {
@@ -227,10 +222,10 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel,
 void FusedExtender::AccumulateDense(VertexId t, LabelId l, uint64_t s) {
   const uint64_t tgt_begin = vm_.tgt_offsets[s];
   const uint64_t tgt_end = vm_.tgt_offsets[s + 1];
-  const uint64_t* row =
-      tgt_end - tgt_begin >= row_edge_min_ ? RowFor(t, l, s) : nullptr;
-  if (row != nullptr) {
-    bits_[l].OrWords(row, plane_.stride_words);
+  if (tgt_end - tgt_begin >= row_edge_min_) {
+    bits_[l].OrWords(plane_.rows + (static_cast<size_t>(t) * num_labels_ + l) *
+                                       plane_.stride_words,
+                     plane_.stride_words);
   } else {
     DynamicBitset& bits = bits_[l];
     for (uint64_t e = tgt_begin; e < tgt_end; ++e) {

@@ -217,8 +217,8 @@ class TwoHopIndex {
 ///     labels to win on a few.
 ///   * slab (CountAll, dense plane) — groups dense for every label OR
 ///     each member's whole contiguous |L|·stride plane slab into one
-///     scratch slab and popcount it per label, on graphs whose mean
-///     out-degree · kRowWinFactor covers the |L|·stride words per member.
+///     scratch slab and popcount it per label, whenever the graph has a
+///     dense plane (built only where the slab pays: DensePlanePays).
 ///   * segment walk — the other groups dense for every label, walked
 ///     segment by segment into per-label DynamicBitsets (segments with
 ///     enough edges union their precomputed adjacency bitmap row,
@@ -265,14 +265,6 @@ class FusedExtender {
   /// TwoHopIndex widens the array to its key space, which the same bound
   /// caps (TwoHopIndex::Eligible).
   static constexpr size_t kMaxMarkerEntries = kPackedKeyMaxEntries;
-
-  /// A segment ORs its precomputed bitmap row (stride_words word-ORs)
-  /// instead of its edge list (seg_len bit-RMWs) when
-  /// seg_len * kRowWinFactor >= stride_words — word-ORs vectorize to
-  /// roughly this many per bit-RMW. Shared with the graph layer: the hub
-  /// plane's materialization floor (graph.h kPlaneRowWinFactor) is the
-  /// same crossover, so every hub row that exists clears this bound.
-  static constexpr uint64_t kRowWinFactor = kPlaneRowWinFactor;
 
   /// Capacities: reusable for any graph with at most `num_vertices`
   /// vertices and `num_labels` labels (the EvalContext reuse contract).
@@ -330,28 +322,6 @@ class FusedExtender {
   static void SetInitialEpochForTesting(uint32_t epoch);
 
  private:
-  /// The bitmap row of vertex-major segment `s` (= cell (t, l)), or
-  /// nullptr when the bound plane has none for it: direct addressing for
-  /// dense planes, the seg_rows directory for hub planes (the caller is
-  /// already holding the segment index, so the hub lookup is free).
-  const uint64_t* RowFor(VertexId t, LabelId l, uint64_t s) const {
-    switch (plane_.kind) {
-      case PlaneKind::kDense:
-        return plane_.rows + (static_cast<size_t>(t) * num_labels_ + l) *
-                                 plane_.stride_words;
-      case PlaneKind::kHub: {
-        const uint32_t row = plane_.seg_rows[s];
-        return row == kNoPlaneRow
-                   ? nullptr
-                   : plane_.rows +
-                         static_cast<size_t>(row) * plane_.stride_words;
-      }
-      case PlaneKind::kNone:
-      default:
-        return nullptr;
-    }
-  }
-
   /// Opens a new distinct-set scope of the flat epoch array; on u32
   /// wraparound the array is cleared so no stale epoch can match.
   uint32_t NextFlatEpoch() {
@@ -363,8 +333,8 @@ class FusedExtender {
   }
 
   /// Accumulates the dense cell (t, l) = vertex-major segment `s` into
-  /// bits_[l]: one row union when the segment carries enough edges and the
-  /// plane has its row, one blind bit-set per edge otherwise.
+  /// bits_[l]: one row union when the graph has a plane and the segment
+  /// carries enough edges, one blind bit-set per edge otherwise.
   void AccumulateDense(VertexId t, LabelId l, uint64_t s);
 
   /// 64-bit epoch marker of the emission-arena fallback: deduplicates a
@@ -400,7 +370,9 @@ class FusedExtender {
   size_t num_labels_ = 0;        // bound graph's label count
   Graph::VertexMajorView vm_{};  // bound graph's vertex-major adjacency
   Graph::AdjacencyPlane plane_{};  // bitmap rows (rows == nullptr if absent)
-  uint64_t row_edge_min_ = UINT64_MAX;  // min segment length for a row OR
+  // Min segment length for a row OR (kPlaneRowWinFactor crossover);
+  // UINT64_MAX without a plane.
+  uint64_t row_edge_min_ = UINT64_MAX;
   // Flat sparse path (flat_ == true).
   bool flat_ = false;
   uint32_t label_shift_ = 0;       // ⌈log₂|L|⌉

@@ -99,44 +99,34 @@ void ExpectOracleInvariance(const Graph& g, size_t k) {
   }
 }
 
-// Rebuilds `g`'s edge multiset under a forced plane policy/budget.
-Graph RebuildWithPlane(const Graph& g, PlanePolicy policy,
-                       size_t budget_bytes) {
+// Rebuilds `g`'s edge multiset under a forced plane policy.
+Graph RebuildWithPlane(const Graph& g, PlanePolicy policy) {
   GraphBuilder builder;
   builder.Adopt(g.labels(), g.CollectEdges(), g.num_vertices());
   GraphBuildOptions options;
   options.plane = policy;
-  options.plane_budget_bytes = budget_bytes;
   auto built = builder.Build(options);
   PATHEST_CHECK(built.ok(), "plane rebuild failed");
   return std::move(built).ValueOrDie();
 }
 
 TEST(FusedSelectivityTest, PlaneKindInvariance) {
-  // The plane dimension of the grid: no plane, dense plane, and the hub
-  // plane (forced by a budget the dense plane cannot fit) must all give
-  // the oracle's map across kernel × threads — the hub path falls back to
-  // target-list scans per rowless cell, never changing the computed sets.
+  // The plane dimension of the grid: no plane and the dense plane, forced
+  // and as the plane rule (DensePlanePays) picks it for this graph, must
+  // all give the oracle's map across kernel × threads.
   const Graph base = ErdosRenyiGraph(200, 2400, 3, 29);
   const SelectivityMap baseline = Reference(base, 3);
   const struct {
     PlanePolicy policy;
-    size_t budget_bytes;
     PlaneKind want;
   } cases[] = {
-      {PlanePolicy::kNone, kAdjacencyPlaneMaxBytes, PlaneKind::kNone},
-      {PlanePolicy::kDense, kAdjacencyPlaneMaxBytes, PlaneKind::kDense},
-      // 1 KiB cannot hold the 19200-byte dense plane, so kAuto goes hub.
-      {PlanePolicy::kAuto, 1024, PlaneKind::kHub},
-      {PlanePolicy::kHub, kAdjacencyPlaneMaxBytes, PlaneKind::kHub},
+      {PlanePolicy::kNone, PlaneKind::kNone},
+      {PlanePolicy::kDense, PlaneKind::kDense},
+      {PlanePolicy::kAuto, PlaneKind::kDense},
   };
   for (const auto& c : cases) {
-    const Graph g = RebuildWithPlane(base, c.policy, c.budget_bytes);
+    const Graph g = RebuildWithPlane(base, c.policy);
     ASSERT_EQ(g.AdjacencyBitmaps().kind, c.want);
-    if (c.want == PlaneKind::kHub) {
-      // The bitmap path must actually be live, not vacuously absent.
-      ASSERT_GT(g.AdjacencyBitmaps().num_rows, 0u);
-    }
     for (PairKernel kernel :
          {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
       for (size_t threads : {1u, 2u, 4u}) {
@@ -338,19 +328,16 @@ TEST(FusedSelectivityTest, ProgressAndLabelTimeFireOncePerRoot) {
 // ---------------------------------------------------------------------------
 // Flat sparse kernel
 
-// Every plane kind `base` admits: none, dense (when the full plane fits the
-// default budget) and hub.
+// Every plane kind `base` admits: none, and dense when the plane fits the
+// cap. The dense one is forced, so graphs the plane rule leaves without a
+// plane still run the slab and AccumulateDense's row ORs.
 std::vector<Graph> PlaneVariants(const Graph& base) {
   std::vector<Graph> variants;
-  variants.push_back(
-      RebuildWithPlane(base, PlanePolicy::kNone, kAdjacencyPlaneMaxBytes));
-  Graph dense =
-      RebuildWithPlane(base, PlanePolicy::kDense, kAdjacencyPlaneMaxBytes);
+  variants.push_back(RebuildWithPlane(base, PlanePolicy::kNone));
+  Graph dense = RebuildWithPlane(base, PlanePolicy::kDense);
   if (dense.AdjacencyBitmaps().kind == PlaneKind::kDense) {
     variants.push_back(std::move(dense));
   }
-  variants.push_back(
-      RebuildWithPlane(base, PlanePolicy::kHub, kAdjacencyPlaneMaxBytes));
   return variants;
 }
 
@@ -427,7 +414,7 @@ TEST(FlatKernelTest, MarkerBudgetBoundarySwitchesToArenas) {
   // largest graph on the flat epoch array and one more vertex takes the
   // emission-arena fallback. Both sides must give the same maps. A dense
   // plane cannot exist at this size (|V|² · |L| / 8 bytes is far over its
-  // budget), so the plane kinds here are none and hub; the forced dense
+  // cap), so the only plane kind here is none; the forced dense
   // kernel (a 1024-word bitmap drain per group and label) is left out, as
   // it never reaches the sparse path this boundary is about.
   constexpr size_t kLabels = 64;

@@ -2,18 +2,19 @@
 // counting-sort Build is bit-identical to the seed's global-sort
 // BuildReference at every thread count — CSRs, vertex-major arrays, and
 // plane — on generated ER and forest-fire graphs large enough to take the
-// parallel path; the hub plane obeys its degree-threshold/budget contract;
-// the chunked from_chars reader preserves the line-oriented istream
+// parallel path; the plane decision rule (DensePlanePays) at its slab-test
+// boundary, at the byte cap and past size_t overflow, and on both sides on
+// generated graphs; the chunked from_chars reader preserves the line-oriented istream
 // semantics (skip lines, error line numbers, id range checks) and
 // round-trips ~100k-edge graphs through the streaming writer.
 
-#include <bit>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gen/datasets.h"
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
 #include "graph/graph_builder.h"
@@ -129,62 +130,6 @@ TEST(GraphBuildTest, AdoptMatchesIncrementalAdds) {
   EXPECT_TRUE(a->IdenticalTo(*b));
 }
 
-TEST(GraphBuildTest, HubPlaneContract) {
-  // Shrink the budget so dense cannot fit; the hub plane must keep (only)
-  // the cells whose out-degree crosses the graph-deterministic threshold,
-  // stay within the byte budget, and index rows through the segment
-  // directory consistently with the CSRs.
-  const Graph source = ErdosRenyiGraph(200, 2400, 3, 29);
-  GraphBuilder builder = BuilderFrom(source);
-  GraphBuildOptions options;
-  options.plane_budget_bytes = 1024;  // dense needs 19200 B here
-  GraphBuildStats stats;
-  const auto built = builder.Build(options, &stats);
-  ASSERT_TRUE(built.ok());
-  ASSERT_EQ(stats.plane_kind, PlaneKind::kHub);
-  EXPECT_LE(stats.plane_bytes, options.plane_budget_bytes);
-  EXPECT_GT(stats.plane_rows, 0u);
-  const Graph::AdjacencyPlane plane = built->AdjacencyBitmaps();
-  ASSERT_EQ(plane.kind, PlaneKind::kHub);
-  ASSERT_NE(plane.seg_rows, nullptr);
-  EXPECT_EQ(plane.hub_degree_threshold, stats.hub_degree_threshold);
-  EXPECT_GE(plane.hub_degree_threshold, 1u);
-
-  size_t rows_seen = 0;
-  for (VertexId v = 0; v < built->num_vertices(); ++v) {
-    for (LabelId l = 0; l < built->num_labels(); ++l) {
-      const auto neighbors = built->OutNeighbors(v, l);
-      const uint64_t* row = built->PlaneRow(v, l);
-      if (neighbors.size() >= plane.hub_degree_threshold &&
-          !neighbors.empty()) {
-        ASSERT_NE(row, nullptr) << "v=" << v << " l=" << l;
-        ++rows_seen;
-        // The row holds exactly the cell's successor set.
-        size_t bits = 0;
-        for (size_t w = 0; w < plane.stride_words; ++w) {
-          bits += static_cast<size_t>(std::popcount(row[w]));
-        }
-        EXPECT_EQ(bits, neighbors.size());
-        for (const VertexId u : neighbors) {
-          EXPECT_TRUE(row[u >> 6] & (uint64_t{1} << (u & 63)));
-        }
-      } else {
-        EXPECT_EQ(row, nullptr) << "v=" << v << " l=" << l;
-      }
-    }
-  }
-  EXPECT_EQ(rows_seen, stats.plane_rows);
-
-  // The decision is thread-invariant like everything else.
-  for (size_t threads : {2u, 4u}) {
-    GraphBuildOptions threaded = options;
-    threaded.num_threads = threads;
-    const auto again = builder.Build(threaded);
-    ASSERT_TRUE(again.ok());
-    EXPECT_TRUE(again->IdenticalTo(*built)) << "threads=" << threads;
-  }
-}
-
 TEST(GraphBuildTest, PlanePolicyForcing) {
   const Graph source = ErdosRenyiGraph(150, 1200, 3, 5);
   GraphBuilder builder = BuilderFrom(source);
@@ -196,14 +141,128 @@ TEST(GraphBuildTest, PlanePolicyForcing) {
   options.plane = PlanePolicy::kDense;
   ASSERT_TRUE(builder.Build(options, &stats).ok());
   EXPECT_EQ(stats.plane_kind, PlaneKind::kDense);
-  options.plane = PlanePolicy::kHub;  // hub even though dense would fit
-  ASSERT_TRUE(builder.Build(options, &stats).ok());
-  EXPECT_EQ(stats.plane_kind, PlaneKind::kHub);
-  // kAuto under the default budget picks dense for this small graph, and
-  // the legacy bool overload is kAuto.
+  // kAuto picks dense for this small, dense-enough graph.
   options.plane = PlanePolicy::kAuto;
   ASSERT_TRUE(builder.Build(options, &stats).ok());
   EXPECT_EQ(stats.plane_kind, PlaneKind::kDense);
+}
+
+TEST(GraphBuildTest, DensePlanePaysAtItsBoundaries) {
+  // Slab test: |E| · kPlaneRowWinFactor >= |V| · |L| · ⌈|V|/64⌉, equality
+  // passing. 64 vertices, 1 label: 64 plane words, so 16 edges.
+  EXPECT_TRUE(DensePlanePays(64, 16, 1));
+  EXPECT_FALSE(DensePlanePays(64, 15, 1));
+  // 100 vertices, 3 labels, 2-word rows: 600 words, so 150 edges.
+  EXPECT_TRUE(DensePlanePays(100, 150, 3));
+  EXPECT_FALSE(DensePlanePays(100, 149, 3));
+  // Byte cap: 4096 · 16 · 64 words is exactly kAdjacencyPlaneMaxBytes.
+  ASSERT_EQ(size_t{4096} * 16 * 64 * sizeof(uint64_t),
+            kAdjacencyPlaneMaxBytes);
+  EXPECT_TRUE(DensePlaneFits(4096, 16));
+  EXPECT_TRUE(DensePlanePays(4096, size_t{4096} * 16 * 16, 16));
+  EXPECT_FALSE(DensePlanePays(4096, size_t{4096} * 16 * 16 - 1, 16));
+  EXPECT_FALSE(DensePlaneFits(4096, 17));
+  EXPECT_FALSE(DensePlaneFits(4097, 16));
+  EXPECT_FALSE(DensePlanePays(4096, SIZE_MAX, 17));
+  // Empty shapes never get a plane.
+  EXPECT_FALSE(DensePlanePays(0, 0, 1));
+  EXPECT_FALSE(DensePlanePays(10, 100, 0));
+  // |V| · |L| · stride wraps a 64-bit size_t here: 2^33 vertices have
+  // 2^27-word rows, so |V| · stride alone is 2^60.
+  const size_t huge = size_t{1} << 33;
+  EXPECT_FALSE(DensePlaneFits(huge, 1u << 8));
+  EXPECT_FALSE(DensePlanePays(huge, SIZE_MAX, 1u << 8));
+  EXPECT_FALSE(DensePlanePays(SIZE_MAX, SIZE_MAX, SIZE_MAX));
+}
+
+// One of the paper's dataset stand-ins at `scale`.
+Graph StandIn(DatasetId id, double scale) {
+  auto g = BuildDataset(id, scale, 42);
+  PATHEST_CHECK(g.ok(), "stand-in generation failed");
+  return std::move(g).ValueOrDie();
+}
+
+// The plane kind Build gives `source` under kAuto.
+PlaneKind AutoPlaneKind(const Graph& source) {
+  GraphBuilder builder = BuilderFrom(source);
+  GraphBuildStats stats;
+  const auto built = builder.Build(GraphBuildOptions{}, &stats);
+  PATHEST_CHECK(built.ok(), "plane-rule build failed");
+  EXPECT_EQ(built->AdjacencyBitmaps().kind, stats.plane_kind);
+  return stats.plane_kind;
+}
+
+TEST(GraphBuildTest, AutoPlaneFollowsSlabRule) {
+  // The moreno-like graphs fit the cap, but their mean degree falls far
+  // short of the slab test: no plane. Full size is the offline build of
+  // the perfbench workloads.
+  for (double scale : {1.0, 0.25}) {
+    const Graph moreno = StandIn(DatasetId::kMorenoHealth, scale);
+    EXPECT_TRUE(DensePlaneFits(moreno.num_vertices(), moreno.num_labels()));
+    EXPECT_EQ(AutoPlaneKind(moreno), PlaneKind::kNone) << "scale=" << scale;
+  }
+  // The other stand-ins get none either, by the slab test (snap-er) or
+  // the cap (dbpedia, snap-ff).
+  for (DatasetId id :
+       {DatasetId::kDbpedia, DatasetId::kSnapEr, DatasetId::kSnapFf}) {
+    EXPECT_EQ(AutoPlaneKind(StandIn(id, 0.25)), PlaneKind::kNone)
+        << "dataset=" << static_cast<int>(id);
+  }
+  // Degree 12 over 3 labels on 200 vertices: 2400 · 4 >= 200 · 3 · 4.
+  EXPECT_EQ(AutoPlaneKind(ErdosRenyiGraph(200, 2400, 3, 29)),
+            PlaneKind::kDense);
+  // bench_micro_selectivity's er-dense graph, where the plane pays ~2×:
+  // degree 30 over 3 labels on 2000 vertices, ~60000 · 4 >= 2000 · 3 · 32.
+  EXPECT_EQ(AutoPlaneKind(ErdosRenyiGraph(2000, 60000, 3, 42)),
+            PlaneKind::kDense);
+}
+
+TEST(GraphBuildTest, OverCapGraphGetsNoPlane) {
+  // 20000 vertices over 2 labels need 2 · 20000 · 313 words, ~3× the cap:
+  // no plane under kAuto, and none even when forced dense.
+  GraphBuilder builder;
+  builder.AddLabel("a");
+  builder.AddLabel("b");
+  for (VertexId v = 0; v + 1 < 20000; v += 2) {
+    builder.AddEdge(v, v % 4 == 0 ? 0 : 1, v + 1);
+  }
+  ASSERT_FALSE(DensePlaneFits(20000, 2));
+  for (PlanePolicy policy : {PlanePolicy::kAuto, PlanePolicy::kDense}) {
+    GraphBuildOptions options;
+    options.plane = policy;
+    GraphBuildStats stats;
+    const auto built = builder.Build(options, &stats);
+    ASSERT_TRUE(built.ok());
+    EXPECT_EQ(stats.plane_kind, PlaneKind::kNone);
+    EXPECT_EQ(stats.plane_bytes, 0u);
+    EXPECT_EQ(built->AdjacencyBitmaps().rows, nullptr);
+  }
+  const auto reference = builder.BuildReference();
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(reference->AdjacencyBitmaps().kind, PlaneKind::kNone);
+}
+
+TEST(GraphBuildTest, ReferenceAppliesTheSameRule) {
+  // Both graphs fit the cap, so only the slab test tells them apart: it
+  // keeps the plane on the ER graph alone. Build and BuildReference must
+  // agree on both, plane included.
+  const Graph moreno = StandIn(DatasetId::kMorenoHealth, 0.25);
+  const Graph er = ErdosRenyiGraph(200, 2400, 3, 29);
+  for (const Graph* source : {&moreno, &er}) {
+    ASSERT_TRUE(DensePlaneFits(source->num_vertices(), source->num_labels()));
+    GraphBuilder builder = BuilderFrom(*source);
+    const auto reference = builder.BuildReference();
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(reference->AdjacencyBitmaps().kind,
+              source == &er ? PlaneKind::kDense : PlaneKind::kNone);
+    for (size_t threads : {1u, 2u, 4u}) {
+      GraphBuildOptions options;
+      options.num_threads = threads;
+      const auto built = builder.Build(options);
+      ASSERT_TRUE(built.ok());
+      EXPECT_TRUE(built->IdenticalTo(*reference)) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(GraphBuildTest, StreamingWriterRoundTripsLargeGraph) {

@@ -251,9 +251,20 @@ TEST(GraphTest, PackedEdgesMatchVertexMajor) {
 }
 
 TEST(GraphTest, AdjacencyBitmapPlaneMatchesCsr) {
-  Graph g = testing_util::GraphWithCardinalities({{"p", 40}, {"q", 9}});
+  // Forced dense: this sparse graph fails the slab test (DensePlanePays),
+  // so kAuto would build it without a plane.
+  const Graph source =
+      testing_util::GraphWithCardinalities({{"p", 40}, {"q", 9}});
+  GraphBuilder builder;
+  builder.Adopt(source.labels(), source.CollectEdges(),
+                source.num_vertices());
+  GraphBuildOptions options;
+  options.plane = PlanePolicy::kDense;
+  auto built = builder.Build(options);
+  ASSERT_TRUE(built.ok());
+  const Graph& g = *built;
   const Graph::AdjacencyPlane plane = g.AdjacencyBitmaps();
-  ASSERT_NE(plane.rows, nullptr);  // small graph: always materialized
+  ASSERT_NE(plane.rows, nullptr);
   ASSERT_EQ(plane.stride_words, (g.num_vertices() + 63) / 64);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (LabelId l = 0; l < g.num_labels(); ++l) {
