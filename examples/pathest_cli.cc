@@ -37,16 +37,19 @@
 // echo the RESOLVED configuration — the post-clamp worker count and the
 // task count — in their build report line.
 //
-// --format text|binary picks the on-disk catalog format analyze writes
-// (default text; binary is the checksummed v1 layout of core/serialize.h —
-// estimate and catalog verify sniff the format, so no flag on read).
+// --format text|binary|binary-v2 picks the on-disk catalog format analyze
+// writes and catalog convert targets (default text; binary is the
+// checksummed v1 layout of core/serialize.h, binary-v2 the page-aligned
+// layout the daemon serves zero-copy — estimate and catalog verify sniff
+// the format, so no flag on read).
 // `catalog verify <dir>` checksum-walks every *.stats entry and exits
 // nonzero if ANY entry fails, printing one line per entry; it is the
 // operational integrity probe for a directory of persisted statistics.
 // When the directory carries a maintenance journal (maint/deltas.journal)
 // it is frame-walked too: every CRC checked, the last good offset
 // reported; a torn tail (crash artifact that startup recovery truncates)
-// is a warning, mid-file corruption is a failure. With --json it prints
+// is a warning, mid-file corruption is a failure (startup recovery keeps
+// only the records before it and quarantines the file). With --json it prints
 // one machine-readable JSON object instead (same exit-code contract),
 // for monitoring that should not scrape text.
 //

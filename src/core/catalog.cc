@@ -6,7 +6,6 @@
 #include <system_error>
 
 #include "core/serialize.h"
-#include "ordering/factory.h"
 
 namespace pathest {
 
@@ -22,12 +21,6 @@ std::string ExtractSectionFromError(const std::string& message) {
   const size_t colon = message.find(':', start);
   if (colon == std::string::npos) return "";
   return message.substr(start, colon - start);
-}
-
-void RecordFailure(CatalogLoadReport* report, const std::string& path,
-                   Status status) {
-  if (report == nullptr) return;
-  report->failures.push_back(MakeCatalogLoadFailure(path, std::move(status)));
 }
 
 }  // namespace
@@ -77,7 +70,7 @@ Result<CatalogLoadReport> VerifyCatalogDir(const std::string& dir) {
             *format == CatalogFormat::kBinaryV2});
       }
     } else {
-      RecordFailure(&report, path, loaded.status());
+      report.failures.push_back(MakeCatalogLoadFailure(path, loaded.status()));
     }
   }
   return report;
@@ -150,119 +143,6 @@ std::string CatalogLoadReportToJson(const CatalogLoadReport& report,
   }
   out += "]}";
   return out;
-}
-
-StatisticsCatalog::StatisticsCatalog(
-    const Graph* graph, std::unique_ptr<SelectivityMap> selectivities)
-    : graph_(graph),
-      selectivities_(std::move(selectivities)),
-      analyzed_edges_(graph->num_edges()) {}
-
-Result<StatisticsCatalog> StatisticsCatalog::Analyze(
-    const Graph& graph, size_t k, const SelectivityOptions& options) {
-  auto map = ComputeSelectivities(graph, k, options);
-  if (!map.ok()) return map.status();
-  return StatisticsCatalog(
-      &graph, std::make_unique<SelectivityMap>(std::move(*map)));
-}
-
-Status StatisticsCatalog::BuildEstimator(const std::string& name,
-                                         const CatalogEntryConfig& config) {
-  auto ordering = MakeOrderingWithSelectivities(config.ordering, *graph_,
-                                                k(), *selectivities_);
-  PATHEST_RETURN_NOT_OK(ordering.status());
-  auto estimator =
-      PathHistogram::Build(*selectivities_, std::move(*ordering),
-                           config.histogram_type, config.num_buckets);
-  PATHEST_RETURN_NOT_OK(estimator.status());
-  estimators_[name] =
-      std::make_unique<PathHistogram>(std::move(*estimator));
-  return Status::OK();
-}
-
-Result<const PathHistogram*> StatisticsCatalog::GetEstimator(
-    const std::string& name) const {
-  auto it = estimators_.find(name);
-  if (it == estimators_.end()) {
-    return Status::NotFound("no estimator named '" + name + "'");
-  }
-  return static_cast<const PathHistogram*>(it->second.get());
-}
-
-Result<double> StatisticsCatalog::Estimate(const std::string& name,
-                                           const LabelPath& path) const {
-  auto estimator = GetEstimator(name);
-  if (!estimator.ok()) return estimator.status();
-  if (!(*estimator)->ordering().space().Contains(path)) {
-    return Status::InvalidArgument("path outside the analyzed space L_" +
-                                   std::to_string(k()));
-  }
-  return (*estimator)->Estimate(path);
-}
-
-uint64_t StatisticsCatalog::ExactSelectivity(const LabelPath& path) const {
-  return selectivities_->Get(path);
-}
-
-std::vector<std::string> StatisticsCatalog::EstimatorNames() const {
-  std::vector<std::string> names;
-  names.reserve(estimators_.size());
-  for (const auto& [name, _] : estimators_) names.push_back(name);
-  return names;
-}
-
-void StatisticsCatalog::RecordDataChanges(uint64_t num_changes) {
-  data_changes_ += num_changes;
-}
-
-double StatisticsCatalog::Staleness() const {
-  if (analyzed_edges_ == 0) return data_changes_ > 0 ? 1.0 : 0.0;
-  return static_cast<double>(data_changes_) /
-         static_cast<double>(analyzed_edges_);
-}
-
-Status StatisticsCatalog::SaveAll(const std::string& dir,
-                                  std::vector<std::string>* skipped,
-                                  CatalogFormat format) const {
-  for (const auto& [name, estimator] : estimators_) {
-    if (!IsSerializableOrdering(estimator->ordering().name())) {
-      if (skipped != nullptr) skipped->push_back(name);
-      continue;
-    }
-    // SavePathHistogram publishes atomically (temp + fsync + rename), so a
-    // failure or crash on any entry leaves every existing file intact.
-    PATHEST_RETURN_NOT_OK(SavePathHistogram(
-        *estimator, *graph_, dir + "/" + name + ".stats", format));
-  }
-  return Status::OK();
-}
-
-Status StatisticsCatalog::LoadAll(const std::string& dir,
-                                  CatalogLoadReport* report) {
-  auto entries = ListCatalogEntryPaths(dir);
-  if (!entries.ok()) return entries.status();
-  for (const std::string& path : *entries) {
-    auto loaded = LoadPathHistogram(path);
-    if (!loaded.ok()) {
-      RecordFailure(report, path, loaded.status());
-      continue;
-    }
-    // A well-formed entry persisted against a DIFFERENT label dictionary
-    // would serve confidently wrong estimates — quarantine it like any
-    // other corruption instead of registering it.
-    if (loaded->labels.names() != graph_->labels().names()) {
-      RecordFailure(
-          report, path,
-          Status::IOError("label dictionary does not match the catalog's "
-                          "graph (foreign or stale entry)"));
-      continue;
-    }
-    const std::string name = std::filesystem::path(path).stem().string();
-    estimators_[name] =
-        std::make_unique<PathHistogram>(std::move(loaded->estimator));
-    if (report != nullptr) report->loaded.push_back(name);
-  }
-  return Status::OK();
 }
 
 }  // namespace pathest

@@ -1,24 +1,20 @@
-// pathest: the statistics catalog — the integration surface a database
-// engine would actually program against.
+// pathest: catalog directories — what counts as an entry, the graph-free
+// integrity audit, and the report shape shared by every consumer.
 //
-// A StatisticsCatalog owns path statistics for one graph: it computes the
-// exact selectivities once (ANALYZE), builds one estimator per requested
-// configuration, serves estimates, tracks data staleness, and persists /
-// restores itself. This is the "statistics module" slot of the optimizer
-// architecture the paper's introduction targets.
+// A catalog is a directory of `*.stats` entries, one persisted
+// PathHistogram each (core/serialize.h). This module lists them, verifies
+// them with degraded-mode semantics (a corrupt entry is quarantined into a
+// report, the healthy rest still count), and renders that report as the
+// one JSON shape `pathest_cli catalog verify --json` and the serve
+// daemon's `stats` both print. Loading entries for serving is
+// serve/snapshot_registry.h's job.
 
 #ifndef PATHEST_CORE_CATALOG_H_
 #define PATHEST_CORE_CATALOG_H_
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/path_histogram.h"
-#include "core/serialize.h"
-#include "graph/graph.h"
-#include "path/selectivity.h"
 #include "util/status.h"
 
 namespace pathest {
@@ -51,7 +47,7 @@ struct CatalogEntryInfo {
 /// which were quarantined (and why). A catalog with failures still serves
 /// every healthy entry — one corrupt file must not take down the rest.
 struct CatalogLoadReport {
-  std::vector<std::string> loaded;  // estimator names now registered
+  std::vector<std::string> loaded;  // healthy entry names (file stems)
   std::vector<CatalogLoadFailure> failures;
   /// Format detail per healthy entry, parallel to `loaded` (filled by
   /// VerifyCatalogDir; load paths that do not sniff leave it empty).
@@ -67,8 +63,8 @@ struct CatalogLoadReport {
 Result<CatalogLoadReport> VerifyCatalogDir(const std::string& dir);
 
 /// \brief Sorted `<dir>/*.stats` paths — the one definition of "what is a
-/// catalog entry" shared by VerifyCatalogDir, StatisticsCatalog::LoadAll,
-/// and the serving reload path (serve/snapshot_registry.h). NotFound when
+/// catalog entry" shared by VerifyCatalogDir, online maintenance, and the
+/// serving reload path (serve/snapshot_registry.h). NotFound when
 /// `dir` is not a directory; IOError when it cannot be walked.
 Result<std::vector<std::string>> ListCatalogEntryPaths(const std::string& dir);
 
@@ -86,89 +82,6 @@ std::string CatalogLoadReportToJson(const CatalogLoadReport& report,
 /// \brief Escapes `s` for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string JsonEscape(const std::string& s);
-
-/// \brief Configuration of one catalog entry.
-struct CatalogEntryConfig {
-  /// Ordering method name (MakeOrdering names).
-  std::string ordering = "sum-based";
-  HistogramType histogram_type = HistogramType::kVOptimal;
-  size_t num_buckets = 256;
-};
-
-/// \brief Path-statistics catalog for a single graph.
-class StatisticsCatalog {
- public:
-  /// \brief Runs ANALYZE: computes exact selectivities up to `k` and
-  /// remembers the graph's label statistics. The graph must outlive the
-  /// catalog.
-  static Result<StatisticsCatalog> Analyze(
-      const Graph& graph, size_t k,
-      const SelectivityOptions& options = SelectivityOptions{});
-
-  /// \brief Builds (or replaces) the estimator for `name`.
-  Status BuildEstimator(const std::string& name,
-                        const CatalogEntryConfig& config);
-
-  /// \brief The estimator registered under `name`; NotFound otherwise.
-  Result<const PathHistogram*> GetEstimator(const std::string& name) const;
-
-  /// \brief Estimate via a registered estimator.
-  Result<double> Estimate(const std::string& name,
-                          const LabelPath& path) const;
-
-  /// \brief Exact selectivity from the ANALYZE pass (for validation).
-  uint64_t ExactSelectivity(const LabelPath& path) const;
-
-  /// \brief Names of all registered estimators, sorted.
-  std::vector<std::string> EstimatorNames() const;
-
-  /// \brief Records data-change events (edge insertions/deletions) since
-  /// ANALYZE; drives staleness reporting.
-  void RecordDataChanges(uint64_t num_changes);
-
-  /// \brief Fraction of changed edges since ANALYZE: changes / |E|.
-  /// An engine would re-ANALYZE past a threshold (e.g. 0.1).
-  double Staleness() const;
-
-  /// \brief True when staleness exceeds `threshold`.
-  bool NeedsRefresh(double threshold = 0.1) const {
-    return Staleness() > threshold;
-  }
-
-  /// \brief The ANALYZE-time selectivities.
-  const SelectivityMap& selectivities() const { return *selectivities_; }
-
-  size_t k() const { return selectivities_->space().k(); }
-
-  /// \brief Persists every serializable estimator to `<dir>/<name>.stats`
-  /// in `format`, each through an atomic temp+fsync+rename write
-  /// (util/safe_io.h): a crash or failure mid-save leaves every previously
-  /// existing entry byte-identical. Non-serializable entries
-  /// (ideal/random/sum-L2) are skipped and reported in `skipped`.
-  Status SaveAll(const std::string& dir,
-                 std::vector<std::string>* skipped = nullptr,
-                 CatalogFormat format = CatalogFormat::kText) const;
-
-  /// \brief Restores persisted estimators from `<dir>/*.stats` (either
-  /// format, sniffed) with graceful degradation: a corrupt or unreadable
-  /// entry is quarantined into `report->failures` (path, section, error)
-  /// and the remaining entries still load and serve. Entries register
-  /// under their file stem, replacing same-named estimators. Returns
-  /// non-OK only when the directory itself is unreadable — per-entry
-  /// corruption is a report, not an abort.
-  Status LoadAll(const std::string& dir,
-                 CatalogLoadReport* report = nullptr);
-
- private:
-  StatisticsCatalog(const Graph* graph,
-                    std::unique_ptr<SelectivityMap> selectivities);
-
-  const Graph* graph_;
-  std::unique_ptr<SelectivityMap> selectivities_;
-  std::map<std::string, std::unique_ptr<PathHistogram>> estimators_;
-  uint64_t analyzed_edges_ = 0;
-  uint64_t data_changes_ = 0;
-};
 
 }  // namespace pathest
 

@@ -6,8 +6,7 @@
 
 namespace pathest {
 
-CatalogCache::CatalogCache(CatalogCacheOptions options)
-    : options_(options) {}
+CatalogCache::CatalogCache(size_t byte_budget) : byte_budget_(byte_budget) {}
 
 Result<std::shared_ptr<const MappedCatalogEntry>> CatalogCache::GetOrOpen(
     const std::string& path) {
@@ -26,7 +25,7 @@ Result<std::shared_ptr<const MappedCatalogEntry>> CatalogCache::GetOrOpen(
   }
   if (!id.ok()) return id.status();
 
-  auto entry = MappedCatalogEntry::Open(path, options_.verify);
+  auto entry = MappedCatalogEntry::Open(path, CatalogVerify::kChecksums);
   if (!entry.ok()) return entry.status();
   ++misses_;
   slots_[path] = Slot{*entry, ++clock_};
@@ -49,7 +48,7 @@ size_t CatalogCache::MappedTotalLocked() const {
 
 void CatalogCache::EvictLocked() {
   size_t total = MappedTotalLocked();
-  while (total > options_.byte_budget) {
+  while (total > byte_budget_) {
     auto victim = slots_.end();
     for (auto it = slots_.begin(); it != slots_.end(); ++it) {
       // use_count() == 1 under mu_ means the cache holds the ONLY
@@ -72,7 +71,7 @@ CatalogCacheStats CatalogCache::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CatalogCacheStats stats;
   stats.entries = slots_.size();
-  stats.byte_budget = options_.byte_budget;
+  stats.byte_budget = byte_budget_;
   stats.hits = hits_;
   stats.misses = misses_;
   stats.evictions = evictions_;

@@ -9,6 +9,10 @@
 // bytes are unchanged, and the reload re-pins the EXISTING mapping — a
 // version swap without re-reading a byte.
 //
+// Admission verifies at CatalogVerify::kChecksums: every bulk byte is
+// CRC'd once per file generation, which is what makes serving estimates
+// off the mapping safe.
+//
 // Residency is bounded by a byte budget over mapped (not resident) bytes:
 // when inserting pushes the total over budget, unpinned entries — those
 // whose only reference is the cache's own — are evicted in LRU order.
@@ -38,16 +42,6 @@
 
 namespace pathest {
 
-struct CatalogCacheOptions {
-  /// Mapped-byte budget; 0 means "evict everything unpinned eagerly".
-  size_t byte_budget = 256ull << 20;
-  /// Admission verification tier. kChecksums (default) CRCs every bulk
-  /// byte once per file generation, which is what makes serving estimates
-  /// off the mapping safe; kTrusted is for benchmarks and pre-verified
-  /// restarts only.
-  CatalogVerify verify = CatalogVerify::kChecksums;
-};
-
 /// \brief Per-entry snapshot of cache state (serve `stats` reporting).
 struct CatalogCacheEntryStats {
   std::string path;
@@ -72,7 +66,9 @@ struct CatalogCacheStats {
 /// \brief Thread-safe LRU cache of MappedCatalogEntry by path.
 class CatalogCache {
  public:
-  explicit CatalogCache(CatalogCacheOptions options = {});
+  /// \param byte_budget mapped-byte budget; 0 means "evict everything
+  ///   unpinned eagerly".
+  explicit CatalogCache(size_t byte_budget = 256ull << 20);
 
   /// \brief Returns the cached mapping for `path` if its FileId still
   /// matches the file on disk (a HIT — re-pin, no I/O beyond one stat);
@@ -91,7 +87,7 @@ class CatalogCache {
 
   CatalogCacheStats Stats() const;
 
-  size_t byte_budget() const { return options_.byte_budget; }
+  size_t byte_budget() const { return byte_budget_; }
 
  private:
   struct Slot {
@@ -104,7 +100,7 @@ class CatalogCache {
   void EvictLocked();
   size_t MappedTotalLocked() const;
 
-  CatalogCacheOptions options_;
+  const size_t byte_budget_;
   mutable std::mutex mu_;
   std::map<std::string, Slot> slots_;
   uint64_t clock_ = 0;

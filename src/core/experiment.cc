@@ -217,44 +217,6 @@ Result<std::vector<AccuracyResult>> MeasureAccuracySweep(
   return grid;
 }
 
-Result<TimingResult> MeasureEstimationTime(const Graph& graph,
-                                           const SelectivityMap& selectivities,
-                                           const std::string& ordering_name,
-                                           size_t k, size_t beta,
-                                           HistogramType histogram_type,
-                                           size_t repetitions) {
-  auto ordering =
-      MakeOrderingWithSelectivities(ordering_name, graph, k, selectivities);
-  if (!ordering.ok()) return ordering.status();
-  auto estimator = PathHistogram::Build(selectivities, std::move(*ordering),
-                                        histogram_type, beta);
-  if (!estimator.ok()) return estimator.status();
-
-  PathSpace space(graph.num_labels(), k);
-  std::vector<LabelPath> workload = AllPathsWorkload(space);
-
-  TimingResult result;
-  result.ordering = estimator->ordering().name();
-  result.beta = beta;
-
-  // Accumulate estimates into a sink so the calls cannot be optimized away.
-  double sink = 0.0;
-  Timer timer;
-  for (size_t rep = 0; rep < repetitions; ++rep) {
-    for (const LabelPath& path : workload) {
-      sink += estimator->Estimate(path);
-    }
-  }
-  double total_us = timer.ElapsedMicros();
-  result.calls = static_cast<uint64_t>(repetitions) * workload.size();
-  result.avg_estimate_us =
-      result.calls == 0 ? 0.0 : total_us / static_cast<double>(result.calls);
-  // Fold the sink into the result in a way that never changes it, defeating
-  // dead-code elimination without affecting output.
-  if (sink == -1.0) result.calls += 1;
-  return result;
-}
-
 Result<std::vector<TimingResult>> MeasureTimingSweep(
     const Graph& graph, const SelectivityMap& selectivities,
     const std::vector<std::string>& ordering_names, size_t k,

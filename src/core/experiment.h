@@ -125,22 +125,9 @@ struct TimingResult {
   uint64_t calls = 0;
   /// Serving-resident footprint of the estimator answering the cell's
   /// queries (Estimator::ResidentBytes — the flat bucket index), surfaced
-  /// in the Table 4 report. 0 when the cell was measured on the legacy
-  /// path (MeasureEstimationTime).
+  /// in the Table 4 report.
   size_t estimator_bytes = 0;
 };
-
-/// \brief Average per-query estimation time for one (ordering, beta) cell,
-/// replaying every path in L_k `repetitions` times — on the LEGACY path
-/// (virtual Rank + diagnostic bucket binary search,
-/// PathHistogram::Estimate). Kept as the reference the fast path is
-/// measured against (bench/bench_micro_estimation.cc).
-Result<TimingResult> MeasureEstimationTime(const Graph& graph,
-                                           const SelectivityMap& selectivities,
-                                           const std::string& ordering_name,
-                                           size_t k, size_t beta,
-                                           HistogramType histogram_type,
-                                           size_t repetitions);
 
 /// \brief Batched timing grid — the paper's Table 4 block in one call.
 /// Histograms come from the shared-stats sweep engine (one build pass per

@@ -2,18 +2,21 @@
 //
 // A production optimizer keeps its statistics in the catalog and reloads
 // them at startup rather than rescanning the data. This module serializes a
-// PathHistogram (ordering identity + ranking state + buckets) in two
+// PathHistogram (ordering identity + ranking state + buckets) in three
 // formats and reconstructs a working estimator WITHOUT access to the
 // original selectivities:
 //
 //   - a versioned, human-auditable TEXT format (the interchange/debug
-//     path), and
-//   - a versioned, checksummed BINARY catalog (format v1, below) — the
-//     serving format, whose section layout is designed so a future tier
-//     can mmap it and fix up pointers instead of parsing.
+//     path),
+//   - a versioned, checksummed BINARY catalog v1 (below), the section
+//     layout v2 grew out of, and
+//   - BINARY catalog v2 (below) — the serving format: page-aligned so the
+//     daemon maps it and fixes up pointers instead of parsing
+//     (core/mapped_catalog.h), and the format online maintenance
+//     re-persists every entry in (maint/online_maintenance.h).
 //
 // LoadPathHistogram sniffs the leading magic and dispatches, so every
-// caller (CLI, catalog, benches) reads both formats transparently.
+// caller (CLI, catalog, benches) reads all three formats transparently.
 //
 // ---------------------------------------------------------------------------
 // Text format ("pathest-histogram v1"), line-oriented:
@@ -153,7 +156,7 @@ namespace pathest {
 /// \brief On-disk representation of a persisted estimator.
 enum class CatalogFormat {
   kText,      // line-oriented, human-auditable (interchange/debug)
-  kBinary,    // checksummed section-table binary v1 (serving)
+  kBinary,    // checksummed section-table binary v1 (copied on load)
   kBinaryV2,  // page-aligned binary v2 (mmap zero-copy serving)
 };
 

@@ -82,6 +82,8 @@ bool ValidFrameAt(std::string_view bytes, size_t offset) {
   return Crc32cUnmask(masked) == crc;
 }
 
+// On error `out` still holds the valid prefix: the records before the
+// first bad frame, with last_good_offset at that frame.
 Status ScanBytes(std::string_view bytes, const std::string& path,
                  JournalScanResult* out) {
   out->file_bytes = bytes.size();
@@ -111,6 +113,7 @@ Status ScanBytes(std::string_view bytes, const std::string& path,
       for (size_t probe = offset + 1;
            probe + kFrameOverhead <= bytes.size(); ++probe) {
         if (ValidFrameAt(bytes, probe)) {
+          out->last_good_offset = offset;
           return Status::IOError(
               "'" + path + "': corrupt frame at offset " +
               std::to_string(offset) +
@@ -128,6 +131,7 @@ Status ScanBytes(std::string_view bytes, const std::string& path,
     Status st = ParsePayload(
         std::string_view(bytes.data() + offset + kFrameOverhead, len), &rec);
     if (!st.ok()) {
+      out->last_good_offset = offset;
       return Status::IOError("'" + path + "': frame at offset " +
                              std::to_string(offset) + ": " + st.message());
     }
@@ -200,6 +204,17 @@ Result<JournalScanResult> ScanDeltaJournal(const std::string& path) {
   PATHEST_RETURN_NOT_OK(ReadFileToString(path, &bytes));
   JournalScanResult result;
   PATHEST_RETURN_NOT_OK(ScanBytes(bytes, path, &result));
+  return result;
+}
+
+Result<JournalScanResult> SalvageDeltaJournalPrefix(const std::string& path) {
+  std::string bytes;
+  PATHEST_RETURN_NOT_OK(ReadFileToString(path, &bytes));
+  JournalScanResult result;
+  // Whatever its verdict, the scan stops at the first bad frame, so what
+  // it parsed is exactly the prefix.
+  (void)ScanBytes(bytes, path, &result);
+  result.tail_bytes = result.file_bytes - result.last_good_offset;
   return result;
 }
 

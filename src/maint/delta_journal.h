@@ -33,8 +33,11 @@
 //
 //   * A bad frame with ANY structurally-valid frame after it is MID-FILE
 //     corruption: truncating at the bad frame would drop the acknowledged
-//     records behind it. That is a hard IOError — the caller quarantines
-//     the journal (renames it aside) and serves the last good snapshot.
+//     records behind it. That is a hard IOError. The caller salvages the
+//     valid records BEFORE the bad frame (SalvageDeltaJournalPrefix),
+//     replays those and nothing after them — a frame past the damage may
+//     depend on the lost one, so replaying it could build a state that
+//     never existed — and quarantines the journal (renames it aside).
 //
 // Replay is idempotent: the graph has set semantics (duplicate edges
 // dedup at build), so adding a present edge or removing an absent one is a
@@ -160,6 +163,14 @@ struct JournalScanResult {
 /// not exist; IOError on a bad header or mid-file corruption (see the
 /// recovery contract above); a torn tail is OK with torn_tail set.
 Result<JournalScanResult> ScanDeltaJournal(const std::string& path);
+
+/// \brief The acknowledged prefix of a journal ScanDeltaJournal rejects
+/// (mid-file corruption, an unparseable payload, a bad header): every
+/// valid record before the first bad frame and none after it.
+/// last_good_offset is that frame's offset and tail_bytes the bytes from
+/// it to the end of the file — what a quarantine loses. Does not modify
+/// the file; fails only when it cannot be read.
+Result<JournalScanResult> SalvageDeltaJournalPrefix(const std::string& path);
 
 /// \brief Scan + amputation: like ScanDeltaJournal, but a torn tail is
 /// durably truncated away (truncate + fsync) so subsequent appends land on

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/catalog.h"
+#include "core/serialize.h"
 #include "graph/graph_io.h"
 #include "ordering/factory.h"
 #include "util/crc32c.h"
@@ -42,6 +43,16 @@ std::string EntryNameFromPath(const std::string& path) {
   const size_t dot = stem.find_last_of('.');
   if (dot != std::string::npos) stem.resize(dot);
   return stem;
+}
+
+// Renames the journal to <journal>.quarantine; returns the new path.
+Result<std::string> MoveJournalAside(const std::string& journal) {
+  const std::string aside = journal + ".quarantine";
+  if (std::rename(journal.c_str(), aside.c_str()) != 0) {
+    return Status::IOError("quarantine rename '" + journal +
+                           "': " + std::strerror(errno));
+  }
+  return aside;
 }
 
 std::vector<DeltaRecord> RecordsFromDeltas(
@@ -221,28 +232,26 @@ Status OnlineMaintenance::Recover(RecoveryReport* report) {
     }
   }
 
-  // Journal: recover (amputating a torn tail), or quarantine it on hard
-  // corruption and serve the base state.
+  // Journal: recover (amputating a torn tail). Hard corruption keeps only
+  // the valid prefix before the first bad frame — replaying anything past
+  // the damage could build a state that never existed — and quarantines
+  // the file below, once that prefix is folded into the base.
   std::vector<DeltaRecord> records;
-  auto quarantine_now = [&](const std::string& why) -> Status {
-    const std::string aside = JournalPath() + ".quarantine";
-    if (std::rename(JournalPath().c_str(), aside.c_str()) != 0) {
-      return Status::IOError("quarantine rename '" + JournalPath() +
-                             "': " + std::strerror(errno));
-    }
-    report->quarantined = true;
-    report->quarantine_path = aside;
-    report->detail = why;
-    records.clear();
-    return Status::OK();
-  };
   auto recovered_scan = RecoverDeltaJournal(JournalPath());
+  const bool damaged = !recovered_scan.ok() &&
+                       recovered_scan.status().code() != StatusCode::kNotFound;
   if (recovered_scan.ok()) {
     records = std::move(recovered_scan->records);
     report->torn_tail_truncated = recovered_scan->torn_tail;
     report->torn_bytes = recovered_scan->tail_bytes;
-  } else if (recovered_scan.status().code() != StatusCode::kNotFound) {
-    PATHEST_RETURN_NOT_OK(quarantine_now(recovered_scan.status().message()));
+  } else if (damaged) {
+    report->quarantined = true;
+    report->detail = recovered_scan.status().message();
+    auto salvage = SalvageDeltaJournalPrefix(JournalPath());
+    if (salvage.ok()) {
+      records = std::move(salvage->records);
+      report->lost_bytes = salvage->tail_bytes;
+    }
   }
 
   for (const DeltaRecord& rec : records) {
@@ -271,8 +280,9 @@ Status OnlineMaintenance::Recover(RecoveryReport* report) {
       report->replayed_records = records.size();
       report->replayed_edges = deltas.size();
     } else {
-      PATHEST_RETURN_NOT_OK(
-          quarantine_now("journal replay failed: " + replay.message()));
+      report->quarantined = true;
+      report->detail = "journal replay failed: " + replay.message();
+      records.clear();
     }
   }
   if (!applied_deltas) {
@@ -281,6 +291,13 @@ Status OnlineMaintenance::Recover(RecoveryReport* report) {
   }
 
   if (report->quarantined) {
+    if (damaged) report->salvaged_records = records.size();
+    // Rebase BEFORE moving the journal aside: a crash in between salvages
+    // the same prefix again over the new base, where replay is a no-op.
+    PATHEST_RETURN_NOT_OK(SaveBase());
+    auto aside = MoveJournalAside(JournalPath());
+    PATHEST_RETURN_NOT_OK(aside.status());
+    report->quarantine_path = std::move(*aside);
     PATHEST_RETURN_NOT_OK(ResetDeltaJournal(JournalPath(), epoch_));
     records.clear();
   }
@@ -395,13 +412,17 @@ Result<RefreshOutcome> OnlineMaintenance::Refresh() {
   return outcome;
 }
 
-Status OnlineMaintenance::RebaseAndResetJournal() {
+Status OnlineMaintenance::SaveBase() {
   std::ostringstream canonical;
   PATHEST_RETURN_NOT_OK(WriteGraphText(*graph_, &canonical));
   const std::string text = std::move(canonical).str();
   PATHEST_RETURN_NOT_OK(AtomicWriteFile(BaseGraphPath(), text));
   base_graph_crc_ = Crc32c(text.data(), text.size());
-  PATHEST_RETURN_NOT_OK(SaveBaseMap(*map_));
+  return SaveBaseMap(*map_);
+}
+
+Status OnlineMaintenance::RebaseAndResetJournal() {
+  PATHEST_RETURN_NOT_OK(SaveBase());
 
   std::lock_guard<std::mutex> lock(journal_mu_);
   writer_.Close();
@@ -427,14 +448,13 @@ Result<std::string> OnlineMaintenance::QuarantineJournal(
     const std::string& reason) {
   PATHEST_CHECK(recovered_, "QuarantineJournal before Recover");
   (void)reason;  // callers log it; the journal content speaks for itself
-  const std::string aside = JournalPath() + ".quarantine";
+  std::string aside;
   {
     std::lock_guard<std::mutex> lock(journal_mu_);
     writer_.Close();
-    if (std::rename(JournalPath().c_str(), aside.c_str()) != 0) {
-      return Status::IOError("quarantine rename '" + JournalPath() +
-                             "': " + std::strerror(errno));
-    }
+    auto moved = MoveJournalAside(JournalPath());
+    PATHEST_RETURN_NOT_OK(moved.status());
+    aside = std::move(*moved);
     pending_.clear();
     // Every journaled ticket is now RESOLVED (applied earlier, or dropped
     // just now) — without this, waiters on dropped batches and every
@@ -464,9 +484,10 @@ Status OnlineMaintenance::PersistEntriesFor(
                                           entry.histogram_type,
                                           entry.num_buckets);
     PATHEST_RETURN_NOT_OK(estimator.status());
+    // v2 is the format the daemon serves zero-copy from the mapping.
     PATHEST_RETURN_NOT_OK(SavePathHistogram(
         *estimator, graph, options_.catalog_dir + "/" + entry.name + ".stats",
-        options_.save_format));
+        CatalogFormat::kBinaryV2));
     if (refreshed != nullptr) refreshed->push_back(entry.name);
   }
   return Status::OK();

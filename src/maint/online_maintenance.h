@@ -9,7 +9,7 @@
 //                                      base.graph at depth k
 //   <catalog_dir>/maint/deltas.journal edge-delta WAL (delta_journal.h)
 //   <catalog_dir>/*.stats              the served entries, re-persisted
-//                                      after every refresh
+//                                      as binary v2 after every refresh
 //
 // Invariant: base.map == ComputeSelectivities(base.graph, k), and the
 // journal holds every acknowledged delta since base.graph. The current
@@ -26,9 +26,15 @@
 // journal (torn tails amputated — the expected crash artifact), replay
 // its deltas through PatchGraph + IncrementalSelectivities, re-persist
 // every entry, and hand the daemon a fresh-statistics catalog. A journal
-// with MID-FILE corruption, or a replay/rebuild failure, quarantines the
-// journal to `<journal>.quarantine` and serves the base state — degraded,
-// observable in `stats`, never an outage.
+// with MID-FILE corruption replays only its valid prefix (the records
+// before the first bad frame), then is quarantined to
+// `<journal>.quarantine` and the recovered state becomes the new base. A
+// replay/rebuild failure quarantines the same way and serves the base
+// state — degraded, observable in `stats`, never an outage.
+//
+// Entries are re-persisted as binary v2 (core/serialize.h), the format
+// the daemon serves zero-copy from the mapping (core/catalog_cache.h),
+// whatever format they started in.
 //
 // Threading: JournalDeltas and pending_count are internally synchronized
 // (request workers call them concurrently).
@@ -47,7 +53,6 @@
 #include <string>
 #include <vector>
 
-#include "core/serialize.h"
 #include "graph/graph.h"
 #include "histogram/builders.h"
 #include "maint/delta_journal.h"
@@ -71,8 +76,6 @@ struct MaintenanceOptions {
   /// Rebuild engine knobs (threads, pair guard).
   /// max_pairs_per_prefix must not shrink between builds of the same base.
   SelectivityOptions selectivity;
-  /// Format for re-persisted entries.
-  CatalogFormat save_format = CatalogFormat::kBinary;
   /// Auto-compact when the journal holds at least this many records
   /// (0 = only explicit Compact calls).
   uint64_t compact_every_records = 4096;
@@ -96,7 +99,13 @@ struct RecoveryReport {
   bool torn_tail_truncated = false;
   uint64_t torn_bytes = 0;
   bool bootstrapped_base = false;  ///< base.map rebuilt from scratch
-  bool quarantined = false;        ///< journal moved aside, serving base
+  bool quarantined = false;        ///< journal moved aside
+  /// Valid records before a mid-file corruption that were replayed
+  /// (0 when the journal was healthy or its replay failed).
+  uint64_t salvaged_records = 0;
+  /// Bytes from the first bad frame to the end of a mid-file-corrupt
+  /// journal, none of which were replayed.
+  uint64_t lost_bytes = 0;
   std::string quarantine_path;
   std::string detail;  ///< human-readable quarantine / bootstrap reason
 };
@@ -185,14 +194,16 @@ class OnlineMaintenance {
   // base_graph_crc_ to the CRC32C of the on-disk bytes.
   Status LoadOrBootstrapBaseGraph(std::unique_ptr<Graph>* base_graph);
   // Rebuilds every EntryConfig from (graph, map) and atomically persists
-  // them to <catalog_dir>/<name>.stats.
+  // them to <catalog_dir>/<name>.stats as binary v2.
   Status PersistEntriesFor(const Graph& graph, const SelectivityMap& map,
                            std::vector<std::string>* refreshed);
   Status SaveBaseMap(const SelectivityMap& map);
   Result<SelectivityMap> LoadBaseMap();
-  // The shared tail of Compact and QuarantineJournal: current state →
-  // base.graph + base.map, journal reset to a compaction marker, pending
-  // deltas re-journaled.
+  // Current state → base.graph, then base.map (stamped with the new
+  // graph's CRC).
+  Status SaveBase();
+  // The shared tail of Compact and QuarantineJournal: SaveBase, journal
+  // reset to a compaction marker, pending deltas re-journaled.
   Status RebaseAndResetJournal();
 
   MaintenanceOptions options_;

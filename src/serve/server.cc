@@ -28,8 +28,7 @@ std::string BoolJson(bool b) { return b ? "true" : "false"; }
 
 ServeServer::ServeServer(ServeOptions options)
     : options_(std::move(options)),
-      mmap_cache_(CatalogCacheOptions{options_.mmap_cache_bytes,
-                                      CatalogVerify::kChecksums}),
+      mmap_cache_(options_.mmap_cache_bytes),
       pending_(options_.queue_capacity) {}
 
 ServeServer::~ServeServer() {
@@ -72,6 +71,9 @@ Status ServeServer::Start() {
     json += ",\"torn_bytes\":" + std::to_string(recovery.torn_bytes);
     json += ",\"bootstrapped_base\":" + BoolJson(recovery.bootstrapped_base);
     json += ",\"quarantined\":" + BoolJson(recovery.quarantined);
+    json += ",\"salvaged_records\":" +
+            std::to_string(recovery.salvaged_records);
+    json += ",\"lost_bytes\":" + std::to_string(recovery.lost_bytes);
     json += ",\"detail\":\"" + JsonEscape(recovery.detail) + "\"}";
     {
       std::lock_guard<std::mutex> lock(report_mu_);
@@ -84,7 +86,7 @@ Status ServeServer::Start() {
   // unreadable directory is fatal — a daemon that can start degraded
   // beats one that refuses to start.
   auto loaded =
-      LoadCatalogSnapshots(options_.catalog_dir, /*version=*/1, &mmap_cache_);
+      LoadCatalogSnapshots(options_.catalog_dir, /*version=*/1, mmap_cache_);
   if (!loaded.ok()) return loaded.status();
   initial_report_ = std::move(loaded->report);
   auto state = std::make_shared<RegistryState>();
@@ -423,7 +425,7 @@ std::string ServeServer::HandleReload(const Request& request) {
 std::string ServeServer::ReloadLocked(const std::string& dir) {
   const auto current = registry_.Get();
   const uint64_t next_version = current->version + 1;
-  auto loaded = LoadCatalogSnapshots(dir, next_version, &mmap_cache_);
+  auto loaded = LoadCatalogSnapshots(dir, next_version, mmap_cache_);
   if (!loaded.ok()) {
     // The directory itself was unreadable: nothing is swapped, every
     // previous snapshot keeps serving, and the failure is recorded.

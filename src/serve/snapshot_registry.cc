@@ -8,46 +8,44 @@ namespace serve {
 
 Result<SnapshotLoadResult> LoadCatalogSnapshots(const std::string& dir,
                                                 uint64_t version,
-                                                CatalogCache* mmap_cache) {
+                                                CatalogCache& mmap_cache) {
   auto entries = ListCatalogEntryPaths(dir);
   if (!entries.ok()) return entries.status();
   SnapshotLoadResult result;
   for (const std::string& path : *entries) {
     const std::string name = std::filesystem::path(path).stem().string();
-    if (mmap_cache != nullptr) {
-      auto is_v2 = SniffFileIsBinaryV2(path);
-      if (is_v2.ok() && *is_v2) {
-        // Zero-copy path: an unchanged file re-pins its cached mapping; a
-        // changed one is mapped and admission-verified. Failures follow
-        // the same quarantine contract as the copying path below.
-        auto mapped = mmap_cache->GetOrOpen(path);
-        if (!mapped.ok()) {
-          result.report.failures.push_back(
-              MakeCatalogLoadFailure(path, mapped.status()));
-          continue;
-        }
-        result.snapshots[name] = std::make_shared<const ServingSnapshot>(
-            name, std::move(*mapped), version);
-        result.report.loaded.push_back(name);
-        continue;
-      }
-      if (!is_v2.ok()) {
-        result.report.failures.push_back(
-            MakeCatalogLoadFailure(path, is_v2.status()));
-        continue;
-      }
-    }
-    auto loaded = LoadPathHistogram(path);
-    if (!loaded.ok()) {
-      // Same quarantine shape as StatisticsCatalog::LoadAll: the failure
-      // is recorded (path + implicated section + typed error) and the
-      // remaining entries still become snapshots.
+    // Zero-copy path for v2: an unchanged file re-pins its cached mapping;
+    // a changed one is mapped and admission-verified. Text and v1 entries
+    // are deserialized into an owned copy. Either way a failure is
+    // quarantined (path + implicated section + typed error) and the
+    // remaining entries still become snapshots.
+    auto is_v2 = SniffFileIsBinaryV2(path);
+    if (!is_v2.ok()) {
       result.report.failures.push_back(
-          MakeCatalogLoadFailure(path, loaded.status()));
+          MakeCatalogLoadFailure(path, is_v2.status()));
       continue;
     }
-    result.snapshots[name] = std::make_shared<const ServingSnapshot>(
-        name, std::move(*loaded), version);
+    std::shared_ptr<const ServingSnapshot> snapshot;
+    if (*is_v2) {
+      auto mapped = mmap_cache.GetOrOpen(path);
+      if (!mapped.ok()) {
+        result.report.failures.push_back(
+            MakeCatalogLoadFailure(path, mapped.status()));
+        continue;
+      }
+      snapshot = std::make_shared<const ServingSnapshot>(
+          name, std::move(*mapped), version);
+    } else {
+      auto loaded = LoadPathHistogram(path);
+      if (!loaded.ok()) {
+        result.report.failures.push_back(
+            MakeCatalogLoadFailure(path, loaded.status()));
+        continue;
+      }
+      snapshot = std::make_shared<const ServingSnapshot>(
+          name, std::move(*loaded), version);
+    }
+    result.snapshots[name] = std::move(snapshot);
     result.report.loaded.push_back(name);
   }
   return result;

@@ -24,9 +24,9 @@
 //
 //   * LoadCatalogSnapshots is the reload path: it walks a catalog
 //     directory with the same verify-and-quarantine semantics as
-//     VerifyCatalogDir + StatisticsCatalog::LoadAll (core/catalog.h) in a
-//     single pass, building a replacement snapshot per healthy entry and a
-//     CatalogLoadReport naming every corrupt one. The caller (the server's
+//     VerifyCatalogDir (core/catalog.h) in a single pass, building a
+//     replacement snapshot per healthy entry and a CatalogLoadReport
+//     naming every corrupt one. The caller (the server's
 //     reload handler) then merges: healthy entries swap in, corrupt
 //     entries KEEP their previous snapshot (degraded serving, not an
 //     outage), entries whose file vanished are dropped.
@@ -211,16 +211,14 @@ struct SnapshotLoadResult {
 /// VerifyCatalogDir) and the rest still load; only an unreadable directory
 /// fails the whole call.
 ///
-/// With a non-null `mmap_cache`, binary-v2 entries are served ZERO-COPY
-/// through the cache: an unchanged file re-pins its existing mapping (no
-/// bytes re-read, no re-verification), a changed one is mapped and
-/// admission-verified at the cache's tier. A v2 entry the cache rejects is
-/// quarantined exactly like a corrupt copied entry. Text and v1 entries
-/// always take the copying path.
+/// Binary-v2 entries are served ZERO-COPY through `mmap_cache`: an
+/// unchanged file re-pins its existing mapping (no bytes re-read, no
+/// re-verification), a changed one is mapped and admission-verified. A v2
+/// entry the cache rejects is quarantined exactly like a corrupt copied
+/// entry. Text and v1 entries take the copying path.
 Result<SnapshotLoadResult> LoadCatalogSnapshots(const std::string& dir,
                                                 uint64_t version,
-                                                CatalogCache* mmap_cache =
-                                                    nullptr);
+                                                CatalogCache& mmap_cache);
 
 }  // namespace serve
 }  // namespace pathest

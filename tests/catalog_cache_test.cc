@@ -115,7 +115,7 @@ TEST_F(CatalogCacheTest, LruEvictionUnderBudget) {
   }
   const size_t one = fs::file_size(paths[0]);
   // Budget for two entries; all four files are the same size.
-  CatalogCache cache(CatalogCacheOptions{2 * one, CatalogVerify::kChecksums});
+  CatalogCache cache(2 * one);
   for (const std::string& p : paths) {
     auto e = cache.GetOrOpen(p);
     ASSERT_TRUE(e.ok()) << e.status().ToString();
@@ -144,7 +144,7 @@ TEST_F(CatalogCacheTest, PinnedSnapshotsSurviveBudgetPressure) {
                               "sum-based", 3, 6));
   }
   // A budget of ZERO: nothing unpinned may stay resident at all.
-  CatalogCache cache(CatalogCacheOptions{0, CatalogVerify::kChecksums});
+  CatalogCache cache(0);
   auto pinned = cache.GetOrOpen(paths[0]);
   ASSERT_TRUE(pinned.ok());
   for (const std::string& p : paths) {
@@ -246,8 +246,7 @@ TEST_F(CatalogCacheTest, EvictionRepinTortureMatchesSerialOracle) {
 
   // Budget of ~one entry: the churn thread's opens constantly evict the
   // hot entry whenever it is unpinned.
-  CatalogCache cache(
-      CatalogCacheOptions{gen_a.size(), CatalogVerify::kChecksums});
+  CatalogCache cache(gen_a.size());
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
 

@@ -1,205 +1,155 @@
-// Tests for the StatisticsCatalog integration layer.
+// Tests for the catalog-directory layer (core/catalog.h) and the serving
+// loader built on it (serve/snapshot_registry.h): what counts as an entry,
+// the graph-free verify walk with its per-entry format detail, the JSON
+// report shape, v2 entries served mapped beside copied text/v1 entries,
+// and NotFound on a missing directory from every loader.
+
+#include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/catalog.h"
+#include "core/catalog_cache.h"
 #include "core/serialize.h"
+#include "ordering/factory.h"
+#include "path/selectivity.h"
+#include "serve/snapshot_registry.h"
 #include "test_util.h"
 
 namespace pathest {
 namespace {
 
+namespace fs = std::filesystem;
 using testing_util::SmallGraph;
 
 class CatalogTest : public ::testing::Test {
  protected:
-  CatalogTest() : graph_(SmallGraph()) {}
+  CatalogTest() : graph_(SmallGraph()) {
+    dir_ = fs::temp_directory_path() /
+           ("pathest_catalog_" + std::to_string(::getpid()));
+    fs::create_directories(dir_);
+    auto map = ComputeSelectivities(graph_, 3);
+    PATHEST_CHECK(map.ok(), "selectivities failed");
+    auto ordering = MakeOrderingWithSelectivities("sum-based", graph_, 3, *map);
+    PATHEST_CHECK(ordering.ok(), "ordering failed");
+    auto est = PathHistogram::Build(*map, std::move(*ordering),
+                                    HistogramType::kVOptimal, 8);
+    PATHEST_CHECK(est.ok(), "estimator failed");
+    estimator_ = std::make_unique<PathHistogram>(std::move(*est));
+  }
 
-  StatisticsCatalog MakeCatalog(size_t k = 3) {
-    auto catalog = StatisticsCatalog::Analyze(graph_, k);
-    PATHEST_CHECK(catalog.ok(), "analyze failed");
-    return std::move(*catalog);
+  ~CatalogTest() override { fs::remove_all(dir_); }
+
+  // Persists the fixture's estimator as <dir>/<name>.stats in `format`.
+  std::string Save(const std::string& name, CatalogFormat format) {
+    const std::string path = (dir_ / (name + ".stats")).string();
+    PATHEST_CHECK(SavePathHistogram(*estimator_, graph_, path, format).ok(),
+                  "save failed");
+    return path;
+  }
+
+  // One entry per format: text, binary v1, binary v2.
+  void SaveEveryFormat() {
+    Save("t", CatalogFormat::kText);
+    Save("v1", CatalogFormat::kBinary);
+    Save("v2", CatalogFormat::kBinaryV2);
   }
 
   Graph graph_;
+  fs::path dir_;
+  std::unique_ptr<PathHistogram> estimator_;
 };
 
-TEST_F(CatalogTest, AnalyzeComputesExactSelectivities) {
-  StatisticsCatalog catalog = MakeCatalog();
-  LabelId a = *graph_.labels().Find("a");
-  EXPECT_EQ(catalog.ExactSelectivity(LabelPath{a}),
-            graph_.LabelCardinality(a));
-  EXPECT_EQ(catalog.k(), 3u);
+TEST_F(CatalogTest, EntryPathsAreSortedStatsFilesOnly) {
+  Save("b", CatalogFormat::kText);
+  Save("a", CatalogFormat::kBinaryV2);
+  std::ofstream(dir_ / "notes.txt") << "not an entry\n";
+  fs::create_directories(dir_ / "dir.stats");  // a directory, not a file
+  auto paths = ListCatalogEntryPaths(dir_.string());
+  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  EXPECT_EQ(*paths, (std::vector<std::string>{(dir_ / "a.stats").string(),
+                                              (dir_ / "b.stats").string()}));
 }
 
-TEST_F(CatalogTest, BuildAndQueryEstimators) {
-  StatisticsCatalog catalog = MakeCatalog();
-  CatalogEntryConfig config;
-  config.ordering = "sum-based";
-  config.num_buckets = 8;
-  ASSERT_TRUE(catalog.BuildEstimator("default", config).ok());
+TEST_F(CatalogTest, VerifyReportsFormatAndAlignmentPerEntry) {
+  SaveEveryFormat();
+  auto report = VerifyCatalogDir(dir_.string());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->fully_healthy());
+  EXPECT_EQ(report->loaded, (std::vector<std::string>{"t", "v1", "v2"}));
+  ASSERT_EQ(report->entries.size(), 3u);
+  EXPECT_EQ(report->entries[0].format, "text");
+  EXPECT_EQ(report->entries[1].format, "binary");
+  EXPECT_EQ(report->entries[2].format, "binary-v2");
+  EXPECT_FALSE(report->entries[0].aligned);
+  EXPECT_FALSE(report->entries[1].aligned);
+  EXPECT_TRUE(report->entries[2].aligned);
 
-  CatalogEntryConfig cheap;
-  cheap.ordering = "num-alph";
-  cheap.histogram_type = HistogramType::kEquiWidth;
-  cheap.num_buckets = 4;
-  ASSERT_TRUE(catalog.BuildEstimator("cheap", cheap).ok());
-
-  EXPECT_EQ(catalog.EstimatorNames(),
-            (std::vector<std::string>{"cheap", "default"}));
-
-  LabelId a = *graph_.labels().Find("a");
-  auto estimate = catalog.Estimate("default", LabelPath{a});
-  ASSERT_TRUE(estimate.ok());
-  EXPECT_GE(*estimate, 0.0);
-
-  auto missing = catalog.Estimate("nope", LabelPath{a});
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  const std::string json = CatalogLoadReportToJson(*report, dir_.string());
+  EXPECT_NE(json.find("\"ok\":3,\"corrupt\":0,\"fully_healthy\":true"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"name\":\"v2\",\"format\":\"binary-v2\","
+                      "\"aligned\":true}"),
+            std::string::npos)
+      << json;
 }
 
-TEST_F(CatalogTest, RebuildReplacesEstimator) {
-  StatisticsCatalog catalog = MakeCatalog();
-  CatalogEntryConfig config;
-  config.num_buckets = 4;
-  ASSERT_TRUE(catalog.BuildEstimator("e", config).ok());
-  config.num_buckets = 16;
-  ASSERT_TRUE(catalog.BuildEstimator("e", config).ok());
-  auto est = catalog.GetEstimator("e");
-  ASSERT_TRUE(est.ok());
-  EXPECT_EQ((*est)->histogram().num_buckets(), 16u);
-  EXPECT_EQ(catalog.EstimatorNames().size(), 1u);
-}
+TEST_F(CatalogTest, SnapshotLoaderMapsV2AndCopiesTextAndV1) {
+  SaveEveryFormat();
+  CatalogCache cache;
+  auto loaded = serve::LoadCatalogSnapshots(dir_.string(), 7, cache);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->report.fully_healthy());
+  ASSERT_EQ(loaded->snapshots.size(), 3u);
+  EXPECT_FALSE(loaded->snapshots.at("t")->is_mapped());
+  EXPECT_FALSE(loaded->snapshots.at("v1")->is_mapped());
+  EXPECT_TRUE(loaded->snapshots.at("v2")->is_mapped());
+  EXPECT_EQ(loaded->snapshots.at("v2")->version(), 7u);
+  EXPECT_EQ(cache.Stats().misses, 1u);
 
-TEST_F(CatalogTest, RejectsPathOutsideSpace) {
-  StatisticsCatalog catalog = MakeCatalog(2);
-  CatalogEntryConfig config;
-  config.num_buckets = 4;
-  ASSERT_TRUE(catalog.BuildEstimator("e", config).ok());
-  LabelId a = *graph_.labels().Find("a");
-  auto too_long = catalog.Estimate("e", LabelPath{a, a, a});
-  EXPECT_EQ(too_long.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(CatalogTest, SupportsIdealAndCompositeEntries) {
-  StatisticsCatalog catalog = MakeCatalog();
-  CatalogEntryConfig ideal;
-  ideal.ordering = "ideal";
-  ideal.num_buckets = 8;
-  EXPECT_TRUE(catalog.BuildEstimator("ideal", ideal).ok());
-  CatalogEntryConfig composite;
-  composite.ordering = "sum-L2";
-  composite.num_buckets = 8;
-  EXPECT_TRUE(catalog.BuildEstimator("l2", composite).ok());
-}
-
-TEST_F(CatalogTest, StalenessTracking) {
-  StatisticsCatalog catalog = MakeCatalog();
-  EXPECT_DOUBLE_EQ(catalog.Staleness(), 0.0);
-  EXPECT_FALSE(catalog.NeedsRefresh());
-  // SmallGraph has 6 edges; 1 change = 16.7% staleness.
-  catalog.RecordDataChanges(1);
-  EXPECT_NEAR(catalog.Staleness(), 1.0 / 6.0, 1e-12);
-  EXPECT_TRUE(catalog.NeedsRefresh(0.1));
-  EXPECT_FALSE(catalog.NeedsRefresh(0.5));
-}
-
-TEST_F(CatalogTest, SaveAllPersistsSerializableEntries) {
-  StatisticsCatalog catalog = MakeCatalog();
-  CatalogEntryConfig sum;
-  sum.ordering = "sum-based";
-  sum.num_buckets = 8;
-  ASSERT_TRUE(catalog.BuildEstimator("sum", sum).ok());
-  CatalogEntryConfig ideal;
-  ideal.ordering = "ideal";
-  ideal.num_buckets = 8;
-  ASSERT_TRUE(catalog.BuildEstimator("ideal", ideal).ok());
-
-  auto dir = std::filesystem::temp_directory_path() / "pathest_catalog_test";
-  std::filesystem::create_directories(dir);
-  std::vector<std::string> skipped;
-  ASSERT_TRUE(catalog.SaveAll(dir.string(), &skipped).ok());
-  EXPECT_EQ(skipped, std::vector<std::string>{"ideal"});
-  ASSERT_TRUE(std::filesystem::exists(dir / "sum.stats"));
-
-  // The persisted estimator answers identically after reload.
-  auto loaded = LoadPathHistogram((dir / "sum.stats").string());
-  ASSERT_TRUE(loaded.ok());
-  auto original = catalog.GetEstimator("sum");
-  ASSERT_TRUE(original.ok());
-  PathSpace space(graph_.num_labels(), 3);
-  space.ForEach([&](const LabelPath& p) {
-    EXPECT_DOUBLE_EQ(loaded->estimator.Estimate(p),
-                     (*original)->Estimate(p));
+  // Every storage form answers bit-identically to the built estimator.
+  RankScratch scratch;
+  scratch.Reserve(graph_.num_labels());
+  PathSpace(graph_.num_labels(), 3).ForEach([&](const LabelPath& p) {
+    const double expected = estimator_->Estimate(p);
+    for (const auto& [name, snapshot] : loaded->snapshots) {
+      EXPECT_EQ(snapshot->estimator().Estimate(p, scratch), expected)
+          << name;
+    }
   });
-  std::filesystem::remove_all(dir);
+
+  // A second walk of the unchanged directory re-pins the v2 mapping.
+  auto again = serve::LoadCatalogSnapshots(dir_.string(), 8, cache);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(cache.Stats().hits, 1u);
+  EXPECT_EQ(cache.Stats().misses, 1u);
 }
 
-TEST_F(CatalogTest, SaveAllBinaryLoadAllRoundTrip) {
-  StatisticsCatalog catalog = MakeCatalog();
-  CatalogEntryConfig config;
-  config.ordering = "sum-based";
-  config.num_buckets = 8;
-  ASSERT_TRUE(catalog.BuildEstimator("sum", config).ok());
-  config.ordering = "lex-card";
-  ASSERT_TRUE(catalog.BuildEstimator("lex", config).ok());
-
-  auto dir =
-      std::filesystem::temp_directory_path() / "pathest_catalog_bin_test";
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(
-      catalog.SaveAll(dir.string(), nullptr, CatalogFormat::kBinary).ok());
-
-  StatisticsCatalog fresh = MakeCatalog();
-  CatalogLoadReport report;
-  ASSERT_TRUE(fresh.LoadAll(dir.string(), &report).ok());
-  EXPECT_TRUE(report.fully_healthy());
-  EXPECT_EQ(report.loaded, (std::vector<std::string>{"lex", "sum"}));
-  PathSpace space(graph_.num_labels(), 3);
-  for (const char* name : {"sum", "lex"}) {
-    auto original = catalog.GetEstimator(name);
-    auto reloaded = fresh.GetEstimator(name);
-    ASSERT_TRUE(original.ok());
-    ASSERT_TRUE(reloaded.ok());
-    space.ForEach([&](const LabelPath& p) {
-      EXPECT_EQ((*reloaded)->Estimate(p), (*original)->Estimate(p)) << name;
-    });
-  }
-  std::filesystem::remove_all(dir);
+TEST_F(CatalogTest, FailureNamesTheImplicatedSection) {
+  const CatalogLoadFailure localized = MakeCatalogLoadFailure(
+      "x.stats", Status::IOError("section histogram: checksum mismatch"));
+  EXPECT_EQ(localized.section, "histogram");
+  EXPECT_EQ(localized.path, "x.stats");
+  const CatalogLoadFailure plain =
+      MakeCatalogLoadFailure("y.stats", Status::IOError("truncated"));
+  EXPECT_EQ(plain.section, "");
+  EXPECT_EQ(JsonEscape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
 }
 
-TEST_F(CatalogTest, LoadAllQuarantinesForeignLabelDictionary) {
-  // An entry persisted against a DIFFERENT graph parses cleanly but would
-  // serve wrong estimates — LoadAll must quarantine it, not register it.
-  auto dir =
-      std::filesystem::temp_directory_path() / "pathest_catalog_foreign";
-  std::filesystem::create_directories(dir);
-  Graph foreign = testing_util::GraphWithCardinalities(
-      {{"x", 3}, {"y", 5}, {"z", 2}});
-  auto foreign_catalog = StatisticsCatalog::Analyze(foreign, 3);
-  ASSERT_TRUE(foreign_catalog.ok());
-  CatalogEntryConfig config;
-  config.ordering = "sum-based";
-  config.num_buckets = 4;
-  ASSERT_TRUE(foreign_catalog->BuildEstimator("foreign", config).ok());
-  ASSERT_TRUE(foreign_catalog->SaveAll(dir.string()).ok());
-
-  StatisticsCatalog catalog = MakeCatalog();
-  CatalogLoadReport report;
-  ASSERT_TRUE(catalog.LoadAll(dir.string(), &report).ok());
-  EXPECT_TRUE(report.loaded.empty());
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_NE(report.failures[0].status.message().find("label dictionary"),
-            std::string::npos);
-  EXPECT_EQ(catalog.EstimatorNames(), std::vector<std::string>{});
-  std::filesystem::remove_all(dir);
-}
-
-TEST_F(CatalogTest, LoadAllMissingDirIsNotFound) {
-  StatisticsCatalog catalog = MakeCatalog();
-  CatalogLoadReport report;
-  EXPECT_EQ(catalog.LoadAll("/nonexistent/catalog_dir", &report).code(),
+TEST_F(CatalogTest, MissingDirIsNotFoundForEveryLoader) {
+  const std::string missing = (dir_ / "no_such_dir").string();
+  EXPECT_EQ(ListCatalogEntryPaths(missing).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(VerifyCatalogDir(missing).status().code(), StatusCode::kNotFound);
+  CatalogCache cache;
+  EXPECT_EQ(serve::LoadCatalogSnapshots(missing, 1, cache).status().code(),
             StatusCode::kNotFound);
 }
 

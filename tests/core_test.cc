@@ -334,17 +334,6 @@ TEST(ExperimentTest, IdealBeatsOrEqualsOthersInSse) {
   }
 }
 
-TEST(ExperimentTest, MeasureEstimationTimeRuns) {
-  Graph g = SmallGraph();
-  auto map = ComputeSelectivities(g, 2);
-  ASSERT_TRUE(map.ok());
-  auto result = MeasureEstimationTime(g, *map, "lex-card", 2, 4,
-                                      HistogramType::kVOptimal, 3);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->calls, 3u * PathSpace(3, 2).size());
-  EXPECT_GT(result->avg_estimate_us, 0.0);
-}
-
 TEST(ReportTableTest, AlignsAndCounts) {
   ReportTable table({"col", "value"});
   table.AddRow({"a", "1"});

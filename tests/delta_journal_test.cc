@@ -7,7 +7,8 @@
 //   * torn tails (no valid frame after the damage) scan OK and recovery
 //     amputates them durably — nothing ACKNOWLEDGED is ever lost;
 //   * mid-file corruption (a valid frame after the damage) is a hard
-//     IOError, never a silent truncation of acknowledged records;
+//     IOError, never a silent truncation of acknowledged records, and
+//     the salvageable prefix is exactly the records before the damage;
 //   * a crashed append leaves exactly a torn-tail artifact, and reopen +
 //     re-append of the unacknowledged batch converges (idempotent replay);
 //   * a crashed reset (compaction's last step) leaves the previous journal
@@ -250,6 +251,39 @@ TEST_F(DeltaJournalTest, DamageBeforeAValidFrameIsMidFileCorruption) {
   ASSERT_TRUE(FlipBit(&corrupt, 2, 5).ok());
   ASSERT_TRUE(WriteFileBytes(path_, corrupt).ok());
   EXPECT_EQ(ScanDeltaJournal(path_).status().code(), StatusCode::kIOError);
+}
+
+TEST_F(DeltaJournalTest, SalvageKeepsOnlyTheRecordsBeforeTheFirstBadFrame) {
+  // Damage each frame that has valid frames behind it: the salvaged
+  // prefix is exactly the records before it — never one after it — and
+  // the file is left as it was.
+  const std::vector<DeltaRecord> recs = SampleRecords();
+  const std::string image = ImageOf(recs);
+  const std::vector<size_t> bounds = FrameBoundaries(recs);
+  for (size_t f = 0; f + 1 < recs.size(); ++f) {
+    std::string corrupt = image;
+    ASSERT_TRUE(FlipBit(&corrupt, bounds[f] + 4, 1).ok());  // CRC field
+    ASSERT_TRUE(WriteFileBytes(path_, corrupt).ok());
+    ASSERT_FALSE(ScanDeltaJournal(path_).ok()) << "frame " << f;
+    auto salvage = SalvageDeltaJournalPrefix(path_);
+    ASSERT_TRUE(salvage.ok()) << salvage.status().ToString();
+    EXPECT_EQ(salvage->records,
+              std::vector<DeltaRecord>(recs.begin(), recs.begin() + f));
+    EXPECT_EQ(salvage->last_good_offset, bounds[f]);
+    EXPECT_EQ(salvage->tail_bytes, image.size() - bounds[f]);
+    auto after = ReadFileBytes(path_);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, corrupt);
+  }
+
+  // A damaged header salvages nothing.
+  std::string corrupt = image;
+  ASSERT_TRUE(FlipBit(&corrupt, 2, 5).ok());
+  ASSERT_TRUE(WriteFileBytes(path_, corrupt).ok());
+  auto salvage = SalvageDeltaJournalPrefix(path_);
+  ASSERT_TRUE(salvage.ok());
+  EXPECT_TRUE(salvage->records.empty());
+  EXPECT_EQ(salvage->tail_bytes, image.size());
 }
 
 TEST_F(DeltaJournalTest, CrcValidFrameWithGarbagePayloadIsHardError) {

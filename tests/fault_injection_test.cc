@@ -18,10 +18,12 @@
 #include <gtest/gtest.h>
 
 #include "core/catalog.h"
+#include "core/catalog_cache.h"
 #include "core/mapped_catalog.h"
 #include "core/serialize.h"
 #include "ordering/factory.h"
 #include "path/selectivity.h"
+#include "serve/snapshot_registry.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 #include "util/safe_io.h"
@@ -343,21 +345,20 @@ TEST_F(FaultInjectionTest, CrashedSaveLeavesPreviousCatalogIntact) {
   EXPECT_EQ(*after, replacement_image);
 }
 
-TEST_F(FaultInjectionTest, CrashedSaveAllLeavesCatalogServingAndIntact) {
-  // The same guarantee one level up: StatisticsCatalog::SaveAll dying
-  // mid-flight must leave every previously saved entry loadable.
-  auto catalog = StatisticsCatalog::Analyze(graph_, 3);
-  ASSERT_TRUE(catalog.ok());
-  CatalogEntryConfig config;
-  config.ordering = "sum-based";
-  config.num_buckets = 8;
-  ASSERT_TRUE(catalog->BuildEstimator("a", config).ok());
-  config.ordering = "num-card";
-  ASSERT_TRUE(catalog->BuildEstimator("b", config).ok());
+TEST_F(FaultInjectionTest, CrashedCatalogResaveLeavesEntriesServingAndIntact) {
+  // The same guarantee one level up: re-persisting a whole catalog (a v2
+  // and a v1 entry) and dying mid-flight must leave every previously
+  // saved entry byte-identical and serving.
+  const PathHistogram a = BuildEstimator("sum-based", 8);
+  const PathHistogram b = BuildEstimator("num-card", 8);
+  const std::string path_a = (dir_ / "a.stats").string();
+  const std::string path_b = (dir_ / "b.stats").string();
   ASSERT_TRUE(
-      catalog->SaveAll(dir_.string(), nullptr, CatalogFormat::kBinary).ok());
-  auto before_a = ReadFileBytes((dir_ / "a.stats").string());
-  auto before_b = ReadFileBytes((dir_ / "b.stats").string());
+      SavePathHistogram(a, graph_, path_a, CatalogFormat::kBinaryV2).ok());
+  ASSERT_TRUE(
+      SavePathHistogram(b, graph_, path_b, CatalogFormat::kBinary).ok());
+  auto before_a = ReadFileBytes(path_a);
+  auto before_b = ReadFileBytes(path_b);
   ASSERT_TRUE(before_a.ok());
   ASSERT_TRUE(before_b.ok());
 
@@ -366,34 +367,35 @@ TEST_F(FaultInjectionTest, CrashedSaveAllLeavesCatalogServingAndIntact) {
     faults.fail_write_at_byte = 100;
     ScriptedWriteFaults::Install install(&faults);
     EXPECT_FALSE(
-        catalog->SaveAll(dir_.string(), nullptr, CatalogFormat::kBinary)
-            .ok());
+        SavePathHistogram(a, graph_, path_a, CatalogFormat::kBinaryV2).ok());
+    EXPECT_FALSE(
+        SavePathHistogram(b, graph_, path_b, CatalogFormat::kBinary).ok());
   }
-  auto after_a = ReadFileBytes((dir_ / "a.stats").string());
-  auto after_b = ReadFileBytes((dir_ / "b.stats").string());
+  auto after_a = ReadFileBytes(path_a);
+  auto after_b = ReadFileBytes(path_b);
   ASSERT_TRUE(after_a.ok());
   ASSERT_TRUE(after_b.ok());
   EXPECT_EQ(*after_a, *before_a);
   EXPECT_EQ(*after_b, *before_b);
-  CatalogLoadReport report;
-  ASSERT_TRUE(catalog->LoadAll(dir_.string(), &report).ok());
-  EXPECT_TRUE(report.fully_healthy());
-  EXPECT_EQ(report.loaded.size(), 2u);
+  CatalogCache cache;
+  auto loaded = serve::LoadCatalogSnapshots(dir_.string(), 1, cache);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->report.fully_healthy());
+  EXPECT_EQ(loaded->report.loaded, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(loaded->snapshots.at("a")->is_mapped());
 }
 
 TEST_F(FaultInjectionTest, DegradedCatalogServesHealthyEntries) {
   // One corrupt entry must quarantine, not abort: the healthy entries keep
   // loading and serving.
-  auto catalog = StatisticsCatalog::Analyze(graph_, 3);
-  ASSERT_TRUE(catalog.ok());
-  CatalogEntryConfig config;
-  config.ordering = "sum-based";
-  config.num_buckets = 8;
-  ASSERT_TRUE(catalog->BuildEstimator("good", config).ok());
-  config.ordering = "lex-card";
-  ASSERT_TRUE(catalog->BuildEstimator("bad", config).ok());
-  ASSERT_TRUE(
-      catalog->SaveAll(dir_.string(), nullptr, CatalogFormat::kBinary).ok());
+  ASSERT_TRUE(SavePathHistogram(BuildEstimator("sum-based", 8), graph_,
+                                (dir_ / "good.stats").string(),
+                                CatalogFormat::kBinary)
+                  .ok());
+  ASSERT_TRUE(SavePathHistogram(BuildEstimator("lex-card", 8), graph_,
+                                (dir_ / "bad.stats").string(),
+                                CatalogFormat::kBinary)
+                  .ok());
 
   // Corrupt "bad" with a bit flip inside its histogram section.
   auto bytes = ReadFileBytes((dir_ / "bad.stats").string());
@@ -407,21 +409,25 @@ TEST_F(FaultInjectionTest, DegradedCatalogServesHealthyEntries) {
   }
   ASSERT_TRUE(WriteFileBytes((dir_ / "bad.stats").string(), *bytes).ok());
 
-  auto fresh = StatisticsCatalog::Analyze(graph_, 3);
-  ASSERT_TRUE(fresh.ok());
-  CatalogLoadReport report;
-  ASSERT_TRUE(fresh->LoadAll(dir_.string(), &report).ok());
+  CatalogCache cache;
+  auto loaded = serve::LoadCatalogSnapshots(dir_.string(), 1, cache);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const CatalogLoadReport& report = loaded->report;
   EXPECT_EQ(report.loaded, std::vector<std::string>{"good"});
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_NE(report.failures[0].path.find("bad.stats"), std::string::npos);
   EXPECT_EQ(report.failures[0].section, "histogram");
   EXPECT_EQ(report.failures[0].status.code(), StatusCode::kIOError);
 
-  // The healthy entry answers.
-  LabelId a = *graph_.labels().Find("a");
-  EXPECT_TRUE(fresh->Estimate("good", LabelPath{a}).ok());
-  EXPECT_EQ(fresh->Estimate("bad", LabelPath{a}).status().code(),
-            StatusCode::kNotFound);
+  // The healthy entry answers; the quarantined one has no snapshot.
+  ASSERT_EQ(loaded->snapshots.count("good"), 1u);
+  EXPECT_EQ(loaded->snapshots.count("bad"), 0u);
+  const serve::ServingSnapshot& good = *loaded->snapshots.at("good");
+  auto path = LabelPath::Parse("a", good.labels());
+  ASSERT_TRUE(path.ok());
+  RankScratch scratch;
+  scratch.Reserve(good.estimator().num_labels());
+  EXPECT_GE(good.estimator().Estimate(*path, scratch), 0.0);
 
   // And VerifyCatalogDir sees exactly the same picture graph-free.
   auto verify = VerifyCatalogDir(dir_.string());

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -209,26 +210,35 @@ class MaintServeTest : public ::testing::Test {
     PATHEST_CHECK(WriteGraphText(graph_, &out).ok(), "graph write failed");
     out.close();
 
-    // One catalog entry; its recovered config (ordering, type, beta, k)
-    // is what maintenance re-persists after every refresh.
-    auto truth = ComputeSelectivities(graph_, 3);
-    PATHEST_CHECK(truth.ok(), "selectivities failed");
-    auto ordering =
-        MakeOrderingWithSelectivities("sum-based", graph_, 3, *truth);
-    PATHEST_CHECK(ordering.ok(), "ordering failed");
-    auto est = PathHistogram::Build(*truth, std::move(*ordering),
-                                    HistogramType::kVOptimal, 6);
-    PATHEST_CHECK(est.ok(), "estimator failed");
-    PATHEST_CHECK(SavePathHistogram(*est, graph_,
-                                    (catalog_ / "alpha.stats").string(),
-                                    CatalogFormat::kBinary)
-                      .ok(),
-                  "save failed");
+    // One catalog entry, in binary v1; its recovered config (ordering,
+    // type, beta, k) is what maintenance re-persists after every refresh.
+    SaveEntry("alpha", CatalogFormat::kBinary);
   }
 
   ~MaintServeTest() override {
     std::error_code ec;
     std::filesystem::remove_all(root_, ec);
+  }
+
+  // The fixture's entry config built from scratch on `graph`.
+  static PathHistogram BuildEntry(const Graph& graph) {
+    auto truth = ComputeSelectivities(graph, 3);
+    PATHEST_CHECK(truth.ok(), "selectivities failed");
+    auto ordering =
+        MakeOrderingWithSelectivities("sum-based", graph, 3, *truth);
+    PATHEST_CHECK(ordering.ok(), "ordering failed");
+    auto est = PathHistogram::Build(*truth, std::move(*ordering),
+                                    HistogramType::kVOptimal, 6);
+    PATHEST_CHECK(est.ok(), "estimator failed");
+    return std::move(*est);
+  }
+
+  void SaveEntry(const std::string& name, CatalogFormat format) {
+    PATHEST_CHECK(SavePathHistogram(BuildEntry(graph_), graph_,
+                                    (catalog_ / (name + ".stats")).string(),
+                                    format)
+                      .ok(),
+                  "save failed");
   }
 
   ServeOptions MaintOptions() {
@@ -250,22 +260,14 @@ class MaintServeTest : public ::testing::Test {
   // The serial oracle: the exact "estimate alpha <paths>" response a
   // correct server must produce once `deltas` are applied — a FULL
   // rebuild on the patched graph, persisted and reloaded through the
-  // same binary round-trip the daemon uses.
+  // same binary v2 round-trip the daemon's maintained entries take.
   std::string Oracle(const std::vector<maint::EdgeDelta>& deltas,
                      const std::vector<std::string>& paths) {
     auto patched = maint::PatchGraph(graph_, deltas);
     PATHEST_CHECK(patched.ok(), "oracle patch failed");
-    auto full = ComputeSelectivities(*patched, 3);
-    PATHEST_CHECK(full.ok(), "oracle selectivities failed");
-    auto ordering =
-        MakeOrderingWithSelectivities("sum-based", *patched, 3, *full);
-    PATHEST_CHECK(ordering.ok(), "oracle ordering failed");
-    auto est = PathHistogram::Build(*full, std::move(*ordering),
-                                    HistogramType::kVOptimal, 6);
-    PATHEST_CHECK(est.ok(), "oracle estimator failed");
     const std::string file = (root_ / "oracle.stats").string();
-    PATHEST_CHECK(SavePathHistogram(*est, *patched, file,
-                                    CatalogFormat::kBinary)
+    PATHEST_CHECK(SavePathHistogram(BuildEntry(*patched), *patched, file,
+                                    CatalogFormat::kBinaryV2)
                       .ok(),
                   "oracle save failed");
     auto loaded = LoadPathHistogram(file);
@@ -506,11 +508,130 @@ TEST_F(MaintServeTest, CorruptJournalQuarantinesAndServesDegraded) {
   auto stats = client.Call("stats");
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"quarantined\":true"), std::string::npos) << *stats;
+  // The damage is in the first frame: there is no prefix to salvage.
+  EXPECT_NE(stats->find("\"salvaged_records\":0"), std::string::npos)
+      << *stats;
 
   // And updates still work on the fresh journal.
   auto resp = client.Call("update wait=1 add 2 0 a");
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->rfind("ok applied=", 0), 0u) << *resp;
+
+  ASSERT_TRUE(client.Call("shutdown").ok());
+  server.Wait();
+}
+
+TEST_F(MaintServeTest, MidFileCorruptionKeepsTheAcknowledgedPrefix) {
+  // Two acknowledged batches; then damage the SECOND batch's edge frame.
+  // Recovery must replay the first batch (everything before the damage)
+  // and nothing after it, even though a valid barrier frame follows.
+  const LabelId a = *graph_.labels().Find("a");
+  {
+    ServeServer server(MaintOptions());
+    ASSERT_TRUE(server.Start().ok());
+    ServeClient client = Connect(server);
+    ASSERT_TRUE(client.Call("update wait=1 add 2 0 a").ok());
+    ASSERT_TRUE(client.Call("update wait=1 add 3 2 b").ok());
+    ASSERT_TRUE(client.Call("shutdown").ok());
+    server.Wait();
+  }
+  const std::string journal = (catalog_ / "maint" / "deltas.journal").string();
+  auto bytes = ReadFileBytes(journal);
+  ASSERT_TRUE(bytes.ok());
+  // The first batch's bytes: header, its edge frame, its epoch barrier.
+  std::string prefix(maint::kJournalMagic, sizeof(maint::kJournalMagic));
+  maint::AppendJournalFrame(&prefix, maint::DeltaRecord::AddEdge(2, 0, a));
+  maint::AppendJournalFrame(&prefix, maint::DeltaRecord::Barrier(1));
+  ASSERT_EQ(bytes->compare(0, prefix.size(), prefix), 0);
+  ASSERT_TRUE(FlipBit(&*bytes, prefix.size() + 4, 2).ok());  // its CRC
+  ASSERT_TRUE(WriteFileBytes(journal, *bytes).ok());
+  // The integrity scan `catalog verify` runs still fails the journal.
+  EXPECT_EQ(maint::ScanDeltaJournal(journal).status().code(),
+            StatusCode::kIOError);
+
+  const std::vector<std::string> paths = {"a", "a/b", "a/b/c", "c"};
+  const std::string salvaged = Oracle({{true, 2, 0, a}}, paths);
+  {
+    ServeServer server(MaintOptions());
+    ASSERT_TRUE(server.Start().ok());
+    ServeClient client = Connect(server);
+    auto est = client.Call("estimate alpha a a/b a/b/c c");
+    ASSERT_TRUE(est.ok());
+    EXPECT_EQ(*est, salvaged);
+    EXPECT_EQ(server.counters().quarantined_journals.load(), 1u);
+    EXPECT_TRUE(std::filesystem::exists(journal + ".quarantine"));
+    auto stats = client.Call("stats");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_NE(stats->find("\"quarantined\":true"), std::string::npos)
+        << *stats;
+    EXPECT_NE(stats->find("\"salvaged_records\":2"), std::string::npos)
+        << *stats;
+    EXPECT_NE(stats->find("\"lost_bytes\":" +
+                          std::to_string(bytes->size() - prefix.size())),
+              std::string::npos)
+        << *stats;
+    ASSERT_TRUE(client.Call("shutdown").ok());
+    server.Wait();
+  }
+  // The salvaged state became the new base: a second restart, on the
+  // fresh journal, serves it unchanged.
+  EXPECT_TRUE(maint::ScanDeltaJournal(journal).ok());
+  ServeServer server(MaintOptions());
+  ASSERT_TRUE(server.Start().ok());
+  ServeClient client = Connect(server);
+  auto est = client.Call("estimate alpha a a/b a/b/c c");
+  ASSERT_TRUE(est.ok());
+  EXPECT_EQ(*est, salvaged);
+  ASSERT_TRUE(client.Call("shutdown").ok());
+  server.Wait();
+}
+
+TEST_F(MaintServeTest, MaintainedEntriesPersistAsV2AndServeMapped) {
+  // Start from a v1 entry (alpha) and a text twin of it (beta). The
+  // bootstrap Recover and every refresh re-persist both as binary v2,
+  // and the daemon serves every one of them from the mapping.
+  SaveEntry("beta", CatalogFormat::kText);
+  const std::vector<std::string> paths = {"a", "a/b", "a/b/c", "c"};
+  uint64_t misses_before = 0;
+  auto expect_v2_mapped = [&](ServeClient& client,
+                              const std::vector<maint::EdgeDelta>& deltas) {
+    for (const char* name : {"alpha", "beta"}) {
+      const std::string file = (catalog_ / name).string() + ".stats";
+      auto format = SniffCatalogFormat(file);
+      ASSERT_TRUE(format.ok()) << format.status().ToString();
+      EXPECT_EQ(*format, CatalogFormat::kBinaryV2) << name;
+      auto est = client.Call(std::string("estimate ") + name +
+                             " a a/b a/b/c c");
+      ASSERT_TRUE(est.ok());
+      EXPECT_EQ(*est, Oracle(deltas, paths)) << name;
+    }
+    auto stats = client.Call("stats");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->find("\"mapped\":false"), std::string::npos) << *stats;
+    size_t mapped = 0;
+    for (size_t at = stats->find("\"mapped\":true"); at != std::string::npos;
+         at = stats->find("\"mapped\":true", at + 1)) {
+      ++mapped;
+    }
+    EXPECT_EQ(mapped, 2u) << *stats;
+    const size_t key = stats->find("\"misses\":");
+    ASSERT_NE(key, std::string::npos) << *stats;
+    const uint64_t misses =
+        std::stoull(stats->substr(key + std::strlen("\"misses\":")));
+    EXPECT_GT(misses, misses_before) << *stats;
+    misses_before = misses;
+  };
+
+  ServeServer server(MaintOptions());
+  ASSERT_TRUE(server.Start().ok());
+  ServeClient client = Connect(server);
+  expect_v2_mapped(client, {});
+
+  auto resp = client.Call("update wait=1 add 2 0 a");
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->rfind("ok applied=1 ", 0), 0u) << *resp;
+  const LabelId a = *graph_.labels().Find("a");
+  expect_v2_mapped(client, {{true, 2, 0, a}});
 
   ASSERT_TRUE(client.Call("shutdown").ok());
   server.Wait();
