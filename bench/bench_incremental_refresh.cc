@@ -2,12 +2,17 @@
 // (maint/incremental.h) versus a full ComputeSelectivities on the patched
 // graph — the number that makes "re-run only the dirtied prefix tasks" a
 // measurement instead of a slogan. For each delta-batch size the bench
-// patches a dbpedia-like base graph, times both rebuilds (which are
-// bit-identical by contract; verified here every row), and reports the
-// speedup plus the dirtiness accounting (touched roots, dirty tasks,
-// cone size) that explains it. Small batches should re-run a fraction of
-// the |L|² task grid; as the batch grows the dirty set saturates and the
-// speedup decays toward 1 — both regimes belong in the output.
+// patches a dbpedia-like base graph and times both rebuilds over
+// PATHEST_REPS interleaved reps (full, then incremental, in every rep, so
+// host drift hits both sides alike). Every rep's incremental map is
+// checked against the full one (bit-identical by contract; the bench
+// exits 1 on any difference). A row reports the median of each side with
+// its quartiles, the ratio of the medians, and the dirtiness accounting
+// (touched roots, dirty tasks, cone size) that explains it. Small batches
+// should re-run a fraction of the |L|² task grid; as the batch grows the
+// dirty set saturates and the ratio decays toward 1 — both regimes belong
+// in the output. Knobs: PATHEST_SCALE, PATHEST_K (default 3),
+// PATHEST_REPS (default 5), PATHEST_THREADS (0 = hardware).
 //
 // --json[=path] writes one JSON object (default
 // BENCH_incremental_refresh.json) with per-row times and dirtiness.
@@ -15,6 +20,7 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -27,9 +33,13 @@ namespace {
 
 struct Row {
   size_t batch = 0;
-  double full_ms = 0;
+  double full_ms = 0;  // medians over the reps, then the quartiles
+  double full_ms_p25 = 0;
+  double full_ms_p75 = 0;
   double incremental_ms = 0;
-  double speedup = 0;
+  double incremental_ms_p25 = 0;
+  double incremental_ms_p75 = 0;
+  double speedup = 0;  // full_ms / incremental_ms
   size_t touched_roots = 0;
   size_t total_roots = 0;
   size_t dirty_tasks = 0;
@@ -73,12 +83,17 @@ std::vector<maint::EdgeDelta> MakeBatch(const Graph& graph, size_t size,
 
 int Run(bool json_mode, const std::string& json_path) {
   const size_t k = bench::SizeFromEnv("PATHEST_K", 3);
+  const size_t reps = bench::SizeFromEnv("PATHEST_REPS", 5);
+  const size_t cores = std::thread::hardware_concurrency();
   Graph graph = bench::BuildBenchDataset(DatasetId::kDbpedia);
-  std::printf("graph: %zu vertices, %zu labels, k=%zu\n",
-              graph.num_vertices(), graph.num_labels(), k);
-
   SelectivityOptions options;
   options.num_threads = bench::ThreadsFromEnv();
+  const size_t threads =
+      ResolvedNumThreads(options, graph.num_labels(), k);
+  std::printf("graph: %zu vertices, %zu labels, k=%zu, %zu reps, "
+              "%zu threads, %zu hardware cores\n",
+              graph.num_vertices(), graph.num_labels(), k, reps, threads,
+              cores);
   SelectivityMap base = bench::ComputeWithProgress(graph, k, "base");
 
   std::vector<Row> rows;
@@ -89,30 +104,39 @@ int Run(bool json_mode, const std::string& json_path) {
     auto patched = maint::PatchGraph(graph, deltas, options.num_threads);
     bench::DieIf(patched.status(), "patch");
 
-    Timer full_timer;
-    auto full = ComputeSelectivities(*patched, k, options);
-    const double full_ms = full_timer.ElapsedMillis();
-    bench::DieIf(full.status(), "full rebuild");
-
+    std::vector<double> full_ms;
+    std::vector<double> inc_ms;
     maint::IncrementalStats stats;
-    Timer inc_timer;
-    auto incremental =
-        maint::IncrementalSelectivities(*patched, base, deltas, options,
-                                        &stats);
-    const double inc_ms = inc_timer.ElapsedMillis();
-    bench::DieIf(incremental.status(), "incremental rebuild");
-    if (incremental->values() != full->values()) {
-      std::fprintf(stderr,
-                   "bench invalid: incremental != full at batch=%zu\n",
-                   batch);
-      return 1;
+    for (size_t rep = 0; rep < reps; ++rep) {
+      Timer full_timer;
+      auto full = ComputeSelectivities(*patched, k, options);
+      full_ms.push_back(full_timer.ElapsedMillis());
+      bench::DieIf(full.status(), "full rebuild");
+
+      Timer inc_timer;
+      auto incremental =
+          maint::IncrementalSelectivities(*patched, base, deltas, options,
+                                          &stats);
+      inc_ms.push_back(inc_timer.ElapsedMillis());
+      bench::DieIf(incremental.status(), "incremental rebuild");
+      if (incremental->values() != full->values()) {
+        std::fprintf(stderr,
+                     "bench invalid: incremental != full at batch=%zu\n",
+                     batch);
+        return 1;
+      }
     }
 
     Row row;
     row.batch = batch;
-    row.full_ms = full_ms;
-    row.incremental_ms = inc_ms;
-    row.speedup = inc_ms > 0 ? full_ms / inc_ms : 0;
+    row.full_ms = bench::Percentile(&full_ms, 0.5);
+    row.full_ms_p25 = bench::Percentile(&full_ms, 0.25);
+    row.full_ms_p75 = bench::Percentile(&full_ms, 0.75);
+    row.incremental_ms = bench::Percentile(&inc_ms, 0.5);
+    row.incremental_ms_p25 = bench::Percentile(&inc_ms, 0.25);
+    row.incremental_ms_p75 = bench::Percentile(&inc_ms, 0.75);
+    row.speedup =
+        row.incremental_ms > 0 ? row.full_ms / row.incremental_ms : 0;
     row.touched_roots = stats.touched_roots;
     row.total_roots = stats.total_roots;
     row.dirty_tasks = stats.dirty_tasks;
@@ -120,11 +144,13 @@ int Run(bool json_mode, const std::string& json_path) {
     row.cone_vertices = stats.cone_vertices;
     rows.push_back(row);
     std::printf(
-        "batch=%zu: full=%.1fms incremental=%.1fms speedup=%.1fx "
-        "roots=%zu/%zu tasks=%zu/%zu cone=%zu\n",
-        row.batch, row.full_ms, row.incremental_ms, row.speedup,
-        row.touched_roots, row.total_roots, row.dirty_tasks, row.total_tasks,
-        row.cone_vertices);
+        "batch=%zu: full=%.1fms (p25 %.1f, p75 %.1f) incremental=%.1fms "
+        "(p25 %.1f, p75 %.1f) speedup=%.2fx roots=%zu/%zu tasks=%zu/%zu "
+        "cone=%zu\n",
+        row.batch, row.full_ms, row.full_ms_p25, row.full_ms_p75,
+        row.incremental_ms, row.incremental_ms_p25, row.incremental_ms_p75,
+        row.speedup, row.touched_roots, row.total_roots, row.dirty_tasks,
+        row.total_tasks, row.cone_vertices);
   }
 
   if (!json_mode) return 0;
@@ -135,6 +161,9 @@ int Run(bool json_mode, const std::string& json_path) {
   }
   std::fprintf(out, "{\n  \"bench\": \"incremental_refresh\",\n");
   std::fprintf(out, "  \"k\": %zu,\n", k);
+  std::fprintf(out, "  \"reps\": %zu,\n", reps);
+  std::fprintf(out, "  \"threads\": %zu,\n", threads);
+  std::fprintf(out, "  \"hardware_cores\": %zu,\n", cores);
   std::fprintf(out, "  \"num_vertices\": %zu,\n", graph.num_vertices());
   std::fprintf(out, "  \"num_labels\": %zu,\n", graph.num_labels());
   std::fprintf(out, "  \"rows\": [\n");
@@ -142,11 +171,15 @@ int Run(bool json_mode, const std::string& json_path) {
     const Row& r = rows[i];
     std::fprintf(out,
                  "    {\"batch\": %zu, \"full_ms\": %.2f, "
-                 "\"incremental_ms\": %.2f, \"speedup\": %.2f, "
+                 "\"full_ms_p25\": %.2f, \"full_ms_p75\": %.2f, "
+                 "\"incremental_ms\": %.2f, \"incremental_ms_p25\": %.2f, "
+                 "\"incremental_ms_p75\": %.2f, \"speedup\": %.2f, "
                  "\"touched_roots\": %zu, \"total_roots\": %zu, "
                  "\"dirty_tasks\": %zu, \"total_tasks\": %zu, "
                  "\"cone_vertices\": %zu}%s\n",
-                 r.batch, r.full_ms, r.incremental_ms, r.speedup,
+                 r.batch, r.full_ms, r.full_ms_p25, r.full_ms_p75,
+                 r.incremental_ms, r.incremental_ms_p25,
+                 r.incremental_ms_p75, r.speedup,
                  r.touched_roots, r.total_roots, r.dirty_tasks,
                  r.total_tasks, r.cone_vertices,
                  i + 1 < rows.size() ? "," : "");

@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 
-#include "engine/eval_context.h"
-#include "engine/schedule.h"
 #include "graph/graph_builder.h"
-#include "engine/thread_pool.h"
 #include "path/pair_set.h"
 
 namespace pathest {
@@ -169,12 +165,11 @@ Result<SelectivityMap> IncrementalSelectivities(
     for (uint8_t bit : cone_root) stats->cone_vertices += bit;
   }
 
-  std::vector<size_t> touched;
-  for (size_t root = 0; root < num_labels; ++root) {
+  std::vector<LabelId> touched;
+  for (LabelId root = 0; root < num_labels; ++root) {
     bool is_touched = delta_label[root] != 0;
     if (!is_touched && k >= 2) {
-      const Graph::CsrView view =
-          patched.ForwardView(static_cast<LabelId>(root));
+      const Graph::CsrView view = patched.ForwardView(root);
       const uint64_t num_targets = view.offsets[num_vertices];
       for (uint64_t e = 0; e < num_targets && !is_touched; ++e) {
         is_touched = cone_root[view.targets[e]] != 0;
@@ -183,134 +178,39 @@ Result<SelectivityMap> IncrementalSelectivities(
     if (is_touched) touched.push_back(root);
   }
   if (stats != nullptr) stats->touched_roots = touched.size();
-  if (touched.empty()) return map;
 
-  const size_t num_cells = k >= 3 ? num_labels * num_labels : 0;
-  std::vector<Status> root_status(num_labels);
-  std::vector<Status> cell_status(num_cells);
-  std::vector<PairSet> level2(num_cells);
-  // Per-root task lists: written only by the root's own Phase A worker.
-  std::vector<std::vector<size_t>> root_tasks(num_labels);
-
-  const size_t num_threads = ResolvedNumThreads(options, num_labels, k);
-
-  std::unique_ptr<ThreadPool> pool;
-  std::vector<EvalContext> contexts;
-  if (num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(num_threads);
-    contexts.reserve(pool->num_threads());
-    for (size_t w = 0; w < pool->num_threads(); ++w) {
-      contexts.emplace_back(num_vertices, num_labels, k);
-    }
-  } else {
-    contexts.emplace_back(num_vertices, num_labels, k);
-  }
-  // The two-hop index of the PATCHED graph: the prefix tasks re-run
-  // below must see the deltas in their last two levels too.
-  const TwoHopIndex two_hop = TwoHopIndex::Build(patched, k, options.kernel);
-  for (EvalContext& ctx : contexts) {
-    ctx.fused.Bind(patched, options.kernel, &two_hop);
-  }
-  auto parallel_for = [&](size_t n, const ThreadPool::Task& task) {
-    if (pool != nullptr) {
-      pool->ParallelFor(n, task);
-    } else {
-      for (size_t i = 0; i < n; ++i) task(i, 0);
-    }
-  };
-
-  // ---- Phase A: re-run the pre-pass of every touched root through the
-  // full build's own primitive, then decide which of its cells are dirty.
-  auto run_root = [&](size_t root, EvalContext& ctx) {
-    root_status[root] = EvaluateFusedRootPrepass(
-        patched, ctx, static_cast<LabelId>(root), k, options, &map,
-        num_cells != 0 ? &level2[root * num_labels] : nullptr,
-        num_cells != 0 ? &cell_status[root * num_labels] : nullptr);
-    if (!root_status[root].ok()) return;
-    const uint64_t level1_size =
-        map.GetByCanonicalIndex(space.LengthOffset(1) + root);
-    if (k >= 2 && level1_size == 0) {
-      // The pre-pass skips level 2 for an empty root; when a removal just
-      // EMPTIED the root, the stale entries must be zeroed by hand.
-      map.ZeroRange(space.LengthOffset(2) + root * num_labels, num_labels);
-      for (LabelId l2 = 0; l2 < num_labels; ++l2) {
-        ZeroPrefixSubtree(static_cast<LabelId>(root), l2, &map);
-      }
+  // The per-cell tests of a touched root r ∉ D (r ∈ D dirties every cell).
+  auto dirty_cells = [&](LabelId root, const PairSet* level2,
+                         uint8_t* dirty) {
+    if (delta_label[root]) {
+      std::fill_n(dirty, num_labels, uint8_t{1});
       return;
     }
-    if (k < 3) return;
-    std::vector<uint8_t> dirty(num_labels, delta_label[root]);
-    if (!delta_label[root]) {
-      // (a) an l2-labeled delta departs a level-1 target: the cell's
-      // level-2 SET may have changed.
-      const Graph::CsrView view =
-          patched.ForwardView(static_cast<LabelId>(root));
-      const uint64_t num_targets = view.offsets[num_vertices];
-      for (uint64_t e = 0; e < num_targets; ++e) {
-        const VertexId t = view.targets[e];
-        if (!delta_source[t]) continue;
-        // at(): concurrent Phase A workers read this map, never insert.
-        for (LabelId lab : source_labels.at(t)) dirty[lab] = 1;
-      }
-      // (b) a level-2 target reaches a delta source within k-3 hops: the
-      // cell's DEEPER slices may have changed.
-      for (size_t l2 = 0; l2 < num_labels; ++l2) {
-        if (dirty[l2]) continue;
-        for (VertexId t : level2[root * num_labels + l2].targets) {
-          if ((*cone_task)[t]) {
-            dirty[l2] = 1;
-            break;
-          }
+    // (a) an l2-labeled delta departs a level-1 target: the cell's
+    // level-2 SET may have changed.
+    const Graph::CsrView view = patched.ForwardView(root);
+    const uint64_t num_targets = view.offsets[num_vertices];
+    for (uint64_t e = 0; e < num_targets; ++e) {
+      const VertexId t = view.targets[e];
+      if (!delta_source[t]) continue;
+      // at(): the driver calls this concurrently; it reads, never inserts.
+      for (LabelId lab : source_labels.at(t)) dirty[lab] = 1;
+    }
+    // (b) a level-2 target reaches a delta source within k-3 hops: the
+    // cell's DEEPER slices may have changed.
+    for (LabelId l2 = 0; l2 < num_labels; ++l2) {
+      if (dirty[l2]) continue;
+      for (VertexId t : level2[l2].targets) {
+        if ((*cone_task)[t]) {
+          dirty[l2] = 1;
+          break;
         }
       }
     }
-    for (size_t l2 = 0; l2 < num_labels; ++l2) {
-      if (!dirty[l2]) continue;
-      const size_t cell = root * num_labels + l2;
-      ZeroPrefixSubtree(static_cast<LabelId>(root),
-                        static_cast<LabelId>(l2), &map);
-      if (cell_status[cell].ok() && level2[cell].size() > 0) {
-        root_tasks[root].push_back(cell);
-      }
-    }
   };
-  parallel_for(touched.size(), [&](size_t slot, size_t worker) {
-    run_root(touched[slot], contexts[worker]);
-  });
-
-  // ---- Phase B: the dirty prefix tasks, heaviest-first like the full
-  // build (presentation order never changes the result).
-  std::vector<size_t> tasks;
-  std::vector<uint64_t> weights;
-  for (size_t root = 0; root < num_labels; ++root) {
-    for (size_t cell : root_tasks[root]) {
-      tasks.push_back(cell);
-      weights.push_back(level2[cell].size());
-    }
-  }
-  if (stats != nullptr) stats->dirty_tasks = tasks.size();
-  const std::vector<size_t> order = HeaviestFirstOrder(weights);
-  auto run_task = [&](size_t cell, EvalContext& ctx) {
-    const size_t root = cell / num_labels;
-    const LabelId l2 = static_cast<LabelId>(cell % num_labels);
-    cell_status[cell] =
-        EvaluateFusedPrefixTask(patched, ctx, static_cast<LabelId>(root), l2,
-                                level2[cell], k, options, &map);
-    level2[cell] = PairSet();
-  };
-  parallel_for(tasks.size(), [&](size_t slot, size_t worker) {
-    run_task(tasks[order[slot]], contexts[worker]);
-  });
-
-  // DFS-order-first failure, exactly like the full build (clean slots
-  // default to OK, so only re-evaluated work can report).
-  for (size_t root = 0; root < num_labels; ++root) {
-    if (!root_status[root].ok()) return std::move(root_status[root]);
-    for (size_t cell = root * num_labels;
-         k >= 3 && cell < (root + 1) * num_labels; ++cell) {
-      if (!cell_status[cell].ok()) return std::move(cell_status[cell]);
-    }
-  }
+  PATHEST_RETURN_NOT_OK(RefreshSelectivities(
+      patched, touched, options, dirty_cells, &map,
+      stats != nullptr ? &stats->dirty_tasks : nullptr));
   return map;
 }
 

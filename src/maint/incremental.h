@@ -1,17 +1,19 @@
 // pathest: incremental statistics rebuild — re-evaluate ONLY the
 // selectivity-map slices an edge delta can have changed.
 //
-// The full build (path/selectivity.h) decomposes into a
-// per-root pre-pass plus |L|² depth-2 prefix tasks (root, l₂), each
-// writing a disjoint canonical-index slice. That decomposition is exactly
-// what makes maintenance incremental: a batch of edge deltas dirties a
-// computable subset of roots and tasks, and re-running just those —
-// through the SAME exported primitives the full build uses
-// (EvaluateFusedRootPrepass / EvaluateFusedPrefixTask) — patches an old
-// map into precisely the map a full rebuild on the patched graph would
-// produce. Equality is exact (the map holds exact uint64 counts), and the
+// The selectivity build (path/selectivity.h) decomposes into a per-root
+// pre-pass plus |L|² depth-2 prefix tasks (root, l₂), each writing a
+// disjoint canonical-index slice, and has one driver,
+// RefreshSelectivities, which runs a chosen set of roots and, under each,
+// a chosen set of tasks over an existing map. The full build is that
+// driver with every root and every task on a fresh map. A refresh is the
+// same driver on a copy of the old map, with the roots and tasks a batch
+// of edge deltas can have changed: this file owns only that choice (the
+// analysis below) and makes one call. Equality with a full rebuild on the
+// patched graph is exact (the map holds exact uint64 counts), and the
 // oracle test grid (tests/incremental_test.cc) enforces it bit-for-bit
-// across kernels × thread counts.
+// across kernels × thread counts. A batch that dirties every task is the
+// full build, run over the old map.
 //
 // Dirtiness analysis. Let D = the set of labels carried by some delta
 // edge, and U = the set of delta-edge SOURCE vertices. Define the
@@ -34,12 +36,16 @@
 //   * r ∈ D dirties the whole root (its level-1 set changed, hence every
 //     level-2 set derived from it).
 //
-// Each dirty task's subtree slice is zeroed (ZeroPrefixSubtree — the DFS
-// prunes empty children assuming zeroed entries) and re-run against the
-// patched graph; dirty cells whose new level-2 set is empty stay zeroed.
-// The cone tests over-approximate (a vertex may reach U without any
-// actual path using the delta edge), which costs redundant recomputation,
-// never correctness.
+// Who zeroes what: the driver. A touched root's length-1 entry and
+// length-2 block are rewritten by its pre-pass; every dirty cell's deeper
+// slices are zeroed (the DFS prunes empty children, assuming zeroed
+// entries) and re-run against the patched graph, and a dirty cell whose
+// new level-2 set is empty stays zeroed. A touched root whose level-1 set
+// became empty has every cell dirty. Tests (a) and (b) run in the driver's
+// per-root hook (PrefixTaskFilter), after the root's pre-pass has built
+// the new level-2 sets. The cone tests over-approximate (a vertex may
+// reach U without any actual path using the delta edge), which costs
+// redundant recomputation, never correctness.
 
 #ifndef PATHEST_MAINT_INCREMENTAL_H_
 #define PATHEST_MAINT_INCREMENTAL_H_
@@ -103,7 +109,8 @@ struct IncrementalStats {
 /// on guard violations, returning the same DFS-order-first error.
 ///
 /// `options.num_threads` parallelizes the touched roots and dirty tasks
-/// exactly like the full build (bit-identical at every thread count).
+/// exactly like the full build (bit-identical at every thread count);
+/// `options.progress` and `label_time` fire once per touched root.
 Result<SelectivityMap> IncrementalSelectivities(
     const Graph& patched, const SelectivityMap& old_map,
     const std::vector<EdgeDelta>& deltas, const SelectivityOptions& options,

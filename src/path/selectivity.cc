@@ -4,8 +4,10 @@
 #include <cassert>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
+#include "engine/eval_context.h"
 #include "engine/schedule.h"
 #include "engine/thread_pool.h"
 #include "path/pair_set.h"
@@ -148,13 +150,16 @@ Status FusedDfsExtend(FusedDfs* r, LabelPath* path, const PairSet& parent,
   return Status::OK();
 }
 
-}  // namespace
-
-Status EvaluateFusedRootPrepass(const Graph& graph, EvalContext& ctx,
-                                LabelId root, size_t k,
-                                const SelectivityOptions& options,
-                                SelectivityMap* map, PairSet* level2_cells,
-                                Status* cell_status) {
+// Phase A of one root: builds its level-1 pair set into `ctx.level1`,
+// writes the length-1 entry and the root's whole length-2 block, and — for
+// k >= 3 with a non-empty level 1 — extends into `level2_cells` (the root's
+// |L| prefix-task starting sets), recording per-cell guard violations in
+// `cell_status`. Returns the root's own guard status (a level-1 violation
+// skips level 2 entirely).
+Status RootPrepass(const Graph& graph, EvalContext& ctx, LabelId root,
+                   size_t k, const SelectivityOptions& options,
+                   SelectivityMap* map, PairSet* level2_cells,
+                   Status* cell_status) {
   const size_t num_labels = graph.num_labels();
   const PathSpace& space = map->space();
   const uint64_t max_pairs = options.max_pairs_per_prefix;
@@ -166,33 +171,38 @@ Status EvaluateFusedRootPrepass(const Graph& graph, EvalContext& ctx,
   if (max_pairs != 0 && level1_size > max_pairs) {
     return PairLimitExceeded(LabelPath{root});
   }
-  if (k >= 2 && level1_size > 0) {
-    const uint64_t child_base = space.LengthOffset(2) + root * num_labels;
-    if (k == 2) {
-      uint64_t* counts = ctx.leaf_counts.data();
-      std::fill_n(counts, num_labels, uint64_t{0});
-      ctx.fused.CountAll(ctx.level1, counts);
-      for (LabelId l = 0; l < num_labels; ++l) {
-        map->SetByCanonicalIndex(child_base + l, counts[l]);
-      }
-    } else {
-      ctx.fused.ExtendAll(ctx.level1, level2_cells);
-      for (LabelId l = 0; l < num_labels; ++l) {
-        const uint64_t size = level2_cells[l].size();
-        map->SetByCanonicalIndex(child_base + l, size);
-        if (max_pairs != 0 && size > max_pairs) {
-          cell_status[l] = PairLimitExceeded(LabelPath{root, l});
-        }
+  if (k < 2) return Status::OK();
+  const uint64_t child_base = space.LengthOffset(2) + root * num_labels;
+  if (level1_size == 0) {
+    map->ZeroRange(child_base, num_labels);
+  } else if (k == 2) {
+    uint64_t* counts = ctx.leaf_counts.data();
+    std::fill_n(counts, num_labels, uint64_t{0});
+    ctx.fused.CountAll(ctx.level1, counts);
+    for (LabelId l = 0; l < num_labels; ++l) {
+      map->SetByCanonicalIndex(child_base + l, counts[l]);
+    }
+  } else {
+    ctx.fused.ExtendAll(ctx.level1, level2_cells);
+    for (LabelId l = 0; l < num_labels; ++l) {
+      const uint64_t size = level2_cells[l].size();
+      map->SetByCanonicalIndex(child_base + l, size);
+      if (max_pairs != 0 && size > max_pairs) {
+        cell_status[l] = PairLimitExceeded(LabelPath{root, l});
       }
     }
   }
   return Status::OK();
 }
 
-Status EvaluateFusedPrefixTask(const Graph& graph, EvalContext& ctx,
-                               LabelId root, LabelId l2, const PairSet& level2,
-                               size_t k, const SelectivityOptions& options,
-                               SelectivityMap* map) {
+// Phase B: the DFS over every extension of the depth-2 prefix (root, l2)
+// whose non-empty pair set is `level2`, writing each length-3..k entry
+// under it. The DFS prunes empty children without visiting them, so the
+// prefix's slices must be zero on entry (ZeroPrefixSubtree). Requires
+// k >= 3.
+Status PrefixTask(const Graph& graph, EvalContext& ctx, LabelId root,
+                  LabelId l2, const PairSet& level2, size_t k,
+                  const SelectivityOptions& options, SelectivityMap* map) {
   LabelPath path{root, l2};
   FusedDfs r{&graph, &options, map, &ctx, k};
   const uint64_t radix =
@@ -200,6 +210,8 @@ Status EvaluateFusedPrefixTask(const Graph& graph, EvalContext& ctx,
   return FusedDfsExtend(&r, &path, level2, radix);
 }
 
+// Zeroes every length-3..k entry under the depth-2 prefix (root, l2):
+// exactly the write slices of its PrefixTask.
 void ZeroPrefixSubtree(LabelId root, LabelId l2, SelectivityMap* map) {
   const PathSpace& space = map->space();
   const uint64_t num_labels = space.num_labels();
@@ -214,6 +226,8 @@ void ZeroPrefixSubtree(LabelId root, LabelId l2, SelectivityMap* map) {
   }
 }
 
+}  // namespace
+
 size_t SelectivityTaskCount(size_t num_labels, size_t k) {
   return k >= 3 ? num_labels * num_labels : num_labels;
 }
@@ -227,29 +241,30 @@ size_t ResolvedNumThreads(const SelectivityOptions& options,
   return std::min(requested, SelectivityTaskCount(num_labels, k));
 }
 
-// The build: a parallel per-root pre-pass (level-1 sets, fused extension
-// into the shared level-2 blocks, exact task weights) followed by the
-// depth-2 prefix tasks (root, l2), dispatched heaviest-first over the
-// pool's atomic work queue so idle workers steal the next-heaviest pending
-// task. Every write target (map slices, level-2 block slices, per-root/
-// per-cell status slots) is disjoint; the returned status is the first
-// failure in DFS pre-order.
-Result<SelectivityMap> ComputeSelectivities(const Graph& graph, size_t k,
-                                            const SelectivityOptions& options) {
-  if (graph.num_labels() == 0) {
-    return Status::InvalidArgument("graph has no labels");
-  }
-  if (k < 1 || k > kMaxPathLength) {
-    return Status::InvalidArgument("k out of range [1, kMaxPathLength]");
-  }
-  const size_t num_labels = graph.num_labels();
-  PathSpace space(num_labels, k);
-  SelectivityMap map(space);
+// A parallel per-root pre-pass (level-1 sets, fused extension into the
+// shared level-2 blocks, task selection and zeroing, exact task weights)
+// followed by the selected depth-2 prefix tasks (root, l2), dispatched
+// heaviest-first over the pool's atomic work queue so idle workers steal
+// the next-heaviest pending task. Every write target (map slices, level-2
+// block slices, per-root/per-cell status and selection slots) is
+// disjoint; the returned status is the first failure in DFS pre-order.
+Status RefreshSelectivities(const Graph& graph,
+                            const std::vector<LabelId>& roots,
+                            const SelectivityOptions& options,
+                            const PrefixTaskFilter& filter,
+                            SelectivityMap* map, size_t* tasks_run) {
+  const size_t k = map->space().k();
+  const size_t num_labels = map->space().num_labels();
+  PATHEST_CHECK(num_labels == graph.num_labels(),
+                "map and graph disagree on the label count");
+  if (tasks_run != nullptr) *tasks_run = 0;
+  if (roots.empty()) return Status::OK();
   const size_t num_threads = ResolvedNumThreads(options, num_labels, k);
 
   std::vector<Status> root_status(num_labels);  // level-1 guard violations
   const size_t num_cells = k >= 3 ? num_labels * num_labels : 0;
   std::vector<Status> cell_status(num_cells);
+  std::vector<uint8_t> selected(num_cells, 0);
   // Shared level-2 pair sets, one slice of |L| cells per root. Holding the
   // whole level resident (instead of one branch) is what lets the tasks
   // start anywhere; total size is the level-2 selectivity mass, and the
@@ -270,9 +285,9 @@ Result<SelectivityMap> ComputeSelectivities(const Graph& graph, size_t k,
   } else {
     contexts.emplace_back(graph.num_vertices(), num_labels, k);
   }
-  // Graph and kernel are fixed for the whole build: bind each worker's
+  // Graph and kernel are fixed for the whole run: bind each worker's
   // fused extender once instead of per root/task, all of them to the one
-  // two-hop index of this build (enabled only for k >= 4).
+  // two-hop index of this graph (enabled only for k >= 4).
   const TwoHopIndex two_hop = TwoHopIndex::Build(graph, k, options.kernel);
   for (EvalContext& ctx : contexts) {
     ctx.fused.Bind(graph, options.kernel, &two_hop);
@@ -293,69 +308,81 @@ Result<SelectivityMap> ComputeSelectivities(const Graph& graph, size_t k,
     if (options.progress) options.progress(static_cast<LabelId>(root));
   };
 
-  // ---- Phase A: per-root pre-pass. Builds the level-1 pair set, writes
-  // the length-1 (and, via the fused kernel, length-2) map entries, and
-  // materializes the root's level-2 block — the tasks' starting sets and
-  // their exact weights.
+  // ---- Phase A: per-root pre-pass. Writes the length-1 and length-2
+  // entries and materializes the root's level-2 block (the tasks'
+  // starting sets and their exact weights). Then selects the root's
+  // tasks — every cell when no filter is given or level 1 is empty — and
+  // zeroes each selected cell's deeper slices for its task to rewrite (or,
+  // for an empty cell, to leave at zero).
   auto run_root = [&](size_t root, EvalContext& ctx) {
     Timer timer;
-    root_status[root] = EvaluateFusedRootPrepass(
-        graph, ctx, static_cast<LabelId>(root), k, options, &map,
-        num_cells != 0 ? &level2[root * num_labels] : nullptr,
+    PairSet* cells = num_cells != 0 ? &level2[root * num_labels] : nullptr;
+    root_status[root] = RootPrepass(
+        graph, ctx, static_cast<LabelId>(root), k, options, map, cells,
         num_cells != 0 ? &cell_status[root * num_labels] : nullptr);
+    if (root_status[root].ok() && num_cells != 0) {
+      uint8_t* dirty = &selected[root * num_labels];
+      if (filter && ctx.level1.size() > 0) {
+        filter(static_cast<LabelId>(root), cells, dirty);
+      } else {
+        std::fill_n(dirty, num_labels, uint8_t{1});
+      }
+      for (LabelId l2 = 0; l2 < num_labels; ++l2) {
+        if (dirty[l2]) {
+          ZeroPrefixSubtree(static_cast<LabelId>(root), l2, map);
+        } else {
+          cells[l2] = PairSet();  // not re-run: release its set now
+        }
+      }
+    }
     root_ms[root] += timer.ElapsedMillis();
   };
 
   // Roots are presented heaviest-first by label cardinality (the exact
   // level-1 pair-set size); presentation order never changes the result.
-  std::vector<uint64_t> root_weights(num_labels);
-  for (size_t root = 0; root < num_labels; ++root) {
-    root_weights[root] = graph.LabelCardinality(static_cast<LabelId>(root));
+  std::vector<uint64_t> root_weights;
+  root_weights.reserve(roots.size());
+  for (LabelId root : roots) {
+    root_weights.push_back(graph.LabelCardinality(root));
   }
   const std::vector<size_t> root_order = HeaviestFirstOrder(root_weights);
-  parallel_for(num_labels, [&](size_t slot, size_t worker) {
-    run_root(root_order[slot], contexts[worker]);
+  parallel_for(roots.size(), [&](size_t slot, size_t worker) {
+    run_root(roots[root_order[slot]], contexts[worker]);
   });
 
-  // ---- Task construction: one (root, l2) prefix task per non-empty,
-  // non-violating level-2 cell of a healthy root, heaviest-first by the
-  // cell's exact pair count.
+  // ---- Task construction: one (root, l2) prefix task per selected,
+  // non-empty, non-violating level-2 cell of a healthy root,
+  // heaviest-first by the cell's exact pair count.
   std::vector<size_t> tasks;
-  if (k >= 3) {
-    std::vector<uint64_t> weights;
-    for (size_t root = 0; root < num_labels; ++root) {
-      if (!root_status[root].ok()) continue;
-      for (size_t l2 = 0; l2 < num_labels; ++l2) {
-        const size_t cell = root * num_labels + l2;
-        if (!cell_status[cell].ok() || level2[cell].size() == 0) continue;
-        tasks.push_back(cell);
-        weights.push_back(level2[cell].size());
-        ++root_pending[root];
-      }
+  std::vector<uint64_t> weights;
+  for (size_t cell = 0; cell < num_cells; ++cell) {
+    if (!selected[cell] || !cell_status[cell].ok() ||
+        level2[cell].size() == 0) {
+      continue;
     }
-    const std::vector<size_t> order = HeaviestFirstOrder(weights);
-    std::vector<size_t> ordered(tasks.size());
-    for (size_t i = 0; i < tasks.size(); ++i) ordered[i] = tasks[order[i]];
-    tasks = std::move(ordered);
+    tasks.push_back(cell);
+    weights.push_back(level2[cell].size());
+    ++root_pending[cell / num_labels];
   }
+  if (tasks_run != nullptr) *tasks_run = tasks.size();
+  const std::vector<size_t> order = HeaviestFirstOrder(weights);
 
-  // Roots whose subtree finished in the pre-pass (k <= 2, empty or
-  // guard-failed roots, or all cells empty/violating) complete here.
+  // Run roots whose subtree finished in the pre-pass (k <= 2, empty or
+  // guard-failed roots, or no task selected) complete here.
   if (options.progress || options.label_time) {
     std::lock_guard<std::mutex> lock(callback_mu);
-    for (size_t root = 0; root < num_labels; ++root) {
+    for (LabelId root : roots) {
       if (root_pending[root] == 0) fire_root_done(root);
     }
   }
 
-  // ---- Phase B: the prefix tasks.
+  // ---- Phase B: the selected prefix tasks.
   auto run_task = [&](size_t cell, EvalContext& ctx) {
     Timer timer;
     const size_t root = cell / num_labels;
     const LabelId l2 = static_cast<LabelId>(cell % num_labels);
-    cell_status[cell] =
-        EvaluateFusedPrefixTask(graph, ctx, static_cast<LabelId>(root), l2,
-                                level2[cell], k, options, &map);
+    cell_status[cell] = PrefixTask(graph, ctx, static_cast<LabelId>(root),
+                                   l2, level2[cell], k, options, map);
     level2[cell] = PairSet();  // release the consumed starting set
     const double ms = timer.ElapsedMillis();
     std::lock_guard<std::mutex> lock(callback_mu);
@@ -366,13 +393,14 @@ Result<SelectivityMap> ComputeSelectivities(const Graph& graph, size_t k,
     }
   };
   parallel_for(tasks.size(), [&](size_t slot, size_t worker) {
-    run_task(tasks[slot], contexts[worker]);
+    run_task(tasks[order[slot]], contexts[worker]);
   });
 
   // DFS-order-first failure: for each root in ascending order, a level-1
   // violation precedes its cells'; within a root, cell l2's level-2 check
   // precedes any failure deeper inside l2's subtree, which precedes cell
-  // l2+1 — the pre-order of one serial label-order DFS.
+  // l2+1 — the pre-order of one serial label-order DFS. Roots and cells
+  // that did not run hold OK.
   for (size_t root = 0; root < num_labels; ++root) {
     if (!root_status[root].ok()) return std::move(root_status[root]);
     for (size_t cell = root * num_labels;
@@ -380,6 +408,22 @@ Result<SelectivityMap> ComputeSelectivities(const Graph& graph, size_t k,
       if (!cell_status[cell].ok()) return std::move(cell_status[cell]);
     }
   }
+  return Status::OK();
+}
+
+Result<SelectivityMap> ComputeSelectivities(const Graph& graph, size_t k,
+                                            const SelectivityOptions& options) {
+  if (graph.num_labels() == 0) {
+    return Status::InvalidArgument("graph has no labels");
+  }
+  if (k < 1 || k > kMaxPathLength) {
+    return Status::InvalidArgument("k out of range [1, kMaxPathLength]");
+  }
+  SelectivityMap map(PathSpace(graph.num_labels(), k));
+  std::vector<LabelId> roots(graph.num_labels());
+  std::iota(roots.begin(), roots.end(), LabelId{0});
+  PATHEST_RETURN_NOT_OK(
+      RefreshSelectivities(graph, roots, options, nullptr, &map));
   return map;
 }
 

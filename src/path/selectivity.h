@@ -37,6 +37,14 @@
 // the next-heaviest pending task. There is one EvalContext per worker and
 // the result is bit-identical for every num_threads value.
 //
+// One driver: RefreshSelectivities runs that decomposition over a chosen
+// set of roots and, under each, a chosen set of prefix tasks, rewriting
+// their slices of an existing map. ComputeSelectivities is the case with
+// a fresh map, every root and every task; the incremental refresh
+// (maint/incremental.h) is the case with the roots and tasks an edge
+// delta can have changed. The driver zeroes every slice it rewrites, so
+// stale values never survive in a slice it runs.
+//
 // Kernels: each extension step deduplicates successors with either the
 // sparse epoch kernel or the dense bitmap kernel, chosen per (source
 // group, label) by a cost estimate (see path/pair_set.h); sparse groups
@@ -54,9 +62,9 @@
 #include <functional>
 #include <vector>
 
-#include "engine/eval_context.h"
 #include "graph/graph.h"
 #include "path/label_path.h"
+#include "path/pair_set.h"
 #include "path/path_space.h"
 #include "util/status.h"
 
@@ -88,7 +96,7 @@ class SelectivityMap {
   }
 
   /// \brief Zeroes `count` entries starting at canonical index `index`.
-  /// Used when patching a map in place (see ZeroPrefixSubtree).
+  /// The driver (RefreshSelectivities) clears the slices it rewrites.
   void ZeroRange(uint64_t index, uint64_t count);
 
   /// \brief Sum of all selectivities (diagnostics).
@@ -156,8 +164,10 @@ struct SelectivityOptions {
   /// tests/kernel_selectivity_test.cc and tests/fused_selectivity_test.cc.
   PairKernel kernel = PairKernel::kAuto;
 
-  /// Optional progress callback invoked after each length-1 subtree
-  /// completes (i.e., exactly num_labels times, failing roots included).
+  /// Optional progress callback invoked after each root's subtree
+  /// completes, once per root the driver runs, failing roots included:
+  /// exactly num_labels times for ComputeSelectivities, once per touched
+  /// root for an incremental refresh.
   ///
   /// Thread-safety guarantee: invocations are serialized behind an internal
   /// mutex (shared with `label_time`), so the callback may mutate shared
@@ -167,7 +177,7 @@ struct SelectivityOptions {
   /// in an order that follows task weights, not label order.
   std::function<void(LabelId done_root)> progress;
 
-  /// Optional timing sink: receives each root label's subtree evaluation
+  /// Optional timing sink: receives each run root's subtree evaluation
   /// time in milliseconds, immediately before `progress` fires for that
   /// root: the SUM of the root's pre-pass span and its prefix tasks' spans
   /// (which may overlap in wall time when parallel). Serialized behind the
@@ -188,55 +198,45 @@ size_t SelectivityTaskCount(size_t num_labels, size_t k);
 size_t ResolvedNumThreads(const SelectivityOptions& options,
                           size_t num_labels, size_t k);
 
-/// \brief Computes f(ℓ) for every ℓ in L_k on `graph`.
+/// \brief Computes f(ℓ) for every ℓ in L_k on `graph`: RefreshSelectivities
+/// over a fresh map with every root and no filter.
 Result<SelectivityMap> ComputeSelectivities(
     const Graph& graph, size_t k,
     const SelectivityOptions& options = SelectivityOptions{});
 
-/// \brief Runs the per-root pre-pass for `root` (Phase A of the depth-2
-/// decomposition): builds the root's level-1 pair set into `ctx.level1`,
-/// writes the length-1 map entry, and — for k >= 2 with a non-empty level
-/// — either counts the length-2 leaves directly (k == 2) or extends into
-/// `level2_cells` (an array of num_labels PairSets, the prefix tasks'
-/// starting sets), writing every length-2 entry and recording per-cell
-/// guard violations into `cell_status` (an array of num_labels Status
-/// slots; only violating cells are written). Returns the root's own guard
-/// status (a level-1 violation skips level 2 entirely).
-///
-/// Preconditions: `ctx.fused` is Bound to (graph, options.kernel); for
-/// k >= 3, `level2_cells` and `cell_status` are non-null; `map` covers
-/// space (graph.num_labels(), k). Writes are confined to the root's
-/// disjoint canonical-index slices, so concurrent calls on distinct roots
-/// with distinct contexts are race-free.
-///
-/// Exported (rather than kept a lambda of the build) so the incremental
-/// maintenance engine (src/maint/incremental.h) re-runs EXACTLY the code
-/// path of the full build on dirtied roots — bit-identity of incremental
-/// and full rebuilds is by construction, not by parallel implementation.
-Status EvaluateFusedRootPrepass(const Graph& graph, EvalContext& ctx,
-                                LabelId root, size_t k,
-                                const SelectivityOptions& options,
-                                SelectivityMap* map, PairSet* level2_cells,
-                                Status* cell_status);
+/// \brief Chooses the depth-2 prefix tasks one root re-runs. Called by
+/// RefreshSelectivities after `root`'s pre-pass (healthy, non-empty level
+/// 1, k >= 3) with the root's |L| fresh level-2 pair sets in `level2`; sets
+/// dirty[l2] = 1 for every cell (root, l2) whose deeper slices must be
+/// rewritten (`dirty` holds |L| zeroes on entry). Called concurrently for
+/// distinct roots, so it must only read shared state.
+using PrefixTaskFilter = std::function<void(
+    LabelId root, const PairSet* level2, uint8_t* dirty)>;
 
-/// \brief Evaluates one depth-2 prefix task (root, l2) — Phase B of the
-/// decomposition: the DFS over every extension of the length-2 prefix
-/// whose (non-empty) pair set is `level2`, writing each length-3..k entry
-/// under the prefix. The subtree's map entries MUST be zero on entry (the
-/// DFS prunes empty children without visiting them) — guaranteed for a
-/// freshly-constructed map, restored by ZeroPrefixSubtree when patching
-/// one in place. `ctx.fused` must be Bound to (graph, options.kernel).
-/// Requires k >= 3.
-Status EvaluateFusedPrefixTask(const Graph& graph, EvalContext& ctx,
-                               LabelId root, LabelId l2, const PairSet& level2,
-                               size_t k, const SelectivityOptions& options,
-                               SelectivityMap* map);
-
-/// \brief Zeroes every length-3..k entry under the depth-2 prefix
-/// (root, l2) — exactly the write slices of EvaluateFusedPrefixTask. The
-/// incremental engine calls this on every dirtied task before re-running
-/// it against the patched graph.
-void ZeroPrefixSubtree(LabelId root, LabelId l2, SelectivityMap* map);
+/// \brief The selectivity driver: recomputes, on `graph`, the slices of
+/// `map` under each root in `roots` (distinct labels) and leaves every
+/// other root's slices as they are.
+///
+/// A run root gets its pre-pass: its length-1 entry and its whole length-2
+/// block are rewritten (zeroed when the root's level-1 set is empty). Its
+/// tasks are then selected — every cell when `filter` is empty or the
+/// level-1 set is empty, else the cells `filter` marks — and each selected
+/// cell's length-3..k slices are zeroed and, when its level-2 set is
+/// non-empty and within the guard, recomputed by the cell's prefix task.
+/// Unselected cells keep their deeper slices. `*tasks_run`, when given,
+/// receives the number of prefix tasks run.
+///
+/// `map` then equals a full build on `graph` if every slice it keeps
+/// already held its full-build value. `map` must cover graph.num_labels()
+/// labels; its own k is the depth run.
+/// Returns the first guard violation in DFS pre-order among the run roots
+/// and tasks (the map is then partial); `options` callbacks fire once per
+/// run root.
+Status RefreshSelectivities(const Graph& graph,
+                            const std::vector<LabelId>& roots,
+                            const SelectivityOptions& options,
+                            const PrefixTaskFilter& filter,
+                            SelectivityMap* map, size_t* tasks_run = nullptr);
 
 }  // namespace pathest
 

@@ -1,9 +1,11 @@
 // Tests for the engine layer: ThreadPool/ParallelFor scheduling guarantees,
-// heaviest-first work ordering, and EvalContext scratch reuse.
+// heaviest-first work ordering, and EvalContext scratch reuse (through the
+// selectivity driver, and on an oversized context's own kernel).
 
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -16,6 +18,8 @@
 #include "engine/eval_context.h"
 #include "engine/schedule.h"
 #include "engine/thread_pool.h"
+#include "oracles/selectivity_oracle.h"
+#include "path/pair_set.h"
 #include "path/selectivity.h"
 #include "test_util.h"
 
@@ -24,22 +28,22 @@ namespace {
 
 using testing_util::SmallGraph;
 
-// One root's subtree through the build's own primitives on a context bound
-// to `g`: the pre-pass, then every non-empty, non-violating depth-2 prefix
-// task in label order. Returns the first guard violation in pre-order.
-Status EvaluateRoot(const Graph& g, EvalContext& ctx, LabelId root, size_t k,
+// One root's subtree through the selectivity driver: a one-root selection
+// with every prefix task.
+Status EvaluateRoot(const Graph& g, LabelId root,
                     const SelectivityOptions& options, SelectivityMap* map) {
-  std::vector<PairSet> level2(g.num_labels());
-  std::vector<Status> cell_status(g.num_labels());
-  PATHEST_RETURN_NOT_OK(EvaluateFusedRootPrepass(
-      g, ctx, root, k, options, map, level2.data(), cell_status.data()));
-  for (LabelId l2 = 0; k >= 3 && l2 < g.num_labels(); ++l2) {
-    if (!cell_status[l2].ok()) return std::move(cell_status[l2]);
-    if (level2[l2].size() == 0) continue;
-    PATHEST_RETURN_NOT_OK(EvaluateFusedPrefixTask(g, ctx, root, l2, level2[l2],
-                                                  k, options, map));
+  return RefreshSelectivities(g, {root}, options, nullptr, map);
+}
+
+// A map whose every entry holds a stale value the driver must overwrite
+// (or, outside the roots it runs, keep).
+constexpr uint64_t kStale = 777;
+SelectivityMap StaleMap(const PathSpace& space) {
+  SelectivityMap map(space);
+  for (uint64_t i = 0; i < space.size(); ++i) {
+    map.SetByCanonicalIndex(i, kStale);
   }
-  return Status::OK();
+  return map;
 }
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
@@ -133,46 +137,72 @@ TEST(ScheduleTest, HeaviestFirstOrderIsAPermutation) {
 
 TEST(EvalContextTest, RootSubtreeIsPureAndContextReusable) {
   Graph g = SmallGraph();
-  const size_t k = 3;
-  PathSpace space(g.num_labels(), k);
-  SelectivityOptions options;
+  for (size_t k : {size_t{3}, size_t{4}}) {
+    PathSpace space(g.num_labels(), k);
+    auto reference = oracles::ReferenceSelectivities(g, k);
+    ASSERT_TRUE(reference.ok());
+    // One serial driver run: its ONE context evaluates every root and every
+    // prefix task in turn, over a map of stale values. Agreement with the
+    // oracle proves prior scratch contents don't leak into results.
+    SelectivityOptions options;
+    ASSERT_EQ(ResolvedNumThreads(options, g.num_labels(), k), 1u);
+    std::vector<LabelId> roots(g.num_labels());
+    std::iota(roots.begin(), roots.end(), LabelId{0});
+    SelectivityMap first = StaleMap(space);
+    ASSERT_TRUE(RefreshSelectivities(g, roots, options, nullptr, &first).ok());
+    EXPECT_EQ(first.values(), reference->values()) << "k=" << k;
 
-  // Evaluate every root twice through ONE context; a full fresh evaluation
-  // must agree, proving prior scratch contents don't leak into results.
-  EvalContext ctx(g.num_vertices(), g.num_labels(), k);
-  ctx.fused.Bind(g, options.kernel);
-  SelectivityMap first(space);
-  SelectivityMap second(space);
-  for (LabelId root = 0; root < g.num_labels(); ++root) {
-    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &first).ok());
+    // Every root again, one at a time in reverse order, over the first
+    // result: each slice is rewritten to the same values.
+    SelectivityMap second = first;
+    for (LabelId root = g.num_labels(); root-- > 0;) {
+      ASSERT_TRUE(EvaluateRoot(g, root, options, &second).ok());
+    }
+    EXPECT_EQ(second.values(), reference->values()) << "k=" << k;
   }
-  for (LabelId root = g.num_labels(); root-- > 0;) {  // reverse order
-    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &second).ok());
-  }
-  EXPECT_EQ(first.values(), second.values());
-
-  auto reference = ComputeSelectivities(g, k);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(first.values(), reference->values());
 }
 
 TEST(EvalContextTest, OversizedContextEvaluatesSmallerGraph) {
   // The documented reuse contract: a context built for AT MOST some counts
   // must evaluate any smaller graph — kernel thresholds and the leaf pass
   // have to use the graph's real dimensions, not the context capacities.
+  // The driver sizes its contexts to the graph, so the contract is checked
+  // here on the context's own kernel, running by hand the steps of the
+  // driver's k = 4 evaluation: level-1 set, fused extension into level 2,
+  // then per level-2 cell the 1-hop leaf count and the two-hop pass.
   Graph g = SmallGraph();
-  const size_t k = 3;
-  PathSpace space(g.num_labels(), k);
-  EvalContext ctx(g.num_vertices() + 100, g.num_labels() + 5, k + 2);
-  SelectivityOptions options;
-  ctx.fused.Bind(g, options.kernel);
-  SelectivityMap map(space);
-  for (LabelId root = 0; root < g.num_labels(); ++root) {
-    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &map).ok());
-  }
-  auto reference = ComputeSelectivities(g, k);
+  const size_t k = 4;
+  const size_t num_labels = g.num_labels();
+  auto reference = oracles::ReferenceSelectivities(g, k);
   ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(map.values(), reference->values());
+  EvalContext ctx(g.num_vertices() + 100, num_labels + 5, k + 2);
+  const TwoHopIndex two_hop = TwoHopIndex::Build(g, k, PairKernel::kAuto);
+  ASSERT_TRUE(two_hop.enabled());
+  ctx.fused.Bind(g, PairKernel::kAuto, &two_hop);
+  std::vector<PairSet> level2(num_labels);
+  for (LabelId root = 0; root < num_labels; ++root) {
+    InitialPairSet(g, root, &ctx.level1);
+    EXPECT_EQ(ctx.level1.size(), reference->Get(LabelPath{root}));
+    if (ctx.level1.size() == 0) continue;
+    ctx.fused.ExtendAll(ctx.level1, level2.data());
+    for (LabelId l2 = 0; l2 < num_labels; ++l2) {
+      const PairSet& cell = level2[l2];
+      ASSERT_EQ(cell.size(), reference->Get(LabelPath{root, l2}));
+      if (cell.size() == 0) continue;
+      uint64_t* counts = ctx.leaf_counts.data();
+      std::fill_n(counts, num_labels, uint64_t{0});
+      ctx.fused.CountAll(cell, counts);
+      ASSERT_TRUE(ctx.fused.TwoHopCovers(cell));
+      const uint64_t* pair_counts = ctx.fused.CountAll2(cell);
+      for (LabelId a = 0; a < num_labels; ++a) {
+        EXPECT_EQ(counts[a], reference->Get(LabelPath{root, l2, a}));
+        for (LabelId b = 0; b < num_labels; ++b) {
+          EXPECT_EQ(pair_counts[a * num_labels + b],
+                    reference->Get(LabelPath{root, l2, a, b}));
+        }
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, TaskExceptionRethrownFromParallelFor) {
@@ -290,16 +320,19 @@ TEST(EvalContextTest, RootSubtreeWritesOnlyItsSlice) {
   Graph g = SmallGraph();
   const size_t k = 3;
   PathSpace space(g.num_labels(), k);
-  EvalContext ctx(g.num_vertices(), g.num_labels(), k);
-  SelectivityOptions options;
-  ctx.fused.Bind(g, options.kernel);
+  auto reference = oracles::ReferenceSelectivities(g, k);
+  ASSERT_TRUE(reference.ok());
 
+  // A one-root run over stale values rewrites exactly the root's slices.
   const LabelId root = 1;
-  SelectivityMap map(space);
-  ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &map).ok());
+  SelectivityMap map = StaleMap(space);
+  ASSERT_TRUE(EvaluateRoot(g, root, SelectivityOptions{}, &map).ok());
   space.ForEach([&](const LabelPath& p) {
     if (p.label(0) != root) {
-      EXPECT_EQ(map.Get(p), 0u) << "foreign-slice write at " << p.ToIdString();
+      EXPECT_EQ(map.Get(p), kStale) << "foreign-slice write at "
+                                    << p.ToIdString();
+    } else {
+      EXPECT_EQ(map.Get(p), reference->Get(p)) << p.ToIdString();
     }
   });
 }

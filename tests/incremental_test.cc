@@ -210,6 +210,88 @@ TEST(IncrementalTest, SmallGraphAllKsAllShapes) {
   }
 }
 
+TEST(IncrementalTest, StatsOnSmallGraphAreHandComputed) {
+  // SmallGraph (a = 0, b = 1, c = 2):
+  //   0 -a-> 1, 0 -a-> 2, 1 -b-> 3, 2 -b-> 3, 3 -c-> 0, 1 -a-> 3
+  // plus one added edge 2 -c-> 0, so D = {c} and U = {2}. Backward cones
+  // over the union graph: C_0 = {2}, C_1 = {0, 2}, C_2 = {0, 2, 3}.
+  //   k = 2: C_0; a is touched (target 2 ∈ C_0), c is in D, b's only
+  //          target 3 is not in C_0. No tasks below k = 3.
+  //   k = 3: C_1; touched a, c as before. Root c (in D) has every cell
+  //          dirty but only (c, a) = {(2,1), (2,2), (3,1), (3,2)} is
+  //          non-empty. Root a: test (a) dirties (a, c) (target 2 is a
+  //          c-delta source); (a, a) and (a, b) have the single target 3,
+  //          not in C_0. 2 tasks.
+  //   k = 4: C_2 also holds 3, so b is touched too, and its cell (b, c) =
+  //          {(1,0), (2,0)} reaches 0 ∈ C_1 by test (b); (b, a) and (b, b)
+  //          are empty. Root a's (a, a), (a, b) stay clean (3 ∉ C_1). With
+  //          (c, a) and (a, c): 3 tasks.
+  Graph graph = testing_util::SmallGraph();
+  const LabelId c = *graph.labels().Find("c");
+  const std::vector<EdgeDelta> deltas = {{true, 2, 0, c}};
+  auto patched = PatchGraph(graph, deltas);
+  ASSERT_TRUE(patched.ok());
+  struct Expected {
+    size_t k, touched_roots, dirty_tasks, total_tasks, cone_vertices;
+  };
+  for (const Expected& want : {Expected{2, 2, 0, 0, 1},
+                               Expected{3, 2, 2, 9, 2},
+                               Expected{4, 3, 3, 9, 3}}) {
+    auto old_map = ComputeSelectivities(graph, want.k);
+    ASSERT_TRUE(old_map.ok());
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SelectivityOptions options;
+      options.num_threads = threads;
+      IncrementalStats stats;
+      auto inc = IncrementalSelectivities(*patched, *old_map, deltas,
+                                          options, &stats);
+      ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+      auto full = ComputeSelectivities(*patched, want.k, options);
+      ASSERT_TRUE(full.ok());
+      EXPECT_EQ(inc->values(), full->values()) << "k=" << want.k;
+      EXPECT_EQ(stats.num_deltas, 1u);
+      EXPECT_EQ(stats.total_roots, 3u);
+      EXPECT_EQ(stats.touched_roots, want.touched_roots) << "k=" << want.k;
+      EXPECT_EQ(stats.dirty_tasks, want.dirty_tasks) << "k=" << want.k;
+      EXPECT_EQ(stats.total_tasks, want.total_tasks) << "k=" << want.k;
+      EXPECT_EQ(stats.cone_vertices, want.cone_vertices) << "k=" << want.k;
+    }
+  }
+}
+
+TEST(IncrementalTest, DeltaOnEveryLabelIsTheFullBuild) {
+  // A self-loop of every label on vertex 0 puts D = every label, so every
+  // root is touched and every cell dirty; it also puts the pair (0, 0) in
+  // every level-2 cell, so every dirty cell is a task. The refresh then
+  // runs exactly the work of a full build, over the old map, and must
+  // give the full build's map.
+  Graph graph = testing_util::SmallGraph();
+  std::vector<EdgeDelta> deltas;
+  for (LabelId l = 0; l < graph.num_labels(); ++l) {
+    deltas.push_back({true, 0, 0, l});
+  }
+  auto patched = PatchGraph(graph, deltas);
+  ASSERT_TRUE(patched.ok());
+  for (size_t k : {size_t{2}, size_t{3}, size_t{4}}) {
+    auto old_map = ComputeSelectivities(graph, k);
+    ASSERT_TRUE(old_map.ok());
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SelectivityOptions options;
+      options.num_threads = threads;
+      IncrementalStats stats;
+      auto inc = IncrementalSelectivities(*patched, *old_map, deltas,
+                                          options, &stats);
+      ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+      auto full = ComputeSelectivities(*patched, k, options);
+      ASSERT_TRUE(full.ok());
+      EXPECT_EQ(inc->values(), full->values()) << "k=" << k;
+      EXPECT_EQ(stats.touched_roots, stats.total_roots) << "k=" << k;
+      EXPECT_EQ(stats.dirty_tasks, stats.total_tasks) << "k=" << k;
+      EXPECT_EQ(stats.total_tasks, k >= 3 ? 9u : 0u) << "k=" << k;
+    }
+  }
+}
+
 TEST(IncrementalTest, EmptyBatchIsExactNoOp) {
   Graph graph = testing_util::SmallGraph();
   auto old_map = ComputeSelectivities(graph, 3);
