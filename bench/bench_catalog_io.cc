@@ -160,7 +160,6 @@ int Run(bool json_mode, const std::string& json_path) {
   bench::DieIf(from_mmap.status(), "mmap binary v2");
   PathSpace space(num_labels, k);
   RankScratch scratch;
-  scratch.Reserve(num_labels);
   size_t mismatches = 0;
   space.ForEach([&](const LabelPath& p) {
     const double want = est.Estimate(p);

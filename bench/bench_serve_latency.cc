@@ -48,14 +48,6 @@ struct Row {
   double qps = 0;
 };
 
-double Percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0;
-  const size_t idx = std::min(
-      sorted_us.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_us.size())));
-  return sorted_us[idx];
-}
-
 Row RunRow(const std::string& socket_path, const std::string& query,
            size_t clients, size_t requests_per_client, bool reload_storm) {
   Row row;
@@ -113,12 +105,11 @@ Row RunRow(const std::string& socket_path, const std::string& query,
   for (const auto& per_client : latencies) {
     all.insert(all.end(), per_client.begin(), per_client.end());
   }
-  std::sort(all.begin(), all.end());
   row.requests = all.size();
   row.errors = errors.load();
   row.reloads = reloads.load();
-  row.p50_us = Percentile(all, 0.50);
-  row.p99_us = Percentile(all, 0.99);
+  row.p50_us = bench::Percentile(&all, 0.50);
+  row.p99_us = bench::Percentile(&all, 0.99);
   double sum = 0;
   for (double v : all) sum += v;
   row.mean_us = all.empty() ? 0 : sum / static_cast<double>(all.size());

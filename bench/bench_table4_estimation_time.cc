@@ -10,8 +10,8 @@
 //
 // Measured on the SERVING fast path (core/estimator.h: type-tagged scratch
 // Rank + flat SoA bucket lookup) — the per-query cost a deployed estimator
-// pays. The legacy virtual path is measured against it by
-// bench_micro_estimation. The est_bytes column is the serving-resident
+// pays. The reference path (PathHistogram::Estimate: virtual Rank plus
+// the Bucket search) is measured against it by bench_micro_estimation. The est_bytes column is the serving-resident
 // footprint of each row's estimator (flat bucket index; identical across
 // orderings at equal beta).
 

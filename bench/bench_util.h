@@ -48,15 +48,19 @@ inline size_t SizeFromEnv(const char* name, size_t def) {
   return static_cast<size_t>(v);
 }
 
-// The p-quantile of `samples` (0 <= p <= 1) by nearest rank, rounding the
-// rank down: the sample at index ⌊p · (n − 1)⌋ once sorted. Sorts
-// `samples` in place; 0 when empty.
+// The p-quantile of `samples` (0 <= p <= 1), interpolating linearly
+// between the two samples around rank p · (n − 1) once sorted (the
+// "type 7" estimator of R and NumPy): the median of an even count is the
+// mean of the middle pair, and at two samples p25 < p50 < p75 whenever the
+// samples differ. Sorts `samples` in place; 0 when empty.
 inline double Percentile(std::vector<double>* samples, double p) {
   if (samples->empty()) return 0.0;
   std::sort(samples->begin(), samples->end());
-  const size_t i =
-      static_cast<size_t>(p * static_cast<double>(samples->size() - 1));
-  return (*samples)[i];
+  const double rank = p * static_cast<double>(samples->size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, samples->size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return (*samples)[lo] + frac * ((*samples)[hi] - (*samples)[lo]);
 }
 
 // Worker-thread count for selectivity evaluation: PATHEST_THREADS env, or

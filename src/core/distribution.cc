@@ -22,7 +22,6 @@ Result<std::vector<uint64_t>> BuildDistribution(
   const std::vector<uint64_t>& values = selectivities.values();
   std::vector<uint64_t> dist(target.size());
   RankScratch scratch;
-  scratch.Reserve(target.num_labels());
   uint64_t canonical = 0;
   target.ForEach([&](const LabelPath& path) {
     dist[ordering.Rank(path, scratch)] = values[canonical++];

@@ -1,29 +1,16 @@
 #include "core/estimator.h"
 
-#include <algorithm>
-#include <vector>
-
-#include "engine/thread_pool.h"
+#include <utility>
 
 namespace pathest {
 
-namespace {
-
-// Queries per ParallelFor chunk: large enough to amortize the work-queue
-// pop, small enough that a skewed tail still load-balances.
-constexpr size_t kBatchChunk = 1024;
-
-}  // namespace
-
 Estimator::Estimator(const PathHistogram& source)
-    : source_(&source),
-      ordering_(&source.ordering()),
+    : ordering_(&source.ordering()),
       kind_(source.ordering().kind()),
       flat_(source.histogram()) {}
 
 Estimator::Estimator(const Ordering& ordering, const Histogram& histogram)
-    : source_(nullptr),
-      ordering_(&ordering),
+    : ordering_(&ordering),
       kind_(ordering.kind()),
       flat_(histogram) {
   PATHEST_CHECK(histogram.domain_size() == ordering.size(),
@@ -31,8 +18,7 @@ Estimator::Estimator(const Ordering& ordering, const Histogram& histogram)
 }
 
 Estimator::Estimator(const Ordering& ordering, FlatHistogram flat)
-    : source_(nullptr),
-      ordering_(&ordering),
+    : ordering_(&ordering),
       kind_(ordering.kind()),
       flat_(std::move(flat)) {
   PATHEST_CHECK(flat_.domain_size() == ordering.size(),
@@ -44,37 +30,9 @@ void Estimator::EstimateBatch(std::span<const LabelPath> paths,
   PATHEST_CHECK(paths.size() == out.size(),
                 "EstimateBatch output span size mismatch");
   RankScratch scratch;
-  scratch.Reserve(num_labels());
   for (size_t i = 0; i < paths.size(); ++i) {
     out[i] = Estimate(paths[i], scratch);
   }
-}
-
-void Estimator::EstimateBatchParallel(std::span<const LabelPath> paths,
-                                      std::span<double> out,
-                                      size_t num_threads) const {
-  PATHEST_CHECK(paths.size() == out.size(),
-                "EstimateBatch output span size mismatch");
-  const size_t n = paths.size();
-  const size_t chunks = (n + kBatchChunk - 1) / kBatchChunk;
-  const size_t requested =
-      num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads;
-  const size_t threads = std::min(requested, std::max<size_t>(chunks, 1));
-  if (threads <= 1 || chunks <= 1) {
-    EstimateBatch(paths, out);
-    return;
-  }
-  ThreadPool pool(threads);
-  std::vector<RankScratch> scratches(pool.num_threads());
-  for (RankScratch& s : scratches) s.Reserve(num_labels());
-  pool.ParallelFor(chunks, [&](size_t chunk, size_t worker) {
-    RankScratch& scratch = scratches[worker];
-    const size_t begin = chunk * kBatchChunk;
-    const size_t end = std::min(begin + kBatchChunk, n);
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = Estimate(paths[i], scratch);
-    }
-  });
 }
 
 }  // namespace pathest

@@ -1,27 +1,26 @@
 // pathest: the query-time serving facade — allocation-free single-path
-// estimation and a batched, thread-safe estimation API over a built
-// PathHistogram.
+// and batched estimation over a built PathHistogram or a mapped catalog.
 //
 // PathHistogram::Estimate is the reference path: a virtual Rank() plus a
-// binary search over the 32-byte diagnostic Bucket array. That is fine for
-// experiments, but a production estimator answers millions of queries per
-// second, where the per-call costs — virtual dispatch, the legacy sum-based
-// allocations, cold bucket cache lines — dominate. Estimator removes them:
+// binary search over the 32-byte diagnostic Bucket array. The tests, and
+// the benchmark's untimed q-error pass, compare against it; it serves no
+// query. A serving estimator answers millions of queries per second, where
+// the per-call costs — virtual dispatch, cold bucket cache lines —
+// dominate. Estimator removes them:
 //
 //   * Rank goes through a type-tagged dispatch on Ordering::kind(): the
 //     closed-form orderings (numerical / lexicographic / gray) are called
 //     via their non-virtual inline RankFast bodies, sum-based via its
-//     counts-based scratch fast path, and only the explicit-permutation
+//     table-driven scratch fast path, and only the explicit-permutation
 //     baselines stay on the virtual call.
 //   * Bucket lookup goes through the SoA FlatHistogram
 //     (histogram/flat_histogram.h) built once at construction.
-//   * EstimateBatch amortizes everything across a span of queries;
-//     EstimateBatchParallel fans fixed-size chunks out on an engine
-//     ThreadPool with one RankScratch per worker.
+//   * EstimateBatch amortizes the scratch across a span of queries. There
+//     is no batch-parallel form: the daemon answers each request on its
+//     own worker, so callers parallelize across requests.
 //
 // Every estimate is bit-identical to PathHistogram::Estimate (enforced by
-// tests/estimator_test.cc), and out[i] depends only on paths[i], so the
-// parallel batch is bit-identical to the serial one at any thread count.
+// tests/estimator_test.cc), and out[i] depends only on paths[i].
 //
 // Thread safety: an Estimator is immutable after construction and safe to
 // share across any number of concurrent readers, each holding its own
@@ -54,19 +53,19 @@ class Estimator {
   /// \brief Serves a bare (ordering, histogram) pair — the sweep-engine
   /// path, where one ordering backs many histograms. Both are borrowed and
   /// must outlive this object; the histogram's domain must equal the
-  /// ordering's |L_k|. source() is unavailable on this form.
+  /// ordering's |L_k|.
   Estimator(const Ordering& ordering, const Histogram& histogram);
 
   /// \brief Serves a pre-projected flat index — the mmap zero-copy path,
   /// where `flat` is a FlatHistogram::FromBorrowedRows over a mapped binary
   /// catalog v2 (core/mapped_catalog.h). The ordering is borrowed and must
   /// outlive this object, as must the flat index's backing memory when it
-  /// is a borrowed form. source() is unavailable on this form.
+  /// is a borrowed form.
   Estimator(const Ordering& ordering, FlatHistogram flat);
 
   /// \brief index(ℓ) through the type-tagged fast path. Allocation-free
-  /// once `scratch` is warmed (see the scratch contract in
-  /// ordering/ordering.h); bit-identical to source().ordering().Rank(path).
+  /// (see the scratch contract in ordering/ordering.h); bit-identical to
+  /// ordering().Rank(path).
   uint64_t Rank(const LabelPath& path, RankScratch& scratch) const {
     switch (kind_) {
       case OrderingKind::kNumerical:
@@ -87,7 +86,7 @@ class Estimator {
   }
 
   /// \brief e(ℓ): fast-path point estimate. Bit-identical to
-  /// source().Estimate(path).
+  /// PathHistogram::Estimate(path) on the same ordering and histogram.
   double Estimate(const LabelPath& path, RankScratch& scratch) const {
     return flat_.EstimatePoint(Rank(path, scratch));
   }
@@ -97,14 +96,6 @@ class Estimator {
   void EstimateBatch(std::span<const LabelPath> paths,
                      std::span<double> out) const;
 
-  /// \brief Parallel batch estimation on an engine ThreadPool: fixed-size
-  /// chunks of the span are distributed over `num_threads` workers
-  /// (0 = one per hardware core), each with its own pre-warmed RankScratch.
-  /// out[i] is a pure function of paths[i], so the result is bit-identical
-  /// to EstimateBatch at every thread count (test-enforced).
-  void EstimateBatchParallel(std::span<const LabelPath> paths,
-                             std::span<double> out, size_t num_threads) const;
-
   /// \brief e over an index RANGE of the ordered domain, through the flat
   /// prefix sums (see FlatHistogram::EstimateRange for the FP caveat vs the
   /// diagnostic Histogram path).
@@ -113,29 +104,20 @@ class Estimator {
   }
 
   /// \brief Serving-resident footprint in bytes: the flat bucket index (the
-  /// diagnostic Histogram's footprint is source().histogram().ApproxBytes()).
+  /// diagnostic Histogram's footprint is Histogram::ApproxBytes()).
   size_t ResidentBytes() const { return flat_.ResidentBytes(); }
 
   /// \brief Bytes the flat index views in a mapped file (0 when its rows
   /// are owned) — the complement of ResidentBytes on the mmap path.
   size_t MappedBytes() const { return flat_.MappedBytes(); }
 
-  /// \brief The backing PathHistogram; only valid for estimators built from
-  /// one.
-  const PathHistogram& source() const {
-    PATHEST_CHECK(source_ != nullptr,
-                  "Estimator was built from a bare ordering + histogram");
-    return *source_;
-  }
   const FlatHistogram& flat() const { return flat_; }
   const Ordering& ordering() const { return *ordering_; }
 
-  /// \brief Label-set size to pre-warm external scratches with
-  /// (RankScratch::Reserve).
+  /// \brief |L| of the served ordering's label set.
   size_t num_labels() const { return ordering_->space().num_labels(); }
 
  private:
-  const PathHistogram* source_;
   const Ordering* ordering_;
   OrderingKind kind_;
   FlatHistogram flat_;

@@ -146,33 +146,10 @@ Result<AccuracyResult> MeasureAccuracy(const Graph& graph,
                                        const std::string& ordering_name,
                                        size_t k, size_t beta,
                                        HistogramType histogram_type) {
-  auto ordering =
-      MakeOrderingWithSelectivities(ordering_name, graph, k, selectivities);
-  if (!ordering.ok()) return ordering.status();
-
-  Timer build_timer;
-  auto estimator = PathHistogram::Build(selectivities, std::move(*ordering),
-                                        histogram_type, beta);
-  if (!estimator.ok()) return estimator.status();
-  double build_ms = build_timer.ElapsedMillis();
-
-  AccuracyResult result;
-  result.ordering = estimator->ordering().name();
-  result.k = k;
-  result.beta = beta;
-  result.sse = estimator->histogram().TotalSse();
-  result.build_ms = build_ms;
-
-  PathSpace space(graph.num_labels(), k);
-  std::vector<double> abs_errors;
-  abs_errors.reserve(space.size());
-  space.ForEach([&](const LabelPath& path) {
-    double e = estimator->Estimate(path);
-    double f = static_cast<double>(selectivities.Get(path));
-    abs_errors.push_back(AbsoluteErrorRate(e, f));
-  });
-  result.errors = SummarizeErrors(std::move(abs_errors));
-  return result;
+  auto grid = MeasureAccuracySweep(graph, selectivities, {ordering_name}, k,
+                                   {beta}, histogram_type, 1);
+  if (!grid.ok()) return grid.status();
+  return std::move((*grid)[0]);
 }
 
 Result<std::vector<AccuracyResult>> MeasureAccuracySweep(

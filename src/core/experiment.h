@@ -80,11 +80,14 @@ struct AccuracyResult {
   ErrorSummary errors;
   /// Total within-bucket SSE of the built histogram (V-optimal objective).
   double sse = 0.0;
-  /// Histogram construction time, milliseconds.
+  /// Histogram construction time, milliseconds: the histogram builder
+  /// alone, excluding the ordering and the distribution build.
   double build_ms = 0.0;
 };
 
-/// \brief Accuracy of one (ordering, k, beta, histogram type) cell.
+/// \brief Accuracy of one (ordering, k, beta, histogram type) cell: the
+/// one-cell MeasureAccuracySweep call (one ordering, one β, serial), so
+/// every accuracy number comes from one code path.
 ///
 /// `selectivities` must cover k. Ordering names accepted by
 /// MakeOrderingWithSelectivities are allowed ("ideal", "sum-L2" included).

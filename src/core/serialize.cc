@@ -167,12 +167,6 @@ CompositionLayoutV2 CompositionLayout(uint64_t num_values, uint64_t max_len) {
 
 SumIndexLayoutV2 SumIndexLayout(uint64_t num_cells, uint64_t total_blocks) {
   SumIndexLayoutV2 l;
-  if (num_cells == 0 && total_blocks == 0) {
-    // Scheme kNone: prolog only.
-    l.cell_starts_off = l.keys_off = l.offsets_off = l.nops_off = 24;
-    l.payload_bytes = 24;
-    return l;
-  }
   l.cell_starts_off = AlignUp(24, kArrayAlignBytes);
   l.keys_off =
       AlignUp(l.cell_starts_off + 8 * (num_cells + 1), kArrayAlignBytes);
@@ -417,9 +411,7 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
     sections.emplace_back(binfmt::kSectionComposition, std::move(comp));
 
     const SumStage3View view = sum.stage3_view();
-    const uint64_t num_cells = view.scheme == SumKeyScheme::kNone
-                                   ? 0
-                                   : SumStage3CellCount(num_labels, k);
+    const uint64_t num_cells = SumStage3CellCount(num_labels, k);
     const uint64_t total_blocks = view.keys.size();
     const binfmt::SumIndexLayoutV2 sl =
         binfmt::SumIndexLayout(num_cells, total_blocks);
@@ -429,16 +421,14 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
     AppendU32(&index, view.key_bits);
     AppendU64(&index, num_cells);
     AppendU64(&index, total_blocks);
-    if (view.scheme != SumKeyScheme::kNone) {
-      PadTo(&index, sl.cell_starts_off);
-      AppendRow(&index, view.cell_starts.data(), view.cell_starts.size());
-      PadTo(&index, sl.keys_off);
-      AppendRow(&index, view.keys.data(), view.keys.size());
-      PadTo(&index, sl.offsets_off);
-      AppendRow(&index, view.offsets.data(), view.offsets.size());
-      PadTo(&index, sl.nops_off);
-      AppendRow(&index, view.nops.data(), view.nops.size());
-    }
+    PadTo(&index, sl.cell_starts_off);
+    AppendRow(&index, view.cell_starts.data(), view.cell_starts.size());
+    PadTo(&index, sl.keys_off);
+    AppendRow(&index, view.keys.data(), view.keys.size());
+    PadTo(&index, sl.offsets_off);
+    AppendRow(&index, view.offsets.data(), view.offsets.size());
+    PadTo(&index, sl.nops_off);
+    AppendRow(&index, view.nops.data(), view.nops.size());
     PATHEST_CHECK(index.size() == sl.payload_bytes,
                   "v2 sum-index payload does not match its layout");
     sections.emplace_back(binfmt::kSectionSumIndex, std::move(index));
@@ -626,6 +616,10 @@ Result<LoadedPathHistogram> ReadPathHistogramText(const std::string& content) {
     return Status::IOError("implausible label count " +
                            std::to_string(num_labels) + " for " +
                            std::to_string(end - cur) + " remaining bytes");
+  }
+  if (Status shape = CheckOrderingShape(ordering_name, num_labels, k);
+      !shape.ok()) {
+    return Status::IOError("unservable shape: " + shape.message());
   }
   LabelDictionary labels;
   for (size_t i = 0; i < num_labels; ++i) {
@@ -889,6 +883,10 @@ Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes) {
   if (num_labels == 0 || num_labels > kMaxLabels) {
     return SectionError(kSectionLabels, "implausible label count " +
                                             std::to_string(num_labels));
+  }
+  if (Status shape = CheckOrderingShape(ordering_name, num_labels, k);
+      !shape.ok()) {
+    return SectionError(kSectionLabels, shape.message());
   }
   // Each label costs at least its 4-byte length prefix.
   PATHEST_RETURN_NOT_OK(lab.ValidateCount(num_labels, 4, "labels"));
@@ -1197,6 +1195,10 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     return SectionError(kSectionLabels, "implausible label count " +
                                             std::to_string(num_labels));
   }
+  if (Status shape = CheckOrderingShape(view.ordering_name, num_labels, view.k);
+      !shape.ok()) {
+    return SectionError(kSectionLabels, shape.message());
+  }
   PATHEST_RETURN_NOT_OK(lab.ValidateCount(num_labels, 4, "labels"));
   for (uint32_t i = 0; i < num_labels; ++i) {
     std::string name;
@@ -1256,25 +1258,14 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
             " bytes but the layout for beta=" + std::to_string(view.beta) +
             " needs " + std::to_string(hl.payload_bytes));
   }
-  {
-    // domain_size must be exactly |L_k| for the declared (|L|, k) — checked
-    // with 128-bit accumulation instead of PathSpace (whose checked
-    // arithmetic aborts on forged shapes).
-    unsigned __int128 total = 0, pw = 1;
-    for (uint64_t i = 1; i <= view.k; ++i) {
-      pw *= num_labels;
-      total += pw;
-      if (total > ~0ULL) {
-        return SectionError(kSectionHistogram, "domain size overflows u64");
-      }
-    }
-    if (static_cast<uint64_t>(total) != view.domain_size) {
-      return SectionError(
-          kSectionHistogram,
-          "domain size " + std::to_string(view.domain_size) +
-              " does not match |L_k| = " +
-              std::to_string(static_cast<uint64_t>(total)));
-    }
+  // domain_size must be exactly |L_k|; the shape gate above guarantees
+  // that PathSpace's checked arithmetic cannot abort here.
+  if (const uint64_t domain = PathSpace(num_labels, view.k).size();
+      domain != view.domain_size) {
+    return SectionError(kSectionHistogram,
+                        "domain size " + std::to_string(view.domain_size) +
+                            " does not match |L_k| = " +
+                            std::to_string(domain));
   }
   view.begin = RowSpan<uint64_t>(payload, hl.begin_off, view.beta);
   view.end = RowSpan<uint64_t>(payload, hl.end_off, view.beta);
@@ -1352,6 +1343,8 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     PATHEST_RETURN_NOT_OK(idx.ReadU32(&view.sum_key_bits, "sum-index bits"));
     PATHEST_RETURN_NOT_OK(idx.ReadU64(&num_cells, "sum-index cells"));
     PATHEST_RETURN_NOT_OK(idx.ReadU64(&total_blocks, "sum-index blocks"));
+    // The shape gate guarantees a key; a forged scheme 0 (never written)
+    // fails this comparison.
     SumKeyScheme expected_scheme;
     uint32_t expected_bits;
     ChooseSumKeyScheme(num_labels, view.k, &expected_scheme, &expected_bits);
@@ -1365,19 +1358,12 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
               std::to_string(expected_bits) + " for this space");
     }
     view.sum_scheme = expected_scheme;
-    const uint64_t expected_cells =
-        expected_scheme == SumKeyScheme::kNone
-            ? 0
-            : SumStage3CellCount(num_labels, view.k);
+    const uint64_t expected_cells = SumStage3CellCount(num_labels, view.k);
     if (num_cells != expected_cells) {
       return SectionError(kSectionSumIndex,
                           "cell count " + std::to_string(num_cells) +
                               " (expected " + std::to_string(expected_cells) +
                               ")");
-    }
-    if (expected_scheme == SumKeyScheme::kNone && total_blocks != 0) {
-      return SectionError(kSectionSumIndex,
-                          "blocks present under scheme none");
     }
     // Each block costs 24 bytes across keys/offsets/nops; bounding it here
     // keeps the layout math overflow-free before the exact length check.
@@ -1393,14 +1379,12 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                               " bytes but the layout needs " +
                               std::to_string(sl.payload_bytes));
     }
-    if (expected_scheme != SumKeyScheme::kNone) {
-      view.cell_starts = RowSpan<uint64_t>(index_payload, sl.cell_starts_off,
-                                           num_cells + 1);
-      view.keys = RowSpan<uint64_t>(index_payload, sl.keys_off, total_blocks);
-      view.offsets =
-          RowSpan<uint64_t>(index_payload, sl.offsets_off, total_blocks);
-      view.nops = RowSpan<uint64_t>(index_payload, sl.nops_off, total_blocks);
-    }
+    view.cell_starts = RowSpan<uint64_t>(index_payload, sl.cell_starts_off,
+                                         num_cells + 1);
+    view.keys = RowSpan<uint64_t>(index_payload, sl.keys_off, total_blocks);
+    view.offsets =
+        RowSpan<uint64_t>(index_payload, sl.offsets_off, total_blocks);
+    view.nops = RowSpan<uint64_t>(index_payload, sl.nops_off, total_blocks);
   }
 
   if (verify == CatalogVerify::kTrusted) return view;
@@ -1478,25 +1462,37 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
       count_at += row_len;
       prefix_at += row_len + 1;
     }
-    if (view.sum_scheme != SumKeyScheme::kNone) {
-      if (view.cell_starts[0] != 0 ||
-          view.cell_starts[num_cells] != total_blocks) {
+    if (view.cell_starts[0] != 0 ||
+        view.cell_starts[num_cells] != total_blocks) {
+      return SectionError(kSectionSumIndex,
+                          "cell directory does not span the block arrays");
+    }
+    for (uint64_t c = 0; c < num_cells; ++c) {
+      if (view.cell_starts[c + 1] < view.cell_starts[c] ||
+          view.cell_starts[c + 1] > total_blocks) {
         return SectionError(kSectionSumIndex,
-                            "cell directory does not span the block arrays");
+                            "cell directory not monotone at cell " +
+                                std::to_string(c));
       }
-      for (uint64_t c = 0; c < num_cells; ++c) {
-        if (view.cell_starts[c + 1] < view.cell_starts[c]) {
+      // Keys strictly ascending (Rank's binary search), and the blocks
+      // contiguous from offset 0 in that same order (Unrank's).
+      const uint64_t first = view.cell_starts[c];
+      if (first < view.cell_starts[c + 1] && view.offsets[first] != 0) {
+        return SectionError(kSectionSumIndex,
+                            "first block offset not 0 in cell " +
+                                std::to_string(c));
+      }
+      for (uint64_t b = first + 1; b < view.cell_starts[c + 1]; ++b) {
+        if (view.keys[b] <= view.keys[b - 1]) {
           return SectionError(kSectionSumIndex,
-                              "cell directory not monotone at cell " +
+                              "keys not strictly ascending in cell " +
                                   std::to_string(c));
         }
-        for (uint64_t b = view.cell_starts[c] + 1;
-             b < view.cell_starts[c + 1]; ++b) {
-          if (view.keys[b] <= view.keys[b - 1]) {
-            return SectionError(kSectionSumIndex,
-                                "keys not strictly ascending in cell " +
-                                    std::to_string(c));
-          }
+        if (view.offsets[b] < view.offsets[b - 1] ||
+            view.offsets[b] - view.offsets[b - 1] != view.nops[b - 1]) {
+          return SectionError(kSectionSumIndex,
+                              "blocks not contiguous in key order in cell " +
+                                  std::to_string(c));
         }
       }
     }

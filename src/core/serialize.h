@@ -106,8 +106,11 @@
 //                  64-aligned rows cell-starts u64[num-cells + 1],
 //                  keys / offsets / nops u64[total-blocks] each — the flat
 //                  stage-3 index exactly as SumBasedOrdering consumes it.
-//                  Under scheme kNone: num-cells = total-blocks = 0 and the
-//                  payload is the 24-byte prolog alone.
+//                  The scheme is 1 (counts) or 2 (sorted), whichever
+//                  ChooseSumKeyScheme picks for (|L|, k); 0 is never
+//                  written and is rejected as a section error. A shape
+//                  with no key never gets here: the label section's
+//                  shape gate (CheckOrderingShape) refuses it.
 // Sections 5 and 6 are present iff the ordering is of the sum family.
 //
 // Because the serving rows are persisted rather than derived, constructing
@@ -176,7 +179,8 @@ Result<CatalogFormat> ParseCatalogFormat(const std::string& name);
 ///              byte would serve wrong estimates undetected.
 ///   kChecksums CRC32C over every bulk section plus structural scans
 ///              (monotone begins, Eytzinger consistency, prefix-row
-///              consistency, ascending index keys). The CatalogCache
+///              consistency, ascending index keys with their blocks
+///              contiguous from offset 0 in key order). The CatalogCache
 ///              admission tier — every byte generation is checked once.
 ///   kFull      kChecksums plus semantic rebuild comparisons: serving rows
 ///              vs a fresh FlatHistogram, composition rows vs a fresh
@@ -256,7 +260,6 @@ struct SumIndexLayoutV2 {
   uint64_t keys_off, offsets_off, nops_off;  // u64[total_blocks] each
   uint64_t payload_bytes;
 };
-/// Under scheme kNone pass (0, 0): the payload is the 24-byte prolog.
 SumIndexLayoutV2 SumIndexLayout(uint64_t num_cells, uint64_t total_blocks);
 
 }  // namespace binfmt

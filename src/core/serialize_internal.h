@@ -51,7 +51,7 @@ struct CatalogV2View {
   // Sections 5-6, present iff the ordering is of the sum family.
   bool has_sum_sections = false;
   std::span<const uint64_t> comp_counts, comp_prefix;
-  SumKeyScheme sum_scheme = SumKeyScheme::kNone;
+  SumKeyScheme sum_scheme = SumKeyScheme::kCounts;
   uint32_t sum_key_bits = 0;
   std::span<const uint64_t> cell_starts, keys, offsets, nops;
 };

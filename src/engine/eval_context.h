@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "path/pair_set.h"
+#include "util/line_counts.h"
 
 namespace pathest {
 
@@ -40,7 +41,7 @@ struct EvalContext {
   EvalContext(size_t num_vertices, size_t num_labels, size_t k)
       : fused(num_vertices, num_labels),
         blocks(k > 3 ? k - 3 : 0, std::vector<PairSet>(num_labels)),
-        leaf_counts(num_labels, 0) {}
+        leaf_counts(num_labels) {}
 
   /// The fused all-labels kernel's scratch (per-label bitsets, the flat
   /// epoch array or emission arenas) and its binding to the graph's
@@ -58,9 +59,10 @@ struct EvalContext {
   /// all take that pass.
   std::vector<std::vector<PairSet>> blocks;
   /// Per-label counts buffer of the 1-hop leaf passes (one entry per
-  /// label), zero-filled by the DFS before each use. The two-hop pass
-  /// counts into its FusedExtender's own |L|² buffer.
-  std::vector<uint64_t> leaf_counts;
+  /// label), zero-filled by the DFS before each use, on cache lines of its
+  /// own so neighbouring workers' counters never share one. The two-hop
+  /// pass counts into its FusedExtender's own |L|² buffer.
+  LineCounts leaf_counts;
 };
 
 }  // namespace pathest

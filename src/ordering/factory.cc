@@ -23,6 +23,11 @@ const std::vector<std::string>& PaperOrderingNames() {
 
 namespace {
 
+// The names MakeOrderingFromStats builds as a SumBasedOrdering.
+bool IsSumBasedName(const std::string& name) {
+  return name == "sum-based" || name == "sum-card" || name == "sum-alph";
+}
+
 std::vector<uint64_t> LabelCardinalities(const Graph& graph) {
   std::vector<uint64_t> f(graph.num_labels());
   for (LabelId l = 0; l < graph.num_labels(); ++l) {
@@ -33,6 +38,33 @@ std::vector<uint64_t> LabelCardinalities(const Graph& graph) {
 
 }  // namespace
 
+Status CheckOrderingShape(const std::string& name, uint64_t num_labels,
+                          uint64_t k) {
+  if (num_labels == 0) return Status::InvalidArgument("empty label set");
+  if (k < 1 || k > kMaxPathLength) {
+    return Status::InvalidArgument("k out of range");
+  }
+  const std::string shape =
+      "|L| = " + std::to_string(num_labels) + ", k = " + std::to_string(k);
+  uint64_t total = 0;
+  uint64_t pow = 1;
+  for (uint64_t len = 1; len <= k; ++len) {
+    if (__builtin_mul_overflow(pow, num_labels, &pow) ||
+        __builtin_add_overflow(total, pow, &total)) {
+      return Status::InvalidArgument("domain |L_k| overflows u64 at " +
+                                     shape);
+    }
+  }
+  SumKeyScheme scheme;
+  uint32_t key_bits;
+  if (IsSumBasedName(name) &&
+      !ChooseSumKeyScheme(num_labels, k, &scheme, &key_bits)) {
+    return Status::InvalidArgument(name + " has no 64-bit multiset key at " +
+                                   shape);
+  }
+  return Status::OK();
+}
+
 Result<OrderingPtr> MakeOrdering(const std::string& name, const Graph& graph,
                                  size_t k) {
   return MakeOrderingFromStats(name, graph.labels(),
@@ -42,14 +74,9 @@ Result<OrderingPtr> MakeOrdering(const std::string& name, const Graph& graph,
 Result<OrderingPtr> MakeOrderingFromStats(
     const std::string& name, const LabelDictionary& dict,
     const std::vector<uint64_t>& cardinalities, size_t k) {
-  if (dict.size() == 0) {
-    return Status::InvalidArgument("empty label set");
-  }
+  PATHEST_RETURN_NOT_OK(CheckOrderingShape(name, dict.size(), k));
   if (cardinalities.size() != dict.size()) {
     return Status::InvalidArgument("cardinalities size mismatch");
-  }
-  if (k < 1 || k > kMaxPathLength) {
-    return Status::InvalidArgument("k out of range");
   }
   PathSpace space(dict.size(), k);
   auto ranking = [&](RankingRule rule) {

@@ -17,6 +17,16 @@ namespace pathest {
 /// presentation order: num-alph, num-card, lex-alph, lex-card, sum-based.
 const std::vector<std::string>& PaperOrderingNames();
 
+/// \brief The one servability gate for an ordering shape; never aborts.
+/// Refuses (InvalidArgument) an empty label set, k outside
+/// [1, kMaxPathLength], a domain |L_k| that overflows u64, and a
+/// sum-family name ("sum-based", "sum-card", "sum-alph") whose rank
+/// multisets fit no 64-bit key (ChooseSumKeyScheme in
+/// ordering/sum_based.h). MakeOrderingFromStats and every catalog reader
+/// call it before anything is built from (|L|, k).
+Status CheckOrderingShape(const std::string& name, uint64_t num_labels,
+                          uint64_t k);
+
 /// \brief Builds an ordering method by name over `graph`'s label set.
 ///
 /// Accepted names: "num-alph", "num-card", "lex-alph", "lex-card",
@@ -28,6 +38,7 @@ Result<OrderingPtr> MakeOrdering(const std::string& name, const Graph& graph,
 
 /// \brief Builds a closed-form ordering from label statistics alone (no
 /// graph needed) — the deserialization path. Same names as MakeOrdering.
+/// Shapes CheckOrderingShape refuses are an InvalidArgument.
 Result<OrderingPtr> MakeOrderingFromStats(
     const std::string& name, const LabelDictionary& labels,
     const std::vector<uint64_t>& label_cardinalities, size_t k);

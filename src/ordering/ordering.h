@@ -12,17 +12,18 @@
 //
 // Rank() is the per-query latency cost a serving estimator pays (the paper's
 // Table 4). The scratch overload Rank(path, RankScratch&) is the fast path:
-// after scratch.Reserve(space().num_labels()) has run once, a call performs
-// ZERO heap allocations and returns a result bit-identical to Rank(path).
+// a call performs ZERO heap allocations and returns a result bit-identical
+// to Rank(path).
 // The scratch is caller-owned so it can be reused across millions of queries
 // (one per thread — a RankScratch must not be shared concurrently; the
 // Ordering itself is immutable after construction and safe to share across
 // any number of reader threads). The base-class default simply forwards to
-// the plain Rank(), which is already allocation-free for every ordering
-// except the legacy sum-based path; SumBasedOrdering overrides it with the
-// counts-based Algorithm-1 core. core/estimator.h adds a type-tagged
-// dispatch over kind() on top, so the closed-form orderings (numerical /
-// lexicographic / gray) are also called without a virtual hop.
+// the plain Rank(), which is already allocation-free for every ordering;
+// SumBasedOrdering overrides it with its table-driven fast path (and its
+// plain Rank() runs that path on a local scratch). core/estimator.h adds a
+// type-tagged dispatch over kind() on top, so the closed-form orderings
+// (numerical / lexicographic / gray) are also called without a virtual
+// hop.
 
 #ifndef PATHEST_ORDERING_ORDERING_H_
 #define PATHEST_ORDERING_ORDERING_H_
@@ -30,7 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "path/label_path.h"
 #include "path/path_space.h"
@@ -49,28 +49,18 @@ enum class OrderingKind {
   kGeneric,
 };
 
-/// \brief Caller-owned reusable buffers for the allocation-free Rank fast
-/// path.
-///
-/// Reserve(num_labels) sizes the buffers once; afterwards every
-/// Rank(path, scratch) call on an ordering over a label set of that size (or
-/// smaller) is heap-allocation-free. `counts` is keyed by base-label rank in
-/// [1, num_labels] and is kept ALL-ZERO between calls — every fast-path user
-/// restores the zeros it wrote before returning, so Reserve never has to
-/// re-clear.
+/// \brief Caller-owned buffers for the allocation-free Rank fast path:
+/// fixed-size arrays, so a RankScratch never allocates.
 struct RankScratch {
-  /// Rank-multiset counts, indexed by base-label rank (1-based).
-  std::vector<uint32_t> counts;
   /// Per-position base-label ranks of the query path.
   uint32_t ranks[kMaxPathLength];
   /// The sorted rank multiset (combination) of the query path.
   uint32_t combo[kMaxPathLength];
 
-  /// \brief Ensures capacity for a label set of `num_labels`. Idempotent;
-  /// only grows (and thus allocates) when the current capacity is smaller.
-  void Reserve(size_t num_labels) {
-    if (counts.size() < num_labels + 1) counts.assign(num_labels + 1, 0u);
-  }
+  /// \brief No-op. No ordering needs scratch sized by the label set any
+  /// more; the method stays for callers written against the earlier
+  /// contract, which sized a per-label buffer here.
+  void Reserve(size_t num_labels) { (void)num_labels; }
 };
 
 /// \brief Bijection between label paths and histogram-domain indexes.
@@ -90,8 +80,7 @@ class Ordering {
   virtual uint64_t Rank(const LabelPath& path) const = 0;
 
   /// \brief Fast-path Rank on caller-owned scratch (see the scratch contract
-  /// in the file header): bit-identical to Rank(path), and allocation-free
-  /// once `scratch` has been Reserve()d for this ordering's label set.
+  /// in the file header): bit-identical to Rank(path), and allocation-free.
   virtual uint64_t Rank(const LabelPath& path, RankScratch& scratch) const {
     (void)scratch;
     return Rank(path);

@@ -44,36 +44,45 @@ inline uint64_t FillCountsAndNop(const uint32_t* combination, size_t m,
 }  // namespace
 
 void UnrankPermutationCounts(uint64_t index, size_t m,
-                             const uint32_t* combination, uint32_t* counts,
+                             const uint32_t* combination,
                              const FactorialCache& fact, uint32_t* out) {
   PATHEST_CHECK(m <= kMaxPathLength, "combination longer than kMaxPathLength");
+  // The distinct values of the (sorted) combination and their
+  // multiplicities, with D = prod c_w! built as a running product.
+  uint32_t values[kMaxPathLength];
+  uint64_t counts[kMaxPathLength];
+  size_t distinct = 0;
+  uint64_t denom = 1;
+  for (size_t i = 0; i < m; ++i) {
+    if (distinct == 0 || combination[i] != values[distinct - 1]) {
+      values[distinct] = combination[i];
+      counts[distinct++] = 0;
+    }
+    denom *= ++counts[distinct - 1];
+  }
   // Invariant: w = number of distinct permutations of the REMAINING
   // multiset. Those starting with value v number w * c_v / n_rem (an exact
   // integer), which is also the next w when v is chosen — so the whole
-  // unranking needs no denominator bookkeeping at all.
-  uint64_t w = FillCountsAndNop(combination, m, counts, fact);
+  // unranking needs no further denominator bookkeeping.
+  uint64_t w = fact.Fact(m) / denom;
   for (size_t pos = 0; pos < m; ++pos) {
     const size_t n_rem = m - pos;
     bool placed = false;
-    for (size_t j = 0; j < m; ++j) {
-      if (j > 0 && combination[j] == combination[j - 1]) continue;  // dup run
-      const uint32_t v = combination[j];
-      if (counts[v] == 0) continue;  // exhausted by earlier positions
-      const uint64_t block = DivSmall(w * counts[v], n_rem);
+    for (size_t j = 0; j < distinct; ++j) {
+      if (counts[j] == 0) continue;  // exhausted by earlier positions
+      const uint64_t block = DivSmall(w * counts[j], n_rem);
       if (index >= block) {
         index -= block;
         continue;
       }
-      out[pos] = v;
+      out[pos] = values[j];
       w = block;
-      --counts[v];
+      --counts[j];
       placed = true;
       break;
     }
     PATHEST_CHECK(placed, "permutation index out of range");
   }
-  // Each of the m insertions above was matched by exactly one decrement, so
-  // `counts` is all-zero again (the RankScratch invariant).
 }
 
 uint64_t RankPermutationCounts(const uint32_t* permutation, size_t m,
@@ -111,10 +120,9 @@ std::vector<uint32_t> UnrankPermutationOfCombination(
   PATHEST_CHECK(index < MultisetPermutationCount(combination),
                 "permutation index out of range");
   const FactorialCache fact(combination.size());
-  std::vector<uint32_t> counts(combination.back() + 1, 0);
   std::vector<uint32_t> out(combination.size());
-  UnrankPermutationCounts(index, combination.size(), combination.data(),
-                          counts.data(), fact, out.data());
+  UnrankPermutationCounts(index, combination.size(), combination.data(), fact,
+                          out.data());
   return out;
 }
 
@@ -132,24 +140,25 @@ uint64_t RankPermutationInCombination(const std::vector<uint32_t>& permutation,
                                combination.data(), counts.data(), fact);
 }
 
-void ChooseSumKeyScheme(uint64_t num_labels, uint64_t k,
+bool ChooseSumKeyScheme(uint64_t num_labels, uint64_t k,
                         SumKeyScheme* scheme, uint32_t* key_bits) {
   // Prefer the order-free counts encoding (no sort on the query path),
-  // fall back to the sorted pack, else no index.
+  // fall back to the sorted pack; neither fitting means no key.
   uint32_t count_bits = 1;  // bits to hold multiplicities in [0, k]
   while ((1ULL << count_bits) <= k) ++count_bits;
   uint32_t value_bits = 1;  // bits to hold ranks in [1, |L|]
-  while ((1ULL << value_bits) <= num_labels) ++value_bits;
-  if (count_bits * num_labels <= 64) {
+  while (value_bits < 64 && (1ULL << value_bits) <= num_labels) ++value_bits;
+  if (num_labels <= 64 / count_bits) {
     *scheme = SumKeyScheme::kCounts;
     *key_bits = count_bits;
-  } else if (value_bits * k <= 64) {
+    return true;
+  }
+  if (k <= 64 / value_bits) {
     *scheme = SumKeyScheme::kSorted;
     *key_bits = value_bits;
-  } else {
-    *scheme = SumKeyScheme::kNone;
-    *key_bits = 0;
+    return true;
   }
+  return false;
 }
 
 uint64_t SumStage3CellCount(uint64_t num_labels, uint64_t k) {
@@ -160,8 +169,9 @@ uint64_t SumStage3CellCount(uint64_t num_labels, uint64_t k) {
 
 SumStage3Index BuildSumStage3Index(uint64_t num_labels, uint64_t k) {
   SumStage3Index index;
-  ChooseSumKeyScheme(num_labels, k, &index.scheme, &index.key_bits);
-  if (index.scheme == SumKeyScheme::kNone) return index;
+  PATHEST_CHECK(ChooseSumKeyScheme(num_labels, k, &index.scheme,
+                                   &index.key_bits),
+                "no 64-bit multiset key for this space");
 
   index.cell_starts.reserve(SumStage3CellCount(num_labels, k) + 1);
   index.cell_starts.push_back(0);
@@ -202,14 +212,12 @@ void SumBasedOrdering::InitIndexViews(const SumStage3View& view) {
     cell_base_[m - 1] = base;
     base += m * space_.num_labels() - m + 1;
   }
-  if (key_scheme_ != SumKeyScheme::kNone) {
-    PATHEST_CHECK(cell_starts_.size() == base + 1,
-                  "stage-three cell directory shape mismatch");
-    PATHEST_CHECK(keys_.size() == cell_starts_.back() &&
-                      offsets_.size() == keys_.size() &&
-                      nops_.size() == keys_.size(),
-                  "stage-three block array shape mismatch");
-  }
+  PATHEST_CHECK(cell_starts_.size() == base + 1,
+                "stage-three cell directory shape mismatch");
+  PATHEST_CHECK(keys_.size() == cell_starts_.back() &&
+                    offsets_.size() == keys_.size() &&
+                    nops_.size() == keys_.size(),
+                "stage-three block array shape mismatch");
 }
 
 SumBasedOrdering::SumBasedOrdering(PathSpace space, LabelRanking ranking)
@@ -245,8 +253,9 @@ SumBasedOrdering::SumBasedOrdering(PathSpace space, LabelRanking ranking,
                 "composition table shape mismatch with path space");
   SumKeyScheme expected_scheme;
   uint32_t expected_bits;
-  ChooseSumKeyScheme(space_.num_labels(), space_.k(), &expected_scheme,
-                     &expected_bits);
+  PATHEST_CHECK(ChooseSumKeyScheme(space_.num_labels(), space_.k(),
+                                   &expected_scheme, &expected_bits),
+                "no 64-bit multiset key for this space");
   PATHEST_CHECK(index.scheme == expected_scheme &&
                     index.key_bits == expected_bits,
                 "stage-three key scheme mismatch for this space");
@@ -256,110 +265,9 @@ SumBasedOrdering::SumBasedOrdering(PathSpace space, LabelRanking ranking,
   InitIndexViews(index);
 }
 
-void SumBasedOrdering::EnsureBlocks() const {
-  std::call_once(blocks_once_, [this] {
-    const uint64_t num_labels = space_.num_labels();
-    blocks_.resize(space_.k());
-    for (size_t m = 1; m <= space_.k(); ++m) {
-      auto& row = blocks_[m - 1];
-      row.resize(m * num_labels - m + 1);
-      for (uint64_t sr = m; sr <= m * num_labels; ++sr) {
-        auto& blocks = row[sr - m];
-        uint64_t offset = 0;
-        for (Partition& p : EnumeratePartitions(sr, m, num_labels)) {
-          uint64_t nop = MultisetPermutationCount(p);
-          blocks.push_back(ComboBlock{std::move(p), nop, offset});
-          offset += nop;
-        }
-      }
-    }
-  });
-}
-
-const std::vector<SumBasedOrdering::ComboBlock>& SumBasedOrdering::BlocksFor(
-    size_t m, uint64_t sr) const {
-  PATHEST_CHECK(m >= 1 && m <= space_.k(), "length out of range");
-  PATHEST_CHECK(sr >= m && sr <= m * space_.num_labels(),
-                "summed rank out of range");
-  EnsureBlocks();
-  return blocks_[m - 1][sr - m];
-}
-
-uint64_t SumBasedOrdering::StageThreeOffsetByScan(size_t m, uint64_t sr,
-                                                  const uint32_t* combo) const {
-  for (const ComboBlock& block : BlocksFor(m, sr)) {
-    if (block.parts.size() == m &&
-        std::equal(block.parts.begin(), block.parts.end(), combo)) {
-      return block.offset;
-    }
-  }
-  PATHEST_CHECK(false, "rank multiset missing from stage-three blocks");
-  __builtin_unreachable();
-}
-
 uint64_t SumBasedOrdering::Rank(const LabelPath& path) const {
-  // The LEGACY path: first-principles three-stage enumeration with per-call
-  // buffers. Deliberately NOT a wrapper over the scratch fast path — its
-  // stage-two linear accumulation and per-value scans derive every offset
-  // from CompositionCount/factorial arithmetic directly, so the property
-  // tests cross-validate the fast path's precomputed prefix tables against
-  // an independent derivation rather than against themselves. This is also
-  // the baseline bench_micro_estimation measures the fast path against.
-  PATHEST_CHECK(space_.Contains(path), "path outside space");
-  const size_t m = path.length();
-  const uint32_t num_labels = static_cast<uint32_t>(space_.num_labels());
-
-  uint32_t ranks[kMaxPathLength];
-  uint32_t combo[kMaxPathLength];
-  uint64_t sr = 0;
-  for (size_t i = 0; i < m; ++i) {
-    ranks[i] = ranking_.RankOf(path.label(i));
-    combo[i] = ranks[i];
-    sr += ranks[i];
-  }
-  // Insertion sort; m <= 16.
-  for (size_t i = 1; i < m; ++i) {
-    uint32_t v = combo[i];
-    size_t j = i;
-    while (j > 0 && combo[j - 1] > v) {
-      combo[j] = combo[j - 1];
-      --j;
-    }
-    combo[j] = v;
-  }
-
-  // Stage 1: all shorter lengths precede.
-  uint64_t index = space_.LengthOffset(m);
-  // Stage 2: all lower summed ranks precede.
-  for (uint64_t s = m; s < sr; ++s) index += comps_.Count(s, m);
-  // Stage 3: the block of our rank multiset.
-  index += StageThreeOffsetByScan(m, sr, combo);
-
-  // Permutation position within the block (inverse of Algorithm 1), via
-  // multiplicity counts: with counts c over remaining values and
-  // D = prod c_w!, the number of permutations starting with value v is
-  // (n-1)! * c_v / D. The counts buffer is heap-allocated per call (sized
-  // by the label set — the fixed 64-entry stack array this used to use was
-  // an out-of-bounds write waiting for |L| > 64); the scratch overload
-  // exists precisely so serving paths never pay this allocation.
-  std::vector<uint32_t> counts(num_labels + 1, 0);
-  uint64_t denom = 1;
-  for (size_t i = 0; i < m; ++i) {
-    ++counts[ranks[i]];
-    denom *= counts[ranks[i]];  // running product builds prod c_w!
-  }
-  for (size_t i = 0; i < m; ++i) {
-    const uint32_t head = ranks[i];
-    const uint64_t rest_fact = fact_.Fact(m - i - 1);
-    for (uint32_t v = 1; v < head && v <= num_labels; ++v) {
-      if (counts[v] > 0) {
-        index += rest_fact * counts[v] / denom;
-      }
-    }
-    denom /= counts[head];
-    --counts[head];
-  }
-  return index;
+  RankScratch scratch;
+  return Rank(path, scratch);
 }
 
 uint64_t SumBasedOrdering::Rank(const LabelPath& path,
@@ -380,7 +288,7 @@ uint64_t SumBasedOrdering::Rank(const LabelPath& path,
   index += comps_.CumulativeBelow(sr, m);
 
   // Stage 3 key: order-free addition under kCounts; sorted pack (one
-  // insertion sort) under kSorted; block scan fallback under kNone.
+  // insertion sort) under kSorted.
   uint64_t key = 0;
   if (key_scheme_ == SumKeyScheme::kCounts) {
     key = SumEncodeKey(key_scheme_, static_cast<uint32_t>(key_bits_), ranks,
@@ -397,15 +305,6 @@ uint64_t SumBasedOrdering::Rank(const LabelPath& path,
         --j;
       }
       combo[j] = v;
-    }
-    if (key_scheme_ == SumKeyScheme::kNone) {
-      // Generality fallback (combinations too wide for any key): legacy
-      // block scan plus the allocation-free counts core.
-      scratch.Reserve(space_.num_labels());
-      index += StageThreeOffsetByScan(m, sr, combo);
-      index +=
-          RankPermutationCounts(ranks, m, combo, scratch.counts.data(), fact_);
-      return index;
     }
     key = SumEncodeKey(key_scheme_, static_cast<uint32_t>(key_bits_), combo,
                        m);
@@ -457,39 +356,74 @@ LabelPath SumBasedOrdering::Unrank(uint64_t index) const {
   return Unrank(index, scratch);
 }
 
+void SumBasedOrdering::DecodeKey(uint64_t key, size_t m,
+                                 uint32_t* combo) const {
+  const uint64_t num_labels = space_.num_labels();
+  const uint64_t mask = (1ULL << key_bits_) - 1;
+  size_t n = 0;
+  if (key_scheme_ == SumKeyScheme::kCounts) {
+    // Field v - 1 holds the multiplicity of rank v; walking the fields
+    // from the bottom emits the ranks ascending.
+    for (uint64_t v = 1; key != 0; ++v, key >>= key_bits_) {
+      const uint64_t count = key & mask;
+      PATHEST_CHECK(v <= num_labels && count <= m - n,
+                    "stage-three key does not encode a rank multiset");
+      for (uint64_t c = 0; c < count; ++c) {
+        combo[n++] = static_cast<uint32_t>(v);
+      }
+    }
+  } else {
+    for (; n < m; ++n) {
+      combo[n] = static_cast<uint32_t>((key >> (n * key_bits_)) & mask);
+      PATHEST_CHECK(combo[n] >= 1 && combo[n] <= num_labels &&
+                        (n == 0 || combo[n] >= combo[n - 1]),
+                    "stage-three key does not encode a rank multiset");
+    }
+  }
+  PATHEST_CHECK(n == m, "stage-three key does not encode a rank multiset");
+}
+
 LabelPath SumBasedOrdering::Unrank(uint64_t index,
                                    RankScratch& scratch) const {
   PATHEST_CHECK(index < space_.size(), "index out of range");
-  scratch.Reserve(space_.num_labels());
   // Stage 1: find the length partition (paper Algorithm 2, lines 5-9).
-  for (size_t len = 1; len <= space_.k(); ++len) {
-    uint64_t len_count = space_.CountWithLength(len);
-    if (index >= len_count) {
-      index -= len_count;
-      continue;
-    }
-    // Stage 2: find the summed-rank partition (lines 10-14) — binary search
-    // over the composition prefix row instead of the paper's linear scan.
-    const uint64_t sum = comps_.SumForOffset(index, len);
-    index -= comps_.CumulativeBelow(sum, len);
-    // Stage 3: find the combination, then the permutation (lines 15-24).
-    for (const ComboBlock& block : BlocksFor(len, sum)) {
-      if (index >= block.nop) {
-        index -= block.nop;
-        continue;
-      }
-      UnrankPermutationCounts(index, len, block.parts.data(),
-                              scratch.counts.data(), fact_, scratch.ranks);
-      LabelPath path;
-      for (size_t i = 0; i < len; ++i) {
-        path.PushBack(ranking_.LabelAt(scratch.ranks[i]));
-      }
-      return path;
-    }
-    PATHEST_CHECK(false, "index within sum partition but no combination");
+  size_t m = 1;
+  while (index >= space_.CountWithLength(m)) {
+    index -= space_.CountWithLength(m);
+    ++m;
   }
-  PATHEST_CHECK(false, "unreachable: index checked against space size");
-  __builtin_unreachable();
+  // Stage 2: find the summed-rank partition (lines 10-14) — binary search
+  // over the composition prefix row instead of the paper's linear scan.
+  const uint64_t sr = comps_.SumForOffset(index, m);
+  index -= comps_.CumulativeBelow(sr, m);
+  // Stage 3: find the combination (lines 15-18). A cell's blocks are
+  // key-sorted, and key order is Formula 4's block order under both
+  // schemes (the largest value whose multiplicity differs decides both),
+  // so the offsets ascend too: one branchless binary search for the last
+  // block starting at or before the index.
+  const uint64_t cell = cell_base_[m - 1] + (sr - m);
+  const uint64_t cell_begin = cell_starts_[cell];
+  const uint64_t* offsets = offsets_.data() + cell_begin;
+  size_t len = static_cast<size_t>(cell_starts_[cell + 1] - cell_begin);
+  size_t lo = 0;
+  while (len > 1) {
+    const size_t half = len / 2;
+    lo += offsets[lo + half] <= index ? half : 0;
+    len -= half;
+  }
+  const uint64_t block = cell_begin + lo;
+  index -= offsets[lo];
+  PATHEST_CHECK(index < nops_[block],
+                "index within sum partition but no combination");
+  uint32_t* combo = scratch.combo;
+  DecodeKey(keys_[block], m, combo);
+  // Then the permutation within the block (lines 19-24, Algorithm 1).
+  UnrankPermutationCounts(index, m, combo, fact_, scratch.ranks);
+  LabelPath path;
+  for (size_t i = 0; i < m; ++i) {
+    path.PushBack(ranking_.LabelAt(scratch.ranks[i]));
+  }
+  return path;
 }
 
 }  // namespace pathest

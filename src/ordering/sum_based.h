@@ -16,19 +16,25 @@
 // Unrank() is Algorithm 2 itself, delegating to Algorithm 1 for the
 // in-partition permutation.
 //
-// The query fast path runs entirely over FLAT stage-2/stage-3 tables
-// (CompositionTable prefix rows + the SumStage3Index below). Both tables
-// are pure functions of (|L|, k), built once here — or, on the mmap
-// serving path, BORROWED straight out of a binary catalog v2 file
-// (core/mapped_catalog.h), which is what makes zero-copy Estimator
-// construction possible: the index is persisted in exactly the layout the
-// search consumes. The legacy partition-block cache (Unrank's enumeration
-// and the kNone fallback) is built lazily on first use in either form.
+// Both directions run over the same FLAT stage-2/stage-3 tables
+// (CompositionTable prefix rows + the SumStage3Index below) and nothing
+// else. Rank looks its cell's block up by key; Unrank finds the (m, sr)
+// cell with CompositionTable::SumForOffset, binary-searches the cell's
+// block offsets for the block holding the index, and decodes that block's
+// key back into its rank multiset. Both tables are pure functions of (|L|, k), built
+// once here — or, on the mmap serving path, BORROWED straight out of a
+// binary catalog v2 file (core/mapped_catalog.h), which is what makes
+// zero-copy Estimator construction possible: the index is persisted in
+// exactly the layout the search consumes.
+//
+// Every servable shape has a 64-bit multiset key (SumKeyScheme). A shape
+// without one — |L| and k both large, e.g. |L| = 4096 at k = 5 — is refused
+// with a typed error before any ordering is built (CheckOrderingShape in
+// ordering/factory.h); constructing a SumBasedOrdering on one aborts.
 
 #ifndef PATHEST_ORDERING_SUM_BASED_H_
 #define PATHEST_ORDERING_SUM_BASED_H_
 
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,31 +48,31 @@ namespace pathest {
 /// \brief Allocation-free core of Algorithm 1: writes the index-th distinct
 /// permutation of the multiset `combination` into `out`.
 ///
-/// Runs on multiset COUNTS instead of rebuilding a `rest` vector per
-/// position: with c_v the remaining multiplicity of value v and
-/// D = prod_w c_w!, the number of permutations starting with v is
-/// (n-1)! * c_v / D (an exact integer), so each position is resolved by one
-/// sweep over the distinct values of `combination` — zero heap allocations.
+/// Runs on multiplicities instead of rebuilding a `rest` vector per
+/// position: with c_v the remaining multiplicity of value v and W the
+/// number of distinct permutations of the remaining multiset, the
+/// permutations starting with v number W * c_v / n_rem (an exact integer),
+/// so each position is resolved by one sweep over the distinct values of
+/// `combination`. The (value, multiplicity) list lives on the stack — no
+/// caller buffer, zero heap allocations.
 ///
 /// \param index position in [0, MultisetPermutationCount(combination)).
-/// \param m combination size (and output length).
+/// \param m combination size (and output length), at most kMaxPathLength.
 /// \param combination the multiset, sorted ascending, size m.
-/// \param counts caller-owned buffer indexed by VALUE; must have capacity
-///   > combination's max value, be all-zero on entry, and is restored to
-///   all-zero on return (the RankScratch invariant, ordering/ordering.h).
 /// \param fact factorial cache covering at least m.
 /// \param out receives the permutation, size m.
 void UnrankPermutationCounts(uint64_t index, size_t m,
-                             const uint32_t* combination, uint32_t* counts,
+                             const uint32_t* combination,
                              const FactorialCache& fact, uint32_t* out);
 
 /// \brief Allocation-free core of the inverse of Algorithm 1: the position
 /// of `permutation` among the distinct permutations of `combination`.
 ///
-/// Same counts-based scheme and the same buffer contract as
-/// UnrankPermutationCounts; `counts` must additionally have capacity > the
-/// max value of `permutation` (so a foreign permutation is diagnosed, not
-/// read out of bounds).
+/// Same counts-based scheme as UnrankPermutationCounts, but on a caller
+/// buffer `counts` indexed by VALUE: capacity > the max value of both
+/// `combination` and `permutation` (so a foreign permutation is diagnosed,
+/// not read out of bounds), all-zero on entry, restored to all-zero on
+/// return.
 uint64_t RankPermutationCounts(const uint32_t* permutation, size_t m,
                                const uint32_t* combination, uint32_t* counts,
                                const FactorialCache& fact);
@@ -93,11 +99,8 @@ uint64_t RankPermutationInCombination(const std::vector<uint32_t>& permutation,
 
 /// \brief Key encoding of the stage-three index. The numeric values are the
 /// on-disk encoding of binary catalog v2's sum-index section — do not
-/// renumber.
+/// renumber. 0 is never written; a file carrying it is rejected.
 enum class SumKeyScheme : uint32_t {
-  /// Combinations too wide for any 64-bit key; no index (block-scan
-  /// fallback). Rare: needs |L| and k both large.
-  kNone = 0,
   /// The multiplicity vector as a packed number: value v occupies key_bits
   /// bits at position (v - 1) * key_bits, and a query key is built by
   /// ADDING 1 << shift per path rank — order-free, so the fast path needs
@@ -110,8 +113,10 @@ enum class SumKeyScheme : uint32_t {
 
 /// \brief The scheme (and per-field bit width) a (|L|, k) space uses —
 /// a pure function of the shape, shared by the ordering, the catalog v2
-/// writer, and the mapped reader's shape validation.
-void ChooseSumKeyScheme(uint64_t num_labels, uint64_t k,
+/// writer, the readers' shape validation and the shape gate. Returns false
+/// when no 64-bit key fits the space (the outputs are then unspecified):
+/// such a space cannot be served.
+bool ChooseSumKeyScheme(uint64_t num_labels, uint64_t k,
                         SumKeyScheme* scheme, uint32_t* key_bits);
 
 /// \brief Encodes a rank multiset (any order under kCounts; sorted
@@ -140,9 +145,8 @@ inline uint64_t SumEncodeKey(SumKeyScheme scheme, uint32_t key_bits,
 /// This is both the in-memory fast-path structure AND the on-disk layout of
 /// catalog v2's sum-index section; BuildSumStage3Index is its single
 /// definition, used by the ordering, the writer, and the full verifier.
-/// Under kNone every array is empty.
 struct SumStage3Index {
-  SumKeyScheme scheme = SumKeyScheme::kNone;
+  SumKeyScheme scheme = SumKeyScheme::kCounts;
   uint32_t key_bits = 0;
   std::vector<uint64_t> cell_starts;
   std::vector<uint64_t> keys;     // ascending within each cell
@@ -151,7 +155,8 @@ struct SumStage3Index {
 };
 
 /// \brief Builds the stage-three index for (num_labels, k) by enumerating
-/// every (m, sr) cell's partitions (Formula 4) in block order.
+/// every (m, sr) cell's partitions (Formula 4) in block order. The space
+/// must have a key (ChooseSumKeyScheme); aborts otherwise.
 SumStage3Index BuildSumStage3Index(uint64_t num_labels, uint64_t k);
 
 /// \brief Number of (m, sr) cells: sum over m of (m*|L| - m + 1).
@@ -159,7 +164,7 @@ uint64_t SumStage3CellCount(uint64_t num_labels, uint64_t k);
 
 /// \brief Borrowed view of a SumStage3Index (spans into a mapped catalog).
 struct SumStage3View {
-  SumKeyScheme scheme = SumKeyScheme::kNone;
+  SumKeyScheme scheme = SumKeyScheme::kCounts;
   uint32_t key_bits = 0;
   std::span<const uint64_t> cell_starts;
   std::span<const uint64_t> keys;
@@ -169,7 +174,8 @@ struct SumStage3View {
 
 /// \brief Sum-based ordering. The paper pairs it with cardinality ranking
 /// (method name "sum-based"); any LabelRanking is accepted, enabling the
-/// sum-alph ablation.
+/// sum-alph ablation. The space must have a 64-bit multiset key
+/// (ChooseSumKeyScheme); construction aborts otherwise.
 class SumBasedOrdering : public Ordering {
  public:
   SumBasedOrdering(PathSpace space, LabelRanking ranking);
@@ -186,6 +192,7 @@ class SumBasedOrdering : public Ordering {
                    CompositionTable comps, const SumStage3View& index);
 
   const std::string& name() const override { return name_; }
+  /// \brief The fast path below on a local scratch; allocation-free.
   uint64_t Rank(const LabelPath& path) const override;
   LabelPath Unrank(uint64_t index) const override;
   const PathSpace& space() const override { return space_; }
@@ -193,12 +200,15 @@ class SumBasedOrdering : public Ordering {
 
   /// \brief The allocation-free fast path (the scratch contract in
   /// ordering/ordering.h): three table lookups (length offset, O(1)
-  /// stage-two prefix, stage-three binary search) plus the counts-based
-  /// Algorithm-1 core, all on caller-owned buffers. The plain Rank() is a
-  /// thin wrapper over this with a local scratch.
+  /// stage-two prefix, stage-three binary search) plus a branchless
+  /// in-block permutation rank, all on caller-owned buffers.
   uint64_t Rank(const LabelPath& path, RankScratch& scratch) const override;
 
-  /// \brief Scratch-based Unrank twin (non-virtual; Unrank(index) wraps it).
+  /// \brief Scratch-based Unrank (non-virtual; Unrank(index) wraps it):
+  /// SumForOffset over the stage-two prefix row, a binary search of the
+  /// cell's block offsets for the block holding the index, the block key
+  /// decoded into its rank multiset, then the counts-based Algorithm-1
+  /// core.
   LabelPath Unrank(uint64_t index, RankScratch& scratch) const;
 
   const LabelRanking& ranking() const { return ranking_; }
@@ -212,29 +222,10 @@ class SumBasedOrdering : public Ordering {
   }
 
  private:
-  // One stage-three partition block: a combination (ascending rank multiset),
-  // its permutation count, and its starting offset within the (length, sum)
-  // stage-two partition.
-  struct ComboBlock {
-    Partition parts;
-    uint64_t nop;
-    uint64_t offset;
-  };
-
-  // Stage-three blocks for (m, sr), materialized LAZILY (call_once) on the
-  // first Unrank / legacy Rank / kNone fallback: the enumeration is tiny
-  // (O(k^2 |L|) distinct (m, sr) pairs, a handful of partitions each) but
-  // costs ~1 ms for real spaces — which would swamp the microsecond mmap
-  // construction path if it ran eagerly, and the serving fast path never
-  // touches it.
-  const std::vector<ComboBlock>& BlocksFor(size_t m, uint64_t sr) const;
-  void EnsureBlocks() const;
-
-  // Stage-three offset of the sorted rank multiset `combo` (size m) within
-  // its (m, sr) partition, by linear block scan — shared by the legacy
-  // Rank and the fast path's kNone fallback. Aborts if absent.
-  uint64_t StageThreeOffsetByScan(size_t m, uint64_t sr,
-                                  const uint32_t* combo) const;
+  // Decodes block key `key` of a length-m cell into its rank multiset,
+  // sorted ascending, in combo[0..m). Aborts on a key that does not encode
+  // m ranks in [1, |L|].
+  void DecodeKey(uint64_t key, size_t m, uint32_t* combo) const;
 
   // Points the span members at owned_index_ / computes cell_base_.
   void InitIndexViews(const SumStage3View& view);
@@ -246,7 +237,7 @@ class SumBasedOrdering : public Ordering {
   // Factorials 0!..k! for the counts-based Algorithm-1 core; built
   // (overflow-checked) once at construction.
   FactorialCache fact_;
-  SumKeyScheme key_scheme_ = SumKeyScheme::kNone;
+  SumKeyScheme key_scheme_ = SumKeyScheme::kCounts;
   size_t key_bits_ = 0;  // bits per key field under the chosen scheme
   // Backing storage for the owned form; empty when borrowed.
   SumStage3Index owned_index_;
@@ -257,11 +248,6 @@ class SumBasedOrdering : public Ordering {
   std::span<const uint64_t> nops_;
   // cell_base_[m - 1] = id of cell (m, sr=m); cell id grows with sr.
   std::vector<uint64_t> cell_base_;
-  // Lazy legacy blocks (see BlocksFor). once_flag makes this class
-  // immovable — it is only ever constructed in place (factory / tests).
-  mutable std::once_flag blocks_once_;
-  // blocks_[m - 1][sr - m] for sr in [m, m * |L|].
-  mutable std::vector<std::vector<std::vector<ComboBlock>>> blocks_;
 };
 
 }  // namespace pathest

@@ -170,7 +170,7 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel,
                         two_hop_->num_labels() == num_labels,
                     "two-hop index built for another graph");
       entries = std::max(entries, two_hop_->key_space());
-      two_hop_counts_.assign(num_labels * num_labels, 0);
+      two_hop_counts_.Assign(num_labels * num_labels);
     }
     // Test hook: a nonzero start restarts the counter on every Bind.
     if (const uint32_t initial =
@@ -180,7 +180,7 @@ void FusedExtender::Bind(const Graph& graph, PairKernel kernel,
     }
     // Grown entries are zero, below every epoch still to be handed out.
     if (epoch_of_.size() < entries) epoch_of_.resize(entries, 0);
-    flat_counts_.assign(size_t{1} << label_shift_, 0);
+    flat_counts_.Assign(size_t{1} << label_shift_);
   } else {
     keys_ = nullptr;
     edge_offsets_ = nullptr;
@@ -338,7 +338,7 @@ const uint64_t* FusedExtender::CountAll2(const PairSet& parent) {
   uint64_t* counts = two_hop_counts_.data();
   const uint32_t key_bits = two_hop_->key_bits();
   const uint32_t key_mask = two_hop_->key_mask();
-  std::fill(two_hop_counts_.begin(), two_hop_counts_.end(), uint64_t{0});
+  std::fill_n(counts, two_hop_counts_.size(), uint64_t{0});
   for (size_t i = 0; i < parent.srcs.size(); ++i) {
     // CountAll's flat loop, over each member's two-hop entries.
     const uint32_t cur = NextFlatEpoch();

@@ -39,6 +39,7 @@
 
 #include "graph/graph.h"
 #include "util/bitset.h"
+#include "util/line_counts.h"
 
 namespace pathest {
 
@@ -296,6 +297,11 @@ class FusedExtender {
   /// CountAll on it is wholly on the flat sparse path too.
   bool TwoHopCovers(const PairSet& parent) const;
 
+  /// \brief The counter arrays CountAll's flat loop and CountAll2 bump
+  /// once per edge, each on cache lines of its own (util/line_counts.h).
+  const LineCounts& flat_counts() const { return flat_counts_; }
+  const LineCounts& two_hop_counts() const { return two_hop_counts_; }
+
   /// \brief Two-hop leaf pass: the number of distinct (s, u) pairs of
   /// parent ⋈ a ⋈ b for every label pair, at index a·|L| + b of the
   /// returned |L|² counts (this extender's buffer, valid until the next
@@ -382,10 +388,10 @@ class FusedExtender {
   // |V| << shift epochs, or the two-hop key space when that is larger.
   std::vector<uint32_t> epoch_of_;
   uint32_t epoch_ = 0;
-  std::vector<uint64_t> flat_counts_;   // CountAll sparse counts, 2^shift
+  LineCounts flat_counts_;  // CountAll sparse counts, 2^shift
   // Two-hop leaf pass (two_hop_ != nullptr).
   const TwoHopIndex* two_hop_ = nullptr;
-  std::vector<uint64_t> two_hop_counts_;  // CountAll2 counts, |L|²
+  LineCounts two_hop_counts_;  // CountAll2 counts, |L|²
   // Emission-arena fallback (flat_ == false). The arenas exist, empty, on
   // every graph: a segment-walk drain reads the arena of every label. The
   // Marker is allocated by the first Bind to a graph without packed keys.

@@ -379,7 +379,6 @@ std::string ServeServer::HandleEstimate(const Request& request,
   }
   const ServingSnapshot& snapshot = *it->second;
   const Estimator& estimator = snapshot.estimator();
-  scratch.Reserve(estimator.num_labels());
 
   const size_t num_paths = request.args.size() - 1;
   std::string response = "ok";

@@ -168,7 +168,6 @@ TEST_F(CatalogCacheTest, PinnedSnapshotsSurviveBudgetPressure) {
   // The pinned mapping keeps serving correct estimates under pressure.
   PathSpace space(graph_.num_labels(), 3);
   RankScratch scratch;
-  scratch.Reserve(graph_.num_labels());
   space.ForEach([&](const LabelPath& p) {
     (void)EstimateOne((*pinned)->estimator(), p, scratch);
   });
@@ -269,7 +268,6 @@ TEST_F(CatalogCacheTest, EvictionRepinTortureMatchesSerialOracle) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       RankScratch scratch;
-      scratch.Reserve(graph_.num_labels());
       while (!stop.load(std::memory_order_relaxed)) {
         auto entry = cache.GetOrOpen(hot);
         if (!entry.ok()) continue;  // raced a mid-rename stat; try again

@@ -116,7 +116,6 @@ TEST_F(CatalogTest, SnapshotLoaderMapsV2AndCopiesTextAndV1) {
 
   // Every storage form answers bit-identically to the built estimator.
   RankScratch scratch;
-  scratch.Reserve(graph_.num_labels());
   PathSpace(graph_.num_labels(), 3).ForEach([&](const LabelPath& p) {
     const double expected = estimator_->Estimate(p);
     for (const auto& [name, snapshot] : loaded->snapshots) {

@@ -1,12 +1,15 @@
 // Tests for the query-time serving engine: scratch-based Rank fast paths
-// (fast vs legacy bit-identity over whole domains), the FlatHistogram SoA
-// lookup, the Estimator batch APIs (serial / parallel bit-identity), the
-// footprint accounting, and the allocation-free guarantee of the fast path
-// (via a global operator-new counting hook).
+// (every rank path agrees over whole domains; sum-based, owned and mapped,
+// against the first-principles oracle in tests/oracles/ordering_oracle.h,
+// across the counts/sorted key boundary and past 64 labels), the
+// FlatHistogram SoA lookup, the serial batch API, the footprint accounting,
+// and the allocation-free guarantee of the fast path (via a global
+// operator-new counting hook).
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new>
 #include <string>
@@ -16,12 +19,15 @@
 #include <gtest/gtest.h>
 
 #include "core/estimator.h"
+#include "core/mapped_catalog.h"
 #include "core/path_histogram.h"
+#include "core/serialize.h"
 #include "core/workload.h"
 #include "histogram/builders.h"
 #include "histogram/flat_histogram.h"
 #include "ordering/factory.h"
 #include "ordering/sum_based.h"
+#include "oracles/ordering_oracle.h"
 #include "test_util.h"
 
 // ---------------------------------------------------------------------------
@@ -93,7 +99,27 @@ using RoundTripParam = std::tuple<std::string, size_t>;
 class FastPathRoundTripTest
     : public ::testing::TestWithParam<RoundTripParam> {};
 
-TEST_P(FastPathRoundTripTest, FastRankMatchesLegacyOverEveryDomainIndex) {
+bool IsSumFamily(const std::string& method) {
+  return method == "sum-based" || method == "sum-card" ||
+         method == "sum-alph";
+}
+
+// The sum-family oracle for `ordering`, with the ranking rebuilt from the
+// graph rather than read back from the ordering under test.
+oracles::SumOrderingOracle OracleFor(const std::string& method,
+                                     const Graph& graph, size_t k) {
+  std::vector<uint64_t> cards(graph.num_labels());
+  for (LabelId l = 0; l < graph.num_labels(); ++l) {
+    cards[l] = graph.LabelCardinality(l);
+  }
+  const RankingRule rule = method == "sum-alph" ? RankingRule::kAlphabetical
+                                                : RankingRule::kCardinality;
+  return oracles::SumOrderingOracle(
+      PathSpace(graph.num_labels(), k),
+      LabelRanking::Make(rule, graph.labels(), cards));
+}
+
+TEST_P(FastPathRoundTripTest, EveryRankPathAgreesOverEveryDomainIndex) {
   const auto& [method, k] = GetParam();
   Graph graph = TestGraph(5);
   auto ordering = MakeOrdering(method, graph, k);
@@ -105,30 +131,21 @@ TEST_P(FastPathRoundTripTest, FastRankMatchesLegacyOverEveryDomainIndex) {
   const Estimator estimator(*served);
 
   RankScratch scratch;
-  scratch.Reserve(ord.space().num_labels());
   for (uint64_t i = 0; i < ord.size(); ++i) {
     const LabelPath p = ord.Unrank(i);
-    // Legacy, virtual scratch overload, and the estimator's type-tagged
+    // Plain, virtual scratch overload, and the estimator's type-tagged
     // dispatch must all agree on every single index.
     ASSERT_EQ(ord.Rank(p), i) << method << " k=" << k;
     ASSERT_EQ(ord.Rank(p, scratch), i) << method << " k=" << k;
     ASSERT_EQ(estimator.Rank(p, scratch), i) << method << " k=" << k;
   }
-}
-
-TEST_P(FastPathRoundTripTest, SumBasedScratchUnrankMatchesLegacy) {
-  const auto& [method, k] = GetParam();
-  if (method != "sum-based" && method != "sum-alph") {
-    GTEST_SKIP() << "scratch Unrank twin is sum-based-specific";
-  }
-  Graph graph = TestGraph(5);
-  auto ordering = MakeOrdering(method, graph, k);
-  ASSERT_TRUE(ordering.ok());
-  auto* sum = dynamic_cast<const SumBasedOrdering*>(ordering->get());
-  ASSERT_NE(sum, nullptr);
-  RankScratch scratch;
-  for (uint64_t i = 0; i < sum->size(); ++i) {
-    ASSERT_EQ(sum->Unrank(i, scratch), sum->Unrank(i)) << method << " " << i;
+  if (IsSumFamily(method)) {
+    // Sum-based Rank and Unrank run on one set of flat tables; the
+    // first-principles oracle checks that arithmetic on every index.
+    const std::vector<uint64_t> table =
+        OracleFor(method, graph, k).UnrankTable();
+    EXPECT_EQ(oracles::FirstOrderingMismatch(ord, table), "")
+        << method << " k=" << k;
   }
 }
 
@@ -136,8 +153,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllFactoryOrderings, FastPathRoundTripTest,
     ::testing::Combine(
         ::testing::Values("num-alph", "num-card", "lex-alph", "lex-card",
-                          "sum-based", "sum-alph", "gray-alph", "gray-card",
-                          "random"),
+                          "sum-based", "sum-card", "sum-alph", "gray-alph",
+                          "gray-card", "random"),
         ::testing::Values(2, 3, 4)),
     [](const ::testing::TestParamInfo<RoundTripParam>& info) {
       std::string name = std::get<0>(info.param) + "_k" +
@@ -148,20 +165,63 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The legacy sum-based Rank kept a fixed 64-entry count buffer on the
-// stack; |L| > 64 used to write out of bounds. Regression: a 70-label set
-// must round-trip on both paths.
-TEST(SumBasedManyLabelsTest, SeventyLabelRoundTrip) {
-  Graph graph = TestGraph(70);
-  auto ordering = MakeOrdering("sum-based", graph, 2);
-  ASSERT_TRUE(ordering.ok());
-  RankScratch scratch;
-  for (uint64_t i = 0; i < (*ordering)->size(); ++i) {
-    const LabelPath p = (*ordering)->Unrank(i);
-    ASSERT_EQ((*ordering)->Rank(p), i);
-    ASSERT_EQ((*ordering)->Rank(p, scratch), i);
-  }
+// Sum-based shapes at the edges of the key encodings, owned and mapped,
+// against the oracle on every index: |L| = 32 at k = 3 is the widest
+// counts-keyed space (32 two-bit fields fill the key), 33 the first
+// sorted-keyed one, and |L| = 70 is past the 64 labels a fixed per-rank
+// buffer once assumed.
+using ShapeParam = std::tuple<size_t, size_t>;  // (|L|, k)
+
+class SumBasedShapeTest : public ::testing::TestWithParam<ShapeParam> {};
+
+TEST_P(SumBasedShapeTest, OwnedAndMappedMatchOracleOnEveryIndex) {
+  const auto& [num_labels, k] = GetParam();
+  Graph graph = TestGraph(num_labels);
+  auto ordering = MakeOrdering("sum-based", graph, k);
+  ASSERT_TRUE(ordering.ok()) << ordering.status().ToString();
+  auto* sum = dynamic_cast<const SumBasedOrdering*>(ordering->get());
+  ASSERT_NE(sum, nullptr);
+  const SumKeyScheme want_scheme =
+      num_labels <= 32 ? SumKeyScheme::kCounts : SumKeyScheme::kSorted;
+  EXPECT_EQ(sum->stage3_view().scheme, want_scheme);
+
+  const std::vector<uint64_t> table =
+      OracleFor("sum-based", graph, k).UnrankTable();
+  EXPECT_EQ(oracles::FirstOrderingMismatch(**ordering, table), "")
+      << "owned |L|=" << num_labels << " k=" << k;
+
+  // The mapped ordering borrows both tables out of a v2 file.
+  auto histogram = BuildHistogram(HistogramType::kEquiWidth,
+                                  SyntheticDistribution((*ordering)->size()),
+                                  16);
+  ASSERT_TRUE(histogram.ok());
+  auto served = PathHistogram::FromParts(
+      std::move(*ordering), std::move(*histogram), HistogramType::kEquiWidth);
+  ASSERT_TRUE(served.ok());
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pathest_estimator_shape_" + std::to_string(num_labels) + "_" +
+        std::to_string(k) + ".stats"))
+          .string();
+  ASSERT_TRUE(
+      SavePathHistogram(*served, graph, path, CatalogFormat::kBinaryV2).ok());
+  auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kChecksums);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(oracles::FirstOrderingMismatch(
+                (*mapped)->estimator().ordering(), table),
+            "")
+      << "mapped |L|=" << num_labels << " k=" << k;
+  std::filesystem::remove(path);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    KeyBoundaryAndManyLabels, SumBasedShapeTest,
+    ::testing::Values(ShapeParam{32, 3}, ShapeParam{33, 3},
+                      ShapeParam{70, 2}, ShapeParam{70, 3}),
+    [](const ::testing::TestParamInfo<ShapeParam>& info) {
+      return "L" + std::to_string(std::get<0>(info.param)) + "_k" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // ------------------------------------------------------------ flat lookup
 
@@ -250,25 +310,12 @@ class EstimateBatchTest : public ::testing::Test {
   std::vector<LabelPath> workload_;
 };
 
-TEST_F(EstimateBatchTest, SerialBatchMatchesLegacyEstimates) {
+TEST_F(EstimateBatchTest, SerialBatchMatchesReferenceEstimates) {
   const Estimator estimator(*served_);
   std::vector<double> out(workload_.size());
   estimator.EstimateBatch(workload_, out);
   for (size_t i = 0; i < workload_.size(); ++i) {
     ASSERT_EQ(out[i], served_->Estimate(workload_[i])) << i;
-  }
-}
-
-TEST_F(EstimateBatchTest, ParallelBatchBitIdenticalToSerialAtEveryWidth) {
-  const Estimator estimator(*served_);
-  std::vector<double> serial(workload_.size());
-  estimator.EstimateBatch(workload_, serial);
-  for (size_t threads : {1, 2, 4}) {
-    std::vector<double> parallel(workload_.size());
-    estimator.EstimateBatchParallel(workload_, parallel, threads);
-    for (size_t i = 0; i < workload_.size(); ++i) {
-      ASSERT_EQ(parallel[i], serial[i]) << "threads=" << threads << " i=" << i;
-    }
   }
 }
 
@@ -302,14 +349,13 @@ TEST(AllocationFreeTest, FastPathRankAndEstimateDoNotAllocate) {
     ASSERT_TRUE(served.ok());
     const Estimator estimator(*served);
 
-    // Materialize the workload and warm the scratch BEFORE counting.
+    // Materialize the workload and take one estimate BEFORE counting.
     std::vector<LabelPath> workload;
     const PathSpace& space = estimator.ordering().space();
     for (uint64_t i = 0; i < space.size(); i += 7) {
       workload.push_back(space.CanonicalPath(i));
     }
     RankScratch scratch;
-    scratch.Reserve(estimator.num_labels());
     double sink = estimator.Estimate(workload[0], scratch);
 
     const uint64_t before =
@@ -326,9 +372,36 @@ TEST(AllocationFreeTest, FastPathRankAndEstimateDoNotAllocate) {
   }
 }
 
-// The serial batch API is equally allocation-free after its internal
-// scratch warms up — per the contract there is exactly one Reserve per
-// call, so we count a full batch against a one-element baseline.
+// The sum-based plain Rank runs the fast path on a local scratch, and
+// Unrank decodes its block key into fixed arrays: neither allocates.
+TEST(AllocationFreeTest, SumBasedPlainRankAndUnrankDoNotAllocate) {
+  for (size_t num_labels : {6, 40}) {  // counts and sorted keys
+    Graph graph = TestGraph(num_labels);
+    auto ordering = MakeOrdering("sum-based", graph, 3);
+    ASSERT_TRUE(ordering.ok());
+    const auto& sum = dynamic_cast<const SumBasedOrdering&>(**ordering);
+    std::vector<LabelPath> paths;
+    for (uint64_t i = 0; i < sum.size(); i += 5) {
+      paths.push_back(sum.space().CanonicalPath(i));
+    }
+    RankScratch scratch;
+    uint64_t sink = 0;
+    const uint64_t before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    for (const LabelPath& path : paths) {
+      sink += sum.Rank(path);
+      sink += sum.Unrank(sink % sum.size()).length();
+      sink += sum.Unrank(sink % sum.size(), scratch).length();
+    }
+    EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed) - before,
+              0u)
+        << "|L|=" << num_labels;
+    EXPECT_GT(sink, 0u);
+  }
+}
+
+// The serial batch API is equally allocation-free, whatever the batch
+// size.
 TEST(AllocationFreeTest, BatchCostIsIndependentOfBatchSize) {
   Graph graph = TestGraph(6);
   auto ordering = MakeOrdering("sum-based", graph, 4);
@@ -358,9 +431,8 @@ TEST(AllocationFreeTest, BatchCostIsIndependentOfBatchSize) {
   const uint64_t cost_large =
       g_allocation_count.load(std::memory_order_relaxed) - before_large;
 
-  // The only allocation either call may perform is its scratch Reserve;
-  // per-query work must contribute nothing.
-  EXPECT_EQ(cost_large, cost_small);
+  EXPECT_EQ(cost_small, 0u);
+  EXPECT_EQ(cost_large, 0u);
 }
 
 }  // namespace

@@ -292,6 +292,102 @@ TEST_F(FaultInjectionTest, TextForgedCountsFailTyped) {
   }
 }
 
+// The two unservable shapes of the shape gate (CheckOrderingShape in
+// ordering/factory.h): sum-based at |L| = 4096, k = 5 has no 64-bit
+// multiset key (and an index of ~1e16 blocks), num-card at |L| = 20,
+// k = 16 has a domain past 2^64. Every reader must refuse both with a typed
+// error right after reading (|L|, k): no abort, no hang.
+struct UnservableShape {
+  const char* ordering;
+  uint32_t k;
+  uint32_t num_labels;
+};
+constexpr UnservableShape kUnservableShapes[] = {{"sum-based", 5, 4096},
+                                                 {"num-card", 16, 20}};
+
+// `image` (a binary catalog of `shape.ordering`) with its k and label count
+// forged to `shape`, CRCs re-signed. The forged count is never honoured:
+// the gate must refuse before a single label name is read.
+std::string ForgeShape(const std::string& image, const UnservableShape& shape) {
+  auto sections = ParseBinarySectionTable(image);
+  PATHEST_CHECK(sections.ok(), "section table");
+  size_t k_offset = 0;
+  for (const BinarySectionInfo& section : *sections) {
+    if (section.id != binfmt::kSectionOrdering) continue;
+    // k follows the ordering name and the histogram type.
+    BoundedReader r(image.data() + section.offset, section.length);
+    std::string skip;
+    PATHEST_CHECK(r.ReadLengthPrefixedString(&skip, 64, "name").ok(), "name");
+    PATHEST_CHECK(r.ReadLengthPrefixedString(&skip, 64, "type").ok(), "type");
+    k_offset = section.length - r.remaining();
+  }
+  std::string forged = image;
+  std::string k_le, labels_le;
+  AppendU32(&k_le, shape.k);
+  AppendU32(&labels_le, shape.num_labels);
+  PATHEST_CHECK(PatchSectionPayload(&forged, binfmt::kSectionOrdering,
+                                    k_offset, k_le)
+                    .ok(),
+                "patch k");
+  PATHEST_CHECK(
+      PatchSectionPayload(&forged, binfmt::kSectionLabels, 0, labels_le).ok(),
+      "patch label count");
+  return forged;
+}
+
+TEST_F(FaultInjectionTest, UnservableShapesFailTypedInEveryReader) {
+  for (const UnservableShape& shape : kUnservableShapes) {
+    const std::string what = std::string(shape.ordering) +
+                             " |L|=" + std::to_string(shape.num_labels) +
+                             " k=" + std::to_string(shape.k);
+    // Text: a hand-written entry with one bucket over the full domain.
+    std::string text = "pathest-histogram v1\nordering " +
+                       std::string(shape.ordering) +
+                       "\ntype v-optimal\nk " + std::to_string(shape.k) +
+                       "\nlabels " + std::to_string(shape.num_labels);
+    for (uint32_t i = 0; i < shape.num_labels; ++i) {
+      text += " l" + std::to_string(i);
+    }
+    text += "\ncardinalities";
+    for (uint32_t i = 0; i < shape.num_labels; ++i) text += " 1";
+    text += "\nbuckets 1\n0 1153203048319815680 0x0p+0 0x0p+0\n";
+    std::istringstream in(text);
+    auto from_text = ReadPathHistogram(&in);
+    ASSERT_FALSE(from_text.ok()) << "text " << what;
+    EXPECT_EQ(from_text.status().code(), StatusCode::kIOError)
+        << from_text.status().ToString();
+    EXPECT_NE(from_text.status().message().find("unservable shape"),
+              std::string::npos)
+        << from_text.status().ToString();
+
+    // v1 and v2: a valid image of that ordering with the shape forged. The
+    // gate's own message proves it refused before the (absent) names.
+    const char* refusal = shape.k == 5 ? "no 64-bit multiset key"
+                                       : "overflows u64";
+    auto from_v1 = ReadPathHistogramBinary(
+        ForgeShape(ValidImage(shape.ordering), shape));
+    ASSERT_FALSE(from_v1.ok()) << "v1 " << what;
+    EXPECT_EQ(from_v1.status().code(), StatusCode::kIOError);
+    EXPECT_NE(from_v1.status().message().find(refusal), std::string::npos)
+        << from_v1.status().ToString();
+    std::string v2;
+    {
+      PathHistogram est = BuildEstimator(shape.ordering, 6);
+      std::vector<uint64_t> cards;
+      for (LabelId l = 0; l < graph_.num_labels(); ++l) {
+        cards.push_back(graph_.LabelCardinality(l));
+      }
+      ASSERT_TRUE(
+          WritePathHistogramBinaryV2(est, graph_.labels(), cards, &v2).ok());
+    }
+    auto from_v2 = ReadPathHistogramBinaryV2(ForgeShape(v2, shape));
+    ASSERT_FALSE(from_v2.ok()) << "v2 " << what;
+    EXPECT_EQ(from_v2.status().code(), StatusCode::kIOError);
+    EXPECT_NE(from_v2.status().message().find(refusal), std::string::npos)
+        << from_v2.status().ToString();
+  }
+}
+
 TEST_F(FaultInjectionTest, CrashedSaveLeavesPreviousCatalogIntact) {
   // Establish a valid catalog file, then crash a re-save at every stage:
   // short write at several offsets, failed fsync, failed rename. Each must
@@ -426,7 +522,6 @@ TEST_F(FaultInjectionTest, DegradedCatalogServesHealthyEntries) {
   auto path = LabelPath::Parse("a", good.labels());
   ASSERT_TRUE(path.ok());
   RankScratch scratch;
-  scratch.Reserve(good.estimator().num_labels());
   EXPECT_GE(good.estimator().Estimate(*path, scratch), 0.0);
 
   // And VerifyCatalogDir sees exactly the same picture graph-free.
@@ -511,6 +606,27 @@ TEST_F(FaultInjectionV2Test, TruncationAtEveryPageBoundaryEdgeFailsTyped) {
   ASSERT_TRUE(
       WriteFileBytes(path, image.substr(0, image.size() - 1)).ok());
   auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kChecksums);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
+}
+
+TEST_F(FaultInjectionV2Test, ForgedKeySchemeZeroIsASectionError) {
+  // Scheme 0 is never written; a file carrying it (CRCs re-signed, so it
+  // reaches the parser) is a typed sum-index section error at every tier.
+  std::string corrupt = ValidImageV2("sum-based");
+  std::string zero;
+  AppendU32(&zero, 0);
+  ASSERT_TRUE(
+      PatchSectionPayload(&corrupt, binfmt::kSectionSumIndex, 0, zero).ok());
+  auto loaded = ReadPathHistogramBinaryV2(corrupt);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("section sum-index: key scheme 0"),
+            std::string::npos)
+      << loaded.status().ToString();
+  const std::string path = (dir_ / "scheme0.stats").string();
+  ASSERT_TRUE(WriteFileBytes(path, corrupt).ok());
+  auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kTrusted);
   ASSERT_FALSE(mapped.ok());
   EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
 }

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -36,6 +37,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/eval_context.h"
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
 #include "graph/graph_builder.h"
@@ -406,6 +408,44 @@ TEST(FlatKernelTest, SeventyLabelsUseSevenBitKeys) {
   for (const Graph& g : PlaneVariants(base)) {
     ASSERT_EQ(g.num_labels(), 70u);
     ExpectFusedMatchesOracles(g, /*k=*/3, /*oracle_stride=*/97);
+  }
+}
+
+TEST(FlatKernelTest, PerWorkerCountersOwnWholeCacheLines) {
+  // The counters bumped once per edge (the context's leaf counts, the
+  // extender's flat and two-hop counts) must start on a 64-byte line and
+  // span whole lines, so neighbouring workers' arrays never share one. |L|
+  // = 3 gives 4 flat counters (half a line), 9 two-hop counters, 3 leaf
+  // counters: each padded. Four contexts stand in for four workers.
+  const Graph g = ErdosRenyiGraph(60, 400, 3, 5);
+  ASSERT_TRUE(g.has_packed_edges());
+  const TwoHopIndex index = TwoHopIndex::Build(g, 4, PairKernel::kAuto);
+  ASSERT_TRUE(index.enabled());
+  std::vector<std::unique_ptr<EvalContext>> workers;
+  std::vector<std::pair<uintptr_t, uintptr_t>> blocks;
+  for (int w = 0; w < 4; ++w) {
+    workers.push_back(std::make_unique<EvalContext>(g.num_vertices(),
+                                                    g.num_labels(), 4));
+    EvalContext& ctx = *workers.back();
+    ctx.fused.Bind(g, PairKernel::kAuto, &index);
+    const LineCounts* arrays[] = {&ctx.leaf_counts, &ctx.fused.flat_counts(),
+                                  &ctx.fused.two_hop_counts()};
+    const size_t sizes[] = {3, 4, 9};
+    for (size_t a = 0; a < 3; ++a) {
+      const LineCounts& counts = *arrays[a];
+      const auto begin = reinterpret_cast<uintptr_t>(counts.data());
+      EXPECT_EQ(counts.size(), sizes[a]) << "worker " << w << " array " << a;
+      EXPECT_EQ(begin % kCacheLineBytes, 0u) << "worker " << w << " array "
+                                             << a;
+      EXPECT_EQ(counts.block_bytes() % kCacheLineBytes, 0u);
+      EXPECT_GE(counts.block_bytes(), counts.size() * sizeof(uint64_t));
+      blocks.push_back({begin, begin + counts.block_bytes()});
+    }
+  }
+  // Whole, line-aligned blocks that do not overlap share no line.
+  std::sort(blocks.begin(), blocks.end());
+  for (size_t i = 1; i < blocks.size(); ++i) {
+    EXPECT_LE(blocks[i - 1].second, blocks[i].first);
   }
 }
 

@@ -4,13 +4,16 @@
 // single-merge-run guarantee of BuildVOptimalGreedySweep, and determinism
 // of the batched MeasureAccuracySweep grid across thread counts.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/distribution.h"
+#include "core/error.h"
 #include "core/experiment.h"
+#include "core/path_histogram.h"
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
 #include "histogram/builders.h"
@@ -199,29 +202,39 @@ TEST(MeasureAccuracySweepTest, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(MeasureAccuracySweepTest, AgreesWithPerCellMeasureAccuracy) {
+TEST(MeasureAccuracySweepTest, OneCellCallMatchesReferencePathHistogram) {
+  // MeasureAccuracy is the one-cell sweep; the reference it must match is
+  // a PathHistogram built on its own and scored path by path through
+  // PathHistogram::Estimate.
   Graph graph = ErdosRenyiGraph(100, 400, 3, 9);
   const size_t k = 3;
   auto map = ComputeSelectivities(graph, k);
   ASSERT_TRUE(map.ok());
   PathSpace space(graph.num_labels(), k);
-  const std::vector<size_t> betas = BetaSweep(space.size(), 4);
-
-  auto grid = MeasureAccuracySweep(graph, *map, {"sum-based"}, k, betas,
-                                   HistogramType::kVOptimal);
-  ASSERT_TRUE(grid.ok());
-  for (size_t b = 0; b < betas.size(); ++b) {
-    auto cell = MeasureAccuracy(graph, *map, "sum-based", k, betas[b],
+  for (size_t beta : BetaSweep(space.size(), 4)) {
+    auto cell = MeasureAccuracy(graph, *map, "sum-based", k, beta,
                                 HistogramType::kVOptimal);
     ASSERT_TRUE(cell.ok());
-    // Identical histogram => identical SSE; the error summaries agree up
-    // to summation order (the sweep walks the domain, the per-cell path
-    // walks canonical path order).
-    EXPECT_EQ((*grid)[b].sse, cell->sse) << "beta=" << betas[b];
-    EXPECT_EQ((*grid)[b].errors.num_queries, cell->errors.num_queries);
-    EXPECT_NEAR((*grid)[b].errors.mean_abs_error,
-                cell->errors.mean_abs_error, 1e-12);
-    EXPECT_EQ((*grid)[b].errors.max_abs_error, cell->errors.max_abs_error);
+    auto ordering = MakeOrdering("sum-based", graph, k);
+    ASSERT_TRUE(ordering.ok());
+    auto reference = PathHistogram::Build(*map, std::move(*ordering),
+                                          HistogramType::kVOptimal, beta);
+    ASSERT_TRUE(reference.ok());
+    double max_error = 0.0;
+    uint64_t paths = 0;
+    space.ForEach([&](const LabelPath& path) {
+      max_error = std::max(
+          max_error,
+          AbsoluteErrorRate(reference->Estimate(path),
+                            static_cast<double>(map->Get(path))));
+      ++paths;
+    });
+    // Identical histogram => identical SSE and error multiset.
+    EXPECT_EQ(cell->sse, reference->histogram().TotalSse())
+        << "beta=" << beta;
+    EXPECT_EQ(cell->errors.num_queries, paths);
+    EXPECT_EQ(cell->errors.max_abs_error, max_error) << "beta=" << beta;
+    EXPECT_EQ(cell->beta, beta);
   }
 }
 

@@ -274,7 +274,6 @@ class MaintServeTest : public ::testing::Test {
     PATHEST_CHECK(loaded.ok(), "oracle load failed");
     Estimator serving(loaded->estimator);
     RankScratch scratch;
-    scratch.Reserve(serving.num_labels());
     std::string out = "ok";
     for (const std::string& text : paths) {
       auto path = LabelPath::Parse(text, loaded->labels);

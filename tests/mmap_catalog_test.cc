@@ -16,7 +16,9 @@
 #include "core/mapped_catalog.h"
 #include "core/serialize.h"
 #include "ordering/factory.h"
+#include "ordering/ranking.h"
 #include "ordering/sum_based.h"
+#include "oracles/ordering_oracle.h"
 #include "path/selectivity.h"
 #include "test_util.h"
 #include "util/crc32c.h"
@@ -134,7 +136,6 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
   PathSpace space(graph.num_labels(), k);
   const Estimator& me = (*mapped)->estimator();
   RankScratch scratch;
-  scratch.Reserve(graph.num_labels());
   space.ForEach([&](const LabelPath& p) {
     const double want = original.Estimate(p);
     ASSERT_EQ(me.Estimate(p, scratch), want)
@@ -144,8 +145,8 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
   });
 
   // Rank/Unrank round-trips through the mapped ordering agree with the
-  // original ordering everywhere (this exercises the borrowed stage-2/3
-  // tables end to end, including Unrank's lazily built legacy blocks).
+  // original ordering everywhere (for the sum family this runs both
+  // directions over the borrowed stage-2/3 tables end to end).
   const Ordering& mo = me.ordering();
   const Ordering& oo = original.ordering();
   for (uint64_t i = 0; i < space.size(); ++i) {
@@ -153,6 +154,22 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
     ASSERT_EQ(mo.Rank(p), i) << method << " k=" << k;
     ASSERT_EQ(mo.Unrank(i).ToIdString(), p.ToIdString())
         << method << " k=" << k;
+  }
+  if (method.rfind("sum-", 0) == 0) {
+    // And both equal the first-principles oracle on every index.
+    std::vector<uint64_t> cards(graph.num_labels());
+    for (LabelId l = 0; l < graph.num_labels(); ++l) {
+      cards[l] = graph.LabelCardinality(l);
+    }
+    const RankingRule rule = method == "sum-alph" ? RankingRule::kAlphabetical
+                                                  : RankingRule::kCardinality;
+    const oracles::SumOrderingOracle oracle(
+        space, LabelRanking::Make(rule, graph.labels(), cards));
+    const std::vector<uint64_t> table = oracle.UnrankTable();
+    EXPECT_EQ(oracles::FirstOrderingMismatch(mo, table), "")
+        << "mapped " << method << " k=" << k;
+    EXPECT_EQ(oracles::FirstOrderingMismatch(oo, table), "")
+        << "owned " << method << " k=" << k;
   }
   fs::remove(path);
 }
@@ -229,7 +246,6 @@ TEST_F(VerifyTierTest, AllTiersAcceptAHealthyFile) {
     // Identical estimates regardless of how much verification ran.
     PathSpace space(graph_.num_labels(), 3);
     RankScratch scratch;
-    scratch.Reserve(graph_.num_labels());
     space.ForEach([&](const LabelPath& p) {
       ASSERT_EQ((*entry)->estimator().Estimate(p, scratch),
                 est_->Estimate(p));

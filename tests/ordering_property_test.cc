@@ -1,6 +1,8 @@
 // Property tests over every ordering method: bijection round-trips,
-// stage-structure invariants, and ranking-rule consistency, swept with
-// parameterized gtest across label-set sizes and path lengths.
+// stage-structure invariants, ranking-rule consistency, and the sum
+// orderings against the first-principles oracle, swept with parameterized
+// gtest across label-set sizes and path lengths; plus the factory's shape
+// gate.
 
 #include <algorithm>
 #include <set>
@@ -15,6 +17,7 @@
 #include "ordering/lexicographic.h"
 #include "ordering/numerical.h"
 #include "ordering/sum_based.h"
+#include "oracles/ordering_oracle.h"
 #include "test_util.h"
 
 namespace pathest {
@@ -107,6 +110,23 @@ TEST_P(OrderingPropertyTest, SumBasedIsSummedRankMajorWithinLength) {
   }
 }
 
+TEST_P(OrderingPropertyTest, SumBasedMatchesOracleOnEveryIndex) {
+  if (method_ != "sum-based" && method_ != "sum-alph") {
+    GTEST_SKIP() << "the oracle covers the sum orderings";
+  }
+  std::vector<uint64_t> cards(graph_->num_labels());
+  for (LabelId l = 0; l < graph_->num_labels(); ++l) {
+    cards[l] = graph_->LabelCardinality(l);
+  }
+  const RankingRule rule = method_ == "sum-alph" ? RankingRule::kAlphabetical
+                                                 : RankingRule::kCardinality;
+  const oracles::SumOrderingOracle oracle(
+      PathSpace(graph_->num_labels(), k_),
+      LabelRanking::Make(rule, graph_->labels(), cards));
+  EXPECT_EQ(oracles::FirstOrderingMismatch(*ordering_, oracle.UnrankTable()),
+            "");
+}
+
 TEST_P(OrderingPropertyTest, LexNeverPlacesExtensionBeforePrefix) {
   if (method_ != "lex-alph" && method_ != "lex-card") {
     GTEST_SKIP() << "prefix property is lex-specific";
@@ -166,6 +186,47 @@ TEST(OrderingFactoryTest, RejectsBadK) {
   Graph graph = testing_util::PaperExampleGraph();
   EXPECT_FALSE(MakeOrdering("num-alph", graph, 0).ok());
   EXPECT_FALSE(MakeOrdering("num-alph", graph, kMaxPathLength + 1).ok());
+}
+
+// Labels "0".."n-1" with equal cardinalities: enough for the shape gate,
+// which must refuse before anything sized by the shape is built.
+void MakeStats(size_t n, LabelDictionary* dict, std::vector<uint64_t>* cards) {
+  for (size_t i = 0; i < n; ++i) dict->Intern(std::to_string(i));
+  cards->assign(n, 1);
+}
+
+TEST(OrderingFactoryTest, RefusesUnservableShapesWithATypedError) {
+  LabelDictionary wide;
+  std::vector<uint64_t> wide_cards;
+  MakeStats(4096, &wide, &wide_cards);
+  // |L_5| fits u64, but no 64-bit key holds a size-5 multiset over 4096
+  // ranks (15-bit counts x 4096 or 13-bit values x 5).
+  auto keyless = MakeOrderingFromStats("sum-based", wide, wide_cards, 5);
+  EXPECT_EQ(keyless.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(keyless.status().message().find("no 64-bit multiset key"),
+            std::string::npos)
+      << keyless.status().ToString();
+  EXPECT_FALSE(CheckOrderingShape("sum-alph", 4096, 5).ok());
+  EXPECT_FALSE(CheckOrderingShape("sum-card", 4096, 5).ok());
+  // The closed-form orderings need no key: the same shape is servable.
+  EXPECT_TRUE(CheckOrderingShape("num-card", 4096, 5).ok());
+
+  LabelDictionary twenty;
+  std::vector<uint64_t> twenty_cards;
+  MakeStats(20, &twenty, &twenty_cards);
+  // 20^16 > 2^64: the domain itself overflows, for every ordering.
+  auto overflow = MakeOrderingFromStats("num-card", twenty, twenty_cards, 16);
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().message().find("overflows u64"),
+            std::string::npos)
+      << overflow.status().ToString();
+  EXPECT_FALSE(CheckOrderingShape("sum-based", 20, 16).ok());
+  EXPECT_FALSE(CheckOrderingShape("lex-alph", 20, 16).ok());
+  EXPECT_TRUE(CheckOrderingShape("num-card", 20, 14).ok());  // 20^14 < 2^64
+
+  EXPECT_FALSE(CheckOrderingShape("num-card", 0, 2).ok());
+  EXPECT_FALSE(CheckOrderingShape("num-card", 3, 0).ok());
+  EXPECT_FALSE(CheckOrderingShape("num-card", 3, kMaxPathLength + 1).ok());
 }
 
 TEST(OrderingFactoryTest, PaperNamesAllConstruct) {

@@ -219,7 +219,6 @@ class ServeTest : public ::testing::Test {
     PATHEST_CHECK(loaded.ok(), "oracle load failed");
     Estimator serving(loaded->estimator);
     RankScratch scratch;
-    scratch.Reserve(serving.num_labels());
     std::string out = "ok";
     for (const std::string& text : paths) {
       auto path = LabelPath::Parse(text, loaded->labels);
@@ -498,6 +497,55 @@ TEST_F(ServeTest, StartsDegradedWhenAnEntryIsCorrupt) {
   auto stats = client.Call("stats");
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"corrupt\":1"), std::string::npos) << *stats;
+}
+
+TEST_F(ServeTest, StartsDegradedWhenAnEntryHasAnUnservableShape) {
+  // A well-formed text entry whose num-card domain (20 labels, k = 16)
+  // overflows u64 must quarantine through the shape gate, not abort the
+  // daemon at startup; the healthy entry serves bit-identically.
+  const auto healthy =
+      WriteEntry(root_ / "cat", "alpha", 6, HistogramType::kVOptimal);
+  const std::vector<std::string> paths = {"a", "a/b", "a/b/c", "c"};
+  const std::string oracle = OracleResponse(healthy, paths);
+  {
+    std::string text =
+        "pathest-histogram v1\nordering num-card\ntype v-optimal\nk 16\n"
+        "labels 20";
+    for (int i = 0; i < 20; ++i) text += " l" + std::to_string(i);
+    text += "\ncardinalities";
+    for (int i = 0; i < 20; ++i) text += " 1";
+    text += "\nbuckets 1\n0 1000 0x0p+0 0x0p+0\n";
+    ASSERT_TRUE(
+        WriteFileBytes((root_ / "cat" / "overflow.stats").string(), text)
+            .ok());
+  }
+
+  ServeServer server(BaseOptions(root_ / "cat"));
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_EQ(server.initial_report().failures.size(), 1u);
+  EXPECT_NE(server.initial_report().failures[0].path.find("overflow.stats"),
+            std::string::npos);
+  EXPECT_NE(server.initial_report().failures[0].status.message().find(
+                "overflows u64"),
+            std::string::npos)
+      << server.initial_report().failures[0].status.ToString();
+  EXPECT_EQ(server.initial_report().loaded,
+            std::vector<std::string>{"alpha"});
+
+  ServeClient client = Connect(server);
+  auto health = client.Call("health");
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(*health, "ok serving entries=1 degraded=1 version=1");
+  auto good = client.Call("estimate alpha a a/b a/b/c c");
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(*good, oracle);
+  auto bad = client.Call("estimate overflow l0");
+  ASSERT_TRUE(bad.ok());
+  EXPECT_EQ(bad->rfind("err NotFound fatal ", 0), 0u) << *bad;
+  // A reload reads the entry through the same gate.
+  auto reload = client.Call("reload");
+  ASSERT_TRUE(reload.ok());
+  EXPECT_NE(reload->find("quarantined=1"), std::string::npos) << *reload;
 }
 
 TEST_F(ServeTest, ReloadSwapsAtomicallyAndDegradesNeverOutages) {
