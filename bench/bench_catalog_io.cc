@@ -3,10 +3,11 @@
 // |L_3| = 30783 paths (31 labels, lengths 1..3), the catalog size the
 // paper's full-graph analyses produce. The text format pays hexfloat
 // parsing per bucket row; the binary v1 format pays CRC32C sweeps and then
-// reinterprets the column-major u64 rows directly; the page-aligned binary
-// v2 is additionally mmap-servable: MappedCatalogEntry construction is
-// header validation + pointer fixup (microseconds, no row copies), with
-// the CRC sweep optional per verify tier and the row bytes faulted lazily.
+// reinterprets the column-major u64 rows directly; the binary v2 (sections
+// packed on 64-byte boundaries) is additionally mmap-servable:
+// MappedCatalogEntry construction is header validation + pointer fixup
+// (microseconds, no row copies), with the CRC sweep optional per verify
+// tier and the row bytes faulted lazily.
 // The bench asserts the zero-copy construction stays >= 50x faster than
 // the v1 copying load, and that every path serves bit-identically.
 //
@@ -19,10 +20,12 @@
 //
 // PATHEST_SCALE scales β (default 1.0 → β=27993), PATHEST_REPS the
 // best-of repetition count (default 5). --json[=path] writes one JSON
-// object (default BENCH_catalog_io.json) with the sizes, best times, and
-// the binary-over-text speedup.
+// object (default BENCH_catalog_io.json) with the sizes (v2 also as
+// section payload bytes and file bytes per bucket), best times, and the
+// binary-over-text speedup.
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -145,8 +148,27 @@ int Run(bool json_mode, const std::string& json_path) {
   bench::DieIf(WritePathHistogramBinaryV2(est, labels, cards, &v2),
                "write binary v2");
   bench::DieIf(AtomicWriteFile(v2_path, v2), "save binary v2");
-  std::printf("text=%zu bytes, binary=%zu bytes, binary-v2=%zu bytes\n",
-              text.str().size(), binary.size(), v2.size());
+  // What the sections themselves hold (the sum of the section-table
+  // lengths); the rest of v2_bytes is the header, the table and the < 64
+  // bytes of inter-section padding in front of each section.
+  uint32_t section_count = 0;
+  std::memcpy(&section_count, v2.data() + 12, 4);
+  uint64_t v2_payload_bytes = 0;
+  for (uint32_t i = 0; i < section_count; ++i) {
+    uint64_t length = 0;
+    std::memcpy(&length,
+                v2.data() + binfmt::kHeaderBytes +
+                    i * binfmt::kSectionEntryBytes + 16,
+                8);
+    v2_payload_bytes += length;
+  }
+  const double v2_bytes_per_bucket =
+      static_cast<double>(v2.size()) / static_cast<double>(beta);
+  std::printf("text=%zu bytes, binary=%zu bytes, binary-v2=%zu bytes "
+              "(%llu payload, %.2f bytes/bucket)\n",
+              text.str().size(), binary.size(), v2.size(),
+              static_cast<unsigned long long>(v2_payload_bytes),
+              v2_bytes_per_bucket);
 
   // Correctness gate before any timing: both loads must reproduce the
   // original estimator bit-exactly over the whole domain.
@@ -263,6 +285,8 @@ int Run(bool json_mode, const std::string& json_path) {
                "  \"binary_ms\": %.4f,\n"
                "  \"speedup\": %.3f,\n"
                "  \"v2_bytes\": %zu,\n"
+               "  \"v2_payload_bytes\": %llu,\n"
+               "  \"v2_bytes_per_bucket\": %.2f,\n"
                "  \"v2_copy_ms\": %.4f,\n"
                "  \"v2_mmap_construct_us\": %.2f,\n"
                "  \"v2_mmap_verified_us\": %.2f,\n"
@@ -272,7 +296,9 @@ int Run(bool json_mode, const std::string& json_path) {
                "}\n",
                k, num_labels, static_cast<unsigned long long>(domain), beta,
                reps, text.str().size(), binary.size(), text_ms, binary_ms,
-               speedup, v2.size(), v2_copy_ms, v2_mmap_construct_us,
+               speedup, v2.size(),
+               static_cast<unsigned long long>(v2_payload_bytes),
+               v2_bytes_per_bucket, v2_copy_ms, v2_mmap_construct_us,
                v2_mmap_verified_us, v2_first_estimate_us, v2_repin_us,
                mmap_speedup);
   std::fclose(out);

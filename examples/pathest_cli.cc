@@ -39,7 +39,7 @@
 //
 // --format text|binary|binary-v2 picks the on-disk catalog format analyze
 // writes and catalog convert targets (default text; binary is the
-// checksummed v1 layout of core/serialize.h, binary-v2 the page-aligned
+// checksummed v1 layout of core/serialize.h, binary-v2 the 64-byte aligned
 // layout the daemon serves zero-copy — estimate and catalog verify sniff
 // the format, so no flag on read).
 // `catalog verify <dir>` checksum-walks every *.stats entry and exits
@@ -215,7 +215,7 @@ int Usage() {
       "cores, default)\n"
       "--format F: catalog format analyze writes / convert targets, "
       "text|binary|binary-v2 (text default; binary = checksummed catalog "
-      "v1; binary-v2 = page-aligned mmap-servable; readers sniff)\n");
+      "v1; binary-v2 = 64-byte aligned mmap-servable; readers sniff)\n");
   return 2;
 }
 

@@ -63,8 +63,8 @@ Result<CatalogLoadReport> VerifyCatalogDir(const std::string& dir) {
       report.loaded.push_back(name);
       auto format = SniffCatalogFormat(path);
       if (format.ok()) {
-        // A v2 entry that loaded IS page-aligned: the v2 parser rejects
-        // any section offset off a page boundary at every verify tier.
+        // A v2 entry that loaded IS aligned: the v2 parser rejects any
+        // section offset off a 64-byte boundary at every verify tier.
         report.entries.push_back(CatalogEntryInfo{
             name, CatalogFormatName(*format),
             *format == CatalogFormat::kBinaryV2});

@@ -434,24 +434,22 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
     sections.emplace_back(binfmt::kSectionSumIndex, std::move(index));
   }
 
-  // Assemble: header, table, payloads at page-aligned offsets. The gaps
-  // are zero padding outside every CRC.
+  // Assemble: header, table, then each payload at the first 64-byte
+  // boundary at or after the previous end. The gaps (< 64 bytes each) are
+  // zero padding outside every CRC.
   const size_t table_bytes = sections.size() * binfmt::kSectionEntryBytes;
   std::vector<uint64_t> offsets(sections.size());
-  uint64_t cursor =
-      binfmt::AlignUp(binfmt::kHeaderBytes + table_bytes, binfmt::kPageBytes);
   uint64_t total_size = binfmt::kHeaderBytes + table_bytes;
   std::string table;
   table.reserve(table_bytes);
   for (size_t i = 0; i < sections.size(); ++i) {
     const auto& [id, payload] = sections[i];
-    offsets[i] = cursor;
+    offsets[i] = binfmt::AlignUp(total_size, binfmt::kArrayAlignBytes);
     AppendU32(&table, id);
     AppendU32(&table, Crc32c(payload.data(), payload.size()));
-    AppendU64(&table, cursor);
+    AppendU64(&table, offsets[i]);
     AppendU64(&table, payload.size());
-    total_size = cursor + payload.size();
-    cursor = binfmt::AlignUp(total_size, binfmt::kPageBytes);
+    total_size = offsets[i] + payload.size();
   }
 
   std::string header;
@@ -1104,10 +1102,12 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     return Status::IOError("binary catalog: section table checksum mismatch");
   }
 
-  // ---- section table: extents AND page alignment, checked up front.
+  // ---- section table: extents, 64-byte alignment and ascending,
+  // non-overlapping placement, checked up front.
   BoundedReader table(bytes.data() + kHeaderBytes, table_bytes);
   std::vector<SectionEntry> entries(section_count);
   uint32_t prev_id = 0;
+  uint64_t prev_end = kHeaderBytes + table_bytes;
   for (SectionEntry& e : entries) {
     PATHEST_RETURN_NOT_OK(table.ReadU32(&e.id, "section id"));
     PATHEST_RETURN_NOT_OK(table.ReadU32(&e.crc, "section crc"));
@@ -1128,10 +1128,20 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                                     ", +" + std::to_string(e.length) +
                                     ") outside the file");
     }
-    if (e.offset % kPageBytes != 0) {
+    if (e.offset % kArrayAlignBytes != 0) {
       return SectionError(e.id, "offset " + std::to_string(e.offset) +
-                                    " is not page-aligned");
+                                    " is not " +
+                                    std::to_string(kArrayAlignBytes) +
+                                    "-byte aligned");
     }
+    if (e.offset < prev_end) {
+      return SectionError(e.id, "extent [" + std::to_string(e.offset) +
+                                    ", +" + std::to_string(e.length) +
+                                    ") overlaps the previous section, "
+                                    "which ends at " +
+                                    std::to_string(prev_end));
+    }
+    prev_end = e.offset + e.length;
   }
   auto find_section = [&entries](uint32_t id) -> const SectionEntry* {
     for (const SectionEntry& e : entries) {

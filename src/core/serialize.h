@@ -10,8 +10,8 @@
 //     path),
 //   - a versioned, checksummed BINARY catalog v1 (below), the section
 //     layout v2 grew out of, and
-//   - BINARY catalog v2 (below) — the serving format: page-aligned so the
-//     daemon maps it and fixes up pointers instead of parsing
+//   - BINARY catalog v2 (below) — the serving format: 64-byte aligned so
+//     the daemon maps it and fixes up pointers instead of parsing
 //     (core/mapped_catalog.h), and the format online maintenance
 //     re-persists every entry in (maint/online_maintenance.h).
 //
@@ -78,15 +78,30 @@
 // byte '1' -> '2' and the version field differ), but the body is laid out
 // for zero-copy consumption:
 //
-//   * Every section OFFSET is a multiple of kPageBytes (4096). The gap
-//     between a section's end and the next section's page-aligned start is
-//     zero padding that belongs to NO section: it is outside every CRC and
-//     provably ignored by readers (payload lengths are exact).
-//   * Every interior ARRAY starts at a multiple of kArrayAlignBytes (64)
-//     relative to its payload start. Since page >> 64, the arrays are also
-//     64-aligned in absolute file (and therefore mapping) addresses.
-//     Padding between a payload's prolog and its arrays is INSIDE the
-//     payload, hence covered by the section CRC — a flip there is detected.
+//   * 64 bytes (kArrayAlignBytes, one cache line) is the format's only
+//     alignment rule. The writer packs the sections: the first starts at
+//     AlignUp(header + table, 64), each later one at AlignUp(end of the
+//     previous payload, 64), and the file ends at the last payload.
+//   * Readers accept a section table only if every section OFFSET is a
+//     multiple of 64 and the extents ascend in table (id) order without
+//     overlapping; anything else is a typed section error at every verify
+//     tier.
+//   * INTER-section padding (the < 64 zero bytes between one payload's end
+//     and the next section's aligned start) belongs to NO section: it is
+//     outside every CRC and provably ignored by readers (payload lengths
+//     are exact).
+//   * Every interior ARRAY starts at a multiple of 64 relative to its
+//     payload start, so with 64-aligned offsets the arrays are 64-aligned
+//     in absolute file (and therefore mapping) addresses. This
+//     INTRA-payload padding between a payload's prolog and its arrays is
+//     INSIDE the payload, hence covered by the section CRC — a flip there
+//     is detected.
+//   * Compat: files written before sections were packed start every
+//     section on a 4096-byte page. Page multiples are 64-byte multiples and
+//     those extents ascend, so such files meet the rule above and keep
+//     loading and serving mapped; the payloads, their interior offsets,
+//     the CRCs, the header and the version are unchanged. The writer never
+//     emits page padding.
 //   * Bulk data travels as full little-endian u64 / IEEE-754-bit rows that
 //     a mapped reader can point spans at with zero parsing.
 //
@@ -160,7 +175,7 @@ namespace pathest {
 enum class CatalogFormat {
   kText,      // line-oriented, human-auditable (interchange/debug)
   kBinary,    // checksummed section-table binary v1 (copied on load)
-  kBinaryV2,  // page-aligned binary v2 (mmap zero-copy serving)
+  kBinaryV2,  // 64-byte aligned binary v2 (mmap zero-copy serving)
 };
 
 const char* CatalogFormatName(CatalogFormat format);
@@ -168,8 +183,8 @@ Result<CatalogFormat> ParseCatalogFormat(const std::string& name);
 
 /// \brief How much of a binary catalog v2 to verify before serving it.
 ///
-/// Every tier ALWAYS verifies the header, the section table, page
-/// alignment, and the metadata sections (ordering/labels/cardinalities,
+/// Every tier ALWAYS verifies the header, the section table (64-byte
+/// aligned, ascending, non-overlapping extents), and the metadata sections (ordering/labels/cardinalities,
 /// CRC + full parse) plus the shape prologs of the bulk sections. The
 /// tiers differ in how the BULK bytes are treated:
 ///
@@ -212,10 +227,9 @@ inline constexpr size_t kSectionEntryBytes = 24;
 /// most 5, v2 at most 6); anything larger is a forged header.
 inline constexpr uint32_t kMaxSections = 64;
 
-/// v2 alignment rules: section offsets are page multiples; interior arrays
-/// are 64-byte multiples relative to their payload start (and, page being
-/// a multiple of 64, in absolute mapped addresses too).
-inline constexpr uint64_t kPageBytes = 4096;
+/// v2's one alignment rule: section offsets and interior arrays (relative
+/// to their payload start) are 64-byte multiples, so every row is 64-byte
+/// aligned in absolute mapped addresses too.
 inline constexpr uint64_t kArrayAlignBytes = 64;
 
 enum SectionId : uint32_t {
@@ -280,9 +294,9 @@ Status WritePathHistogramBinary(const PathHistogram& estimator,
                                 const std::vector<uint64_t>& cardinalities,
                                 std::string* out);
 
-/// \brief Serializes the estimator into `*out` in page-aligned binary
-/// catalog v2 (precomputed serving rows + stage-2/3 tables — see the
-/// format spec above).
+/// \brief Serializes the estimator into `*out` in binary catalog v2
+/// (sections packed on 64-byte boundaries; precomputed serving rows +
+/// stage-2/3 tables — see the format spec above).
 Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
                                   const LabelDictionary& labels,
                                   const std::vector<uint64_t>& cardinalities,

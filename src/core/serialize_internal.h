@@ -1,9 +1,10 @@
 // pathest: the shared binary-catalog-v2 parse layer.
 //
 // ParseCatalogV2 is the ONE implementation of "open a v2 byte image":
-// header + section-table authentication, page-alignment enforcement,
-// metadata parsing, shape validation of the bulk sections, and the tiered
-// bulk verification of core/serialize.h's CatalogVerify. Its product is a
+// header + section-table authentication, section placement (64-byte
+// aligned, ascending, non-overlapping), metadata parsing, shape validation
+// of the bulk sections, and the tiered bulk verification of
+// core/serialize.h's CatalogVerify. Its product is a
 // CatalogV2View — owned metadata plus spans into the caller's bytes for
 // every bulk row — from which the copying loader builds an owned estimator
 // (ReadPathHistogramBinaryV2) and the mmap tier builds a borrowed one
@@ -59,7 +60,7 @@ struct CatalogV2View {
 /// \brief Parses + verifies a v2 byte image at tier `verify` (see
 /// CatalogVerify in core/serialize.h for exactly what each tier checks).
 /// `bytes.data()` must be 8-byte aligned — true of every heap buffer and
-/// every mmap base; the page-aligned section offsets then make all row
+/// every mmap base; the 64-byte aligned section offsets then make all row
 /// spans naturally aligned. Never throws, never allocates from untrusted
 /// counts, never reads out of bounds: corruption is a typed Status.
 Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,

@@ -28,6 +28,22 @@ bool IsSumBasedName(const std::string& name) {
   return name == "sum-based" || name == "sum-card" || name == "sum-alph";
 }
 
+// True when the stage-3 index, C(|L| + k, k) − 1 blocks (Σ over m in
+// [1, k] of C(|L| + m − 1, m)), fits kMaxSumIndexBlocks. Each step is an
+// exact division: C(|L| + m − 1, m) = C(|L| + m − 2, m − 1) · (|L| + m − 1)
+// / m.
+bool SumIndexFits(uint64_t num_labels, uint64_t k) {
+  uint64_t term = 1;  // C(|L| − 1, 0)
+  uint64_t total = 0;
+  for (uint64_t m = 1; m <= k; ++m) {
+    if (__builtin_mul_overflow(term, num_labels + m - 1, &term)) return false;
+    term /= m;
+    total += term;
+    if (total > kMaxSumIndexBlocks) return false;
+  }
+  return true;
+}
+
 std::vector<uint64_t> LabelCardinalities(const Graph& graph) {
   std::vector<uint64_t> f(graph.num_labels());
   for (LabelId l = 0; l < graph.num_labels(); ++l) {
@@ -55,12 +71,17 @@ Status CheckOrderingShape(const std::string& name, uint64_t num_labels,
                                      shape);
     }
   }
+  if (!IsSumBasedName(name)) return Status::OK();
   SumKeyScheme scheme;
   uint32_t key_bits;
-  if (IsSumBasedName(name) &&
-      !ChooseSumKeyScheme(num_labels, k, &scheme, &key_bits)) {
+  if (!ChooseSumKeyScheme(num_labels, k, &scheme, &key_bits)) {
     return Status::InvalidArgument(name + " has no 64-bit multiset key at " +
                                    shape);
+  }
+  if (!SumIndexFits(num_labels, k)) {
+    return Status::InvalidArgument(
+        name + " stage-3 index exceeds " +
+        std::to_string(kMaxSumIndexBlocks) + " blocks at " + shape);
   }
   return Status::OK();
 }

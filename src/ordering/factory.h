@@ -17,12 +17,22 @@ namespace pathest {
 /// presentation order: num-alph, num-card, lex-alph, lex-card, sum-based.
 const std::vector<std::string>& PaperOrderingNames();
 
+/// \brief Cap on the sum family's stage-3 index: one block per rank
+/// multiset of size 1..k, C(|L| + k, k) − 1 blocks in all. Each block is
+/// a key, an offset and a permutation count (three u64s), so the index
+/// rows at the cap hold 4 Mi × 24 B = 96 MiB, built at construction and
+/// persisted by binary v2. The bound is the engine's packed-key capacity
+/// (graph/graph.h); every shape the paper's stand-ins use is far below it
+/// (|L| = 8, k = 6 has 3,002 blocks; |L| = 70, k = 3 has 62,195).
+inline constexpr uint64_t kMaxSumIndexBlocks = kPackedKeyMaxEntries;
+
 /// \brief The one servability gate for an ordering shape; never aborts.
 /// Refuses (InvalidArgument) an empty label set, k outside
 /// [1, kMaxPathLength], a domain |L_k| that overflows u64, and a
 /// sum-family name ("sum-based", "sum-card", "sum-alph") whose rank
 /// multisets fit no 64-bit key (ChooseSumKeyScheme in
-/// ordering/sum_based.h). MakeOrderingFromStats and every catalog reader
+/// ordering/sum_based.h) or whose stage-3 index would exceed
+/// kMaxSumIndexBlocks. MakeOrderingFromStats and every catalog reader
 /// call it before anything is built from (|L|, k).
 Status CheckOrderingShape(const std::string& name, uint64_t num_labels,
                           uint64_t k);

@@ -3,6 +3,7 @@
 // pinned-entry survival, and a multithreaded eviction/re-pin torture run
 // checked against a serial oracle while estimates are in flight.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -44,9 +45,9 @@ class CatalogCacheTest : public ::testing::Test {
   }
   ~CatalogCacheTest() override { fs::remove_all(dir_); }
 
-  // Saves a fresh v2 catalog under `name` and returns its path. Different
-  // beta values give byte-identical sizes (the layout is beta-paged), so
-  // distinct entries are just distinct files.
+  // Saves a fresh v2 catalog under `name` and returns its path. Sections
+  // are packed, so the size grows with beta and the ordering: budgets are
+  // sized from the files themselves.
   std::string SaveEntry(const std::string& name, const std::string& method,
                         size_t k, size_t beta) {
     auto map = ComputeSelectivities(graph_, k);
@@ -115,6 +116,7 @@ TEST_F(CatalogCacheTest, LruEvictionUnderBudget) {
   }
   const size_t one = fs::file_size(paths[0]);
   // Budget for two entries; all four files are the same size.
+  for (const std::string& p : paths) ASSERT_EQ(fs::file_size(p), one) << p;
   CatalogCache cache(2 * one);
   for (const std::string& p : paths) {
     auto e = cache.GetOrOpen(p);
@@ -221,8 +223,10 @@ TEST_F(CatalogCacheTest, EvictionRepinTortureMatchesSerialOracle) {
   ASSERT_TRUE(ReadFileToString(hot, &gen_b).ok());
   std::vector<std::string> churn;
   for (int i = 0; i < 3; ++i) {
+    // Sum-based churn entries: at least as large as the smaller hot
+    // generation, so no two entries share the one-entry budget below.
     churn.push_back(SaveEntry("churn" + std::to_string(i) + ".stats",
-                              "num-card", k, 4 + i));
+                              "sum-based", k, 4 + i));
   }
 
   // Serial oracle: full-domain estimates for both generations.
@@ -243,9 +247,15 @@ TEST_F(CatalogCacheTest, EvictionRepinTortureMatchesSerialOracle) {
   const std::vector<double> oracle_a = oracle_for(gen_a);
   const std::vector<double> oracle_b = oracle_for(gen_b);
 
-  // Budget of ~one entry: the churn thread's opens constantly evict the
-  // hot entry whenever it is unpinned.
-  CatalogCache cache(gen_a.size());
+  // Budget of one entry — the largest — that no two entries fit in: the
+  // churn thread's opens constantly evict the hot entry whenever it is
+  // unpinned.
+  std::vector<size_t> sizes = {gen_a.size(), gen_b.size()};
+  for (const std::string& p : churn) sizes.push_back(fs::file_size(p));
+  std::sort(sizes.begin(), sizes.end());
+  ASSERT_GT(sizes[0] + sizes[1], sizes.back())
+      << "the budget must hold one entry, never two";
+  CatalogCache cache(sizes.back());
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
 

@@ -25,6 +25,7 @@
 #include "path/selectivity.h"
 #include "serve/snapshot_registry.h"
 #include "test_util.h"
+#include "util/crc32c.h"
 #include "util/fault_injection.h"
 #include "util/safe_io.h"
 
@@ -292,18 +293,23 @@ TEST_F(FaultInjectionTest, TextForgedCountsFailTyped) {
   }
 }
 
-// The two unservable shapes of the shape gate (CheckOrderingShape in
+// The three unservable shapes of the shape gate (CheckOrderingShape in
 // ordering/factory.h): sum-based at |L| = 4096, k = 5 has no 64-bit
-// multiset key (and an index of ~1e16 blocks), num-card at |L| = 20,
-// k = 16 has a domain past 2^64. Every reader must refuse both with a typed
-// error right after reading (|L|, k): no abort, no hang.
+// multiset key (and an index of ~1e16 blocks); sum-based at |L| = 4096,
+// k = 3 has a key but a stage-3 index of C(4099, 3) − 1 ≈ 1.1e10 blocks,
+// past kMaxSumIndexBlocks; num-card at |L| = 20, k = 16 has a domain past
+// 2^64. Every reader must refuse each with a typed error right after
+// reading (|L|, k): no abort, no hang.
 struct UnservableShape {
   const char* ordering;
   uint32_t k;
   uint32_t num_labels;
+  const char* refusal;  // the gate's own message
 };
-constexpr UnservableShape kUnservableShapes[] = {{"sum-based", 5, 4096},
-                                                 {"num-card", 16, 20}};
+constexpr UnservableShape kUnservableShapes[] = {
+    {"sum-based", 5, 4096, "no 64-bit multiset key"},
+    {"sum-based", 3, 4096, "stage-3 index exceeds"},
+    {"num-card", 16, 20, "overflows u64"}};
 
 // `image` (a binary catalog of `shape.ordering`) with its k and label count
 // forged to `shape`, CRCs re-signed. The forged count is never honoured:
@@ -362,13 +368,12 @@ TEST_F(FaultInjectionTest, UnservableShapesFailTypedInEveryReader) {
 
     // v1 and v2: a valid image of that ordering with the shape forged. The
     // gate's own message proves it refused before the (absent) names.
-    const char* refusal = shape.k == 5 ? "no 64-bit multiset key"
-                                       : "overflows u64";
     auto from_v1 = ReadPathHistogramBinary(
         ForgeShape(ValidImage(shape.ordering), shape));
     ASSERT_FALSE(from_v1.ok()) << "v1 " << what;
     EXPECT_EQ(from_v1.status().code(), StatusCode::kIOError);
-    EXPECT_NE(from_v1.status().message().find(refusal), std::string::npos)
+    EXPECT_NE(from_v1.status().message().find(shape.refusal),
+              std::string::npos)
         << from_v1.status().ToString();
     std::string v2;
     {
@@ -383,7 +388,8 @@ TEST_F(FaultInjectionTest, UnservableShapesFailTypedInEveryReader) {
     auto from_v2 = ReadPathHistogramBinaryV2(ForgeShape(v2, shape));
     ASSERT_FALSE(from_v2.ok()) << "v2 " << what;
     EXPECT_EQ(from_v2.status().code(), StatusCode::kIOError);
-    EXPECT_NE(from_v2.status().message().find(refusal), std::string::npos)
+    EXPECT_NE(from_v2.status().message().find(shape.refusal),
+              std::string::npos)
         << from_v2.status().ToString();
   }
 }
@@ -535,11 +541,13 @@ TEST_F(FaultInjectionTest, DegradedCatalogServesHealthyEntries) {
 // ===================== binary catalog v2 faults =====================
 //
 // The v2 format adds two byte classes v1 never had: INTER-SECTION padding
-// (the gap that rounds each section offset up to a page boundary — outside
-// every CRC, never read) and INTERIOR alignment padding (the gap that
-// rounds each array offset up to 64 within a payload — inside the payload
-// CRC). The suite proves the first is ignorable and the second is guarded,
-// and that truncation is typed at every page-boundary edge.
+// (the gap that rounds each section offset up to a 64-byte boundary —
+// outside every CRC, never read) and INTERIOR alignment padding (the gap
+// that rounds each array offset up to 64 within a payload — inside the
+// payload CRC). The suite proves the first is ignorable and the second is
+// guarded, that truncation is typed at every section edge and every
+// 64-byte multiple, and that a section table placing a section off the
+// 64-byte grid or over its predecessor is a typed section error.
 
 class FaultInjectionV2Test : public FaultInjectionTest {
  protected:
@@ -575,23 +583,32 @@ class FaultInjectionV2Test : public FaultInjectionTest {
   }
 };
 
-TEST_F(FaultInjectionV2Test, TruncationAtEveryPageBoundaryEdgeFailsTyped) {
+TEST_F(FaultInjectionV2Test, TruncationAtEverySectionEdgeAndLineFailsTyped) {
   const std::string image = ValidImageV2();
-  ASSERT_GT(image.size(), 2 * binfmt::kPageBytes)
-      << "need a multi-page image for the boundary sweep";
-  // Every p-1 / p / p+1 around every page multiple: the edges where a
-  // torn write of an aligned format would land.
-  size_t swept = 0;
-  for (size_t page = binfmt::kPageBytes; page < image.size() + 1;
-       page += binfmt::kPageBytes) {
-    for (size_t cut : {page - 1, page, page + 1}) {
-      if (cut >= image.size()) continue;
-      ExpectTypedFailureV2(image.substr(0, cut),
-                           "truncate to " + std::to_string(cut));
-      ++swept;
+  auto sections = ParseBinarySectionTable(image);
+  ASSERT_TRUE(sections.ok());
+  ASSERT_EQ(sections->size(), 6u);
+  // Every section start and end, each ± 1, plus every 64-byte multiple:
+  // the edges where a torn write of the packed layout would land (every
+  // section boundary of the older page-aligned layout is among them too).
+  std::vector<size_t> cuts;
+  for (const BinarySectionInfo& sec : *sections) {
+    for (size_t edge : {size_t(sec.offset), size_t(sec.offset + sec.length)}) {
+      cuts.insert(cuts.end(), {edge - 1, edge, edge + 1});
     }
   }
-  ASSERT_GT(swept, 6u);
+  for (size_t line = binfmt::kArrayAlignBytes; line <= image.size();
+       line += binfmt::kArrayAlignBytes) {
+    cuts.push_back(line);
+  }
+  size_t swept = 0;
+  for (size_t cut : cuts) {
+    if (cut >= image.size()) continue;
+    ExpectTypedFailureV2(image.substr(0, cut),
+                         "truncate to " + std::to_string(cut));
+    ++swept;
+  }
+  ASSERT_GT(swept, image.size() / binfmt::kArrayAlignBytes);
   // Header at byte granularity plus a coarse whole-file sweep.
   for (size_t cut = 0; cut <= binfmt::kHeaderBytes; ++cut) {
     ExpectTypedFailureV2(image.substr(0, cut),
@@ -608,6 +625,73 @@ TEST_F(FaultInjectionV2Test, TruncationAtEveryPageBoundaryEdgeFailsTyped) {
   auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kChecksums);
   ASSERT_FALSE(mapped.ok());
   EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
+}
+
+// `image` with section `index`'s table offset replaced by `offset` and the
+// table CRC re-signed, so the forgery reaches the placement checks.
+std::string ForgeSectionOffset(const std::string& image, size_t index,
+                               uint64_t offset) {
+  std::string forged = image;
+  uint32_t count;
+  std::memcpy(&count, forged.data() + 12, 4);
+  PATHEST_CHECK(index < count, "section index");
+  std::memcpy(forged.data() + binfmt::kHeaderBytes +
+                  index * binfmt::kSectionEntryBytes + 8,
+              &offset, 8);
+  const uint32_t table_crc = Crc32c(forged.data() + binfmt::kHeaderBytes,
+                                    count * binfmt::kSectionEntryBytes);
+  std::memcpy(forged.data() + 28, &table_crc, 4);
+  return forged;
+}
+
+TEST_F(FaultInjectionV2Test, MisplacedSectionsAreSectionErrorsAtEveryTier) {
+  const std::string image = ValidImageV2();
+  auto sections = ParseBinarySectionTable(image);
+  ASSERT_TRUE(sections.ok());
+  ASSERT_EQ(sections->size(), 6u);
+  const BinarySectionInfo& hist = (*sections)[3];
+  ASSERT_EQ(hist.id, binfmt::kSectionHistogram);
+  struct Forgery {
+    std::string what, image, detail;
+  };
+  const Forgery forgeries[] = {
+      // The histogram moved onto the cardinalities section's start: both
+      // offsets are 64-aligned and inside the file, but the extents
+      // overlap.
+      {"overlapping", ForgeSectionOffset(image, 3, (*sections)[2].offset),
+       "overlaps the previous section"},
+      // The histogram moved 8 bytes forward: inside the file, ascending,
+      // but off the 64-byte grid its rows' alignment rests on.
+      {"misaligned", ForgeSectionOffset(image, 3, hist.offset + 8),
+       "is not 64-byte aligned"},
+  };
+  // A typed error naming the histogram section and the placement fault.
+  auto expect_section_error = [](const Status& st, const Forgery& f) {
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << f.what;
+    EXPECT_EQ(st.message().rfind("section histogram: ", 0), 0u)
+        << f.what << ": " << st.ToString();
+    EXPECT_NE(st.message().find(f.detail), std::string::npos)
+        << f.what << ": " << st.ToString();
+  };
+  for (const Forgery& f : forgeries) {
+    auto loaded = ReadPathHistogramBinaryV2(f.image);
+    ASSERT_FALSE(loaded.ok()) << f.what;
+    expect_section_error(loaded.status(), f);
+    const std::string path = (dir_ / (f.what + ".stats")).string();
+    ASSERT_TRUE(WriteFileBytes(path, f.image).ok());
+    for (CatalogVerify tier : {CatalogVerify::kTrusted,
+                               CatalogVerify::kChecksums,
+                               CatalogVerify::kFull}) {
+      auto mapped = MappedCatalogEntry::Open(path, tier);
+      ASSERT_FALSE(mapped.ok()) << f.what << " " << CatalogVerifyName(tier);
+      expect_section_error(mapped.status(), f);
+    }
+    auto report = VerifyCatalogDir(dir_.string());
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(report->failures.size(), 1u) << f.what;
+    EXPECT_EQ(report->failures[0].section, "histogram");
+    std::filesystem::remove(path);
+  }
 }
 
 TEST_F(FaultInjectionV2Test, ForgedKeySchemeZeroIsASectionError) {
@@ -656,7 +740,7 @@ TEST_F(FaultInjectionV2Test, PaddingFlipsIgnoredOutsideCrcsCaughtInside) {
   size_t padding_flips = 0;
   for (const auto& [lo, hi] : gaps) {
     ASSERT_LE(lo, hi);
-    if (lo == hi) continue;  // a payload that ended exactly on a page
+    if (lo == hi) continue;  // a payload that ended on a 64-byte boundary
     for (size_t at : {lo, (lo + hi) / 2, hi - 1}) {
       for (int bit : {0, 7}) {
         std::string corrupt = image;
@@ -705,9 +789,22 @@ TEST_F(FaultInjectionV2Test, CrashedV2SaveLeavesV1FileByteIdentical) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::vector<double> expect = AllEstimates(*loaded);
 
-  for (size_t fail_at :
-       {size_t{0}, size_t{1}, size_t{17}, binfmt::kPageBytes,
-        binfmt::kPageBytes + 1}) {
+  // Fault offsets from the v2 image itself: its first, middle and last
+  // byte and every section start (a fixed offset could lie past a small
+  // packed image and never fire).
+  std::string v2_image;
+  ASSERT_TRUE(WritePathHistogramBinaryV2(loaded->estimator, loaded->labels,
+                                         loaded->label_cardinalities,
+                                         &v2_image)
+                  .ok());
+  auto v2_sections = ParseBinarySectionTable(v2_image);
+  ASSERT_TRUE(v2_sections.ok());
+  std::vector<size_t> fail_offsets = {0, v2_image.size() / 2,
+                                      v2_image.size() - 1};
+  for (const BinarySectionInfo& sec : *v2_sections) {
+    fail_offsets.push_back(sec.offset);
+  }
+  for (size_t fail_at : fail_offsets) {
     ScriptedWriteFaults faults;
     faults.fail_write_at_byte = fail_at;
     ScriptedWriteFaults::Install install(&faults);

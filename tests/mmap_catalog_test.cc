@@ -131,6 +131,30 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
   EXPECT_EQ((*mapped)->mapped_bytes(), fs::file_size(path));
   EXPECT_GT((*mapped)->resident_bytes(), 0u);
 
+  // Zero-copy: the serving rows are borrowed from the mapping, and each
+  // starts on a 64-byte boundary (64-aligned section offsets plus
+  // 64-aligned interior offsets over a page-aligned mapping base).
+  const FlatHistogram& flat = (*mapped)->estimator().flat();
+  EXPECT_GT(flat.MappedBytes(), 0u);
+  EXPECT_EQ(flat.ResidentBytes(), 0u);
+  auto aligned = [](const void* row) {
+    return reinterpret_cast<uintptr_t>(row) % binfmt::kArrayAlignBytes == 0;
+  };
+  EXPECT_TRUE(aligned(flat.begins().data()));
+  EXPECT_TRUE(aligned(flat.means().data()));
+  EXPECT_TRUE(aligned(flat.prefix_sums().data()));
+  EXPECT_TRUE(aligned(flat.eytz_begins().data()));
+  EXPECT_TRUE(aligned(flat.eytz_ranks().data()));
+  if (method.rfind("sum-", 0) == 0) {
+    const SumStage3View view =
+        static_cast<const SumBasedOrdering&>((*mapped)->estimator().ordering())
+            .stage3_view();
+    EXPECT_TRUE(aligned(view.cell_starts.data()));
+    EXPECT_TRUE(aligned(view.keys.data()));
+    EXPECT_TRUE(aligned(view.offsets.data()));
+    EXPECT_TRUE(aligned(view.nops.data()));
+  }
+
   // Bit-identical to BOTH the original estimator and the copying loader,
   // over the entire domain — the acceptance criterion of the mmap path.
   PathSpace space(graph.num_labels(), k);
@@ -210,9 +234,9 @@ class VerifyTierTest : public ::testing::Test {
     PATHEST_CHECK(AtomicWriteFile(path_, bytes).ok(), "write failed");
   }
 
-  // File offset of the histogram section's payload (first page-aligned
-  // section after the metadata pages).
-  size_t HistogramSectionOffset() {
+  // File offset of section `section_id`'s payload, read from the section
+  // table (the writer packs sections, so no offset is a constant).
+  size_t SectionOffset(uint32_t section_id) {
     std::string bytes;
     PATHEST_CHECK(ReadFileToString(path_, &bytes).ok(), "read failed");
     uint32_t count;
@@ -221,13 +245,13 @@ class VerifyTierTest : public ::testing::Test {
       const size_t at = binfmt::kHeaderBytes + i * binfmt::kSectionEntryBytes;
       uint32_t id;
       std::memcpy(&id, bytes.data() + at, 4);
-      if (id == binfmt::kSectionHistogram) {
+      if (id == section_id) {
         uint64_t offset;
         std::memcpy(&offset, bytes.data() + at + 8, 8);
         return offset;
       }
     }
-    PATHEST_CHECK(false, "histogram section missing");
+    PATHEST_CHECK(false, "section missing");
     return 0;
   }
 
@@ -260,9 +284,10 @@ TEST_F(VerifyTierTest, BulkFlipPassesTrustedButFailsCheckedTiers) {
   {
     std::string bytes;
     ASSERT_TRUE(ReadFileToString(path_, &bytes).ok());
-    std::memcpy(&beta, bytes.data() + HistogramSectionOffset(), 8);
+    std::memcpy(&beta,
+                bytes.data() + SectionOffset(binfmt::kSectionHistogram), 8);
   }
-  FlipByteAt(HistogramSectionOffset() +
+  FlipByteAt(SectionOffset(binfmt::kSectionHistogram) +
              binfmt::HistogramLayout(beta).mean_off + 3);
   // kTrusted skips bulk CRCs by contract — it must still OPEN (shape
   // prologs are intact); this is exactly why it is only for bytes already
@@ -279,8 +304,8 @@ TEST_F(VerifyTierTest, BulkFlipPassesTrustedButFailsCheckedTiers) {
 
 TEST_F(VerifyTierTest, MetadataFlipFailsEveryTier) {
   // Metadata sections are authenticated even under kTrusted. Flip a byte
-  // in the first metadata page (section 1 starts at the first page).
-  FlipByteAt(binfmt::kPageBytes + 2);
+  // inside the ordering section (section 1, the first payload).
+  FlipByteAt(SectionOffset(binfmt::kSectionOrdering) + 2);
   for (CatalogVerify tier :
        {CatalogVerify::kTrusted, CatalogVerify::kChecksums,
         CatalogVerify::kFull}) {
@@ -295,7 +320,7 @@ TEST_F(VerifyTierTest, WellFormedButWrongServingRowFailsOnlyFullTier) {
   // Only the full tier's rebuild comparison catches this class.
   std::string bytes;
   ASSERT_TRUE(ReadFileToString(path_, &bytes).ok());
-  const size_t sec = HistogramSectionOffset();
+  const size_t sec = SectionOffset(binfmt::kSectionHistogram);
   uint64_t beta;
   std::memcpy(&beta, bytes.data() + sec, 8);
   const binfmt::HistogramLayoutV2 hl = binfmt::HistogramLayout(beta);

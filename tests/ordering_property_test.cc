@@ -211,6 +211,26 @@ TEST(OrderingFactoryTest, RefusesUnservableShapesWithATypedError) {
   // The closed-form orderings need no key: the same shape is servable.
   EXPECT_TRUE(CheckOrderingShape("num-card", 4096, 5).ok());
 
+  // k = 3 has a key, but its stage-3 index would hold C(4099, 3) − 1
+  // ≈ 1.1e10 blocks: refused before any block is built.
+  auto huge_index = MakeOrderingFromStats("sum-based", wide, wide_cards, 3);
+  EXPECT_EQ(huge_index.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge_index.status().message().find("stage-3 index exceeds"),
+            std::string::npos)
+      << huge_index.status().ToString();
+  EXPECT_FALSE(CheckOrderingShape("sum-alph", 4096, 3).ok());
+  EXPECT_TRUE(CheckOrderingShape("lex-card", 4096, 3).ok());
+  // The cap (kMaxSumIndexBlocks = 4,194,304) on either side: C(|L| + k,
+  // k) − 1 is 4,192,243 at (291, 3) and 4,235,314 at (292, 3); 4,096 at
+  // (4096, 1) and 8,394,752 at (4096, 2); 62,195 at (70, 3).
+  EXPECT_TRUE(CheckOrderingShape("sum-based", 291, 3).ok());
+  EXPECT_FALSE(CheckOrderingShape("sum-based", 292, 3).ok());
+  EXPECT_TRUE(CheckOrderingShape("sum-based", 4096, 1).ok());
+  EXPECT_FALSE(CheckOrderingShape("sum-based", 4096, 2).ok());
+  EXPECT_TRUE(CheckOrderingShape("sum-based", 70, 3).ok());
+  // The largest k the domain allows at a small label set stays servable.
+  EXPECT_TRUE(CheckOrderingShape("sum-based", 2, kMaxPathLength).ok());
+
   LabelDictionary twenty;
   std::vector<uint64_t> twenty_cards;
   MakeStats(20, &twenty, &twenty_cards);

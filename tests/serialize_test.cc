@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/catalog.h"
+#include "core/mapped_catalog.h"
 #include "core/serialize.h"
 #include "ordering/factory.h"
 #include "path/selectivity.h"
@@ -295,7 +297,7 @@ TEST_P(BinaryRoundTripTest, V2RoundTripPreservesEveryEstimateBitExact) {
   EXPECT_EQ(v2, again);
 }
 
-TEST_P(BinaryRoundTripTest, V2SectionsArePageAlignedWithExactLayouts) {
+TEST_P(BinaryRoundTripTest, V2SectionsArePackedWithExactLayouts) {
   const auto& [method, k] = GetParam();
   Graph graph = SmallGraph();
   auto map = ComputeSelectivities(graph, k);
@@ -315,7 +317,8 @@ TEST_P(BinaryRoundTripTest, V2SectionsArePageAlignedWithExactLayouts) {
 
   // Walk the section table by hand against the layout helpers — the same
   // helpers the readers use, so this pins writer/reader agreement AND the
-  // alignment contract `catalog verify` reports as aligned=yes.
+  // placement contract `catalog verify` reports as aligned=yes: each
+  // section starts at the first 64-byte boundary after the previous end.
   const auto* bytes = reinterpret_cast<const unsigned char*>(v2.data());
   uint32_t section_count;
   std::memcpy(&section_count, bytes + 12, 4);
@@ -326,6 +329,8 @@ TEST_P(BinaryRoundTripTest, V2SectionsArePageAlignedWithExactLayouts) {
   EXPECT_EQ(file_size, v2.size());
 
   const uint64_t beta = est->histogram().num_buckets();
+  uint64_t prev_end =
+      binfmt::kHeaderBytes + section_count * binfmt::kSectionEntryBytes;
   for (uint32_t i = 0; i < section_count; ++i) {
     const size_t at = binfmt::kHeaderBytes + i * binfmt::kSectionEntryBytes;
     uint32_t id;
@@ -333,7 +338,9 @@ TEST_P(BinaryRoundTripTest, V2SectionsArePageAlignedWithExactLayouts) {
     std::memcpy(&id, bytes + at, 4);
     std::memcpy(&offset, bytes + at + 8, 8);
     std::memcpy(&length, bytes + at + 16, 8);
-    EXPECT_EQ(offset % binfmt::kPageBytes, 0u) << "section " << id;
+    EXPECT_EQ(offset, binfmt::AlignUp(prev_end, binfmt::kArrayAlignBytes))
+        << "section " << id;
+    prev_end = offset + length;
     if (id == binfmt::kSectionHistogram) {
       EXPECT_EQ(length, binfmt::HistogramLayout(beta).payload_bytes);
     } else if (id == binfmt::kSectionComposition) {
@@ -344,14 +351,9 @@ TEST_P(BinaryRoundTripTest, V2SectionsArePageAlignedWithExactLayouts) {
                     .payload_bytes);
     }
   }
-  // Trailing padding never exceeds a page (the writer pads each section
-  // start, not the file end — the last section ends the file exactly).
-  uint64_t last_offset, last_length;
-  const size_t last = binfmt::kHeaderBytes +
-                      (section_count - 1) * binfmt::kSectionEntryBytes;
-  std::memcpy(&last_offset, bytes + last + 8, 8);
-  std::memcpy(&last_length, bytes + last + 16, 8);
-  EXPECT_EQ(last_offset + last_length, v2.size());
+  // No trailing padding: the writer pads each section start, not the file
+  // end, so the last section ends the file exactly.
+  EXPECT_EQ(prev_end, v2.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -464,6 +466,73 @@ TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
   space.ForEach([&](const LabelPath& p) {
     EXPECT_EQ(loaded->estimator.Estimate(p), est->Estimate(p));
   });
+}
+
+// Read compatibility: tests/golden/catalog_v2_paged.stats is the same
+// estimator as catalog_v2.stats written before sections were packed, with
+// every section on a 4096-byte page. Page multiples meet the 64-byte rule,
+// so the file must keep loading at the strictest tier, mapping at every
+// tier, passing `catalog verify`, and serving bit-identical estimates.
+TEST(GoldenBinaryCatalog, PagedV2FixtureStillLoadsVerifiesAndServesMapped) {
+  const std::string path = std::string(PATHEST_SOURCE_DIR) +
+                           "/tests/golden/catalog_v2_paged.stats";
+  Graph graph = SmallGraph();
+  auto map = ComputeSelectivities(graph, 3);
+  ASSERT_TRUE(map.ok());
+  auto ordering = MakeOrdering("sum-based", graph, 3);
+  ASSERT_TRUE(ordering.ok());
+  auto est = PathHistogram::Build(*map, std::move(*ordering),
+                                  HistogramType::kVOptimal, 6);
+  ASSERT_TRUE(est.ok());
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << path;
+  std::string paged((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  // Still the page-aligned layout it stands for (the packed writer would
+  // never produce it).
+  uint32_t section_count;
+  std::memcpy(&section_count, paged.data() + 12, 4);
+  ASSERT_EQ(section_count, 6u);
+  for (uint32_t i = 0; i < section_count; ++i) {
+    uint64_t offset;
+    std::memcpy(&offset,
+                paged.data() + binfmt::kHeaderBytes +
+                    i * binfmt::kSectionEntryBytes + 8,
+                8);
+    EXPECT_EQ(offset, uint64_t{4096} * (i + 1)) << "section " << i;
+  }
+
+  PathSpace space(graph.num_labels(), 3);
+  auto loaded = ReadPathHistogramBinaryV2(paged);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  space.ForEach([&](const LabelPath& p) {
+    EXPECT_EQ(loaded->estimator.Estimate(p), est->Estimate(p));
+  });
+  for (CatalogVerify tier : {CatalogVerify::kTrusted,
+                             CatalogVerify::kChecksums, CatalogVerify::kFull}) {
+    auto mapped = MappedCatalogEntry::Open(path, tier);
+    ASSERT_TRUE(mapped.ok())
+        << CatalogVerifyName(tier) << ": " << mapped.status().ToString();
+    EXPECT_EQ((*mapped)->mapped_bytes(), paged.size());
+    RankScratch scratch;
+    space.ForEach([&](const LabelPath& p) {
+      EXPECT_EQ((*mapped)->estimator().Estimate(p, scratch), est->Estimate(p));
+    });
+  }
+
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "pathest_paged_golden";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::copy_file(path, dir / "paged.stats");
+  auto report = VerifyCatalogDir(dir.string());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->fully_healthy());
+  ASSERT_EQ(report->entries.size(), 1u);
+  EXPECT_EQ(report->entries[0].format, "binary-v2");
+  EXPECT_TRUE(report->entries[0].aligned);
+  fs::remove_all(dir);
 }
 
 TEST(SniffBinaryV2, DistinguishesFormatsWithoutSlurping) {
