@@ -59,14 +59,16 @@ PathHistogram BuildSyntheticEstimator(size_t num_labels, size_t k,
   const uint64_t domain = space.size();
   PATHEST_CHECK(beta >= 2 && beta <= domain, "beta out of range");
 
-  // Contiguous cover of [0, domain): the first (domain - beta) buckets
-  // have width 2, the rest width 1.
+  // Contiguous cover of [0, domain) at any beta: the first domain % beta
+  // buckets have width domain / beta + 1, the rest width domain / beta
+  // (for beta >= domain / 2: widths 2 and 1).
   std::vector<Bucket> buckets;
   buckets.reserve(beta);
-  const uint64_t wide = domain - beta;
+  const uint64_t narrow = domain / beta;
+  const uint64_t wide = domain % beta;
   uint64_t begin = 0;
   for (uint64_t i = 0; i < beta; ++i) {
-    const uint64_t width = i < wide ? 2 : 1;
+    const uint64_t width = i < wide ? narrow + 1 : narrow;
     const double v = BucketValue(i);
     Bucket b;
     b.begin = begin;

@@ -680,31 +680,35 @@ Result<LoadedPathHistogram> ReadPathHistogramText(const std::string& content) {
 
 // ----------------------------------------------------------- binary reader
 
+namespace {
+
+// The one magic classifier: binary v2, binary v1, or — for anything
+// without a binary magic, input shorter than a magic included — text.
+CatalogFormat FormatOfMagic(std::string_view bytes) {
+  if (bytes.size() < binfmt::kMagicBytes) return CatalogFormat::kText;
+  if (std::memcmp(bytes.data(), binfmt::kMagicV2, binfmt::kMagicBytes) == 0) {
+    return CatalogFormat::kBinaryV2;
+  }
+  if (std::memcmp(bytes.data(), binfmt::kMagic, binfmt::kMagicBytes) == 0) {
+    return CatalogFormat::kBinary;
+  }
+  return CatalogFormat::kText;
+}
+
+}  // namespace
+
 bool LooksLikeBinaryCatalog(std::string_view bytes) {
-  return bytes.size() >= binfmt::kMagicBytes &&
-         (std::memcmp(bytes.data(), binfmt::kMagic, binfmt::kMagicBytes) ==
-              0 ||
-          std::memcmp(bytes.data(), binfmt::kMagicV2, binfmt::kMagicBytes) ==
-              0);
+  return FormatOfMagic(bytes) != CatalogFormat::kText;
 }
 
 bool BytesAreBinaryV2(std::string_view bytes) {
-  return bytes.size() >= binfmt::kMagicBytes &&
-         std::memcmp(bytes.data(), binfmt::kMagicV2, binfmt::kMagicBytes) == 0;
+  return FormatOfMagic(bytes) == CatalogFormat::kBinaryV2;
 }
 
 Result<bool> SniffFileIsBinaryV2(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (!std::filesystem::exists(path)) {
-      return Status::NotFound("no such file: " + path);
-    }
-    return Status::IOError("cannot open " + path);
-  }
-  char head[binfmt::kMagicBytes];
-  in.read(head, sizeof head);
-  if (in.gcount() < static_cast<std::streamsize>(sizeof head)) return false;
-  return std::memcmp(head, binfmt::kMagicV2, binfmt::kMagicBytes) == 0;
+  auto format = SniffCatalogFormat(path);
+  if (!format.ok()) return format.status();
+  return *format == CatalogFormat::kBinaryV2;
 }
 
 Result<CatalogFormat> SniffCatalogFormat(const std::string& path) {
@@ -717,16 +721,8 @@ Result<CatalogFormat> SniffCatalogFormat(const std::string& path) {
   }
   char head[binfmt::kMagicBytes];
   in.read(head, sizeof head);
-  if (in.gcount() < static_cast<std::streamsize>(sizeof head)) {
-    return CatalogFormat::kText;  // too short for any binary magic
-  }
-  if (std::memcmp(head, binfmt::kMagicV2, binfmt::kMagicBytes) == 0) {
-    return CatalogFormat::kBinaryV2;
-  }
-  if (std::memcmp(head, binfmt::kMagic, binfmt::kMagicBytes) == 0) {
-    return CatalogFormat::kBinary;
-  }
-  return CatalogFormat::kText;
+  return FormatOfMagic(
+      std::string_view(head, static_cast<size_t>(in.gcount())));
 }
 
 namespace {
@@ -1583,24 +1579,33 @@ Result<LoadedPathHistogram> ReadPathHistogramBinaryV2(std::string_view bytes) {
 
 // --------------------------------------------------------------- dispatch
 
-Result<LoadedPathHistogram> ReadPathHistogram(std::istream* in) {
-  std::string content{std::istreambuf_iterator<char>(*in),
-                      std::istreambuf_iterator<char>()};
-  if (BytesAreBinaryV2(content)) return ReadPathHistogramBinaryV2(content);
-  if (LooksLikeBinaryCatalog(content)) {
-    return ReadPathHistogramBinary(content);
+namespace {
+
+// Parses `content` in the format its magic names.
+Result<LoadedPathHistogram> ReadPathHistogramBytes(const std::string& content) {
+  switch (FormatOfMagic(content)) {
+    case CatalogFormat::kBinaryV2:
+      return ReadPathHistogramBinaryV2(content);
+    case CatalogFormat::kBinary:
+      return ReadPathHistogramBinary(content);
+    case CatalogFormat::kText:
+      break;
   }
   return ReadPathHistogramText(content);
+}
+
+}  // namespace
+
+Result<LoadedPathHistogram> ReadPathHistogram(std::istream* in) {
+  return ReadPathHistogramBytes(
+      std::string{std::istreambuf_iterator<char>(*in),
+                  std::istreambuf_iterator<char>()});
 }
 
 Result<LoadedPathHistogram> LoadPathHistogram(const std::string& path) {
   std::string content;
   PATHEST_RETURN_NOT_OK(ReadFileToString(path, &content));
-  if (BytesAreBinaryV2(content)) return ReadPathHistogramBinaryV2(content);
-  if (LooksLikeBinaryCatalog(content)) {
-    return ReadPathHistogramBinary(content);
-  }
-  return ReadPathHistogramText(content);
+  return ReadPathHistogramBytes(content);
 }
 
 }  // namespace pathest

@@ -11,7 +11,7 @@
 // of edge deltas can have changed: this file owns only that choice (the
 // analysis below) and makes one call. Equality with a full rebuild on the
 // patched graph is exact (the map holds exact uint64 counts), and the
-// oracle test grid (tests/incremental_test.cc) enforces it bit-for-bit
+// differential runner (tests/selectivity_differential_test.cc) enforces it
 // across kernels × thread counts. A batch that dirties every task is the
 // full build, run over the old map.
 //

@@ -27,7 +27,7 @@
 // only on the graph and the prefix's pair set — never on threads or prior
 // scratch state — and both kernels produce the same distinct sets, so the
 // computed SelectivityMap is bit-identical across kernels (test-enforced by
-// tests/kernel_selectivity_test.cc). Forcing one kernel everywhere
+// tests/selectivity_differential_test.cc). Forcing one kernel everywhere
 // (PairKernel::kSparse / kDense) is a test hook, not a tuning knob.
 
 #ifndef PATHEST_PATH_PAIR_SET_H_
@@ -256,7 +256,7 @@ class TwoHopIndex {
 /// this kernel are bit-identical across kernels and thread counts and
 /// equal to the independent serial oracle's
 /// (tests/oracles/selectivity_oracle.h) — test-enforced by
-/// tests/fused_selectivity_test.cc.
+/// tests/selectivity_differential_test.cc.
 class FusedExtender {
  public:
   /// Flat-epoch budget: the label-fused sparse path needs |V|·2^⌈log₂|L|⌉

@@ -151,8 +151,8 @@ struct SelectivityOptions {
   /// kernel per config).
   ///
   /// Test hook, not a tuning knob: kSparse / kDense force one kernel
-  /// everywhere, for the identity suites (kernel_selectivity_test,
-  /// fused_selectivity_test, incremental_test) and the kernel sweep of
+  /// everywhere, for the identity tests (selectivity_differential_test,
+  /// fused_selectivity_test) and the kernel sweep of
   /// bench_micro_selectivity --json. No CLI flag or environment variable
   /// reaches it.
   ///
@@ -161,7 +161,7 @@ struct SelectivityOptions {
   /// and across every num_threads — kAuto's choice depends only on the
   /// graph and the prefix's pair set, never on scheduling or prior scratch
   /// state. Only wall time differs. Enforced by
-  /// tests/kernel_selectivity_test.cc and tests/fused_selectivity_test.cc.
+  /// tests/selectivity_differential_test.cc.
   PairKernel kernel = PairKernel::kAuto;
 
   /// Optional progress callback invoked after each root's subtree

@@ -21,6 +21,10 @@ namespace {
 // How often blocking loops re-check the stop flag.
 constexpr int kAcceptPollMs = 100;
 constexpr uint64_t kSlowopSliceMs = 10;
+// Paths estimated between deadline checks within one request.
+constexpr size_t kDeadlineCheckStride = 64;
+// listen(2) backlog.
+constexpr int kListenBacklog = 128;
 
 std::string BoolJson(bool b) { return b ? "true" : "false"; }
 
@@ -101,7 +105,7 @@ Status ServeServer::Start() {
   }
 
   auto listener =
-      ListenUnixSocket(options_.socket_path, options_.listen_backlog);
+      ListenUnixSocket(options_.socket_path, kListenBacklog);
   if (!listener.ok()) return listener.status();
   listen_fd_ = std::move(*listener);
 
@@ -386,7 +390,7 @@ std::string ServeServer::HandleEstimate(const Request& request,
     // Deadline enforcement between chunks: a request can exceed its
     // deadline by at most one stride of estimates (~microseconds), never
     // hold a worker unboundedly.
-    if (i % options_.deadline_check_stride == 0 &&
+    if (i % kDeadlineCheckStride == 0 &&
         timer.ElapsedMillis() > static_cast<double>(deadline_ms)) {
       counters_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
       return FormatErrorResponse(Status::DeadlineExceeded(

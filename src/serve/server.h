@@ -92,12 +92,8 @@ struct ServeOptions {
   uint64_t default_deadline_ms = 10000;
   /// Idle read timeout per connection; 0 disables reaping.
   uint64_t idle_timeout_ms = 30000;
-  /// Paths estimated between deadline checks within one request.
-  size_t deadline_check_stride = 64;
   /// Enables the `slowop` test command (never in production).
   bool enable_test_commands = false;
-  /// listen(2) backlog.
-  int listen_backlog = 128;
   /// Bootstrap graph for online maintenance. Non-empty ENABLES the
   /// `update`/`compact` commands: Start() recovers the edge-delta journal
   /// under <catalog_dir>/maint (replaying acknowledged updates over the

@@ -1,16 +1,15 @@
 // Tests for the engine layer: ThreadPool/ParallelFor scheduling guarantees,
-// heaviest-first work ordering, and EvalContext scratch reuse (through the
-// selectivity driver, and on an oversized context's own kernel).
+// heaviest-first work ordering, and EvalContext reuse on a graph smaller
+// than the context. The driver's slice ownership (a run rewrites exactly
+// its roots' slices of a stale map) is checked by the seeded differential
+// runner (selectivity_differential_test.cc).
 
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <numeric>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,24 +26,6 @@ namespace pathest {
 namespace {
 
 using testing_util::SmallGraph;
-
-// One root's subtree through the selectivity driver: a one-root selection
-// with every prefix task.
-Status EvaluateRoot(const Graph& g, LabelId root,
-                    const SelectivityOptions& options, SelectivityMap* map) {
-  return RefreshSelectivities(g, {root}, options, nullptr, map);
-}
-
-// A map whose every entry holds a stale value the driver must overwrite
-// (or, outside the roots it runs, keep).
-constexpr uint64_t kStale = 777;
-SelectivityMap StaleMap(const PathSpace& space) {
-  SelectivityMap map(space);
-  for (uint64_t i = 0; i < space.size(); ++i) {
-    map.SetByCanonicalIndex(i, kStale);
-  }
-  return map;
-}
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   for (size_t num_threads : {1u, 2u, 4u, 7u}) {
@@ -133,33 +114,6 @@ TEST(ScheduleTest, HeaviestFirstOrderIsAPermutation) {
   // All-equal weights degrade to the identity (stable ties).
   EXPECT_EQ(HeaviestFirstOrder({7, 7, 7}), (std::vector<size_t>{0, 1, 2}));
   EXPECT_TRUE(HeaviestFirstOrder({}).empty());
-}
-
-TEST(EvalContextTest, RootSubtreeIsPureAndContextReusable) {
-  Graph g = SmallGraph();
-  for (size_t k : {size_t{3}, size_t{4}}) {
-    PathSpace space(g.num_labels(), k);
-    auto reference = oracles::ReferenceSelectivities(g, k);
-    ASSERT_TRUE(reference.ok());
-    // One serial driver run: its ONE context evaluates every root and every
-    // prefix task in turn, over a map of stale values. Agreement with the
-    // oracle proves prior scratch contents don't leak into results.
-    SelectivityOptions options;
-    ASSERT_EQ(ResolvedNumThreads(options, g.num_labels(), k), 1u);
-    std::vector<LabelId> roots(g.num_labels());
-    std::iota(roots.begin(), roots.end(), LabelId{0});
-    SelectivityMap first = StaleMap(space);
-    ASSERT_TRUE(RefreshSelectivities(g, roots, options, nullptr, &first).ok());
-    EXPECT_EQ(first.values(), reference->values()) << "k=" << k;
-
-    // Every root again, one at a time in reverse order, over the first
-    // result: each slice is rewritten to the same values.
-    SelectivityMap second = first;
-    for (LabelId root = g.num_labels(); root-- > 0;) {
-      ASSERT_TRUE(EvaluateRoot(g, root, options, &second).ok());
-    }
-    EXPECT_EQ(second.values(), reference->values()) << "k=" << k;
-  }
 }
 
 TEST(EvalContextTest, OversizedContextEvaluatesSmallerGraph) {
@@ -314,27 +268,6 @@ TEST(ThreadPoolTest, ExternallySerializedSubmittersShareOnePool) {
   }
   for (auto& t : submitters) t.join();
   EXPECT_EQ(total.load(), 3 * kJobsPerSubmitter * kIndicesPerJob);
-}
-
-TEST(EvalContextTest, RootSubtreeWritesOnlyItsSlice) {
-  Graph g = SmallGraph();
-  const size_t k = 3;
-  PathSpace space(g.num_labels(), k);
-  auto reference = oracles::ReferenceSelectivities(g, k);
-  ASSERT_TRUE(reference.ok());
-
-  // A one-root run over stale values rewrites exactly the root's slices.
-  const LabelId root = 1;
-  SelectivityMap map = StaleMap(space);
-  ASSERT_TRUE(EvaluateRoot(g, root, SelectivityOptions{}, &map).ok());
-  space.ForEach([&](const LabelPath& p) {
-    if (p.label(0) != root) {
-      EXPECT_EQ(map.Get(p), kStale) << "foreign-slice write at "
-                                    << p.ToIdString();
-    } else {
-      EXPECT_EQ(map.Get(p), reference->Get(p)) << p.ToIdString();
-    }
-  });
 }
 
 }  // namespace
