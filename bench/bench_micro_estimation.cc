@@ -17,17 +17,32 @@
 //   * p50_ns / p99_ns    — fast-path latency distribution over 256-query
 //     chunks (per-query clock reads would dwarf the ~100ns queries);
 //   * batch1_mqps        — EstimateBatch throughput in million paths/sec.
+//
+// Then one lookup row per β in {64, 874, |L_k|/2}: the bucket lookup
+// alone, over an equi-width histogram of the same distribution and
+// 1 Mi uniform random domain indices (scaled by PATHEST_SCALE, at least
+// 16 Ki), every answer asserted bit-identical first. It times the serving
+// lookup (FlatHistogram::EstimatePoint) interleaved with the diagnostic
+// one (Histogram::BucketFor(i).Mean()), per rep, and reports medians with
+// p25/p75 over the reps:
+//   * lookup_ns / bucket_for_ns — ns per lookup over independent indices
+//     (throughput: lookups overlap in the pipeline);
+//   * lookup_chain_ns / bucket_for_chain_ns — ns per lookup when each
+//     index depends on the previous answer (latency: no overlap).
 // Every row carries hardware_cores, the host's core count.
 //
-// --json[=path] writes one object per ordering (default
-// BENCH_estimation.json). Knobs: PATHEST_SCALE (workload size),
-// PATHEST_REPS (default 5), PATHEST_K, PATHEST_BETA (bucket override).
+// --json[=path] writes one object per ordering, then one per lookup β
+// (default BENCH_estimation.json). Knobs: PATHEST_SCALE (workload size),
+// PATHEST_REPS (default 5), PATHEST_K, PATHEST_BETA (bucket override for
+// the ordering rows).
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -36,6 +51,7 @@
 #include "core/report.h"
 #include "gen/datasets.h"
 #include "histogram/builders.h"
+#include "histogram/flat_histogram.h"
 #include "ordering/factory.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -154,6 +170,97 @@ Row MeasureOrdering(const Graph& graph, const std::string& name, size_t k,
   return row;
 }
 
+struct LookupRow {
+  size_t beta = 0;
+  uint64_t n = 0;
+  size_t probes = 0;
+  // Median, p25, p75 over the reps.
+  double lookup_ns[3] = {};
+  double bucket_for_ns[3] = {};
+  double lookup_chain_ns[3] = {};
+  double bucket_for_chain_ns[3] = {};
+};
+
+void Quartiles(std::vector<double>* samples, double out[3]) {
+  out[0] = bench::Percentile(samples, 0.50);
+  out[1] = bench::Percentile(samples, 0.25);
+  out[2] = bench::Percentile(samples, 0.75);
+}
+
+LookupRow MeasureLookup(const std::vector<uint64_t>& dist, size_t beta,
+                        size_t num_probes, size_t reps) {
+  auto histogram = BuildHistogram(HistogramType::kEquiWidth, dist, beta);
+  bench::DieIf(histogram.status(), "equi-width build");
+  const Histogram& h = *histogram;
+  const FlatHistogram flat(h);
+  const uint64_t n = h.domain_size();
+
+  LookupRow row;
+  row.beta = h.num_buckets();
+  row.n = n;
+  row.probes = num_probes;
+  Rng rng(11);
+  std::vector<uint64_t> probes(num_probes);
+  for (uint64_t& i : probes) i = rng.NextBounded(n);
+  for (uint64_t i : probes) {
+    if (flat.EstimatePoint(i) != h.BucketFor(i).Mean()) {
+      std::fprintf(stderr, "flat/BucketFor lookup mismatch: beta=%zu i=%llu\n",
+                   row.beta, static_cast<unsigned long long>(i));
+      std::exit(1);
+    }
+  }
+
+  // Independent lookups: the sum is the only dependency between them.
+  auto independent = [&](auto&& lookup) {
+    double sink = 0.0;
+    Timer timer;
+    for (uint64_t i : probes) sink += lookup(i);
+    const double ns = static_cast<double>(timer.ElapsedNanos()) /
+                      static_cast<double>(num_probes);
+    return std::make_pair(ns, sink);
+  };
+  // Chained lookups: the next index waits for this answer. Estimates are
+  // non-negative, so the sign test is always false but the compiler must
+  // still wait for the load.
+  auto chained = [&](auto&& lookup) {
+    uint64_t carry = 0;
+    Timer timer;
+    for (uint64_t i : probes) {
+      const uint64_t index = i ^ carry;
+      carry = lookup(index < n ? index : i) < 0.0 ? 1 : 0;
+    }
+    const double ns = static_cast<double>(timer.ElapsedNanos()) /
+                      static_cast<double>(num_probes);
+    return std::make_pair(ns, static_cast<double>(carry));
+  };
+  auto flat_lookup = [&](uint64_t i) { return flat.EstimatePoint(i); };
+  auto bucket_for = [&](uint64_t i) { return h.BucketFor(i).Mean(); };
+
+  std::vector<double> samples[4];
+  double sink = 0.0;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    // Alternate which side runs first, so neither always gets the warmer
+    // cache.
+    const bool flat_first = rep % 2 == 0;
+    for (int side = 0; side < 2; ++side) {
+      const bool flat_side = (side == 0) == flat_first;
+      const auto [ns, s1] = flat_side ? independent(flat_lookup)
+                                      : independent(bucket_for);
+      const auto [chain_ns, s2] =
+          flat_side ? chained(flat_lookup) : chained(bucket_for);
+      samples[flat_side ? 0 : 1].push_back(ns);
+      samples[flat_side ? 2 : 3].push_back(chain_ns);
+      sink += s1 + s2;
+    }
+  }
+  Quartiles(&samples[0], row.lookup_ns);
+  Quartiles(&samples[1], row.bucket_for_ns);
+  Quartiles(&samples[2], row.lookup_chain_ns);
+  Quartiles(&samples[3], row.bucket_for_chain_ns);
+  if (sink == -1.0) row.probes += 1;  // defeat dead-code elimination
+  return row;
+}
+
 int Run(bool json_mode, const std::string& json_path) {
   const double scale = ScaleFromEnv();
   const size_t reps = bench::SizeFromEnv("PATHEST_REPS", 5);
@@ -207,6 +314,19 @@ int Run(bool json_mode, const std::string& json_path) {
   }
   std::printf("\n%s\n", table.ToString().c_str());
 
+  // Bucket lookup alone: Table 4's β sweep ends at n/2.
+  const size_t num_probes = std::max<size_t>(
+      size_t{1} << 14, static_cast<size_t>(double(size_t{1} << 20) * scale));
+  std::vector<LookupRow> lookups;
+  for (size_t lookup_beta : {size_t{64}, size_t{874}, size_t(n / 2)}) {
+    LookupRow row = MeasureLookup(dist, lookup_beta, num_probes, reps);
+    std::printf("  lookup beta=%-6zu flat=%6.1fns bucket_for=%6.1fns "
+                "chained: flat=%6.1fns bucket_for=%6.1fns\n",
+                row.beta, row.lookup_ns[0], row.bucket_for_ns[0],
+                row.lookup_chain_ns[0], row.bucket_for_chain_ns[0]);
+    lookups.push_back(row);
+  }
+
   if (json_mode) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");
     if (out == nullptr) {
@@ -225,12 +345,33 @@ int Run(bool json_mode, const std::string& json_path) {
           "\"hardware_cores\": %zu}%s\n",
           r.ordering.c_str(), r.beta, static_cast<unsigned long long>(r.n),
           r.queries, r.reference_ns, r.fast_ns, r.speedup, r.p50_ns, r.p99_ns,
-          r.batch1_mqps, r.resident_bytes, cores,
-          i + 1 < rows.size() ? "," : "");
+          r.batch1_mqps, r.resident_bytes, cores, ",");
+    }
+    for (size_t i = 0; i < lookups.size(); ++i) {
+      const LookupRow& r = lookups[i];
+      std::fprintf(
+          out,
+          "  {\"lookup\": \"equi-width\", \"beta\": %zu, \"n\": %llu, "
+          "\"probes\": %zu, \"reps\": %zu, "
+          "\"lookup_ns\": %.1f, \"lookup_ns_p25\": %.1f, "
+          "\"lookup_ns_p75\": %.1f, \"bucket_for_ns\": %.1f, "
+          "\"bucket_for_ns_p25\": %.1f, \"bucket_for_ns_p75\": %.1f, "
+          "\"lookup_chain_ns\": %.1f, \"lookup_chain_ns_p25\": %.1f, "
+          "\"lookup_chain_ns_p75\": %.1f, \"bucket_for_chain_ns\": %.1f, "
+          "\"bucket_for_chain_ns_p25\": %.1f, "
+          "\"bucket_for_chain_ns_p75\": %.1f, \"hardware_cores\": %zu}%s\n",
+          r.beta, static_cast<unsigned long long>(r.n), r.probes, reps,
+          r.lookup_ns[0], r.lookup_ns[1], r.lookup_ns[2], r.bucket_for_ns[0],
+          r.bucket_for_ns[1], r.bucket_for_ns[2], r.lookup_chain_ns[0],
+          r.lookup_chain_ns[1], r.lookup_chain_ns[2],
+          r.bucket_for_chain_ns[0], r.bucket_for_chain_ns[1],
+          r.bucket_for_chain_ns[2], cores,
+          i + 1 < lookups.size() ? "," : "");
     }
     std::fprintf(out, "]\n");
     std::fclose(out);
-    std::printf("wrote %zu rows to %s\n", rows.size(), json_path.c_str());
+    std::printf("wrote %zu rows to %s\n", rows.size() + lookups.size(),
+                json_path.c_str());
   }
   return 0;
 }

@@ -184,12 +184,14 @@ int Usage() {
       "       is a warning, not a failure; --json prints one report "
       "object;\n"
       "       each healthy entry reports its format and, for binary-v2, "
-      "alignment)\n"
+      "alignment;\n"
+      "       binary entries also report their header version)\n"
       "  pathest_cli catalog convert <dir> --format text|binary|binary-v2\n"
       "      (rewrite every entry to the target format in place via "
       "atomic rename;\n"
       "       full verify on read; corrupt entries are reported and left "
-      "untouched)\n"
+      "untouched;\n"
+      "       older binary-v2 versions are rewritten as the current one)\n"
       "  pathest_cli serve <socket> <catalog-dir> [workers=N queue=N "
       "deadline_ms=N idle_ms=N graph=FILE maint_k=N compact_every=N "
       "mmap_budget=BYTES]\n"
@@ -328,9 +330,11 @@ int CmdEstimate(const std::vector<std::string>& args) {
 // `catalog convert <dir> --format F`: rewrites every entry to the target
 // format IN PLACE through the atomic-rename writer — a crash mid-convert
 // leaves each entry either fully old-format or fully new-format, never
-// torn. Every entry is fully verified on the way in (LoadPathHistogram
-// runs the strictest tier for its format), so a corrupt entry is reported
-// and left untouched rather than laundered into a fresh file.
+// torn. An entry already in the target format is skipped unless it is an
+// older binary-v2 version, which is rewritten as the current one. Every
+// entry is fully verified on the way in (LoadPathHistogram runs the
+// strictest tier for its format), so a corrupt entry is reported and left
+// untouched rather than laundered into a fresh file.
 int CmdCatalogConvert(const std::string& dir) {
   if (!g_format_seen) {
     return Fail(Status::InvalidArgument(
@@ -343,8 +347,11 @@ int CmdCatalogConvert(const std::string& dir) {
   size_t skipped = 0;
   size_t failed = 0;
   for (const std::string& path : *entries) {
-    auto current = SniffCatalogFormat(path);
-    if (current.ok() && *current == g_format) {
+    uint32_t version = 0;
+    auto current = SniffCatalogFormat(path, &version);
+    if (current.ok() && *current == g_format &&
+        (g_format != CatalogFormat::kBinaryV2 ||
+         version == binfmt::kVersionV2)) {
       ++skipped;
       std::printf("skip      %s (already %s)\n", path.c_str(),
                   CatalogFormatName(g_format));
@@ -441,8 +448,10 @@ int CmdCatalog(const std::vector<std::string>& args) {
     // entries[] is parallel to loaded[] when the format sniff succeeded.
     if (i < report->entries.size() && report->entries[i].name == name) {
       const CatalogEntryInfo& e = report->entries[i];
-      std::printf("ok        %s format=%s aligned=%s\n", name.c_str(),
+      std::printf("ok        %s format=%s aligned=%s", name.c_str(),
                   e.format.c_str(), e.aligned ? "yes" : "no");
+      if (e.version != 0) std::printf(" version=%u", e.version);
+      std::printf("\n");
     } else {
       std::printf("ok        %s\n", name.c_str());
     }

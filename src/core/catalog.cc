@@ -61,13 +61,14 @@ Result<CatalogLoadReport> VerifyCatalogDir(const std::string& dir) {
     if (loaded.ok()) {
       const std::string name = std::filesystem::path(path).stem().string();
       report.loaded.push_back(name);
-      auto format = SniffCatalogFormat(path);
+      uint32_t version = 0;
+      auto format = SniffCatalogFormat(path, &version);
       if (format.ok()) {
         // A v2 entry that loaded IS aligned: the v2 parser rejects any
         // section offset off a 64-byte boundary at every verify tier.
         report.entries.push_back(CatalogEntryInfo{
             name, CatalogFormatName(*format),
-            *format == CatalogFormat::kBinaryV2});
+            *format == CatalogFormat::kBinaryV2, version});
       }
     } else {
       report.failures.push_back(MakeCatalogLoadFailure(path, loaded.status()));
@@ -129,6 +130,7 @@ std::string CatalogLoadReportToJson(const CatalogLoadReport& report,
     out += ",\"format\":\"" + JsonEscape(e.format) + "\"";
     out += ",\"aligned\":";
     out += e.aligned ? "true" : "false";
+    out += ",\"version\":" + std::to_string(e.version);
     out += "}";
   }
   out += "],\"failures\":[";

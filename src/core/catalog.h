@@ -44,6 +44,7 @@ struct CatalogEntryInfo {
   std::string name;
   std::string format;  // "text" | "binary" | "binary-v2"
   bool aligned = false;
+  uint32_t version = 0;  // a binary entry's header version; 0 for text
 };
 
 /// \brief Outcome of a degraded-mode catalog load: which entries serve and
@@ -77,7 +78,7 @@ Result<std::vector<std::string>> ListCatalogEntryPaths(const std::string& dir);
 /// tooling. Shape:
 ///   {"dir":..., "ok":N, "corrupt":M, "fully_healthy":bool,
 ///    "loaded":[name...],
-///    "entries":[{"name":...,"format":...,"aligned":bool}...],
+///    "entries":[{"name":...,"format":...,"aligned":bool,"version":N}...],
 ///    "failures":[{"path":...,"section":...,"code":...,"error":...}...]}
 std::string CatalogLoadReportToJson(const CatalogLoadReport& report,
                                     const std::string& dir);

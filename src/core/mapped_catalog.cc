@@ -84,8 +84,6 @@ Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Open(
   rows.begin = view.begin;
   rows.mean = view.mean;
   rows.prefix_sum = view.prefix;
-  rows.eytz_begin = view.eytz_begin;
-  rows.eytz_rank = view.eytz_rank;
   entry->estimator_.emplace(*entry->ordering_,
                             FlatHistogram::FromBorrowedRows(rows));
 

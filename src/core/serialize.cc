@@ -140,20 +140,24 @@ const char* SectionName(uint32_t id) {
   return "?";
 }
 
-HistogramLayoutV2 HistogramLayout(uint64_t beta) {
+HistogramLayoutV2 HistogramLayout(uint64_t beta, uint32_t version) {
+  PATHEST_CHECK(version == kVersionV2 || version == kVersionV2Eytzinger,
+                "no histogram layout for this v2 version");
+  const bool eytzinger = version == kVersionV2Eytzinger;
   HistogramLayoutV2 l;
-  uint64_t at = 16;  // u64 beta + u64 domain_size
-  l.begin_off = AlignUp(at, kArrayAlignBytes);
-  l.end_off = AlignUp(l.begin_off + 8 * beta, kArrayAlignBytes);
-  l.sum_off = AlignUp(l.end_off + 8 * beta, kArrayAlignBytes);
+  l.begin_off = AlignUp(16, kArrayAlignBytes);  // u64 beta, u64 domain
+  uint64_t at = l.begin_off + 8 * beta;
+  if (eytzinger) at = AlignUp(at, kArrayAlignBytes) + 8 * beta;  // end row
+  l.sum_off = AlignUp(at, kArrayAlignBytes);
   l.sumsq_off = AlignUp(l.sum_off + 8 * beta, kArrayAlignBytes);
   l.mean_off = AlignUp(l.sumsq_off + 8 * beta, kArrayAlignBytes);
   l.prefix_off = AlignUp(l.mean_off + 8 * beta, kArrayAlignBytes);
-  l.eytz_begin_off =
-      AlignUp(l.prefix_off + 8 * (beta + 1), kArrayAlignBytes);
-  l.eytz_rank_off =
-      AlignUp(l.eytz_begin_off + 8 * (beta + 1), kArrayAlignBytes);
-  l.payload_bytes = l.eytz_rank_off + 4 * (beta + 1);
+  l.payload_bytes = l.prefix_off + 8 * (beta + 1);
+  if (eytzinger) {
+    // Eytzinger begins u64[beta+1], then their rank map u32[beta+1].
+    at = AlignUp(l.payload_bytes, kArrayAlignBytes) + 8 * (beta + 1);
+    l.payload_bytes = AlignUp(at, kArrayAlignBytes) + 4 * (beta + 1);
+  }
   return l;
 }
 
@@ -347,6 +351,7 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
 
   // Section 4: diagnostic bucket rows plus the PRECOMPUTED serving rows,
   // each at its layout offset so a mapped reader points spans at them.
+  // Bucket ends are not written: readers derive them from the begins.
   const auto& buckets = estimator.histogram().buckets();
   const uint64_t beta = buckets.size();
   const FlatHistogram flat(estimator.histogram());
@@ -355,15 +360,8 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
   hist.reserve(hl.payload_bytes);
   AppendU64(&hist, beta);
   AppendU64(&hist, estimator.histogram().domain_size());
-  {
-    std::vector<uint64_t> row(beta);
-    for (uint64_t b = 0; b < beta; ++b) row[b] = buckets[b].begin;
-    PadTo(&hist, hl.begin_off);
-    AppendRow(&hist, row.data(), row.size());
-    for (uint64_t b = 0; b < beta; ++b) row[b] = buckets[b].end;
-    PadTo(&hist, hl.end_off);
-    AppendRow(&hist, row.data(), row.size());
-  }
+  PadTo(&hist, hl.begin_off);
+  AppendRow(&hist, flat.begins().data(), flat.begins().size());
   {
     std::vector<double> row(beta);
     for (uint64_t b = 0; b < beta; ++b) row[b] = buckets[b].sum;
@@ -377,10 +375,6 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
   AppendRow(&hist, flat.means().data(), flat.means().size());
   PadTo(&hist, hl.prefix_off);
   AppendRow(&hist, flat.prefix_sums().data(), flat.prefix_sums().size());
-  PadTo(&hist, hl.eytz_begin_off);
-  AppendRow(&hist, flat.eytz_begins().data(), flat.eytz_begins().size());
-  PadTo(&hist, hl.eytz_rank_off);
-  AppendRow(&hist, flat.eytz_ranks().data(), flat.eytz_ranks().size());
   PATHEST_CHECK(hist.size() == hl.payload_bytes,
                 "v2 histogram payload does not match its layout");
   sections.emplace_back(binfmt::kSectionHistogram, std::move(hist));
@@ -711,7 +705,8 @@ Result<bool> SniffFileIsBinaryV2(const std::string& path) {
   return *format == CatalogFormat::kBinaryV2;
 }
 
-Result<CatalogFormat> SniffCatalogFormat(const std::string& path) {
+Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
+                                         uint32_t* version) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     if (!std::filesystem::exists(path)) {
@@ -719,10 +714,18 @@ Result<CatalogFormat> SniffCatalogFormat(const std::string& path) {
     }
     return Status::IOError("cannot open " + path);
   }
-  char head[binfmt::kMagicBytes];
+  // Magic, then the u32 version field.
+  char head[binfmt::kMagicBytes + 4];
   in.read(head, sizeof head);
-  return FormatOfMagic(
-      std::string_view(head, static_cast<size_t>(in.gcount())));
+  const size_t got = static_cast<size_t>(in.gcount());
+  const CatalogFormat format = FormatOfMagic(std::string_view(head, got));
+  if (version != nullptr) {
+    *version = 0;
+    if (format != CatalogFormat::kText && got == sizeof head) {
+      std::memcpy(version, head + binfmt::kMagicBytes, 4);
+    }
+  }
+  return format;
 }
 
 namespace {
@@ -1045,7 +1048,28 @@ bool RowsIdentical(std::span<const T> a, std::span<const T> b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
+// End of bucket b: no v2 reader reads an end row; each derives it here.
+uint64_t BucketEnd(const CatalogV2View& view, uint64_t b) {
+  return b + 1 < view.beta ? view.begin[b + 1] : view.domain_size;
+}
+
 }  // namespace
+
+Result<Histogram> HistogramOf(const CatalogV2View& view) {
+  std::vector<Bucket> buckets(view.beta);
+  for (uint64_t b = 0; b < view.beta; ++b) {
+    buckets[b].begin = view.begin[b];
+    buckets[b].end = BucketEnd(view, b);
+    buckets[b].sum = std::bit_cast<double>(view.sum_bits[b]);
+    buckets[b].sumsq = std::bit_cast<double>(view.sumsq_bits[b]);
+  }
+  auto histogram = Histogram::FromBuckets(std::move(buckets));
+  if (!histogram.ok()) {
+    return SectionError(binfmt::kSectionHistogram,
+                        "invalid buckets: " + histogram.status().message());
+  }
+  return histogram;
+}
 
 Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                                      CatalogVerify verify) {
@@ -1074,9 +1098,10 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   if (Crc32c(bytes.data(), kHeaderBytes - 8) != header_crc) {
     return Status::IOError("binary catalog: header checksum mismatch");
   }
-  if (version != kVersionV2) {
+  if (version != kVersionV2 && version != kVersionV2Eytzinger) {
     return Status::IOError("binary catalog: unsupported format version " +
                            std::to_string(version) + " (reader knows " +
+                           std::to_string(kVersionV2Eytzinger) + " and " +
                            std::to_string(kVersionV2) + ")");
   }
   if (file_size != bytes.size()) {
@@ -1162,6 +1187,7 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   };
 
   CatalogV2View view;
+  view.version = version;
 
   // ---- metadata sections: ALWAYS CRC-verified and fully parsed (they are
   // tiny, and every tier's shape validation depends on them).
@@ -1249,14 +1275,14 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   PATHEST_RETURN_NOT_OK(his.ReadU64(&view.beta, "bucket count"));
   PATHEST_RETURN_NOT_OK(his.ReadU64(&view.domain_size, "domain size"));
   if (view.beta == 0) return SectionError(kSectionHistogram, "zero buckets");
-  // Each bucket costs >= 32 bytes across the diagnostic rows alone, so this
-  // bound both rejects forged counts and keeps the layout math far from
-  // u64 overflow.
-  if (view.beta > bytes.size() / 32) {
+  // Each bucket costs >= 40 bytes across the five rows, so this bound
+  // both rejects forged counts and keeps the layout math far from u64
+  // overflow.
+  if (view.beta > bytes.size() / 40) {
     return SectionError(kSectionHistogram, "implausible bucket count " +
                                                std::to_string(view.beta));
   }
-  const HistogramLayoutV2 hl = HistogramLayout(view.beta);
+  const HistogramLayoutV2 hl = HistogramLayout(view.beta, version);
   if (hl.payload_bytes != hist_entry.length) {
     return SectionError(
         kSectionHistogram,
@@ -1274,15 +1300,10 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                             std::to_string(domain));
   }
   view.begin = RowSpan<uint64_t>(payload, hl.begin_off, view.beta);
-  view.end = RowSpan<uint64_t>(payload, hl.end_off, view.beta);
   view.sum_bits = RowSpan<uint64_t>(payload, hl.sum_off, view.beta);
   view.sumsq_bits = RowSpan<uint64_t>(payload, hl.sumsq_off, view.beta);
   view.mean = RowSpan<double>(payload, hl.mean_off, view.beta);
   view.prefix = RowSpan<double>(payload, hl.prefix_off, view.beta + 1);
-  view.eytz_begin =
-      RowSpan<uint64_t>(payload, hl.eytz_begin_off, view.beta + 1);
-  view.eytz_rank =
-      RowSpan<uint32_t>(payload, hl.eytz_rank_off, view.beta + 1);
   // Checked at EVERY tier (one load): FlatHistogram's borrowed-shape
   // invariant, which must be a typed error here — never a downstream
   // abort — even under kTrusted.
@@ -1416,12 +1437,13 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     }
   }
 
+  // begin[0] == 0 was checked above; every bucket must be non-empty,
+  // with the last one ending at the domain size.
   for (uint64_t b = 0; b < view.beta; ++b) {
-    const uint64_t bucket_end =
-        b + 1 < view.beta ? view.begin[b + 1] : view.domain_size;
-    if (view.end[b] != bucket_end || view.end[b] <= view.begin[b]) {
+    if (view.begin[b] >= BucketEnd(view, b)) {
       return SectionError(kSectionHistogram,
-                          "bucket chain broken at bucket " +
+                          "begin row does not rise strictly below the "
+                          "domain size at bucket " +
                               std::to_string(b));
     }
   }
@@ -1434,14 +1456,6 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
       return SectionError(kSectionHistogram,
                           "non-finite serving row value at " +
                               std::to_string(b));
-    }
-  }
-  for (uint64_t slot = 1; slot <= view.beta; ++slot) {
-    const uint32_t rank = view.eytz_rank[slot];
-    if (rank >= view.beta || view.eytz_begin[slot] != view.begin[rank]) {
-      return SectionError(kSectionHistogram,
-                          "Eytzinger row inconsistent at slot " +
-                              std::to_string(slot));
     }
   }
   if (view.has_sum_sections) {
@@ -1509,23 +1523,11 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   // ---- full tier: the persisted DERIVED rows must be bit-identical to a
   // fresh rebuild from the primary data — the wrong-but-well-formed
   // corruption class no checksum of the file alone can see.
-  std::vector<Bucket> buckets(view.beta);
-  for (uint64_t b = 0; b < view.beta; ++b) {
-    buckets[b].begin = view.begin[b];
-    buckets[b].end = view.end[b];
-    buckets[b].sum = std::bit_cast<double>(view.sum_bits[b]);
-    buckets[b].sumsq = std::bit_cast<double>(view.sumsq_bits[b]);
-  }
-  auto histogram = Histogram::FromBuckets(std::move(buckets));
-  if (!histogram.ok()) {
-    return SectionError(kSectionHistogram,
-                        "invalid buckets: " + histogram.status().message());
-  }
+  auto histogram = HistogramOf(view);
+  if (!histogram.ok()) return histogram.status();
   const FlatHistogram fresh(*histogram);
   if (!RowsIdentical(view.mean, fresh.means()) ||
-      !RowsIdentical(view.prefix, fresh.prefix_sums()) ||
-      !RowsIdentical(view.eytz_begin, fresh.eytz_begins()) ||
-      !RowsIdentical(view.eytz_rank, fresh.eytz_ranks())) {
+      !RowsIdentical(view.prefix, fresh.prefix_sums())) {
     return SectionError(kSectionHistogram,
                         "persisted serving rows differ from a fresh rebuild");
   }
@@ -1555,18 +1557,8 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
 Result<LoadedPathHistogram> ReadPathHistogramBinaryV2(std::string_view bytes) {
   auto view = internal::ParseCatalogV2(bytes, CatalogVerify::kFull);
   if (!view.ok()) return view.status();
-  std::vector<Bucket> buckets(view->beta);
-  for (uint64_t b = 0; b < view->beta; ++b) {
-    buckets[b].begin = view->begin[b];
-    buckets[b].end = view->end[b];
-    buckets[b].sum = std::bit_cast<double>(view->sum_bits[b]);
-    buckets[b].sumsq = std::bit_cast<double>(view->sumsq_bits[b]);
-  }
-  auto histogram = Histogram::FromBuckets(std::move(buckets));
-  if (!histogram.ok()) {
-    return Status::IOError("section histogram: invalid buckets: " +
-                           histogram.status().message());
-  }
+  auto histogram = internal::HistogramOf(*view);
+  if (!histogram.ok()) return histogram.status();
   auto ordering = MakeOrderingFromStats(view->ordering_name, view->labels,
                                         view->cards, view->k);
   if (!ordering.ok()) return ordering.status();

@@ -107,11 +107,13 @@
 //
 // v2 section payloads (1-3 are byte-identical to v1):
 //   4 histogram    u64 beta, u64 domain_size, then 64-aligned rows
-//                  begin u64[beta], end u64[beta], sum-bits u64[beta],
-//                  sumsq-bits u64[beta]  (the v1 diagnostic rows), plus the
-//                  PRECOMPUTED serving rows of histogram/flat_histogram.h:
-//                  mean f64[beta], prefix f64[beta+1],
-//                  eytz-begin u64[beta+1], eytz-rank u32[beta+1]
+//                  begin u64[beta], sum-bits u64[beta], sumsq-bits
+//                  u64[beta]  (the diagnostic rows), plus the PRECOMPUTED
+//                  serving rows of histogram/flat_histogram.h:
+//                  mean f64[beta], prefix f64[beta+1]. There is no end
+//                  row: bucket b ends at begin[b+1], the last bucket at
+//                  domain_size. begin starts at 0, rises strictly and
+//                  stays below domain_size (checked from kChecksums up).
 //   5 composition  u32 |L|, u32 k, u64 value-count, then 64-aligned rows
 //                  counts u64[value-count]  (v1's m-major rows) and
 //                  prefix u64[value-count + k]  (the stage-2 prefix rows
@@ -140,8 +142,24 @@
 // not know. New OPTIONAL sections may be added under new ids without a
 // version bump only once readers skip unknown ids — v1 readers do NOT
 // (unknown ids are an error), so v1 writers must emit exactly the sections
-// above. The committed golden catalog (tests/golden/) pins this layout
-// byte-for-byte against accidental drift.
+// above.
+//
+// v2 versions: the writer emits version 3 (kVersionV2). Readers also
+// accept version 2 (kVersionV2Eytzinger), whose histogram section carries
+// rows version 3 dropped: end u64[beta] between begin and sum-bits, and,
+// after prefix, an Eytzinger copy of begin u64[beta+1] and a slot -> rank
+// map u32[beta+1]. HistogramLayout(beta, version) is the one definition of
+// both layouts. A version-2 file is read at its own row offsets and served
+// mapped from its begin, mean and prefix rows; no reader interprets its
+// extra rows, which stay covered by the section CRC. Every other section
+// is the same in both versions, and `catalog convert --format binary-v2`
+// rewrites version-2 entries as version 3.
+//
+// The committed golden catalogs (tests/golden/) pin these layouts
+// byte-for-byte against accidental drift: catalog_v2_version3.stats is
+// what the writer emits; catalog_v2.stats (packed) and
+// catalog_v2_paged.stats (page-aligned) are version-2 files kept as
+// compat fixtures.
 //
 // Corruption contract (enforced by tests/fault_injection_test.cc): any
 // truncation, bit flip, or forged length/count in a catalog file yields a
@@ -193,9 +211,10 @@ Result<CatalogFormat> ParseCatalogFormat(const std::string& name);
 ///              already admitted at kChecksums or better: a flipped bulk
 ///              byte would serve wrong estimates undetected.
 ///   kChecksums CRC32C over every bulk section plus structural scans
-///              (monotone begins, Eytzinger consistency, prefix-row
-///              consistency, ascending index keys with their blocks
-///              contiguous from offset 0 in key order). The CatalogCache
+///              (begins rising strictly below the domain size, finite
+///              serving rows, prefix-row consistency, ascending index
+///              keys with their blocks contiguous from offset 0 in key
+///              order). The CatalogCache
 ///              admission tier — every byte generation is checked once.
 ///   kFull      kChecksums plus semantic rebuild comparisons: serving rows
 ///              vs a fresh FlatHistogram, composition rows vs a fresh
@@ -220,7 +239,10 @@ inline constexpr unsigned char kMagic[kMagicBytes] = {0x89, 'P',  'E', 'S',
 inline constexpr unsigned char kMagicV2[kMagicBytes] = {0x89, 'P',  'E', 'S',
                                                         'T',  'B',  '2', 0x0A};
 inline constexpr uint32_t kVersion = 1;
-inline constexpr uint32_t kVersionV2 = 2;
+/// The v2 version the writer emits: no end row, no Eytzinger rows.
+inline constexpr uint32_t kVersionV2 = 3;
+/// The older v2 version readers still accept (see the compat rule above).
+inline constexpr uint32_t kVersionV2Eytzinger = 2;
 inline constexpr size_t kHeaderBytes = 32;
 inline constexpr size_t kSectionEntryBytes = 24;
 /// Hard ceiling on the section count a reader will consider (v1 writes at
@@ -254,13 +276,14 @@ inline constexpr uint64_t AlignUp(uint64_t v, uint64_t align) {
 /// are relative to the payload start; payload_bytes is the exact (unpadded)
 /// payload length the section-table entry must carry.
 struct HistogramLayoutV2 {
-  uint64_t begin_off, end_off, sum_off, sumsq_off;       // u64[beta] each
-  uint64_t mean_off, prefix_off;                         // f64[beta], [beta+1]
-  uint64_t eytz_begin_off;                               // u64[beta+1]
-  uint64_t eytz_rank_off;                                // u32[beta+1]
+  uint64_t begin_off, sum_off, sumsq_off;  // u64[beta] each
+  uint64_t mean_off, prefix_off;           // f64[beta], f64[beta+1]
   uint64_t payload_bytes;
 };
-HistogramLayoutV2 HistogramLayout(uint64_t beta);
+/// `version` is kVersionV2 or kVersionV2Eytzinger; the latter's extra rows
+/// take room in the payload but get no offset, since no reader uses them.
+HistogramLayoutV2 HistogramLayout(uint64_t beta,
+                                  uint32_t version = kVersionV2);
 
 struct CompositionLayoutV2 {
   uint64_t counts_off;  // u64[num_values]
@@ -330,10 +353,13 @@ bool BytesAreBinaryV2(std::string_view bytes);
 Result<bool> SniffFileIsBinaryV2(const std::string& path);
 
 /// \brief Classifies `path` by its leading magic (no slurp): binary v2,
-/// binary v1, or — for anything without a binary magic — text. Behind
-/// `catalog verify`'s per-entry format report and `catalog convert`'s
-/// skip-if-already-target check. NotFound/IOError propagate.
-Result<CatalogFormat> SniffCatalogFormat(const std::string& path);
+/// binary v1, or — for anything without a binary magic — text. When
+/// `version` is non-null it receives a binary file's header version field
+/// (unauthenticated: 0 if the file is shorter than the field) and 0 for
+/// text. Behind `catalog verify`'s per-entry format report and `catalog
+/// convert`'s skip-if-already-current check. NotFound/IOError propagate.
+Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
+                                         uint32_t* version = nullptr);
 
 /// \brief Parses a binary catalog v1 from an in-memory byte buffer,
 /// verifying every checksum before interpreting any section.

@@ -33,6 +33,8 @@ namespace internal {
 /// verified. Metadata is owned; bulk rows are spans into the input bytes,
 /// valid only while that buffer (or mapping) lives.
 struct CatalogV2View {
+  // Header format version: kVersionV2 or kVersionV2Eytzinger.
+  uint32_t version = 0;
   // Section 1: ordering identity.
   std::string ordering_name;
   HistogramType histogram_type = HistogramType::kEquiWidth;
@@ -41,13 +43,12 @@ struct CatalogV2View {
   LabelDictionary labels;
   std::vector<uint64_t> cards;
 
-  // Section 4: shape prolog + diagnostic and serving rows.
+  // Section 4: shape prolog + diagnostic and serving rows. Bucket b ends
+  // at begin[b + 1], the last one at domain_size.
   uint64_t beta = 0;
   uint64_t domain_size = 0;
-  std::span<const uint64_t> begin, end, sum_bits, sumsq_bits;
+  std::span<const uint64_t> begin, sum_bits, sumsq_bits;
   std::span<const double> mean, prefix;
-  std::span<const uint64_t> eytz_begin;
-  std::span<const uint32_t> eytz_rank;
 
   // Sections 5-6, present iff the ordering is of the sum family.
   bool has_sum_sections = false;
@@ -65,6 +66,11 @@ struct CatalogV2View {
 /// counts, never reads out of bounds: corruption is a typed Status.
 Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                                      CatalogVerify verify);
+
+/// \brief The diagnostic Histogram a parsed view's section 4 describes,
+/// with each bucket's end derived from the next begin. A typed histogram
+/// section error when the rows do not form valid buckets.
+Result<Histogram> HistogramOf(const CatalogV2View& view);
 
 }  // namespace internal
 }  // namespace pathest

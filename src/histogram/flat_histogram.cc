@@ -4,29 +4,10 @@
 
 namespace pathest {
 
-namespace {
-
-// Fills eytz[1..n] with the in-order traversal of sorted[0..n): the classic
-// recursive Eytzinger construction, iterative cursor over the sorted array.
-void BuildEytzinger(const std::vector<uint64_t>& sorted, size_t slot,
-                    size_t* cursor, std::vector<uint64_t>* eytz,
-                    std::vector<uint32_t>* rank) {
-  if (slot >= eytz->size()) return;
-  BuildEytzinger(sorted, 2 * slot, cursor, eytz, rank);
-  (*eytz)[slot] = sorted[*cursor];
-  (*rank)[slot] = static_cast<uint32_t>(*cursor);
-  ++(*cursor);
-  BuildEytzinger(sorted, 2 * slot + 1, cursor, eytz, rank);
-}
-
-}  // namespace
-
 void FlatHistogram::PointAtOwned() {
   begin_ = begin_store_;
   mean_ = mean_store_;
   prefix_sum_ = prefix_store_;
-  eytz_begin_ = eytz_begin_store_;
-  eytz_rank_ = eytz_rank_store_;
 }
 
 FlatHistogram::FlatHistogram(const Histogram& source) {
@@ -44,22 +25,13 @@ FlatHistogram::FlatHistogram(const Histogram& source) {
     mean_store_[b] = buckets[b].Mean();
     prefix_store_[b + 1] = prefix_store_[b] + buckets[b].sum;
   }
-
-  eytz_begin_store_.assign(n + 1, 0);
-  eytz_rank_store_.assign(n + 1, 0);
-  size_t cursor = 0;
-  BuildEytzinger(begin_store_, 1, &cursor, &eytz_begin_store_,
-                 &eytz_rank_store_);
-  PATHEST_CHECK(cursor == n, "Eytzinger construction did not consume begins");
   PointAtOwned();
 }
 
 FlatHistogram FlatHistogram::FromBorrowedRows(const Rows& rows) {
   const size_t n = rows.begin.size();
   PATHEST_CHECK(n >= 1, "FlatHistogram needs at least one bucket");
-  PATHEST_CHECK(rows.mean.size() == n && rows.prefix_sum.size() == n + 1 &&
-                    rows.eytz_begin.size() == n + 1 &&
-                    rows.eytz_rank.size() == n + 1,
+  PATHEST_CHECK(rows.mean.size() == n && rows.prefix_sum.size() == n + 1,
                 "borrowed row shapes inconsistent");
   PATHEST_CHECK(rows.begin[0] == 0, "borrowed begins must start at 0");
   PATHEST_CHECK(rows.domain_size > 0, "borrowed domain must be non-empty");
@@ -69,8 +41,6 @@ FlatHistogram FlatHistogram::FromBorrowedRows(const Rows& rows) {
   flat.begin_ = rows.begin;
   flat.mean_ = rows.mean;
   flat.prefix_sum_ = rows.prefix_sum;
-  flat.eytz_begin_ = rows.eytz_begin;
-  flat.eytz_rank_ = rows.eytz_rank;
   return flat;
 }
 
@@ -79,17 +49,13 @@ FlatHistogram::FlatHistogram(const FlatHistogram& other)
       owned_(other.owned_),
       begin_store_(other.begin_store_),
       mean_store_(other.mean_store_),
-      prefix_store_(other.prefix_store_),
-      eytz_begin_store_(other.eytz_begin_store_),
-      eytz_rank_store_(other.eytz_rank_store_) {
+      prefix_store_(other.prefix_store_) {
   if (owned_) {
     PointAtOwned();
   } else {
     begin_ = other.begin_;
     mean_ = other.mean_;
     prefix_sum_ = other.prefix_sum_;
-    eytz_begin_ = other.eytz_begin_;
-    eytz_rank_ = other.eytz_rank_;
   }
 }
 
@@ -105,21 +71,15 @@ FlatHistogram::FlatHistogram(FlatHistogram&& other) noexcept
       begin_store_(std::move(other.begin_store_)),
       mean_store_(std::move(other.mean_store_)),
       prefix_store_(std::move(other.prefix_store_)),
-      eytz_begin_store_(std::move(other.eytz_begin_store_)),
-      eytz_rank_store_(std::move(other.eytz_rank_store_)),
       // Moving a vector keeps its heap allocation, so spans into it stay
       // valid whether they view the stores or a caller's rows.
       begin_(other.begin_),
       mean_(other.mean_),
-      prefix_sum_(other.prefix_sum_),
-      eytz_begin_(other.eytz_begin_),
-      eytz_rank_(other.eytz_rank_) {
+      prefix_sum_(other.prefix_sum_) {
   other.domain_size_ = 0;
   other.begin_ = {};
   other.mean_ = {};
   other.prefix_sum_ = {};
-  other.eytz_begin_ = {};
-  other.eytz_rank_ = {};
 }
 
 FlatHistogram& FlatHistogram::operator=(FlatHistogram&& other) noexcept {
@@ -129,19 +89,13 @@ FlatHistogram& FlatHistogram::operator=(FlatHistogram&& other) noexcept {
   begin_store_ = std::move(other.begin_store_);
   mean_store_ = std::move(other.mean_store_);
   prefix_store_ = std::move(other.prefix_store_);
-  eytz_begin_store_ = std::move(other.eytz_begin_store_);
-  eytz_rank_store_ = std::move(other.eytz_rank_store_);
   begin_ = other.begin_;
   mean_ = other.mean_;
   prefix_sum_ = other.prefix_sum_;
-  eytz_begin_ = other.eytz_begin_;
-  eytz_rank_ = other.eytz_rank_;
   other.domain_size_ = 0;
   other.begin_ = {};
   other.mean_ = {};
   other.prefix_sum_ = {};
-  other.eytz_begin_ = {};
-  other.eytz_rank_ = {};
   return *this;
 }
 
@@ -151,7 +105,10 @@ double FlatHistogram::EstimateRange(uint64_t begin, uint64_t end) const {
   if (begin == end) return 0.0;
   const size_t first = FindBucket(begin);
   const size_t last = FindBucket(end - 1);
-  if (first == last) {
+  // first > last only on begin rows that do not ascend (trusted but
+  // corrupt bytes); treating that like one bucket keeps every read below
+  // inside the rows.
+  if (first >= last) {
     return mean_[first] * static_cast<double>(end - begin);
   }
   // End of bucket b is the begin of bucket b + 1 (or the domain end).
@@ -165,17 +122,13 @@ double FlatHistogram::EstimateRange(uint64_t begin, uint64_t end) const {
 size_t FlatHistogram::ResidentBytes() const {
   return begin_store_.size() * sizeof(uint64_t) +
          mean_store_.size() * sizeof(double) +
-         prefix_store_.size() * sizeof(double) +
-         eytz_begin_store_.size() * sizeof(uint64_t) +
-         eytz_rank_store_.size() * sizeof(uint32_t);
+         prefix_store_.size() * sizeof(double);
 }
 
 size_t FlatHistogram::MappedBytes() const {
   if (owned_) return 0;
   return begin_.size() * sizeof(uint64_t) + mean_.size() * sizeof(double) +
-         prefix_sum_.size() * sizeof(double) +
-         eytz_begin_.size() * sizeof(uint64_t) +
-         eytz_rank_.size() * sizeof(uint32_t);
+         prefix_sum_.size() * sizeof(double);
 }
 
 }  // namespace pathest

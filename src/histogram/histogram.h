@@ -11,10 +11,12 @@
 // accounting, and serialization traffic in. The QUERY side never reads sum
 // or sumsq; the serving path projects a Histogram into the
 // structure-of-arrays FlatHistogram (histogram/flat_histogram.h): begin[] /
-// mean[] / prefix_sum[] rows plus an Eytzinger-ordered boundary index, so a
-// point lookup touches 8-byte boundary entries with cache-resident tree
-// ancestors instead of striding 32-byte Buckets, and the mean division is
-// paid once at build. Point estimates from the two are bit-identical.
+// mean[] / prefix_sum[] rows. Its point lookup is a branchless predecessor
+// search over the sorted 8-byte begin[] row instead of BucketFor's
+// branching std::upper_bound over 32-byte Buckets (95 ns against 16 ns
+// per lookup at β = 874 in bench_micro_estimation's lookup rows),
+// and the mean division is paid once at build. Point estimates from the
+// two are bit-identical.
 
 #ifndef PATHEST_HISTOGRAM_HISTOGRAM_H_
 #define PATHEST_HISTOGRAM_HISTOGRAM_H_

@@ -90,13 +90,17 @@ TEST_F(CatalogTest, VerifyReportsFormatAndAlignmentPerEntry) {
   EXPECT_FALSE(report->entries[0].aligned);
   EXPECT_FALSE(report->entries[1].aligned);
   EXPECT_TRUE(report->entries[2].aligned);
+  EXPECT_EQ(report->entries[0].version, 0u);
+  EXPECT_EQ(report->entries[1].version, binfmt::kVersion);
+  EXPECT_EQ(report->entries[2].version, binfmt::kVersionV2);
 
   const std::string json = CatalogLoadReportToJson(*report, dir_.string());
   EXPECT_NE(json.find("\"ok\":3,\"corrupt\":0,\"fully_healthy\":true"),
             std::string::npos)
       << json;
   EXPECT_NE(json.find("{\"name\":\"v2\",\"format\":\"binary-v2\","
-                      "\"aligned\":true}"),
+                      "\"aligned\":true,\"version\":" +
+                      std::to_string(binfmt::kVersionV2) + "}"),
             std::string::npos)
       << json;
 }

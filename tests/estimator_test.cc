@@ -261,13 +261,21 @@ TEST(FlatHistogramTest, RangeEstimatesMatchHistogramUpToRounding) {
 }
 
 TEST(FlatHistogramTest, FindBucketAgreesWithBucketFor) {
+  // Every bucket count from 1 to 40 walks the search's window through
+  // every odd/even split, and β = n makes every bucket one index wide.
   const std::vector<uint64_t> data = SyntheticDistribution(257);
-  auto h = BuildHistogram(HistogramType::kMaxDiff, data, 9);
-  ASSERT_TRUE(h.ok());
-  FlatHistogram flat(*h);
-  for (uint64_t i = 0; i < h->domain_size(); ++i) {
-    const Bucket& b = h->BucketFor(i);
-    EXPECT_EQ(h->buckets()[flat.FindBucket(i)].begin, b.begin) << i;
+  std::vector<size_t> betas;
+  for (size_t beta = 1; beta <= 40; ++beta) betas.push_back(beta);
+  betas.push_back(257);
+  for (size_t beta : betas) {
+    auto h = BuildHistogram(HistogramType::kEquiWidth, data, beta);
+    ASSERT_TRUE(h.ok());
+    ASSERT_EQ(h->num_buckets(), beta);
+    FlatHistogram flat(*h);
+    for (uint64_t i = 0; i < h->domain_size(); ++i) {
+      ASSERT_EQ(&h->buckets()[flat.FindBucket(i)], &h->BucketFor(i))
+          << "beta=" << beta << " i=" << i;
+    }
   }
 }
 
@@ -281,12 +289,11 @@ TEST(HistogramFootprintTest, ReportsDiagnosticAndEstimatorBytes) {
   EXPECT_EQ(h->ApproxBytes(), 10 * sizeof(Bucket));
   EXPECT_EQ(sizeof(Bucket), 32u);
   // Estimator-resident: the flat SoA rows (begin + mean + prefix mass,
-  // one prefix entry extra) plus the Eytzinger boundary index.
+  // one prefix entry extra).
   FlatHistogram flat(*h);
   EXPECT_EQ(flat.ResidentBytes(),
-            10 * (sizeof(uint64_t) + sizeof(double)) +   // begin_, mean_
-                11 * sizeof(double) +                    // prefix_sum_
-                11 * (sizeof(uint64_t) + sizeof(uint32_t)));  // eytz rows
+            10 * (sizeof(uint64_t) + sizeof(double)) +  // begin_, mean_
+                11 * sizeof(double));                   // prefix_sum_
   EXPECT_LT(flat.ResidentBytes(), h->ApproxBytes() * 2);
 }
 

@@ -7,8 +7,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,8 +145,6 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
   EXPECT_TRUE(aligned(flat.begins().data()));
   EXPECT_TRUE(aligned(flat.means().data()));
   EXPECT_TRUE(aligned(flat.prefix_sums().data()));
-  EXPECT_TRUE(aligned(flat.eytz_begins().data()));
-  EXPECT_TRUE(aligned(flat.eytz_ranks().data()));
   if (method.rfind("sum-", 0) == 0) {
     const SumStage3View view =
         static_cast<const SumBasedOrdering&>((*mapped)->estimator().ordering())
@@ -255,6 +255,34 @@ class VerifyTierTest : public ::testing::Test {
     return 0;
   }
 
+  // Rewrites the file after `forge` edits the histogram payload (given
+  // its β and layout), with the section CRC and the table CRC re-signed so
+  // only structural or semantic checks can see the edit.
+  template <typename Forge>
+  void ForgeHistogramResigned(Forge forge) {
+    std::string bytes;
+    PATHEST_CHECK(ReadFileToString(path_, &bytes).ok(), "read failed");
+    const size_t sec = SectionOffset(binfmt::kSectionHistogram);
+    uint64_t beta;
+    std::memcpy(&beta, bytes.data() + sec, 8);
+    const binfmt::HistogramLayoutV2 hl = binfmt::HistogramLayout(beta);
+    forge(bytes.data() + sec, beta, hl);
+    uint32_t count;
+    std::memcpy(&count, bytes.data() + 12, 4);
+    for (uint32_t i = 0; i < count; ++i) {
+      const size_t at = binfmt::kHeaderBytes + i * binfmt::kSectionEntryBytes;
+      uint32_t id;
+      std::memcpy(&id, bytes.data() + at, 4);
+      if (id != binfmt::kSectionHistogram) continue;
+      const uint32_t crc = Crc32c(bytes.data() + sec, hl.payload_bytes);
+      std::memcpy(bytes.data() + at + 4, &crc, 4);
+    }
+    const uint32_t tcrc = Crc32c(bytes.data() + binfmt::kHeaderBytes,
+                                 count * binfmt::kSectionEntryBytes);
+    std::memcpy(bytes.data() + 28, &tcrc, 4);
+    PATHEST_CHECK(AtomicWriteFile(path_, bytes).ok(), "write failed");
+  }
+
   Graph graph_;
   std::unique_ptr<PathHistogram> est_;
   std::string path_;
@@ -318,32 +346,13 @@ TEST_F(VerifyTierTest, WellFormedButWrongServingRowFailsOnlyFullTier) {
   // Overwrite the whole mean row with a WRONG but finite, CRC-consistent
   // value: recompute the section checksum so kChecksums cannot see it.
   // Only the full tier's rebuild comparison catches this class.
-  std::string bytes;
-  ASSERT_TRUE(ReadFileToString(path_, &bytes).ok());
-  const size_t sec = SectionOffset(binfmt::kSectionHistogram);
-  uint64_t beta;
-  std::memcpy(&beta, bytes.data() + sec, 8);
-  const binfmt::HistogramLayoutV2 hl = binfmt::HistogramLayout(beta);
-  const double wrong = 42.0;
-  for (uint64_t b = 0; b < beta; ++b) {
-    std::memcpy(bytes.data() + sec + hl.mean_off + b * 8, &wrong, 8);
-  }
-  // Re-sign the section in its table entry.
-  uint32_t count;
-  std::memcpy(&count, bytes.data() + 12, 4);
-  for (uint32_t i = 0; i < count; ++i) {
-    const size_t at = binfmt::kHeaderBytes + i * binfmt::kSectionEntryBytes;
-    uint32_t id;
-    std::memcpy(&id, bytes.data() + at, 4);
-    if (id != binfmt::kSectionHistogram) continue;
-    const uint32_t crc = Crc32c(bytes.data() + sec, hl.payload_bytes);
-    std::memcpy(bytes.data() + at + 4, &crc, 4);
-  }
-  // Re-sign the section table.
-  const uint32_t tcrc = Crc32c(bytes.data() + binfmt::kHeaderBytes,
-                               count * binfmt::kSectionEntryBytes);
-  std::memcpy(bytes.data() + 28, &tcrc, 4);
-  ASSERT_TRUE(AtomicWriteFile(path_, bytes).ok());
+  ForgeHistogramResigned([](char* payload, uint64_t beta,
+                            const binfmt::HistogramLayoutV2& hl) {
+    const double wrong = 42.0;
+    for (uint64_t b = 0; b < beta; ++b) {
+      std::memcpy(payload + hl.mean_off + b * 8, &wrong, 8);
+    }
+  });
 
   EXPECT_TRUE(
       MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted).ok());
@@ -354,6 +363,68 @@ TEST_F(VerifyTierTest, WellFormedButWrongServingRowFailsOnlyFullTier) {
   EXPECT_NE(full.status().message().find("fresh rebuild"),
             std::string::npos)
       << full.status().ToString();
+}
+
+TEST_F(VerifyTierTest, TrustedTierLooksUpInsideTheRowsOverForgedBegins) {
+  // Re-signed begin rows that break the order the lookup assumes: one
+  // that falls after its first entry, and one whose entries lie past the
+  // domain. kChecksums' scan refuses both. kTrusted does not scan, so it
+  // serves them: wrong answers, but every lookup must stay inside the β
+  // rows (the ASan build runs this too).
+  const std::string pristine = [&] {
+    std::string bytes;
+    PATHEST_CHECK(ReadFileToString(path_, &bytes).ok(), "read failed");
+    return bytes;
+  }();
+  const uint64_t domain = PathSpace(graph_.num_labels(), 3).size();
+  using Forge = void (*)(uint64_t* begin, uint64_t beta, uint64_t domain);
+  const std::vector<std::pair<const char*, Forge>> forgeries = {
+      {"descending",
+       [](uint64_t* begin, uint64_t beta, uint64_t domain) {
+         for (uint64_t b = 1; b < beta; ++b) begin[b] = domain - b;
+       }},
+      {"past the domain",
+       [](uint64_t* begin, uint64_t beta, uint64_t domain) {
+         begin[1] = domain;
+         begin[beta - 1] = ~uint64_t{0};
+       }},
+  };
+  for (const auto& [what, forge] : forgeries) {
+    ASSERT_TRUE(AtomicWriteFile(path_, pristine).ok());
+    ForgeHistogramResigned([&, forge = forge](
+                               char* payload, uint64_t beta,
+                               const binfmt::HistogramLayoutV2& hl) {
+      std::vector<uint64_t> begin(beta);
+      std::memcpy(begin.data(), payload + hl.begin_off, beta * 8);
+      forge(begin.data(), beta, domain);
+      std::memcpy(payload + hl.begin_off, begin.data(), beta * 8);
+    });
+    for (CatalogVerify tier :
+         {CatalogVerify::kChecksums, CatalogVerify::kFull}) {
+      auto refused = MappedCatalogEntry::Open(path_, tier);
+      ASSERT_FALSE(refused.ok()) << what << " " << CatalogVerifyName(tier);
+      EXPECT_NE(refused.status().message().find("begin row"),
+                std::string::npos)
+          << refused.status().ToString();
+    }
+    EXPECT_FALSE(LoadPathHistogram(path_).ok()) << what;
+
+    auto trusted = MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted);
+    ASSERT_TRUE(trusted.ok()) << what << ": " << trusted.status().ToString();
+    const FlatHistogram& flat = (*trusted)->estimator().flat();
+    const std::span<const double> means = flat.means();
+    for (uint64_t i = 0; i < domain; ++i) {
+      const size_t b = flat.FindBucket(i);
+      ASSERT_LT(b, flat.num_buckets()) << what << " index " << i;
+      ASSERT_EQ(flat.EstimatePoint(i), means[b]) << what << " index " << i;
+      // Ranges take the same lookup at both ends.
+      (void)flat.EstimateRange(i, domain);
+    }
+    RankScratch scratch;
+    PathSpace(graph_.num_labels(), 3).ForEach([&](const LabelPath& p) {
+      (void)(*trusted)->estimator().Estimate(p, scratch);
+    });
+  }
 }
 
 TEST_F(VerifyTierTest, V1FileIsRejectedNotMisread) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/catalog.h"
+#include "core/estimator.h"
 #include "core/mapped_catalog.h"
 #include "core/serialize.h"
 #include "ordering/factory.h"
@@ -423,27 +424,111 @@ TEST(GoldenBinaryCatalog, V1LayoutIsPinned) {
   });
 }
 
-// Same pin for v2 — its layout additionally carries the serving rows and
-// the stage-3 index, so drift here silently breaks mapped catalogs.
-TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
-  const std::string path =
-      std::string(PATHEST_SOURCE_DIR) + "/tests/golden/catalog_v2.stats";
-  Graph graph = SmallGraph();
+// The estimator every binary v2 golden holds: SmallGraph, sum-based, k=3,
+// beta=6 (the build and the serializers are bit-reproducible).
+PathHistogram GoldenEstimator(const Graph& graph) {
   auto map = ComputeSelectivities(graph, 3);
-  ASSERT_TRUE(map.ok());
+  PATHEST_CHECK(map.ok(), "selectivities failed");
   auto ordering = MakeOrdering("sum-based", graph, 3);
-  ASSERT_TRUE(ordering.ok());
+  PATHEST_CHECK(ordering.ok(), "ordering failed");
   auto est = PathHistogram::Build(*map, std::move(*ordering),
                                   HistogramType::kVOptimal, 6);
-  ASSERT_TRUE(est.ok());
+  PATHEST_CHECK(est.ok(), "build failed");
+  return std::move(*est);
+}
+
+std::string GoldenPath(const std::string& name) {
+  return std::string(PATHEST_SOURCE_DIR) + "/tests/golden/" + name;
+}
+
+std::string ReadGolden(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  PATHEST_CHECK(in.is_open(), "golden fixture missing");
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+uint32_t HeaderVersion(const std::string& bytes) {
+  uint32_t version;
+  std::memcpy(&version, bytes.data() + binfmt::kMagicBytes, 4);
+  return version;
+}
+
+// The v2 file at `path` must answer every domain index, and every path,
+// bit for bit as `est` does: copied at kFull, and mapped at every tier.
+void ExpectServesLikeHistogram(const std::string& path,
+                               const PathHistogram& est) {
+  const Histogram& histogram = est.histogram();
+  const PathSpace& space = est.ordering().space();
+  auto check_flat = [&](const FlatHistogram& flat, const char* what) {
+    ASSERT_EQ(flat.num_buckets(), histogram.num_buckets()) << what;
+    ASSERT_EQ(flat.domain_size(), histogram.domain_size()) << what;
+    for (uint64_t i = 0; i < histogram.domain_size(); ++i) {
+      ASSERT_EQ(flat.EstimatePoint(i), histogram.Estimate(i))
+          << what << " index " << i;
+      ASSERT_EQ(&histogram.buckets()[flat.FindBucket(i)],
+                &histogram.BucketFor(i))
+          << what << " index " << i;
+    }
+  };
+
+  auto copied = ReadPathHistogramBinaryV2(ReadGolden(path));
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_EQ(copied->estimator.histogram().buckets().size(),
+            histogram.num_buckets());
+  const Estimator serving(copied->estimator);
+  check_flat(serving.flat(), "copied");
+  space.ForEach([&](const LabelPath& p) {
+    EXPECT_EQ(copied->estimator.Estimate(p), est.Estimate(p));
+  });
+  for (CatalogVerify tier : {CatalogVerify::kTrusted,
+                             CatalogVerify::kChecksums, CatalogVerify::kFull}) {
+    auto mapped = MappedCatalogEntry::Open(path, tier);
+    ASSERT_TRUE(mapped.ok())
+        << CatalogVerifyName(tier) << ": " << mapped.status().ToString();
+    EXPECT_EQ((*mapped)->mapped_bytes(), std::filesystem::file_size(path));
+    check_flat((*mapped)->estimator().flat(), CatalogVerifyName(tier));
+    RankScratch scratch;
+    space.ForEach([&](const LabelPath& p) {
+      EXPECT_EQ((*mapped)->estimator().Estimate(p, scratch), est.Estimate(p));
+    });
+  }
+}
+
+// `catalog verify` on a directory holding only `path` reports one healthy
+// binary-v2 entry, aligned, at header version `version`.
+void ExpectVerifiedAs(const std::string& path, uint32_t version) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "pathest_golden_verify";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::copy_file(path, dir / "entry.stats");
+  auto report = VerifyCatalogDir(dir.string());
+  fs::remove_all(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->fully_healthy())
+      << report->failures[0].status.ToString();
+  ASSERT_EQ(report->entries.size(), 1u);
+  EXPECT_EQ(report->entries[0].format, "binary-v2");
+  EXPECT_TRUE(report->entries[0].aligned);
+  EXPECT_EQ(report->entries[0].version, version);
+}
+
+// Same pin for v2 — its layout additionally carries the serving rows and
+// the stage-3 index, so drift here silently breaks mapped catalogs.
+//
+// Regenerate deliberately with: PATHEST_REGEN_GOLDEN=1 ./serialize_test
+TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
+  const std::string path = GoldenPath("catalog_v2_version3.stats");
+  Graph graph = SmallGraph();
+  const PathHistogram est = GoldenEstimator(graph);
   std::vector<uint64_t> cards;
   for (LabelId l = 0; l < graph.num_labels(); ++l) {
     cards.push_back(graph.LabelCardinality(l));
   }
   std::string current;
   ASSERT_TRUE(
-      WritePathHistogramBinaryV2(*est, graph.labels(), cards, &current)
-          .ok());
+      WritePathHistogramBinaryV2(est, graph.labels(), cards, &current).ok());
 
   if (std::getenv("PATHEST_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -453,87 +538,83 @@ TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
     GTEST_SKIP() << "regenerated " << path;
   }
 
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.is_open())
+  ASSERT_TRUE(std::filesystem::exists(path))
       << path << " missing — run with PATHEST_REGEN_GOLDEN=1 to create";
-  std::string golden((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+  const std::string golden = ReadGolden(path);
   EXPECT_EQ(current, golden) << "binary catalog layout drifted from v2 — "
                                 "if intentional, bump binfmt::kVersionV2";
-  auto loaded = ReadPathHistogramBinaryV2(golden);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  PathSpace space(graph.num_labels(), 3);
-  space.ForEach([&](const LabelPath& p) {
-    EXPECT_EQ(loaded->estimator.Estimate(p), est->Estimate(p));
-  });
+  EXPECT_EQ(HeaderVersion(golden), binfmt::kVersionV2);
+  ExpectServesLikeHistogram(path, est);
+  ExpectVerifiedAs(path, binfmt::kVersionV2);
 }
 
-// Read compatibility: tests/golden/catalog_v2_paged.stats is the same
-// estimator as catalog_v2.stats written before sections were packed, with
-// every section on a 4096-byte page. Page multiples meet the 64-byte rule,
-// so the file must keep loading at the strictest tier, mapping at every
-// tier, passing `catalog verify`, and serving bit-identical estimates.
-TEST(GoldenBinaryCatalog, PagedV2FixtureStillLoadsVerifiesAndServesMapped) {
-  const std::string path = std::string(PATHEST_SOURCE_DIR) +
-                           "/tests/golden/catalog_v2_paged.stats";
+// Read compatibility: catalog_v2.stats (sections packed on 64 bytes) and
+// catalog_v2_paged.stats (every section on a 4096-byte page, as written
+// before sections were packed) hold the golden estimator as version 2,
+// with its end row and Eytzinger rows. Page multiples meet the 64-byte
+// rule, so both must keep loading at the strictest tier, mapping at every
+// tier, passing `catalog verify`, and serving bit-identical estimates; and
+// rewriting either as v2 must give the version-3 golden's exact bytes.
+class Version2FixtureTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(Version2FixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion3) {
+  const std::string name = GetParam();
+  const std::string path = GoldenPath(name);
   Graph graph = SmallGraph();
-  auto map = ComputeSelectivities(graph, 3);
-  ASSERT_TRUE(map.ok());
-  auto ordering = MakeOrdering("sum-based", graph, 3);
-  ASSERT_TRUE(ordering.ok());
-  auto est = PathHistogram::Build(*map, std::move(*ordering),
-                                  HistogramType::kVOptimal, 6);
-  ASSERT_TRUE(est.ok());
+  const PathHistogram est = GoldenEstimator(graph);
+  const std::string fixture = ReadGolden(path);
+  ASSERT_EQ(HeaderVersion(fixture), binfmt::kVersionV2Eytzinger);
 
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.is_open()) << path;
-  std::string paged((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  // Still the page-aligned layout it stands for (the packed writer would
-  // never produce it).
   uint32_t section_count;
-  std::memcpy(&section_count, paged.data() + 12, 4);
+  std::memcpy(&section_count, fixture.data() + 12, 4);
   ASSERT_EQ(section_count, 6u);
+  uint64_t prev_end =
+      binfmt::kHeaderBytes + section_count * binfmt::kSectionEntryBytes;
   for (uint32_t i = 0; i < section_count; ++i) {
-    uint64_t offset;
-    std::memcpy(&offset,
-                paged.data() + binfmt::kHeaderBytes +
-                    i * binfmt::kSectionEntryBytes + 8,
-                8);
-    EXPECT_EQ(offset, uint64_t{4096} * (i + 1)) << "section " << i;
+    const size_t at = binfmt::kHeaderBytes + i * binfmt::kSectionEntryBytes;
+    uint32_t id;
+    uint64_t offset, length;
+    std::memcpy(&id, fixture.data() + at, 4);
+    std::memcpy(&offset, fixture.data() + at + 8, 8);
+    std::memcpy(&length, fixture.data() + at + 16, 8);
+    // Still the placement it stands for: pages, or packed.
+    EXPECT_EQ(offset, name == "catalog_v2_paged.stats"
+                          ? uint64_t{4096} * (i + 1)
+                          : binfmt::AlignUp(prev_end, binfmt::kArrayAlignBytes))
+        << "section " << id;
+    if (id == binfmt::kSectionHistogram) {
+      EXPECT_EQ(length, binfmt::HistogramLayout(6, binfmt::kVersionV2Eytzinger)
+                            .payload_bytes);
+    }
+    prev_end = offset + length;
   }
 
-  PathSpace space(graph.num_labels(), 3);
-  auto loaded = ReadPathHistogramBinaryV2(paged);
+  ExpectServesLikeHistogram(path, est);
+  ExpectVerifiedAs(path, binfmt::kVersionV2Eytzinger);
+
+  // The engine of `catalog convert --format binary-v2`.
+  auto loaded = ReadPathHistogramBinaryV2(fixture);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  space.ForEach([&](const LabelPath& p) {
-    EXPECT_EQ(loaded->estimator.Estimate(p), est->Estimate(p));
-  });
-  for (CatalogVerify tier : {CatalogVerify::kTrusted,
-                             CatalogVerify::kChecksums, CatalogVerify::kFull}) {
-    auto mapped = MappedCatalogEntry::Open(path, tier);
-    ASSERT_TRUE(mapped.ok())
-        << CatalogVerifyName(tier) << ": " << mapped.status().ToString();
-    EXPECT_EQ((*mapped)->mapped_bytes(), paged.size());
-    RankScratch scratch;
-    space.ForEach([&](const LabelPath& p) {
-      EXPECT_EQ((*mapped)->estimator().Estimate(p, scratch), est->Estimate(p));
-    });
-  }
-
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "pathest_paged_golden";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  fs::copy_file(path, dir / "paged.stats");
-  auto report = VerifyCatalogDir(dir.string());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->fully_healthy());
-  ASSERT_EQ(report->entries.size(), 1u);
-  EXPECT_EQ(report->entries[0].format, "binary-v2");
-  EXPECT_TRUE(report->entries[0].aligned);
-  fs::remove_all(dir);
+  const std::string converted =
+      (std::filesystem::temp_directory_path() / ("converted_" + name))
+          .string();
+  ASSERT_TRUE(
+      SaveLoadedPathHistogram(*loaded, converted, CatalogFormat::kBinaryV2)
+          .ok());
+  EXPECT_EQ(ReadGolden(converted),
+            ReadGolden(GoldenPath("catalog_v2_version3.stats")));
+  std::filesystem::remove(converted);
 }
+
+INSTANTIATE_TEST_SUITE_P(Goldens, Version2FixtureTest,
+                         ::testing::Values("catalog_v2.stats",
+                                           "catalog_v2_paged.stats"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param) ==
+                                          "catalog_v2.stats"
+                                      ? "packed"
+                                      : "paged";
+                         });
 
 TEST(SniffBinaryV2, DistinguishesFormatsWithoutSlurping) {
   namespace fs = std::filesystem;

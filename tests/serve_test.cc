@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -440,16 +441,35 @@ TEST_F(ServeTest, FullQueueShedsWithRetriableError) {
   ServeServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
-  // A occupies the only worker (slowop holds it), B fills the only queue
-  // slot, so C MUST be shed at accept with the typed retriable error.
+  // Waits on server state rather than on the clock: false if `done` is
+  // still false after ten seconds.
+  auto wait_until = [](const auto& done) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > give_up) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
+  const ServeCounters& counters = server.counters();
+
+  // A occupies the only worker, B fills the only queue slot, so C MUST be
+  // shed at accept with the typed retriable error. The worker counts A's
+  // request once it has taken A's connection, which it keeps until A
+  // closes; the slowop keeps it busy across the two polled steps and C's
+  // call (a few milliseconds; 250 leaves room for sanitizer builds).
   auto a = ConnectUnixSocket(options.socket_path);
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(SendAll(a->get(), "slowop ms=2000\n"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(SendAll(a->get(), "slowop ms=250\n"));
+  ASSERT_TRUE(wait_until([&] { return counters.requests.load() == 1; }));
   auto b = ConnectUnixSocket(options.socket_path);
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(SendAll(b->get(), "health\n"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // One accept thread: B is queued before C's accept begins.
+  ASSERT_TRUE(
+      wait_until([&] { return counters.connections_accepted.load() == 2; }));
+  EXPECT_EQ(counters.requests.load(), 1u);  // B waits in the queue
 
   ServeClient c = Connect(server);
   auto shed = c.Call("health");
