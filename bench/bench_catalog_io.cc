@@ -8,8 +8,18 @@
 // MappedCatalogEntry construction is header validation + pointer fixup
 // (microseconds, no row copies), with the CRC sweep optional per verify
 // tier and the row bytes faulted lazily.
-// The bench asserts the zero-copy construction stays >= 50x faster than
-// the v1 copying load, and that every path serves bit-identically.
+//
+// The sum-based ordering's stage-2/3 tables come from a process-wide
+// registry shared by every ordering of a shape (SumTables in
+// ordering/sum_based.h), so a load costs more when no ordering of the
+// shape is alive (a COLD registry: the load builds the tables) than when
+// one is (WARM: it shares them). The copying loads (text, binary, v2 copy)
+// are timed cold — the whole cost of a load, as in a fresh process. The
+// mapped opens are timed both ways: v2_mmap_cold_us is the first open of
+// the shape, and the other mapped rows are warm, which is what a serving
+// cache pays to re-open an entry while the shape is in use.
+// The bench asserts the warm zero-copy construction stays >= 50x faster
+// than the v1 copying load, and that every path serves bit-identically.
 //
 // The estimator is synthetic (deterministic fabricated buckets assembled
 // through the same FromBuckets/FromParts path deserialization uses), so
@@ -26,6 +36,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +47,7 @@
 #include "core/serialize.h"
 #include "histogram/histogram.h"
 #include "ordering/factory.h"
+#include "ordering/sum_based.h"
 #include "path/path_space.h"
 #include "util/safe_io.h"
 #include "util/timer.h"
@@ -129,25 +142,27 @@ int Run(bool json_mode, const std::string& json_path) {
 
   LabelDictionary labels;
   std::vector<uint64_t> cards;
-  PathHistogram est =
+  // Dropped before the timings: it holds an ordering of the shape, and the
+  // cold rows need the registry empty.
+  std::optional<PathHistogram> est =
       BuildSyntheticEstimator(num_labels, k, beta, &labels, &cards);
   std::printf("catalog: %s, beta=%zu over |L_%zu|=%llu\n",
-              est.Describe().c_str(), beta, k,
+              est->Describe().c_str(), beta, k,
               static_cast<unsigned long long>(domain));
 
   const std::string dir = "/tmp";
   const std::string text_path = dir + "/pathest_bench_catalog.text.stats";
   const std::string bin_path = dir + "/pathest_bench_catalog.bin.stats";
   std::ostringstream text;
-  bench::DieIf(WritePathHistogram(est, labels, cards, &text), "write text");
+  bench::DieIf(WritePathHistogram(*est, labels, cards, &text), "write text");
   bench::DieIf(AtomicWriteFile(text_path, text.str()), "save text");
   std::string binary;
-  bench::DieIf(WritePathHistogramBinary(est, labels, cards, &binary),
+  bench::DieIf(WritePathHistogramBinary(*est, labels, cards, &binary),
                "write binary");
   bench::DieIf(AtomicWriteFile(bin_path, binary), "save binary");
   const std::string v2_path = dir + "/pathest_bench_catalog.v2.stats";
   std::string v2;
-  bench::DieIf(WritePathHistogramBinaryV2(est, labels, cards, &v2),
+  bench::DieIf(WritePathHistogramBinaryV2(*est, labels, cards, &v2),
                "write binary v2");
   bench::DieIf(AtomicWriteFile(v2_path, v2), "save binary v2");
   // What the sections themselves hold (the sum of the section-table
@@ -172,35 +187,40 @@ int Run(bool json_mode, const std::string& json_path) {
               static_cast<unsigned long long>(v2_payload_bytes),
               v2_bytes_per_bucket);
 
-  // Correctness gate before any timing: both loads must reproduce the
+  // Correctness gate before any timing: every load must reproduce the
   // original estimator bit-exactly over the whole domain.
-  auto from_text = LoadPathHistogram(text_path);
-  auto from_bin = LoadPathHistogram(bin_path);
-  auto from_v2 = LoadPathHistogram(v2_path);
-  auto from_mmap = MappedCatalogEntry::Open(v2_path, CatalogVerify::kFull);
-  bench::DieIf(from_text.status(), "load text");
-  bench::DieIf(from_bin.status(), "load binary");
-  bench::DieIf(from_v2.status(), "load binary v2");
-  bench::DieIf(from_mmap.status(), "mmap binary v2");
   PathSpace space(num_labels, k);
   RankScratch scratch;
-  size_t mismatches = 0;
-  space.ForEach([&](const LabelPath& p) {
-    const double want = est.Estimate(p);
-    if (from_text->estimator.Estimate(p) != want ||
-        from_bin->estimator.Estimate(p) != want ||
-        from_v2->estimator.Estimate(p) != want ||
-        (*from_mmap)->estimator().Estimate(p, scratch) != want) {
-      ++mismatches;
+  {
+    auto from_text = LoadPathHistogram(text_path);
+    auto from_bin = LoadPathHistogram(bin_path);
+    auto from_v2 = LoadPathHistogram(v2_path);
+    auto from_mmap = MappedCatalogEntry::Open(v2_path, CatalogVerify::kFull);
+    bench::DieIf(from_text.status(), "load text");
+    bench::DieIf(from_bin.status(), "load binary");
+    bench::DieIf(from_v2.status(), "load binary v2");
+    bench::DieIf(from_mmap.status(), "mmap binary v2");
+    size_t mismatches = 0;
+    space.ForEach([&](const LabelPath& p) {
+      const double want = est->Estimate(p);
+      if (from_text->estimator.Estimate(p) != want ||
+          from_bin->estimator.Estimate(p) != want ||
+          from_v2->estimator.Estimate(p) != want ||
+          (*from_mmap)->estimator().Estimate(p, scratch) != want) {
+        ++mismatches;
+      }
+    });
+    if (mismatches != 0) {
+      std::fprintf(stderr, "FORMAT MISMATCH on %zu paths\n", mismatches);
+      return 1;
     }
-  });
-  if (mismatches != 0) {
-    std::fprintf(stderr, "FORMAT MISMATCH on %zu paths\n", mismatches);
-    return 1;
   }
   std::printf("cross-format identity (incl. mmap): OK over all %llu paths\n",
               static_cast<unsigned long long>(domain));
-  from_mmap->reset();  // drop the pin before timing
+  LabelPath probe;
+  probe.PushBack(0);
+  const double probe_want = est->Estimate(probe);
+  est.reset();  // the registry now holds no ordering of the shape
 
   const double text_ms = BestLoadMillis(text_path, reps);
   const double binary_ms = BestLoadMillis(bin_path, reps);
@@ -210,10 +230,16 @@ int Run(bool json_mode, const std::string& json_path) {
               reps, text_ms, binary_ms, speedup);
 
   // v2 rows: the copying load (kFull rebuild comparisons — the strictest
-  // tier), the zero-copy constructions at the trusted and checksummed
-  // tiers, the first estimate straight after mapping (faults the pages
-  // the query touches), and a cache re-pin of an unchanged file.
+  // tier) and the first mapped open of the shape, both cold; then, with
+  // the shape's tables pinned, the zero-copy constructions at the trusted
+  // and checksummed tiers, the first estimate straight after mapping
+  // (faults the pages the query touches), and a cache re-pin of an
+  // unchanged file.
   const double v2_copy_ms = BestLoadMillis(v2_path, reps);
+  const double v2_mmap_cold_us =
+      BestMmapConstructMicros(v2_path, CatalogVerify::kTrusted, reps);
+  const std::shared_ptr<const SumTables> warm =
+      SumTables::For(num_labels, k);
   const double v2_mmap_construct_us =
       BestMmapConstructMicros(v2_path, CatalogVerify::kTrusted, reps);
   const double v2_mmap_verified_us =
@@ -222,12 +248,10 @@ int Run(bool json_mode, const std::string& json_path) {
   for (size_t r = 0; r < reps; ++r) {
     auto mapped = MappedCatalogEntry::Open(v2_path, CatalogVerify::kTrusted);
     bench::DieIf(mapped.status(), "mmap for first-estimate");
-    LabelPath probe;
-    probe.PushBack(0);
     Timer timer;
     const double got = (*mapped)->estimator().Estimate(probe, scratch);
     const double us = static_cast<double>(timer.ElapsedNanos()) / 1000.0;
-    if (got != est.Estimate(probe)) {
+    if (got != probe_want) {
       std::fprintf(stderr, "FIRST-ESTIMATE MISMATCH\n");
       return 1;
     }
@@ -247,11 +271,13 @@ int Run(bool json_mode, const std::string& json_path) {
     }
   }
   const double mmap_speedup = binary_ms * 1000.0 / v2_mmap_construct_us;
-  std::printf("v2 (best of %zu): copy=%.3fms mmap-construct=%.1fus "
-              "mmap-verified=%.1fus first-estimate=%.2fus repin=%.2fus  "
+  std::printf("v2 (best of %zu): copy=%.3fms mmap-cold=%.1fus "
+              "mmap-construct=%.1fus mmap-verified=%.1fus "
+              "first-estimate=%.2fus repin=%.2fus  "
               "mmap speedup over v1 copy=%.0fx\n",
-              reps, v2_copy_ms, v2_mmap_construct_us, v2_mmap_verified_us,
-              v2_first_estimate_us, v2_repin_us, mmap_speedup);
+              reps, v2_copy_ms, v2_mmap_cold_us, v2_mmap_construct_us,
+              v2_mmap_verified_us, v2_first_estimate_us, v2_repin_us,
+              mmap_speedup);
   // The acceptance floor of the zero-copy path is part of the bench: a
   // regression that drags construction back toward a copying load fails
   // loudly instead of quietly shipping a slower number.
@@ -290,6 +316,7 @@ int Run(bool json_mode, const std::string& json_path) {
                "  \"v2_payload_bytes\": %llu,\n"
                "  \"v2_bytes_per_bucket\": %.2f,\n"
                "  \"v2_copy_ms\": %.4f,\n"
+               "  \"v2_mmap_cold_us\": %.2f,\n"
                "  \"v2_mmap_construct_us\": %.2f,\n"
                "  \"v2_mmap_verified_us\": %.2f,\n"
                "  \"v2_first_estimate_us\": %.2f,\n"
@@ -300,7 +327,8 @@ int Run(bool json_mode, const std::string& json_path) {
                reps, text.str().size(), binary.size(), text_ms, binary_ms,
                speedup, v2.size(),
                static_cast<unsigned long long>(v2_payload_bytes),
-               v2_bytes_per_bucket, v2_copy_ms, v2_mmap_construct_us,
+               v2_bytes_per_bucket, v2_copy_ms, v2_mmap_cold_us,
+               v2_mmap_construct_us,
                v2_mmap_verified_us, v2_first_estimate_us, v2_repin_us,
                mmap_speedup);
   std::fclose(out);

@@ -5,31 +5,8 @@
 #include "core/serialize_internal.h"
 #include "histogram/flat_histogram.h"
 #include "ordering/factory.h"
-#include "ordering/ranking.h"
-#include "ordering/sum_based.h"
-#include "path/path_space.h"
-#include "util/combinatorics.h"
 
 namespace pathest {
-
-namespace {
-
-// The serializable sum-family names and the ranking rule each one encodes
-// (SumBasedOrdering canonicalizes "sum-card" to "sum-based" before any
-// catalog is written, so only these two appear on disk).
-bool SumRankingRuleForName(const std::string& name, RankingRule* rule) {
-  if (name == "sum-based") {
-    *rule = RankingRule::kCardinality;
-    return true;
-  }
-  if (name == "sum-alph") {
-    *rule = RankingRule::kAlphabetical;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Open(
     const std::string& path, CatalogVerify verify) {
@@ -51,33 +28,13 @@ Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Open(
   entry->labels_ = std::move(view.labels);
   entry->cards_ = std::move(view.cards);
 
-  // ParseCatalogV2 validated the (|L|, k, domain) triple overflow-safely,
-  // so the checked PathSpace arithmetic below cannot abort.
-  RankingRule rule;
-  if (SumRankingRuleForName(entry->ordering_name_, &rule)) {
-    PathSpace space(entry->labels_.size(), view.k);
-    LabelRanking ranking =
-        LabelRanking::Make(rule, entry->labels_, entry->cards_);
-    CompositionTable comps = CompositionTable::Borrowed(
-        entry->labels_.size(), view.k, view.comp_counts, view.comp_prefix);
-    SumStage3View index;
-    index.scheme = view.sum_scheme;
-    index.key_bits = view.sum_key_bits;
-    index.cell_starts = view.cell_starts;
-    index.keys = view.keys;
-    index.offsets = view.offsets;
-    index.nops = view.nops;
-    entry->ordering_ = std::make_unique<SumBasedOrdering>(
-        space, std::move(ranking), std::move(comps), index);
-  } else {
-    // Non-sum orderings are closed-form: nothing bulk to borrow, and the
-    // stats factory rebuild costs microseconds.
-    auto ordering = MakeOrderingFromStats(entry->ordering_name_,
-                                          entry->labels_, entry->cards_,
-                                          view.k);
-    if (!ordering.ok()) return ordering.status();
-    entry->ordering_ = std::move(*ordering);
-  }
+  // Closed-form orderings rebuild in microseconds; a sum-family one takes
+  // its stage-2/3 tables from the shared registry (SumTables::For), so it
+  // builds nothing while another ordering of its shape is alive.
+  auto ordering = MakeOrderingFromStats(entry->ordering_name_, entry->labels_,
+                                        entry->cards_, view.k);
+  if (!ordering.ok()) return ordering.status();
+  entry->ordering_ = std::move(*ordering);
 
   FlatHistogram::Rows rows;
   rows.domain_size = view.domain_size;
@@ -89,7 +46,8 @@ Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Open(
 
   // Owned-heap accounting: parsed metadata plus the ordering's small owned
   // tables (ranking bijections, factorials, cell directory). The bulk rows
-  // are all spans into the mapping and deliberately absent here.
+  // are spans into the mapping, and the sum family's stage-2/3 tables
+  // belong to the registry; both are deliberately absent here.
   size_t resident = sizeof(MappedCatalogEntry);
   for (size_t i = 0; i < entry->labels_.size(); ++i) {
     resident += entry->labels_.names()[i].size();

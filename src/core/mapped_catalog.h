@@ -3,19 +3,19 @@
 //
 // A MappedCatalogEntry owns exactly one mapping (util/mmap_file.h) and the
 // small OWNED metadata parsed out of it (label dictionary, cardinalities,
-// ordering identity); every bulk row the serving fast paths read — the
-// histogram serving rows, the stage-2 composition rows, the stage-3 index —
-// stays IN the mapping, borrowed through spans:
-//
-//   FlatHistogram::FromBorrowedRows   over the histogram section,
-//   CompositionTable::Borrowed        over the composition section,
-//   SumBasedOrdering's borrowed form  over the sum-index section.
+// ordering identity); every histogram row the serving fast paths read
+// stays IN the mapping, borrowed through FlatHistogram::FromBorrowedRows.
+// The ordering is rebuilt from the metadata; a sum-family one takes its
+// stage-2/3 tables from the process-wide registry (SumTables::For in
+// ordering/sum_based.h), shared with every other ordering of the shape.
 //
 // Construction is therefore header authentication + (per the chosen
-// CatalogVerify tier) checksums/scans + O(k) pointer fixup — microseconds
-// and O(1) allocations where the copying loader spends milliseconds
-// rebuilding tables, with the row bytes themselves faulted lazily by the
-// kernel on first use.
+// CatalogVerify tier) checksums/scans + O(k) pointer fixup + at most one
+// registry lookup — microseconds and O(1) allocations where the copying
+// loader spends milliseconds rebuilding the histogram, with the row bytes
+// themselves faulted lazily by the kernel. Only the first open of a shape
+// no live ordering holds builds the tables (tens of microseconds at
+// |L| = 6, k = 4; under a millisecond at the shapes the benches use).
 //
 // Lifetime: the entry is handed out as shared_ptr<const>; the mapping, the
 // ordering, and the estimator all live and die together, so any estimate
@@ -70,7 +70,10 @@ class MappedCatalogEntry {
   /// \brief Heap bytes OWNED by this entry: parsed metadata plus the
   /// ordering's small owned tables — everything NOT served from the
   /// mapping. The gap between this and mapped_bytes() is the zero-copy
-  /// win, reported per entry by serve `stats`.
+  /// win, reported per entry by serve `stats`. A sum-family entry's
+  /// stage-2/3 tables are not counted: the registry owns them, and every
+  /// ordering of the same (|L|, k) shares one copy, so charging them to
+  /// each entry would count them once per entry.
   size_t resident_bytes() const { return resident_bytes_; }
 
   MappedCatalogEntry(const MappedCatalogEntry&) = delete;

@@ -16,7 +16,6 @@
 #include "core/serialize_internal.h"
 #include "histogram/flat_histogram.h"
 #include "ordering/factory.h"
-#include "ordering/sum_based.h"
 #include "path/path_space.h"
 #include "util/combinatorics.h"
 #include "util/crc32c.h"
@@ -141,7 +140,8 @@ const char* SectionName(uint32_t id) {
 }
 
 HistogramLayoutV2 HistogramLayout(uint64_t beta, uint32_t version) {
-  PATHEST_CHECK(version == kVersionV2 || version == kVersionV2Eytzinger,
+  PATHEST_CHECK(version == kVersionV2 || version == kVersionV2SumSections ||
+                    version == kVersionV2Eytzinger,
                 "no histogram layout for this v2 version");
   const bool eytzinger = version == kVersionV2Eytzinger;
   HistogramLayoutV2 l;
@@ -158,25 +158,6 @@ HistogramLayoutV2 HistogramLayout(uint64_t beta, uint32_t version) {
     at = AlignUp(l.payload_bytes, kArrayAlignBytes) + 8 * (beta + 1);
     l.payload_bytes = AlignUp(at, kArrayAlignBytes) + 4 * (beta + 1);
   }
-  return l;
-}
-
-CompositionLayoutV2 CompositionLayout(uint64_t num_values, uint64_t max_len) {
-  CompositionLayoutV2 l;
-  l.counts_off = AlignUp(16, kArrayAlignBytes);  // u32 |L|, u32 k, u64 count
-  l.prefix_off = AlignUp(l.counts_off + 8 * num_values, kArrayAlignBytes);
-  l.payload_bytes = l.prefix_off + 8 * (num_values + max_len);
-  return l;
-}
-
-SumIndexLayoutV2 SumIndexLayout(uint64_t num_cells, uint64_t total_blocks) {
-  SumIndexLayoutV2 l;
-  l.cell_starts_off = AlignUp(24, kArrayAlignBytes);
-  l.keys_off =
-      AlignUp(l.cell_starts_off + 8 * (num_cells + 1), kArrayAlignBytes);
-  l.offsets_off = AlignUp(l.keys_off + 8 * total_blocks, kArrayAlignBytes);
-  l.nops_off = AlignUp(l.offsets_off + 8 * total_blocks, kArrayAlignBytes);
-  l.payload_bytes = l.nops_off + 8 * total_blocks;
   return l;
 }
 
@@ -338,7 +319,6 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
     return Status::InvalidArgument("cardinalities size mismatch");
   }
   const size_t k = estimator.ordering().space().k();
-  const size_t num_labels = labels.size();
 
   std::vector<std::pair<uint32_t, std::string>> sections;
   sections.emplace_back(
@@ -378,55 +358,6 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
   PATHEST_CHECK(hist.size() == hl.payload_bytes,
                 "v2 histogram payload does not match its layout");
   sections.emplace_back(binfmt::kSectionHistogram, std::move(hist));
-
-  if (IsSumFamilyOrdering(ordering_name)) {
-    // Persist the ordering's own stage-2/3 tables (built once at its
-    // construction) rather than rebuilding them for the write.
-    PATHEST_CHECK(estimator.ordering().kind() == OrderingKind::kSumBased,
-                  "sum-family ordering name without a SumBasedOrdering");
-    const auto& sum =
-        static_cast<const SumBasedOrdering&>(estimator.ordering());
-    const CompositionTable& comps = sum.compositions();
-    const uint64_t num_values =
-        CompositionTable::FlatCountValues(num_labels, k);
-    const binfmt::CompositionLayoutV2 cl =
-        binfmt::CompositionLayout(num_values, k);
-    std::string comp;
-    comp.reserve(cl.payload_bytes);
-    AppendU32(&comp, static_cast<uint32_t>(num_labels));
-    AppendU32(&comp, static_cast<uint32_t>(k));
-    AppendU64(&comp, num_values);
-    PadTo(&comp, cl.counts_off);
-    AppendRow(&comp, comps.flat_counts().data(), comps.flat_counts().size());
-    PadTo(&comp, cl.prefix_off);
-    AppendRow(&comp, comps.flat_prefix().data(), comps.flat_prefix().size());
-    PATHEST_CHECK(comp.size() == cl.payload_bytes,
-                  "v2 composition payload does not match its layout");
-    sections.emplace_back(binfmt::kSectionComposition, std::move(comp));
-
-    const SumStage3View view = sum.stage3_view();
-    const uint64_t num_cells = SumStage3CellCount(num_labels, k);
-    const uint64_t total_blocks = view.keys.size();
-    const binfmt::SumIndexLayoutV2 sl =
-        binfmt::SumIndexLayout(num_cells, total_blocks);
-    std::string index;
-    index.reserve(sl.payload_bytes);
-    AppendU32(&index, static_cast<uint32_t>(view.scheme));
-    AppendU32(&index, view.key_bits);
-    AppendU64(&index, num_cells);
-    AppendU64(&index, total_blocks);
-    PadTo(&index, sl.cell_starts_off);
-    AppendRow(&index, view.cell_starts.data(), view.cell_starts.size());
-    PadTo(&index, sl.keys_off);
-    AppendRow(&index, view.keys.data(), view.keys.size());
-    PadTo(&index, sl.offsets_off);
-    AppendRow(&index, view.offsets.data(), view.offsets.size());
-    PadTo(&index, sl.nops_off);
-    AppendRow(&index, view.nops.data(), view.nops.size());
-    PATHEST_CHECK(index.size() == sl.payload_bytes,
-                  "v2 sum-index payload does not match its layout");
-    sections.emplace_back(binfmt::kSectionSumIndex, std::move(index));
-  }
 
   // Assemble: header, table, then each payload at the first 64-byte
   // boundary at or after the previous end. The gaps (< 64 bytes each) are
@@ -1053,8 +984,8 @@ uint64_t BucketEnd(const CatalogV2View& view, uint64_t b) {
   return b + 1 < view.beta ? view.begin[b + 1] : view.domain_size;
 }
 
-}  // namespace
-
+// The diagnostic Histogram section 4 describes; a typed histogram section
+// error when the rows do not form valid buckets.
 Result<Histogram> HistogramOf(const CatalogV2View& view) {
   std::vector<Bucket> buckets(view.beta);
   for (uint64_t b = 0; b < view.beta; ++b) {
@@ -1070,6 +1001,8 @@ Result<Histogram> HistogramOf(const CatalogV2View& view) {
   }
   return histogram;
 }
+
+}  // namespace
 
 Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                                      CatalogVerify verify) {
@@ -1098,10 +1031,10 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   if (Crc32c(bytes.data(), kHeaderBytes - 8) != header_crc) {
     return Status::IOError("binary catalog: header checksum mismatch");
   }
-  if (version != kVersionV2 && version != kVersionV2Eytzinger) {
+  if (version < kVersionV2Eytzinger || version > kVersionV2) {
     return Status::IOError("binary catalog: unsupported format version " +
                            std::to_string(version) + " (reader knows " +
-                           std::to_string(kVersionV2Eytzinger) + " and " +
+                           std::to_string(kVersionV2Eytzinger) + " to " +
                            std::to_string(kVersionV2) + ")");
   }
   if (file_size != bytes.size()) {
@@ -1311,129 +1244,38 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     return SectionError(kSectionHistogram, "first bucket must begin at 0");
   }
 
-  // ---- sections 5-6: present iff sum family, both or neither.
-  view.has_sum_sections = IsSumFamilyOrdering(view.ordering_name);
-  const SectionEntry* comp_entry = find_section(kSectionComposition);
-  const SectionEntry* index_entry = find_section(kSectionSumIndex);
-  if (view.has_sum_sections != (comp_entry != nullptr)) {
-    return SectionError(kSectionComposition,
-                        comp_entry == nullptr
-                            ? "missing for sum-family ordering"
-                            : "present for non-sum ordering");
-  }
-  if (view.has_sum_sections != (index_entry != nullptr)) {
-    return SectionError(kSectionSumIndex,
-                        index_entry == nullptr
-                            ? "missing for sum-family ordering"
-                            : "present for non-sum ordering");
-  }
-  std::string_view comp_payload, index_payload;
-  uint64_t num_cells = 0, total_blocks = 0;
-  if (view.has_sum_sections) {
-    comp_payload = bytes.substr(comp_entry->offset, comp_entry->length);
-    BoundedReader com(comp_payload);
-    uint32_t comp_labels = 0, comp_k = 0;
-    uint64_t num_values = 0;
-    PATHEST_RETURN_NOT_OK(com.ReadU32(&comp_labels, "composition |L|"));
-    PATHEST_RETURN_NOT_OK(com.ReadU32(&comp_k, "composition k"));
-    PATHEST_RETURN_NOT_OK(com.ReadU64(&num_values, "composition count"));
-    if (comp_labels != num_labels || comp_k != view.k) {
-      return SectionError(kSectionComposition,
-                          "shape (|L|=" + std::to_string(comp_labels) +
-                              ", k=" + std::to_string(comp_k) +
-                              ") does not match the catalog");
+  // ---- sections 5-6: the stage-2/3 tables versions 2 and 3 persisted
+  // for the sum family (both or neither); a version-4 file has neither.
+  // No reader interprets them — orderings derive their tables — so the
+  // legacy sections are only checksummed, from kChecksums up.
+  const bool has_sum_sections = version < kVersionV2 &&
+                                IsSumFamilyOrdering(view.ordering_name);
+  for (uint32_t id : {kSectionComposition, kSectionSumIndex}) {
+    const SectionEntry* e = find_section(id);
+    if (e != nullptr && version == kVersionV2) {
+      return SectionError(id, "not part of a version-" +
+                                  std::to_string(kVersionV2) + " file");
     }
-    const uint64_t expected_values =
-        CompositionTable::FlatCountValues(num_labels, view.k);
-    if (num_values != expected_values) {
-      return SectionError(kSectionComposition,
-                          "value count " + std::to_string(num_values) +
-                              " (expected " +
-                              std::to_string(expected_values) + ")");
+    if ((e != nullptr) != has_sum_sections) {
+      return SectionError(id, e == nullptr ? "missing for sum-family ordering"
+                                           : "present for non-sum ordering");
     }
-    const CompositionLayoutV2 cl = CompositionLayout(num_values, view.k);
-    if (cl.payload_bytes != comp_entry->length) {
-      return SectionError(kSectionComposition,
-                          "payload is " + std::to_string(comp_entry->length) +
-                              " bytes but the layout needs " +
-                              std::to_string(cl.payload_bytes));
-    }
-    view.comp_counts = RowSpan<uint64_t>(comp_payload, cl.counts_off,
-                                         num_values);
-    view.comp_prefix = RowSpan<uint64_t>(comp_payload, cl.prefix_off,
-                                         num_values + view.k);
-
-    index_payload = bytes.substr(index_entry->offset, index_entry->length);
-    BoundedReader idx(index_payload);
-    uint32_t scheme32 = 0;
-    PATHEST_RETURN_NOT_OK(idx.ReadU32(&scheme32, "sum-index scheme"));
-    PATHEST_RETURN_NOT_OK(idx.ReadU32(&view.sum_key_bits, "sum-index bits"));
-    PATHEST_RETURN_NOT_OK(idx.ReadU64(&num_cells, "sum-index cells"));
-    PATHEST_RETURN_NOT_OK(idx.ReadU64(&total_blocks, "sum-index blocks"));
-    // The shape gate guarantees a key; a forged scheme 0 (never written)
-    // fails this comparison.
-    SumKeyScheme expected_scheme;
-    uint32_t expected_bits;
-    ChooseSumKeyScheme(num_labels, view.k, &expected_scheme, &expected_bits);
-    if (scheme32 != static_cast<uint32_t>(expected_scheme) ||
-        view.sum_key_bits != expected_bits) {
-      return SectionError(
-          kSectionSumIndex,
-          "key scheme " + std::to_string(scheme32) + "/" +
-              std::to_string(view.sum_key_bits) + " bits does not match " +
-              std::to_string(static_cast<uint32_t>(expected_scheme)) + "/" +
-              std::to_string(expected_bits) + " for this space");
-    }
-    view.sum_scheme = expected_scheme;
-    const uint64_t expected_cells = SumStage3CellCount(num_labels, view.k);
-    if (num_cells != expected_cells) {
-      return SectionError(kSectionSumIndex,
-                          "cell count " + std::to_string(num_cells) +
-                              " (expected " + std::to_string(expected_cells) +
-                              ")");
-    }
-    // Each block costs 24 bytes across keys/offsets/nops; bounding it here
-    // keeps the layout math overflow-free before the exact length check.
-    if (total_blocks > index_entry->length / 24 + 1) {
-      return SectionError(kSectionSumIndex, "implausible block count " +
-                                                std::to_string(total_blocks));
-    }
-    const SumIndexLayoutV2 sl = SumIndexLayout(num_cells, total_blocks);
-    if (sl.payload_bytes != index_entry->length) {
-      return SectionError(kSectionSumIndex,
-                          "payload is " +
-                              std::to_string(index_entry->length) +
-                              " bytes but the layout needs " +
-                              std::to_string(sl.payload_bytes));
-    }
-    view.cell_starts = RowSpan<uint64_t>(index_payload, sl.cell_starts_off,
-                                         num_cells + 1);
-    view.keys = RowSpan<uint64_t>(index_payload, sl.keys_off, total_blocks);
-    view.offsets =
-        RowSpan<uint64_t>(index_payload, sl.offsets_off, total_blocks);
-    view.nops = RowSpan<uint64_t>(index_payload, sl.nops_off, total_blocks);
   }
 
   if (verify == CatalogVerify::kTrusted) return view;
 
-  // ---- checksum tier: CRC every bulk byte, then structural scans that
-  // certify what the serving fast paths assume without rebuilding anything.
+  // ---- checksum tier: CRC every bulk byte, then structural scans of the
+  // histogram rows that certify what the serving fast paths assume without
+  // rebuilding anything.
   if (Crc32c(payload.data(), payload.size()) != hist_entry.crc) {
     return SectionError(kSectionHistogram,
                         "checksum mismatch over " +
                             std::to_string(hist_entry.length) + " bytes");
   }
-  if (view.has_sum_sections) {
-    if (Crc32c(comp_payload.data(), comp_payload.size()) != comp_entry->crc) {
-      return SectionError(kSectionComposition,
-                          "checksum mismatch over " +
-                              std::to_string(comp_entry->length) + " bytes");
-    }
-    if (Crc32c(index_payload.data(), index_payload.size()) !=
-        index_entry->crc) {
-      return SectionError(kSectionSumIndex,
-                          "checksum mismatch over " +
-                              std::to_string(index_entry->length) + " bytes");
+  if (has_sum_sections) {
+    std::string_view legacy;
+    for (uint32_t id : {kSectionComposition, kSectionSumIndex}) {
+      PATHEST_RETURN_NOT_OK(open_checked(*find_section(id), &legacy));
     }
   }
 
@@ -1458,71 +1300,13 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                               std::to_string(b));
     }
   }
-  if (view.has_sum_sections) {
-    // Composition prefix rows: per-m running sums of the count rows,
-    // checked with overflow-safe compares.
-    size_t count_at = 0, prefix_at = 0;
-    for (uint64_t m = 1; m <= view.k; ++m) {
-      const size_t row_len = m * num_labels - m + 1;
-      if (view.comp_prefix[prefix_at] != 0) {
-        return SectionError(kSectionComposition,
-                            "prefix row for m=" + std::to_string(m) +
-                                " must start at 0");
-      }
-      for (size_t i = 0; i < row_len; ++i) {
-        const uint64_t lo = view.comp_prefix[prefix_at + i];
-        const uint64_t hi = view.comp_prefix[prefix_at + i + 1];
-        if (hi < lo || hi - lo != view.comp_counts[count_at + i]) {
-          return SectionError(kSectionComposition,
-                              "prefix row inconsistent at (m=" +
-                                  std::to_string(m) +
-                                  ", i=" + std::to_string(i) + ")");
-        }
-      }
-      count_at += row_len;
-      prefix_at += row_len + 1;
-    }
-    if (view.cell_starts[0] != 0 ||
-        view.cell_starts[num_cells] != total_blocks) {
-      return SectionError(kSectionSumIndex,
-                          "cell directory does not span the block arrays");
-    }
-    for (uint64_t c = 0; c < num_cells; ++c) {
-      if (view.cell_starts[c + 1] < view.cell_starts[c] ||
-          view.cell_starts[c + 1] > total_blocks) {
-        return SectionError(kSectionSumIndex,
-                            "cell directory not monotone at cell " +
-                                std::to_string(c));
-      }
-      // Keys strictly ascending (Rank's binary search), and the blocks
-      // contiguous from offset 0 in that same order (Unrank's).
-      const uint64_t first = view.cell_starts[c];
-      if (first < view.cell_starts[c + 1] && view.offsets[first] != 0) {
-        return SectionError(kSectionSumIndex,
-                            "first block offset not 0 in cell " +
-                                std::to_string(c));
-      }
-      for (uint64_t b = first + 1; b < view.cell_starts[c + 1]; ++b) {
-        if (view.keys[b] <= view.keys[b - 1]) {
-          return SectionError(kSectionSumIndex,
-                              "keys not strictly ascending in cell " +
-                                  std::to_string(c));
-        }
-        if (view.offsets[b] < view.offsets[b - 1] ||
-            view.offsets[b] - view.offsets[b - 1] != view.nops[b - 1]) {
-          return SectionError(kSectionSumIndex,
-                              "blocks not contiguous in key order in cell " +
-                                  std::to_string(c));
-        }
-      }
-    }
-  }
-
   if (verify != CatalogVerify::kFull) return view;
 
   // ---- full tier: the persisted DERIVED rows must be bit-identical to a
   // fresh rebuild from the primary data — the wrong-but-well-formed
-  // corruption class no checksum of the file alone can see.
+  // corruption class no checksum of the file alone can see. The rebuilt
+  // Histogram is handed to the caller, so the copying loader builds it
+  // once.
   auto histogram = HistogramOf(view);
   if (!histogram.ok()) return histogram.status();
   const FlatHistogram fresh(*histogram);
@@ -1531,24 +1315,7 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     return SectionError(kSectionHistogram,
                         "persisted serving rows differ from a fresh rebuild");
   }
-  if (view.has_sum_sections) {
-    const CompositionTable expected(num_labels, view.k);
-    if (!RowsIdentical(view.comp_counts, expected.flat_counts()) ||
-        !RowsIdentical(view.comp_prefix, expected.flat_prefix())) {
-      return SectionError(kSectionComposition,
-                          "persisted rows differ from a fresh rebuild");
-    }
-    const SumStage3Index rebuilt = BuildSumStage3Index(num_labels, view.k);
-    if (!RowsIdentical(view.cell_starts,
-                       std::span<const uint64_t>(rebuilt.cell_starts)) ||
-        !RowsIdentical(view.keys, std::span<const uint64_t>(rebuilt.keys)) ||
-        !RowsIdentical(view.offsets,
-                       std::span<const uint64_t>(rebuilt.offsets)) ||
-        !RowsIdentical(view.nops, std::span<const uint64_t>(rebuilt.nops))) {
-      return SectionError(kSectionSumIndex,
-                          "persisted index differs from a fresh rebuild");
-    }
-  }
+  view.histogram = std::move(*histogram);
   return view;
 }
 
@@ -1557,13 +1324,11 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
 Result<LoadedPathHistogram> ReadPathHistogramBinaryV2(std::string_view bytes) {
   auto view = internal::ParseCatalogV2(bytes, CatalogVerify::kFull);
   if (!view.ok()) return view.status();
-  auto histogram = internal::HistogramOf(*view);
-  if (!histogram.ok()) return histogram.status();
   auto ordering = MakeOrderingFromStats(view->ordering_name, view->labels,
                                         view->cards, view->k);
   if (!ordering.ok()) return ordering.status();
   auto estimator = PathHistogram::FromParts(
-      std::move(*ordering), std::move(*histogram), view->histogram_type);
+      std::move(*ordering), std::move(*view->histogram), view->histogram_type);
   if (!estimator.ok()) return estimator.status();
   return LoadedPathHistogram{std::move(view->labels), std::move(view->cards),
                              std::move(*estimator)};

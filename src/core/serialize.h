@@ -114,28 +114,19 @@
 //                  row: bucket b ends at begin[b+1], the last bucket at
 //                  domain_size. begin starts at 0, rises strictly and
 //                  stays below domain_size (checked from kChecksums up).
-//   5 composition  u32 |L|, u32 k, u64 value-count, then 64-aligned rows
-//                  counts u64[value-count]  (v1's m-major rows) and
-//                  prefix u64[value-count + k]  (the stage-2 prefix rows
-//                  the sum-based Rank fast path reads)
-//   6 sum-index    u32 key-scheme (ordering/sum_based.h SumKeyScheme),
-//                  u32 key-bits, u64 num-cells, u64 total-blocks, then
-//                  64-aligned rows cell-starts u64[num-cells + 1],
-//                  keys / offsets / nops u64[total-blocks] each — the flat
-//                  stage-3 index exactly as SumBasedOrdering consumes it.
-//                  The scheme is 1 (counts) or 2 (sorted), whichever
-//                  ChooseSumKeyScheme picks for (|L|, k); 0 is never
-//                  written and is rejected as a section error. A shape
-//                  with no key never gets here: the label section's
-//                  shape gate (CheckOrderingShape) refuses it.
-// Sections 5 and 6 are present iff the ordering is of the sum family.
+// A version-4 file has exactly these four sections for every ordering.
+// The sum family's stage-2/3 tables are not stored: they are pure
+// functions of (|L|, k), and every SumBasedOrdering takes them from the
+// process-wide registry of ordering/sum_based.h (SumTables::For), shared
+// with every other ordering of the same shape.
 //
 // Because the serving rows are persisted rather than derived, constructing
-// an Estimator from a mapped v2 file is pure pointer fixup
-// (core/mapped_catalog.h) — microseconds and O(1) allocations, with the
-// row bytes faulted lazily by the kernel. The copying loader
-// (ReadPathHistogramBinaryV2) instead verifies the derived rows against a
-// fresh rebuild (full-tier semantics) and returns an owned estimator.
+// an Estimator from a mapped v2 file is pointer fixup plus, for the sum
+// family, one registry lookup (core/mapped_catalog.h) — microseconds and
+// O(1) allocations, with the row bytes faulted lazily by the kernel. The
+// copying loader (ReadPathHistogramBinaryV2) instead verifies the derived
+// rows against a fresh rebuild (full-tier semantics) and returns an owned
+// estimator.
 //
 // Versioning/compat rules: the major version in the header is bumped on
 // ANY layout change to existing sections; readers reject versions they do
@@ -144,22 +135,36 @@
 // (unknown ids are an error), so v1 writers must emit exactly the sections
 // above.
 //
-// v2 versions: the writer emits version 3 (kVersionV2). Readers also
-// accept version 2 (kVersionV2Eytzinger), whose histogram section carries
-// rows version 3 dropped: end u64[beta] between begin and sum-bits, and,
-// after prefix, an Eytzinger copy of begin u64[beta+1] and a slot -> rank
-// map u32[beta+1]. HistogramLayout(beta, version) is the one definition of
-// both layouts. A version-2 file is read at its own row offsets and served
-// mapped from its begin, mean and prefix rows; no reader interprets its
-// extra rows, which stay covered by the section CRC. Every other section
-// is the same in both versions, and `catalog convert --format binary-v2`
-// rewrites version-2 entries as version 3.
+// v2 versions: the writer emits version 4 (kVersionV2). Readers also
+// accept two legacy versions:
+//   * version 3 (kVersionV2SumSections) has version 4's histogram layout,
+//     and a sum-family file also carries the stage-2/3 tables as
+//       5 composition  u32 |L|, u32 k, u64 value-count, then 64-aligned
+//                      rows counts u64[value-count] and prefix
+//                      u64[value-count + k],
+//       6 sum-index    u32 key-scheme, u32 key-bits, u64 num-cells,
+//                      u64 total-blocks, then 64-aligned rows cell-starts
+//                      u64[num-cells + 1], keys / offsets / nops
+//                      u64[total-blocks] each;
+//     both present iff the ordering is of the sum family;
+//   * version 2 (kVersionV2Eytzinger) is version 3 plus histogram rows
+//     version 3 dropped: end u64[beta] between begin and sum-bits, and,
+//     after prefix, an Eytzinger copy of begin u64[beta+1] and a slot ->
+//     rank map u32[beta+1]. HistogramLayout(beta, version)
+//     is the one definition of every histogram layout.
+// Legacy files load and serve mapped at every tier from their begin, mean
+// and prefix rows. No reader interprets sections 5 and 6 or the extra
+// histogram rows; they stay covered by their section CRCs, and the
+// legacy sections are checksummed from kChecksums up. A version-4 file
+// carrying section 5 or 6 is a typed section error at every tier. `catalog
+// convert --format binary-v2` rewrites version-2 and version-3 entries as
+// version 4.
 //
 // The committed golden catalogs (tests/golden/) pin these layouts
-// byte-for-byte against accidental drift: catalog_v2_version3.stats is
-// what the writer emits; catalog_v2.stats (packed) and
-// catalog_v2_paged.stats (page-aligned) are version-2 files kept as
-// compat fixtures.
+// byte-for-byte against accidental drift: catalog_v2_version4.stats is
+// what the writer emits; catalog_v2_version3.stats (version 3) and
+// catalog_v2.stats (packed) and catalog_v2_paged.stats (page-aligned),
+// both version 2, are compat fixtures, never regenerated.
 //
 // Corruption contract (enforced by tests/fault_injection_test.cc): any
 // truncation, bit flip, or forged length/count in a catalog file yields a
@@ -210,16 +215,15 @@ Result<CatalogFormat> ParseCatalogFormat(const std::string& name);
 ///              mode. Safe ONLY for files this process (or its cache) has
 ///              already admitted at kChecksums or better: a flipped bulk
 ///              byte would serve wrong estimates undetected.
-///   kChecksums CRC32C over every bulk section plus structural scans
-///              (begins rising strictly below the domain size, finite
-///              serving rows, prefix-row consistency, ascending index
-///              keys with their blocks contiguous from offset 0 in key
-///              order). The CatalogCache
-///              admission tier — every byte generation is checked once.
-///   kFull      kChecksums plus semantic rebuild comparisons: serving rows
-///              vs a fresh FlatHistogram, composition rows vs a fresh
-///              CompositionTable, stage-3 index vs BuildSumStage3Index.
-///              What `catalog verify` and the copying loader use.
+///   kChecksums CRC32C over every bulk section (the legacy sum sections
+///              of versions 2 and 3 included) plus structural scans of the
+///              histogram rows (begins rising strictly below the domain
+///              size, finite serving rows, a prefix row starting at 0).
+///              The CatalogCache admission tier — every byte generation
+///              is checked once.
+///   kFull      kChecksums plus the semantic rebuild comparison: serving
+///              rows vs a fresh FlatHistogram. What `catalog verify` and
+///              the copying loader use.
 enum class CatalogVerify {
   kTrusted,
   kChecksums,
@@ -239,14 +243,18 @@ inline constexpr unsigned char kMagic[kMagicBytes] = {0x89, 'P',  'E', 'S',
 inline constexpr unsigned char kMagicV2[kMagicBytes] = {0x89, 'P',  'E', 'S',
                                                         'T',  'B',  '2', 0x0A};
 inline constexpr uint32_t kVersion = 1;
-/// The v2 version the writer emits: no end row, no Eytzinger rows.
-inline constexpr uint32_t kVersionV2 = 3;
-/// The older v2 version readers still accept (see the compat rule above).
+/// The v2 version the writer emits: sections 1-4 only.
+inline constexpr uint32_t kVersionV2 = 4;
+/// The older v2 versions readers still accept (see the compat rule above):
+/// version 3 persists the sum family's stage-2/3 tables as sections 5
+/// and 6; version 2 also carries the end and Eytzinger histogram rows.
+inline constexpr uint32_t kVersionV2SumSections = 3;
 inline constexpr uint32_t kVersionV2Eytzinger = 2;
 inline constexpr size_t kHeaderBytes = 32;
 inline constexpr size_t kSectionEntryBytes = 24;
 /// Hard ceiling on the section count a reader will consider (v1 writes at
-/// most 5, v2 at most 6); anything larger is a forged header.
+/// most 5, v2 4, its legacy versions 6); anything larger is a forged
+/// header.
 inline constexpr uint32_t kMaxSections = 64;
 
 /// v2's one alignment rule: section offsets and interior arrays (relative
@@ -260,7 +268,7 @@ enum SectionId : uint32_t {
   kSectionCardinalities = 3,
   kSectionHistogram = 4,
   kSectionComposition = 5,
-  kSectionSumIndex = 6,  // v2 only
+  kSectionSumIndex = 6,  // v2 versions 2 and 3 only
 };
 
 /// \brief Stable name of a section id ("ordering", ...; "?" if unknown).
@@ -280,24 +288,10 @@ struct HistogramLayoutV2 {
   uint64_t mean_off, prefix_off;           // f64[beta], f64[beta+1]
   uint64_t payload_bytes;
 };
-/// `version` is kVersionV2 or kVersionV2Eytzinger; the latter's extra rows
+/// Versions 3 and 4 share one layout; kVersionV2Eytzinger's extra rows
 /// take room in the payload but get no offset, since no reader uses them.
 HistogramLayoutV2 HistogramLayout(uint64_t beta,
                                   uint32_t version = kVersionV2);
-
-struct CompositionLayoutV2 {
-  uint64_t counts_off;  // u64[num_values]
-  uint64_t prefix_off;  // u64[num_values + max_len]
-  uint64_t payload_bytes;
-};
-CompositionLayoutV2 CompositionLayout(uint64_t num_values, uint64_t max_len);
-
-struct SumIndexLayoutV2 {
-  uint64_t cell_starts_off;  // u64[num_cells + 1]
-  uint64_t keys_off, offsets_off, nops_off;  // u64[total_blocks] each
-  uint64_t payload_bytes;
-};
-SumIndexLayoutV2 SumIndexLayout(uint64_t num_cells, uint64_t total_blocks);
 
 }  // namespace binfmt
 
@@ -317,9 +311,9 @@ Status WritePathHistogramBinary(const PathHistogram& estimator,
                                 const std::vector<uint64_t>& cardinalities,
                                 std::string* out);
 
-/// \brief Serializes the estimator into `*out` in binary catalog v2
-/// (sections packed on 64-byte boundaries; precomputed serving rows +
-/// stage-2/3 tables — see the format spec above).
+/// \brief Serializes the estimator into `*out` in binary catalog v2,
+/// version 4 (sections packed on 64-byte boundaries; precomputed serving
+/// rows — see the format spec above).
 Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
                                   const LabelDictionary& labels,
                                   const std::vector<uint64_t>& cardinalities,

@@ -15,6 +15,7 @@
 #define PATHEST_CORE_SERIALIZE_INTERNAL_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -23,7 +24,6 @@
 #include "core/serialize.h"
 #include "graph/graph.h"
 #include "histogram/builders.h"
-#include "ordering/sum_based.h"
 #include "util/status.h"
 
 namespace pathest {
@@ -33,7 +33,8 @@ namespace internal {
 /// verified. Metadata is owned; bulk rows are spans into the input bytes,
 /// valid only while that buffer (or mapping) lives.
 struct CatalogV2View {
-  // Header format version: kVersionV2 or kVersionV2Eytzinger.
+  // Header format version: kVersionV2, kVersionV2SumSections or
+  // kVersionV2Eytzinger.
   uint32_t version = 0;
   // Section 1: ordering identity.
   std::string ordering_name;
@@ -50,12 +51,9 @@ struct CatalogV2View {
   std::span<const uint64_t> begin, sum_bits, sumsq_bits;
   std::span<const double> mean, prefix;
 
-  // Sections 5-6, present iff the ordering is of the sum family.
-  bool has_sum_sections = false;
-  std::span<const uint64_t> comp_counts, comp_prefix;
-  SumKeyScheme sum_scheme = SumKeyScheme::kCounts;
-  uint32_t sum_key_bits = 0;
-  std::span<const uint64_t> cell_starts, keys, offsets, nops;
+  // The Histogram the rows describe, rebuilt and checked against them at
+  // kFull (empty at the lower tiers).
+  std::optional<Histogram> histogram;
 };
 
 /// \brief Parses + verifies a v2 byte image at tier `verify` (see
@@ -66,11 +64,6 @@ struct CatalogV2View {
 /// counts, never reads out of bounds: corruption is a typed Status.
 Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                                      CatalogVerify verify);
-
-/// \brief The diagnostic Histogram a parsed view's section 4 describes,
-/// with each bucket's end derived from the next begin. A typed histogram
-/// section error when the rows do not form valid buckets.
-Result<Histogram> HistogramOf(const CatalogV2View& view);
 
 }  // namespace internal
 }  // namespace pathest

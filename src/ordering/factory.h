@@ -20,9 +20,10 @@ const std::vector<std::string>& PaperOrderingNames();
 /// \brief Cap on the sum family's stage-3 index: one block per rank
 /// multiset of size 1..k, C(|L| + k, k) − 1 blocks in all. Each block is
 /// a key, an offset and a permutation count (three u64s), so the index
-/// rows at the cap hold 4 Mi × 24 B = 96 MiB, built at construction and
-/// persisted by binary v2. The bound is the engine's packed-key capacity
-/// (graph/graph.h); every shape the paper's stand-ins use is far below it
+/// rows at the cap hold 4 Mi × 24 B = 96 MiB, built once per shape and
+/// shared by every ordering of it (SumTables in ordering/sum_based.h).
+/// The bound is the engine's packed-key capacity (graph/graph.h); every
+/// shape the paper's stand-ins use is far below it
 /// (|L| = 8, k = 6 has 3,002 blocks; |L| = 70, k = 3 has 62,195).
 inline constexpr uint64_t kMaxSumIndexBlocks = kPackedKeyMaxEntries;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
+#include <mutex>
 #include <tuple>
 #include <utility>
 
@@ -161,11 +163,16 @@ bool ChooseSumKeyScheme(uint64_t num_labels, uint64_t k,
   return false;
 }
 
+namespace {
+
+// Number of (m, sr) cells: sum over m of (m*|L| - m + 1).
 uint64_t SumStage3CellCount(uint64_t num_labels, uint64_t k) {
   uint64_t cells = 0;
   for (uint64_t m = 1; m <= k; ++m) cells += m * num_labels - m + 1;
   return cells;
 }
+
+}  // namespace
 
 SumStage3Index BuildSumStage3Index(uint64_t num_labels, uint64_t k) {
   SumStage3Index index;
@@ -199,31 +206,31 @@ SumStage3Index BuildSumStage3Index(uint64_t num_labels, uint64_t k) {
   return index;
 }
 
-void SumBasedOrdering::InitIndexViews(const SumStage3View& view) {
-  key_scheme_ = view.scheme;
-  key_bits_ = view.key_bits;
-  cell_starts_ = view.cell_starts;
-  keys_ = view.keys;
-  offsets_ = view.offsets;
-  nops_ = view.nops;
-  cell_base_.resize(space_.k());
-  uint64_t base = 0;
-  for (uint64_t m = 1; m <= space_.k(); ++m) {
-    cell_base_[m - 1] = base;
-    base += m * space_.num_labels() - m + 1;
-  }
-  PATHEST_CHECK(cell_starts_.size() == base + 1,
-                "stage-three cell directory shape mismatch");
-  PATHEST_CHECK(keys_.size() == cell_starts_.back() &&
-                    offsets_.size() == keys_.size() &&
-                    nops_.size() == keys_.size(),
-                "stage-three block array shape mismatch");
+SumTables::SumTables(uint64_t num_labels, uint64_t k)
+    : compositions(num_labels, k), index(BuildSumStage3Index(num_labels, k)) {}
+
+std::shared_ptr<const SumTables> SumTables::For(uint64_t num_labels,
+                                                uint64_t k) {
+  static std::mutex mu;
+  static std::map<std::pair<uint64_t, uint64_t>,
+                  std::weak_ptr<const SumTables>>
+      live;
+  std::lock_guard<std::mutex> lock(mu);
+  std::weak_ptr<const SumTables>& slot = live[{num_labels, k}];
+  if (std::shared_ptr<const SumTables> tables = slot.lock()) return tables;
+  // Building under the lock is what makes a shape's tables one object:
+  // a second thread asking for the same shape waits and then shares them.
+  std::shared_ptr<const SumTables> tables(new SumTables(num_labels, k));
+  slot = tables;
+  // Drop the entries of shapes nothing serves any more.
+  std::erase_if(live, [](const auto& entry) { return entry.second.expired(); });
+  return tables;
 }
 
 SumBasedOrdering::SumBasedOrdering(PathSpace space, LabelRanking ranking)
     : space_(space),
       ranking_(std::move(ranking)),
-      comps_(space.num_labels(), space.k()),
+      tables_(SumTables::For(space.num_labels(), space.k())),
       fact_(space.k()) {
   PATHEST_CHECK(space_.num_labels() == ranking_.size(),
                 "ranking size mismatch with path space");
@@ -233,36 +240,19 @@ SumBasedOrdering::SumBasedOrdering(PathSpace space, LabelRanking ranking)
               ? "sum-based"
               : std::string("sum-") + RankingRuleName(ranking_.rule());
 
-  owned_index_ = BuildSumStage3Index(space_.num_labels(), space_.k());
-  InitIndexViews(SumStage3View{owned_index_.scheme, owned_index_.key_bits,
-                               owned_index_.cell_starts, owned_index_.keys,
-                               owned_index_.offsets, owned_index_.nops});
-}
-
-SumBasedOrdering::SumBasedOrdering(PathSpace space, LabelRanking ranking,
-                                   CompositionTable comps,
-                                   const SumStage3View& index)
-    : space_(space),
-      ranking_(std::move(ranking)),
-      comps_(std::move(comps)),
-      fact_(space.k()) {
-  PATHEST_CHECK(space_.num_labels() == ranking_.size(),
-                "ranking size mismatch with path space");
-  PATHEST_CHECK(comps_.num_labels() == space_.num_labels() &&
-                    comps_.max_len() == space_.k(),
-                "composition table shape mismatch with path space");
-  SumKeyScheme expected_scheme;
-  uint32_t expected_bits;
-  PATHEST_CHECK(ChooseSumKeyScheme(space_.num_labels(), space_.k(),
-                                   &expected_scheme, &expected_bits),
-                "no 64-bit multiset key for this space");
-  PATHEST_CHECK(index.scheme == expected_scheme &&
-                    index.key_bits == expected_bits,
-                "stage-three key scheme mismatch for this space");
-  name_ = ranking_.rule() == RankingRule::kCardinality
-              ? "sum-based"
-              : std::string("sum-") + RankingRuleName(ranking_.rule());
-  InitIndexViews(index);
+  const SumStage3Index& index = tables_->index;
+  key_scheme_ = index.scheme;
+  key_bits_ = index.key_bits;
+  cell_starts_ = index.cell_starts;
+  keys_ = index.keys;
+  offsets_ = index.offsets;
+  nops_ = index.nops;
+  cell_base_.resize(space_.k());
+  uint64_t base = 0;
+  for (uint64_t m = 1; m <= space_.k(); ++m) {
+    cell_base_[m - 1] = base;
+    base += m * space_.num_labels() - m + 1;
+  }
 }
 
 uint64_t SumBasedOrdering::Rank(const LabelPath& path) const {
@@ -285,7 +275,7 @@ uint64_t SumBasedOrdering::Rank(const LabelPath& path,
   // Stage 1: all shorter lengths precede.
   uint64_t index = space_.LengthOffset(m);
   // Stage 2: all lower summed ranks precede — one prefix-table lookup.
-  index += comps_.CumulativeBelow(sr, m);
+  index += tables_->compositions.CumulativeBelow(sr, m);
 
   // Stage 3 key: order-free addition under kCounts; sorted pack (one
   // insertion sort) under kSorted.
@@ -313,7 +303,7 @@ uint64_t SumBasedOrdering::Rank(const LabelPath& path,
   // One branchless binary search (first key >= ours) over the cell's packed
   // keys, which also hands us the block's permutation count (w). The cell's
   // blocks live at [cell_starts_[c], cell_starts_[c+1]) in the flat arrays,
-  // with c derived from (m, sr) — the same arrays catalog v2 persists.
+  // with c derived from (m, sr).
   const uint64_t cell = cell_base_[m - 1] + (sr - m);
   const uint64_t cell_begin = cell_starts_[cell];
   const uint64_t* keys = keys_.data() + cell_begin;
@@ -394,8 +384,8 @@ LabelPath SumBasedOrdering::Unrank(uint64_t index,
   }
   // Stage 2: find the summed-rank partition (lines 10-14) — binary search
   // over the composition prefix row instead of the paper's linear scan.
-  const uint64_t sr = comps_.SumForOffset(index, m);
-  index -= comps_.CumulativeBelow(sr, m);
+  const uint64_t sr = tables_->compositions.SumForOffset(index, m);
+  index -= tables_->compositions.CumulativeBelow(sr, m);
   // Stage 3: find the combination (lines 15-18). A cell's blocks are
   // key-sorted, and key order is Formula 4's block order under both
   // schemes (the largest value whose multiplicity differs decides both),

@@ -21,11 +21,15 @@
 // else. Rank looks its cell's block up by key; Unrank finds the (m, sr)
 // cell with CompositionTable::SumForOffset, binary-searches the cell's
 // block offsets for the block holding the index, and decodes that block's
-// key back into its rank multiset. Both tables are pure functions of (|L|, k), built
-// once here — or, on the mmap serving path, BORROWED straight out of a
-// binary catalog v2 file (core/mapped_catalog.h), which is what makes
-// zero-copy Estimator construction possible: the index is persisted in
-// exactly the layout the search consumes.
+// key back into its rank multiset.
+//
+// Both tables are pure functions of (|L|, k), so no ordering owns them and
+// no catalog stores them: SumTables::For hands every ordering of a shape
+// the same immutable pair from a process-wide registry. The registry keeps
+// weak references, so the first ordering of a shape builds its tables
+// (microseconds to a millisecond at the shapes the benches use) and the
+// last one to go frees them. A mapped catalog entry (core/mapped_catalog.h)
+// therefore builds nothing while any other ordering of its shape is alive.
 //
 // Every servable shape has a 64-bit multiset key (SumKeyScheme). A shape
 // without one — |L| and k both large, e.g. |L| = 4096 at k = 5 — is refused
@@ -35,6 +39,7 @@
 #ifndef PATHEST_ORDERING_SUM_BASED_H_
 #define PATHEST_ORDERING_SUM_BASED_H_
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -97,9 +102,7 @@ std::vector<uint32_t> UnrankPermutationOfCombination(
 uint64_t RankPermutationInCombination(const std::vector<uint32_t>& permutation,
                                       std::vector<uint32_t> combination);
 
-/// \brief Key encoding of the stage-three index. The numeric values are the
-/// on-disk encoding of binary catalog v2's sum-index section — do not
-/// renumber. 0 is never written; a file carrying it is rejected.
+/// \brief Key encoding of the stage-three index.
 enum class SumKeyScheme : uint32_t {
   /// The multiplicity vector as a packed number: value v occupies key_bits
   /// bits at position (v - 1) * key_bits, and a query key is built by
@@ -112,8 +115,8 @@ enum class SumKeyScheme : uint32_t {
 };
 
 /// \brief The scheme (and per-field bit width) a (|L|, k) space uses —
-/// a pure function of the shape, shared by the ordering, the catalog v2
-/// writer, the readers' shape validation and the shape gate. Returns false
+/// a pure function of the shape, shared by the stage-three index build and
+/// the shape gate (CheckOrderingShape in ordering/factory.h). Returns false
 /// when no 64-bit key fits the space (the outputs are then unspecified):
 /// such a space cannot be served.
 bool ChooseSumKeyScheme(uint64_t num_labels, uint64_t k,
@@ -141,10 +144,6 @@ inline uint64_t SumEncodeKey(SumKeyScheme scheme, uint32_t key_bits,
 /// SumStage3CellBase(m) + (sr - m)). cell_starts has one entry per cell
 /// plus a final total, so cell c's blocks live at
 /// [cell_starts[c], cell_starts[c+1]) in keys/offsets/nops.
-///
-/// This is both the in-memory fast-path structure AND the on-disk layout of
-/// catalog v2's sum-index section; BuildSumStage3Index is its single
-/// definition, used by the ordering, the writer, and the full verifier.
 struct SumStage3Index {
   SumKeyScheme scheme = SumKeyScheme::kCounts;
   uint32_t key_bits = 0;
@@ -159,17 +158,21 @@ struct SumStage3Index {
 /// must have a key (ChooseSumKeyScheme); aborts otherwise.
 SumStage3Index BuildSumStage3Index(uint64_t num_labels, uint64_t k);
 
-/// \brief Number of (m, sr) cells: sum over m of (m*|L| - m + 1).
-uint64_t SumStage3CellCount(uint64_t num_labels, uint64_t k);
+/// \brief The stage-two and stage-three tables of one (|L|, k) space,
+/// immutable once built. Shared by every SumBasedOrdering of the shape.
+struct SumTables {
+  /// Builds both tables; the space must have a 64-bit multiset key.
+  SumTables(uint64_t num_labels, uint64_t k);
 
-/// \brief Borrowed view of a SumStage3Index (spans into a mapped catalog).
-struct SumStage3View {
-  SumKeyScheme scheme = SumKeyScheme::kCounts;
-  uint32_t key_bits = 0;
-  std::span<const uint64_t> cell_starts;
-  std::span<const uint64_t> keys;
-  std::span<const uint64_t> offsets;
-  std::span<const uint64_t> nops;
+  /// \brief The process-wide registry: the live tables of (num_labels, k),
+  /// built here under the registry mutex if no ordering holds them. The
+  /// registry keeps only weak references, so a shape nothing uses is
+  /// freed; thread-safe.
+  static std::shared_ptr<const SumTables> For(uint64_t num_labels,
+                                              uint64_t k);
+
+  CompositionTable compositions;
+  SumStage3Index index;
 };
 
 /// \brief Sum-based ordering. The paper pairs it with cardinality ranking
@@ -178,18 +181,9 @@ struct SumStage3View {
 /// (ChooseSumKeyScheme); construction aborts otherwise.
 class SumBasedOrdering : public Ordering {
  public:
+  /// Takes the space's stage-two and stage-three tables from
+  /// SumTables::For.
   SumBasedOrdering(PathSpace space, LabelRanking ranking);
-
-  /// \brief Borrowed/mmap form: the stage-2 composition table and stage-3
-  /// index come from persisted (typically memory-mapped) rows instead of
-  /// being recomputed — construction is O(k) pointer fixup. `comps` is a
-  /// CompositionTable::Borrowed over the same backing memory as `index`;
-  /// both must match what the owned constructor would build for
-  /// (space.num_labels(), space.k()) — callers on untrusted bytes verify
-  /// first (core/mapped_catalog.h). The backing memory must outlive this
-  /// ordering.
-  SumBasedOrdering(PathSpace space, LabelRanking ranking,
-                   CompositionTable comps, const SumStage3View& index);
 
   const std::string& name() const override { return name_; }
   /// \brief The fast path below on a local scratch; allocation-free.
@@ -212,14 +206,8 @@ class SumBasedOrdering : public Ordering {
   LabelPath Unrank(uint64_t index, RankScratch& scratch) const;
 
   const LabelRanking& ranking() const { return ranking_; }
-  /// \brief The stage-2 table (persisted verbatim by the catalog writer).
-  const CompositionTable& compositions() const { return comps_; }
-  /// \brief The flat stage-3 index as spans (owned or borrowed — the
-  /// catalog v2 writer persists exactly these arrays).
-  SumStage3View stage3_view() const {
-    return SumStage3View{key_scheme_, static_cast<uint32_t>(key_bits_),
-                         cell_starts_, keys_, offsets_, nops_};
-  }
+  /// \brief The shape's shared stage-two and stage-three tables.
+  const SumTables& tables() const { return *tables_; }
 
  private:
   // Decodes block key `key` of a length-m cell into its rank multiset,
@@ -227,21 +215,16 @@ class SumBasedOrdering : public Ordering {
   // m ranks in [1, |L|].
   void DecodeKey(uint64_t key, size_t m, uint32_t* combo) const;
 
-  // Points the span members at owned_index_ / computes cell_base_.
-  void InitIndexViews(const SumStage3View& view);
-
   PathSpace space_;
   LabelRanking ranking_;
   std::string name_;
-  CompositionTable comps_;
+  std::shared_ptr<const SumTables> tables_;
   // Factorials 0!..k! for the counts-based Algorithm-1 core; built
   // (overflow-checked) once at construction.
   FactorialCache fact_;
   SumKeyScheme key_scheme_ = SumKeyScheme::kCounts;
   size_t key_bits_ = 0;  // bits per key field under the chosen scheme
-  // Backing storage for the owned form; empty when borrowed.
-  SumStage3Index owned_index_;
-  // The fast path reads ONLY these spans (into owned_index_ or the mapping).
+  // The fast path reads ONLY these spans (into tables_->index).
   std::span<const uint64_t> cell_starts_;
   std::span<const uint64_t> keys_;
   std::span<const uint64_t> offsets_;

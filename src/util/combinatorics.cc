@@ -118,40 +118,19 @@ uint64_t MultisetPermutationCount(const Partition& parts) {
   return numerator;
 }
 
-uint64_t CompositionTable::FlatCountValues(uint64_t num_labels,
-                                           uint64_t max_len) {
-  uint64_t total = 0;
-  for (uint64_t m = 1; m <= max_len; ++m) {
-    total += m * num_labels - m + 1;
-  }
-  return total;
-}
-
-void CompositionTable::BuildRowViews() {
-  rows_.resize(max_len_);
-  prefix_.resize(max_len_);
-  size_t count_at = 0;
-  size_t prefix_at = 0;
-  for (uint64_t m = 1; m <= max_len_; ++m) {
-    const size_t row_len = m * num_labels_ - m + 1;
-    rows_[m - 1] = counts_flat_.subspan(count_at, row_len);
-    prefix_[m - 1] = prefix_flat_.subspan(prefix_at, row_len + 1);
-    count_at += row_len;
-    prefix_at += row_len + 1;
-  }
-  PATHEST_CHECK(count_at == counts_flat_.size() &&
-                    prefix_at == prefix_flat_.size(),
-                "composition flat-row sizes inconsistent");
-}
-
 CompositionTable::CompositionTable(uint64_t num_labels, uint64_t max_len)
     : num_labels_(num_labels), max_len_(max_len) {
   PATHEST_CHECK(num_labels >= 1, "CompositionTable requires >= 1 label");
-  const uint64_t count_values = FlatCountValues(num_labels, max_len);
+  uint64_t count_values = 0;
+  for (uint64_t m = 1; m <= max_len; ++m) {
+    count_values += m * num_labels - m + 1;
+  }
   // One flat region: counts (m-major), then prefixes (each row one longer).
-  owned_.resize(count_values + count_values + max_len);
-  uint64_t* counts = owned_.data();
-  uint64_t* prefixes = owned_.data() + count_values;
+  flat_.resize(count_values + count_values + max_len);
+  uint64_t* counts = flat_.data();
+  uint64_t* prefixes = flat_.data() + count_values;
+  rows_.resize(max_len);
+  prefix_.resize(max_len);
   size_t at = 0;
   size_t pre_at = 0;
   for (uint64_t m = 1; m <= max_len; ++m) {
@@ -160,34 +139,16 @@ CompositionTable::CompositionTable(uint64_t num_labels, uint64_t max_len)
       counts[at++] = CompositionCount(sum, m, num_labels);
     }
     // Running prefix, overflow-checked: prefix[i] = row[0] + ... + row[i-1].
+    const size_t pre_start = pre_at;
     prefixes[pre_at] = 0;
     for (size_t i = row_start; i < at; ++i) {
       prefixes[pre_at + 1] = CheckedAdd(prefixes[pre_at], counts[i]);
       ++pre_at;
     }
     ++pre_at;  // past this row's final (total) entry
+    rows_[m - 1] = {counts + row_start, at - row_start};
+    prefix_[m - 1] = {prefixes + pre_start, pre_at - pre_start};
   }
-  counts_flat_ = {counts, count_values};
-  prefix_flat_ = {prefixes, count_values + max_len};
-  BuildRowViews();
-}
-
-CompositionTable CompositionTable::Borrowed(uint64_t num_labels,
-                                            uint64_t max_len,
-                                            std::span<const uint64_t> counts,
-                                            std::span<const uint64_t> prefix) {
-  PATHEST_CHECK(num_labels >= 1, "CompositionTable requires >= 1 label");
-  const uint64_t count_values = FlatCountValues(num_labels, max_len);
-  PATHEST_CHECK(counts.size() == count_values &&
-                    prefix.size() == count_values + max_len,
-                "borrowed composition row shapes inconsistent");
-  CompositionTable table;
-  table.num_labels_ = num_labels;
-  table.max_len_ = max_len;
-  table.counts_flat_ = counts;
-  table.prefix_flat_ = prefix;
-  table.BuildRowViews();
-  return table;
 }
 
 uint64_t CompositionTable::Count(uint64_t sum, uint64_t m) const {

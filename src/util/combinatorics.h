@@ -68,26 +68,15 @@ uint64_t MultisetPermutationCount(const Partition& parts);
 /// lookup instead of an O(sum) loop per query. The prefix build is
 /// overflow-checked (CheckedAdd).
 ///
-/// Storage comes in two forms behind the same query interface: OWNED (the
-/// computing constructor fills one flat vector) and BORROWED (the Borrowed
-/// factory views caller-owned rows — in practice the composition section of
-/// a mapped binary catalog v2, core/serialize.h). Either way the rows live
-/// in one contiguous region per kind (counts, then prefix), m-major, which
-/// is exactly the on-disk layout, so the mapped form is pure pointer fixup.
+/// The table is a pure function of (num_labels, max_len). The sum-based
+/// ordering does not build its own: it takes the one shared per (|L|, k)
+/// from the process-wide registry of ordering/sum_based.h (SumTables::For),
+/// so every ordering and every mapped catalog entry of a shape reads the
+/// same rows. Counts and prefixes live in one flat vector, m-major.
 class CompositionTable {
  public:
   /// Precomputes counts for all m in [1, max_len], sum in [m, m*num_labels].
   CompositionTable(uint64_t num_labels, uint64_t max_len);
-
-  /// \brief Zero-copy form over caller-owned flat rows: `counts` holds the
-  /// m-major concatenation of Count(sum, m) rows (row m has
-  /// m*num_labels - m + 1 values), `prefix` the matching prefix rows (each
-  /// one longer). Shapes are checked; VALUES are not — callers on untrusted
-  /// bytes must verify first (core/mapped_catalog.h). The backing memory
-  /// must outlive the table and everything constructed over it.
-  static CompositionTable Borrowed(uint64_t num_labels, uint64_t max_len,
-                                   std::span<const uint64_t> counts,
-                                   std::span<const uint64_t> prefix);
 
   // Moves keep the flat vector's heap allocation, so the per-m spans stay
   // valid; copies would need re-pointing and nothing needs them — deleted.
@@ -119,34 +108,12 @@ class CompositionTable {
 
   uint64_t num_labels() const { return num_labels_; }
   uint64_t max_len() const { return max_len_; }
-  /// \brief False when the rows are borrowed views into caller memory.
-  bool owns_storage() const { return !owned_.empty() || counts_flat_.empty(); }
-
-  /// \brief The m-major flat count rows — what the catalog v2 writer
-  /// persists and the full-verify path compares against a rebuild.
-  std::span<const uint64_t> flat_counts() const { return counts_flat_; }
-  /// \brief The m-major flat prefix rows (row m is one value longer than
-  /// its count row).
-  std::span<const uint64_t> flat_prefix() const { return prefix_flat_; }
-
-  /// \brief Total values across all count rows for (num_labels, max_len) —
-  /// the one definition of the flat-row length shared by writer, readers,
-  /// and verifier.
-  static uint64_t FlatCountValues(uint64_t num_labels, uint64_t max_len);
 
  private:
-  CompositionTable() = default;
-  // Carves the per-m row directories out of the flat regions.
-  void BuildRowViews();
-
   uint64_t num_labels_ = 0;
   uint64_t max_len_ = 0;
-  // Owned storage: counts region then prefix region, both m-major. Empty
-  // for the borrowed form.
-  std::vector<uint64_t> owned_;
-  // Flat views over the two regions (into owned_ or the caller's memory).
-  std::span<const uint64_t> counts_flat_;
-  std::span<const uint64_t> prefix_flat_;
+  // Counts region then prefix region, both m-major.
+  std::vector<uint64_t> flat_;
   // rows_[m - 1][sum - m] for sum in [m, m * num_labels].
   std::vector<std::span<const uint64_t>> rows_;
   // prefix_[m - 1][i] = sum of rows_[m - 1][0 .. i); one longer than rows_.

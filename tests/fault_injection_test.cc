@@ -587,7 +587,7 @@ TEST_F(FaultInjectionV2Test, TruncationAtEverySectionEdgeAndLineFailsTyped) {
   const std::string image = ValidImageV2();
   auto sections = ParseBinarySectionTable(image);
   ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->size(), 6u);
+  ASSERT_EQ(sections->size(), 4u);
   // Every section start and end, each ± 1, plus every 64-byte multiple:
   // the edges where a torn write of the packed layout would land (every
   // section boundary of the older page-aligned layout is among them too).
@@ -648,7 +648,7 @@ TEST_F(FaultInjectionV2Test, MisplacedSectionsAreSectionErrorsAtEveryTier) {
   const std::string image = ValidImageV2();
   auto sections = ParseBinarySectionTable(image);
   ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->size(), 6u);
+  ASSERT_EQ(sections->size(), 4u);
   const BinarySectionInfo& hist = (*sections)[3];
   ASSERT_EQ(hist.id, binfmt::kSectionHistogram);
   struct Forgery {
@@ -660,9 +660,9 @@ TEST_F(FaultInjectionV2Test, MisplacedSectionsAreSectionErrorsAtEveryTier) {
       // overlap.
       {"overlapping", ForgeSectionOffset(image, 3, (*sections)[2].offset),
        "overlaps the previous section"},
-      // The histogram moved 8 bytes forward: inside the file, ascending,
-      // but off the 64-byte grid its rows' alignment rests on.
-      {"misaligned", ForgeSectionOffset(image, 3, hist.offset + 8),
+      // The histogram (the last section) moved 8 bytes back: inside the
+      // file, but off the 64-byte grid its rows' alignment rests on.
+      {"misaligned", ForgeSectionOffset(image, 3, hist.offset - 8),
        "is not 64-byte aligned"},
   };
   // A typed error naming the histogram section and the placement fault.
@@ -694,32 +694,11 @@ TEST_F(FaultInjectionV2Test, MisplacedSectionsAreSectionErrorsAtEveryTier) {
   }
 }
 
-TEST_F(FaultInjectionV2Test, ForgedKeySchemeZeroIsASectionError) {
-  // Scheme 0 is never written; a file carrying it (CRCs re-signed, so it
-  // reaches the parser) is a typed sum-index section error at every tier.
-  std::string corrupt = ValidImageV2("sum-based");
-  std::string zero;
-  AppendU32(&zero, 0);
-  ASSERT_TRUE(
-      PatchSectionPayload(&corrupt, binfmt::kSectionSumIndex, 0, zero).ok());
-  auto loaded = ReadPathHistogramBinaryV2(corrupt);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
-  EXPECT_NE(loaded.status().message().find("section sum-index: key scheme 0"),
-            std::string::npos)
-      << loaded.status().ToString();
-  const std::string path = (dir_ / "scheme0.stats").string();
-  ASSERT_TRUE(WriteFileBytes(path, corrupt).ok());
-  auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kTrusted);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
-}
-
 TEST_F(FaultInjectionV2Test, PaddingFlipsIgnoredOutsideCrcsCaughtInside) {
   const std::string image = ValidImageV2();
   auto sections = ParseBinarySectionTable(image);
   ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->size(), 6u);  // sum-based carries all six in v2
+  ASSERT_EQ(sections->size(), 4u);  // version 4: four for every ordering
   auto baseline = ReadPathHistogramBinaryV2(image);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::vector<double> expect = AllEstimates(*baseline);
@@ -758,15 +737,12 @@ TEST_F(FaultInjectionV2Test, PaddingFlipsIgnoredOutsideCrcsCaughtInside) {
   ASSERT_GT(padding_flips, 0u) << "no inter-section padding to sweep";
 
   // Interior alignment padding — the [prolog end, first array) gap inside
-  // the histogram and composition payloads — is INSIDE the payload CRC:
-  // a flip there must be detected even though no parser ever reads it.
+  // the histogram payload — is INSIDE the payload CRC: a flip there must
+  // be detected even though no parser ever reads it.
   for (const BinarySectionInfo& s : *sections) {
-    if (s.id != binfmt::kSectionHistogram &&
-        s.id != binfmt::kSectionComposition) {
-      continue;
-    }
+    if (s.id != binfmt::kSectionHistogram) continue;
     ASSERT_GT(s.length, binfmt::kArrayAlignBytes);
-    // Prologs are 16 bytes; arrays start at the 64-byte mark.
+    // The prolog is 16 bytes; the rows start at the 64-byte mark.
     for (size_t in_payload : {size_t{16}, size_t{40},
                               size_t{binfmt::kArrayAlignBytes - 1}}) {
       std::string corrupt = image;

@@ -323,8 +323,9 @@ TEST_P(BinaryRoundTripTest, V2SectionsArePackedWithExactLayouts) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(v2.data());
   uint32_t section_count;
   std::memcpy(&section_count, bytes + 12, 4);
-  const bool sum_family = method.rfind("sum", 0) == 0;
-  ASSERT_EQ(section_count, sum_family ? 6u : 4u);
+  // Version 4: the four sections for every ordering (the sum family's
+  // stage-2/3 tables are derived, not stored).
+  ASSERT_EQ(section_count, 4u);
   uint64_t file_size;
   std::memcpy(&file_size, bytes + 16, 8);
   EXPECT_EQ(file_size, v2.size());
@@ -342,14 +343,9 @@ TEST_P(BinaryRoundTripTest, V2SectionsArePackedWithExactLayouts) {
     EXPECT_EQ(offset, binfmt::AlignUp(prev_end, binfmt::kArrayAlignBytes))
         << "section " << id;
     prev_end = offset + length;
+    EXPECT_EQ(id, i + 1);
     if (id == binfmt::kSectionHistogram) {
       EXPECT_EQ(length, binfmt::HistogramLayout(beta).payload_bytes);
-    } else if (id == binfmt::kSectionComposition) {
-      EXPECT_EQ(length,
-                binfmt::CompositionLayout(
-                    CompositionTable::FlatCountValues(graph.num_labels(), k),
-                    k)
-                    .payload_bytes);
     }
   }
   // No trailing padding: the writer pads each section start, not the file
@@ -514,12 +510,12 @@ void ExpectVerifiedAs(const std::string& path, uint32_t version) {
   EXPECT_EQ(report->entries[0].version, version);
 }
 
-// Same pin for v2 — its layout additionally carries the serving rows and
-// the stage-3 index, so drift here silently breaks mapped catalogs.
+// Same pin for v2 — its layout additionally carries the serving rows, so
+// drift here silently breaks mapped catalogs.
 //
 // Regenerate deliberately with: PATHEST_REGEN_GOLDEN=1 ./serialize_test
 TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
-  const std::string path = GoldenPath("catalog_v2_version3.stats");
+  const std::string path = GoldenPath("catalog_v2_version4.stats");
   Graph graph = SmallGraph();
   const PathHistogram est = GoldenEstimator(graph);
   std::vector<uint64_t> cards;
@@ -548,22 +544,30 @@ TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
   ExpectVerifiedAs(path, binfmt::kVersionV2);
 }
 
-// Read compatibility: catalog_v2.stats (sections packed on 64 bytes) and
-// catalog_v2_paged.stats (every section on a 4096-byte page, as written
-// before sections were packed) hold the golden estimator as version 2,
-// with its end row and Eytzinger rows. Page multiples meet the 64-byte
-// rule, so both must keep loading at the strictest tier, mapping at every
-// tier, passing `catalog verify`, and serving bit-identical estimates; and
-// rewriting either as v2 must give the version-3 golden's exact bytes.
-class Version2FixtureTest : public ::testing::TestWithParam<const char*> {};
+// Read compatibility: the committed legacy fixtures hold the golden
+// estimator in older v2 versions — catalog_v2_version3.stats as version 3
+// (sections packed, the stage-2/3 tables persisted as sections 5 and 6),
+// catalog_v2.stats (packed) and catalog_v2_paged.stats (every section on a
+// 4096-byte page, as written before sections were packed) as version 2,
+// which also carries the end row and the Eytzinger rows. Each must keep
+// loading at the strictest tier, mapping at every tier, passing `catalog
+// verify`, and serving bit-identical estimates; and rewriting any of them
+// as v2 must give the version-4 golden's exact bytes.
+struct LegacyFixture {
+  const char* name;
+  uint32_t version;
+  bool paged;
+};
 
-TEST_P(Version2FixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion3) {
-  const std::string name = GetParam();
-  const std::string path = GoldenPath(name);
+class LegacyFixtureTest : public ::testing::TestWithParam<LegacyFixture> {};
+
+TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion4) {
+  const LegacyFixture& fx = GetParam();
+  const std::string path = GoldenPath(fx.name);
   Graph graph = SmallGraph();
   const PathHistogram est = GoldenEstimator(graph);
   const std::string fixture = ReadGolden(path);
-  ASSERT_EQ(HeaderVersion(fixture), binfmt::kVersionV2Eytzinger);
+  ASSERT_EQ(HeaderVersion(fixture), fx.version);
 
   uint32_t section_count;
   std::memcpy(&section_count, fixture.data() + 12, 4);
@@ -577,44 +581,50 @@ TEST_P(Version2FixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion3) {
     std::memcpy(&id, fixture.data() + at, 4);
     std::memcpy(&offset, fixture.data() + at + 8, 8);
     std::memcpy(&length, fixture.data() + at + 16, 8);
+    EXPECT_EQ(id, i + 1);
     // Still the placement it stands for: pages, or packed.
-    EXPECT_EQ(offset, name == "catalog_v2_paged.stats"
+    EXPECT_EQ(offset, fx.paged
                           ? uint64_t{4096} * (i + 1)
                           : binfmt::AlignUp(prev_end, binfmt::kArrayAlignBytes))
         << "section " << id;
     if (id == binfmt::kSectionHistogram) {
-      EXPECT_EQ(length, binfmt::HistogramLayout(6, binfmt::kVersionV2Eytzinger)
-                            .payload_bytes);
+      EXPECT_EQ(length, binfmt::HistogramLayout(6, fx.version).payload_bytes);
     }
     prev_end = offset + length;
   }
 
   ExpectServesLikeHistogram(path, est);
-  ExpectVerifiedAs(path, binfmt::kVersionV2Eytzinger);
+  ExpectVerifiedAs(path, fx.version);
 
   // The engine of `catalog convert --format binary-v2`.
   auto loaded = ReadPathHistogramBinaryV2(fixture);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::string converted =
-      (std::filesystem::temp_directory_path() / ("converted_" + name))
+      (std::filesystem::temp_directory_path() /
+       ("converted_" + std::string(fx.name)))
           .string();
   ASSERT_TRUE(
       SaveLoadedPathHistogram(*loaded, converted, CatalogFormat::kBinaryV2)
           .ok());
   EXPECT_EQ(ReadGolden(converted),
-            ReadGolden(GoldenPath("catalog_v2_version3.stats")));
+            ReadGolden(GoldenPath("catalog_v2_version4.stats")));
   std::filesystem::remove(converted);
 }
 
-INSTANTIATE_TEST_SUITE_P(Goldens, Version2FixtureTest,
-                         ::testing::Values("catalog_v2.stats",
-                                           "catalog_v2_paged.stats"),
-                         [](const ::testing::TestParamInfo<const char*>& info) {
-                           return std::string(info.param) ==
-                                          "catalog_v2.stats"
-                                      ? "packed"
-                                      : "paged";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Goldens, LegacyFixtureTest,
+    ::testing::Values(
+        LegacyFixture{"catalog_v2_version3.stats",
+                      binfmt::kVersionV2SumSections, false},
+        LegacyFixture{"catalog_v2.stats", binfmt::kVersionV2Eytzinger, false},
+        LegacyFixture{"catalog_v2_paged.stats", binfmt::kVersionV2Eytzinger,
+                      true}),
+    [](const ::testing::TestParamInfo<LegacyFixture>& info) {
+      if (info.param.version == binfmt::kVersionV2SumSections) {
+        return std::string("version3");
+      }
+      return std::string(info.param.paged ? "paged" : "packed");
+    });
 
 TEST(SniffBinaryV2, DistinguishesFormatsWithoutSlurping) {
   namespace fs = std::filesystem;
