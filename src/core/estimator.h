@@ -96,9 +96,8 @@ class Estimator {
   void EstimateBatch(std::span<const LabelPath> paths,
                      std::span<double> out) const;
 
-  /// \brief e over an index RANGE of the ordered domain, through the flat
-  /// prefix sums (see FlatHistogram::EstimateRange for the FP caveat vs the
-  /// diagnostic Histogram path).
+  /// \brief e over an index RANGE of the ordered domain, bit-identical to
+  /// PathHistogram::EstimateIndexRange (see FlatHistogram::EstimateRange).
   double EstimateIndexRange(uint64_t begin, uint64_t end) const {
     return flat_.EstimateRange(begin, end);
   }

@@ -39,8 +39,7 @@ Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Open(
   FlatHistogram::Rows rows;
   rows.domain_size = view.domain_size;
   rows.begin = view.begin;
-  rows.mean = view.mean;
-  rows.prefix_sum = view.prefix;
+  rows.sum = view.sum;
   entry->estimator_.emplace(*entry->ordering_,
                             FlatHistogram::FromBorrowedRows(rows));
 

@@ -79,10 +79,10 @@ void PadTo(std::string* out, uint64_t off) {
   out->resize(off, '\0');
 }
 
-// Raw little-endian row append (the static_assert above licenses memcpy).
+// Raw little-endian value append (the static_assert above licenses it).
 template <typename T>
-void AppendRow(std::string* out, const T* data, size_t n) {
-  out->append(reinterpret_cast<const char*>(data), n * sizeof(T));
+void AppendRaw(std::string* out, const T& value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
 }  // namespace
@@ -140,20 +140,23 @@ const char* SectionName(uint32_t id) {
 }
 
 HistogramLayoutV2 HistogramLayout(uint64_t beta, uint32_t version) {
-  PATHEST_CHECK(version == kVersionV2 || version == kVersionV2SumSections ||
-                    version == kVersionV2Eytzinger,
+  PATHEST_CHECK(version >= kVersionV2Eytzinger && version <= kVersionV2,
                 "no histogram layout for this v2 version");
-  const bool eytzinger = version == kVersionV2Eytzinger;
   HistogramLayoutV2 l;
   l.begin_off = AlignUp(16, kArrayAlignBytes);  // u64 beta, u64 domain
   uint64_t at = l.begin_off + 8 * beta;
-  if (eytzinger) at = AlignUp(at, kArrayAlignBytes) + 8 * beta;  // end row
+  if (version == kVersionV2Eytzinger) {
+    at = AlignUp(at, kArrayAlignBytes) + 8 * beta;  // end row
+  }
   l.sum_off = AlignUp(at, kArrayAlignBytes);
   l.sumsq_off = AlignUp(l.sum_off + 8 * beta, kArrayAlignBytes);
-  l.mean_off = AlignUp(l.sumsq_off + 8 * beta, kArrayAlignBytes);
-  l.prefix_off = AlignUp(l.mean_off + 8 * beta, kArrayAlignBytes);
-  l.payload_bytes = l.prefix_off + 8 * (beta + 1);
-  if (eytzinger) {
+  l.payload_bytes = l.sumsq_off + 8 * beta;
+  if (version < kVersionV2) {
+    // The mean row f64[beta], then the prefix row f64[beta+1].
+    at = AlignUp(l.payload_bytes, kArrayAlignBytes) + 8 * beta;
+    l.payload_bytes = AlignUp(at, kArrayAlignBytes) + 8 * (beta + 1);
+  }
+  if (version == kVersionV2Eytzinger) {
     // Eytzinger begins u64[beta+1], then their rank map u32[beta+1].
     at = AlignUp(l.payload_bytes, kArrayAlignBytes) + 8 * (beta + 1);
     l.payload_bytes = AlignUp(at, kArrayAlignBytes) + 4 * (beta + 1);
@@ -329,32 +332,23 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
   sections.emplace_back(binfmt::kSectionCardinalities,
                         BuildCardsPayload(cardinalities));
 
-  // Section 4: diagnostic bucket rows plus the PRECOMPUTED serving rows,
-  // each at its layout offset so a mapped reader points spans at them.
-  // Bucket ends are not written: readers derive them from the begins.
+  // Section 4: the begin, sum and sumsq rows, each at its layout offset
+  // so a mapped reader points spans at them. Bucket ends are not written:
+  // readers derive them from the begins.
   const auto& buckets = estimator.histogram().buckets();
   const uint64_t beta = buckets.size();
-  const FlatHistogram flat(estimator.histogram());
   const binfmt::HistogramLayoutV2 hl = binfmt::HistogramLayout(beta);
   std::string hist;
   hist.reserve(hl.payload_bytes);
   AppendU64(&hist, beta);
   AppendU64(&hist, estimator.histogram().domain_size());
-  PadTo(&hist, hl.begin_off);
-  AppendRow(&hist, flat.begins().data(), flat.begins().size());
-  {
-    std::vector<double> row(beta);
-    for (uint64_t b = 0; b < beta; ++b) row[b] = buckets[b].sum;
-    PadTo(&hist, hl.sum_off);
-    AppendRow(&hist, row.data(), row.size());
-    for (uint64_t b = 0; b < beta; ++b) row[b] = buckets[b].sumsq;
-    PadTo(&hist, hl.sumsq_off);
-    AppendRow(&hist, row.data(), row.size());
-  }
-  PadTo(&hist, hl.mean_off);
-  AppendRow(&hist, flat.means().data(), flat.means().size());
-  PadTo(&hist, hl.prefix_off);
-  AppendRow(&hist, flat.prefix_sums().data(), flat.prefix_sums().size());
+  auto append_row = [&](uint64_t off, auto field) {
+    PadTo(&hist, off);
+    for (const Bucket& bucket : buckets) AppendRaw(&hist, bucket.*field);
+  };
+  append_row(hl.begin_off, &Bucket::begin);
+  append_row(hl.sum_off, &Bucket::sum);
+  append_row(hl.sumsq_off, &Bucket::sumsq);
   PATHEST_CHECK(hist.size() == hl.payload_bytes,
                 "v2 histogram payload does not match its layout");
   sections.emplace_back(binfmt::kSectionHistogram, std::move(hist));
@@ -970,15 +964,6 @@ std::span<const T> RowSpan(std::string_view payload, uint64_t off,
           static_cast<size_t>(n)};
 }
 
-// Bit-exact row comparison (doubles compared as raw bytes: the full tier
-// demands the persisted serving rows be EXACTLY what a rebuild produces).
-template <typename T>
-bool RowsIdentical(std::span<const T> a, std::span<const T> b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
 // End of bucket b: no v2 reader reads an end row; each derives it here.
 uint64_t BucketEnd(const CatalogV2View& view, uint64_t b) {
   return b + 1 < view.beta ? view.begin[b + 1] : view.domain_size;
@@ -991,8 +976,8 @@ Result<Histogram> HistogramOf(const CatalogV2View& view) {
   for (uint64_t b = 0; b < view.beta; ++b) {
     buckets[b].begin = view.begin[b];
     buckets[b].end = BucketEnd(view, b);
-    buckets[b].sum = std::bit_cast<double>(view.sum_bits[b]);
-    buckets[b].sumsq = std::bit_cast<double>(view.sumsq_bits[b]);
+    buckets[b].sum = view.sum[b];
+    buckets[b].sumsq = view.sumsq[b];
   }
   auto histogram = Histogram::FromBuckets(std::move(buckets));
   if (!histogram.ok()) {
@@ -1208,10 +1193,10 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   PATHEST_RETURN_NOT_OK(his.ReadU64(&view.beta, "bucket count"));
   PATHEST_RETURN_NOT_OK(his.ReadU64(&view.domain_size, "domain size"));
   if (view.beta == 0) return SectionError(kSectionHistogram, "zero buckets");
-  // Each bucket costs >= 40 bytes across the five rows, so this bound
-  // both rejects forged counts and keeps the layout math far from u64
-  // overflow.
-  if (view.beta > bytes.size() / 40) {
+  // Each bucket costs >= 24 bytes across the three rows every version
+  // has, so this bound both rejects forged counts and keeps the layout
+  // math far from u64 overflow.
+  if (view.beta > bytes.size() / 24) {
     return SectionError(kSectionHistogram, "implausible bucket count " +
                                                std::to_string(view.beta));
   }
@@ -1233,10 +1218,8 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                             std::to_string(domain));
   }
   view.begin = RowSpan<uint64_t>(payload, hl.begin_off, view.beta);
-  view.sum_bits = RowSpan<uint64_t>(payload, hl.sum_off, view.beta);
-  view.sumsq_bits = RowSpan<uint64_t>(payload, hl.sumsq_off, view.beta);
-  view.mean = RowSpan<double>(payload, hl.mean_off, view.beta);
-  view.prefix = RowSpan<double>(payload, hl.prefix_off, view.beta + 1);
+  view.sum = RowSpan<double>(payload, hl.sum_off, view.beta);
+  view.sumsq = RowSpan<double>(payload, hl.sumsq_off, view.beta);
   // Checked at EVERY tier (one load): FlatHistogram's borrowed-shape
   // invariant, which must be a typed error here — never a downstream
   // abort — even under kTrusted.
@@ -1245,16 +1228,16 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   }
 
   // ---- sections 5-6: the stage-2/3 tables versions 2 and 3 persisted
-  // for the sum family (both or neither); a version-4 file has neither.
+  // for the sum family (both or neither); later versions have neither.
   // No reader interprets them — orderings derive their tables — so the
   // legacy sections are only checksummed, from kChecksums up.
-  const bool has_sum_sections = version < kVersionV2 &&
+  const bool has_sum_sections = version <= kVersionV2SumSections &&
                                 IsSumFamilyOrdering(view.ordering_name);
   for (uint32_t id : {kSectionComposition, kSectionSumIndex}) {
     const SectionEntry* e = find_section(id);
-    if (e != nullptr && version == kVersionV2) {
+    if (e != nullptr && version > kVersionV2SumSections) {
       return SectionError(id, "not part of a version-" +
-                                  std::to_string(kVersionV2) + " file");
+                                  std::to_string(version) + " file");
     }
     if ((e != nullptr) != has_sum_sections) {
       return SectionError(id, e == nullptr ? "missing for sum-family ordering"
@@ -1280,7 +1263,9 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   }
 
   // begin[0] == 0 was checked above; every bucket must be non-empty,
-  // with the last one ending at the domain size.
+  // with the last one ending at the domain size. sum is a served row and
+  // sumsq the loaded Histogram's SSE; frequencies are counts, so neither
+  // may be negative. The legacy rows are never read, so nothing scans them.
   for (uint64_t b = 0; b < view.beta; ++b) {
     if (view.begin[b] >= BucketEnd(view, b)) {
       return SectionError(kSectionHistogram,
@@ -1288,33 +1273,20 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                           "domain size at bucket " +
                               std::to_string(b));
     }
-  }
-  if (view.prefix[0] != 0.0) {
-    return SectionError(kSectionHistogram, "prefix row must start at 0");
-  }
-  for (uint64_t b = 0; b <= view.beta; ++b) {
-    if (!std::isfinite(view.prefix[b]) ||
-        (b < view.beta && !std::isfinite(view.mean[b]))) {
+    if (!(std::isfinite(view.sum[b]) && view.sum[b] >= 0.0 &&
+          std::isfinite(view.sumsq[b]) && view.sumsq[b] >= 0.0)) {
       return SectionError(kSectionHistogram,
-                          "non-finite serving row value at " +
+                          "sum or sumsq row not finite and non-negative at "
+                          "bucket " +
                               std::to_string(b));
     }
   }
   if (verify != CatalogVerify::kFull) return view;
 
-  // ---- full tier: the persisted DERIVED rows must be bit-identical to a
-  // fresh rebuild from the primary data — the wrong-but-well-formed
-  // corruption class no checksum of the file alone can see. The rebuilt
-  // Histogram is handed to the caller, so the copying loader builds it
-  // once.
+  // ---- full tier: the bucket Histogram the rows describe, handed to the
+  // caller so the copying loader builds it once.
   auto histogram = HistogramOf(view);
   if (!histogram.ok()) return histogram.status();
-  const FlatHistogram fresh(*histogram);
-  if (!RowsIdentical(view.mean, fresh.means()) ||
-      !RowsIdentical(view.prefix, fresh.prefix_sums())) {
-    return SectionError(kSectionHistogram,
-                        "persisted serving rows differ from a fresh rebuild");
-  }
   view.histogram = std::move(*histogram);
   return view;
 }

@@ -107,26 +107,28 @@
 //
 // v2 section payloads (1-3 are byte-identical to v1):
 //   4 histogram    u64 beta, u64 domain_size, then 64-aligned rows
-//                  begin u64[beta], sum-bits u64[beta], sumsq-bits
-//                  u64[beta]  (the diagnostic rows), plus the PRECOMPUTED
-//                  serving rows of histogram/flat_histogram.h:
-//                  mean f64[beta], prefix f64[beta+1]. There is no end
-//                  row: bucket b ends at begin[b+1], the last bucket at
-//                  domain_size. begin starts at 0, rises strictly and
-//                  stays below domain_size (checked from kChecksums up).
-// A version-4 file has exactly these four sections for every ordering.
+//                  begin u64[beta], sum f64[beta], sumsq f64[beta]
+//                  (f64 = the IEEE-754 bits). There is no end row: bucket
+//                  b ends at begin[b+1], the last bucket at domain_size.
+//                  begin starts at 0, rises strictly and stays below
+//                  domain_size; sum and sumsq are finite and >= 0 (both
+//                  checked from kChecksums up).
+// A version-5 file has exactly these four sections for every ordering.
 // The sum family's stage-2/3 tables are not stored: they are pure
 // functions of (|L|, k), and every SumBasedOrdering takes them from the
 // process-wide registry of ordering/sum_based.h (SumTables::For), shared
 // with every other ordering of the same shape.
 //
-// Because the serving rows are persisted rather than derived, constructing
-// an Estimator from a mapped v2 file is pointer fixup plus, for the sum
-// family, one registry lookup (core/mapped_catalog.h) — microseconds and
-// O(1) allocations, with the row bytes faulted lazily by the kernel. The
-// copying loader (ReadPathHistogramBinaryV2) instead verifies the derived
-// rows against a fresh rebuild (full-tier semantics) and returns an owned
-// estimator.
+// begin and sum are the serving rows of histogram/flat_histogram.h, which
+// divides a bucket's sum by its width at lookup; sumsq is read only into
+// the bucket Histogram a copying load returns (its SSE) and so survives
+// conversion to the other formats. No row derived from another is
+// stored, so constructing an Estimator from a mapped v2 file is pointer
+// fixup plus, for the sum family, one registry lookup
+// (core/mapped_catalog.h) — microseconds and O(1) allocations, with the
+// row bytes faulted lazily by the kernel. The copying loader
+// (ReadPathHistogramBinaryV2) verifies at the full tier and returns an
+// owned estimator.
 //
 // Versioning/compat rules: the major version in the header is bumped on
 // ANY layout change to existing sections; readers reject versions they do
@@ -135,8 +137,11 @@
 // (unknown ids are an error), so v1 writers must emit exactly the sections
 // above.
 //
-// v2 versions: the writer emits version 4 (kVersionV2). Readers also
-// accept two legacy versions:
+// v2 versions: the writer emits version 5 (kVersionV2). Readers also
+// accept three legacy versions:
+//   * version 4 (kVersionV2MeanRows) is version 5 plus two rows derived
+//     from sum, after sumsq: mean f64[beta] (sum / width) and prefix
+//     f64[beta+1] (the running sum of sum, starting at 0);
 //   * version 3 (kVersionV2SumSections) has version 4's histogram layout,
 //     and a sum-family file also carries the stage-2/3 tables as
 //       5 composition  u32 |L|, u32 k, u64 value-count, then 64-aligned
@@ -148,23 +153,25 @@
 //                      u64[total-blocks] each;
 //     both present iff the ordering is of the sum family;
 //   * version 2 (kVersionV2Eytzinger) is version 3 plus histogram rows
-//     version 3 dropped: end u64[beta] between begin and sum-bits, and,
-//     after prefix, an Eytzinger copy of begin u64[beta+1] and a slot ->
-//     rank map u32[beta+1]. HistogramLayout(beta, version)
-//     is the one definition of every histogram layout.
-// Legacy files load and serve mapped at every tier from their begin, mean
-// and prefix rows. No reader interprets sections 5 and 6 or the extra
-// histogram rows; they stay covered by their section CRCs, and the
-// legacy sections are checksummed from kChecksums up. A version-4 file
-// carrying section 5 or 6 is a typed section error at every tier. `catalog
-// convert --format binary-v2` rewrites version-2 and version-3 entries as
-// version 4.
+//     version 3 dropped: end u64[beta] between begin and sum, and, after
+//     prefix, an Eytzinger copy of begin u64[beta+1] and a slot -> rank
+//     map u32[beta+1].
+// HistogramLayout(beta, version) is the one definition of every histogram
+// layout. Legacy files load and serve mapped at every tier from their
+// begin and sum rows, which every version has. No reader interprets
+// sections 5 and 6 or the legacy histogram rows (end, mean, prefix,
+// Eytzinger): they get no layout offset and stay covered by their section
+// CRCs, and the legacy sections are checksummed from kChecksums up. A
+// version-4 or version-5 file carrying section 5 or 6 is a typed section
+// error at every tier. `catalog convert --format binary-v2` rewrites
+// version-2, version-3 and version-4 entries as version 5.
 //
 // The committed golden catalogs (tests/golden/) pin these layouts
-// byte-for-byte against accidental drift: catalog_v2_version4.stats is
-// what the writer emits; catalog_v2_version3.stats (version 3) and
-// catalog_v2.stats (packed) and catalog_v2_paged.stats (page-aligned),
-// both version 2, are compat fixtures, never regenerated.
+// byte-for-byte against accidental drift: catalog_v2_version5.stats is
+// what the writer emits; catalog_v2_version4.stats (version 4),
+// catalog_v2_version3.stats (version 3) and catalog_v2.stats (packed) and
+// catalog_v2_paged.stats (page-aligned), both version 2, are compat
+// fixtures, never regenerated.
 //
 // Corruption contract (enforced by tests/fault_injection_test.cc): any
 // truncation, bit flip, or forged length/count in a catalog file yields a
@@ -218,12 +225,12 @@ Result<CatalogFormat> ParseCatalogFormat(const std::string& name);
 ///   kChecksums CRC32C over every bulk section (the legacy sum sections
 ///              of versions 2 and 3 included) plus structural scans of the
 ///              histogram rows (begins rising strictly below the domain
-///              size, finite serving rows, a prefix row starting at 0).
-///              The CatalogCache admission tier — every byte generation
-///              is checked once.
-///   kFull      kChecksums plus the semantic rebuild comparison: serving
-///              rows vs a fresh FlatHistogram. What `catalog verify` and
-///              the copying loader use.
+///              size, finite non-negative sum and sumsq rows). The
+///              CatalogCache admission tier — every byte generation is
+///              checked once.
+///   kFull      kChecksums plus the rebuild of the bucket Histogram the
+///              rows describe. What `catalog verify` and the copying
+///              loader use.
 enum class CatalogVerify {
   kTrusted,
   kChecksums,
@@ -243,11 +250,14 @@ inline constexpr unsigned char kMagic[kMagicBytes] = {0x89, 'P',  'E', 'S',
 inline constexpr unsigned char kMagicV2[kMagicBytes] = {0x89, 'P',  'E', 'S',
                                                         'T',  'B',  '2', 0x0A};
 inline constexpr uint32_t kVersion = 1;
-/// The v2 version the writer emits: sections 1-4 only.
-inline constexpr uint32_t kVersionV2 = 4;
+/// The v2 version the writer emits: sections 1-4 only, the histogram as
+/// its begin, sum and sumsq rows.
+inline constexpr uint32_t kVersionV2 = 5;
 /// The older v2 versions readers still accept (see the compat rule above):
-/// version 3 persists the sum family's stage-2/3 tables as sections 5
-/// and 6; version 2 also carries the end and Eytzinger histogram rows.
+/// version 4 also stores the mean and prefix rows; version 3 persists the
+/// sum family's stage-2/3 tables as sections 5 and 6; version 2 also
+/// carries the end and Eytzinger histogram rows.
+inline constexpr uint32_t kVersionV2MeanRows = 4;
 inline constexpr uint32_t kVersionV2SumSections = 3;
 inline constexpr uint32_t kVersionV2Eytzinger = 2;
 inline constexpr size_t kHeaderBytes = 32;
@@ -284,11 +294,10 @@ inline constexpr uint64_t AlignUp(uint64_t v, uint64_t align) {
 /// are relative to the payload start; payload_bytes is the exact (unpadded)
 /// payload length the section-table entry must carry.
 struct HistogramLayoutV2 {
-  uint64_t begin_off, sum_off, sumsq_off;  // u64[beta] each
-  uint64_t mean_off, prefix_off;           // f64[beta], f64[beta+1]
+  uint64_t begin_off, sum_off, sumsq_off;  // 8 bytes x beta each
   uint64_t payload_bytes;
 };
-/// Versions 3 and 4 share one layout; kVersionV2Eytzinger's extra rows
+/// Every version has these three rows; the legacy rows of versions 2-4
 /// take room in the payload but get no offset, since no reader uses them.
 HistogramLayoutV2 HistogramLayout(uint64_t beta,
                                   uint32_t version = kVersionV2);
@@ -312,8 +321,8 @@ Status WritePathHistogramBinary(const PathHistogram& estimator,
                                 std::string* out);
 
 /// \brief Serializes the estimator into `*out` in binary catalog v2,
-/// version 4 (sections packed on 64-byte boundaries; precomputed serving
-/// rows — see the format spec above).
+/// version 5 (sections packed on 64-byte boundaries; the begin, sum and
+/// sumsq rows — see the format spec above).
 Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
                                   const LabelDictionary& labels,
                                   const std::vector<uint64_t>& cardinalities,
@@ -360,8 +369,8 @@ Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
 Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes);
 
 /// \brief Parses a binary catalog v2 from an in-memory byte buffer at
-/// CatalogVerify::kFull (every CRC, every structural scan, every semantic
-/// rebuild comparison) and returns an OWNED estimator. `bytes.data()` must
+/// CatalogVerify::kFull (every CRC, every structural scan, the bucket
+/// rebuild) and returns an OWNED estimator. `bytes.data()` must
 /// be at least 8-byte aligned (heap buffers always are).
 Result<LoadedPathHistogram> ReadPathHistogramBinaryV2(std::string_view bytes);
 

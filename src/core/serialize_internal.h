@@ -33,8 +33,8 @@ namespace internal {
 /// verified. Metadata is owned; bulk rows are spans into the input bytes,
 /// valid only while that buffer (or mapping) lives.
 struct CatalogV2View {
-  // Header format version: kVersionV2, kVersionV2SumSections or
-  // kVersionV2Eytzinger.
+  // Header format version: kVersionV2 or a legacy version
+  // (kVersionV2MeanRows, kVersionV2SumSections, kVersionV2Eytzinger).
   uint32_t version = 0;
   // Section 1: ordering identity.
   std::string ordering_name;
@@ -44,15 +44,16 @@ struct CatalogV2View {
   LabelDictionary labels;
   std::vector<uint64_t> cards;
 
-  // Section 4: shape prolog + diagnostic and serving rows. Bucket b ends
-  // at begin[b + 1], the last one at domain_size.
+  // Section 4: shape prolog + the rows every version has (begin and sum
+  // serve; sumsq is diagnostic). Bucket b ends at begin[b + 1], the last
+  // one at domain_size.
   uint64_t beta = 0;
   uint64_t domain_size = 0;
-  std::span<const uint64_t> begin, sum_bits, sumsq_bits;
-  std::span<const double> mean, prefix;
+  std::span<const uint64_t> begin;
+  std::span<const double> sum, sumsq;
 
-  // The Histogram the rows describe, rebuilt and checked against them at
-  // kFull (empty at the lower tiers).
+  // The Histogram the rows describe, rebuilt at kFull (empty at the lower
+  // tiers).
   std::optional<Histogram> histogram;
 };
 

@@ -3,16 +3,21 @@
 //
 // A Histogram keeps full Bucket records (begin, end, sum, sumsq — 32 bytes)
 // because the BUILD side needs variance diagnostics; the QUERY side only
-// ever reads a boundary and a mean, so an array-of-Bucket lookup drags two
-// dead doubles through the cache per probed element. FlatHistogram is the
-// structure-of-arrays projection built once from a Histogram:
+// ever reads a boundary and a frequency sum, so an array-of-Bucket lookup
+// drags two dead words through the cache per probed element.
+// FlatHistogram is the structure-of-arrays projection built once from a
+// Histogram, two rows of β entries each:
 //
-//   begins()[b]      bucket begins, ascending; begins()[0] == 0
-//   means()[b]       bucket mean frequency (sum / width, divided once here,
-//                    so point estimates are bit-identical to
-//                    Histogram::Estimate which performs the same division)
-//   prefix_sums()[b] running sum of bucket frequency-sums over buckets < b
-//                    (β + 1 entries), giving O(1) interior mass for ranges
+//   begins()[b]  bucket begins, ascending; begins()[0] == 0
+//   sums()[b]    bucket frequency sum
+//
+// Bucket b ends at begins()[b + 1], the last one at domain_size(). The
+// point estimate is the bucket mean, divided at lookup: sums()[b] / (end −
+// begin), the IEEE division Bucket::Mean performs, so every estimate is
+// bit-identical to Histogram::Estimate. Range mass walks the overlapped
+// buckets exactly as Histogram::EstimateRange does and is bit-identical
+// too. No derived row is kept, so a mapped catalog's begin and sum rows
+// serve as they are.
 //
 // Point lookup is a branchless predecessor search over the sorted begins()
 // row: halve a window whose length alone drives the loop, moving its base
@@ -31,9 +36,22 @@
 // (Khuong & Morin, JEA 2017); these rows stay cache-resident (the β =
 // 27,993 begin row is 219 KiB) and the lookup does not prefetch.
 //
+// Dividing at lookup instead of reading a stored mean row costs a few ns
+// (same bench and host; each figure the median over three runs built
+// with the mean row and two with the division, each run the median of 15
+// reps; ns per lookup, stored mean → divided):
+//   β       independent lookups   each index waiting on the last answer
+//   64      7.8 → 9.4             24.5 → 31.7
+//   874     14.4 → 16.9           40.0 → 45.2
+//   27,993  35.8 → 36.9           85.9 → 90.8
+// Independent lookups overlap the division with the next search; a
+// lookup whose index waits on the last answer pays its latency. In
+// exchange a catalog's histogram section shrinks from 40 to 24 bytes per
+// bucket (core/serialize.h), and the serving rows from 24 to 16.
+//
 // Storage comes in two forms behind the same query interface:
-//   - OWNED (the Histogram constructor): the three rows live in member
-//     vectors, as always.
+//   - OWNED (the Histogram constructor): the two rows live in member
+//     vectors.
 //   - BORROWED (FromBorrowedRows): the spans point into caller-owned
 //     memory — in practice the 64-byte-aligned rows of a mapped binary
 //     catalog v2 (core/serialize.h), making construction pure pointer
@@ -64,13 +82,12 @@ class FlatHistogram {
   /// the full diagnostic buckets; the two are independent afterwards).
   explicit FlatHistogram(const Histogram& source);
 
-  /// \brief Caller-owned serving rows for borrowed construction — exactly
-  /// the arrays a binary catalog v2 histogram section persists.
+  /// \brief Caller-owned serving rows for borrowed construction — the
+  /// begin and sum rows a binary catalog v2 histogram section persists.
   struct Rows {
     uint64_t domain_size = 0;
-    std::span<const uint64_t> begin;     // β entries, begin[0] == 0
-    std::span<const double> mean;        // β entries
-    std::span<const double> prefix_sum;  // β + 1 entries
+    std::span<const uint64_t> begin;  // β entries, begin[0] == 0
+    std::span<const double> sum;      // β entries
   };
 
   /// \brief Zero-copy form over caller-owned rows (an mmap'ed catalog
@@ -97,14 +114,13 @@ class FlatHistogram {
   /// \brief Bucket-mean estimate at `index` (< domain_size()). Bit-identical
   /// to Histogram::Estimate on the source histogram.
   double EstimatePoint(uint64_t index) const {
-    return mean_[FindBucket(index)];
+    return BucketMean(FindBucket(index));
   }
 
-  /// \brief Estimated SUM of frequencies over [begin, end): exact bucket
-  /// sums for interior buckets (via the prefix array), pro-rata means at the
-  /// boundaries. Mathematically equal to Histogram::EstimateRange but
-  /// associates the additions differently, so equality is up to FP rounding
-  /// (the estimator test bounds the difference).
+  /// \brief Estimated SUM of frequencies over [begin, end): each overlapped
+  /// bucket's mean times its overlap, added in bucket order — the walk
+  /// Histogram::EstimateRange takes, so the two are bit-identical. O(number
+  /// of overlapped buckets).
   double EstimateRange(uint64_t begin, uint64_t end) const;
 
   /// \brief Sorted position of the bucket containing `index`
@@ -124,7 +140,7 @@ class FlatHistogram {
     return static_cast<size_t>(base - begin_.data());
   }
 
-  /// \brief Heap bytes OWNED by this object: the three rows when storage is
+  /// \brief Heap bytes OWNED by this object: the two rows when storage is
   /// owned, zero when borrowed (the bytes then belong to the mapping —
   /// see MappedBytes).
   size_t ResidentBytes() const;
@@ -133,26 +149,30 @@ class FlatHistogram {
   /// zero for owned storage.
   size_t MappedBytes() const;
 
-  // Row views — the writer (core/serialize.cc) persists these verbatim and
-  // the full-verify path compares a rebuild against them bit-for-bit.
+  // Row views: for a mapped catalog, the file's own rows.
   std::span<const uint64_t> begins() const { return begin_; }
-  std::span<const double> means() const { return mean_; }
-  std::span<const double> prefix_sums() const { return prefix_sum_; }
+  std::span<const double> sums() const { return sum_; }
 
  private:
+  // End of bucket b (< num_buckets()): the next begin, or the domain end.
+  uint64_t BucketEnd(size_t b) const {
+    return b + 1 < begin_.size() ? begin_[b + 1] : domain_size_;
+  }
+  // Mean of bucket b: Bucket::Mean's division over a non-empty bucket.
+  double BucketMean(size_t b) const {
+    return sum_[b] / static_cast<double>(BucketEnd(b) - begin_[b]);
+  }
   // Points the span members at the owned vectors (after any vector change).
   void PointAtOwned();
 
   uint64_t domain_size_ = 0;
   bool owned_ = true;
   std::vector<uint64_t> begin_store_;
-  std::vector<double> mean_store_;
-  std::vector<double> prefix_store_;
+  std::vector<double> sum_store_;
   // The query path reads ONLY these spans; for owned storage they view the
   // vectors above, for borrowed storage the caller's rows.
   std::span<const uint64_t> begin_;
-  std::span<const double> mean_;
-  std::span<const double> prefix_sum_;
+  std::span<const double> sum_;
 };
 
 }  // namespace pathest

@@ -8,15 +8,14 @@
 //
 // Histogram is the BUILD/diagnostic representation: an array of full Bucket
 // structs (begin, end, sum, sumsq — 32 bytes each) that builders, SSE
-// accounting, and serialization traffic in. The QUERY side never reads sum
-// or sumsq; the serving path projects a Histogram into the
-// structure-of-arrays FlatHistogram (histogram/flat_histogram.h): begin[] /
-// mean[] / prefix_sum[] rows. Its point lookup is a branchless predecessor
-// search over the sorted 8-byte begin[] row instead of BucketFor's
-// branching std::upper_bound over 32-byte Buckets (95 ns against 16 ns
-// per lookup at β = 874 in bench_micro_estimation's lookup rows),
-// and the mean division is paid once at build. Point estimates from the
-// two are bit-identical.
+// accounting, and serialization traffic in. The QUERY side never reads
+// sumsq; the serving path projects a Histogram into the structure-of-arrays
+// FlatHistogram (histogram/flat_histogram.h): begin[] / sum[] rows. Its
+// point lookup is a branchless predecessor search over the sorted 8-byte
+// begin[] row instead of BucketFor's branching std::upper_bound over
+// 32-byte Buckets (95 ns against 16 ns per lookup at β = 874 in
+// bench_micro_estimation's lookup rows), followed by the same mean
+// division. Point and range estimates from the two are bit-identical.
 
 #ifndef PATHEST_HISTOGRAM_HISTOGRAM_H_
 #define PATHEST_HISTOGRAM_HISTOGRAM_H_

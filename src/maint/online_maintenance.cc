@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/catalog.h"
@@ -147,13 +148,22 @@ Status OnlineMaintenance::SaveBaseMap(const SelectivityMap& map) {
 }
 
 Result<SelectivityMap> OnlineMaintenance::LoadBaseMap() {
+  const std::string path = BaseMapPath();
+  // "'<path>' <what>", appended piece by piece: GCC 12 misreads the
+  // "'" + path + "..." chain as an overlapping memcpy (-Wrestrict).
+  auto corrupt = [&path](std::string_view what) {
+    std::string message = "'";
+    message += path;
+    message += "' ";
+    message += what;
+    return Status::IOError(message);
+  };
   std::string bytes;
-  PATHEST_RETURN_NOT_OK(ReadFileToString(BaseMapPath(), &bytes));
+  PATHEST_RETURN_NOT_OK(ReadFileToString(path, &bytes));
   constexpr size_t kHeader = sizeof(kBaseMapMagic) + 4 + 4 + 4 + 8;
   if (bytes.size() < kHeader + 4 ||
       std::memcmp(bytes.data(), kBaseMapMagic, sizeof(kBaseMapMagic)) != 0) {
-    return Status::IOError("'" + BaseMapPath() +
-                           "' is not a base selectivity map");
+    return corrupt("is not a base selectivity map");
   }
   BoundedReader trailer(
       std::string_view(bytes.data() + bytes.size() - 4, 4));
@@ -161,7 +171,7 @@ Result<SelectivityMap> OnlineMaintenance::LoadBaseMap() {
   PATHEST_RETURN_NOT_OK(trailer.ReadU32(&masked_file_crc, "file crc"));
   if (Crc32cUnmask(masked_file_crc) !=
       Crc32c(bytes.data(), bytes.size() - 4)) {
-    return Status::IOError("'" + BaseMapPath() + "' failed its checksum");
+    return corrupt("failed its checksum");
   }
   BoundedReader reader(std::string_view(bytes.data() + sizeof(kBaseMapMagic),
                                         bytes.size() - sizeof(kBaseMapMagic) -
@@ -173,20 +183,18 @@ Result<SelectivityMap> OnlineMaintenance::LoadBaseMap() {
   PATHEST_RETURN_NOT_OK(reader.ReadU32(&masked_graph_crc, "graph crc"));
   PATHEST_RETURN_NOT_OK(reader.ReadU64(&count, "value count"));
   if (Crc32cUnmask(masked_graph_crc) != base_graph_crc_) {
-    return Status::IOError(
-        "'" + BaseMapPath() +
-        "' was computed from a different base graph (stale compaction)");
+    return corrupt(
+        "was computed from a different base graph (stale compaction)");
   }
   if (num_labels != graph_->num_labels() || k != k_) {
-    return Status::IOError("'" + BaseMapPath() + "' has dimensions (" +
-                           std::to_string(num_labels) + ", " +
-                           std::to_string(k) + "), expected (" +
-                           std::to_string(graph_->num_labels()) + ", " +
-                           std::to_string(k_) + ")");
+    return corrupt("has dimensions (" + std::to_string(num_labels) + ", " +
+                   std::to_string(k) + "), expected (" +
+                   std::to_string(graph_->num_labels()) + ", " +
+                   std::to_string(k_) + ")");
   }
   SelectivityMap map(PathSpace(num_labels, k));
   if (count != map.space().size()) {
-    return Status::IOError("'" + BaseMapPath() + "' value count mismatch");
+    return corrupt("value count mismatch");
   }
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t v = 0;
@@ -194,7 +202,7 @@ Result<SelectivityMap> OnlineMaintenance::LoadBaseMap() {
     map.SetByCanonicalIndex(i, v);
   }
   if (!reader.AtEnd()) {
-    return Status::IOError("'" + BaseMapPath() + "' has trailing bytes");
+    return corrupt("has trailing bytes");
   }
   return map;
 }

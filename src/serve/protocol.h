@@ -109,8 +109,9 @@ bool IsRetriableCode(StatusCode code);
 /// (without the trailing '\n'; newlines in the message are sanitized).
 std::string FormatErrorResponse(const Status& status);
 
-/// \brief Appends one estimate value formatted %.17g — enough digits that
-/// the decimal round-trips to the exact double, making responses
+/// \brief Appends one estimate value as printf's %.17g would write it
+/// (std::to_chars, general format, precision 17) — enough digits that the
+/// decimal round-trips to the exact double, making responses
 /// bit-comparable against a serial oracle.
 void AppendEstimateValue(std::string* out, double value);
 

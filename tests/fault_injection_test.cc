@@ -698,7 +698,7 @@ TEST_F(FaultInjectionV2Test, PaddingFlipsIgnoredOutsideCrcsCaughtInside) {
   const std::string image = ValidImageV2();
   auto sections = ParseBinarySectionTable(image);
   ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->size(), 4u);  // version 4: four for every ordering
+  ASSERT_EQ(sections->size(), 4u);  // version 5: four for every ordering
   auto baseline = ReadPathHistogramBinaryV2(image);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::vector<double> expect = AllEstimates(*baseline);

@@ -3,10 +3,12 @@
 // the copying loader across the whole serializable surface, the tiered
 // verification matrix, and the mapping primitive itself.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
 #include <tuple>
@@ -143,8 +145,8 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
     return reinterpret_cast<uintptr_t>(row) % binfmt::kArrayAlignBytes == 0;
   };
   EXPECT_TRUE(aligned(flat.begins().data()));
-  EXPECT_TRUE(aligned(flat.means().data()));
-  EXPECT_TRUE(aligned(flat.prefix_sums().data()));
+  EXPECT_TRUE(aligned(flat.sums().data()));
+  EXPECT_EQ(flat.MappedBytes(), flat.num_buckets() * 16);
   if (method.rfind("sum-", 0) == 0) {
     // The stage-2/3 tables are not in the file: the mapped ordering takes
     // the shape's shared tables, the very ones the original ordering uses.
@@ -306,8 +308,9 @@ TEST_F(VerifyTierTest, AllTiersAcceptAHealthyFile) {
 }
 
 TEST_F(VerifyTierTest, BulkFlipPassesTrustedButFailsCheckedTiers) {
-  // Flip a byte inside the mean serving row — a location no always-on
-  // shape check can see, only the bulk CRC.
+  // Flip a low mantissa byte inside the sum row — a location no always-on
+  // shape check can see (the value stays finite and positive), only the
+  // bulk CRC.
   uint64_t beta;
   {
     std::string bytes;
@@ -316,7 +319,7 @@ TEST_F(VerifyTierTest, BulkFlipPassesTrustedButFailsCheckedTiers) {
                 bytes.data() + SectionOffset(binfmt::kSectionHistogram), 8);
   }
   FlipByteAt(SectionOffset(binfmt::kSectionHistogram) +
-             binfmt::HistogramLayout(beta).mean_off + 3);
+             binfmt::HistogramLayout(beta).sum_off + 3);
   // kTrusted skips bulk CRCs by contract — it must still OPEN (shape
   // prologs are intact); this is exactly why it is only for bytes already
   // verified this generation.
@@ -342,27 +345,74 @@ TEST_F(VerifyTierTest, MetadataFlipFailsEveryTier) {
   }
 }
 
-TEST_F(VerifyTierTest, WellFormedButWrongServingRowFailsOnlyFullTier) {
-  // Overwrite the whole mean row with a WRONG but finite, CRC-consistent
-  // value: recompute the section checksum so kChecksums cannot see it.
-  // Only the full tier's rebuild comparison catches this class.
-  ForgeHistogramResigned([](char* payload, uint64_t beta,
-                            const binfmt::HistogramLayoutV2& hl) {
-    const double wrong = 42.0;
+TEST_F(VerifyTierTest, NonFiniteOrNegativeRowsFailFromChecksums) {
+  // Re-signed sum and sumsq rows that no count can produce: the section
+  // CRC matches, so only kChecksums' row scan can refuse them. kTrusted
+  // does not scan and opens them.
+  const std::string pristine = [&] {
+    std::string bytes;
+    PATHEST_CHECK(ReadFileToString(path_, &bytes).ok(), "read failed");
+    return bytes;
+  }();
+  struct Forgery {
+    const char* what;
+    bool sumsq;  // which row: sumsq, else sum
+    double value;
+  };
+  const Forgery forgeries[] = {
+      {"NaN sum", false, std::numeric_limits<double>::quiet_NaN()},
+      {"infinite sum", false, std::numeric_limits<double>::infinity()},
+      {"negative sum", false, -1.0},
+      {"negative sumsq", true, -0.5},
+  };
+  for (const Forgery& f : forgeries) {
+    ASSERT_TRUE(AtomicWriteFile(path_, pristine).ok());
+    ForgeHistogramResigned([&](char* payload, uint64_t beta,
+                               const binfmt::HistogramLayoutV2& hl) {
+      const uint64_t off = f.sumsq ? hl.sumsq_off : hl.sum_off;
+      std::memcpy(payload + off + (beta - 1) * 8, &f.value, 8);
+    });
+    EXPECT_TRUE(MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted).ok())
+        << f.what;
+    for (CatalogVerify tier :
+         {CatalogVerify::kChecksums, CatalogVerify::kFull}) {
+      auto refused = MappedCatalogEntry::Open(path_, tier);
+      ASSERT_FALSE(refused.ok()) << f.what << " " << CatalogVerifyName(tier);
+      EXPECT_EQ(refused.status().code(), StatusCode::kIOError);
+      EXPECT_NE(refused.status().message().find(
+                    "section histogram: sum or sumsq row not finite"),
+                std::string::npos)
+          << refused.status().ToString();
+    }
+    EXPECT_FALSE(LoadPathHistogram(path_).ok()) << f.what;
+  }
+}
+
+TEST_F(VerifyTierTest, WellFormedSumIsServedAsWrittenAtEveryTier) {
+  // A WRONG but finite, non-negative, CRC-consistent sum row. No row of a
+  // version-5 file is derived from another, so there is nothing for any
+  // tier to compare it with: every tier opens it and serves the forged
+  // sums divided by the bucket widths, as a lookup always does.
+  const double forged = 42.0;
+  ForgeHistogramResigned([&](char* payload, uint64_t beta,
+                             const binfmt::HistogramLayoutV2& hl) {
     for (uint64_t b = 0; b < beta; ++b) {
-      std::memcpy(payload + hl.mean_off + b * 8, &wrong, 8);
+      std::memcpy(payload + hl.sum_off + b * 8, &forged, 8);
     }
   });
-
-  EXPECT_TRUE(
-      MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted).ok());
-  EXPECT_TRUE(
-      MappedCatalogEntry::Open(path_, CatalogVerify::kChecksums).ok());
-  auto full = MappedCatalogEntry::Open(path_, CatalogVerify::kFull);
-  ASSERT_FALSE(full.ok());
-  EXPECT_NE(full.status().message().find("fresh rebuild"),
-            std::string::npos)
-      << full.status().ToString();
+  const Histogram& h = est_->histogram();
+  for (CatalogVerify tier : {CatalogVerify::kTrusted,
+                             CatalogVerify::kChecksums, CatalogVerify::kFull}) {
+    auto entry = MappedCatalogEntry::Open(path_, tier);
+    ASSERT_TRUE(entry.ok())
+        << CatalogVerifyName(tier) << ": " << entry.status().ToString();
+    const FlatHistogram& flat = (*entry)->estimator().flat();
+    for (uint64_t i = 0; i < h.domain_size(); ++i) {
+      ASSERT_EQ(flat.EstimatePoint(i),
+                forged / static_cast<double>(h.BucketFor(i).width()))
+          << CatalogVerifyName(tier) << " index " << i;
+    }
+  }
 }
 
 TEST_F(VerifyTierTest, TrustedTierLooksUpInsideTheRowsOverForgedBegins) {
@@ -412,12 +462,21 @@ TEST_F(VerifyTierTest, TrustedTierLooksUpInsideTheRowsOverForgedBegins) {
     auto trusted = MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted);
     ASSERT_TRUE(trusted.ok()) << what << ": " << trusted.status().ToString();
     const FlatHistogram& flat = (*trusted)->estimator().flat();
-    const std::span<const double> means = flat.means();
+    const std::span<const uint64_t> begins = flat.begins();
+    const std::span<const double> sums = flat.sums();
     for (uint64_t i = 0; i < domain; ++i) {
       const size_t b = flat.FindBucket(i);
       ASSERT_LT(b, flat.num_buckets()) << what << " index " << i;
-      ASSERT_EQ(flat.EstimatePoint(i), means[b]) << what << " index " << i;
-      // Ranges take the same lookup at both ends.
+      // The width comes from the found bucket's begin and its successor
+      // (or the domain end), so it reads inside the rows too; over these
+      // rows it may wrap or be 0, and the quotient is then whatever IEEE
+      // division gives (compared as bits: it may be NaN).
+      const uint64_t end = b + 1 < begins.size() ? begins[b + 1] : domain;
+      const double want = sums[b] / static_cast<double>(end - begins[b]);
+      ASSERT_EQ(std::bit_cast<uint64_t>(flat.EstimatePoint(i)),
+                std::bit_cast<uint64_t>(want))
+          << what << " index " << i;
+      // Ranges walk from the same lookup, bounded by β.
       (void)flat.EstimateRange(i, domain);
     }
     RankScratch scratch;

@@ -5,8 +5,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -323,7 +325,7 @@ TEST_P(BinaryRoundTripTest, V2SectionsArePackedWithExactLayouts) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(v2.data());
   uint32_t section_count;
   std::memcpy(&section_count, bytes + 12, 4);
-  // Version 4: the four sections for every ordering (the sum family's
+  // Version 5: the four sections for every ordering (the sum family's
   // stage-2/3 tables are derived, not stored).
   ASSERT_EQ(section_count, 4u);
   uint64_t file_size;
@@ -451,9 +453,13 @@ uint32_t HeaderVersion(const std::string& bytes) {
 }
 
 // The v2 file at `path` must answer every domain index, and every path,
-// bit for bit as `est` does: copied at kFull, and mapped at every tier.
+// bit for bit as `est` does: copied at kFull, and mapped at every tier. A
+// legacy file also passes the mean row it stores, which readers served
+// before the mean was divided at lookup: every index must still get
+// exactly that value.
 void ExpectServesLikeHistogram(const std::string& path,
-                               const PathHistogram& est) {
+                               const PathHistogram& est,
+                               std::span<const double> stored_means = {}) {
   const Histogram& histogram = est.histogram();
   const PathSpace& space = est.ordering().space();
   auto check_flat = [&](const FlatHistogram& flat, const char* what) {
@@ -462,6 +468,10 @@ void ExpectServesLikeHistogram(const std::string& path,
     for (uint64_t i = 0; i < histogram.domain_size(); ++i) {
       ASSERT_EQ(flat.EstimatePoint(i), histogram.Estimate(i))
           << what << " index " << i;
+      if (!stored_means.empty()) {
+        ASSERT_EQ(flat.EstimatePoint(i), stored_means[flat.FindBucket(i)])
+            << what << " index " << i;
+      }
       ASSERT_EQ(&histogram.buckets()[flat.FindBucket(i)],
                 &histogram.BucketFor(i))
           << what << " index " << i;
@@ -515,7 +525,7 @@ void ExpectVerifiedAs(const std::string& path, uint32_t version) {
 //
 // Regenerate deliberately with: PATHEST_REGEN_GOLDEN=1 ./serialize_test
 TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
-  const std::string path = GoldenPath("catalog_v2_version4.stats");
+  const std::string path = GoldenPath("catalog_v2_version5.stats");
   Graph graph = SmallGraph();
   const PathHistogram est = GoldenEstimator(graph);
   std::vector<uint64_t> cards;
@@ -545,23 +555,26 @@ TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
 }
 
 // Read compatibility: the committed legacy fixtures hold the golden
-// estimator in older v2 versions — catalog_v2_version3.stats as version 3
-// (sections packed, the stage-2/3 tables persisted as sections 5 and 6),
-// catalog_v2.stats (packed) and catalog_v2_paged.stats (every section on a
-// 4096-byte page, as written before sections were packed) as version 2,
-// which also carries the end row and the Eytzinger rows. Each must keep
-// loading at the strictest tier, mapping at every tier, passing `catalog
-// verify`, and serving bit-identical estimates; and rewriting any of them
-// as v2 must give the version-4 golden's exact bytes.
+// estimator in older v2 versions — catalog_v2_version4.stats as version 4
+// (the mean and prefix rows stored after sumsq),
+// catalog_v2_version3.stats as version 3 (also the stage-2/3 tables as
+// sections 5 and 6), catalog_v2.stats (packed) and catalog_v2_paged.stats
+// (every section on a 4096-byte page, as written before sections were
+// packed) as version 2, which also carries the end row and the Eytzinger
+// rows. Each must keep loading at the strictest tier, mapping at every
+// tier, passing `catalog verify`, and serving bit-identical estimates —
+// the very values of its stored mean row; and rewriting any of them as v2
+// must give the version-5 golden's exact bytes.
 struct LegacyFixture {
   const char* name;
   uint32_t version;
+  uint32_t sections;
   bool paged;
 };
 
 class LegacyFixtureTest : public ::testing::TestWithParam<LegacyFixture> {};
 
-TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion4) {
+TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion5) {
   const LegacyFixture& fx = GetParam();
   const std::string path = GoldenPath(fx.name);
   Graph graph = SmallGraph();
@@ -571,7 +584,8 @@ TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion4) {
 
   uint32_t section_count;
   std::memcpy(&section_count, fixture.data() + 12, 4);
-  ASSERT_EQ(section_count, 6u);
+  ASSERT_EQ(section_count, fx.sections);
+  std::vector<double> stored_means;
   uint64_t prev_end =
       binfmt::kHeaderBytes + section_count * binfmt::kSectionEntryBytes;
   for (uint32_t i = 0; i < section_count; ++i) {
@@ -588,12 +602,21 @@ TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion4) {
                           : binfmt::AlignUp(prev_end, binfmt::kArrayAlignBytes))
         << "section " << id;
     if (id == binfmt::kSectionHistogram) {
-      EXPECT_EQ(length, binfmt::HistogramLayout(6, fx.version).payload_bytes);
+      const binfmt::HistogramLayoutV2 hl =
+          binfmt::HistogramLayout(6, fx.version);
+      EXPECT_EQ(length, hl.payload_bytes);
+      // Every legacy version stores its mean row right after sumsq.
+      const uint64_t mean_off =
+          binfmt::AlignUp(hl.sumsq_off + 8 * 6, binfmt::kArrayAlignBytes);
+      stored_means.resize(6);
+      std::memcpy(stored_means.data(), fixture.data() + offset + mean_off,
+                  6 * sizeof(double));
     }
     prev_end = offset + length;
   }
+  ASSERT_EQ(stored_means.size(), 6u);
 
-  ExpectServesLikeHistogram(path, est);
+  ExpectServesLikeHistogram(path, est, stored_means);
   ExpectVerifiedAs(path, fx.version);
 
   // The engine of `catalog convert --format binary-v2`.
@@ -607,21 +630,24 @@ TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion4) {
       SaveLoadedPathHistogram(*loaded, converted, CatalogFormat::kBinaryV2)
           .ok());
   EXPECT_EQ(ReadGolden(converted),
-            ReadGolden(GoldenPath("catalog_v2_version4.stats")));
+            ReadGolden(GoldenPath("catalog_v2_version5.stats")));
   std::filesystem::remove(converted);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Goldens, LegacyFixtureTest,
     ::testing::Values(
+        LegacyFixture{"catalog_v2_version4.stats", binfmt::kVersionV2MeanRows,
+                      4, false},
         LegacyFixture{"catalog_v2_version3.stats",
-                      binfmt::kVersionV2SumSections, false},
-        LegacyFixture{"catalog_v2.stats", binfmt::kVersionV2Eytzinger, false},
+                      binfmt::kVersionV2SumSections, 6, false},
+        LegacyFixture{"catalog_v2.stats", binfmt::kVersionV2Eytzinger, 6,
+                      false},
         LegacyFixture{"catalog_v2_paged.stats", binfmt::kVersionV2Eytzinger,
-                      true}),
+                      6, true}),
     [](const ::testing::TestParamInfo<LegacyFixture>& info) {
-      if (info.param.version == binfmt::kVersionV2SumSections) {
-        return std::string("version3");
+      if (info.param.version != binfmt::kVersionV2Eytzinger) {
+        return "version" + std::to_string(info.param.version);
       }
       return std::string(info.param.paged ? "paged" : "packed");
     });

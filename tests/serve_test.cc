@@ -9,9 +9,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,6 +95,54 @@ TEST(ProtocolTest, EstimateValuesRoundTripExactly) {
     std::string s;
     AppendEstimateValue(&s, v);
     EXPECT_EQ(std::stod(s), v) << s;
+  }
+}
+
+// The text printf's "%.17g" gives — the formatting AppendEstimateValue
+// replaced, kept as its oracle.
+std::string Printf17g(double value) {
+  char buf[40];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return std::string(buf, static_cast<size_t>(n));
+}
+
+TEST(ProtocolTest, EstimateValuesMatchPrintf17gByteForByte) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3,  // subnormal
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::epsilon(),
+      1e16,
+      1e17,
+      9007199254740993.0,
+      1e-5,
+      1e-4,
+      0.1,
+      1.0 / 3.0,
+      127.76923076923077,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+  };
+  for (int e = -1074; e <= 1023; ++e) values.push_back(std::ldexp(1.0, e));
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 100000; ++i) {
+    // Random bit patterns cover every exponent; skip NaN, whose sign
+    // printf and to_chars may spell differently (no estimate is NaN).
+    const double bits = std::bit_cast<double>(rng());
+    if (!std::isnan(bits)) values.push_back(bits);
+    // And magnitudes estimates take: counts over bucket widths.
+    values.push_back(static_cast<double>(rng() % 1000000) /
+                     static_cast<double>(1 + rng() % 5000));
+  }
+  for (double v : values) {
+    std::string got;
+    AppendEstimateValue(&got, v);
+    ASSERT_EQ(got, Printf17g(v));
   }
 }
 

@@ -1,10 +1,9 @@
 // The shared stage-2/3 tables of the sum-based ordering (SumTables in
 // ordering/sum_based.h) and the catalog rule that follows from them:
-// binary catalog v2 version 4 stores no tables, and the tables that
+// binary catalog v2 versions 4 and 5 store no tables, and the tables that
 // versions 2 and 3 persisted as sections 5 and 6 are checksummed from
 // kChecksums up but never read.
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -13,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,86 +146,117 @@ std::string ReadGolden(const std::string& name) {
           std::istreambuf_iterator<char>()};
 }
 
-// The version-3 golden relabelled as version 4 with only the section-table
-// entries whose ids are in `ids` kept (the payloads stay where they are),
-// header and table re-signed so the forgery reaches the section rules.
-// Versions 3 and 4 lay sections 1-4 out identically.
-std::string ForgeVersion4(std::initializer_list<uint32_t> ids) {
-  const std::string v3 = ReadGolden("catalog_v2_version3.stats");
-  uint32_t count;
-  std::memcpy(&count, v3.data() + 12, 4);
-  std::string table;
-  for (uint32_t i = 0; i < count; ++i) {
-    const size_t at = binfmt::kHeaderBytes + i * binfmt::kSectionEntryBytes;
-    uint32_t id;
-    std::memcpy(&id, v3.data() + at, 4);
-    for (uint32_t keep : ids) {
-      if (keep == id) table.append(v3, at, binfmt::kSectionEntryBytes);
-    }
-  }
-  std::string forged = v3;
-  std::memset(forged.data() + binfmt::kHeaderBytes, 0,
-              count * binfmt::kSectionEntryBytes);
-  forged.replace(binfmt::kHeaderBytes, table.size(), table);
-  const uint32_t version = binfmt::kVersionV2;
-  const uint32_t kept =
-      static_cast<uint32_t>(table.size() / binfmt::kSectionEntryBytes);
-  std::memcpy(forged.data() + 8, &version, 4);
-  std::memcpy(forged.data() + 12, &kept, 4);
-  const uint32_t header_crc = Crc32c(forged.data(), binfmt::kHeaderBytes - 8);
-  const uint32_t table_crc = Crc32c(table.data(), table.size());
-  std::memcpy(forged.data() + 24, &header_crc, 4);
-  std::memcpy(forged.data() + 28, &table_crc, 4);
-  return forged;
-}
-
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() /
           ("pathest_sum_tables_" + name))
       .string();
 }
 
-TEST(SumTablesCatalogTest, Version4WithSection5Or6IsRefusedAtEveryTier) {
-  // The control: the same bytes with sections 1-4 only are a valid
-  // version-4 file at every tier.
-  const std::string path = TempPath("v4.stats");
-  ASSERT_TRUE(WriteFileBytes(path, ForgeVersion4({1, 2, 3, 4})).ok());
-  ASSERT_TRUE(LoadPathHistogram(path).ok());
+// The sections of `image` (a committed golden) whose ids are in `ids`, as
+// (id, payload) pairs.
+using Sections = std::vector<std::pair<uint32_t, std::string>>;
+Sections SectionsOf(const std::string& image,
+                    std::initializer_list<uint32_t> ids) {
+  auto table = ParseBinarySectionTable(image);
+  PATHEST_CHECK(table.ok(), "golden section table unreadable");
+  Sections sections;
+  for (uint32_t id : ids) {
+    for (const BinarySectionInfo& s : *table) {
+      if (s.id == id) {
+        sections.emplace_back(id, image.substr(s.offset, s.length));
+      }
+    }
+  }
+  PATHEST_CHECK(sections.size() == ids.size(), "golden section missing");
+  return sections;
+}
+
+// A signed v2 image of header version `version` holding `sections` (id,
+// payload), packed on 64-byte boundaries the way the writer packs them.
+std::string AssembleV2(uint32_t version, const Sections& sections) {
+  const uint64_t table_bytes = sections.size() * binfmt::kSectionEntryBytes;
+  std::string table, body;
+  uint64_t end = binfmt::kHeaderBytes + table_bytes;
+  for (const auto& [id, payload] : sections) {
+    const uint64_t offset = binfmt::AlignUp(end, binfmt::kArrayAlignBytes);
+    body.resize(offset - binfmt::kHeaderBytes - table_bytes, '\0');
+    body += payload;
+    const uint32_t crc = Crc32c(payload.data(), payload.size());
+    const uint64_t length = payload.size();
+    table.append(reinterpret_cast<const char*>(&id), 4);
+    table.append(reinterpret_cast<const char*>(&crc), 4);
+    table.append(reinterpret_cast<const char*>(&offset), 8);
+    table.append(reinterpret_cast<const char*>(&length), 8);
+    end = offset + length;
+  }
+  std::string image(reinterpret_cast<const char*>(binfmt::kMagicV2),
+                    binfmt::kMagicBytes);
+  const uint32_t count = static_cast<uint32_t>(sections.size());
+  image.append(reinterpret_cast<const char*>(&version), 4);
+  image.append(reinterpret_cast<const char*>(&count), 4);
+  image.append(reinterpret_cast<const char*>(&end), 8);
+  const uint32_t header_crc = Crc32c(image.data(), image.size());
+  const uint32_t table_crc = Crc32c(table.data(), table.size());
+  image.append(reinterpret_cast<const char*>(&header_crc), 4);
+  image.append(reinterpret_cast<const char*>(&table_crc), 4);
+  return image + table + body;
+}
+
+// Every tier of both readers refuses the file at `path` with `error`.
+void ExpectRefusedAtEveryTier(const std::string& path,
+                              const std::string& error) {
+  auto copied = LoadPathHistogram(path);
+  ASSERT_FALSE(copied.ok()) << error;
+  EXPECT_EQ(copied.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(copied.status().message(), error);
   for (CatalogVerify tier : {CatalogVerify::kTrusted,
                              CatalogVerify::kChecksums, CatalogVerify::kFull}) {
     auto mapped = MappedCatalogEntry::Open(path, tier);
-    EXPECT_TRUE(mapped.ok()) << CatalogVerifyName(tier) << ": "
-                             << mapped.status().ToString();
+    ASSERT_FALSE(mapped.ok()) << error << " " << CatalogVerifyName(tier);
+    EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(mapped.status().message(), error) << CatalogVerifyName(tier);
   }
+}
 
-  struct Forgery {
-    std::string forged;
-    std::string error;
-  };
-  const Forgery forgeries[] = {
-      {ForgeVersion4({1, 2, 3, 4, 5}),
-       "section composition: not part of a version-4 file"},
-      {ForgeVersion4({1, 2, 3, 4, 6}),
-       "section sum-index: not part of a version-4 file"},
-      {ForgeVersion4({1, 2, 3, 4, 5, 6}),
-       "section composition: not part of a version-4 file"},
-  };
-  for (const Forgery& f : forgeries) {
-    ASSERT_TRUE(WriteFileBytes(path, f.forged).ok());
-    auto copied = LoadPathHistogram(path);
-    ASSERT_FALSE(copied.ok()) << f.error;
-    EXPECT_EQ(copied.status().code(), StatusCode::kIOError);
-    EXPECT_EQ(copied.status().message(), f.error);
-    for (CatalogVerify tier : {CatalogVerify::kTrusted,
-                               CatalogVerify::kChecksums,
-                               CatalogVerify::kFull}) {
-      auto mapped = MappedCatalogEntry::Open(path, tier);
-      ASSERT_FALSE(mapped.ok()) << f.error << " " << CatalogVerifyName(tier);
-      EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
-      EXPECT_EQ(mapped.status().message(), f.error)
-          << CatalogVerifyName(tier);
+TEST(SumTablesCatalogTest, Version4Or5WithSection5Or6IsRefusedAtEveryTier) {
+  const std::string v3 = ReadGolden("catalog_v2_version3.stats");
+  const std::string path = TempPath("v45.stats");
+  for (uint32_t version : {binfmt::kVersionV2MeanRows, binfmt::kVersionV2}) {
+    const std::string golden =
+        ReadGolden("catalog_v2_version" + std::to_string(version) + ".stats");
+    const Sections sections = SectionsOf(golden, {1, 2, 3, 4});
+    // The control: the golden's own sections, reassembled, are the golden.
+    ASSERT_EQ(AssembleV2(version, sections), golden);
+    const std::string not_part =
+        ": not part of a version-" + std::to_string(version) + " file";
+    for (const auto& [extra, first] :
+         {std::pair{SectionsOf(v3, {5}), "composition"},
+          std::pair{SectionsOf(v3, {6}), "sum-index"},
+          std::pair{SectionsOf(v3, {5, 6}), "composition"}}) {
+      Sections forged = sections;
+      forged.insert(forged.end(), extra.begin(), extra.end());
+      ASSERT_TRUE(WriteFileBytes(path, AssembleV2(version, forged)).ok());
+      ExpectRefusedAtEveryTier(path,
+                               "section " + std::string(first) + not_part);
     }
   }
+  std::filesystem::remove(path);
+}
+
+TEST(SumTablesCatalogTest, Version5HeaderOverVersion4RowsIsRefusedAtEveryTier) {
+  // The version-4 golden relabelled as version 5: its histogram payload
+  // still carries the mean and prefix rows, which version 5's layout has
+  // no room for.
+  const Sections sections =
+      SectionsOf(ReadGolden("catalog_v2_version4.stats"), {1, 2, 3, 4});
+  const std::string path = TempPath("v4_as_v5.stats");
+  ASSERT_TRUE(
+      WriteFileBytes(path, AssembleV2(binfmt::kVersionV2, sections)).ok());
+  ExpectRefusedAtEveryTier(
+      path, "section histogram: payload is " +
+                std::to_string(sections[3].second.size()) +
+                " bytes but the layout for beta=6 needs " +
+                std::to_string(binfmt::HistogramLayout(6).payload_bytes));
   std::filesystem::remove(path);
 }
 
