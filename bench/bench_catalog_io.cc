@@ -153,17 +153,20 @@ int Run(bool json_mode, const std::string& json_path) {
   const std::string dir = "/tmp";
   const std::string text_path = dir + "/pathest_bench_catalog.text.stats";
   const std::string bin_path = dir + "/pathest_bench_catalog.bin.stats";
-  std::ostringstream text;
-  bench::DieIf(WritePathHistogram(*est, labels, cards, &text), "write text");
-  bench::DieIf(AtomicWriteFile(text_path, text.str()), "save text");
+  std::string text;
+  bench::DieIf(EncodeCatalog(*est, labels, cards, CatalogFormat::kText, &text),
+               "write text");
+  bench::DieIf(AtomicWriteFile(text_path, text), "save text");
   std::string binary;
-  bench::DieIf(WritePathHistogramBinary(*est, labels, cards, &binary),
-               "write binary");
+  bench::DieIf(
+      EncodeCatalog(*est, labels, cards, CatalogFormat::kBinary, &binary),
+      "write binary");
   bench::DieIf(AtomicWriteFile(bin_path, binary), "save binary");
   const std::string v2_path = dir + "/pathest_bench_catalog.v2.stats";
   std::string v2;
-  bench::DieIf(WritePathHistogramBinaryV2(*est, labels, cards, &v2),
-               "write binary v2");
+  bench::DieIf(
+      EncodeCatalog(*est, labels, cards, CatalogFormat::kBinaryV2, &v2),
+      "write binary v2");
   bench::DieIf(AtomicWriteFile(v2_path, v2), "save binary v2");
   // What the sections themselves hold (the sum of the section-table
   // lengths); the rest of v2_bytes is the header, the table and the < 64
@@ -183,7 +186,7 @@ int Run(bool json_mode, const std::string& json_path) {
       static_cast<double>(v2.size()) / static_cast<double>(beta);
   std::printf("text=%zu bytes, binary=%zu bytes, binary-v2=%zu bytes "
               "(%llu payload, %.2f bytes/bucket)\n",
-              text.str().size(), binary.size(), v2.size(),
+              text.size(), binary.size(), v2.size(),
               static_cast<unsigned long long>(v2_payload_bytes),
               v2_bytes_per_bucket);
 
@@ -324,7 +327,7 @@ int Run(bool json_mode, const std::string& json_path) {
                "  \"mmap_speedup\": %.1f\n"
                "}\n",
                k, num_labels, static_cast<unsigned long long>(domain), beta,
-               reps, text.str().size(), binary.size(), text_ms, binary_ms,
+               reps, text.size(), binary.size(), text_ms, binary_ms,
                speedup, v2.size(),
                static_cast<unsigned long long>(v2_payload_bytes),
                v2_bytes_per_bucket, v2_copy_ms, v2_mmap_cold_us,

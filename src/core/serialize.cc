@@ -1,6 +1,7 @@
 #include "core/serialize.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cctype>
 #include <cmath>
@@ -9,13 +10,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string_view>
 
 #include "core/serialize_internal.h"
-#include "histogram/flat_histogram.h"
 #include "ordering/factory.h"
+#include "ordering/sum_based.h"
 #include "path/path_space.h"
 #include "util/combinatorics.h"
 #include "util/crc32c.h"
@@ -27,15 +27,31 @@ namespace {
 
 constexpr const char* kTextMagic = "pathest-histogram v1";
 
-// Caps shared by both formats: a label dictionary or path length outside
+// Caps shared by all formats: a label dictionary or path length outside
 // these is a corrupt or forged file, not a real catalog.
 constexpr uint64_t kMaxLabels = 4096;
 constexpr uint64_t kMaxLabelNameBytes = 4096;
 
-// The sum-based family carries a composition section (stage-2 table);
-// sum-L2 never reaches serialization (IsSerializableOrdering rejects it).
+// The sum-based family carries a composition section in v1 (stage-2
+// table); sum-L2 never reaches serialization (IsSerializableOrdering
+// rejects it).
 bool IsSumFamilyOrdering(const std::string& name) {
   return name.rfind("sum-", 0) == 0;
+}
+
+// The stage-2 table a sum-family ordering holds; null for any other.
+const CompositionTable* CompositionsOf(const Ordering& ordering) {
+  const auto* sum_based = dynamic_cast<const SumBasedOrdering*>(&ordering);
+  return sum_based == nullptr ? nullptr : &sum_based->tables().compositions;
+}
+
+// Values in v1 section 5: for each m in [1, k], sums m through m·|L|.
+uint64_t CompositionValueCount(const CompositionTable& table) {
+  uint64_t count = 0;
+  for (uint64_t m = 1; m <= table.max_len(); ++m) {
+    count += m * table.num_labels() - m + 1;
+  }
+  return count;
 }
 
 // The v2 bulk rows are written and mapped as raw little-endian u64/f64
@@ -43,39 +59,9 @@ bool IsSumFamilyOrdering(const std::string& name) {
 static_assert(std::endian::native == std::endian::little,
               "binary catalog v2 bulk rows assume a little-endian host");
 
-// Metadata payload builders shared verbatim by the v1 and v2 writers
-// (sections 1-3 are byte-identical across versions).
-std::string BuildOrderingPayload(const std::string& ordering_name,
-                                 const char* type_name, size_t k) {
-  std::string payload;
-  AppendLengthPrefixedString(&payload, ordering_name);
-  AppendLengthPrefixedString(&payload, type_name);
-  AppendU32(&payload, static_cast<uint32_t>(k));
-  AppendU32(&payload, 0);
-  return payload;
-}
-
-std::string BuildLabelsPayload(const LabelDictionary& labels) {
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(labels.size()));
-  for (const std::string& name : labels.names()) {
-    AppendLengthPrefixedString(&payload, name);
-  }
-  return payload;
-}
-
-std::string BuildCardsPayload(const std::vector<uint64_t>& cardinalities) {
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(cardinalities.size()));
-  AppendU32(&payload, 0);
-  for (uint64_t f : cardinalities) AppendU64(&payload, f);
-  return payload;
-}
-
-// Zero-pads `out` up to offset `off` (v2 interior alignment padding —
-// inside the payload, hence covered by the section CRC).
+// Zero-pads `out` up to offset `off`.
 void PadTo(std::string* out, uint64_t off) {
-  PATHEST_CHECK(out->size() <= off, "v2 writer overshot a layout offset");
+  PATHEST_CHECK(out->size() <= off, "writer overshot a layout offset");
   out->resize(off, '\0');
 }
 
@@ -83,6 +69,65 @@ void PadTo(std::string* out, uint64_t off) {
 template <typename T>
 void AppendRaw(std::string* out, const T& value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+// The four constants that tell the v1 and v2 containers apart. The frame
+// parser and the assembler are one code path for both.
+struct FrameSpec {
+  const unsigned char* magic;
+  uint32_t min_version;  // oldest header version readers accept
+  uint32_t version;      // what the writer emits; the newest accepted
+  uint32_t max_section_id;
+  uint64_t align;  // every section offset is a multiple of this
+};
+
+constexpr FrameSpec kFrameV1{binfmt::kMagic, binfmt::kVersion,
+                             binfmt::kVersion, binfmt::kSectionComposition,
+                             1};
+constexpr FrameSpec kFrameV2{binfmt::kMagicV2, binfmt::kVersionV2Eytzinger,
+                             binfmt::kVersionV2, binfmt::kSectionSumIndex,
+                             binfmt::kArrayAlignBytes};
+
+// Section payloads in id order, as the writers hand them to the assembler.
+using SectionPayloads = std::vector<std::pair<uint32_t, std::string>>;
+
+// Writes header, table, then each payload at the first multiple of
+// spec.align at or after the previous end; offsets are absolute. v2's gaps
+// (< 64 bytes each) are zero padding outside every CRC; v1's alignment of
+// 1 puts the payloads back to back.
+void AssembleBinary(const FrameSpec& spec, const SectionPayloads& sections,
+                    std::string* out) {
+  using namespace binfmt;  // NOLINT — layout constants
+  const uint64_t table_bytes = sections.size() * kSectionEntryBytes;
+  std::vector<uint64_t> offsets;
+  offsets.reserve(sections.size());
+  uint64_t total_size = kHeaderBytes + table_bytes;
+  for (const auto& [id, payload] : sections) {
+    offsets.push_back(AlignUp(total_size, spec.align));
+    total_size = offsets.back() + payload.size();
+  }
+
+  out->clear();
+  out->reserve(total_size);
+  out->append(reinterpret_cast<const char*>(spec.magic), kMagicBytes);
+  AppendU32(out, spec.version);
+  AppendU32(out, static_cast<uint32_t>(sections.size()));
+  AppendU64(out, total_size);
+  AppendU32(out, Crc32c(out->data(), out->size()));
+  AppendU32(out, 0);  // the table CRC, signed once the table is written
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const auto& [id, payload] = sections[i];
+    AppendU32(out, id);
+    AppendU32(out, Crc32c(payload.data(), payload.size()));
+    AppendU64(out, offsets[i]);
+    AppendU64(out, payload.size());
+  }
+  const uint32_t table_crc = Crc32c(out->data() + kHeaderBytes, table_bytes);
+  std::memcpy(out->data() + kHeaderBytes - 4, &table_crc, 4);
+  for (size_t i = 0; i < sections.size(); ++i) {
+    PadTo(out, offsets[i]);
+    out->append(sections[i].second);
+  }
 }
 
 }  // namespace
@@ -175,172 +220,101 @@ bool IsSerializableOrdering(const std::string& ordering_name) {
   return false;
 }
 
-// ------------------------------------------------------------- text writer
+// ----------------------------------------------------------------- writers
 
-Status WritePathHistogram(const PathHistogram& estimator,
-                          const LabelDictionary& labels,
-                          const std::vector<uint64_t>& label_cardinalities,
-                          std::ostream* out) {
-  const std::string& ordering_name = estimator.ordering().name();
-  if (!IsSerializableOrdering(ordering_name)) {
-    return Status::InvalidArgument(
-        "ordering '" + ordering_name +
-        "' materializes O(|L_k|) state and cannot be serialized compactly");
-  }
-  if (labels.size() != label_cardinalities.size()) {
-    return Status::InvalidArgument("cardinalities size mismatch");
-  }
-  (*out) << kTextMagic << "\n";
-  (*out) << "ordering " << ordering_name << "\n";
-  (*out) << "type " << HistogramTypeName(estimator.histogram_type()) << "\n";
-  (*out) << "k " << estimator.ordering().space().k() << "\n";
-  (*out) << "labels " << labels.size();
-  for (const std::string& name : labels.names()) (*out) << ' ' << name;
-  (*out) << "\n";
-  (*out) << "cardinalities";
-  for (uint64_t f : label_cardinalities) (*out) << ' ' << f;
-  (*out) << "\n";
+namespace {
+
+std::string EncodeText(const PathHistogram& estimator,
+                       const LabelDictionary& labels,
+                       const std::vector<uint64_t>& cardinalities) {
+  std::ostringstream out;
+  out << kTextMagic << "\n";
+  out << "ordering " << estimator.ordering().name() << "\n";
+  out << "type " << HistogramTypeName(estimator.histogram_type()) << "\n";
+  out << "k " << estimator.ordering().space().k() << "\n";
+  out << "labels " << labels.size();
+  for (const std::string& name : labels.names()) out << ' ' << name;
+  out << "\n";
+  out << "cardinalities";
+  for (uint64_t f : cardinalities) out << ' ' << f;
+  out << "\n";
   const auto& buckets = estimator.histogram().buckets();
-  (*out) << "buckets " << buckets.size() << "\n";
+  out << "buckets " << buckets.size() << "\n";
   // Hex double encoding is lossless and locale-independent.
-  (*out).precision(17);
+  out.precision(17);
   for (const Bucket& b : buckets) {
-    (*out) << b.begin << ' ' << b.end << ' ' << std::hexfloat << b.sum << ' '
-           << b.sumsq << std::defaultfloat << "\n";
+    out << b.begin << ' ' << b.end << ' ' << std::hexfloat << b.sum << ' '
+        << b.sumsq << std::defaultfloat << "\n";
   }
-  if (!out->good()) return Status::IOError("histogram write failed");
-  return Status::OK();
+  return out.str();
 }
 
-// ----------------------------------------------------------- binary writer
-
-Status WritePathHistogramBinary(const PathHistogram& estimator,
-                                const LabelDictionary& labels,
-                                const std::vector<uint64_t>& cardinalities,
-                                std::string* out) {
-  const std::string& ordering_name = estimator.ordering().name();
-  if (!IsSerializableOrdering(ordering_name)) {
-    return Status::InvalidArgument(
-        "ordering '" + ordering_name +
-        "' materializes O(|L_k|) state and cannot be serialized compactly");
+// Sections 1-3, byte-identical in v1 and v2.
+SectionPayloads MetadataSections(const PathHistogram& estimator,
+                                 const LabelDictionary& labels,
+                                 const std::vector<uint64_t>& cardinalities) {
+  std::string ordering, names, cards;
+  AppendLengthPrefixedString(&ordering, estimator.ordering().name());
+  AppendLengthPrefixedString(&ordering,
+                             HistogramTypeName(estimator.histogram_type()));
+  AppendU32(&ordering,
+            static_cast<uint32_t>(estimator.ordering().space().k()));
+  AppendU32(&ordering, 0);
+  AppendU32(&names, static_cast<uint32_t>(labels.size()));
+  for (const std::string& name : labels.names()) {
+    AppendLengthPrefixedString(&names, name);
   }
-  if (labels.size() != cardinalities.size()) {
-    return Status::InvalidArgument("cardinalities size mismatch");
-  }
-  const size_t k = estimator.ordering().space().k();
-  const size_t num_labels = labels.size();
+  AppendU32(&cards, static_cast<uint32_t>(cardinalities.size()));
+  AppendU32(&cards, 0);
+  for (uint64_t f : cardinalities) AppendU64(&cards, f);
 
-  // Section payloads, in id order.
-  std::vector<std::pair<uint32_t, std::string>> sections;
-  sections.emplace_back(
-      binfmt::kSectionOrdering,
-      BuildOrderingPayload(ordering_name,
-                           HistogramTypeName(estimator.histogram_type()), k));
-  sections.emplace_back(binfmt::kSectionLabels, BuildLabelsPayload(labels));
-  sections.emplace_back(binfmt::kSectionCardinalities,
-                        BuildCardsPayload(cardinalities));
-
-  // Structure-of-arrays bucket rows: the column layout the serving
-  // FlatHistogram wants, so an mmap tier can point at whole rows.
-  const auto& buckets = estimator.histogram().buckets();
-  std::string hist_payload;
-  hist_payload.reserve(8 + buckets.size() * 32);
-  AppendU64(&hist_payload, buckets.size());
-  for (const Bucket& b : buckets) AppendU64(&hist_payload, b.begin);
-  for (const Bucket& b : buckets) AppendU64(&hist_payload, b.end);
-  for (const Bucket& b : buckets) AppendDouble(&hist_payload, b.sum);
-  for (const Bucket& b : buckets) AppendDouble(&hist_payload, b.sumsq);
-  sections.emplace_back(binfmt::kSectionHistogram, std::move(hist_payload));
-
-  if (IsSumFamilyOrdering(ordering_name)) {
-    // The sum-based stage-2 CompositionTable rows, exactly as the ordering
-    // rebuilds them from (|L|, k). Carrying them on disk (a) lets the load
-    // path cross-check a semantic invariant no CRC can, and (b) is the row
-    // layout the mmap serving tier will consume directly.
-    CompositionTable table(num_labels, k);
-    std::string comp_payload;
-    AppendU32(&comp_payload, static_cast<uint32_t>(num_labels));
-    AppendU32(&comp_payload, static_cast<uint32_t>(k));
-    uint64_t num_values = 0;
-    for (uint64_t m = 1; m <= k; ++m) {
-      num_values += m * num_labels - m + 1;
-    }
-    AppendU64(&comp_payload, num_values);
-    for (uint64_t m = 1; m <= k; ++m) {
-      for (uint64_t sum = m; sum <= m * num_labels; ++sum) {
-        AppendU64(&comp_payload, table.Count(sum, m));
-      }
-    }
-    sections.emplace_back(binfmt::kSectionComposition,
-                          std::move(comp_payload));
-  }
-
-  // Assemble: header, table, payloads. Offsets are absolute.
-  const size_t table_bytes = sections.size() * binfmt::kSectionEntryBytes;
-  uint64_t offset = binfmt::kHeaderBytes + table_bytes;
-  std::string table;
-  table.reserve(table_bytes);
-  uint64_t total_size = offset;
-  for (const auto& [id, payload] : sections) {
-    AppendU32(&table, id);
-    AppendU32(&table, Crc32c(payload.data(), payload.size()));
-    AppendU64(&table, offset);
-    AppendU64(&table, payload.size());
-    offset += payload.size();
-    total_size += payload.size();
-  }
-
-  std::string header;
-  header.reserve(binfmt::kHeaderBytes);
-  header.append(reinterpret_cast<const char*>(binfmt::kMagic),
-                binfmt::kMagicBytes);
-  AppendU32(&header, binfmt::kVersion);
-  AppendU32(&header, static_cast<uint32_t>(sections.size()));
-  AppendU64(&header, total_size);
-  AppendU32(&header, Crc32c(header.data(), header.size()));
-  AppendU32(&header, Crc32c(table.data(), table.size()));
-
-  out->clear();
-  out->reserve(total_size);
-  out->append(header);
-  out->append(table);
-  for (const auto& [id, payload] : sections) out->append(payload);
-  return Status::OK();
+  SectionPayloads sections;
+  sections.reserve(binfmt::kSectionComposition);
+  sections.emplace_back(binfmt::kSectionOrdering, std::move(ordering));
+  sections.emplace_back(binfmt::kSectionLabels, std::move(names));
+  sections.emplace_back(binfmt::kSectionCardinalities, std::move(cards));
+  return sections;
 }
 
-Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
-                                  const LabelDictionary& labels,
-                                  const std::vector<uint64_t>& cardinalities,
-                                  std::string* out) {
-  const std::string& ordering_name = estimator.ordering().name();
-  if (!IsSerializableOrdering(ordering_name)) {
-    return Status::InvalidArgument(
-        "ordering '" + ordering_name +
-        "' materializes O(|L_k|) state and cannot be serialized compactly");
-  }
-  if (labels.size() != cardinalities.size()) {
-    return Status::InvalidArgument("cardinalities size mismatch");
-  }
-  const size_t k = estimator.ordering().space().k();
-
-  std::vector<std::pair<uint32_t, std::string>> sections;
-  sections.emplace_back(
-      binfmt::kSectionOrdering,
-      BuildOrderingPayload(ordering_name,
-                           HistogramTypeName(estimator.histogram_type()), k));
-  sections.emplace_back(binfmt::kSectionLabels, BuildLabelsPayload(labels));
-  sections.emplace_back(binfmt::kSectionCardinalities,
-                        BuildCardsPayload(cardinalities));
-
-  // Section 4: the begin, sum and sumsq rows, each at its layout offset
-  // so a mapped reader points spans at them. Bucket ends are not written:
-  // readers derive them from the begins.
+// v1 sections 4 and 5: the four structure-of-arrays bucket rows and, for
+// the sum family, the ordering's stage-2 CompositionTable rows (the v1
+// reader checks them against the loaded ordering's table).
+void AppendV1Sections(const PathHistogram& estimator,
+                      SectionPayloads* sections) {
   const auto& buckets = estimator.histogram().buckets();
-  const uint64_t beta = buckets.size();
-  const binfmt::HistogramLayoutV2 hl = binfmt::HistogramLayout(beta);
+  std::string hist;
+  hist.reserve(8 + buckets.size() * 32);
+  AppendU64(&hist, buckets.size());
+  for (const Bucket& b : buckets) AppendU64(&hist, b.begin);
+  for (const Bucket& b : buckets) AppendU64(&hist, b.end);
+  for (const Bucket& b : buckets) AppendDouble(&hist, b.sum);
+  for (const Bucket& b : buckets) AppendDouble(&hist, b.sumsq);
+  sections->emplace_back(binfmt::kSectionHistogram, std::move(hist));
+
+  const CompositionTable* table = CompositionsOf(estimator.ordering());
+  if (table == nullptr) return;
+  std::string comp;
+  AppendU32(&comp, static_cast<uint32_t>(table->num_labels()));
+  AppendU32(&comp, static_cast<uint32_t>(table->max_len()));
+  AppendU64(&comp, CompositionValueCount(*table));
+  for (uint64_t m = 1; m <= table->max_len(); ++m) {
+    for (uint64_t sum = m; sum <= m * table->num_labels(); ++sum) {
+      AppendU64(&comp, table->Count(sum, m));
+    }
+  }
+  sections->emplace_back(binfmt::kSectionComposition, std::move(comp));
+}
+
+// v2 section 4: the begin, sum and sumsq rows, each at its layout offset
+// so a mapped reader points spans at them. Bucket ends are not written:
+// readers derive them from the begins.
+void AppendV2Histogram(const PathHistogram& estimator,
+                       SectionPayloads* sections) {
+  const auto& buckets = estimator.histogram().buckets();
+  const binfmt::HistogramLayoutV2 hl = binfmt::HistogramLayout(buckets.size());
   std::string hist;
   hist.reserve(hl.payload_bytes);
-  AppendU64(&hist, beta);
+  AppendU64(&hist, buckets.size());
   AppendU64(&hist, estimator.histogram().domain_size());
   auto append_row = [&](uint64_t off, auto field) {
     PadTo(&hist, off);
@@ -351,44 +325,37 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
   append_row(hl.sumsq_off, &Bucket::sumsq);
   PATHEST_CHECK(hist.size() == hl.payload_bytes,
                 "v2 histogram payload does not match its layout");
-  sections.emplace_back(binfmt::kSectionHistogram, std::move(hist));
+  sections->emplace_back(binfmt::kSectionHistogram, std::move(hist));
+}
 
-  // Assemble: header, table, then each payload at the first 64-byte
-  // boundary at or after the previous end. The gaps (< 64 bytes each) are
-  // zero padding outside every CRC.
-  const size_t table_bytes = sections.size() * binfmt::kSectionEntryBytes;
-  std::vector<uint64_t> offsets(sections.size());
-  uint64_t total_size = binfmt::kHeaderBytes + table_bytes;
-  std::string table;
-  table.reserve(table_bytes);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    const auto& [id, payload] = sections[i];
-    offsets[i] = binfmt::AlignUp(total_size, binfmt::kArrayAlignBytes);
-    AppendU32(&table, id);
-    AppendU32(&table, Crc32c(payload.data(), payload.size()));
-    AppendU64(&table, offsets[i]);
-    AppendU64(&table, payload.size());
-    total_size = offsets[i] + payload.size();
+}  // namespace
+
+Status EncodeCatalog(const PathHistogram& estimator,
+                     const LabelDictionary& labels,
+                     const std::vector<uint64_t>& cardinalities,
+                     CatalogFormat format, std::string* out) {
+  const std::string& ordering_name = estimator.ordering().name();
+  if (!IsSerializableOrdering(ordering_name)) {
+    return Status::InvalidArgument(
+        "ordering '" + ordering_name +
+        "' materializes O(|L_k|) state and cannot be serialized compactly");
   }
-
-  std::string header;
-  header.reserve(binfmt::kHeaderBytes);
-  header.append(reinterpret_cast<const char*>(binfmt::kMagicV2),
-                binfmt::kMagicBytes);
-  AppendU32(&header, binfmt::kVersionV2);
-  AppendU32(&header, static_cast<uint32_t>(sections.size()));
-  AppendU64(&header, total_size);
-  AppendU32(&header, Crc32c(header.data(), header.size()));
-  AppendU32(&header, Crc32c(table.data(), table.size()));
-
-  out->clear();
-  out->reserve(total_size);
-  out->append(header);
-  out->append(table);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    PadTo(out, offsets[i]);
-    out->append(sections[i].second);
+  if (labels.size() != cardinalities.size()) {
+    return Status::InvalidArgument("cardinalities size mismatch");
   }
+  if (format == CatalogFormat::kText) {
+    *out = EncodeText(estimator, labels, cardinalities);
+    return Status::OK();
+  }
+  SectionPayloads sections =
+      MetadataSections(estimator, labels, cardinalities);
+  const bool v1 = format == CatalogFormat::kBinary;
+  if (v1) {
+    AppendV1Sections(estimator, &sections);
+  } else {
+    AppendV2Histogram(estimator, &sections);
+  }
+  AssembleBinary(v1 ? kFrameV1 : kFrameV2, sections, out);
   return Status::OK();
 }
 
@@ -399,23 +366,8 @@ Status SavePathHistogram(const PathHistogram& estimator, const Graph& graph,
     cards[l] = graph.LabelCardinality(l);
   }
   std::string bytes;
-  switch (format) {
-    case CatalogFormat::kBinary:
-      PATHEST_RETURN_NOT_OK(
-          WritePathHistogramBinary(estimator, graph.labels(), cards, &bytes));
-      break;
-    case CatalogFormat::kBinaryV2:
-      PATHEST_RETURN_NOT_OK(WritePathHistogramBinaryV2(
-          estimator, graph.labels(), cards, &bytes));
-      break;
-    case CatalogFormat::kText: {
-      std::ostringstream out;
-      PATHEST_RETURN_NOT_OK(
-          WritePathHistogram(estimator, graph.labels(), cards, &out));
-      bytes = out.str();
-      break;
-    }
-  }
+  PATHEST_RETURN_NOT_OK(
+      EncodeCatalog(estimator, graph.labels(), cards, format, &bytes));
   // Atomic publication: a crashed or failed save never leaves a partial
   // catalog at `path`, and any previous file there survives byte-identical.
   return AtomicWriteFile(path, bytes);
@@ -424,180 +376,13 @@ Status SavePathHistogram(const PathHistogram& estimator, const Graph& graph,
 Status SaveLoadedPathHistogram(const LoadedPathHistogram& loaded,
                                const std::string& path, CatalogFormat format) {
   std::string bytes;
-  switch (format) {
-    case CatalogFormat::kBinary:
-      PATHEST_RETURN_NOT_OK(WritePathHistogramBinary(
-          loaded.estimator, loaded.labels, loaded.label_cardinalities,
-          &bytes));
-      break;
-    case CatalogFormat::kBinaryV2:
-      PATHEST_RETURN_NOT_OK(WritePathHistogramBinaryV2(
-          loaded.estimator, loaded.labels, loaded.label_cardinalities,
-          &bytes));
-      break;
-    case CatalogFormat::kText: {
-      std::ostringstream out;
-      PATHEST_RETURN_NOT_OK(WritePathHistogram(
-          loaded.estimator, loaded.labels, loaded.label_cardinalities, &out));
-      bytes = out.str();
-      break;
-    }
-  }
+  PATHEST_RETURN_NOT_OK(EncodeCatalog(loaded.estimator, loaded.labels,
+                                      loaded.label_cardinalities, format,
+                                      &bytes));
   return AtomicWriteFile(path, bytes);
 }
 
-// ------------------------------------------------------------- text reader
-
-namespace {
-
-Result<LoadedPathHistogram> ReadPathHistogramText(const std::string& content) {
-  // The buffer is parsed with a cursor over the raw bytes: integers via
-  // std::from_chars, doubles via strtod (hexfloat). The previous reader
-  // paid an istringstream construction plus locale-aware operator>>
-  // extraction per line, which dominated large-beta catalog loads (see the
-  // timing note in serialize.h).
-  const char* cur = content.data();
-  const char* const end = content.data() + content.size();
-
-  // The magic is a whole line, not a token (it contains a space).
-  const char* nl = std::find(cur, end, '\n');
-  if (std::string_view(cur, static_cast<size_t>(nl - cur)) != kTextMagic) {
-    return Status::IOError("bad magic: expected '" + std::string(kTextMagic) +
-                           "'");
-  }
-  cur = nl == end ? end : nl + 1;
-
-  auto next_token = [&cur, end]() -> std::string_view {
-    while (cur < end && std::isspace(static_cast<unsigned char>(*cur))) ++cur;
-    const char* begin = cur;
-    while (cur < end && !std::isspace(static_cast<unsigned char>(*cur))) ++cur;
-    return {begin, static_cast<size_t>(cur - begin)};
-  };
-  auto expect_key = [&next_token](const char* key) -> Status {
-    const std::string_view tok = next_token();
-    if (tok.empty()) {
-      return Status::IOError(std::string("truncated file before '") + key +
-                             "'");
-    }
-    if (tok != key) {
-      return Status::IOError("expected key '" + std::string(key) +
-                             "', found '" + std::string(tok) + "'");
-    }
-    return Status::OK();
-  };
-  auto parse_u64 = [&next_token](uint64_t* out) -> bool {
-    const std::string_view tok = next_token();
-    if (tok.empty()) return false;
-    const auto [ptr, ec] =
-        std::from_chars(tok.data(), tok.data() + tok.size(), *out);
-    return ec == std::errc() && ptr == tok.data() + tok.size();
-  };
-  // Hexfloat ("0x1.8p+4") parsing stays on strtod: std::from_chars's hex
-  // format rejects the "0x" prefix the writer emits. Tokens point into
-  // `content`, which is null-terminated past its last byte, and strtod
-  // stops at the token-ending whitespace on its own.
-  auto parse_double = [&next_token](double* out) -> bool {
-    const std::string_view tok = next_token();
-    if (tok.empty()) return false;
-    char* parse_end = nullptr;
-    *out = std::strtod(tok.data(), &parse_end);
-    return parse_end == tok.data() + tok.size();
-  };
-
-  PATHEST_RETURN_NOT_OK(expect_key("ordering"));
-  std::string ordering_name{next_token()};
-  if (!IsSerializableOrdering(ordering_name)) {
-    return Status::IOError("unknown serialized ordering: " + ordering_name);
-  }
-
-  PATHEST_RETURN_NOT_OK(expect_key("type"));
-  auto type = ParseHistogramType(std::string{next_token()});
-  if (!type.ok()) return type.status();
-
-  PATHEST_RETURN_NOT_OK(expect_key("k"));
-  uint64_t k = 0;
-  if (!parse_u64(&k) || k < 1 || k > kMaxPathLength) {
-    return Status::IOError("bad k");
-  }
-
-  PATHEST_RETURN_NOT_OK(expect_key("labels"));
-  uint64_t num_labels = 0;
-  if (!parse_u64(&num_labels) || num_labels == 0 || num_labels > kMaxLabels) {
-    return Status::IOError("bad label count");
-  }
-  // A parsed count sizes allocations below, so it must be plausible
-  // against the bytes that actually remain (each label name plus its
-  // separator needs at least 2 bytes) — a forged huge count is an IOError
-  // here, never an unbounded reserve.
-  if (num_labels > static_cast<uint64_t>(end - cur) / 2) {
-    return Status::IOError("implausible label count " +
-                           std::to_string(num_labels) + " for " +
-                           std::to_string(end - cur) + " remaining bytes");
-  }
-  if (Status shape = CheckOrderingShape(ordering_name, num_labels, k);
-      !shape.ok()) {
-    return Status::IOError("unservable shape: " + shape.message());
-  }
-  LabelDictionary labels;
-  for (size_t i = 0; i < num_labels; ++i) {
-    const std::string_view name = next_token();
-    if (name.empty()) return Status::IOError("truncated label list");
-    if (labels.Intern(std::string{name}) != i) {
-      return Status::IOError("duplicate label name: " + std::string{name});
-    }
-  }
-
-  PATHEST_RETURN_NOT_OK(expect_key("cardinalities"));
-  std::vector<uint64_t> cards;
-  cards.reserve(num_labels);
-  for (size_t i = 0; i < num_labels; ++i) {
-    uint64_t f = 0;
-    if (!parse_u64(&f)) return Status::IOError("truncated cardinalities");
-    cards.push_back(f);
-  }
-
-  PATHEST_RETURN_NOT_OK(expect_key("buckets"));
-  uint64_t num_buckets = 0;
-  if (!parse_u64(&num_buckets) || num_buckets == 0) {
-    return Status::IOError("bad bucket count");
-  }
-  // Same plausibility gate as the label count: a bucket line is at least 8
-  // bytes ("0 1 0 0\n"), so a count past remaining/8 cannot be satisfied
-  // by the file and must not drive the reserve below.
-  if (num_buckets > static_cast<uint64_t>(end - cur) / 8 + 1) {
-    return Status::IOError("implausible bucket count " +
-                           std::to_string(num_buckets) + " for " +
-                           std::to_string(end - cur) + " remaining bytes");
-  }
-  std::vector<Bucket> buckets;
-  buckets.reserve(num_buckets);
-  for (size_t i = 0; i < num_buckets; ++i) {
-    Bucket b;
-    if (!parse_u64(&b.begin) || !parse_u64(&b.end) || !parse_double(&b.sum) ||
-        !parse_double(&b.sumsq)) {
-      return Status::IOError("truncated or malformed bucket " +
-                             std::to_string(i));
-    }
-    buckets.push_back(b);
-  }
-
-  auto histogram = Histogram::FromBuckets(std::move(buckets));
-  if (!histogram.ok()) {
-    return Status::IOError("invalid buckets: " +
-                           histogram.status().message());
-  }
-  auto ordering = MakeOrderingFromStats(ordering_name, labels, cards, k);
-  if (!ordering.ok()) return ordering.status();
-  auto estimator = PathHistogram::FromParts(std::move(*ordering),
-                                            std::move(*histogram), *type);
-  if (!estimator.ok()) return estimator.status();
-  return LoadedPathHistogram{std::move(labels), std::move(cards),
-                             std::move(*estimator)};
-}
-
-}  // namespace
-
-// ----------------------------------------------------------- binary reader
+// ----------------------------------------------------------- format sniff
 
 namespace {
 
@@ -653,7 +438,11 @@ Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
   return format;
 }
 
+// ------------------------------------------------ shared reader machinery
+
 namespace {
+
+using internal::CatalogMetadata;
 
 Status SectionError(uint32_t id, const std::string& detail) {
   return Status::IOError(std::string("section ") + binfmt::SectionName(id) +
@@ -667,16 +456,44 @@ struct SectionEntry {
   uint64_t length = 0;
 };
 
-}  // namespace
+// A binary catalog's authenticated header and section table.
+struct Frame {
+  std::string_view bytes;
+  uint32_t version = 0;
+  // Indexed by section id; an absent section's entry has id 0.
+  std::array<SectionEntry, binfmt::kSectionSumIndex + 1> sections{};
 
-Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes) {
+  const SectionEntry* Find(uint32_t id) const {
+    return id < sections.size() && sections[id].id == id ? &sections[id]
+                                                         : nullptr;
+  }
+
+  // The payload of `e`, its CRC verified before the caller interprets a
+  // byte of it.
+  Status Open(const SectionEntry& e, std::string_view* payload) const {
+    *payload = bytes.substr(e.offset, e.length);
+    if (Crc32c(payload->data(), payload->size()) != e.crc) {
+      return SectionError(e.id, "checksum mismatch over " +
+                                    std::to_string(e.length) + " bytes");
+    }
+    return Status::OK();
+  }
+};
+
+// The one parse of the binary container, v1 and v2 alike: every header
+// check happens before the field it gates is used; section offsets and
+// lengths are bounds-checked before any access; sections 1-3 are
+// CRC-checked, then fully parsed into `meta`. Section 4 and later are the
+// caller's.
+Status ParseFrame(std::string_view bytes, const FrameSpec& spec, Frame* frame,
+                  CatalogMetadata* meta) {
   using namespace binfmt;  // NOLINT — layout constants
-  // ---- header: every check happens before the field it gates is used.
+  // ---- header.
   if (bytes.size() < kHeaderBytes) {
     return Status::IOError("binary catalog: truncated header (" +
                            std::to_string(bytes.size()) + " bytes)");
   }
-  if (!LooksLikeBinaryCatalog(bytes)) {
+  if (std::memcmp(bytes.data(), spec.magic, kMagicBytes) != 0) {
     return Status::IOError("binary catalog: bad magic");
   }
   BoundedReader header(bytes.data(), kHeaderBytes);
@@ -692,10 +509,14 @@ Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes) {
     return Status::IOError("binary catalog: header checksum mismatch");
   }
   // Post-CRC: the header fields are authentic; now validate them.
-  if (version != kVersion) {
+  if (version < spec.min_version || version > spec.version) {
+    std::string known = std::to_string(spec.min_version);
+    if (spec.min_version != spec.version) {
+      known += " to " + std::to_string(spec.version);
+    }
     return Status::IOError("binary catalog: unsupported format version " +
                            std::to_string(version) + " (reader knows " +
-                           std::to_string(kVersion) + ")");
+                           known + ")");
   }
   if (file_size != bytes.size()) {
     return Status::IOError("binary catalog: file is " +
@@ -715,12 +536,16 @@ Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes) {
   if (Crc32c(bytes.data() + kHeaderBytes, table_bytes) != table_crc) {
     return Status::IOError("binary catalog: section table checksum mismatch");
   }
+  frame->bytes = bytes;
+  frame->version = version;
 
-  // ---- section table: offsets/lengths bounds-checked before any access.
+  // ---- section table: known ids in ascending order, extents inside the
+  // file, aligned, ascending and non-overlapping.
   BoundedReader table(bytes.data() + kHeaderBytes, table_bytes);
-  std::vector<SectionEntry> entries(section_count);
   uint32_t prev_id = 0;
-  for (SectionEntry& e : entries) {
+  uint64_t prev_end = kHeaderBytes + table_bytes;
+  for (uint32_t i = 0; i < section_count; ++i) {
+    SectionEntry e;
     PATHEST_RETURN_NOT_OK(table.ReadU32(&e.id, "section id"));
     PATHEST_RETURN_NOT_OK(table.ReadU32(&e.crc, "section crc"));
     PATHEST_RETURN_NOT_OK(table.ReadU64(&e.offset, "section offset"));
@@ -730,75 +555,68 @@ Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes) {
           "binary catalog: section ids not strictly ascending");
     }
     prev_id = e.id;
-    if (e.id > kSectionComposition) {
+    if (e.id > spec.max_section_id) {
       return Status::IOError("binary catalog: unknown section id " +
                              std::to_string(e.id));
     }
-    if (e.offset < kHeaderBytes + table_bytes ||
-        e.offset > bytes.size() || e.length > bytes.size() - e.offset) {
+    if (e.offset < kHeaderBytes + table_bytes || e.offset > bytes.size() ||
+        e.length > bytes.size() - e.offset) {
       return SectionError(e.id, "extent [" + std::to_string(e.offset) +
                                     ", +" + std::to_string(e.length) +
                                     ") outside the file");
     }
-  }
-
-  auto find_section = [&entries](uint32_t id) -> const SectionEntry* {
-    for (const SectionEntry& e : entries) {
-      if (e.id == id) return &e;
+    if (e.offset % spec.align != 0) {
+      return SectionError(e.id, "offset " + std::to_string(e.offset) +
+                                    " is not " + std::to_string(spec.align) +
+                                    "-byte aligned");
     }
-    return nullptr;
-  };
+    if (e.offset < prev_end) {
+      return SectionError(e.id, "extent [" + std::to_string(e.offset) +
+                                    ", +" + std::to_string(e.length) +
+                                    ") overlaps the previous section, "
+                                    "which ends at " +
+                                    std::to_string(prev_end));
+    }
+    prev_end = e.offset + e.length;
+    frame->sections[e.id] = e;
+  }
   for (uint32_t id : {kSectionOrdering, kSectionLabels,
                       kSectionCardinalities, kSectionHistogram}) {
-    if (find_section(id) == nullptr) {
+    if (frame->Find(id) == nullptr) {
       return SectionError(id, "required section missing");
     }
   }
 
-  // Payload accessor: the CRC is verified before the first byte of a
-  // section is interpreted.
-  auto open_section = [&](const SectionEntry& e,
-                          std::string_view* out) -> Status {
-    *out = bytes.substr(e.offset, e.length);
-    if (Crc32c(out->data(), out->size()) != e.crc) {
-      return SectionError(e.id, "checksum mismatch over " +
-                                    std::to_string(e.length) + " bytes");
-    }
-    return Status::OK();
-  };
-
   // ---- section 1: ordering identity.
   std::string_view payload;
-  PATHEST_RETURN_NOT_OK(open_section(*find_section(kSectionOrdering),
-                                     &payload));
-  BoundedReader ord(payload);
-  std::string ordering_name, type_name;
-  uint32_t k32 = 0, reserved = 0;
   PATHEST_RETURN_NOT_OK(
-      ord.ReadLengthPrefixedString(&ordering_name, 64, "ordering name"));
+      frame->Open(*frame->Find(kSectionOrdering), &payload));
+  BoundedReader ord(payload);
+  std::string type_name;
+  uint32_t k32 = 0, reserved = 0;
+  PATHEST_RETURN_NOT_OK(ord.ReadLengthPrefixedString(&meta->ordering_name, 64,
+                                                     "ordering name"));
   PATHEST_RETURN_NOT_OK(
       ord.ReadLengthPrefixedString(&type_name, 64, "histogram type"));
   PATHEST_RETURN_NOT_OK(ord.ReadU32(&k32, "k"));
   PATHEST_RETURN_NOT_OK(ord.ReadU32(&reserved, "ordering reserved"));
-  if (!ord.AtEnd()) {
-    return SectionError(kSectionOrdering, "trailing bytes");
-  }
-  if (!IsSerializableOrdering(ordering_name)) {
+  if (!ord.AtEnd()) return SectionError(kSectionOrdering, "trailing bytes");
+  if (!IsSerializableOrdering(meta->ordering_name)) {
     return SectionError(kSectionOrdering,
-                        "unknown serialized ordering: " + ordering_name);
+                        "unknown serialized ordering: " + meta->ordering_name);
   }
   auto type = ParseHistogramType(type_name);
   if (!type.ok()) {
     return SectionError(kSectionOrdering, type.status().message());
   }
-  const uint64_t k = k32;
-  if (k < 1 || k > kMaxPathLength) {
-    return SectionError(kSectionOrdering, "bad k " + std::to_string(k));
+  meta->histogram_type = *type;
+  meta->k = k32;
+  if (meta->k < 1 || meta->k > kMaxPathLength) {
+    return SectionError(kSectionOrdering, "bad k " + std::to_string(meta->k));
   }
 
   // ---- section 2: label dictionary.
-  PATHEST_RETURN_NOT_OK(open_section(*find_section(kSectionLabels),
-                                     &payload));
+  PATHEST_RETURN_NOT_OK(frame->Open(*frame->Find(kSectionLabels), &payload));
   BoundedReader lab(payload);
   uint32_t num_labels = 0;
   PATHEST_RETURN_NOT_OK(lab.ReadU32(&num_labels, "label count"));
@@ -806,29 +624,27 @@ Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes) {
     return SectionError(kSectionLabels, "implausible label count " +
                                             std::to_string(num_labels));
   }
-  if (Status shape = CheckOrderingShape(ordering_name, num_labels, k);
+  if (Status shape = CheckOrderingShape(meta->ordering_name, num_labels,
+                                        meta->k);
       !shape.ok()) {
     return SectionError(kSectionLabels, shape.message());
   }
   // Each label costs at least its 4-byte length prefix.
   PATHEST_RETURN_NOT_OK(lab.ValidateCount(num_labels, 4, "labels"));
-  LabelDictionary labels;
   for (uint32_t i = 0; i < num_labels; ++i) {
     std::string name;
     PATHEST_RETURN_NOT_OK(
         lab.ReadLengthPrefixedString(&name, kMaxLabelNameBytes, "label name"));
-    if (name.empty()) {
-      return SectionError(kSectionLabels, "empty label name");
-    }
-    if (labels.Intern(name) != i) {
+    if (name.empty()) return SectionError(kSectionLabels, "empty label name");
+    if (meta->labels.Intern(name) != i) {
       return SectionError(kSectionLabels, "duplicate label name: " + name);
     }
   }
   if (!lab.AtEnd()) return SectionError(kSectionLabels, "trailing bytes");
 
   // ---- section 3: cardinalities.
-  PATHEST_RETURN_NOT_OK(open_section(*find_section(kSectionCardinalities),
-                                     &payload));
+  PATHEST_RETURN_NOT_OK(
+      frame->Open(*frame->Find(kSectionCardinalities), &payload));
   BoundedReader car(payload);
   uint32_t card_count = 0;
   PATHEST_RETURN_NOT_OK(car.ReadU32(&card_count, "cardinality count"));
@@ -840,20 +656,240 @@ Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes) {
                             " labels");
   }
   PATHEST_RETURN_NOT_OK(car.ValidateCount(card_count, 8, "cardinalities"));
-  std::vector<uint64_t> cards;
-  cards.reserve(card_count);
+  meta->cards.reserve(card_count);
   for (uint32_t i = 0; i < card_count; ++i) {
     uint64_t f = 0;
     PATHEST_RETURN_NOT_OK(car.ReadU64(&f, "cardinality"));
-    cards.push_back(f);
+    meta->cards.push_back(f);
   }
   if (!car.AtEnd()) {
     return SectionError(kSectionCardinalities, "trailing bytes");
   }
+  return Status::OK();
+}
+
+// Histogram::FromBuckets, its refusal a typed IOError: binary readers
+// localize it to section 4; the text format has no sections.
+Result<Histogram> HistogramFromBuckets(std::vector<Bucket> buckets,
+                                       bool in_section) {
+  auto histogram = Histogram::FromBuckets(std::move(buckets));
+  if (histogram.ok()) return histogram;
+  const std::string detail = "invalid buckets: " + histogram.status().message();
+  return in_section ? SectionError(binfmt::kSectionHistogram, detail)
+                    : Status::IOError(detail);
+}
+
+// The tail of every copying reader: the ordering rebuilt from `meta`
+// joined with `histogram` into an owned estimator. Moves the labels and
+// cardinalities out of `meta`.
+Result<LoadedPathHistogram> LoadedFrom(CatalogMetadata& meta,
+                                       Histogram histogram) {
+  auto ordering = MakeOrderingFromStats(meta.ordering_name, meta.labels,
+                                        meta.cards, meta.k);
+  if (!ordering.ok()) return ordering.status();
+  auto estimator = PathHistogram::FromParts(
+      std::move(*ordering), std::move(histogram), meta.histogram_type);
+  if (!estimator.ok()) return estimator.status();
+  return LoadedPathHistogram{std::move(meta.labels), std::move(meta.cards),
+                             std::move(*estimator)};
+}
+
+// ------------------------------------------------------------- text reader
+
+Result<LoadedPathHistogram> DecodeText(std::string_view content) {
+  // The buffer is parsed with a cursor over the raw bytes: integers via
+  // std::from_chars, doubles via strtod (hexfloat). The previous reader
+  // paid an istringstream construction plus locale-aware operator>>
+  // extraction per line, which dominated large-beta catalog loads (see the
+  // timing note in serialize.h).
+  const char* cur = content.data();
+  const char* const end = content.data() + content.size();
+
+  // The magic is a whole line, not a token (it contains a space).
+  const char* nl = std::find(cur, end, '\n');
+  if (std::string_view(cur, static_cast<size_t>(nl - cur)) != kTextMagic) {
+    return Status::IOError("bad magic: expected '" + std::string(kTextMagic) +
+                           "'");
+  }
+  cur = nl == end ? end : nl + 1;
+
+  auto next_token = [&cur, end]() -> std::string_view {
+    while (cur < end && std::isspace(static_cast<unsigned char>(*cur))) ++cur;
+    const char* begin = cur;
+    while (cur < end && !std::isspace(static_cast<unsigned char>(*cur))) ++cur;
+    return {begin, static_cast<size_t>(cur - begin)};
+  };
+  auto expect_key = [&next_token](const char* key) -> Status {
+    const std::string_view tok = next_token();
+    if (tok.empty()) {
+      return Status::IOError(std::string("truncated file before '") + key +
+                             "'");
+    }
+    if (tok != key) {
+      return Status::IOError("expected key '" + std::string(key) +
+                             "', found '" + std::string(tok) + "'");
+    }
+    return Status::OK();
+  };
+  auto parse_u64 = [&next_token](uint64_t* out) -> bool {
+    const std::string_view tok = next_token();
+    if (tok.empty()) return false;
+    const auto [ptr, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), *out);
+    return ec == std::errc() && ptr == tok.data() + tok.size();
+  };
+  // Hexfloat ("0x1.8p+4") parsing stays on strtod: std::from_chars's hex
+  // format rejects the "0x" prefix the writer emits. strtod stops at the
+  // whitespace that ends a token; a token that ends the buffer has nothing
+  // after it to stop at, so it is parsed from a terminated copy.
+  auto parse_double = [&next_token, end](double* out) -> bool {
+    const std::string_view tok = next_token();
+    if (tok.empty()) return false;
+    const std::string last(tok.data() + tok.size() == end ? tok : "");
+    const char* start = last.empty() ? tok.data() : last.c_str();
+    char* parse_end = nullptr;
+    *out = std::strtod(start, &parse_end);
+    return parse_end == start + tok.size();
+  };
+
+  CatalogMetadata meta;
+  PATHEST_RETURN_NOT_OK(expect_key("ordering"));
+  meta.ordering_name = next_token();
+  if (!IsSerializableOrdering(meta.ordering_name)) {
+    return Status::IOError("unknown serialized ordering: " +
+                           meta.ordering_name);
+  }
+
+  PATHEST_RETURN_NOT_OK(expect_key("type"));
+  auto type = ParseHistogramType(std::string{next_token()});
+  if (!type.ok()) return type.status();
+  meta.histogram_type = *type;
+
+  PATHEST_RETURN_NOT_OK(expect_key("k"));
+  if (!parse_u64(&meta.k) || meta.k < 1 || meta.k > kMaxPathLength) {
+    return Status::IOError("bad k");
+  }
+
+  PATHEST_RETURN_NOT_OK(expect_key("labels"));
+  uint64_t num_labels = 0;
+  if (!parse_u64(&num_labels) || num_labels == 0 || num_labels > kMaxLabels) {
+    return Status::IOError("bad label count");
+  }
+  // A parsed count sizes allocations below, so it must be plausible
+  // against the bytes that actually remain (each label name plus its
+  // separator needs at least 2 bytes) — a forged huge count is an IOError
+  // here, never an unbounded reserve.
+  if (num_labels > static_cast<uint64_t>(end - cur) / 2) {
+    return Status::IOError("implausible label count " +
+                           std::to_string(num_labels) + " for " +
+                           std::to_string(end - cur) + " remaining bytes");
+  }
+  if (Status shape = CheckOrderingShape(meta.ordering_name, num_labels, meta.k);
+      !shape.ok()) {
+    return Status::IOError("unservable shape: " + shape.message());
+  }
+  for (size_t i = 0; i < num_labels; ++i) {
+    const std::string_view name = next_token();
+    if (name.empty()) return Status::IOError("truncated label list");
+    if (meta.labels.Intern(std::string{name}) != i) {
+      return Status::IOError("duplicate label name: " + std::string{name});
+    }
+  }
+
+  PATHEST_RETURN_NOT_OK(expect_key("cardinalities"));
+  meta.cards.reserve(num_labels);
+  for (size_t i = 0; i < num_labels; ++i) {
+    uint64_t f = 0;
+    if (!parse_u64(&f)) return Status::IOError("truncated cardinalities");
+    meta.cards.push_back(f);
+  }
+
+  PATHEST_RETURN_NOT_OK(expect_key("buckets"));
+  uint64_t num_buckets = 0;
+  if (!parse_u64(&num_buckets) || num_buckets == 0) {
+    return Status::IOError("bad bucket count");
+  }
+  // Same plausibility gate as the label count: a bucket line is at least 8
+  // bytes ("0 1 0 0\n"), so a count past remaining/8 cannot be satisfied
+  // by the file and must not drive the reserve below.
+  if (num_buckets > static_cast<uint64_t>(end - cur) / 8 + 1) {
+    return Status::IOError("implausible bucket count " +
+                           std::to_string(num_buckets) + " for " +
+                           std::to_string(end - cur) + " remaining bytes");
+  }
+  std::vector<Bucket> buckets;
+  buckets.reserve(num_buckets);
+  for (size_t i = 0; i < num_buckets; ++i) {
+    Bucket b;
+    if (!parse_u64(&b.begin) || !parse_u64(&b.end) || !parse_double(&b.sum) ||
+        !parse_double(&b.sumsq)) {
+      return Status::IOError("truncated or malformed bucket " +
+                             std::to_string(i));
+    }
+    buckets.push_back(b);
+  }
+
+  auto histogram = HistogramFromBuckets(std::move(buckets), false);
+  if (!histogram.ok()) return histogram.status();
+  return LoadedFrom(meta, std::move(*histogram));
+}
+
+// --------------------------------------------------------------- v1 reader
+
+// v1 section 5 against the stage-2 table the loaded ordering holds: the
+// persisted rows must be exactly what the ordering derives from (|L|, k)
+// — a mismatch means a wrong-but-well-formed file, the one corruption
+// class a checksum of the file alone cannot see.
+Status CheckCompositionSection(std::string_view payload,
+                               const CompositionTable& table) {
+  using binfmt::kSectionComposition;
+  BoundedReader com(payload);
+  uint32_t comp_labels = 0, comp_k = 0;
+  uint64_t num_values = 0;
+  PATHEST_RETURN_NOT_OK(com.ReadU32(&comp_labels, "composition |L|"));
+  PATHEST_RETURN_NOT_OK(com.ReadU32(&comp_k, "composition k"));
+  PATHEST_RETURN_NOT_OK(com.ReadU64(&num_values, "composition count"));
+  if (comp_labels != table.num_labels() || comp_k != table.max_len()) {
+    return SectionError(kSectionComposition,
+                        "shape (|L|=" + std::to_string(comp_labels) +
+                            ", k=" + std::to_string(comp_k) +
+                            ") does not match the catalog");
+  }
+  const uint64_t expected_values = CompositionValueCount(table);
+  if (num_values != expected_values) {
+    return SectionError(kSectionComposition,
+                        "value count " + std::to_string(num_values) +
+                            " (expected " + std::to_string(expected_values) +
+                            ")");
+  }
+  PATHEST_RETURN_NOT_OK(com.ValidateCount(num_values, 8, "composition values"));
+  for (uint64_t m = 1; m <= table.max_len(); ++m) {
+    for (uint64_t sum = m; sum <= m * table.num_labels(); ++sum) {
+      uint64_t v = 0;
+      PATHEST_RETURN_NOT_OK(com.ReadU64(&v, "composition value"));
+      if (v != table.Count(sum, m)) {
+        return SectionError(
+            kSectionComposition,
+            "value mismatch at (m=" + std::to_string(m) +
+                ", sum=" + std::to_string(sum) + "): file has " +
+                std::to_string(v) + ", recomputed " +
+                std::to_string(table.Count(sum, m)));
+      }
+    }
+  }
+  if (!com.AtEnd()) return SectionError(kSectionComposition, "trailing bytes");
+  return Status::OK();
+}
+
+Result<LoadedPathHistogram> DecodeV1(std::string_view bytes) {
+  using namespace binfmt;  // NOLINT — layout constants
+  Frame frame;
+  CatalogMetadata meta;
+  PATHEST_RETURN_NOT_OK(ParseFrame(bytes, kFrameV1, &frame, &meta));
 
   // ---- section 4: histogram SoA rows.
-  PATHEST_RETURN_NOT_OK(open_section(*find_section(kSectionHistogram),
-                                     &payload));
+  std::string_view payload;
+  PATHEST_RETURN_NOT_OK(frame.Open(*frame.Find(kSectionHistogram), &payload));
   BoundedReader his(payload);
   uint64_t num_buckets = 0;
   PATHEST_RETURN_NOT_OK(his.ReadU64(&num_buckets, "bucket count"));
@@ -878,84 +914,27 @@ Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes) {
   }
   if (!his.AtEnd()) return SectionError(kSectionHistogram, "trailing bytes");
 
-  // ---- section 5: composition table (sum family only).
-  const SectionEntry* comp_entry = find_section(kSectionComposition);
-  if (IsSumFamilyOrdering(ordering_name) != (comp_entry != nullptr)) {
+  // ---- section 5: composition table (sum family only), checked once the
+  // ordering holds its own table.
+  const SectionEntry* comp = frame.Find(kSectionComposition);
+  if (IsSumFamilyOrdering(meta.ordering_name) != (comp != nullptr)) {
     return SectionError(kSectionComposition,
-                        comp_entry == nullptr
-                            ? "missing for sum-family ordering"
-                            : "present for non-sum ordering");
+                        comp == nullptr ? "missing for sum-family ordering"
+                                        : "present for non-sum ordering");
   }
-  if (comp_entry != nullptr) {
-    PATHEST_RETURN_NOT_OK(open_section(*comp_entry, &payload));
-    BoundedReader com(payload);
-    uint32_t comp_labels = 0, comp_k = 0;
-    uint64_t num_values = 0;
-    PATHEST_RETURN_NOT_OK(com.ReadU32(&comp_labels, "composition |L|"));
-    PATHEST_RETURN_NOT_OK(com.ReadU32(&comp_k, "composition k"));
-    PATHEST_RETURN_NOT_OK(com.ReadU64(&num_values, "composition count"));
-    if (comp_labels != num_labels || comp_k != k) {
-      return SectionError(kSectionComposition,
-                          "shape (|L|=" + std::to_string(comp_labels) +
-                              ", k=" + std::to_string(comp_k) +
-                              ") does not match the catalog");
-    }
-    uint64_t expected_values = 0;
-    for (uint64_t m = 1; m <= k; ++m) {
-      expected_values += m * num_labels - m + 1;
-    }
-    if (num_values != expected_values) {
-      return SectionError(kSectionComposition,
-                          "value count " + std::to_string(num_values) +
-                              " (expected " + std::to_string(expected_values) +
-                              ")");
-    }
-    PATHEST_RETURN_NOT_OK(
-        com.ValidateCount(num_values, 8, "composition values"));
-    // Semantic integrity beyond the CRC: the persisted stage-2 rows must be
-    // exactly what the ordering will rebuild from (|L|, k) — a mismatch
-    // means a wrong-but-well-formed file, the one corruption class a
-    // checksum of the file alone cannot see.
-    CompositionTable expected(num_labels, k);
-    for (uint64_t m = 1; m <= k; ++m) {
-      for (uint64_t sum = m; sum <= m * num_labels; ++sum) {
-        uint64_t v = 0;
-        PATHEST_RETURN_NOT_OK(com.ReadU64(&v, "composition value"));
-        if (v != expected.Count(sum, m)) {
-          return SectionError(
-              kSectionComposition,
-              "value mismatch at (m=" + std::to_string(m) +
-                  ", sum=" + std::to_string(sum) + "): file has " +
-                  std::to_string(v) + ", recomputed " +
-                  std::to_string(expected.Count(sum, m)));
-        }
-      }
-    }
-    if (!com.AtEnd()) {
-      return SectionError(kSectionComposition, "trailing bytes");
-    }
-  }
+  std::string_view comp_payload;
+  if (comp != nullptr) PATHEST_RETURN_NOT_OK(frame.Open(*comp, &comp_payload));
 
-  // ---- assembly (shared semantic validation with the text path).
-  auto histogram = Histogram::FromBuckets(std::move(buckets));
-  if (!histogram.ok()) {
-    return SectionError(kSectionHistogram,
-                        "invalid buckets: " + histogram.status().message());
-  }
-  auto ordering = MakeOrderingFromStats(ordering_name, labels, cards, k);
-  if (!ordering.ok()) return ordering.status();
-  auto estimator = PathHistogram::FromParts(std::move(*ordering),
-                                            std::move(*histogram), *type);
-  if (!estimator.ok()) return estimator.status();
-  return LoadedPathHistogram{std::move(labels), std::move(cards),
-                             std::move(*estimator)};
+  auto histogram = HistogramFromBuckets(std::move(buckets), true);
+  if (!histogram.ok()) return histogram.status();
+  auto loaded = LoadedFrom(meta, std::move(*histogram));
+  if (!loaded.ok() || comp == nullptr) return loaded;
+  PATHEST_RETURN_NOT_OK(CheckCompositionSection(
+      comp_payload, *CompositionsOf(loaded->estimator.ordering())));
+  return loaded;
 }
 
-// -------------------------------------------------- v2 parse layer (shared)
-
-namespace internal {
-
-namespace {
+// --------------------------------------------------------------- v2 reader
 
 template <typename T>
 std::span<const T> RowSpan(std::string_view payload, uint64_t off,
@@ -965,29 +944,13 @@ std::span<const T> RowSpan(std::string_view payload, uint64_t off,
 }
 
 // End of bucket b: no v2 reader reads an end row; each derives it here.
-uint64_t BucketEnd(const CatalogV2View& view, uint64_t b) {
+uint64_t BucketEnd(const internal::CatalogV2View& view, uint64_t b) {
   return b + 1 < view.beta ? view.begin[b + 1] : view.domain_size;
 }
 
-// The diagnostic Histogram section 4 describes; a typed histogram section
-// error when the rows do not form valid buckets.
-Result<Histogram> HistogramOf(const CatalogV2View& view) {
-  std::vector<Bucket> buckets(view.beta);
-  for (uint64_t b = 0; b < view.beta; ++b) {
-    buckets[b].begin = view.begin[b];
-    buckets[b].end = BucketEnd(view, b);
-    buckets[b].sum = view.sum[b];
-    buckets[b].sumsq = view.sumsq[b];
-  }
-  auto histogram = Histogram::FromBuckets(std::move(buckets));
-  if (!histogram.ok()) {
-    return SectionError(binfmt::kSectionHistogram,
-                        "invalid buckets: " + histogram.status().message());
-  }
-  return histogram;
-}
-
 }  // namespace
+
+namespace internal {
 
 Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                                      CatalogVerify verify) {
@@ -996,199 +959,16 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     return Status::InvalidArgument(
         "catalog v2 buffer must be 8-byte aligned");
   }
-  // ---- header: same authentication discipline as v1.
-  if (bytes.size() < kHeaderBytes) {
-    return Status::IOError("binary catalog: truncated header (" +
-                           std::to_string(bytes.size()) + " bytes)");
-  }
-  if (!BytesAreBinaryV2(bytes)) {
-    return Status::IOError("binary catalog: bad magic");
-  }
-  BoundedReader header(bytes.data(), kHeaderBytes);
-  PATHEST_RETURN_NOT_OK(header.Skip(kMagicBytes, "magic"));
-  uint32_t version = 0, section_count = 0, header_crc = 0, table_crc = 0;
-  uint64_t file_size = 0;
-  PATHEST_RETURN_NOT_OK(header.ReadU32(&version, "version"));
-  PATHEST_RETURN_NOT_OK(header.ReadU32(&section_count, "section count"));
-  PATHEST_RETURN_NOT_OK(header.ReadU64(&file_size, "file size"));
-  PATHEST_RETURN_NOT_OK(header.ReadU32(&header_crc, "header crc"));
-  PATHEST_RETURN_NOT_OK(header.ReadU32(&table_crc, "table crc"));
-  if (Crc32c(bytes.data(), kHeaderBytes - 8) != header_crc) {
-    return Status::IOError("binary catalog: header checksum mismatch");
-  }
-  if (version < kVersionV2Eytzinger || version > kVersionV2) {
-    return Status::IOError("binary catalog: unsupported format version " +
-                           std::to_string(version) + " (reader knows " +
-                           std::to_string(kVersionV2Eytzinger) + " to " +
-                           std::to_string(kVersionV2) + ")");
-  }
-  if (file_size != bytes.size()) {
-    return Status::IOError("binary catalog: file is " +
-                           std::to_string(bytes.size()) +
-                           " bytes but the header expects " +
-                           std::to_string(file_size) + " (truncated copy?)");
-  }
-  if (section_count == 0 || section_count > kMaxSections) {
-    return Status::IOError("binary catalog: implausible section count " +
-                           std::to_string(section_count));
-  }
-  const uint64_t table_bytes =
-      static_cast<uint64_t>(section_count) * kSectionEntryBytes;
-  if (kHeaderBytes + table_bytes > bytes.size()) {
-    return Status::IOError("binary catalog: truncated section table");
-  }
-  if (Crc32c(bytes.data() + kHeaderBytes, table_bytes) != table_crc) {
-    return Status::IOError("binary catalog: section table checksum mismatch");
-  }
-
-  // ---- section table: extents, 64-byte alignment and ascending,
-  // non-overlapping placement, checked up front.
-  BoundedReader table(bytes.data() + kHeaderBytes, table_bytes);
-  std::vector<SectionEntry> entries(section_count);
-  uint32_t prev_id = 0;
-  uint64_t prev_end = kHeaderBytes + table_bytes;
-  for (SectionEntry& e : entries) {
-    PATHEST_RETURN_NOT_OK(table.ReadU32(&e.id, "section id"));
-    PATHEST_RETURN_NOT_OK(table.ReadU32(&e.crc, "section crc"));
-    PATHEST_RETURN_NOT_OK(table.ReadU64(&e.offset, "section offset"));
-    PATHEST_RETURN_NOT_OK(table.ReadU64(&e.length, "section length"));
-    if (e.id <= prev_id) {
-      return Status::IOError(
-          "binary catalog: section ids not strictly ascending");
-    }
-    prev_id = e.id;
-    if (e.id > kSectionSumIndex) {
-      return Status::IOError("binary catalog: unknown section id " +
-                             std::to_string(e.id));
-    }
-    if (e.offset < kHeaderBytes + table_bytes || e.offset > bytes.size() ||
-        e.length > bytes.size() - e.offset) {
-      return SectionError(e.id, "extent [" + std::to_string(e.offset) +
-                                    ", +" + std::to_string(e.length) +
-                                    ") outside the file");
-    }
-    if (e.offset % kArrayAlignBytes != 0) {
-      return SectionError(e.id, "offset " + std::to_string(e.offset) +
-                                    " is not " +
-                                    std::to_string(kArrayAlignBytes) +
-                                    "-byte aligned");
-    }
-    if (e.offset < prev_end) {
-      return SectionError(e.id, "extent [" + std::to_string(e.offset) +
-                                    ", +" + std::to_string(e.length) +
-                                    ") overlaps the previous section, "
-                                    "which ends at " +
-                                    std::to_string(prev_end));
-    }
-    prev_end = e.offset + e.length;
-  }
-  auto find_section = [&entries](uint32_t id) -> const SectionEntry* {
-    for (const SectionEntry& e : entries) {
-      if (e.id == id) return &e;
-    }
-    return nullptr;
-  };
-  for (uint32_t id : {kSectionOrdering, kSectionLabels,
-                      kSectionCardinalities, kSectionHistogram}) {
-    if (find_section(id) == nullptr) {
-      return SectionError(id, "required section missing");
-    }
-  }
-  auto open_checked = [&](const SectionEntry& e,
-                          std::string_view* out) -> Status {
-    *out = bytes.substr(e.offset, e.length);
-    if (Crc32c(out->data(), out->size()) != e.crc) {
-      return SectionError(e.id, "checksum mismatch over " +
-                                    std::to_string(e.length) + " bytes");
-    }
-    return Status::OK();
-  };
-
   CatalogV2View view;
-  view.version = version;
-
-  // ---- metadata sections: ALWAYS CRC-verified and fully parsed (they are
-  // tiny, and every tier's shape validation depends on them).
-  std::string_view payload;
-  PATHEST_RETURN_NOT_OK(
-      open_checked(*find_section(kSectionOrdering), &payload));
-  BoundedReader ord(payload);
-  std::string type_name;
-  uint32_t k32 = 0, reserved = 0;
-  PATHEST_RETURN_NOT_OK(ord.ReadLengthPrefixedString(&view.ordering_name, 64,
-                                                     "ordering name"));
-  PATHEST_RETURN_NOT_OK(
-      ord.ReadLengthPrefixedString(&type_name, 64, "histogram type"));
-  PATHEST_RETURN_NOT_OK(ord.ReadU32(&k32, "k"));
-  PATHEST_RETURN_NOT_OK(ord.ReadU32(&reserved, "ordering reserved"));
-  if (!ord.AtEnd()) return SectionError(kSectionOrdering, "trailing bytes");
-  if (!IsSerializableOrdering(view.ordering_name)) {
-    return SectionError(kSectionOrdering,
-                        "unknown serialized ordering: " + view.ordering_name);
-  }
-  auto type = ParseHistogramType(type_name);
-  if (!type.ok()) {
-    return SectionError(kSectionOrdering, type.status().message());
-  }
-  view.histogram_type = *type;
-  view.k = k32;
-  if (view.k < 1 || view.k > kMaxPathLength) {
-    return SectionError(kSectionOrdering, "bad k " + std::to_string(view.k));
-  }
-
-  PATHEST_RETURN_NOT_OK(open_checked(*find_section(kSectionLabels),
-                                     &payload));
-  BoundedReader lab(payload);
-  uint32_t num_labels = 0;
-  PATHEST_RETURN_NOT_OK(lab.ReadU32(&num_labels, "label count"));
-  if (num_labels == 0 || num_labels > kMaxLabels) {
-    return SectionError(kSectionLabels, "implausible label count " +
-                                            std::to_string(num_labels));
-  }
-  if (Status shape = CheckOrderingShape(view.ordering_name, num_labels, view.k);
-      !shape.ok()) {
-    return SectionError(kSectionLabels, shape.message());
-  }
-  PATHEST_RETURN_NOT_OK(lab.ValidateCount(num_labels, 4, "labels"));
-  for (uint32_t i = 0; i < num_labels; ++i) {
-    std::string name;
-    PATHEST_RETURN_NOT_OK(
-        lab.ReadLengthPrefixedString(&name, kMaxLabelNameBytes, "label name"));
-    if (name.empty()) return SectionError(kSectionLabels, "empty label name");
-    if (view.labels.Intern(name) != i) {
-      return SectionError(kSectionLabels, "duplicate label name: " + name);
-    }
-  }
-  if (!lab.AtEnd()) return SectionError(kSectionLabels, "trailing bytes");
-
-  PATHEST_RETURN_NOT_OK(open_checked(*find_section(kSectionCardinalities),
-                                     &payload));
-  BoundedReader car(payload);
-  uint32_t card_count = 0;
-  PATHEST_RETURN_NOT_OK(car.ReadU32(&card_count, "cardinality count"));
-  PATHEST_RETURN_NOT_OK(car.ReadU32(&reserved, "cardinalities reserved"));
-  if (card_count != num_labels) {
-    return SectionError(kSectionCardinalities,
-                        "count " + std::to_string(card_count) +
-                            " does not match " + std::to_string(num_labels) +
-                            " labels");
-  }
-  PATHEST_RETURN_NOT_OK(car.ValidateCount(card_count, 8, "cardinalities"));
-  view.cards.reserve(card_count);
-  for (uint32_t i = 0; i < card_count; ++i) {
-    uint64_t f = 0;
-    PATHEST_RETURN_NOT_OK(car.ReadU64(&f, "cardinality"));
-    view.cards.push_back(f);
-  }
-  if (!car.AtEnd()) {
-    return SectionError(kSectionCardinalities, "trailing bytes");
-  }
+  Frame frame;
+  PATHEST_RETURN_NOT_OK(ParseFrame(bytes, kFrameV2, &frame, &view));
+  const uint32_t version = frame.version;
 
   // ---- bulk shape prologs: validated at EVERY tier (they are a few bytes
   // and they gate all span construction), overflow-safely — this is
   // untrusted data, so no CheckedAdd/CheckedMul (those abort).
-  const SectionEntry& hist_entry = *find_section(kSectionHistogram);
-  payload = bytes.substr(hist_entry.offset, hist_entry.length);
+  const SectionEntry& hist_entry = *frame.Find(kSectionHistogram);
+  std::string_view payload = bytes.substr(hist_entry.offset, hist_entry.length);
   BoundedReader his(payload);
   PATHEST_RETURN_NOT_OK(his.ReadU64(&view.beta, "bucket count"));
   PATHEST_RETURN_NOT_OK(his.ReadU64(&view.domain_size, "domain size"));
@@ -1208,9 +988,9 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
             " bytes but the layout for beta=" + std::to_string(view.beta) +
             " needs " + std::to_string(hl.payload_bytes));
   }
-  // domain_size must be exactly |L_k|; the shape gate above guarantees
-  // that PathSpace's checked arithmetic cannot abort here.
-  if (const uint64_t domain = PathSpace(num_labels, view.k).size();
+  // domain_size must be exactly |L_k|; the shape gate in the frame parse
+  // guarantees that PathSpace's checked arithmetic cannot abort here.
+  if (const uint64_t domain = PathSpace(view.labels.size(), view.k).size();
       domain != view.domain_size) {
     return SectionError(kSectionHistogram,
                         "domain size " + std::to_string(view.domain_size) +
@@ -1234,7 +1014,7 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   const bool has_sum_sections = version <= kVersionV2SumSections &&
                                 IsSumFamilyOrdering(view.ordering_name);
   for (uint32_t id : {kSectionComposition, kSectionSumIndex}) {
-    const SectionEntry* e = find_section(id);
+    const SectionEntry* e = frame.Find(id);
     if (e != nullptr && version > kVersionV2SumSections) {
       return SectionError(id, "not part of a version-" +
                                   std::to_string(version) + " file");
@@ -1250,15 +1030,11 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   // ---- checksum tier: CRC every bulk byte, then structural scans of the
   // histogram rows that certify what the serving fast paths assume without
   // rebuilding anything.
-  if (Crc32c(payload.data(), payload.size()) != hist_entry.crc) {
-    return SectionError(kSectionHistogram,
-                        "checksum mismatch over " +
-                            std::to_string(hist_entry.length) + " bytes");
-  }
+  PATHEST_RETURN_NOT_OK(frame.Open(hist_entry, &payload));
   if (has_sum_sections) {
     std::string_view legacy;
     for (uint32_t id : {kSectionComposition, kSectionSumIndex}) {
-      PATHEST_RETURN_NOT_OK(open_checked(*find_section(id), &legacy));
+      PATHEST_RETURN_NOT_OK(frame.Open(*frame.Find(id), &legacy));
     }
   }
 
@@ -1285,7 +1061,14 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
 
   // ---- full tier: the bucket Histogram the rows describe, handed to the
   // caller so the copying loader builds it once.
-  auto histogram = HistogramOf(view);
+  std::vector<Bucket> buckets(view.beta);
+  for (uint64_t b = 0; b < view.beta; ++b) {
+    buckets[b].begin = view.begin[b];
+    buckets[b].end = BucketEnd(view, b);
+    buckets[b].sum = view.sum[b];
+    buckets[b].sumsq = view.sumsq[b];
+  }
+  auto histogram = HistogramFromBuckets(std::move(buckets), true);
   if (!histogram.ok()) return histogram.status();
   view.histogram = std::move(*histogram);
   return view;
@@ -1293,48 +1076,27 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
 
 }  // namespace internal
 
-Result<LoadedPathHistogram> ReadPathHistogramBinaryV2(std::string_view bytes) {
-  auto view = internal::ParseCatalogV2(bytes, CatalogVerify::kFull);
-  if (!view.ok()) return view.status();
-  auto ordering = MakeOrderingFromStats(view->ordering_name, view->labels,
-                                        view->cards, view->k);
-  if (!ordering.ok()) return ordering.status();
-  auto estimator = PathHistogram::FromParts(
-      std::move(*ordering), std::move(*view->histogram), view->histogram_type);
-  if (!estimator.ok()) return estimator.status();
-  return LoadedPathHistogram{std::move(view->labels), std::move(view->cards),
-                             std::move(*estimator)};
-}
+// ---------------------------------------------------------------- decode
 
-// --------------------------------------------------------------- dispatch
-
-namespace {
-
-// Parses `content` in the format its magic names.
-Result<LoadedPathHistogram> ReadPathHistogramBytes(const std::string& content) {
-  switch (FormatOfMagic(content)) {
-    case CatalogFormat::kBinaryV2:
-      return ReadPathHistogramBinaryV2(content);
+Result<LoadedPathHistogram> DecodeCatalog(std::string_view bytes) {
+  switch (FormatOfMagic(bytes)) {
+    case CatalogFormat::kBinaryV2: {
+      auto view = internal::ParseCatalogV2(bytes, CatalogVerify::kFull);
+      if (!view.ok()) return view.status();
+      return LoadedFrom(*view, std::move(*view->histogram));
+    }
     case CatalogFormat::kBinary:
-      return ReadPathHistogramBinary(content);
+      return DecodeV1(bytes);
     case CatalogFormat::kText:
       break;
   }
-  return ReadPathHistogramText(content);
-}
-
-}  // namespace
-
-Result<LoadedPathHistogram> ReadPathHistogram(std::istream* in) {
-  return ReadPathHistogramBytes(
-      std::string{std::istreambuf_iterator<char>(*in),
-                  std::istreambuf_iterator<char>()});
+  return DecodeText(bytes);
 }
 
 Result<LoadedPathHistogram> LoadPathHistogram(const std::string& path) {
   std::string content;
   PATHEST_RETURN_NOT_OK(ReadFileToString(path, &content));
-  return ReadPathHistogramBytes(content);
+  return DecodeCatalog(content);
 }
 
 }  // namespace pathest

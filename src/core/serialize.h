@@ -15,8 +15,19 @@
 //     (core/mapped_catalog.h), and the format online maintenance
 //     re-persists every entry in (maint/online_maintenance.h).
 //
-// LoadPathHistogram sniffs the leading magic and dispatches, so every
+// EncodeCatalog writes any of the three; DecodeCatalog (LoadPathHistogram
+// over a file) sniffs the leading magic and reads any of them, so every
 // caller (CLI, catalog, benches) reads all three formats transparently.
+//
+// The two binary formats share one container — the header and section
+// table below — and one parse of it and one assembler in serialize.cc
+// (see core/serialize_internal.h). Four constants tell them apart:
+//
+//                          v1      v2
+//   magic                  PESTB1  PESTB2
+//   accepted versions      1       2-5
+//   highest section id     5       6
+//   section alignment      1       64
 //
 // ---------------------------------------------------------------------------
 // Text format ("pathest-histogram v1"), line-oriented:
@@ -49,10 +60,12 @@
 // Section table (24 bytes per entry, immediately after the header):
 //   u32 section id      u32 CRC32C of the payload
 //   u64 absolute offset u64 payload length
-// Entries are sorted by ascending id; ids must be unique and known.
-// Payloads follow the table back to back, but readers MUST navigate via
-// the table (offset/length), never by accumulation — that is what makes
-// the layout extensible and each section independently verifiable.
+// Entries are sorted by ascending id; ids must be unique and known, and
+// the extents must ascend in table order without overlapping (both
+// formats). Payloads follow the table back to back, but readers MUST
+// navigate via the table (offset/length), never by accumulation — that is
+// what makes the layout extensible and each section independently
+// verifiable.
 //
 // Section payloads (every CRC is verified BEFORE its payload is parsed;
 // every count is bounds-checked against the payload size before any
@@ -69,8 +82,9 @@
 //                    m in [1, k] the row Count(sum, m) for
 //                    sum in [m, m·|L|] — the sum-based ordering's stage-2
 //                    CompositionTable. Present iff the ordering is of the
-//                    sum family; verified against a freshly built table on
-//                    load (semantic integrity beyond the CRC).
+//                    sum family; verified on load against the table the
+//                    rebuilt ordering holds (semantic integrity beyond the
+//                    CRC).
 //
 // ---------------------------------------------------------------------------
 // Binary catalog format v2 ("PESTB2") — the mmap serving format. Same
@@ -127,15 +141,15 @@
 // fixup plus, for the sum family, one registry lookup
 // (core/mapped_catalog.h) — microseconds and O(1) allocations, with the
 // row bytes faulted lazily by the kernel. The copying loader
-// (ReadPathHistogramBinaryV2) verifies at the full tier and returns an
-// owned estimator.
+// (DecodeCatalog) verifies at the full tier and returns an owned
+// estimator.
 //
 // Versioning/compat rules: the major version in the header is bumped on
 // ANY layout change to existing sections; readers reject versions they do
 // not know. New OPTIONAL sections may be added under new ids without a
-// version bump only once readers skip unknown ids — v1 readers do NOT
-// (unknown ids are an error), so v1 writers must emit exactly the sections
-// above.
+// version bump only once readers skip unknown ids — today's readers do
+// NOT (an id above the format's highest is an error), so writers must
+// emit exactly the sections above.
 //
 // v2 versions: the writer emits version 5 (kVersionV2). Readers also
 // accept three legacy versions:
@@ -192,9 +206,9 @@
 #define PATHEST_CORE_SERIALIZE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/path_histogram.h"
 #include "util/status.h"
@@ -308,25 +322,15 @@ HistogramLayoutV2 HistogramLayout(uint64_t beta,
 /// cardinalities alone (no O(|L_k|) state).
 bool IsSerializableOrdering(const std::string& ordering_name);
 
-/// \brief Writes the estimator to a stream in the text format.
-Status WritePathHistogram(const PathHistogram& estimator,
-                          const LabelDictionary& labels,
-                          const std::vector<uint64_t>& label_cardinalities,
-                          std::ostream* out);
-
-/// \brief Serializes the estimator into `*out` in binary catalog v1.
-Status WritePathHistogramBinary(const PathHistogram& estimator,
-                                const LabelDictionary& labels,
-                                const std::vector<uint64_t>& cardinalities,
-                                std::string* out);
-
-/// \brief Serializes the estimator into `*out` in binary catalog v2,
-/// version 5 (sections packed on 64-byte boundaries; the begin, sum and
-/// sumsq rows — see the format spec above).
-Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
-                                  const LabelDictionary& labels,
-                                  const std::vector<uint64_t>& cardinalities,
-                                  std::string* out);
+/// \brief Serializes the estimator into `*out` in `format`: text, binary
+/// catalog v1, or binary catalog v2 version 5 (sections packed on 64-byte
+/// boundaries; the begin, sum and sumsq rows — see the format spec above).
+/// InvalidArgument when the ordering is not serializable or `labels` and
+/// `cardinalities` differ in size.
+Status EncodeCatalog(const PathHistogram& estimator,
+                     const LabelDictionary& labels,
+                     const std::vector<uint64_t>& cardinalities,
+                     CatalogFormat format, std::string* out);
 
 /// \brief Saves the estimator to a file via an atomic write (temp + fsync +
 /// rename; util/safe_io.h): a crashed or failed save leaves any previous
@@ -364,15 +368,12 @@ Result<bool> SniffFileIsBinaryV2(const std::string& path);
 Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
                                          uint32_t* version = nullptr);
 
-/// \brief Parses a binary catalog v1 from an in-memory byte buffer,
-/// verifying every checksum before interpreting any section.
-Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes);
-
-/// \brief Parses a binary catalog v2 from an in-memory byte buffer at
-/// CatalogVerify::kFull (every CRC, every structural scan, the bucket
-/// rebuild) and returns an OWNED estimator. `bytes.data()` must
-/// be at least 8-byte aligned (heap buffers always are).
-Result<LoadedPathHistogram> ReadPathHistogramBinaryV2(std::string_view bytes);
+/// \brief Parses a catalog in the format its leading magic names (text
+/// for anything without a binary magic) at the strictest check each format
+/// has — every checksum before the section it covers is interpreted, and
+/// for v2 CatalogVerify::kFull — and returns an OWNED estimator. A v2
+/// buffer must be at least 8-byte aligned (heap buffers always are).
+Result<LoadedPathHistogram> DecodeCatalog(std::string_view bytes);
 
 /// \brief Re-serializes an already-loaded estimator to `path` in `format`
 /// through an atomic write — the engine of `pathest_cli catalog convert`.
@@ -381,17 +382,7 @@ Result<LoadedPathHistogram> ReadPathHistogramBinaryV2(std::string_view bytes);
 Status SaveLoadedPathHistogram(const LoadedPathHistogram& loaded,
                                const std::string& path, CatalogFormat format);
 
-/// \brief Reads an estimator from a stream, sniffing the format.
-///
-/// The reader slurps the stream to EOF before parsing (that is what makes
-/// both the from_chars text cursor and the checksum walk fast), so the
-/// histogram must be the stream's only content: any bytes after the end
-/// are consumed, and a second ReadPathHistogram on the same stream sees an
-/// empty stream. Streams carrying a binary catalog must have been opened
-/// in binary mode.
-Result<LoadedPathHistogram> ReadPathHistogram(std::istream* in);
-
-/// \brief Loads an estimator from a file (either format, sniffed).
+/// \brief Loads an estimator from a file: DecodeCatalog over its bytes.
 Result<LoadedPathHistogram> LoadPathHistogram(const std::string& path);
 
 }  // namespace pathest

@@ -1,13 +1,22 @@
-// pathest: the shared binary-catalog-v2 parse layer.
+// pathest: the shared parse layer of the catalog readers.
 //
-// ParseCatalogV2 is the ONE implementation of "open a v2 byte image":
-// header + section-table authentication, section placement (64-byte
-// aligned, ascending, non-overlapping), metadata parsing, shape validation
-// of the bulk sections, and the tiered bulk verification of
-// core/serialize.h's CatalogVerify. Its product is a
+// Binary catalogs v1 and v2 are one container: a 32-byte header and a
+// section table, then the section payloads (core/serialize.h has the
+// bytes). serialize.cc parses that container in ONE frame parser —
+// magic, header CRC, version window, the section table (CRC, ascending
+// known ids, extents inside the file, aligned and non-overlapping), the
+// required sections, and the metadata sections 1-3, each CRC-checked
+// before it is parsed. The formats differ only by four constants the
+// caller passes in (magic, accepted versions, highest section id, section
+// alignment). Every reader — text included — yields the metadata as a
+// CatalogMetadata.
+//
+// ParseCatalogV2 is the v2 reader built on the frame: the shape of the
+// histogram section, the legacy section rules, and the tiered bulk
+// verification of core/serialize.h's CatalogVerify. Its product is a
 // CatalogV2View — owned metadata plus spans into the caller's bytes for
-// every bulk row — from which the copying loader builds an owned estimator
-// (ReadPathHistogramBinaryV2) and the mmap tier builds a borrowed one
+// every bulk row — from which the copying loader (DecodeCatalog) builds an
+// owned estimator and the mmap tier builds a borrowed one
 // (core/mapped_catalog.h). Internal header: not installed, no stability
 // promise.
 
@@ -29,13 +38,9 @@
 namespace pathest {
 namespace internal {
 
-/// \brief Everything a v2 file holds, parsed and (per the requested tier)
-/// verified. Metadata is owned; bulk rows are spans into the input bytes,
-/// valid only while that buffer (or mapping) lives.
-struct CatalogV2View {
-  // Header format version: kVersionV2 or a legacy version
-  // (kVersionV2MeanRows, kVersionV2SumSections, kVersionV2Eytzinger).
-  uint32_t version = 0;
+/// \brief The estimator's identity: binary sections 1-3, or the text
+/// format's header lines.
+struct CatalogMetadata {
   // Section 1: ordering identity.
   std::string ordering_name;
   HistogramType histogram_type = HistogramType::kEquiWidth;
@@ -43,7 +48,12 @@ struct CatalogV2View {
   // Sections 2-3.
   LabelDictionary labels;
   std::vector<uint64_t> cards;
+};
 
+/// \brief Everything a v2 file holds, parsed and (per the requested tier)
+/// verified. Metadata is owned; bulk rows are spans into the input bytes,
+/// valid only while that buffer (or mapping) lives.
+struct CatalogV2View : CatalogMetadata {
   // Section 4: shape prolog + the rows every version has (begin and sum
   // serve; sumsq is diagnostic). Bucket b ends at begin[b + 1], the last
   // one at domain_size.

@@ -1,6 +1,7 @@
 #include "histogram/histogram.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace pathest {
 
@@ -46,8 +47,11 @@ Result<Histogram> Histogram::FromBuckets(std::vector<Bucket> buckets) {
       return Status::InvalidArgument(
           "buckets must be contiguous, non-empty, and start at 0");
     }
-    if (b.sum < 0.0 || b.sumsq < 0.0) {
-      return Status::InvalidArgument("bucket sums must be non-negative");
+    // Frequencies are counts: NaN and +/-inf are as corrupt as a negative.
+    if (!(std::isfinite(b.sum) && b.sum >= 0.0 && std::isfinite(b.sumsq) &&
+          b.sumsq >= 0.0)) {
+      return Status::InvalidArgument(
+          "bucket sums must be finite and non-negative");
     }
     expected_begin = b.end;
   }

@@ -55,7 +55,8 @@ class Histogram {
                                           std::vector<uint64_t> boundaries);
 
   /// \brief Rebuilds from already-aggregated buckets (the deserialization
-  /// path). Buckets must be non-empty, contiguous, and start at 0.
+  /// path). Buckets must be non-empty, contiguous, and start at 0, with
+  /// finite non-negative sums and sums of squares.
   static Result<Histogram> FromBuckets(std::vector<Bucket> buckets);
 
   /// \brief Number of buckets β.

@@ -10,8 +10,8 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -64,9 +64,10 @@ class FaultInjectionTest : public ::testing::Test {
       cards.push_back(graph_.LabelCardinality(l));
     }
     std::string bytes;
-    PATHEST_CHECK(
-        WritePathHistogramBinary(est, graph_.labels(), cards, &bytes).ok(),
-        "binary write failed");
+    PATHEST_CHECK(EncodeCatalog(est, graph_.labels(), cards,
+                                CatalogFormat::kBinary, &bytes)
+                      .ok(),
+                  "binary write failed");
     return bytes;
   }
 
@@ -74,7 +75,7 @@ class FaultInjectionTest : public ::testing::Test {
   // in-memory parsing of a byte image, returning AT ALL rules out the
   // crash/hang failure mode for that input.
   void ExpectTypedFailure(const std::string& image, const std::string& what) {
-    auto loaded = ReadPathHistogramBinary(image);
+    auto loaded = DecodeCatalog(image);
     ASSERT_FALSE(loaded.ok()) << what << ": corrupt image loaded cleanly";
     EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
         << what << ": " << loaded.status().ToString();
@@ -90,7 +91,7 @@ TEST_F(FaultInjectionTest, ValidImageLoadsAndMatchesOriginal) {
   // Sanity anchor for everything below: the uncorrupted image round-trips.
   PathHistogram original = BuildEstimator("sum-based", 6);
   const std::string image = ValidImage();
-  auto loaded = ReadPathHistogramBinary(image);
+  auto loaded = DecodeCatalog(image);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   PathSpace space(graph_.num_labels(), 3);
   space.ForEach([&](const LabelPath& p) {
@@ -162,7 +163,7 @@ TEST_F(FaultInjectionTest, ForgedHugeBucketCountIsErrorNotOom) {
     ASSERT_TRUE(PatchSectionPayload(&corrupt, binfmt::kSectionHistogram,
                                     /*offset_in_payload=*/0, le)
                     .ok());
-    auto loaded = ReadPathHistogramBinary(corrupt);
+    auto loaded = DecodeCatalog(corrupt);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
     EXPECT_NE(loaded.status().message().find("implausible count"),
@@ -256,7 +257,7 @@ TEST_F(FaultInjectionTest, CompositionMismatchIsCaughtSemantically) {
   ASSERT_TRUE(PatchSectionPayload(&corrupt, binfmt::kSectionComposition, 16,
                                   le)
                   .ok());
-  auto loaded = ReadPathHistogramBinary(corrupt);
+  auto loaded = DecodeCatalog(corrupt);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("mismatch"), std::string::npos)
       << loaded.status().ToString();
@@ -270,9 +271,10 @@ TEST_F(FaultInjectionTest, TextForgedCountsFailTyped) {
   for (LabelId l = 0; l < graph_.num_labels(); ++l) {
     cards.push_back(graph_.LabelCardinality(l));
   }
-  std::ostringstream out;
-  ASSERT_TRUE(WritePathHistogram(est, graph_.labels(), cards, &out).ok());
-  const std::string text = out.str();
+  std::string text;
+  ASSERT_TRUE(EncodeCatalog(est, graph_.labels(), cards, CatalogFormat::kText,
+                            &text)
+                  .ok());
 
   auto with_forged = [&](const std::string& key, const std::string& count) {
     const size_t pos = text.find(key + " ");
@@ -285,12 +287,66 @@ TEST_F(FaultInjectionTest, TextForgedCountsFailTyped) {
   };
   for (const char* count : {"123456789012", "18446744073709551615"}) {
     for (const char* key : {"labels", "buckets"}) {
-      std::istringstream in(with_forged(key, count));
-      auto loaded = ReadPathHistogram(&in);
+      auto loaded = DecodeCatalog(with_forged(key, count));
       ASSERT_FALSE(loaded.ok()) << key << "=" << count;
       EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
     }
   }
+}
+
+// Frequencies are counts, so a NaN or infinite bucket sum is as corrupt as
+// a negative one: the text and v1 readers refuse it as v2's checksum scan
+// does, and `catalog verify` counts the entry as a failure.
+TEST_F(FaultInjectionTest, NonFiniteBucketSumsFailTypedInTextAndV1) {
+  // Text: a one-bucket num-card entry over the |L_1| = 2 domain.
+  auto entry = [](const std::string& sum, const std::string& sumsq) {
+    return "pathest-histogram v1\nordering num-card\ntype v-optimal\nk 1\n"
+           "labels 2 a b\ncardinalities 1 1\nbuckets 1\n0 2 " +
+           sum + " " + sumsq + "\n";
+  };
+  ASSERT_TRUE(DecodeCatalog(entry("0x1p+1", "0x1p+2")).ok());
+  const std::pair<const char*, const char*> forgeries[] = {
+      {"nan", "0x0p+0"}, {"inf", "0x0p+0"}, {"-inf", "0x0p+0"},
+      {"0x1p+1", "nan"}};
+  for (const auto& [sum, sumsq] : forgeries) {
+    const std::string what = std::string("sum ") + sum + " sumsq " + sumsq;
+    const std::string forged = entry(sum, sumsq);
+    auto loaded = DecodeCatalog(forged);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << what;
+    EXPECT_EQ(loaded.status().message(),
+              "invalid buckets: bucket sums must be finite and non-negative")
+        << what;
+    ASSERT_TRUE(WriteFileBytes((dir_ / "entry.stats").string(), forged).ok());
+    auto report = VerifyCatalogDir(dir_.string());
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->loaded.empty()) << what;
+    EXPECT_EQ(report->failures.size(), 1u) << what;
+  }
+
+  // v1: bucket 0's sum forged to +inf, the section re-signed so the value
+  // reaches the bucket check. Section 4 is u64 beta, then the begin, end
+  // and sum rows of beta values each.
+  const std::string image = ValidImage("num-card");
+  auto sections = ParseBinarySectionTable(image);
+  ASSERT_TRUE(sections.ok());
+  uint64_t beta = 0;
+  for (const BinarySectionInfo& s : *sections) {
+    if (s.id == binfmt::kSectionHistogram) {
+      std::memcpy(&beta, image.data() + s.offset, 8);
+    }
+  }
+  ASSERT_GT(beta, 0u);
+  std::string corrupt = image;
+  std::string le;
+  AppendDouble(&le, std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(PatchSectionPayload(&corrupt, binfmt::kSectionHistogram,
+                                  8 + 16 * beta, le)
+                  .ok());
+  ExpectTypedFailure(corrupt, "v1 sum +inf");
+  EXPECT_EQ(DecodeCatalog(corrupt).status().message(),
+            "section histogram: invalid buckets: bucket sums must be finite "
+            "and non-negative");
 }
 
 // The three unservable shapes of the shape gate (CheckOrderingShape in
@@ -357,8 +413,7 @@ TEST_F(FaultInjectionTest, UnservableShapesFailTypedInEveryReader) {
     text += "\ncardinalities";
     for (uint32_t i = 0; i < shape.num_labels; ++i) text += " 1";
     text += "\nbuckets 1\n0 1153203048319815680 0x0p+0 0x0p+0\n";
-    std::istringstream in(text);
-    auto from_text = ReadPathHistogram(&in);
+    auto from_text = DecodeCatalog(text);
     ASSERT_FALSE(from_text.ok()) << "text " << what;
     EXPECT_EQ(from_text.status().code(), StatusCode::kIOError)
         << from_text.status().ToString();
@@ -368,7 +423,7 @@ TEST_F(FaultInjectionTest, UnservableShapesFailTypedInEveryReader) {
 
     // v1 and v2: a valid image of that ordering with the shape forged. The
     // gate's own message proves it refused before the (absent) names.
-    auto from_v1 = ReadPathHistogramBinary(
+    auto from_v1 = DecodeCatalog(
         ForgeShape(ValidImage(shape.ordering), shape));
     ASSERT_FALSE(from_v1.ok()) << "v1 " << what;
     EXPECT_EQ(from_v1.status().code(), StatusCode::kIOError);
@@ -382,10 +437,11 @@ TEST_F(FaultInjectionTest, UnservableShapesFailTypedInEveryReader) {
       for (LabelId l = 0; l < graph_.num_labels(); ++l) {
         cards.push_back(graph_.LabelCardinality(l));
       }
-      ASSERT_TRUE(
-          WritePathHistogramBinaryV2(est, graph_.labels(), cards, &v2).ok());
+      ASSERT_TRUE(EncodeCatalog(est, graph_.labels(), cards,
+                                CatalogFormat::kBinaryV2, &v2)
+                      .ok());
     }
-    auto from_v2 = ReadPathHistogramBinaryV2(ForgeShape(v2, shape));
+    auto from_v2 = DecodeCatalog(ForgeShape(v2, shape));
     ASSERT_FALSE(from_v2.ok()) << "v2 " << what;
     EXPECT_EQ(from_v2.status().code(), StatusCode::kIOError);
     EXPECT_NE(from_v2.status().message().find(shape.refusal),
@@ -558,15 +614,16 @@ class FaultInjectionV2Test : public FaultInjectionTest {
       cards.push_back(graph_.LabelCardinality(l));
     }
     std::string bytes;
-    PATHEST_CHECK(
-        WritePathHistogramBinaryV2(est, graph_.labels(), cards, &bytes).ok(),
-        "v2 write failed");
+    PATHEST_CHECK(EncodeCatalog(est, graph_.labels(), cards,
+                                CatalogFormat::kBinaryV2, &bytes)
+                      .ok(),
+                  "v2 write failed");
     return bytes;
   }
 
   void ExpectTypedFailureV2(const std::string& image,
                             const std::string& what) {
-    auto loaded = ReadPathHistogramBinaryV2(image);
+    auto loaded = DecodeCatalog(image);
     ASSERT_FALSE(loaded.ok()) << what << ": corrupt v2 image loaded cleanly";
     EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
         << what << ": " << loaded.status().ToString();
@@ -644,6 +701,31 @@ std::string ForgeSectionOffset(const std::string& image, size_t index,
   return forged;
 }
 
+// v1 shares v2's section-table parse: a re-signed table whose histogram
+// section starts on the cardinalities section's start is a typed section
+// error naming the overlap, before any payload CRC is read.
+TEST_F(FaultInjectionTest, OverlappingV1SectionsAreSectionErrors) {
+  const std::string image = ValidImage();
+  auto sections = ParseBinarySectionTable(image);
+  ASSERT_TRUE(sections.ok());
+  ASSERT_EQ((*sections)[3].id, binfmt::kSectionHistogram);
+  const std::string forged =
+      ForgeSectionOffset(image, 3, (*sections)[2].offset);
+  auto loaded = DecodeCatalog(forged);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(loaded.status().message().rfind("section histogram: ", 0), 0u)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("overlaps the previous section"),
+            std::string::npos)
+      << loaded.status().ToString();
+  ASSERT_TRUE(WriteFileBytes((dir_ / "overlap.stats").string(), forged).ok());
+  auto report = VerifyCatalogDir(dir_.string());
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->failures.size(), 1u);
+  EXPECT_EQ(report->failures[0].section, "histogram");
+}
+
 TEST_F(FaultInjectionV2Test, MisplacedSectionsAreSectionErrorsAtEveryTier) {
   const std::string image = ValidImageV2();
   auto sections = ParseBinarySectionTable(image);
@@ -674,7 +756,7 @@ TEST_F(FaultInjectionV2Test, MisplacedSectionsAreSectionErrorsAtEveryTier) {
         << f.what << ": " << st.ToString();
   };
   for (const Forgery& f : forgeries) {
-    auto loaded = ReadPathHistogramBinaryV2(f.image);
+    auto loaded = DecodeCatalog(f.image);
     ASSERT_FALSE(loaded.ok()) << f.what;
     expect_section_error(loaded.status(), f);
     const std::string path = (dir_ / (f.what + ".stats")).string();
@@ -699,7 +781,7 @@ TEST_F(FaultInjectionV2Test, PaddingFlipsIgnoredOutsideCrcsCaughtInside) {
   auto sections = ParseBinarySectionTable(image);
   ASSERT_TRUE(sections.ok());
   ASSERT_EQ(sections->size(), 4u);  // version 5: four for every ordering
-  auto baseline = ReadPathHistogramBinaryV2(image);
+  auto baseline = DecodeCatalog(image);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::vector<double> expect = AllEstimates(*baseline);
 
@@ -724,7 +806,7 @@ TEST_F(FaultInjectionV2Test, PaddingFlipsIgnoredOutsideCrcsCaughtInside) {
       for (int bit : {0, 7}) {
         std::string corrupt = image;
         ASSERT_TRUE(FlipBit(&corrupt, at, bit).ok());
-        auto loaded = ReadPathHistogramBinaryV2(corrupt);
+        auto loaded = DecodeCatalog(corrupt);
         ASSERT_TRUE(loaded.ok())
             << "padding flip at " << at << " rejected: "
             << loaded.status().ToString();
@@ -769,9 +851,9 @@ TEST_F(FaultInjectionV2Test, CrashedV2SaveLeavesV1FileByteIdentical) {
   // byte and every section start (a fixed offset could lie past a small
   // packed image and never fire).
   std::string v2_image;
-  ASSERT_TRUE(WritePathHistogramBinaryV2(loaded->estimator, loaded->labels,
-                                         loaded->label_cardinalities,
-                                         &v2_image)
+  ASSERT_TRUE(EncodeCatalog(loaded->estimator, loaded->labels,
+                            loaded->label_cardinalities,
+                            CatalogFormat::kBinaryV2, &v2_image)
                   .ok());
   auto v2_sections = ParseBinarySectionTable(v2_image);
   ASSERT_TRUE(v2_sections.ok());

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
-#include <sstream>
 #include <tuple>
 #include <vector>
 
@@ -48,11 +47,12 @@ class SerializeTest : public ::testing::Test {
     for (LabelId l = 0; l < graph_.num_labels(); ++l) {
       cards.push_back(graph_.LabelCardinality(l));
     }
-    std::ostringstream out;
-    PATHEST_CHECK(
-        WritePathHistogram(est, graph_.labels(), cards, &out).ok(),
-        "write failed");
-    return out.str();
+    std::string out;
+    PATHEST_CHECK(EncodeCatalog(est, graph_.labels(), cards,
+                                CatalogFormat::kText, &out)
+                      .ok(),
+                  "write failed");
+    return out;
   }
 
   Graph graph_;
@@ -73,8 +73,7 @@ TEST_F(SerializeTest, SerializableOrderingPredicate) {
 TEST_F(SerializeTest, RoundTripPreservesEveryEstimate) {
   for (const std::string& method : PaperOrderingNames()) {
     PathHistogram original = BuildEstimator(method, 8);
-    std::istringstream in(Serialized(original));
-    auto loaded = ReadPathHistogram(&in);
+    auto loaded = DecodeCatalog(Serialized(original));
     ASSERT_TRUE(loaded.ok()) << method << ": "
                              << loaded.status().ToString();
     EXPECT_EQ(loaded->estimator.ordering().name(), method);
@@ -91,8 +90,7 @@ TEST_F(SerializeTest, RoundTripPreservesEveryEstimate) {
 
 TEST_F(SerializeTest, RoundTripPreservesBucketsExactly) {
   PathHistogram original = BuildEstimator("sum-based", 6);
-  std::istringstream in(Serialized(original));
-  auto loaded = ReadPathHistogram(&in);
+  auto loaded = DecodeCatalog(Serialized(original));
   ASSERT_TRUE(loaded.ok());
   const auto& a = original.histogram().buckets();
   const auto& b = loaded->estimator.histogram().buckets();
@@ -125,14 +123,15 @@ TEST_F(SerializeTest, RefusesMaterializedOrderings) {
                                   HistogramType::kVOptimal, 4);
   ASSERT_TRUE(est.ok());
   std::vector<uint64_t> cards(graph_.num_labels(), 1);
-  std::ostringstream out;
-  Status st = WritePathHistogram(*est, graph_.labels(), cards, &out);
+  std::string out;
+  Status st = EncodeCatalog(*est, graph_.labels(), cards, CatalogFormat::kText,
+                            &out);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SerializeTest, RejectsBadMagic) {
-  std::istringstream in("not a histogram file\n");
-  EXPECT_EQ(ReadPathHistogram(&in).status().code(), StatusCode::kIOError);
+  EXPECT_EQ(DecodeCatalog("not a histogram file\n").status().code(),
+            StatusCode::kIOError);
 }
 
 TEST_F(SerializeTest, RejectsTruncatedFile) {
@@ -140,8 +139,7 @@ TEST_F(SerializeTest, RejectsTruncatedFile) {
   // Drop the last two lines.
   std::string truncated = full.substr(0, full.rfind('\n', full.size() - 2));
   truncated = truncated.substr(0, truncated.rfind('\n'));
-  std::istringstream in(truncated);
-  EXPECT_FALSE(ReadPathHistogram(&in).ok());
+  EXPECT_FALSE(DecodeCatalog(truncated).ok());
 }
 
 TEST_F(SerializeTest, RejectsCorruptedBuckets) {
@@ -152,8 +150,7 @@ TEST_F(SerializeTest, RejectsCorruptedBuckets) {
   size_t line_start = pos + std::string("buckets 4\n").size();
   size_t line_end = full.find('\n', line_start);
   full.replace(line_start, line_end - line_start, "5 7 0x1p+3 0x1p+6");
-  std::istringstream in(full);
-  EXPECT_FALSE(ReadPathHistogram(&in).ok());
+  EXPECT_FALSE(DecodeCatalog(full).ok());
 }
 
 TEST_F(SerializeTest, LoadMissingFileFails) {
@@ -173,8 +170,7 @@ TEST_F(SerializeTest, ForgedHugeCountsInTextHeaderAreErrorsNotAllocations) {
     const size_t num_end = full.find_first_of(" \n", num_start);
     std::string forged = full;
     forged.replace(num_start, num_end - num_start, "987654321098765");
-    std::istringstream in(forged);
-    auto loaded = ReadPathHistogram(&in);
+    auto loaded = DecodeCatalog(forged);
     ASSERT_FALSE(loaded.ok()) << key;
     EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
   }
@@ -187,12 +183,52 @@ TEST_F(SerializeTest, ForgedHugeCountsInTextHeaderAreErrorsNotAllocations) {
     const size_t num_end = full.find_first_of(" \n", num_start);
     std::string forged = full;
     forged.replace(num_start, num_end - num_start, "123456789");
-    std::istringstream in(forged);
-    auto loaded = ReadPathHistogram(&in);
+    auto loaded = DecodeCatalog(forged);
     ASSERT_FALSE(loaded.ok());
     EXPECT_NE(loaded.status().message().find("implausible"),
               std::string::npos)
         << loaded.status().ToString();
+  }
+}
+
+// EncodeCatalog then DecodeCatalog, in every format: the loaded estimator
+// answers every domain index and every path bit for bit as the original,
+// keeps its labels and cardinalities, and re-encodes to the same bytes.
+TEST_F(SerializeTest, EncodeDecodeRoundTripsEveryFormatBitIdentical) {
+  std::vector<uint64_t> cards;
+  for (LabelId l = 0; l < graph_.num_labels(); ++l) {
+    cards.push_back(graph_.LabelCardinality(l));
+  }
+  for (const char* method : {"sum-based", "num-card"}) {
+    const PathHistogram original = BuildEstimator(method, 6);
+    for (CatalogFormat format : {CatalogFormat::kText, CatalogFormat::kBinary,
+                                 CatalogFormat::kBinaryV2}) {
+      const std::string what =
+          std::string(method) + " " + CatalogFormatName(format);
+      std::string bytes;
+      ASSERT_TRUE(
+          EncodeCatalog(original, graph_.labels(), cards, format, &bytes).ok())
+          << what;
+      auto loaded = DecodeCatalog(bytes);
+      ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().ToString();
+      EXPECT_EQ(loaded->labels.names(), graph_.labels().names()) << what;
+      EXPECT_EQ(loaded->label_cardinalities, cards) << what;
+      const Histogram& want = original.histogram();
+      const Histogram& got = loaded->estimator.histogram();
+      ASSERT_EQ(got.domain_size(), want.domain_size()) << what;
+      for (uint64_t i = 0; i < want.domain_size(); ++i) {
+        ASSERT_EQ(got.Estimate(i), want.Estimate(i)) << what << " index " << i;
+      }
+      original.ordering().space().ForEach([&](const LabelPath& p) {
+        EXPECT_EQ(loaded->estimator.Estimate(p), original.Estimate(p))
+            << what << " " << p.ToIdString();
+      });
+      std::string again;
+      ASSERT_TRUE(EncodeCatalog(loaded->estimator, loaded->labels,
+                                loaded->label_cardinalities, format, &again)
+                      .ok());
+      EXPECT_EQ(again, bytes) << what;
+    }
   }
 }
 
@@ -220,21 +256,20 @@ TEST_P(BinaryRoundTripTest, TextThenBinaryPreservesEveryEstimateBitExact) {
     cards.push_back(graph.LabelCardinality(l));
   }
   // text → load
-  std::ostringstream text;
-  ASSERT_TRUE(
-      WritePathHistogram(*original, graph.labels(), cards, &text).ok());
-  std::istringstream in(text.str());
-  auto from_text = ReadPathHistogram(&in);
+  std::string text;
+  ASSERT_TRUE(EncodeCatalog(*original, graph.labels(), cards,
+                            CatalogFormat::kText, &text)
+                  .ok());
+  auto from_text = DecodeCatalog(text);
   ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
   // → binary → load
   std::string binary;
-  ASSERT_TRUE(WritePathHistogramBinary(from_text->estimator,
-                                       from_text->labels,
-                                       from_text->label_cardinalities,
-                                       &binary)
+  ASSERT_TRUE(EncodeCatalog(from_text->estimator, from_text->labels,
+                            from_text->label_cardinalities,
+                            CatalogFormat::kBinary, &binary)
                   .ok());
   ASSERT_TRUE(LooksLikeBinaryCatalog(binary));
-  auto from_binary = ReadPathHistogramBinary(binary);
+  auto from_binary = DecodeCatalog(binary);
   ASSERT_TRUE(from_binary.ok()) << method << " k=" << k << ": "
                                 << from_binary.status().ToString();
 
@@ -270,14 +305,13 @@ TEST_P(BinaryRoundTripTest, V2RoundTripPreservesEveryEstimateBitExact) {
   }
 
   std::string v2;
-  ASSERT_TRUE(WritePathHistogramBinaryV2(*original, graph.labels(), cards,
-                                         &v2)
+  ASSERT_TRUE(EncodeCatalog(*original, graph.labels(), cards,
+                            CatalogFormat::kBinaryV2, &v2)
                   .ok());
   ASSERT_TRUE(BytesAreBinaryV2(v2));
   ASSERT_TRUE(LooksLikeBinaryCatalog(v2));
-  // The full-verify copying reader (also what the format-sniffing
-  // dispatchers route v2 bytes to).
-  auto loaded = ReadPathHistogramBinaryV2(v2);
+  // The full-verify copying reader.
+  auto loaded = DecodeCatalog(v2);
   ASSERT_TRUE(loaded.ok()) << method << " k=" << k << ": "
                            << loaded.status().ToString();
   const std::string canonical = method == "sum-card" ? "sum-based" : method;
@@ -294,8 +328,8 @@ TEST_P(BinaryRoundTripTest, V2RoundTripPreservesEveryEstimateBitExact) {
   // golden test, the fault suite, and convert idempotence all rest on
   // deterministic serialization.
   std::string again;
-  ASSERT_TRUE(WritePathHistogramBinaryV2(*original, graph.labels(), cards,
-                                         &again)
+  ASSERT_TRUE(EncodeCatalog(*original, graph.labels(), cards,
+                            CatalogFormat::kBinaryV2, &again)
                   .ok());
   EXPECT_EQ(v2, again);
 }
@@ -315,8 +349,9 @@ TEST_P(BinaryRoundTripTest, V2SectionsArePackedWithExactLayouts) {
     cards.push_back(graph.LabelCardinality(l));
   }
   std::string v2;
-  ASSERT_TRUE(
-      WritePathHistogramBinaryV2(*est, graph.labels(), cards, &v2).ok());
+  ASSERT_TRUE(EncodeCatalog(*est, graph.labels(), cards,
+                            CatalogFormat::kBinaryV2, &v2)
+                  .ok());
 
   // Walk the section table by hand against the layout helpers — the same
   // helpers the readers use, so this pins writer/reader agreement AND the
@@ -394,8 +429,9 @@ TEST(GoldenBinaryCatalog, V1LayoutIsPinned) {
     cards.push_back(graph.LabelCardinality(l));
   }
   std::string current;
-  ASSERT_TRUE(
-      WritePathHistogramBinary(*est, graph.labels(), cards, &current).ok());
+  ASSERT_TRUE(EncodeCatalog(*est, graph.labels(), cards,
+                            CatalogFormat::kBinary, &current)
+                  .ok());
 
   if (std::getenv("PATHEST_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -414,7 +450,7 @@ TEST(GoldenBinaryCatalog, V1LayoutIsPinned) {
   // the golden still loads to a working estimator.
   EXPECT_EQ(current, golden) << "binary catalog layout drifted from v1 — "
                                 "if intentional, bump binfmt::kVersion";
-  auto loaded = ReadPathHistogramBinary(golden);
+  auto loaded = DecodeCatalog(golden);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   PathSpace space(graph.num_labels(), 3);
   space.ForEach([&](const LabelPath& p) {
@@ -478,7 +514,7 @@ void ExpectServesLikeHistogram(const std::string& path,
     }
   };
 
-  auto copied = ReadPathHistogramBinaryV2(ReadGolden(path));
+  auto copied = DecodeCatalog(ReadGolden(path));
   ASSERT_TRUE(copied.ok()) << copied.status().ToString();
   EXPECT_EQ(copied->estimator.histogram().buckets().size(),
             histogram.num_buckets());
@@ -533,8 +569,9 @@ TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
     cards.push_back(graph.LabelCardinality(l));
   }
   std::string current;
-  ASSERT_TRUE(
-      WritePathHistogramBinaryV2(est, graph.labels(), cards, &current).ok());
+  ASSERT_TRUE(EncodeCatalog(est, graph.labels(), cards,
+                            CatalogFormat::kBinaryV2, &current)
+                  .ok());
 
   if (std::getenv("PATHEST_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -620,7 +657,7 @@ TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion5) {
   ExpectVerifiedAs(path, fx.version);
 
   // The engine of `catalog convert --format binary-v2`.
-  auto loaded = ReadPathHistogramBinaryV2(fixture);
+  auto loaded = DecodeCatalog(fixture);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::string converted =
       (std::filesystem::temp_directory_path() /
@@ -651,6 +688,35 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return std::string(info.param.paged ? "paged" : "packed");
     });
+
+// Every committed golden loads and re-encodes byte for byte in its own
+// format: v1 and the current v2 version to themselves, the legacy v2
+// versions to the version-5 golden.
+TEST(GoldenBinaryCatalog, EveryGoldenReencodesByteForByte) {
+  const std::string version5 =
+      ReadGolden(GoldenPath("catalog_v2_version5.stats"));
+  size_t goldens = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(PATHEST_SOURCE_DIR) + "/tests/golden")) {
+    if (entry.path().extension() != ".stats") continue;
+    const std::string golden = ReadGolden(entry.path().string());
+    const CatalogFormat format = BytesAreBinaryV2(golden)
+                                     ? CatalogFormat::kBinaryV2
+                                     : CatalogFormat::kBinary;
+    ASSERT_TRUE(LooksLikeBinaryCatalog(golden)) << entry.path();
+    auto loaded = DecodeCatalog(golden);
+    ASSERT_TRUE(loaded.ok()) << entry.path() << ": "
+                             << loaded.status().ToString();
+    std::string again;
+    ASSERT_TRUE(EncodeCatalog(loaded->estimator, loaded->labels,
+                              loaded->label_cardinalities, format, &again)
+                    .ok());
+    EXPECT_EQ(again, format == CatalogFormat::kBinary ? golden : version5)
+        << entry.path();
+    ++goldens;
+  }
+  EXPECT_EQ(goldens, 6u);
+}
 
 TEST(SniffBinaryV2, DistinguishesFormatsWithoutSlurping) {
   namespace fs = std::filesystem;

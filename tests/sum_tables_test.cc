@@ -288,7 +288,7 @@ TEST(SumTablesCatalogTest, Version3WithCorruptSection6IsRefusedFromChecksums) {
   // trusted entry serves exactly what the intact file does.
   auto trusted = MappedCatalogEntry::Open(path, CatalogVerify::kTrusted);
   ASSERT_TRUE(trusted.ok()) << trusted.status().ToString();
-  auto intact = ReadPathHistogramBinaryV2(v3);
+  auto intact = DecodeCatalog(v3);
   ASSERT_TRUE(intact.ok()) << intact.status().ToString();
   const PathSpace& space = intact->estimator.ordering().space();
   RankScratch scratch;
