@@ -23,9 +23,9 @@ namespace {
 
 double MeanAbsErrorOf(const Histogram& h, const std::vector<uint64_t>& dist) {
   double total = 0.0;
-  for (const Bucket& b : h.buckets()) {
-    double mean = b.Mean();
-    for (uint64_t i = b.begin; i < b.end; ++i) {
+  for (size_t b = 0; b < h.num_buckets(); ++b) {
+    const double mean = h.BucketMean(b);
+    for (uint64_t i = h.begins()[b]; i < h.BucketEnd(b); ++i) {
       total += AbsoluteErrorRate(mean, static_cast<double>(dist[i]));
     }
   }

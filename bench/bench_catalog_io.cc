@@ -21,8 +21,9 @@
 // The bench asserts the warm zero-copy construction stays >= 50x faster
 // than the v1 copying load, and that every path serves bit-identically.
 //
-// The estimator is synthetic (deterministic fabricated buckets assembled
-// through the same FromBuckets/FromParts path deserialization uses), so
+// The estimator is synthetic (deterministic fabricated rows assembled
+// through the same Histogram::FromRows/FromParts path deserialization
+// uses), so
 // the bench needs no graph build and isolates pure load cost. Before
 // timing, both files are loaded once and their estimates compared
 // bit-exactly over the full domain — a speedup over a WRONG loader is not
@@ -75,28 +76,25 @@ PathHistogram BuildSyntheticEstimator(size_t num_labels, size_t k,
   // Contiguous cover of [0, domain) at any beta: the first domain % beta
   // buckets have width domain / beta + 1, the rest width domain / beta
   // (for beta >= domain / 2: widths 2 and 1).
-  std::vector<Bucket> buckets;
-  buckets.reserve(beta);
+  std::vector<uint64_t> begins(beta);
+  std::vector<double> sums(beta), sumsqs(beta);
   const uint64_t narrow = domain / beta;
   const uint64_t wide = domain % beta;
   uint64_t begin = 0;
   for (uint64_t i = 0; i < beta; ++i) {
     const uint64_t width = i < wide ? narrow + 1 : narrow;
     const double v = BucketValue(i);
-    Bucket b;
-    b.begin = begin;
-    b.end = begin + width;
-    b.sum = static_cast<double>(width) * v;
-    b.sumsq = static_cast<double>(width) * v * v;
-    buckets.push_back(b);
+    begins[i] = begin;
+    sums[i] = static_cast<double>(width) * v;
+    sumsqs[i] = static_cast<double>(width) * v * v;
     begin += width;
   }
-  auto histogram = Histogram::FromBuckets(std::move(buckets));
-  bench::DieIf(histogram.status(), "FromBuckets");
+  Histogram histogram = Histogram::FromRows(
+      domain, std::move(begins), std::move(sums), std::move(sumsqs));
   auto ordering = MakeOrderingFromStats("sum-based", *labels, *cards, k);
   bench::DieIf(ordering.status(), "MakeOrderingFromStats");
   auto est = PathHistogram::FromParts(std::move(*ordering),
-                                      std::move(*histogram),
+                                      std::move(histogram),
                                       HistogramType::kVOptimal);
   bench::DieIf(est.status(), "FromParts");
   return std::move(*est);
@@ -198,7 +196,7 @@ int Run(bool json_mode, const std::string& json_path) {
     auto from_text = LoadPathHistogram(text_path);
     auto from_bin = LoadPathHistogram(bin_path);
     auto from_v2 = LoadPathHistogram(v2_path);
-    auto from_mmap = MappedCatalogEntry::Open(v2_path, CatalogVerify::kFull);
+    auto from_mmap = MappedCatalogEntry::Open(v2_path, CatalogVerify::kChecksums);
     bench::DieIf(from_text.status(), "load text");
     bench::DieIf(from_bin.status(), "load binary");
     bench::DieIf(from_v2.status(), "load binary v2");
@@ -232,8 +230,8 @@ int Run(bool json_mode, const std::string& json_path) {
               "binary speedup=%.2fx\n",
               reps, text_ms, binary_ms, speedup);
 
-  // v2 rows: the copying load (kFull rebuild comparisons — the strictest
-  // tier) and the first mapped open of the shape, both cold; then, with
+  // v2 rows: the copying load (kChecksums plus a row copy) and the first
+  // mapped open of the shape, both cold; then, with
   // the shape's tables pinned, the zero-copy constructions at the trusted
   // and checksummed tiers, the first estimate straight after mapping
   // (faults the pages the query touches), and a cache re-pin of an

@@ -42,7 +42,7 @@ int Run() {
     LabelPath p = ord.Unrank(i);
     csv.AddRow({std::to_string(i), p.ToString(graph.labels()),
                 std::to_string((*dist)[i]),
-                FormatDouble(estimator->histogram().Estimate(i), 6)});
+                FormatDouble(estimator->histogram().EstimatePoint(i), 6)});
   }
   bench::DieIf(csv.WriteCsv("fig1_distribution.csv"), "csv");
 

@@ -1,8 +1,8 @@
 // Microbenchmark M4: the query-time serving path — the reference
-// estimate (PathHistogram::Estimate: virtual Rank + binary search over the
-// 32-byte diagnostic Bucket array) versus the serving fast path
-// (core/estimator.h: type-tagged scratch Rank + flat SoA bucket lookup),
-// plus serial batch throughput.
+// estimate (PathHistogram::Estimate: virtual Rank + the histogram's bucket
+// lookup) versus the serving fast path (core/estimator.h: type-tagged
+// scratch Rank + the same lookup over the same rows), plus serial batch
+// throughput. The two differ only in how they rank.
 //
 // Setup mirrors the paper's Table 4 shape without the exact-selectivity
 // pipeline: a moreno-shaped label set (6 labels, skewed cardinalities) at
@@ -19,16 +19,14 @@
 //   * batch1_mqps        — EstimateBatch throughput in million paths/sec.
 //
 // Then one lookup row per β in {64, 874, |L_k|/2}: the bucket lookup
-// alone, over an equi-width histogram of the same distribution and
-// 1 Mi uniform random domain indices (scaled by PATHEST_SCALE, at least
-// 16 Ki), every answer asserted bit-identical first. It times the serving
-// lookup (FlatHistogram::EstimatePoint) interleaved with the diagnostic
-// one (Histogram::BucketFor(i).Mean()), per rep, and reports medians with
-// p25/p75 over the reps:
-//   * lookup_ns / bucket_for_ns — ns per lookup over independent indices
-//     (throughput: lookups overlap in the pipeline);
-//   * lookup_chain_ns / bucket_for_chain_ns — ns per lookup when each
-//     index depends on the previous answer (latency: no overlap).
+// alone (Histogram::EstimatePoint), over an equi-width histogram of the
+// same distribution and 1 Mi uniform random domain indices (scaled by
+// PATHEST_SCALE, at least 16 Ki). It reports medians with p25/p75 over
+// the reps:
+//   * lookup_ns — ns per lookup over independent indices (throughput:
+//     lookups overlap in the pipeline);
+//   * lookup_chain_ns — ns per lookup when each index depends on the
+//     previous answer (latency: no overlap).
 // Every row carries hardware_cores, the host's core count.
 //
 // --json[=path] writes one object per ordering, then one per lookup β
@@ -51,7 +49,7 @@
 #include "core/report.h"
 #include "gen/datasets.h"
 #include "histogram/builders.h"
-#include "histogram/flat_histogram.h"
+#include "histogram/histogram.h"
 #include "ordering/factory.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -176,9 +174,7 @@ struct LookupRow {
   size_t probes = 0;
   // Median, p25, p75 over the reps.
   double lookup_ns[3] = {};
-  double bucket_for_ns[3] = {};
   double lookup_chain_ns[3] = {};
-  double bucket_for_chain_ns[3] = {};
 };
 
 void Quartiles(std::vector<double>* samples, double out[3]) {
@@ -192,7 +188,6 @@ LookupRow MeasureLookup(const std::vector<uint64_t>& dist, size_t beta,
   auto histogram = BuildHistogram(HistogramType::kEquiWidth, dist, beta);
   bench::DieIf(histogram.status(), "equi-width build");
   const Histogram& h = *histogram;
-  const FlatHistogram flat(h);
   const uint64_t n = h.domain_size();
 
   LookupRow row;
@@ -202,61 +197,34 @@ LookupRow MeasureLookup(const std::vector<uint64_t>& dist, size_t beta,
   Rng rng(11);
   std::vector<uint64_t> probes(num_probes);
   for (uint64_t& i : probes) i = rng.NextBounded(n);
-  for (uint64_t i : probes) {
-    if (flat.EstimatePoint(i) != h.BucketFor(i).Mean()) {
-      std::fprintf(stderr, "flat/BucketFor lookup mismatch: beta=%zu i=%llu\n",
-                   row.beta, static_cast<unsigned long long>(i));
-      std::exit(1);
-    }
-  }
 
-  // Independent lookups: the sum is the only dependency between them.
-  auto independent = [&](auto&& lookup) {
-    double sink = 0.0;
-    Timer timer;
-    for (uint64_t i : probes) sink += lookup(i);
-    const double ns = static_cast<double>(timer.ElapsedNanos()) /
-                      static_cast<double>(num_probes);
-    return std::make_pair(ns, sink);
-  };
-  // Chained lookups: the next index waits for this answer. Estimates are
-  // non-negative, so the sign test is always false but the compiler must
-  // still wait for the load.
-  auto chained = [&](auto&& lookup) {
-    uint64_t carry = 0;
-    Timer timer;
-    for (uint64_t i : probes) {
-      const uint64_t index = i ^ carry;
-      carry = lookup(index < n ? index : i) < 0.0 ? 1 : 0;
-    }
-    const double ns = static_cast<double>(timer.ElapsedNanos()) /
-                      static_cast<double>(num_probes);
-    return std::make_pair(ns, static_cast<double>(carry));
-  };
-  auto flat_lookup = [&](uint64_t i) { return flat.EstimatePoint(i); };
-  auto bucket_for = [&](uint64_t i) { return h.BucketFor(i).Mean(); };
-
-  std::vector<double> samples[4];
+  std::vector<double> samples[2];
   double sink = 0.0;
   for (size_t rep = 0; rep < reps; ++rep) {
-    // Alternate which side runs first, so neither always gets the warmer
-    // cache.
-    const bool flat_first = rep % 2 == 0;
-    for (int side = 0; side < 2; ++side) {
-      const bool flat_side = (side == 0) == flat_first;
-      const auto [ns, s1] = flat_side ? independent(flat_lookup)
-                                      : independent(bucket_for);
-      const auto [chain_ns, s2] =
-          flat_side ? chained(flat_lookup) : chained(bucket_for);
-      samples[flat_side ? 0 : 1].push_back(ns);
-      samples[flat_side ? 2 : 3].push_back(chain_ns);
-      sink += s1 + s2;
+    // Independent lookups: the sum is the only dependency between them.
+    {
+      Timer timer;
+      for (uint64_t i : probes) sink += h.EstimatePoint(i);
+      samples[0].push_back(static_cast<double>(timer.ElapsedNanos()) /
+                           static_cast<double>(num_probes));
+    }
+    // Chained lookups: the next index waits for this answer. Estimates
+    // are non-negative, so the sign test is always false but the compiler
+    // must still wait for the load.
+    {
+      uint64_t carry = 0;
+      Timer timer;
+      for (uint64_t i : probes) {
+        const uint64_t index = i ^ carry;
+        carry = h.EstimatePoint(index < n ? index : i) < 0.0 ? 1 : 0;
+      }
+      samples[1].push_back(static_cast<double>(timer.ElapsedNanos()) /
+                           static_cast<double>(num_probes));
+      sink += static_cast<double>(carry);
     }
   }
   Quartiles(&samples[0], row.lookup_ns);
-  Quartiles(&samples[1], row.bucket_for_ns);
-  Quartiles(&samples[2], row.lookup_chain_ns);
-  Quartiles(&samples[3], row.bucket_for_chain_ns);
+  Quartiles(&samples[1], row.lookup_chain_ns);
   if (sink == -1.0) row.probes += 1;  // defeat dead-code elimination
   return row;
 }
@@ -320,10 +288,8 @@ int Run(bool json_mode, const std::string& json_path) {
   std::vector<LookupRow> lookups;
   for (size_t lookup_beta : {size_t{64}, size_t{874}, size_t(n / 2)}) {
     LookupRow row = MeasureLookup(dist, lookup_beta, num_probes, reps);
-    std::printf("  lookup beta=%-6zu flat=%6.1fns bucket_for=%6.1fns "
-                "chained: flat=%6.1fns bucket_for=%6.1fns\n",
-                row.beta, row.lookup_ns[0], row.bucket_for_ns[0],
-                row.lookup_chain_ns[0], row.bucket_for_chain_ns[0]);
+    std::printf("  lookup beta=%-6zu independent=%6.1fns chained=%6.1fns\n",
+                row.beta, row.lookup_ns[0], row.lookup_chain_ns[0]);
     lookups.push_back(row);
   }
 
@@ -354,18 +320,12 @@ int Run(bool json_mode, const std::string& json_path) {
           "  {\"lookup\": \"equi-width\", \"beta\": %zu, \"n\": %llu, "
           "\"probes\": %zu, \"reps\": %zu, "
           "\"lookup_ns\": %.1f, \"lookup_ns_p25\": %.1f, "
-          "\"lookup_ns_p75\": %.1f, \"bucket_for_ns\": %.1f, "
-          "\"bucket_for_ns_p25\": %.1f, \"bucket_for_ns_p75\": %.1f, "
-          "\"lookup_chain_ns\": %.1f, \"lookup_chain_ns_p25\": %.1f, "
-          "\"lookup_chain_ns_p75\": %.1f, \"bucket_for_chain_ns\": %.1f, "
-          "\"bucket_for_chain_ns_p25\": %.1f, "
-          "\"bucket_for_chain_ns_p75\": %.1f, \"hardware_cores\": %zu}%s\n",
+          "\"lookup_ns_p75\": %.1f, \"lookup_chain_ns\": %.1f, "
+          "\"lookup_chain_ns_p25\": %.1f, \"lookup_chain_ns_p75\": %.1f, "
+          "\"hardware_cores\": %zu}%s\n",
           r.beta, static_cast<unsigned long long>(r.n), r.probes, reps,
-          r.lookup_ns[0], r.lookup_ns[1], r.lookup_ns[2], r.bucket_for_ns[0],
-          r.bucket_for_ns[1], r.bucket_for_ns[2], r.lookup_chain_ns[0],
-          r.lookup_chain_ns[1], r.lookup_chain_ns[2],
-          r.bucket_for_chain_ns[0], r.bucket_for_chain_ns[1],
-          r.bucket_for_chain_ns[2], cores,
+          r.lookup_ns[0], r.lookup_ns[1], r.lookup_ns[2], r.lookup_chain_ns[0],
+          r.lookup_chain_ns[1], r.lookup_chain_ns[2], cores,
           i + 1 < lookups.size() ? "," : "");
     }
     std::fprintf(out, "]\n");

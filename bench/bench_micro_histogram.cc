@@ -27,6 +27,7 @@
 // β ~ n/2 its cost dwarfs every other builder by ~1000x while measuring
 // nothing about the sweep engine.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -83,16 +84,10 @@ struct Row {
 };
 
 bool SameBuckets(const Histogram& a, const Histogram& b) {
-  if (a.num_buckets() != b.num_buckets()) return false;
-  for (size_t i = 0; i < a.num_buckets(); ++i) {
-    const Bucket& x = a.buckets()[i];
-    const Bucket& y = b.buckets()[i];
-    if (x.begin != y.begin || x.end != y.end || x.sum != y.sum ||
-        x.sumsq != y.sumsq) {
-      return false;
-    }
-  }
-  return true;
+  return a.domain_size() == b.domain_size() &&
+         std::ranges::equal(a.begins(), b.begins()) &&
+         std::ranges::equal(a.sums(), b.sums()) &&
+         std::ranges::equal(a.sumsqs(), b.sumsqs());
 }
 
 Row MeasureType(const std::string& config, const std::vector<uint64_t>& data,

@@ -9,11 +9,12 @@
 // walks the three-stage combinatorial partitioning.
 //
 // Measured on the SERVING fast path (core/estimator.h: type-tagged scratch
-// Rank + flat SoA bucket lookup) — the per-query cost a deployed estimator
-// pays. The reference path (PathHistogram::Estimate: virtual Rank plus
-// the Bucket search) is measured against it by bench_micro_estimation. The est_bytes column is the serving-resident
-// footprint of each row's estimator (flat bucket index; identical across
-// orderings at equal beta).
+// Rank + the histogram's bucket lookup) — the per-query cost a deployed
+// estimator pays. The reference path (PathHistogram::Estimate: virtual
+// Rank plus the same lookup) is measured against it by
+// bench_micro_estimation. The est_bytes column is the serving-resident
+// footprint of each row's estimator (the begin, sum and sumsq rows, 24
+// bytes per bucket; identical across orderings at equal beta).
 
 #include <cstdio>
 #include <utility>

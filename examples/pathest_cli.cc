@@ -25,7 +25,7 @@
 // is echoed alongside the load, like the selectivity build config.
 //
 // estimate answers queries through the serving facade (core/estimator.h:
-// scratch fast-path ranking + flat bucket lookup, one EstimateBatch call
+// scratch fast-path ranking + bucket lookup, one EstimateBatch call
 // for the whole workload). Paths come from the command line, or — when none
 // are given — from stdin, one label path (a/b/c) per line.
 //

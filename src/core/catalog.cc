@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 #include <system_error>
 
 #include "core/serialize.h"
+#include "util/safe_io.h"
 
 namespace pathest {
 
@@ -57,22 +59,30 @@ Result<CatalogLoadReport> VerifyCatalogDir(const std::string& dir) {
   if (!entries.ok()) return entries.status();
   CatalogLoadReport report;
   for (const std::string& path : *entries) {
-    auto loaded = LoadPathHistogram(path);
-    if (loaded.ok()) {
-      const std::string name = std::filesystem::path(path).stem().string();
-      report.loaded.push_back(name);
-      uint32_t version = 0;
-      auto format = SniffCatalogFormat(path, &version);
-      if (format.ok()) {
-        // A v2 entry that loaded IS aligned: the v2 parser rejects any
-        // section offset off a 64-byte boundary at every verify tier.
-        report.entries.push_back(CatalogEntryInfo{
-            name, CatalogFormatName(*format),
-            *format == CatalogFormat::kBinaryV2, version});
-      }
-    } else {
-      report.failures.push_back(MakeCatalogLoadFailure(path, loaded.status()));
+    // One read: the format reported is that of the bytes decoded, even if
+    // the file is replaced (atomic-rename publish) in between.
+    std::string bytes;
+    Status read = ReadFileToString(path, &bytes);
+    if (!read.ok()) {
+      report.failures.push_back(
+          MakeCatalogLoadFailure(path, std::move(read)));
+      continue;
     }
+    auto loaded = DecodeCatalog(bytes);
+    if (!loaded.ok()) {
+      report.failures.push_back(MakeCatalogLoadFailure(path, loaded.status()));
+      continue;
+    }
+    const std::string name = std::filesystem::path(path).stem().string();
+    uint32_t version = 0;
+    const CatalogFormat format =
+        SniffCatalogFormat(std::string_view(bytes), &version);
+    report.loaded.push_back(name);
+    // A v2 entry that loaded IS aligned: the v2 parser rejects any
+    // section offset off a 64-byte boundary at every verify tier.
+    report.entries.push_back(CatalogEntryInfo{
+        name, CatalogFormatName(format), format == CatalogFormat::kBinaryV2,
+        version});
   }
   return report;
 }

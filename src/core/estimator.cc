@@ -7,22 +7,14 @@ namespace pathest {
 Estimator::Estimator(const PathHistogram& source)
     : ordering_(&source.ordering()),
       kind_(source.ordering().kind()),
-      flat_(source.histogram()) {}
+      histogram_(source.histogram()) {}
 
-Estimator::Estimator(const Ordering& ordering, const Histogram& histogram)
+Estimator::Estimator(const Ordering& ordering, Histogram histogram)
     : ordering_(&ordering),
       kind_(ordering.kind()),
-      flat_(histogram) {
-  PATHEST_CHECK(histogram.domain_size() == ordering.size(),
+      histogram_(std::move(histogram)) {
+  PATHEST_CHECK(histogram_.domain_size() == ordering.size(),
                 "histogram domain size does not match ordering domain");
-}
-
-Estimator::Estimator(const Ordering& ordering, FlatHistogram flat)
-    : ordering_(&ordering),
-      kind_(ordering.kind()),
-      flat_(std::move(flat)) {
-  PATHEST_CHECK(flat_.domain_size() == ordering.size(),
-                "flat histogram domain size does not match ordering domain");
 }
 
 void Estimator::EstimateBatch(std::span<const LabelPath> paths,

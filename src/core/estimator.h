@@ -1,20 +1,20 @@
 // pathest: the query-time serving facade — allocation-free single-path
 // and batched estimation over a built PathHistogram or a mapped catalog.
 //
-// PathHistogram::Estimate is the reference path: a virtual Rank() plus a
-// binary search over the 32-byte diagnostic Bucket array. The tests, and
-// the benchmark's untimed q-error pass, compare against it; it serves no
-// query. A serving estimator answers millions of queries per second, where
-// the per-call costs — virtual dispatch, cold bucket cache lines —
-// dominate. Estimator removes them:
+// PathHistogram::Estimate is the reference path: a virtual Rank() plus the
+// histogram's bucket lookup. The tests, and the benchmark's untimed
+// q-error pass, compare against it; it serves no query. A serving
+// estimator answers millions of queries per second, where the per-call
+// cost of virtual dispatch dominates. Estimator removes it:
 //
 //   * Rank goes through a type-tagged dispatch on Ordering::kind(): the
 //     closed-form orderings (numerical / lexicographic / gray) are called
 //     via their non-virtual inline RankFast bodies, sum-based via its
 //     table-driven scratch fast path, and only the explicit-permutation
 //     baselines stay on the virtual call.
-//   * Bucket lookup goes through the SoA FlatHistogram
-//     (histogram/flat_histogram.h) built once at construction.
+//   * Bucket lookup reads the Histogram's begin and sum rows
+//     (histogram/histogram.h) — the very rows of the built PathHistogram
+//     (shared, not copied) or of a mapped catalog v2 (borrowed).
 //   * EstimateBatch amortizes the scratch across a span of queries. There
 //     is no batch-parallel form: the daemon answers each request on its
 //     own worker, so callers parallelize across requests.
@@ -24,7 +24,8 @@
 //
 // Thread safety: an Estimator is immutable after construction and safe to
 // share across any number of concurrent readers, each holding its own
-// RankScratch. The source PathHistogram must outlive the Estimator.
+// RankScratch. The ordering it serves must outlive the Estimator, as must
+// the backing memory of a borrowed Histogram.
 
 #ifndef PATHEST_CORE_ESTIMATOR_H_
 #define PATHEST_CORE_ESTIMATOR_H_
@@ -33,7 +34,7 @@
 #include <span>
 
 #include "core/path_histogram.h"
-#include "histogram/flat_histogram.h"
+#include "histogram/histogram.h"
 #include "ordering/gray.h"
 #include "ordering/lexicographic.h"
 #include "ordering/numerical.h"
@@ -46,22 +47,17 @@ namespace pathest {
 /// PathHistogram.
 class Estimator {
  public:
-  /// \param source built estimator state; borrowed, must outlive this
-  ///   object. The flat bucket index is projected here, once.
+  /// \param source built estimator state; its ordering is borrowed and
+  ///   must outlive this object, its histogram rows are shared.
   explicit Estimator(const PathHistogram& source);
 
-  /// \brief Serves a bare (ordering, histogram) pair — the sweep-engine
-  /// path, where one ordering backs many histograms. Both are borrowed and
-  /// must outlive this object; the histogram's domain must equal the
-  /// ordering's |L_k|.
-  Estimator(const Ordering& ordering, const Histogram& histogram);
-
-  /// \brief Serves a pre-projected flat index — the mmap zero-copy path,
-  /// where `flat` is a FlatHistogram::FromBorrowedRows over a mapped binary
-  /// catalog v2 (core/mapped_catalog.h). The ordering is borrowed and must
-  /// outlive this object, as must the flat index's backing memory when it
-  /// is a borrowed form.
-  Estimator(const Ordering& ordering, FlatHistogram flat);
+  /// \brief Serves an (ordering, histogram) pair: the sweep engine's
+  /// owned histograms, where one ordering backs many, and the mmap
+  /// zero-copy path's Histogram::Borrow over a mapped binary catalog v2
+  /// (core/mapped_catalog.h). The ordering is borrowed and must outlive
+  /// this object, as must a borrowed histogram's backing memory; the
+  /// histogram's domain must equal the ordering's |L_k|.
+  Estimator(const Ordering& ordering, Histogram histogram);
 
   /// \brief index(ℓ) through the type-tagged fast path. Allocation-free
   /// (see the scratch contract in ordering/ordering.h); bit-identical to
@@ -88,7 +84,7 @@ class Estimator {
   /// \brief e(ℓ): fast-path point estimate. Bit-identical to
   /// PathHistogram::Estimate(path) on the same ordering and histogram.
   double Estimate(const LabelPath& path, RankScratch& scratch) const {
-    return flat_.EstimatePoint(Rank(path, scratch));
+    return histogram_.EstimatePoint(Rank(path, scratch));
   }
 
   /// \brief Serial batch estimation: out[i] = e(paths[i]), one internal
@@ -97,20 +93,21 @@ class Estimator {
                      std::span<double> out) const;
 
   /// \brief e over an index RANGE of the ordered domain, bit-identical to
-  /// PathHistogram::EstimateIndexRange (see FlatHistogram::EstimateRange).
+  /// PathHistogram::EstimateIndexRange (see Histogram::EstimateRange).
   double EstimateIndexRange(uint64_t begin, uint64_t end) const {
-    return flat_.EstimateRange(begin, end);
+    return histogram_.EstimateRange(begin, end);
   }
 
-  /// \brief Serving-resident footprint in bytes: the flat bucket index (the
-  /// diagnostic Histogram's footprint is Histogram::ApproxBytes()).
-  size_t ResidentBytes() const { return flat_.ResidentBytes(); }
+  /// \brief Serving-resident footprint in bytes: the histogram's owned
+  /// begin, sum and sumsq rows (0 when they are borrowed).
+  size_t ResidentBytes() const { return histogram_.ResidentBytes(); }
 
-  /// \brief Bytes the flat index views in a mapped file (0 when its rows
+  /// \brief Bytes the histogram views in a mapped file (0 when its rows
   /// are owned) — the complement of ResidentBytes on the mmap path.
-  size_t MappedBytes() const { return flat_.MappedBytes(); }
+  size_t MappedBytes() const { return histogram_.MappedBytes(); }
 
-  const FlatHistogram& flat() const { return flat_; }
+  /// \brief The served histogram rows.
+  const Histogram& flat() const { return histogram_; }
   const Ordering& ordering() const { return *ordering_; }
 
   /// \brief |L| of the served ordering's label set.
@@ -119,7 +116,7 @@ class Estimator {
  private:
   const Ordering* ordering_;
   OrderingKind kind_;
-  FlatHistogram flat_;
+  Histogram histogram_;
 };
 
 }  // namespace pathest

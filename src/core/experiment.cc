@@ -119,10 +119,11 @@ ErrorSummary SummarizeHistogramErrors(const Histogram& histogram,
                                       const std::vector<uint64_t>& dist) {
   std::vector<double> abs_errors;
   abs_errors.reserve(dist.size());
-  // Walk buckets in domain order instead of binary-searching per index.
-  for (const Bucket& bucket : histogram.buckets()) {
-    const double mean = bucket.Mean();
-    for (uint64_t i = bucket.begin; i < bucket.end; ++i) {
+  // Walk buckets in domain order instead of searching per index.
+  for (size_t b = 0; b < histogram.num_buckets(); ++b) {
+    const double mean = histogram.BucketMean(b);
+    for (uint64_t i = histogram.begins()[b]; i < histogram.BucketEnd(b);
+         ++i) {
       abs_errors.push_back(
           AbsoluteErrorRate(mean, static_cast<double>(dist[i])));
     }

@@ -127,7 +127,7 @@ struct TimingResult {
   /// Number of estimate calls measured.
   uint64_t calls = 0;
   /// Serving-resident footprint of the estimator answering the cell's
-  /// queries (Estimator::ResidentBytes — the flat bucket index), surfaced
+  /// queries (Estimator::ResidentBytes — the histogram rows), surfaced
   /// in the Table 4 report.
   size_t estimator_bytes = 0;
 };

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "core/serialize_internal.h"
-#include "histogram/flat_histogram.h"
+#include "histogram/histogram.h"
 #include "ordering/factory.h"
 
 namespace pathest {
@@ -36,12 +36,7 @@ Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Open(
   if (!ordering.ok()) return ordering.status();
   entry->ordering_ = std::move(*ordering);
 
-  FlatHistogram::Rows rows;
-  rows.domain_size = view.domain_size;
-  rows.begin = view.begin;
-  rows.sum = view.sum;
-  entry->estimator_.emplace(*entry->ordering_,
-                            FlatHistogram::FromBorrowedRows(rows));
+  entry->estimator_.emplace(*entry->ordering_, Histogram::Borrow(view.rows));
 
   // Owned-heap accounting: parsed metadata plus the ordering's small owned
   // tables (ranking bijections, factorials, cell directory). The bulk rows

@@ -3,8 +3,8 @@
 //
 // A MappedCatalogEntry owns exactly one mapping (util/mmap_file.h) and the
 // small OWNED metadata parsed out of it (label dictionary, cardinalities,
-// ordering identity); every histogram row the serving fast paths read
-// stays IN the mapping, borrowed through FlatHistogram::FromBorrowedRows.
+// ordering identity); the histogram's begin, sum and sumsq rows stay IN
+// the mapping, borrowed through Histogram::Borrow.
 // The ordering is rebuilt from the metadata; a sum-family one takes its
 // stage-2/3 tables from the process-wide registry (SumTables::For in
 // ordering/sum_based.h), shared with every other ordering of the shape.
@@ -12,7 +12,7 @@
 // Construction is therefore header authentication + (per the chosen
 // CatalogVerify tier) checksums/scans + O(k) pointer fixup + at most one
 // registry lookup — microseconds and O(1) allocations where the copying
-// loader spends milliseconds rebuilding the histogram, with the row bytes
+// loader spends milliseconds copying the rows, with the row bytes
 // themselves faulted lazily by the kernel. Only the first open of a shape
 // no live ordering holds builds the tables (tens of microseconds at
 // |L| = 6, k = 4; under a millisecond at the shapes the benches use).

@@ -33,7 +33,7 @@ Result<PathHistogram> PathHistogram::FromParts(OrderingPtr ordering,
 }
 
 double PathHistogram::Estimate(const LabelPath& path) const {
-  return histogram_.Estimate(ordering_->Rank(path));
+  return histogram_.EstimatePoint(ordering_->Rank(path));
 }
 
 std::string PathHistogram::Describe() const {

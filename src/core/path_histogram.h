@@ -3,7 +3,7 @@
 //
 // Construction: materialize the distribution D[i] = f(Unrank(i)) under the
 // chosen ordering, then bucket D with the chosen histogram policy. At query
-// time only Rank() and the bucket array are touched; the full distribution
+// time only Rank() and the histogram's begin and sum rows are touched; the full distribution
 // is NOT retained — the estimator's memory footprint is the histogram plus
 // the ordering's O(1)/O(|L|) state, which is the whole point of the
 // exercise.
@@ -49,7 +49,7 @@ class PathHistogram {
   /// \brief The underlying ordering method.
   const Ordering& ordering() const { return *ordering_; }
 
-  /// \brief The underlying bucket structure.
+  /// \brief The underlying histogram rows.
   const Histogram& histogram() const { return histogram_; }
 
   /// \brief The construction policy of the underlying histogram.

@@ -158,8 +158,6 @@ const char* CatalogVerifyName(CatalogVerify verify) {
       return "trusted";
     case CatalogVerify::kChecksums:
       return "checksums";
-    case CatalogVerify::kFull:
-      return "full";
   }
   return "?";
 }
@@ -238,13 +236,13 @@ std::string EncodeText(const PathHistogram& estimator,
   out << "cardinalities";
   for (uint64_t f : cardinalities) out << ' ' << f;
   out << "\n";
-  const auto& buckets = estimator.histogram().buckets();
-  out << "buckets " << buckets.size() << "\n";
+  const Histogram& h = estimator.histogram();
+  out << "buckets " << h.num_buckets() << "\n";
   // Hex double encoding is lossless and locale-independent.
   out.precision(17);
-  for (const Bucket& b : buckets) {
-    out << b.begin << ' ' << b.end << ' ' << std::hexfloat << b.sum << ' '
-        << b.sumsq << std::defaultfloat << "\n";
+  for (size_t b = 0; b < h.num_buckets(); ++b) {
+    out << h.begins()[b] << ' ' << h.BucketEnd(b) << ' ' << std::hexfloat
+        << h.sums()[b] << ' ' << h.sumsqs()[b] << std::defaultfloat << "\n";
   }
   return out.str();
 }
@@ -281,14 +279,15 @@ SectionPayloads MetadataSections(const PathHistogram& estimator,
 // reader checks them against the loaded ordering's table).
 void AppendV1Sections(const PathHistogram& estimator,
                       SectionPayloads* sections) {
-  const auto& buckets = estimator.histogram().buckets();
+  const Histogram& h = estimator.histogram();
+  const size_t beta = h.num_buckets();
   std::string hist;
-  hist.reserve(8 + buckets.size() * 32);
-  AppendU64(&hist, buckets.size());
-  for (const Bucket& b : buckets) AppendU64(&hist, b.begin);
-  for (const Bucket& b : buckets) AppendU64(&hist, b.end);
-  for (const Bucket& b : buckets) AppendDouble(&hist, b.sum);
-  for (const Bucket& b : buckets) AppendDouble(&hist, b.sumsq);
+  hist.reserve(8 + beta * 32);
+  AppendU64(&hist, beta);
+  for (uint64_t begin : h.begins()) AppendU64(&hist, begin);
+  for (size_t b = 0; b < beta; ++b) AppendU64(&hist, h.BucketEnd(b));
+  for (double sum : h.sums()) AppendDouble(&hist, sum);
+  for (double sumsq : h.sumsqs()) AppendDouble(&hist, sumsq);
   sections->emplace_back(binfmt::kSectionHistogram, std::move(hist));
 
   const CompositionTable* table = CompositionsOf(estimator.ordering());
@@ -310,19 +309,20 @@ void AppendV1Sections(const PathHistogram& estimator,
 // readers derive them from the begins.
 void AppendV2Histogram(const PathHistogram& estimator,
                        SectionPayloads* sections) {
-  const auto& buckets = estimator.histogram().buckets();
-  const binfmt::HistogramLayoutV2 hl = binfmt::HistogramLayout(buckets.size());
+  const Histogram& h = estimator.histogram();
+  const binfmt::HistogramLayoutV2 hl =
+      binfmt::HistogramLayout(h.num_buckets());
   std::string hist;
   hist.reserve(hl.payload_bytes);
-  AppendU64(&hist, buckets.size());
-  AppendU64(&hist, estimator.histogram().domain_size());
-  auto append_row = [&](uint64_t off, auto field) {
+  AppendU64(&hist, h.num_buckets());
+  AppendU64(&hist, h.domain_size());
+  auto append_row = [&](uint64_t off, auto row) {
     PadTo(&hist, off);
-    for (const Bucket& bucket : buckets) AppendRaw(&hist, bucket.*field);
+    for (const auto& value : row) AppendRaw(&hist, value);
   };
-  append_row(hl.begin_off, &Bucket::begin);
-  append_row(hl.sum_off, &Bucket::sum);
-  append_row(hl.sumsq_off, &Bucket::sumsq);
+  append_row(hl.begin_off, h.begins());
+  append_row(hl.sum_off, h.sums());
+  append_row(hl.sumsq_off, h.sumsqs());
   PATHEST_CHECK(hist.size() == hl.payload_bytes,
                 "v2 histogram payload does not match its layout");
   sections->emplace_back(binfmt::kSectionHistogram, std::move(hist));
@@ -384,35 +384,25 @@ Status SaveLoadedPathHistogram(const LoadedPathHistogram& loaded,
 
 // ----------------------------------------------------------- format sniff
 
-namespace {
-
-// The one magic classifier: binary v2, binary v1, or — for anything
-// without a binary magic, input shorter than a magic included — text.
-CatalogFormat FormatOfMagic(std::string_view bytes) {
-  if (bytes.size() < binfmt::kMagicBytes) return CatalogFormat::kText;
-  if (std::memcmp(bytes.data(), binfmt::kMagicV2, binfmt::kMagicBytes) == 0) {
-    return CatalogFormat::kBinaryV2;
+CatalogFormat SniffCatalogFormat(std::string_view bytes, uint32_t* version) {
+  CatalogFormat format = CatalogFormat::kText;
+  if (bytes.size() >= binfmt::kMagicBytes) {
+    if (std::memcmp(bytes.data(), binfmt::kMagicV2, binfmt::kMagicBytes) ==
+        0) {
+      format = CatalogFormat::kBinaryV2;
+    } else if (std::memcmp(bytes.data(), binfmt::kMagic,
+                           binfmt::kMagicBytes) == 0) {
+      format = CatalogFormat::kBinary;
+    }
   }
-  if (std::memcmp(bytes.data(), binfmt::kMagic, binfmt::kMagicBytes) == 0) {
-    return CatalogFormat::kBinary;
+  if (version != nullptr) {
+    *version = 0;
+    if (format != CatalogFormat::kText &&
+        bytes.size() >= binfmt::kMagicBytes + 4) {
+      std::memcpy(version, bytes.data() + binfmt::kMagicBytes, 4);
+    }
   }
-  return CatalogFormat::kText;
-}
-
-}  // namespace
-
-bool LooksLikeBinaryCatalog(std::string_view bytes) {
-  return FormatOfMagic(bytes) != CatalogFormat::kText;
-}
-
-bool BytesAreBinaryV2(std::string_view bytes) {
-  return FormatOfMagic(bytes) == CatalogFormat::kBinaryV2;
-}
-
-Result<bool> SniffFileIsBinaryV2(const std::string& path) {
-  auto format = SniffCatalogFormat(path);
-  if (!format.ok()) return format.status();
-  return *format == CatalogFormat::kBinaryV2;
+  return format;
 }
 
 Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
@@ -427,15 +417,14 @@ Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
   // Magic, then the u32 version field.
   char head[binfmt::kMagicBytes + 4];
   in.read(head, sizeof head);
-  const size_t got = static_cast<size_t>(in.gcount());
-  const CatalogFormat format = FormatOfMagic(std::string_view(head, got));
-  if (version != nullptr) {
-    *version = 0;
-    if (format != CatalogFormat::kText && got == sizeof head) {
-      std::memcpy(version, head + binfmt::kMagicBytes, 4);
-    }
-  }
-  return format;
+  return SniffCatalogFormat(
+      std::string_view(head, static_cast<size_t>(in.gcount())), version);
+}
+
+Result<bool> SniffFileIsBinaryV2(const std::string& path) {
+  auto format = SniffCatalogFormat(path);
+  if (!format.ok()) return format.status();
+  return *format == CatalogFormat::kBinaryV2;
 }
 
 // ------------------------------------------------ shared reader machinery
@@ -668,15 +657,36 @@ Status ParseFrame(std::string_view bytes, const FrameSpec& spec, Frame* frame,
   return Status::OK();
 }
 
-// Histogram::FromBuckets, its refusal a typed IOError: binary readers
-// localize it to section 4; the text format has no sections.
-Result<Histogram> HistogramFromBuckets(std::vector<Bucket> buckets,
-                                       bool in_section) {
-  auto histogram = Histogram::FromBuckets(std::move(buckets));
-  if (histogram.ok()) return histogram;
-  const std::string detail = "invalid buckets: " + histogram.status().message();
-  return in_section ? SectionError(binfmt::kSectionHistogram, detail)
-                    : Status::IOError(detail);
+// The (begin, end, sum, sumsq) bucket rows of a text or v1 catalog, at
+// least one bucket each, checked in bucket order — contiguous from 0
+// (end[b] == begin[b + 1]) and non-empty, with finite non-negative sums —
+// then owned by a Histogram over [0, end of the last bucket). A refusal is
+// a typed IOError: v1 localizes it to section 4; the text format has no
+// sections.
+Result<Histogram> HistogramFromBucketRows(std::vector<uint64_t> begin,
+                                          const std::vector<uint64_t>& end,
+                                          std::vector<double> sum,
+                                          std::vector<double> sumsq,
+                                          bool in_section) {
+  auto refuse = [in_section](const char* why) {
+    const std::string detail = std::string("invalid buckets: ") + why;
+    return in_section ? SectionError(binfmt::kSectionHistogram, detail)
+                      : Status::IOError(detail);
+  };
+  uint64_t expected_begin = 0;
+  for (size_t b = 0; b < begin.size(); ++b) {
+    if (begin[b] != expected_begin || end[b] <= begin[b]) {
+      return refuse("buckets must be contiguous, non-empty, and start at 0");
+    }
+    // Frequencies are counts: NaN and +/-inf are as corrupt as a negative.
+    if (!(std::isfinite(sum[b]) && sum[b] >= 0.0 &&
+          std::isfinite(sumsq[b]) && sumsq[b] >= 0.0)) {
+      return refuse("bucket sums must be finite and non-negative");
+    }
+    expected_begin = end[b];
+  }
+  return Histogram::FromRows(end.back(), std::move(begin), std::move(sum),
+                             std::move(sumsq));
 }
 
 // The tail of every copying reader: the ordering rebuilt from `meta`
@@ -817,19 +827,19 @@ Result<LoadedPathHistogram> DecodeText(std::string_view content) {
                            std::to_string(num_buckets) + " for " +
                            std::to_string(end - cur) + " remaining bytes");
   }
-  std::vector<Bucket> buckets;
-  buckets.reserve(num_buckets);
+  std::vector<uint64_t> begin(num_buckets), end_row(num_buckets);
+  std::vector<double> sum(num_buckets), sumsq(num_buckets);
   for (size_t i = 0; i < num_buckets; ++i) {
-    Bucket b;
-    if (!parse_u64(&b.begin) || !parse_u64(&b.end) || !parse_double(&b.sum) ||
-        !parse_double(&b.sumsq)) {
+    if (!parse_u64(&begin[i]) || !parse_u64(&end_row[i]) ||
+        !parse_double(&sum[i]) || !parse_double(&sumsq[i])) {
       return Status::IOError("truncated or malformed bucket " +
                              std::to_string(i));
     }
-    buckets.push_back(b);
   }
 
-  auto histogram = HistogramFromBuckets(std::move(buckets), false);
+  auto histogram = HistogramFromBucketRows(std::move(begin), end_row,
+                                           std::move(sum), std::move(sumsq),
+                                           false);
   if (!histogram.ok()) return histogram.status();
   return LoadedFrom(meta, std::move(*histogram));
 }
@@ -897,20 +907,21 @@ Result<LoadedPathHistogram> DecodeV1(std::string_view bytes) {
     return SectionError(kSectionHistogram, "zero buckets");
   }
   // Four u64 rows of num_buckets each — validated as a whole before the
-  // bucket vector is sized from the untrusted count.
+  // rows are sized from the untrusted count.
   PATHEST_RETURN_NOT_OK(his.ValidateCount(num_buckets, 32, "buckets"));
-  std::vector<Bucket> buckets(num_buckets);
-  for (Bucket& b : buckets) {
-    PATHEST_RETURN_NOT_OK(his.ReadU64(&b.begin, "bucket begins"));
+  std::vector<uint64_t> begin(num_buckets), end(num_buckets);
+  std::vector<double> sum(num_buckets), sumsq(num_buckets);
+  for (uint64_t& v : begin) {
+    PATHEST_RETURN_NOT_OK(his.ReadU64(&v, "bucket begins"));
   }
-  for (Bucket& b : buckets) {
-    PATHEST_RETURN_NOT_OK(his.ReadU64(&b.end, "bucket ends"));
+  for (uint64_t& v : end) {
+    PATHEST_RETURN_NOT_OK(his.ReadU64(&v, "bucket ends"));
   }
-  for (Bucket& b : buckets) {
-    PATHEST_RETURN_NOT_OK(his.ReadDouble(&b.sum, "bucket sums"));
+  for (double& v : sum) {
+    PATHEST_RETURN_NOT_OK(his.ReadDouble(&v, "bucket sums"));
   }
-  for (Bucket& b : buckets) {
-    PATHEST_RETURN_NOT_OK(his.ReadDouble(&b.sumsq, "bucket sumsqs"));
+  for (double& v : sumsq) {
+    PATHEST_RETURN_NOT_OK(his.ReadDouble(&v, "bucket sumsqs"));
   }
   if (!his.AtEnd()) return SectionError(kSectionHistogram, "trailing bytes");
 
@@ -925,7 +936,8 @@ Result<LoadedPathHistogram> DecodeV1(std::string_view bytes) {
   std::string_view comp_payload;
   if (comp != nullptr) PATHEST_RETURN_NOT_OK(frame.Open(*comp, &comp_payload));
 
-  auto histogram = HistogramFromBuckets(std::move(buckets), true);
+  auto histogram = HistogramFromBucketRows(
+      std::move(begin), end, std::move(sum), std::move(sumsq), true);
   if (!histogram.ok()) return histogram.status();
   auto loaded = LoadedFrom(meta, std::move(*histogram));
   if (!loaded.ok() || comp == nullptr) return loaded;
@@ -941,11 +953,6 @@ std::span<const T> RowSpan(std::string_view payload, uint64_t off,
                            uint64_t n) {
   return {reinterpret_cast<const T*>(payload.data() + off),
           static_cast<size_t>(n)};
-}
-
-// End of bucket b: no v2 reader reads an end row; each derives it here.
-uint64_t BucketEnd(const internal::CatalogV2View& view, uint64_t b) {
-  return b + 1 < view.beta ? view.begin[b + 1] : view.domain_size;
 }
 
 }  // namespace
@@ -970,40 +977,42 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   const SectionEntry& hist_entry = *frame.Find(kSectionHistogram);
   std::string_view payload = bytes.substr(hist_entry.offset, hist_entry.length);
   BoundedReader his(payload);
-  PATHEST_RETURN_NOT_OK(his.ReadU64(&view.beta, "bucket count"));
-  PATHEST_RETURN_NOT_OK(his.ReadU64(&view.domain_size, "domain size"));
-  if (view.beta == 0) return SectionError(kSectionHistogram, "zero buckets");
+  uint64_t beta = 0;
+  Histogram::Rows& rows = view.rows;
+  PATHEST_RETURN_NOT_OK(his.ReadU64(&beta, "bucket count"));
+  PATHEST_RETURN_NOT_OK(his.ReadU64(&rows.domain_size, "domain size"));
+  if (beta == 0) return SectionError(kSectionHistogram, "zero buckets");
   // Each bucket costs >= 24 bytes across the three rows every version
   // has, so this bound both rejects forged counts and keeps the layout
   // math far from u64 overflow.
-  if (view.beta > bytes.size() / 24) {
-    return SectionError(kSectionHistogram, "implausible bucket count " +
-                                               std::to_string(view.beta));
+  if (beta > bytes.size() / 24) {
+    return SectionError(kSectionHistogram,
+                        "implausible bucket count " + std::to_string(beta));
   }
-  const HistogramLayoutV2 hl = HistogramLayout(view.beta, version);
+  const HistogramLayoutV2 hl = HistogramLayout(beta, version);
   if (hl.payload_bytes != hist_entry.length) {
     return SectionError(
         kSectionHistogram,
         "payload is " + std::to_string(hist_entry.length) +
-            " bytes but the layout for beta=" + std::to_string(view.beta) +
+            " bytes but the layout for beta=" + std::to_string(beta) +
             " needs " + std::to_string(hl.payload_bytes));
   }
   // domain_size must be exactly |L_k|; the shape gate in the frame parse
   // guarantees that PathSpace's checked arithmetic cannot abort here.
   if (const uint64_t domain = PathSpace(view.labels.size(), view.k).size();
-      domain != view.domain_size) {
+      domain != rows.domain_size) {
     return SectionError(kSectionHistogram,
-                        "domain size " + std::to_string(view.domain_size) +
+                        "domain size " + std::to_string(rows.domain_size) +
                             " does not match |L_k| = " +
                             std::to_string(domain));
   }
-  view.begin = RowSpan<uint64_t>(payload, hl.begin_off, view.beta);
-  view.sum = RowSpan<double>(payload, hl.sum_off, view.beta);
-  view.sumsq = RowSpan<double>(payload, hl.sumsq_off, view.beta);
-  // Checked at EVERY tier (one load): FlatHistogram's borrowed-shape
+  rows.begin = RowSpan<uint64_t>(payload, hl.begin_off, beta);
+  rows.sum = RowSpan<double>(payload, hl.sum_off, beta);
+  rows.sumsq = RowSpan<double>(payload, hl.sumsq_off, beta);
+  // Checked at EVERY tier (one load): Histogram::Borrow's shape
   // invariant, which must be a typed error here — never a downstream
   // abort — even under kTrusted.
-  if (view.begin[0] != 0) {
+  if (rows.begin[0] != 0) {
     return SectionError(kSectionHistogram, "first bucket must begin at 0");
   }
 
@@ -1040,37 +1049,26 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
 
   // begin[0] == 0 was checked above; every bucket must be non-empty,
   // with the last one ending at the domain size. sum is a served row and
-  // sumsq the loaded Histogram's SSE; frequencies are counts, so neither
-  // may be negative. The legacy rows are never read, so nothing scans them.
-  for (uint64_t b = 0; b < view.beta; ++b) {
-    if (view.begin[b] >= BucketEnd(view, b)) {
+  // sumsq feeds TotalSse; frequencies are counts, so neither may be
+  // negative. These are all the checks a Histogram's rows need, so a
+  // view that passes them is served or copied as it is. The legacy rows
+  // are never read, so nothing scans them.
+  for (uint64_t b = 0; b < beta; ++b) {
+    const uint64_t end = b + 1 < beta ? rows.begin[b + 1] : rows.domain_size;
+    if (rows.begin[b] >= end) {
       return SectionError(kSectionHistogram,
                           "begin row does not rise strictly below the "
                           "domain size at bucket " +
                               std::to_string(b));
     }
-    if (!(std::isfinite(view.sum[b]) && view.sum[b] >= 0.0 &&
-          std::isfinite(view.sumsq[b]) && view.sumsq[b] >= 0.0)) {
+    if (!(std::isfinite(rows.sum[b]) && rows.sum[b] >= 0.0 &&
+          std::isfinite(rows.sumsq[b]) && rows.sumsq[b] >= 0.0)) {
       return SectionError(kSectionHistogram,
                           "sum or sumsq row not finite and non-negative at "
                           "bucket " +
                               std::to_string(b));
     }
   }
-  if (verify != CatalogVerify::kFull) return view;
-
-  // ---- full tier: the bucket Histogram the rows describe, handed to the
-  // caller so the copying loader builds it once.
-  std::vector<Bucket> buckets(view.beta);
-  for (uint64_t b = 0; b < view.beta; ++b) {
-    buckets[b].begin = view.begin[b];
-    buckets[b].end = BucketEnd(view, b);
-    buckets[b].sum = view.sum[b];
-    buckets[b].sumsq = view.sumsq[b];
-  }
-  auto histogram = HistogramFromBuckets(std::move(buckets), true);
-  if (!histogram.ok()) return histogram.status();
-  view.histogram = std::move(*histogram);
   return view;
 }
 
@@ -1079,11 +1077,16 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
 // ---------------------------------------------------------------- decode
 
 Result<LoadedPathHistogram> DecodeCatalog(std::string_view bytes) {
-  switch (FormatOfMagic(bytes)) {
+  switch (SniffCatalogFormat(bytes)) {
     case CatalogFormat::kBinaryV2: {
-      auto view = internal::ParseCatalogV2(bytes, CatalogVerify::kFull);
+      auto view = internal::ParseCatalogV2(bytes, CatalogVerify::kChecksums);
       if (!view.ok()) return view.status();
-      return LoadedFrom(*view, std::move(*view->histogram));
+      const Histogram::Rows& rows = view->rows;
+      return LoadedFrom(
+          *view, Histogram::FromRows(
+                     rows.domain_size, {rows.begin.begin(), rows.begin.end()},
+                     {rows.sum.begin(), rows.sum.end()},
+                     {rows.sumsq.begin(), rows.sumsq.end()}));
     }
     case CatalogFormat::kBinary:
       return DecodeV1(bytes);

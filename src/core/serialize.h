@@ -76,8 +76,8 @@
 //   3 cardinalities  u32 n (== labels n), u32 reserved(0), n × u64 f(l)
 //   4 histogram      u64 beta, then FOUR structure-of-arrays rows of beta
 //                    u64s each: begin[], end[], sum-bits[], sumsq-bits[]
-//                    (column-major — the serving FlatHistogram layout, so
-//                    the future mmap tier can point straight at the rows)
+//                    (column-major; v2 keeps begin, sum and sumsq, the
+//                    rows of histogram/histogram.h, and drops end)
 //   5 composition    u32 |L|, u32 k, u64 value-count, then for each
 //                    m in [1, k] the row Count(sum, m) for
 //                    sum in [m, m·|L|] — the sum-based ordering's stage-2
@@ -133,16 +133,15 @@
 // process-wide registry of ordering/sum_based.h (SumTables::For), shared
 // with every other ordering of the same shape.
 //
-// begin and sum are the serving rows of histogram/flat_histogram.h, which
-// divides a bucket's sum by its width at lookup; sumsq is read only into
-// the bucket Histogram a copying load returns (its SSE) and so survives
-// conversion to the other formats. No row derived from another is
-// stored, so constructing an Estimator from a mapped v2 file is pointer
-// fixup plus, for the sum family, one registry lookup
-// (core/mapped_catalog.h) — microseconds and O(1) allocations, with the
-// row bytes faulted lazily by the kernel. The copying loader
-// (DecodeCatalog) verifies at the full tier and returns an owned
-// estimator.
+// The three rows are exactly a Histogram's (histogram/histogram.h): begin
+// and sum serve, the bucket's sum divided by its width at lookup; sumsq
+// feeds TotalSse and survives conversion to the other formats. No row
+// derived from another is stored, so constructing an Estimator from a
+// mapped v2 file is pointer fixup plus, for the sum family, one registry
+// lookup (core/mapped_catalog.h) — microseconds and O(1) allocations, with
+// the row bytes faulted lazily by the kernel. The copying loader
+// (DecodeCatalog) verifies at kChecksums and copies the three rows into an
+// owned estimator.
 //
 // Versioning/compat rules: the major version in the header is bumped on
 // ANY layout change to existing sections; readers reject versions they do
@@ -239,16 +238,13 @@ Result<CatalogFormat> ParseCatalogFormat(const std::string& name);
 ///   kChecksums CRC32C over every bulk section (the legacy sum sections
 ///              of versions 2 and 3 included) plus structural scans of the
 ///              histogram rows (begins rising strictly below the domain
-///              size, finite non-negative sum and sumsq rows). The
-///              CatalogCache admission tier — every byte generation is
-///              checked once.
-///   kFull      kChecksums plus the rebuild of the bucket Histogram the
-///              rows describe. What `catalog verify` and the copying
-///              loader use.
+///              size, finite non-negative sum and sumsq rows) — every
+///              check a Histogram's rows need. The CatalogCache admission
+///              tier (every byte generation is checked once), and what
+///              `catalog verify` and the copying loader use.
 enum class CatalogVerify {
   kTrusted,
   kChecksums,
-  kFull,
 };
 
 const char* CatalogVerifyName(CatalogVerify verify);
@@ -346,32 +342,31 @@ struct LoadedPathHistogram {
   PathHistogram estimator;
 };
 
-/// \brief True when `bytes` begins with either binary catalog magic
-/// (v1 or v2).
-bool LooksLikeBinaryCatalog(std::string_view bytes);
+/// \brief The one magic classifier: binary v2, binary v1, or — for
+/// anything without a binary magic, input shorter than a magic included —
+/// text. When `version` is non-null it receives a binary catalog's header
+/// version field (unauthenticated: 0 if `bytes` is shorter than the field)
+/// and 0 for text. Behind DecodeCatalog's dispatch and `catalog verify`'s
+/// per-entry format report.
+CatalogFormat SniffCatalogFormat(std::string_view bytes,
+                                 uint32_t* version = nullptr);
 
-/// \brief True when `bytes` begins with the v2 magic specifically.
-bool BytesAreBinaryV2(std::string_view bytes);
-
-/// \brief Reads only the leading magic of `path` (no slurp) and reports
-/// whether it is a binary catalog v2 — the serving loader's cheap dispatch
-/// between the mmap path and the copying path. NotFound/IOError propagate;
-/// a file shorter than the magic is simply `false`.
-Result<bool> SniffFileIsBinaryV2(const std::string& path);
-
-/// \brief Classifies `path` by its leading magic (no slurp): binary v2,
-/// binary v1, or — for anything without a binary magic — text. When
-/// `version` is non-null it receives a binary file's header version field
-/// (unauthenticated: 0 if the file is shorter than the field) and 0 for
-/// text. Behind `catalog verify`'s per-entry format report and `catalog
-/// convert`'s skip-if-already-current check. NotFound/IOError propagate.
+/// \brief SniffCatalogFormat over the leading bytes of `path` (no
+/// slurp): the serving loader's cheap dispatch between the mmap path and
+/// the copying path, and `catalog convert`'s skip-if-already-current
+/// check. NotFound/IOError propagate.
 Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
                                          uint32_t* version = nullptr);
+
+/// \brief Whether `path` is a binary catalog v2, by SniffCatalogFormat.
+/// Kept for perfbench, whose serve workloads call it; library code
+/// dispatches on SniffCatalogFormat.
+Result<bool> SniffFileIsBinaryV2(const std::string& path);
 
 /// \brief Parses a catalog in the format its leading magic names (text
 /// for anything without a binary magic) at the strictest check each format
 /// has — every checksum before the section it covers is interpreted, and
-/// for v2 CatalogVerify::kFull — and returns an OWNED estimator. A v2
+/// for v2 CatalogVerify::kChecksums — and returns an OWNED estimator. A v2
 /// buffer must be at least 8-byte aligned (heap buffers always are).
 Result<LoadedPathHistogram> DecodeCatalog(std::string_view bytes);
 

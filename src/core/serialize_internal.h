@@ -15,8 +15,8 @@
 // histogram section, the legacy section rules, and the tiered bulk
 // verification of core/serialize.h's CatalogVerify. Its product is a
 // CatalogV2View — owned metadata plus spans into the caller's bytes for
-// every bulk row — from which the copying loader (DecodeCatalog) builds an
-// owned estimator and the mmap tier builds a borrowed one
+// the begin, sum and sumsq rows — whose rows the copying loader
+// (DecodeCatalog) copies into an owned Histogram and the mmap tier borrows
 // (core/mapped_catalog.h). Internal header: not installed, no stability
 // promise.
 
@@ -24,8 +24,6 @@
 #define PATHEST_CORE_SERIALIZE_INTERNAL_H_
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,17 +52,10 @@ struct CatalogMetadata {
 /// verified. Metadata is owned; bulk rows are spans into the input bytes,
 /// valid only while that buffer (or mapping) lives.
 struct CatalogV2View : CatalogMetadata {
-  // Section 4: shape prolog + the rows every version has (begin and sum
-  // serve; sumsq is diagnostic). Bucket b ends at begin[b + 1], the last
-  // one at domain_size.
-  uint64_t beta = 0;
-  uint64_t domain_size = 0;
-  std::span<const uint64_t> begin;
-  std::span<const double> sum, sumsq;
-
-  // The Histogram the rows describe, rebuilt at kFull (empty at the lower
-  // tiers).
-  std::optional<Histogram> histogram;
+  // Section 4: the domain size and the rows every version has (begin and
+  // sum serve; sumsq feeds TotalSse). Bucket b ends at begin[b + 1], the
+  // last one at domain_size.
+  Histogram::Rows rows;
 };
 
 /// \brief Parses + verifies a v2 byte image at tier `verify` (see

@@ -1,97 +1,101 @@
 #include "histogram/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pathest {
 
-Bucket MakeBucket(const std::vector<uint64_t>& data, uint64_t begin,
-                  uint64_t end) {
-  Bucket b;
-  b.begin = begin;
-  b.end = end;
-  for (uint64_t i = begin; i < end; ++i) {
-    double v = static_cast<double>(data[i]);
-    b.sum += v;
-    b.sumsq += v * v;
-  }
-  return b;
+namespace {
+
+// Size of the three rows of a β-bucket histogram.
+size_t RowBytes(size_t beta) {
+  return beta * (sizeof(uint64_t) + 2 * sizeof(double));
 }
+
+}  // namespace
 
 Result<Histogram> Histogram::FromBoundaries(const std::vector<uint64_t>& data,
                                             std::vector<uint64_t> boundaries) {
   if (data.empty()) return Status::InvalidArgument("empty histogram domain");
   const uint64_t n = data.size();
-  uint64_t prev = 0;
-  std::vector<Bucket> buckets;
-  buckets.reserve(boundaries.size() + 1);
+  std::vector<uint64_t> begin;
+  begin.reserve(boundaries.size() + 1);
+  begin.push_back(0);
   for (uint64_t b : boundaries) {
-    if (b <= prev || b >= n) {
+    if (b <= begin.back() || b >= n) {
       return Status::InvalidArgument(
           "histogram boundaries must be strictly increasing within (0, n)");
     }
-    buckets.push_back(MakeBucket(data, prev, b));
-    prev = b;
+    begin.push_back(b);
   }
-  buckets.push_back(MakeBucket(data, prev, n));
-  return Histogram(std::move(buckets));
-}
-
-Result<Histogram> Histogram::FromBuckets(std::vector<Bucket> buckets) {
-  if (buckets.empty()) {
-    return Status::InvalidArgument("histogram needs at least one bucket");
-  }
-  uint64_t expected_begin = 0;
-  for (const Bucket& b : buckets) {
-    if (b.begin != expected_begin || b.end <= b.begin) {
-      return Status::InvalidArgument(
-          "buckets must be contiguous, non-empty, and start at 0");
+  std::vector<double> sum(begin.size(), 0.0);
+  std::vector<double> sumsq(begin.size(), 0.0);
+  for (size_t b = 0; b < begin.size(); ++b) {
+    const uint64_t end = b + 1 < begin.size() ? begin[b + 1] : n;
+    for (uint64_t i = begin[b]; i < end; ++i) {
+      const double v = static_cast<double>(data[i]);
+      sum[b] += v;
+      sumsq[b] += v * v;
     }
-    // Frequencies are counts: NaN and +/-inf are as corrupt as a negative.
-    if (!(std::isfinite(b.sum) && b.sum >= 0.0 && std::isfinite(b.sumsq) &&
-          b.sumsq >= 0.0)) {
-      return Status::InvalidArgument(
-          "bucket sums must be finite and non-negative");
-    }
-    expected_begin = b.end;
   }
-  return Histogram(std::move(buckets));
+  return FromRows(n, std::move(begin), std::move(sum), std::move(sumsq));
 }
 
-const Bucket& Histogram::BucketFor(uint64_t index) const {
-  PATHEST_CHECK(index < domain_size(), "estimate index out of range");
-  // First bucket whose end exceeds index.
-  auto it = std::upper_bound(
-      buckets_.begin(), buckets_.end(), index,
-      [](uint64_t value, const Bucket& b) { return value < b.end; });
-  return *it;
+Histogram Histogram::FromRows(uint64_t domain_size,
+                              std::vector<uint64_t> begin,
+                              std::vector<double> sum,
+                              std::vector<double> sumsq) {
+  auto storage = std::make_shared<const Storage>(
+      Storage{std::move(begin), std::move(sum), std::move(sumsq)});
+  const Rows rows{domain_size, storage->begin, storage->sum, storage->sumsq};
+  CheckShape(rows);
+  return Histogram(std::move(storage), rows);
 }
 
-double Histogram::Estimate(uint64_t index) const {
-  return BucketFor(index).Mean();
+Histogram Histogram::Borrow(const Rows& rows) {
+  CheckShape(rows);
+  return Histogram(nullptr, rows);
+}
+
+void Histogram::CheckShape(const Rows& rows) {
+  const size_t n = rows.begin.size();
+  PATHEST_CHECK(n >= 1, "histogram needs at least one bucket");
+  PATHEST_CHECK(rows.sum.size() == n && rows.sumsq.size() == n,
+                "histogram row shapes inconsistent");
+  PATHEST_CHECK(rows.begin[0] == 0, "histogram begins must start at 0");
+  PATHEST_CHECK(rows.domain_size > 0, "histogram domain must be non-empty");
 }
 
 double Histogram::EstimateRange(uint64_t begin, uint64_t end) const {
   PATHEST_CHECK(begin <= end, "range begin must be <= end");
-  PATHEST_CHECK(end <= domain_size(), "range end out of domain");
+  PATHEST_CHECK(end <= rows_.domain_size, "range end out of domain");
   if (begin == end) return 0.0;
-  // First bucket overlapping the range.
-  auto it = std::upper_bound(
-      buckets_.begin(), buckets_.end(), begin,
-      [](uint64_t value, const Bucket& b) { return value < b.end; });
+  // The bound on b keeps every read inside the rows even over begin rows
+  // that do not ascend (trusted but corrupt bytes).
   double total = 0.0;
-  for (; it != buckets_.end() && it->begin < end; ++it) {
-    uint64_t lo = std::max(begin, it->begin);
-    uint64_t hi = std::min(end, it->end);
-    total += it->Mean() * static_cast<double>(hi - lo);
+  for (size_t b = FindBucket(begin);
+       b < rows_.begin.size() && rows_.begin[b] < end; ++b) {
+    const uint64_t lo = std::max(begin, rows_.begin[b]);
+    const uint64_t hi = std::min(end, BucketEnd(b));
+    total += BucketMean(b) * static_cast<double>(hi - lo);
   }
   return total;
 }
 
 double Histogram::TotalSse() const {
   double total = 0.0;
-  for (const Bucket& b : buckets_) total += b.Sse();
+  for (size_t b = 0; b < num_buckets(); ++b) {
+    const uint64_t width = BucketEnd(b) - rows_.begin[b];
+    total += rows_.sumsq[b] - (rows_.sum[b] * rows_.sum[b]) / width;
+  }
   return total;
+}
+
+size_t Histogram::ResidentBytes() const {
+  return owns_storage() ? RowBytes(num_buckets()) : 0;
+}
+
+size_t Histogram::MappedBytes() const {
+  return owns_storage() ? 0 : RowBytes(num_buckets());
 }
 
 }  // namespace pathest

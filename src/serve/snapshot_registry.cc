@@ -19,14 +19,14 @@ Result<SnapshotLoadResult> LoadCatalogSnapshots(const std::string& dir,
     // are deserialized into an owned copy. Either way a failure is
     // quarantined (path + implicated section + typed error) and the
     // remaining entries still become snapshots.
-    auto is_v2 = SniffFileIsBinaryV2(path);
-    if (!is_v2.ok()) {
+    auto format = SniffCatalogFormat(path);
+    if (!format.ok()) {
       result.report.failures.push_back(
-          MakeCatalogLoadFailure(path, is_v2.status()));
+          MakeCatalogLoadFailure(path, format.status()));
       continue;
     }
     std::shared_ptr<const ServingSnapshot> snapshot;
-    if (*is_v2) {
+    if (*format == CatalogFormat::kBinaryV2) {
       auto mapped = mmap_cache.GetOrOpen(path);
       if (!mapped.ok()) {
         result.report.failures.push_back(

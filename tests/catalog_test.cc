@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -103,6 +104,49 @@ TEST_F(CatalogTest, VerifyReportsFormatAndAlignmentPerEntry) {
                       std::to_string(binfmt::kVersionV2) + "}"),
             std::string::npos)
       << json;
+}
+
+TEST_F(CatalogTest, EveryLoadedGoldenHasItsEntryRow) {
+  // Each committed golden, plus a text entry, reported from the one read
+  // that decoded it: every loaded name has an entries row, in the same
+  // order, with the format and header version of those bytes.
+  struct Want {
+    const char* name;
+    const char* format;
+    uint32_t version;
+  };
+  const Want wants[] = {
+      {"catalog_v1", "binary", binfmt::kVersion},
+      {"catalog_v2", "binary-v2", binfmt::kVersionV2Eytzinger},
+      {"catalog_v2_paged", "binary-v2", binfmt::kVersionV2Eytzinger},
+      {"catalog_v2_version3", "binary-v2", binfmt::kVersionV2SumSections},
+      {"catalog_v2_version4", "binary-v2", binfmt::kVersionV2MeanRows},
+      {"catalog_v2_version5", "binary-v2", binfmt::kVersionV2},
+      {"text", "text", 0},
+  };
+  const fs::path golden = fs::path(PATHEST_SOURCE_DIR) / "tests" / "golden";
+  for (const Want& want : wants) {
+    if (std::string(want.format) == "text") continue;
+    fs::copy_file(golden / (std::string(want.name) + ".stats"),
+                  dir_ / (std::string(want.name) + ".stats"));
+  }
+  Save("text", CatalogFormat::kText);
+
+  auto report = VerifyCatalogDir(dir_.string());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->fully_healthy())
+      << report->failures[0].status.ToString();
+  ASSERT_EQ(report->loaded.size(), std::size(wants));
+  ASSERT_EQ(report->entries.size(), report->loaded.size());
+  for (size_t i = 0; i < std::size(wants); ++i) {
+    const CatalogEntryInfo& entry = report->entries[i];
+    EXPECT_EQ(report->loaded[i], wants[i].name);
+    EXPECT_EQ(entry.name, wants[i].name);
+    EXPECT_EQ(entry.format, wants[i].format) << entry.name;
+    EXPECT_EQ(entry.version, wants[i].version) << entry.name;
+    EXPECT_EQ(entry.aligned, std::string(wants[i].format) == "binary-v2")
+        << entry.name;
+  }
 }
 
 TEST_F(CatalogTest, SnapshotLoaderMapsV2AndCopiesTextAndV1) {

@@ -2,20 +2,24 @@
 // (every rank path agrees over whole domains; sum-based, owned and mapped,
 // against the first-principles oracle in tests/oracles/ordering_oracle.h,
 // across the counts/sorted key boundary and past 64 labels), the
-// FlatHistogram SoA lookup, the serial batch API, the footprint accounting,
-// and the allocation-free guarantee of the fast path (via a global
-// operator-new counting hook).
+// histogram bucket lookup against tests/oracles/histogram_oracle.h over
+// built, copied, mapped and decoded rows, the serial batch API, the
+// footprint accounting, and the allocation-free guarantee of the fast path
+// (via a global operator-new counting hook).
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <random>
 #include <span>
 #include <new>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -28,9 +32,9 @@
 #include "core/serialize.h"
 #include "core/workload.h"
 #include "histogram/builders.h"
-#include "histogram/flat_histogram.h"
 #include "ordering/factory.h"
 #include "ordering/sum_based.h"
+#include "oracles/histogram_oracle.h"
 #include "oracles/ordering_oracle.h"
 #include "test_util.h"
 
@@ -240,46 +244,47 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// ------------------------------------------------------------ flat lookup
+// ---------------------------------------------------------- bucket lookup
 
-TEST(FlatHistogramTest, PointEstimatesBitIdenticalToHistogram) {
+TEST(HistogramLookupTest, PointEstimatesBitIdenticalToOracle) {
   const std::vector<uint64_t> data = SyntheticDistribution(1000);
   for (size_t beta : {1, 2, 7, 32, 333}) {
     auto h = BuildHistogram(HistogramType::kVOptimal, data, beta);
     ASSERT_TRUE(h.ok());
-    FlatHistogram flat(*h);
-    ASSERT_EQ(flat.num_buckets(), h->num_buckets());
-    ASSERT_EQ(flat.domain_size(), h->domain_size());
+    const oracles::HistogramOracle oracle(*h);
+    ASSERT_EQ(oracle.buckets().size(), h->num_buckets());
+    ASSERT_EQ(oracle.domain_size(), h->domain_size());
     for (uint64_t i = 0; i < h->domain_size(); ++i) {
-      // Bit-identical: same division, performed once at build time.
-      ASSERT_EQ(flat.EstimatePoint(i), h->Estimate(i)) << "beta=" << beta
-                                                       << " i=" << i;
+      // Bit-identical: the same bucket, the same division.
+      ASSERT_EQ(h->EstimatePoint(i), oracle.Estimate(i))
+          << "beta=" << beta << " i=" << i;
     }
   }
 }
 
-TEST(FlatHistogramTest, RangeEstimatesBitIdenticalToHistogram) {
+TEST(HistogramLookupTest, RangeEstimatesBitIdenticalToOracle) {
   const std::vector<uint64_t> data = SyntheticDistribution(500);
   std::mt19937_64 rng(7);
   for (size_t beta : {1, 2, 17, 64, 500}) {
     auto h = BuildHistogram(HistogramType::kEquiDepth, data, beta);
     ASSERT_TRUE(h.ok());
-    FlatHistogram flat(*h);
+    const oracles::HistogramOracle oracle(*h);
     for (int draw = 0; draw < 2000; ++draw) {
       uint64_t begin = rng() % 501;
       uint64_t end = rng() % 501;
       if (begin > end) std::swap(begin, end);
       // The same buckets, the same divisions, added in the same order.
-      ASSERT_EQ(flat.EstimateRange(begin, end), h->EstimateRange(begin, end))
+      ASSERT_EQ(h->EstimateRange(begin, end),
+                oracle.EstimateRange(begin, end))
           << "beta=" << beta << " [" << begin << ", " << end << ")";
     }
-    EXPECT_EQ(flat.EstimateRange(0, 500), h->EstimateRange(0, 500));
-    EXPECT_EQ(flat.EstimateRange(0, 0), 0.0);
-    EXPECT_EQ(flat.EstimateRange(500, 500), 0.0);
+    EXPECT_EQ(h->EstimateRange(0, 500), oracle.EstimateRange(0, 500));
+    EXPECT_EQ(h->EstimateRange(0, 0), 0.0);
+    EXPECT_EQ(h->EstimateRange(500, 500), 0.0);
   }
 }
 
-TEST(FlatHistogramTest, RowsThatDoNotAscendKeepEveryReadInside) {
+TEST(HistogramLookupTest, RowsThatDoNotAscendKeepEveryReadInside) {
   // Borrowed rows that break the order lookups assume (the kTrusted tier
   // serves such bytes unscanned). The rows sit between guard entries: a
   // read past either end of the sum row would meet a NaN, and one past
@@ -289,11 +294,12 @@ TEST(FlatHistogramTest, RowsThatDoNotAscendKeepEveryReadInside) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<uint64_t> begins = {0, 0, 60, 20, 80, 40, 0};
   const std::vector<double> sums = {nan, 1.0, 1.0, 1.0, 1.0, 1.0, nan};
-  FlatHistogram::Rows rows;
+  Histogram::Rows rows;
   rows.domain_size = 100;
   rows.begin = std::span<const uint64_t>(begins).subspan(1, 5);
   rows.sum = std::span<const double>(sums).subspan(1, 5);
-  const FlatHistogram flat = FlatHistogram::FromBorrowedRows(rows);
+  rows.sumsq = std::span<const double>(sums).subspan(1, 5);
+  const Histogram flat = Histogram::Borrow(rows);
   for (uint64_t i = 0; i < 100; ++i) {
     ASSERT_LT(flat.FindBucket(i), 5u) << i;
     ASSERT_FALSE(std::isnan(flat.EstimatePoint(i))) << i;
@@ -304,7 +310,7 @@ TEST(FlatHistogramTest, RowsThatDoNotAscendKeepEveryReadInside) {
   }
 }
 
-TEST(FlatHistogramTest, FindBucketAgreesWithBucketFor) {
+TEST(HistogramLookupTest, FindBucketAgreesWithBucketFor) {
   // Every bucket count from 1 to 40 walks the search's window through
   // every odd/even split, and β = n makes every bucket one index wide.
   const std::vector<uint64_t> data = SyntheticDistribution(257);
@@ -315,27 +321,127 @@ TEST(FlatHistogramTest, FindBucketAgreesWithBucketFor) {
     auto h = BuildHistogram(HistogramType::kEquiWidth, data, beta);
     ASSERT_TRUE(h.ok());
     ASSERT_EQ(h->num_buckets(), beta);
-    FlatHistogram flat(*h);
+    const oracles::HistogramOracle oracle(*h);
     for (uint64_t i = 0; i < h->domain_size(); ++i) {
-      ASSERT_EQ(&h->buckets()[flat.FindBucket(i)], &h->BucketFor(i))
+      ASSERT_EQ(&oracle.buckets()[h->FindBucket(i)], &oracle.BucketFor(i))
           << "beta=" << beta << " i=" << i;
     }
   }
 }
 
-TEST(HistogramFootprintTest, ReportsDiagnosticAndEstimatorBytes) {
+TEST(HistogramFootprintTest, ReportsOwnedAndBorrowedRowBytes) {
   const std::vector<uint64_t> data = SyntheticDistribution(100);
   auto h = BuildHistogram(HistogramType::kEquiWidth, data, 10);
   ASSERT_TRUE(h.ok());
   ASSERT_EQ(h->num_buckets(), 10u);
-  // Diagnostic: the full 32-byte Bucket (begin, end, sum, sumsq) — what the
-  // build side holds and what serialization writes.
-  EXPECT_EQ(h->ApproxBytes(), 10 * sizeof(Bucket));
-  EXPECT_EQ(sizeof(Bucket), 32u);
-  // Estimator-resident: the flat SoA rows, begin and sum.
-  FlatHistogram flat(*h);
-  EXPECT_EQ(flat.ResidentBytes(), 10 * (sizeof(uint64_t) + sizeof(double)));
-  EXPECT_EQ(flat.ResidentBytes() * 2, h->ApproxBytes());
+  // Owned: the begin, sum and sumsq rows, 24 bytes per bucket — what the
+  // builders emit, the estimator serves and catalog v2 persists.
+  EXPECT_TRUE(h->owns_storage());
+  EXPECT_EQ(h->ResidentBytes(),
+            10 * (sizeof(uint64_t) + 2 * sizeof(double)));
+  EXPECT_EQ(h->MappedBytes(), 0u);
+  // A copy shares the rows instead of duplicating them.
+  const Histogram copy = *h;
+  EXPECT_EQ(copy.begins().data(), h->begins().data());
+  EXPECT_EQ(copy.sumsqs().data(), h->sumsqs().data());
+  // Borrowed: the same bytes, charged to the caller's memory.
+  const Histogram borrowed = Histogram::Borrow(
+      {h->domain_size(), h->begins(), h->sums(), h->sumsqs()});
+  EXPECT_FALSE(borrowed.owns_storage());
+  EXPECT_EQ(borrowed.ResidentBytes(), 0u);
+  EXPECT_EQ(borrowed.MappedBytes(), h->ResidentBytes());
+}
+
+// Every point, and seeded ranges, of `h` bit-identical to `oracle`.
+void ExpectMatchesOracle(const Histogram& h,
+                         const oracles::HistogramOracle& oracle,
+                         const std::string& what) {
+  ASSERT_EQ(h.num_buckets(), oracle.buckets().size()) << what;
+  ASSERT_EQ(h.domain_size(), oracle.domain_size()) << what;
+  const uint64_t n = h.domain_size();
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(h.EstimatePoint(i), oracle.Estimate(i))
+        << what << " index " << i;
+  }
+  std::mt19937_64 rng(n);
+  for (int draw = 0; draw < 1000; ++draw) {
+    uint64_t begin = rng() % (n + 1);
+    uint64_t end = rng() % (n + 1);
+    if (begin > end) std::swap(begin, end);
+    ASSERT_EQ(h.EstimateRange(begin, end), oracle.EstimateRange(begin, end))
+        << what << " [" << begin << ", " << end << ")";
+  }
+  EXPECT_EQ(h.EstimateRange(0, n), oracle.EstimateRange(0, n)) << what;
+  EXPECT_EQ(h.TotalSse(), oracle.TotalSse()) << what;
+}
+
+TEST(HistogramOracleTest, BuiltCopiedMappedAndDecodedFormsAgree) {
+  // Built, and an O(1) copy of it.
+  Graph graph = TestGraph(6);
+  auto ordering = MakeOrdering("sum-based", graph, 3);
+  ASSERT_TRUE(ordering.ok());
+  auto served = BuildServed(std::move(*ordering), 24);
+  ASSERT_TRUE(served.ok());
+  const Histogram& built = served->histogram();
+  const oracles::HistogramOracle oracle(built);
+  ExpectMatchesOracle(built, oracle, "built");
+  const Histogram copy = built;
+  EXPECT_EQ(copy.begins().data(), built.begins().data());
+  ExpectMatchesOracle(copy, oracle, "copy");
+  // The serving estimator shares the built rows too.
+  EXPECT_EQ(Estimator(*served).flat().sums().data(), built.sums().data());
+
+  // Borrowed from a mapped v2 file of the built histogram.
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "pathest_estimator_oracle.stats")
+                               .string();
+  ASSERT_TRUE(
+      SavePathHistogram(*served, graph, path, CatalogFormat::kBinaryV2).ok());
+  {
+    auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kChecksums);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    const Histogram& borrowed = (*mapped)->estimator().flat();
+    EXPECT_FALSE(borrowed.owns_storage());
+    ExpectMatchesOracle(borrowed, oracle, "mapped");
+  }
+  std::filesystem::remove(path);
+
+  // Decoded from every golden (v1, v2 versions 2-5), and from text.
+  size_t goldens = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(PATHEST_SOURCE_DIR) + "/tests/golden")) {
+    if (entry.path().extension() != ".stats") continue;
+    const std::string name = entry.path().filename().string();
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    auto decoded = DecodeCatalog(bytes);
+    ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.status().ToString();
+    const Histogram& h = decoded->estimator.histogram();
+    EXPECT_TRUE(h.owns_storage()) << name;
+    const oracles::HistogramOracle golden_oracle(h);
+    ExpectMatchesOracle(h, golden_oracle, name);
+    if (SniffCatalogFormat(std::string_view(bytes)) ==
+        CatalogFormat::kBinaryV2) {
+      auto mapped = MappedCatalogEntry::Open(entry.path().string(),
+                                             CatalogVerify::kChecksums);
+      ASSERT_TRUE(mapped.ok()) << name << ": " << mapped.status().ToString();
+      ExpectMatchesOracle((*mapped)->estimator().flat(), golden_oracle,
+                          name + " mapped");
+    }
+    std::string text;
+    ASSERT_TRUE(EncodeCatalog(decoded->estimator, decoded->labels,
+                              decoded->label_cardinalities,
+                              CatalogFormat::kText, &text)
+                    .ok());
+    auto from_text = DecodeCatalog(text);
+    ASSERT_TRUE(from_text.ok()) << name << ": "
+                                << from_text.status().ToString();
+    ExpectMatchesOracle(from_text->estimator.histogram(), golden_oracle,
+                        name + " as text");
+    ++goldens;
+  }
+  EXPECT_EQ(goldens, 6u);
 }
 
 // ------------------------------------------------------------- batch APIs

@@ -761,9 +761,8 @@ TEST_F(FaultInjectionV2Test, MisplacedSectionsAreSectionErrorsAtEveryTier) {
     expect_section_error(loaded.status(), f);
     const std::string path = (dir_ / (f.what + ".stats")).string();
     ASSERT_TRUE(WriteFileBytes(path, f.image).ok());
-    for (CatalogVerify tier : {CatalogVerify::kTrusted,
-                               CatalogVerify::kChecksums,
-                               CatalogVerify::kFull}) {
+    for (CatalogVerify tier :
+         {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
       auto mapped = MappedCatalogEntry::Open(path, tier);
       ASSERT_FALSE(mapped.ok()) << f.what << " " << CatalogVerifyName(tier);
       expect_section_error(mapped.status(), f);

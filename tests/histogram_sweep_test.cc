@@ -63,15 +63,16 @@ void ExpectBitIdentical(const Histogram& a, const Histogram& b,
                         const char* what, size_t beta) {
   ASSERT_EQ(a.num_buckets(), b.num_buckets()) << what << " beta=" << beta;
   for (size_t i = 0; i < a.num_buckets(); ++i) {
-    const Bucket& x = a.buckets()[i];
-    const Bucket& y = b.buckets()[i];
-    EXPECT_EQ(x.begin, y.begin) << what << " beta=" << beta << " bucket " << i;
-    EXPECT_EQ(x.end, y.end) << what << " beta=" << beta << " bucket " << i;
+    EXPECT_EQ(a.begins()[i], b.begins()[i])
+        << what << " beta=" << beta << " bucket " << i;
+    EXPECT_EQ(a.BucketEnd(i), b.BucketEnd(i))
+        << what << " beta=" << beta << " bucket " << i;
     // Exact double equality: identical boundaries must yield identical
     // accumulated sums, bit for bit.
-    EXPECT_EQ(x.sum, y.sum) << what << " beta=" << beta << " bucket " << i;
-    EXPECT_EQ(x.sumsq, y.sumsq) << what << " beta=" << beta << " bucket "
-                                << i;
+    EXPECT_EQ(a.sums()[i], b.sums()[i])
+        << what << " beta=" << beta << " bucket " << i;
+    EXPECT_EQ(a.sumsqs()[i], b.sumsqs()[i])
+        << what << " beta=" << beta << " bucket " << i;
   }
 }
 

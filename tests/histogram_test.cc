@@ -10,10 +10,15 @@
 #include "histogram/builders.h"
 #include "histogram/stats.h"
 #include "oracles/greedy_merge_oracle.h"
+#include "oracles/histogram_oracle.h"
 #include "util/random.h"
 
 namespace pathest {
 namespace {
+
+using oracles::Bucket;
+using oracles::BucketsOf;
+using oracles::MakeBucket;
 
 std::vector<uint64_t> RandomData(size_t n, uint64_t seed, uint64_t max_v) {
   Rng rng(seed);
@@ -23,14 +28,15 @@ std::vector<uint64_t> RandomData(size_t n, uint64_t seed, uint64_t max_v) {
 }
 
 void ExpectValidPartition(const Histogram& h, size_t n, size_t beta) {
-  ASSERT_FALSE(h.buckets().empty());
+  const std::vector<Bucket> buckets = BucketsOf(h);
+  ASSERT_FALSE(buckets.empty());
   EXPECT_LE(h.num_buckets(), beta);
-  EXPECT_EQ(h.buckets().front().begin, 0u);
-  EXPECT_EQ(h.buckets().back().end, n);
+  EXPECT_EQ(buckets.front().begin, 0u);
+  EXPECT_EQ(buckets.back().end, n);
   for (size_t i = 0; i < h.num_buckets(); ++i) {
-    EXPECT_LT(h.buckets()[i].begin, h.buckets()[i].end);
+    EXPECT_LT(buckets[i].begin, buckets[i].end);
     if (i > 0) {
-      EXPECT_EQ(h.buckets()[i].begin, h.buckets()[i - 1].end);
+      EXPECT_EQ(buckets[i].begin, buckets[i - 1].end);
     }
   }
 }
@@ -40,12 +46,12 @@ TEST(HistogramTest, FromBoundariesComputesSums) {
   auto h = Histogram::FromBoundaries(data, {2, 4});
   ASSERT_TRUE(h.ok());
   ASSERT_EQ(h->num_buckets(), 3u);
-  EXPECT_DOUBLE_EQ(h->buckets()[0].sum, 3.0);
-  EXPECT_DOUBLE_EQ(h->buckets()[1].sum, 7.0);
-  EXPECT_DOUBLE_EQ(h->buckets()[2].sum, 11.0);
-  EXPECT_DOUBLE_EQ(h->Estimate(0), 1.5);
-  EXPECT_DOUBLE_EQ(h->Estimate(3), 3.5);
-  EXPECT_DOUBLE_EQ(h->Estimate(5), 5.5);
+  EXPECT_DOUBLE_EQ(h->sums()[0], 3.0);
+  EXPECT_DOUBLE_EQ(h->sums()[1], 7.0);
+  EXPECT_DOUBLE_EQ(h->sums()[2], 11.0);
+  EXPECT_DOUBLE_EQ(h->EstimatePoint(0), 1.5);
+  EXPECT_DOUBLE_EQ(h->EstimatePoint(3), 3.5);
+  EXPECT_DOUBLE_EQ(h->EstimatePoint(5), 5.5);
   EXPECT_EQ(h->domain_size(), 6u);
 }
 
@@ -58,21 +64,20 @@ TEST(HistogramTest, FromBoundariesValidates) {
 }
 
 TEST(HistogramTest, BucketSse) {
-  Bucket b;
-  b.begin = 0;
-  b.end = 4;
   // values 1, 1, 3, 3 -> mean 2, SSE = 4.
-  b.sum = 8;
-  b.sumsq = 1 + 1 + 9 + 9;
-  EXPECT_DOUBLE_EQ(b.Sse(), 4.0);
-  EXPECT_DOUBLE_EQ(b.Mean(), 2.0);
+  auto h = Histogram::FromBoundaries({1, 1, 3, 3}, {});
+  ASSERT_TRUE(h.ok());
+  EXPECT_DOUBLE_EQ(h->sums()[0], 8.0);
+  EXPECT_DOUBLE_EQ(h->sumsqs()[0], 1 + 1 + 9 + 9);
+  EXPECT_DOUBLE_EQ(h->TotalSse(), 4.0);
+  EXPECT_DOUBLE_EQ(h->BucketMean(0), 2.0);
 }
 
 TEST(HistogramTest, SingleBucketEstimateIsGlobalMean) {
   std::vector<uint64_t> data = {0, 0, 12};
   auto h = Histogram::FromBoundaries(data, {});
   ASSERT_TRUE(h.ok());
-  for (uint64_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(h->Estimate(i), 4.0);
+  for (uint64_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(h->EstimatePoint(i), 4.0);
 }
 
 TEST(EquiWidthTest, BucketsHaveNearEqualWidth) {
@@ -81,7 +86,7 @@ TEST(EquiWidthTest, BucketsHaveNearEqualWidth) {
   ASSERT_TRUE(h.ok());
   ExpectValidPartition(*h, 100, 7);
   EXPECT_EQ(h->num_buckets(), 7u);
-  for (const Bucket& b : h->buckets()) {
+  for (const Bucket& b : BucketsOf(*h)) {
     EXPECT_GE(b.width(), 100 / 7);
     EXPECT_LE(b.width(), 100 / 7 + 1);
   }
@@ -93,7 +98,7 @@ TEST(EquiWidthTest, BetaLargerThanDomainClamps) {
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->num_buckets(), 3u);
   for (uint64_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(h->Estimate(i), static_cast<double>(data[i]));
+    EXPECT_DOUBLE_EQ(h->EstimatePoint(i), static_cast<double>(data[i]));
   }
 }
 
@@ -103,11 +108,11 @@ TEST(EquiDepthTest, MassIsBalanced) {
   ASSERT_TRUE(h.ok());
   ExpectValidPartition(*h, 500, 10);
   double total = 0.0;
-  for (const Bucket& b : h->buckets()) total += b.sum;
+  for (double sum : h->sums()) total += sum;
   double target = total / static_cast<double>(h->num_buckets());
   // Each bucket within 3x of target mass (loose: single values can exceed).
-  for (const Bucket& b : h->buckets()) {
-    EXPECT_LE(b.sum, target * 3 + 100);
+  for (double sum : h->sums()) {
+    EXPECT_LE(sum, target * 3 + 100);
   }
 }
 
@@ -116,7 +121,7 @@ TEST(EquiDepthTest, HandlesAllZeros) {
   auto h = BuildEquiDepth(data, 4);
   ASSERT_TRUE(h.ok());
   ExpectValidPartition(*h, 20, 4);
-  EXPECT_DOUBLE_EQ(h->Estimate(7), 0.0);
+  EXPECT_DOUBLE_EQ(h->EstimatePoint(7), 0.0);
 }
 
 TEST(EquiDepthTest, SkewedMassIsolatesHeavyRegion) {
@@ -126,8 +131,8 @@ TEST(EquiDepthTest, SkewedMassIsolatesHeavyRegion) {
   ASSERT_TRUE(h.ok());
   ExpectValidPartition(*h, 100, 4);
   // The heavy position must not share a bucket with the whole domain.
-  const Bucket& heavy = h->BucketFor(50);
-  EXPECT_LT(heavy.width(), 60u);
+  const oracles::HistogramOracle oracle(*h);
+  EXPECT_LT(oracle.BucketFor(50).width(), 60u);
 }
 
 // Brute-force optimal SSE by trying all boundary placements.
@@ -262,8 +267,9 @@ std::vector<uint64_t> TieHeavyData(Rng& rng) {
     return ::testing::AssertionFailure()
            << h.num_buckets() << " buckets, oracle has " << want.size();
   }
+  const std::vector<Bucket> buckets = BucketsOf(h);
   for (size_t i = 0; i < want.size(); ++i) {
-    const Bucket& got = h.buckets()[i];
+    const Bucket& got = buckets[i];
     if (got.begin != want[i].begin || got.end != want[i].end ||
         got.sum != want[i].sum || got.sumsq != want[i].sumsq) {
       return ::testing::AssertionFailure()
@@ -325,11 +331,11 @@ TEST(GreedyOracleTest, ExactTieMergesLeftPairFirst) {
   ASSERT_TRUE(sweep.ok());
   for (size_t i = 0; i < want_begins.size(); ++i) {
     std::vector<uint64_t> begins;
-    for (const Bucket& b : (*sweep)[i].buckets()) begins.push_back(b.begin);
+    for (uint64_t b : (*sweep)[i].begins()) begins.push_back(b);
     EXPECT_EQ(begins, want_begins[i]) << "beta " << 7 - i;
     auto single = BuildVOptimalGreedy(data, 7 - i);
     ASSERT_TRUE(single.ok());
-    EXPECT_TRUE(SameBuckets(*single, (*sweep)[i].buckets()));
+    EXPECT_TRUE(SameBuckets(*single, BucketsOf((*sweep)[i])));
   }
   const oracles::GreedyOracleRun want =
       oracles::NaiveGreedyMerge(data, {7, 6, 5});
@@ -343,8 +349,8 @@ TEST(MaxDiffTest, CutsAtLargestGaps) {
   auto h = BuildMaxDiff(data, 3);
   ASSERT_TRUE(h.ok());
   ASSERT_EQ(h->num_buckets(), 3u);
-  EXPECT_EQ(h->buckets()[0].end, 3u);
-  EXPECT_EQ(h->buckets()[1].end, 6u);
+  EXPECT_EQ(h->BucketEnd(0), 3u);
+  EXPECT_EQ(h->BucketEnd(1), 6u);
   EXPECT_NEAR(h->TotalSse(), 0.0, 1e-9);
 }
 
@@ -362,10 +368,11 @@ TEST(EndBiasedTest, IsolatesHeavyHitters) {
   auto h = BuildEndBiased(data, 9);  // 4 singletons allowed
   ASSERT_TRUE(h.ok());
   ExpectValidPartition(*h, 50, 9);
-  EXPECT_EQ(h->BucketFor(10).width(), 1u);
-  EXPECT_EQ(h->BucketFor(30).width(), 1u);
-  EXPECT_DOUBLE_EQ(h->Estimate(10), 500.0);
-  EXPECT_DOUBLE_EQ(h->Estimate(30), 900.0);
+  const oracles::HistogramOracle oracle(*h);
+  EXPECT_EQ(oracle.BucketFor(10).width(), 1u);
+  EXPECT_EQ(oracle.BucketFor(30).width(), 1u);
+  EXPECT_DOUBLE_EQ(h->EstimatePoint(10), 500.0);
+  EXPECT_DOUBLE_EQ(h->EstimatePoint(30), 900.0);
 }
 
 TEST(EndBiasedTest, RespectsBudget) {

@@ -22,6 +22,7 @@
 #include "ordering/factory.h"
 #include "ordering/ranking.h"
 #include "ordering/sum_based.h"
+#include "oracles/histogram_oracle.h"
 #include "oracles/ordering_oracle.h"
 #include "path/selectivity.h"
 #include "test_util.h"
@@ -138,7 +139,8 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
   // Zero-copy: the serving rows are borrowed from the mapping, and each
   // starts on a 64-byte boundary (64-aligned section offsets plus
   // 64-aligned interior offsets over a page-aligned mapping base).
-  const FlatHistogram& flat = (*mapped)->estimator().flat();
+  const Histogram& flat = (*mapped)->estimator().flat();
+  EXPECT_FALSE(flat.owns_storage());
   EXPECT_GT(flat.MappedBytes(), 0u);
   EXPECT_EQ(flat.ResidentBytes(), 0u);
   auto aligned = [](const void* row) {
@@ -146,7 +148,9 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
   };
   EXPECT_TRUE(aligned(flat.begins().data()));
   EXPECT_TRUE(aligned(flat.sums().data()));
-  EXPECT_EQ(flat.MappedBytes(), flat.num_buckets() * 16);
+  EXPECT_TRUE(aligned(flat.sumsqs().data()));
+  // All three rows are borrowed: begin, sum and sumsq.
+  EXPECT_EQ(flat.MappedBytes(), flat.num_buckets() * 24);
   if (method.rfind("sum-", 0) == 0) {
     // The stage-2/3 tables are not in the file: the mapped ordering takes
     // the shape's shared tables, the very ones the original ordering uses.
@@ -292,8 +296,7 @@ class VerifyTierTest : public ::testing::Test {
 
 TEST_F(VerifyTierTest, AllTiersAcceptAHealthyFile) {
   for (CatalogVerify tier :
-       {CatalogVerify::kTrusted, CatalogVerify::kChecksums,
-        CatalogVerify::kFull}) {
+       {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
     auto entry = MappedCatalogEntry::Open(path_, tier);
     ASSERT_TRUE(entry.ok())
         << CatalogVerifyName(tier) << ": " << entry.status().ToString();
@@ -325,12 +328,9 @@ TEST_F(VerifyTierTest, BulkFlipPassesTrustedButFailsCheckedTiers) {
   // verified this generation.
   EXPECT_TRUE(
       MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted).ok());
-  for (CatalogVerify tier :
-       {CatalogVerify::kChecksums, CatalogVerify::kFull}) {
-    auto entry = MappedCatalogEntry::Open(path_, tier);
-    ASSERT_FALSE(entry.ok()) << CatalogVerifyName(tier);
-    EXPECT_EQ(entry.status().code(), StatusCode::kIOError);
-  }
+  auto entry = MappedCatalogEntry::Open(path_, CatalogVerify::kChecksums);
+  ASSERT_FALSE(entry.ok());
+  EXPECT_EQ(entry.status().code(), StatusCode::kIOError);
 }
 
 TEST_F(VerifyTierTest, MetadataFlipFailsEveryTier) {
@@ -338,8 +338,7 @@ TEST_F(VerifyTierTest, MetadataFlipFailsEveryTier) {
   // inside the ordering section (section 1, the first payload).
   FlipByteAt(SectionOffset(binfmt::kSectionOrdering) + 2);
   for (CatalogVerify tier :
-       {CatalogVerify::kTrusted, CatalogVerify::kChecksums,
-        CatalogVerify::kFull}) {
+       {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
     EXPECT_FALSE(MappedCatalogEntry::Open(path_, tier).ok())
         << CatalogVerifyName(tier);
   }
@@ -374,16 +373,13 @@ TEST_F(VerifyTierTest, NonFiniteOrNegativeRowsFailFromChecksums) {
     });
     EXPECT_TRUE(MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted).ok())
         << f.what;
-    for (CatalogVerify tier :
-         {CatalogVerify::kChecksums, CatalogVerify::kFull}) {
-      auto refused = MappedCatalogEntry::Open(path_, tier);
-      ASSERT_FALSE(refused.ok()) << f.what << " " << CatalogVerifyName(tier);
-      EXPECT_EQ(refused.status().code(), StatusCode::kIOError);
-      EXPECT_NE(refused.status().message().find(
-                    "section histogram: sum or sumsq row not finite"),
-                std::string::npos)
-          << refused.status().ToString();
-    }
+    auto refused = MappedCatalogEntry::Open(path_, CatalogVerify::kChecksums);
+    ASSERT_FALSE(refused.ok()) << f.what;
+    EXPECT_EQ(refused.status().code(), StatusCode::kIOError);
+    EXPECT_NE(refused.status().message().find(
+                  "section histogram: sum or sumsq row not finite"),
+              std::string::npos)
+        << refused.status().ToString();
     EXPECT_FALSE(LoadPathHistogram(path_).ok()) << f.what;
   }
 }
@@ -400,16 +396,16 @@ TEST_F(VerifyTierTest, WellFormedSumIsServedAsWrittenAtEveryTier) {
       std::memcpy(payload + hl.sum_off + b * 8, &forged, 8);
     }
   });
-  const Histogram& h = est_->histogram();
-  for (CatalogVerify tier : {CatalogVerify::kTrusted,
-                             CatalogVerify::kChecksums, CatalogVerify::kFull}) {
+  const oracles::HistogramOracle oracle(est_->histogram());
+  for (CatalogVerify tier :
+       {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
     auto entry = MappedCatalogEntry::Open(path_, tier);
     ASSERT_TRUE(entry.ok())
         << CatalogVerifyName(tier) << ": " << entry.status().ToString();
-    const FlatHistogram& flat = (*entry)->estimator().flat();
-    for (uint64_t i = 0; i < h.domain_size(); ++i) {
+    const Histogram& flat = (*entry)->estimator().flat();
+    for (uint64_t i = 0; i < oracle.domain_size(); ++i) {
       ASSERT_EQ(flat.EstimatePoint(i),
-                forged / static_cast<double>(h.BucketFor(i).width()))
+                forged / static_cast<double>(oracle.BucketFor(i).width()))
           << CatalogVerifyName(tier) << " index " << i;
     }
   }
@@ -449,19 +445,15 @@ TEST_F(VerifyTierTest, TrustedTierLooksUpInsideTheRowsOverForgedBegins) {
       forge(begin.data(), beta, domain);
       std::memcpy(payload + hl.begin_off, begin.data(), beta * 8);
     });
-    for (CatalogVerify tier :
-         {CatalogVerify::kChecksums, CatalogVerify::kFull}) {
-      auto refused = MappedCatalogEntry::Open(path_, tier);
-      ASSERT_FALSE(refused.ok()) << what << " " << CatalogVerifyName(tier);
-      EXPECT_NE(refused.status().message().find("begin row"),
-                std::string::npos)
-          << refused.status().ToString();
-    }
+    auto refused = MappedCatalogEntry::Open(path_, CatalogVerify::kChecksums);
+    ASSERT_FALSE(refused.ok()) << what;
+    EXPECT_NE(refused.status().message().find("begin row"), std::string::npos)
+        << refused.status().ToString();
     EXPECT_FALSE(LoadPathHistogram(path_).ok()) << what;
 
     auto trusted = MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted);
     ASSERT_TRUE(trusted.ok()) << what << ": " << trusted.status().ToString();
-    const FlatHistogram& flat = (*trusted)->estimator().flat();
+    const Histogram& flat = (*trusted)->estimator().flat();
     const std::span<const uint64_t> begins = flat.begins();
     const std::span<const double> sums = flat.sums();
     for (uint64_t i = 0; i < domain; ++i) {
@@ -491,8 +483,7 @@ TEST_F(VerifyTierTest, V1FileIsRejectedNotMisread) {
   ASSERT_TRUE(
       SavePathHistogram(*est_, graph_, v1, CatalogFormat::kBinary).ok());
   for (CatalogVerify tier :
-       {CatalogVerify::kTrusted, CatalogVerify::kChecksums,
-        CatalogVerify::kFull}) {
+       {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
     auto entry = MappedCatalogEntry::Open(v1, tier);
     ASSERT_FALSE(entry.ok());
     EXPECT_EQ(entry.status().code(), StatusCode::kIOError);

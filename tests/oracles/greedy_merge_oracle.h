@@ -14,7 +14,7 @@
 #include <map>
 #include <vector>
 
-#include "histogram/histogram.h"
+#include "oracles/histogram_oracle.h"
 
 namespace pathest {
 namespace oracles {

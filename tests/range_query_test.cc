@@ -70,7 +70,7 @@ TEST(EstimateRangeTest, MatchesPointEstimatesSummed) {
   for (uint64_t a = 0; a < 64; a += 5) {
     for (uint64_t b = a; b <= 64; b += 7) {
       double summed = 0.0;
-      for (uint64_t i = a; i < b; ++i) summed += h->Estimate(i);
+      for (uint64_t i = a; i < b; ++i) summed += h->EstimatePoint(i);
       EXPECT_NEAR(h->EstimateRange(a, b), summed, 1e-7);
     }
   }

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/estimator.h"
 #include "core/mapped_catalog.h"
 #include "core/serialize.h"
+#include "oracles/histogram_oracle.h"
 #include "ordering/factory.h"
 #include "path/selectivity.h"
 #include "test_util.h"
@@ -92,8 +94,10 @@ TEST_F(SerializeTest, RoundTripPreservesBucketsExactly) {
   PathHistogram original = BuildEstimator("sum-based", 6);
   auto loaded = DecodeCatalog(Serialized(original));
   ASSERT_TRUE(loaded.ok());
-  const auto& a = original.histogram().buckets();
-  const auto& b = loaded->estimator.histogram().buckets();
+  const std::vector<oracles::Bucket> a =
+      oracles::BucketsOf(original.histogram());
+  const std::vector<oracles::Bucket> b =
+      oracles::BucketsOf(loaded->estimator.histogram());
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].begin, b[i].begin);
@@ -217,7 +221,8 @@ TEST_F(SerializeTest, EncodeDecodeRoundTripsEveryFormatBitIdentical) {
       const Histogram& got = loaded->estimator.histogram();
       ASSERT_EQ(got.domain_size(), want.domain_size()) << what;
       for (uint64_t i = 0; i < want.domain_size(); ++i) {
-        ASSERT_EQ(got.Estimate(i), want.Estimate(i)) << what << " index " << i;
+        ASSERT_EQ(got.EstimatePoint(i), want.EstimatePoint(i))
+            << what << " index " << i;
       }
       original.ordering().space().ForEach([&](const LabelPath& p) {
         EXPECT_EQ(loaded->estimator.Estimate(p), original.Estimate(p))
@@ -268,7 +273,8 @@ TEST_P(BinaryRoundTripTest, TextThenBinaryPreservesEveryEstimateBitExact) {
                             from_text->label_cardinalities,
                             CatalogFormat::kBinary, &binary)
                   .ok());
-  ASSERT_TRUE(LooksLikeBinaryCatalog(binary));
+  ASSERT_EQ(SniffCatalogFormat(std::string_view(binary)),
+            CatalogFormat::kBinary);
   auto from_binary = DecodeCatalog(binary);
   ASSERT_TRUE(from_binary.ok()) << method << " k=" << k << ": "
                                 << from_binary.status().ToString();
@@ -308,9 +314,9 @@ TEST_P(BinaryRoundTripTest, V2RoundTripPreservesEveryEstimateBitExact) {
   ASSERT_TRUE(EncodeCatalog(*original, graph.labels(), cards,
                             CatalogFormat::kBinaryV2, &v2)
                   .ok());
-  ASSERT_TRUE(BytesAreBinaryV2(v2));
-  ASSERT_TRUE(LooksLikeBinaryCatalog(v2));
-  // The full-verify copying reader.
+  ASSERT_EQ(SniffCatalogFormat(std::string_view(v2)),
+            CatalogFormat::kBinaryV2);
+  // The copying reader.
   auto loaded = DecodeCatalog(v2);
   ASSERT_TRUE(loaded.ok()) << method << " k=" << k << ": "
                            << loaded.status().ToString();
@@ -489,7 +495,8 @@ uint32_t HeaderVersion(const std::string& bytes) {
 }
 
 // The v2 file at `path` must answer every domain index, and every path,
-// bit for bit as `est` does: copied at kFull, and mapped at every tier. A
+// bit for bit as `est` does (every index as the oracle over its rows):
+// copied, and mapped at every tier. A
 // legacy file also passes the mean row it stores, which readers served
 // before the mean was divided at lookup: every index must still get
 // exactly that value.
@@ -497,34 +504,34 @@ void ExpectServesLikeHistogram(const std::string& path,
                                const PathHistogram& est,
                                std::span<const double> stored_means = {}) {
   const Histogram& histogram = est.histogram();
+  const oracles::HistogramOracle oracle(histogram);
   const PathSpace& space = est.ordering().space();
-  auto check_flat = [&](const FlatHistogram& flat, const char* what) {
+  auto check_flat = [&](const Histogram& flat, const char* what) {
     ASSERT_EQ(flat.num_buckets(), histogram.num_buckets()) << what;
     ASSERT_EQ(flat.domain_size(), histogram.domain_size()) << what;
     for (uint64_t i = 0; i < histogram.domain_size(); ++i) {
-      ASSERT_EQ(flat.EstimatePoint(i), histogram.Estimate(i))
+      ASSERT_EQ(flat.EstimatePoint(i), oracle.Estimate(i))
           << what << " index " << i;
       if (!stored_means.empty()) {
         ASSERT_EQ(flat.EstimatePoint(i), stored_means[flat.FindBucket(i)])
             << what << " index " << i;
       }
-      ASSERT_EQ(&histogram.buckets()[flat.FindBucket(i)],
-                &histogram.BucketFor(i))
+      ASSERT_EQ(&oracle.buckets()[flat.FindBucket(i)], &oracle.BucketFor(i))
           << what << " index " << i;
     }
   };
 
   auto copied = DecodeCatalog(ReadGolden(path));
   ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-  EXPECT_EQ(copied->estimator.histogram().buckets().size(),
+  EXPECT_EQ(copied->estimator.histogram().num_buckets(),
             histogram.num_buckets());
   const Estimator serving(copied->estimator);
   check_flat(serving.flat(), "copied");
   space.ForEach([&](const LabelPath& p) {
     EXPECT_EQ(copied->estimator.Estimate(p), est.Estimate(p));
   });
-  for (CatalogVerify tier : {CatalogVerify::kTrusted,
-                             CatalogVerify::kChecksums, CatalogVerify::kFull}) {
+  for (CatalogVerify tier :
+       {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
     auto mapped = MappedCatalogEntry::Open(path, tier);
     ASSERT_TRUE(mapped.ok())
         << CatalogVerifyName(tier) << ": " << mapped.status().ToString();
@@ -700,10 +707,8 @@ TEST(GoldenBinaryCatalog, EveryGoldenReencodesByteForByte) {
            std::string(PATHEST_SOURCE_DIR) + "/tests/golden")) {
     if (entry.path().extension() != ".stats") continue;
     const std::string golden = ReadGolden(entry.path().string());
-    const CatalogFormat format = BytesAreBinaryV2(golden)
-                                     ? CatalogFormat::kBinaryV2
-                                     : CatalogFormat::kBinary;
-    ASSERT_TRUE(LooksLikeBinaryCatalog(golden)) << entry.path();
+    const CatalogFormat format = SniffCatalogFormat(std::string_view(golden));
+    ASSERT_NE(format, CatalogFormat::kText) << entry.path();
     auto loaded = DecodeCatalog(golden);
     ASSERT_TRUE(loaded.ok()) << entry.path() << ": "
                              << loaded.status().ToString();

@@ -154,7 +154,7 @@ TEST(StructuredGraphTest, CycleDistributionNeedsOneBucket) {
   auto h = BuildVOptimalGreedy(map->values(), 1);
   ASSERT_TRUE(h.ok());
   EXPECT_DOUBLE_EQ(h->TotalSse(), 0.0);
-  EXPECT_DOUBLE_EQ(h->Estimate(0), 8.0);
+  EXPECT_DOUBLE_EQ(h->EstimatePoint(0), 8.0);
 }
 
 }  // namespace

@@ -210,7 +210,7 @@ void ExpectRefusedAtEveryTier(const std::string& path,
   EXPECT_EQ(copied.status().code(), StatusCode::kIOError);
   EXPECT_EQ(copied.status().message(), error);
   for (CatalogVerify tier : {CatalogVerify::kTrusted,
-                             CatalogVerify::kChecksums, CatalogVerify::kFull}) {
+                             CatalogVerify::kChecksums}) {
     auto mapped = MappedCatalogEntry::Open(path, tier);
     ASSERT_FALSE(mapped.ok()) << error << " " << CatalogVerifyName(tier);
     EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
@@ -277,12 +277,10 @@ TEST(SumTablesCatalogTest, Version3WithCorruptSection6IsRefusedFromChecksums) {
   auto copied = LoadPathHistogram(path);
   ASSERT_FALSE(copied.ok());
   EXPECT_EQ(copied.status().message(), error);
-  for (CatalogVerify tier : {CatalogVerify::kChecksums, CatalogVerify::kFull}) {
-    auto mapped = MappedCatalogEntry::Open(path, tier);
-    ASSERT_FALSE(mapped.ok()) << CatalogVerifyName(tier);
-    EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
-    EXPECT_EQ(mapped.status().message(), error) << CatalogVerifyName(tier);
-  }
+  auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kChecksums);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(mapped.status().message(), error);
 
   // kTrusted checks no bulk CRC, and no reader reads section 6, so the
   // trusted entry serves exactly what the intact file does.
