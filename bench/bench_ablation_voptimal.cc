@@ -63,11 +63,11 @@ int Run() {
     auto exact = BuildVOptimalExact(stats, beta);
     bench::DieIf(exact.status(), "exact DP");
     const Histogram& greedy = (*greedy_sweep)[b];
-    double ratio = exact->TotalSse() == 0.0
-                       ? 1.0
-                       : greedy.TotalSse() / exact->TotalSse();
-    table.AddRow({std::to_string(beta), FormatDouble(exact->TotalSse(), 6),
-                  FormatDouble(greedy.TotalSse(), 6),
+    const double sse_exact = TotalSse(*exact, *dist);
+    const double sse_greedy = TotalSse(greedy, *dist);
+    double ratio = sse_exact == 0.0 ? 1.0 : sse_greedy / sse_exact;
+    table.AddRow({std::to_string(beta), FormatDouble(sse_exact, 6),
+                  FormatDouble(sse_greedy, 6),
                   FormatDouble(ratio, 4),
                   FormatDouble(MeanAbsErrorOf(*exact, *dist), 4),
                   FormatDouble(MeanAbsErrorOf(greedy, *dist), 4)});

@@ -77,7 +77,7 @@ PathHistogram BuildSyntheticEstimator(size_t num_labels, size_t k,
   // buckets have width domain / beta + 1, the rest width domain / beta
   // (for beta >= domain / 2: widths 2 and 1).
   std::vector<uint64_t> begins(beta);
-  std::vector<double> sums(beta), sumsqs(beta);
+  std::vector<double> sums(beta);
   const uint64_t narrow = domain / beta;
   const uint64_t wide = domain % beta;
   uint64_t begin = 0;
@@ -86,11 +86,10 @@ PathHistogram BuildSyntheticEstimator(size_t num_labels, size_t k,
     const double v = BucketValue(i);
     begins[i] = begin;
     sums[i] = static_cast<double>(width) * v;
-    sumsqs[i] = static_cast<double>(width) * v * v;
     begin += width;
   }
-  Histogram histogram = Histogram::FromRows(
-      domain, std::move(begins), std::move(sums), std::move(sumsqs));
+  Histogram histogram =
+      Histogram::FromRows(domain, std::move(begins), std::move(sums));
   auto ordering = MakeOrderingFromStats("sum-based", *labels, *cards, k);
   bench::DieIf(ordering.status(), "MakeOrderingFromStats");
   auto est = PathHistogram::FromParts(std::move(*ordering),

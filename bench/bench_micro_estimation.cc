@@ -59,6 +59,14 @@ namespace {
 
 constexpr size_t kChunk = 256;  // queries per latency sample
 
+// `value` with `decimals` fixed decimals for the summary table
+// (FormatDouble is %g with significant digits: 41.3 at 1 prints "4e+01").
+std::string Fixed(double value, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+  return buf;
+}
+
 std::vector<uint64_t> SyntheticZipfDistribution(size_t n, uint64_t seed) {
   std::vector<uint64_t> data(n, 0);
   Rng rng(seed);
@@ -273,10 +281,10 @@ int Run(bool json_mode, const std::string& json_path) {
                 row.ordering.c_str(), row.reference_ns, row.fast_ns,
                 row.speedup, row.p50_ns, row.p99_ns, row.batch1_mqps);
     std::fflush(stdout);
-    table.AddRow({row.ordering, FormatDouble(row.reference_ns, 1),
-                  FormatDouble(row.fast_ns, 1), FormatDouble(row.speedup, 2),
-                  FormatDouble(row.p50_ns, 1), FormatDouble(row.p99_ns, 1),
-                  FormatDouble(row.batch1_mqps, 2),
+    table.AddRow({row.ordering, Fixed(row.reference_ns, 1),
+                  Fixed(row.fast_ns, 1), Fixed(row.speedup, 2),
+                  Fixed(row.p50_ns, 1), Fixed(row.p99_ns, 1),
+                  Fixed(row.batch1_mqps, 2),
                   std::to_string(row.resident_bytes)});
     rows.push_back(std::move(row));
   }

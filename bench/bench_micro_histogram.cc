@@ -86,8 +86,7 @@ struct Row {
 bool SameBuckets(const Histogram& a, const Histogram& b) {
   return a.domain_size() == b.domain_size() &&
          std::ranges::equal(a.begins(), b.begins()) &&
-         std::ranges::equal(a.sums(), b.sums()) &&
-         std::ranges::equal(a.sumsqs(), b.sumsqs());
+         std::ranges::equal(a.sums(), b.sums());
 }
 
 Row MeasureType(const std::string& config, const std::vector<uint64_t>& data,
@@ -122,7 +121,7 @@ Row MeasureType(const std::string& config, const std::vector<uint64_t>& data,
       for (size_t beta : betas) {
         auto h = BuildHistogram(type, data, beta);
         bench::DieIf(h.status(), "per-beta build");
-        sink += h->TotalSse();
+        sink += h->sums()[0];
       }
       const double ms = timer.ElapsedMillis();
       if (rep == 0 || ms < row.per_beta_ms) row.per_beta_ms = ms;
@@ -131,7 +130,7 @@ Row MeasureType(const std::string& config, const std::vector<uint64_t>& data,
       Timer timer;
       auto sweep = BuildHistogramSweep(type, stats, betas);
       bench::DieIf(sweep.status(), "sweep build");
-      for (const Histogram& h : *sweep) sink += h.TotalSse();
+      for (const Histogram& h : *sweep) sink += h.sums()[0];
       const double ms = timer.ElapsedMillis();
       if (rep == 0 || ms < row.sweep_ms) row.sweep_ms = ms;
     }

@@ -120,7 +120,7 @@ void BM_BuildHistogram(benchmark::State& state, HistogramType type) {
   for (auto _ : state) {
     auto h = BuildHistogram(type, dist, beta);
     PATHEST_CHECK(h.ok(), "histogram failed");
-    benchmark::DoNotOptimize(h->TotalSse());
+    benchmark::DoNotOptimize(h->sums().data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(dist.size()));

@@ -13,8 +13,8 @@
 // estimator pays. The reference path (PathHistogram::Estimate: virtual
 // Rank plus the same lookup) is measured against it by
 // bench_micro_estimation. The est_bytes column is the serving-resident
-// footprint of each row's estimator (the begin, sum and sumsq rows, 24
-// bytes per bucket; identical across orderings at equal beta).
+// footprint of each row's estimator (the begin and sum rows, 16 bytes
+// per bucket; identical across orderings at equal beta).
 
 #include <cstdio>
 #include <utility>

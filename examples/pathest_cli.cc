@@ -348,7 +348,7 @@ int CmdCatalogConvert(const std::string& dir) {
   size_t failed = 0;
   for (const std::string& path : *entries) {
     uint32_t version = 0;
-    auto current = SniffCatalogFormat(path, &version);
+    auto current = SniffCatalogFile(path, &version);
     if (current.ok() && *current == g_format &&
         (g_format != CatalogFormat::kBinaryV2 ||
          version == binfmt::kVersionV2)) {

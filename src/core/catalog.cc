@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <string_view>
 #include <system_error>
 
 #include "core/serialize.h"
@@ -75,8 +74,7 @@ Result<CatalogLoadReport> VerifyCatalogDir(const std::string& dir) {
     }
     const std::string name = std::filesystem::path(path).stem().string();
     uint32_t version = 0;
-    const CatalogFormat format =
-        SniffCatalogFormat(std::string_view(bytes), &version);
+    const CatalogFormat format = SniffCatalogFormat(bytes, &version);
     report.loaded.push_back(name);
     // A v2 entry that loaded IS aligned: the v2 parser rejects any
     // section offset off a 64-byte boundary at every verify tier.

@@ -99,7 +99,7 @@ class Estimator {
   }
 
   /// \brief Serving-resident footprint in bytes: the histogram's owned
-  /// begin, sum and sumsq rows (0 when they are borrowed).
+  /// begin and sum rows, 16 per bucket (0 when they are borrowed).
   size_t ResidentBytes() const { return histogram_.ResidentBytes(); }
 
   /// \brief Bytes the histogram views in a mapped file (0 when its rows
@@ -107,6 +107,9 @@ class Estimator {
   size_t MappedBytes() const { return histogram_.MappedBytes(); }
 
   /// \brief The served histogram rows.
+  const Histogram& histogram() const { return histogram_; }
+  /// \brief histogram() under its old name, kept only for perfbench
+  /// (build_workload.cc and serve_workloads.cc) until its next change.
   const Histogram& flat() const { return histogram_; }
   const Ordering& ordering() const { return *ordering_; }
 

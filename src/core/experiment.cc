@@ -184,7 +184,7 @@ Result<std::vector<AccuracyResult>> MeasureAccuracySweep(
       cell.k = k;
       cell.beta = betas[b];
       cell.errors = SummarizeHistogramErrors(h, *dist);
-      cell.sse = h.TotalSse();
+      cell.sse = TotalSse(h, *dist);
       cell.build_ms = amortized_ms;
     }
     return Status::OK();

@@ -3,8 +3,8 @@
 //
 // A MappedCatalogEntry owns exactly one mapping (util/mmap_file.h) and the
 // small OWNED metadata parsed out of it (label dictionary, cardinalities,
-// ordering identity); the histogram's begin, sum and sumsq rows stay IN
-// the mapping, borrowed through Histogram::Borrow.
+// ordering identity); the histogram's begin and sum rows stay IN the
+// mapping, borrowed through Histogram::Borrow.
 // The ordering is rebuilt from the metadata; a sum-family one takes its
 // stage-2/3 tables from the process-wide registry (SumTables::For in
 // ordering/sum_based.h), shared with every other ordering of the shape.

@@ -25,7 +25,9 @@ namespace pathest {
 
 namespace {
 
-constexpr const char* kTextMagic = "pathest-histogram v1";
+// The reader also takes v1, whose sums of squares it checks and drops.
+constexpr const char* kTextMagic = "pathest-histogram v2";
+constexpr const char* kTextMagicV1 = "pathest-histogram v1";
 
 // Caps shared by all formats: a label dictionary or path length outside
 // these is a corrupt or forged file, not a real catalog.
@@ -185,25 +187,26 @@ const char* SectionName(uint32_t id) {
 HistogramLayoutV2 HistogramLayout(uint64_t beta, uint32_t version) {
   PATHEST_CHECK(version >= kVersionV2Eytzinger && version <= kVersionV2,
                 "no histogram layout for this v2 version");
+  uint64_t end = 16;  // u64 beta, u64 domain_size
+  // Places a row of `bytes` at the next 64-byte boundary: its offset.
+  auto row = [&end](uint64_t bytes) {
+    end = AlignUp(end, kArrayAlignBytes) + bytes;
+    return end - bytes;
+  };
   HistogramLayoutV2 l;
-  l.begin_off = AlignUp(16, kArrayAlignBytes);  // u64 beta, u64 domain
-  uint64_t at = l.begin_off + 8 * beta;
-  if (version == kVersionV2Eytzinger) {
-    at = AlignUp(at, kArrayAlignBytes) + 8 * beta;  // end row
-  }
-  l.sum_off = AlignUp(at, kArrayAlignBytes);
-  l.sumsq_off = AlignUp(l.sum_off + 8 * beta, kArrayAlignBytes);
-  l.payload_bytes = l.sumsq_off + 8 * beta;
-  if (version < kVersionV2) {
-    // The mean row f64[beta], then the prefix row f64[beta+1].
-    at = AlignUp(l.payload_bytes, kArrayAlignBytes) + 8 * beta;
-    l.payload_bytes = AlignUp(at, kArrayAlignBytes) + 8 * (beta + 1);
+  l.begin_off = row(8 * beta);
+  if (version == kVersionV2Eytzinger) row(8 * beta);  // end
+  l.sum_off = row(8 * beta);
+  if (version < kVersionV2) row(8 * beta);  // sumsq
+  if (version < kVersionV2SumsqRow) {
+    row(8 * beta);        // mean
+    row(8 * (beta + 1));  // prefix
   }
   if (version == kVersionV2Eytzinger) {
-    // Eytzinger begins u64[beta+1], then their rank map u32[beta+1].
-    at = AlignUp(l.payload_bytes, kArrayAlignBytes) + 8 * (beta + 1);
-    l.payload_bytes = AlignUp(at, kArrayAlignBytes) + 4 * (beta + 1);
+    row(8 * (beta + 1));  // Eytzinger begins
+    row(4 * (beta + 1));  // their slot -> rank map
   }
+  l.payload_bytes = end;
   return l;
 }
 
@@ -239,10 +242,9 @@ std::string EncodeText(const PathHistogram& estimator,
   const Histogram& h = estimator.histogram();
   out << "buckets " << h.num_buckets() << "\n";
   // Hex double encoding is lossless and locale-independent.
-  out.precision(17);
   for (size_t b = 0; b < h.num_buckets(); ++b) {
     out << h.begins()[b] << ' ' << h.BucketEnd(b) << ' ' << std::hexfloat
-        << h.sums()[b] << ' ' << h.sumsqs()[b] << std::defaultfloat << "\n";
+        << h.sums()[b] << std::defaultfloat << "\n";
   }
   return out.str();
 }
@@ -274,8 +276,9 @@ SectionPayloads MetadataSections(const PathHistogram& estimator,
   return sections;
 }
 
-// v1 sections 4 and 5: the four structure-of-arrays bucket rows and, for
-// the sum family, the ordering's stage-2 CompositionTable rows (the v1
+// v1 sections 4 and 5: the four structure-of-arrays bucket rows (the
+// frozen layout's sumsq row all 0.0: a Histogram keeps no such row) and,
+// for the sum family, the ordering's stage-2 CompositionTable rows (the v1
 // reader checks them against the loaded ordering's table).
 void AppendV1Sections(const PathHistogram& estimator,
                       SectionPayloads* sections) {
@@ -287,7 +290,7 @@ void AppendV1Sections(const PathHistogram& estimator,
   for (uint64_t begin : h.begins()) AppendU64(&hist, begin);
   for (size_t b = 0; b < beta; ++b) AppendU64(&hist, h.BucketEnd(b));
   for (double sum : h.sums()) AppendDouble(&hist, sum);
-  for (double sumsq : h.sumsqs()) AppendDouble(&hist, sumsq);
+  for (size_t b = 0; b < beta; ++b) AppendDouble(&hist, 0.0);
   sections->emplace_back(binfmt::kSectionHistogram, std::move(hist));
 
   const CompositionTable* table = CompositionsOf(estimator.ordering());
@@ -304,9 +307,9 @@ void AppendV1Sections(const PathHistogram& estimator,
   sections->emplace_back(binfmt::kSectionComposition, std::move(comp));
 }
 
-// v2 section 4: the begin, sum and sumsq rows, each at its layout offset
-// so a mapped reader points spans at them. Bucket ends are not written:
-// readers derive them from the begins.
+// v2 section 4: the begin and sum rows, each at its layout offset so a
+// mapped reader points spans at them. Bucket ends are not written: readers
+// derive them from the begins.
 void AppendV2Histogram(const PathHistogram& estimator,
                        SectionPayloads* sections) {
   const Histogram& h = estimator.histogram();
@@ -316,13 +319,10 @@ void AppendV2Histogram(const PathHistogram& estimator,
   hist.reserve(hl.payload_bytes);
   AppendU64(&hist, h.num_buckets());
   AppendU64(&hist, h.domain_size());
-  auto append_row = [&](uint64_t off, auto row) {
-    PadTo(&hist, off);
-    for (const auto& value : row) AppendRaw(&hist, value);
-  };
-  append_row(hl.begin_off, h.begins());
-  append_row(hl.sum_off, h.sums());
-  append_row(hl.sumsq_off, h.sumsqs());
+  PadTo(&hist, hl.begin_off);
+  for (uint64_t begin : h.begins()) AppendRaw(&hist, begin);
+  PadTo(&hist, hl.sum_off);
+  for (double sum : h.sums()) AppendRaw(&hist, sum);
   PATHEST_CHECK(hist.size() == hl.payload_bytes,
                 "v2 histogram payload does not match its layout");
   sections->emplace_back(binfmt::kSectionHistogram, std::move(hist));
@@ -405,8 +405,8 @@ CatalogFormat SniffCatalogFormat(std::string_view bytes, uint32_t* version) {
   return format;
 }
 
-Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
-                                         uint32_t* version) {
+Result<CatalogFormat> SniffCatalogFile(const std::string& path,
+                                      uint32_t* version) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     if (!std::filesystem::exists(path)) {
@@ -422,7 +422,7 @@ Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
 }
 
 Result<bool> SniffFileIsBinaryV2(const std::string& path) {
-  auto format = SniffCatalogFormat(path);
+  auto format = SniffCatalogFile(path);
   if (!format.ok()) return format.status();
   return *format == CatalogFormat::kBinaryV2;
 }
@@ -657,17 +657,18 @@ Status ParseFrame(std::string_view bytes, const FrameSpec& spec, Frame* frame,
   return Status::OK();
 }
 
-// The (begin, end, sum, sumsq) bucket rows of a text or v1 catalog, at
-// least one bucket each, checked in bucket order — contiguous from 0
-// (end[b] == begin[b + 1]) and non-empty, with finite non-negative sums —
-// then owned by a Histogram over [0, end of the last bucket). A refusal is
-// a typed IOError: v1 localizes it to section 4; the text format has no
-// sections.
+// The bucket rows of a text or v1 catalog, at least one bucket each,
+// checked in bucket order — contiguous from 0 (end[b] == begin[b + 1]) and
+// non-empty, with finite non-negative sums and v1's sums of squares (empty
+// for text v2) — then begin and sum owned by a Histogram over [0, end of
+// the last bucket). A refusal is a typed IOError: v1 localizes it to
+// section 4; the text format has no sections.
 Result<Histogram> HistogramFromBucketRows(std::vector<uint64_t> begin,
                                           const std::vector<uint64_t>& end,
                                           std::vector<double> sum,
-                                          std::vector<double> sumsq,
+                                          const std::vector<double>& sumsq,
                                           bool in_section) {
+  auto counts = [](double v) { return std::isfinite(v) && v >= 0.0; };
   auto refuse = [in_section](const char* why) {
     const std::string detail = std::string("invalid buckets: ") + why;
     return in_section ? SectionError(binfmt::kSectionHistogram, detail)
@@ -679,14 +680,12 @@ Result<Histogram> HistogramFromBucketRows(std::vector<uint64_t> begin,
       return refuse("buckets must be contiguous, non-empty, and start at 0");
     }
     // Frequencies are counts: NaN and +/-inf are as corrupt as a negative.
-    if (!(std::isfinite(sum[b]) && sum[b] >= 0.0 &&
-          std::isfinite(sumsq[b]) && sumsq[b] >= 0.0)) {
+    if (!counts(sum[b]) || !(sumsq.empty() || counts(sumsq[b]))) {
       return refuse("bucket sums must be finite and non-negative");
     }
     expected_begin = end[b];
   }
-  return Histogram::FromRows(end.back(), std::move(begin), std::move(sum),
-                             std::move(sumsq));
+  return Histogram::FromRows(end.back(), std::move(begin), std::move(sum));
 }
 
 // The tail of every copying reader: the ordering rebuilt from `meta`
@@ -717,9 +716,11 @@ Result<LoadedPathHistogram> DecodeText(std::string_view content) {
 
   // The magic is a whole line, not a token (it contains a space).
   const char* nl = std::find(cur, end, '\n');
-  if (std::string_view(cur, static_cast<size_t>(nl - cur)) != kTextMagic) {
+  const std::string_view magic(cur, static_cast<size_t>(nl - cur));
+  const bool sumsq_column = magic == kTextMagicV1;
+  if (!sumsq_column && magic != kTextMagic) {
     return Status::IOError("bad magic: expected '" + std::string(kTextMagic) +
-                           "'");
+                           "' or '" + kTextMagicV1 + "'");
   }
   cur = nl == end ? end : nl + 1;
 
@@ -819,27 +820,27 @@ Result<LoadedPathHistogram> DecodeText(std::string_view content) {
   if (!parse_u64(&num_buckets) || num_buckets == 0) {
     return Status::IOError("bad bucket count");
   }
-  // Same plausibility gate as the label count: a bucket line is at least 8
-  // bytes ("0 1 0 0\n"), so a count past remaining/8 cannot be satisfied
-  // by the file and must not drive the reserve below.
-  if (num_buckets > static_cast<uint64_t>(end - cur) / 8 + 1) {
+  // Same plausibility gate as the label count: a bucket line is at least 6
+  // bytes ("0 1 0\n"), so a count past remaining/6 cannot be satisfied by
+  // the file and must not drive the reserve below.
+  if (num_buckets > static_cast<uint64_t>(end - cur) / 6 + 1) {
     return Status::IOError("implausible bucket count " +
                            std::to_string(num_buckets) + " for " +
                            std::to_string(end - cur) + " remaining bytes");
   }
   std::vector<uint64_t> begin(num_buckets), end_row(num_buckets);
-  std::vector<double> sum(num_buckets), sumsq(num_buckets);
+  std::vector<double> sum(num_buckets), sumsq(sumsq_column ? num_buckets : 0);
   for (size_t i = 0; i < num_buckets; ++i) {
     if (!parse_u64(&begin[i]) || !parse_u64(&end_row[i]) ||
-        !parse_double(&sum[i]) || !parse_double(&sumsq[i])) {
+        !parse_double(&sum[i]) ||
+        (sumsq_column && !parse_double(&sumsq[i]))) {
       return Status::IOError("truncated or malformed bucket " +
                              std::to_string(i));
     }
   }
 
   auto histogram = HistogramFromBucketRows(std::move(begin), end_row,
-                                           std::move(sum), std::move(sumsq),
-                                           false);
+                                           std::move(sum), sumsq, false);
   if (!histogram.ok()) return histogram.status();
   return LoadedFrom(meta, std::move(*histogram));
 }
@@ -936,8 +937,8 @@ Result<LoadedPathHistogram> DecodeV1(std::string_view bytes) {
   std::string_view comp_payload;
   if (comp != nullptr) PATHEST_RETURN_NOT_OK(frame.Open(*comp, &comp_payload));
 
-  auto histogram = HistogramFromBucketRows(
-      std::move(begin), end, std::move(sum), std::move(sumsq), true);
+  auto histogram = HistogramFromBucketRows(std::move(begin), end,
+                                           std::move(sum), sumsq, true);
   if (!histogram.ok()) return histogram.status();
   auto loaded = LoadedFrom(meta, std::move(*histogram));
   if (!loaded.ok() || comp == nullptr) return loaded;
@@ -982,10 +983,10 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   PATHEST_RETURN_NOT_OK(his.ReadU64(&beta, "bucket count"));
   PATHEST_RETURN_NOT_OK(his.ReadU64(&rows.domain_size, "domain size"));
   if (beta == 0) return SectionError(kSectionHistogram, "zero buckets");
-  // Each bucket costs >= 24 bytes across the three rows every version
-  // has, so this bound both rejects forged counts and keeps the layout
-  // math far from u64 overflow.
-  if (beta > bytes.size() / 24) {
+  // Each bucket costs >= 16 bytes across the two rows every version has,
+  // so this bound both rejects forged counts and keeps the layout math far
+  // from u64 overflow.
+  if (beta > bytes.size() / 16) {
     return SectionError(kSectionHistogram,
                         "implausible bucket count " + std::to_string(beta));
   }
@@ -1008,7 +1009,6 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   }
   rows.begin = RowSpan<uint64_t>(payload, hl.begin_off, beta);
   rows.sum = RowSpan<double>(payload, hl.sum_off, beta);
-  rows.sumsq = RowSpan<double>(payload, hl.sumsq_off, beta);
   // Checked at EVERY tier (one load): Histogram::Borrow's shape
   // invariant, which must be a typed error here — never a downstream
   // abort — even under kTrusted.
@@ -1047,12 +1047,10 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     }
   }
 
-  // begin[0] == 0 was checked above; every bucket must be non-empty,
-  // with the last one ending at the domain size. sum is a served row and
-  // sumsq feeds TotalSse; frequencies are counts, so neither may be
-  // negative. These are all the checks a Histogram's rows need, so a
-  // view that passes them is served or copied as it is. The legacy rows
-  // are never read, so nothing scans them.
+  // begin[0] == 0 was checked above; every bucket must be non-empty, the
+  // last ending at the domain size, and every sum a count (finite, >= 0).
+  // That is all a Histogram's rows need, so a view that passes is served
+  // or copied as it is. No legacy row is read, so none is scanned.
   for (uint64_t b = 0; b < beta; ++b) {
     const uint64_t end = b + 1 < beta ? rows.begin[b + 1] : rows.domain_size;
     if (rows.begin[b] >= end) {
@@ -1061,11 +1059,9 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
                           "domain size at bucket " +
                               std::to_string(b));
     }
-    if (!(std::isfinite(rows.sum[b]) && rows.sum[b] >= 0.0 &&
-          std::isfinite(rows.sumsq[b]) && rows.sumsq[b] >= 0.0)) {
+    if (!(std::isfinite(rows.sum[b]) && rows.sum[b] >= 0.0)) {
       return SectionError(kSectionHistogram,
-                          "sum or sumsq row not finite and non-negative at "
-                          "bucket " +
+                          "sum row not finite and non-negative at bucket " +
                               std::to_string(b));
     }
   }
@@ -1085,8 +1081,7 @@ Result<LoadedPathHistogram> DecodeCatalog(std::string_view bytes) {
       return LoadedFrom(
           *view, Histogram::FromRows(
                      rows.domain_size, {rows.begin.begin(), rows.begin.end()},
-                     {rows.sum.begin(), rows.sum.end()},
-                     {rows.sumsq.begin(), rows.sumsq.end()}));
+                     {rows.sum.begin(), rows.sum.end()}));
     }
     case CatalogFormat::kBinary:
       return DecodeV1(bytes);

@@ -25,20 +25,22 @@
 //
 //                          v1      v2
 //   magic                  PESTB1  PESTB2
-//   accepted versions      1       2-5
+//   accepted versions      1       2-6
 //   highest section id     5       6
 //   section alignment      1       64
 //
 // ---------------------------------------------------------------------------
-// Text format ("pathest-histogram v1"), line-oriented:
-//   pathest-histogram v1
+// Text format ("pathest-histogram v2"), line-oriented:
+//   pathest-histogram v2
 //   ordering <name>
 //   type <histogram-type>
 //   k <k>
 //   labels <n> <name_1> ... <name_n>         # label id order
 //   cardinalities <f_1> ... <f_n>            # for reconstructing rankings
 //   buckets <beta>
-//   <begin> <end> <sum> <sumsq>              # beta lines, sums in hexfloat
+//   <begin> <end> <sum>                      # beta lines, sums in hexfloat
+// The reader also takes "pathest-histogram v1": its bucket lines add a
+// <sumsq> column, checked finite and >= 0 like the sum, then dropped.
 //
 // ---------------------------------------------------------------------------
 // Binary catalog format v1 ("PESTB1"). All fields little-endian,
@@ -76,8 +78,9 @@
 //   3 cardinalities  u32 n (== labels n), u32 reserved(0), n × u64 f(l)
 //   4 histogram      u64 beta, then FOUR structure-of-arrays rows of beta
 //                    u64s each: begin[], end[], sum-bits[], sumsq-bits[]
-//                    (column-major; v2 keeps begin, sum and sumsq, the
-//                    rows of histogram/histogram.h, and drops end)
+//                    (column-major; v2 keeps begin and sum). The writer
+//                    fills sumsq with 0.0; the reader checks it finite and
+//                    >= 0, then drops it.
 //   5 composition    u32 |L|, u32 k, u64 value-count, then for each
 //                    m in [1, k] the row Count(sum, m) for
 //                    sum in [m, m·|L|] — the sum-based ordering's stage-2
@@ -121,26 +124,27 @@
 //
 // v2 section payloads (1-3 are byte-identical to v1):
 //   4 histogram    u64 beta, u64 domain_size, then 64-aligned rows
-//                  begin u64[beta], sum f64[beta], sumsq f64[beta]
-//                  (f64 = the IEEE-754 bits). There is no end row: bucket
-//                  b ends at begin[b+1], the last bucket at domain_size.
-//                  begin starts at 0, rises strictly and stays below
-//                  domain_size; sum and sumsq are finite and >= 0 (both
+//                  begin u64[beta] and sum f64[beta] (f64 = the IEEE-754
+//                  bits): 16 bytes per bucket. There is no end row:
+//                  bucket b ends at begin[b+1], the last bucket at
+//                  domain_size. begin starts at 0, rises strictly and
+//                  stays below domain_size; sum is finite and >= 0 (both
 //                  checked from kChecksums up).
-// A version-5 file has exactly these four sections for every ordering.
+// A version-6 file has exactly these four sections for every ordering.
+// In the golden (beta = 6), section 4 is 176 bytes at file offset 320:
+// beta and domain_size at +0, begin at +64, sum at +128.
 // The sum family's stage-2/3 tables are not stored: they are pure
 // functions of (|L|, k), and every SumBasedOrdering takes them from the
 // process-wide registry of ordering/sum_based.h (SumTables::For), shared
 // with every other ordering of the same shape.
 //
-// The three rows are exactly a Histogram's (histogram/histogram.h): begin
-// and sum serve, the bucket's sum divided by its width at lookup; sumsq
-// feeds TotalSse and survives conversion to the other formats. No row
+// The two rows are exactly a Histogram's (histogram/histogram.h): the
+// lookup searches begin and divides the bucket's sum by its width. No row
 // derived from another is stored, so constructing an Estimator from a
 // mapped v2 file is pointer fixup plus, for the sum family, one registry
 // lookup (core/mapped_catalog.h) — microseconds and O(1) allocations, with
 // the row bytes faulted lazily by the kernel. The copying loader
-// (DecodeCatalog) verifies at kChecksums and copies the three rows into an
+// (DecodeCatalog) verifies at kChecksums and copies the two rows into an
 // owned estimator.
 //
 // Versioning/compat rules: the major version in the header is bumped on
@@ -150,8 +154,10 @@
 // NOT (an id above the format's highest is an error), so writers must
 // emit exactly the sections above.
 //
-// v2 versions: the writer emits version 5 (kVersionV2). Readers also
-// accept three legacy versions:
+// v2 versions: the writer emits version 6 (kVersionV2). Readers also
+// accept four legacy versions:
+//   * version 5 (kVersionV2SumsqRow) is version 6 plus a sumsq f64[beta]
+//     row after sum, the sums of squared frequencies (24 bytes per bucket);
 //   * version 4 (kVersionV2MeanRows) is version 5 plus two rows derived
 //     from sum, after sumsq: mean f64[beta] (sum / width) and prefix
 //     f64[beta+1] (the running sum of sum, starting at 0);
@@ -172,19 +178,20 @@
 // HistogramLayout(beta, version) is the one definition of every histogram
 // layout. Legacy files load and serve mapped at every tier from their
 // begin and sum rows, which every version has. No reader interprets
-// sections 5 and 6 or the legacy histogram rows (end, mean, prefix,
-// Eytzinger): they get no layout offset and stay covered by their section
-// CRCs, and the legacy sections are checksummed from kChecksums up. A
-// version-4 or version-5 file carrying section 5 or 6 is a typed section
-// error at every tier. `catalog convert --format binary-v2` rewrites
-// version-2, version-3 and version-4 entries as version 5.
+// sections 5 and 6 or the legacy histogram rows (end, sumsq, mean,
+// prefix, Eytzinger): they get no layout offset and stay covered by their
+// section CRCs, and the legacy sections are checksummed from kChecksums
+// up. A file of version 4 or later carrying section 5 or 6 is a typed
+// section error at every tier. `catalog convert --format binary-v2`
+// rewrites version-2 to version-5 entries as version 6.
 //
 // The committed golden catalogs (tests/golden/) pin these layouts
-// byte-for-byte against accidental drift: catalog_v2_version5.stats is
-// what the writer emits; catalog_v2_version4.stats (version 4),
-// catalog_v2_version3.stats (version 3) and catalog_v2.stats (packed) and
-// catalog_v2_paged.stats (page-aligned), both version 2, are compat
-// fixtures, never regenerated.
+// byte-for-byte against accidental drift. The writers emit
+// catalog_v2_version6.stats and catalog_v1_zero_sumsq.stats (re-pin with
+// PATHEST_REGEN_GOLDEN=1 ./serialize_test). The compat fixtures are never
+// regenerated: catalog_v1.stats (its sumsq row as built), versions 5, 4
+// and 3 (catalog_v2_version{5,4,3}.stats) and version 2 (catalog_v2.stats
+// packed, catalog_v2_paged.stats page-aligned).
 //
 // Corruption contract (enforced by tests/fault_injection_test.cc): any
 // truncation, bit flip, or forged length/count in a catalog file yields a
@@ -238,8 +245,8 @@ Result<CatalogFormat> ParseCatalogFormat(const std::string& name);
 ///   kChecksums CRC32C over every bulk section (the legacy sum sections
 ///              of versions 2 and 3 included) plus structural scans of the
 ///              histogram rows (begins rising strictly below the domain
-///              size, finite non-negative sum and sumsq rows) — every
-///              check a Histogram's rows need. The CatalogCache admission
+///              size, a finite non-negative sum row) — every check a
+///              Histogram's rows need. The CatalogCache admission
 ///              tier (every byte generation is checked once), and what
 ///              `catalog verify` and the copying loader use.
 enum class CatalogVerify {
@@ -261,12 +268,10 @@ inline constexpr unsigned char kMagicV2[kMagicBytes] = {0x89, 'P',  'E', 'S',
                                                         'T',  'B',  '2', 0x0A};
 inline constexpr uint32_t kVersion = 1;
 /// The v2 version the writer emits: sections 1-4 only, the histogram as
-/// its begin, sum and sumsq rows.
-inline constexpr uint32_t kVersionV2 = 5;
-/// The older v2 versions readers still accept (see the compat rule above):
-/// version 4 also stores the mean and prefix rows; version 3 persists the
-/// sum family's stage-2/3 tables as sections 5 and 6; version 2 also
-/// carries the end and Eytzinger histogram rows.
+/// its begin and sum rows.
+inline constexpr uint32_t kVersionV2 = 6;
+/// The older v2 versions readers still accept ("v2 versions" above).
+inline constexpr uint32_t kVersionV2SumsqRow = 5;
 inline constexpr uint32_t kVersionV2MeanRows = 4;
 inline constexpr uint32_t kVersionV2SumSections = 3;
 inline constexpr uint32_t kVersionV2Eytzinger = 2;
@@ -304,10 +309,10 @@ inline constexpr uint64_t AlignUp(uint64_t v, uint64_t align) {
 /// are relative to the payload start; payload_bytes is the exact (unpadded)
 /// payload length the section-table entry must carry.
 struct HistogramLayoutV2 {
-  uint64_t begin_off, sum_off, sumsq_off;  // 8 bytes x beta each
+  uint64_t begin_off, sum_off;  // 8 bytes x beta each
   uint64_t payload_bytes;
 };
-/// Every version has these three rows; the legacy rows of versions 2-4
+/// Every version has these two rows; the legacy rows of versions 2-5
 /// take room in the payload but get no offset, since no reader uses them.
 HistogramLayoutV2 HistogramLayout(uint64_t beta,
                                   uint32_t version = kVersionV2);
@@ -319,8 +324,8 @@ HistogramLayoutV2 HistogramLayout(uint64_t beta,
 bool IsSerializableOrdering(const std::string& ordering_name);
 
 /// \brief Serializes the estimator into `*out` in `format`: text, binary
-/// catalog v1, or binary catalog v2 version 5 (sections packed on 64-byte
-/// boundaries; the begin, sum and sumsq rows — see the format spec above).
+/// catalog v1, or binary catalog v2 version 6 (sections packed on 64-byte
+/// boundaries; the begin and sum rows — see the format spec above).
 /// InvalidArgument when the ordering is not serializable or `labels` and
 /// `cardinalities` differ in size.
 Status EncodeCatalog(const PathHistogram& estimator,
@@ -351,16 +356,16 @@ struct LoadedPathHistogram {
 CatalogFormat SniffCatalogFormat(std::string_view bytes,
                                  uint32_t* version = nullptr);
 
-/// \brief SniffCatalogFormat over the leading bytes of `path` (no
-/// slurp): the serving loader's cheap dispatch between the mmap path and
-/// the copying path, and `catalog convert`'s skip-if-already-current
-/// check. NotFound/IOError propagate.
-Result<CatalogFormat> SniffCatalogFormat(const std::string& path,
-                                         uint32_t* version = nullptr);
+/// \brief SniffCatalogFormat over the leading bytes of the file at `path`
+/// (no slurp): the serving loader's mmap-or-copy dispatch and `catalog
+/// convert`'s skip-if-current check. NotFound/IOError propagate. Its own
+/// name keeps a std::string of catalog bytes from binding to it.
+Result<CatalogFormat> SniffCatalogFile(const std::string& path,
+                                       uint32_t* version = nullptr);
 
-/// \brief Whether `path` is a binary catalog v2, by SniffCatalogFormat.
+/// \brief Whether `path` is a binary catalog v2, by SniffCatalogFile.
 /// Kept for perfbench, whose serve workloads call it; library code
-/// dispatches on SniffCatalogFormat.
+/// dispatches on SniffCatalogFile.
 Result<bool> SniffFileIsBinaryV2(const std::string& path);
 
 /// \brief Parses a catalog in the format its leading magic names (text

@@ -15,7 +15,7 @@
 // histogram section, the legacy section rules, and the tiered bulk
 // verification of core/serialize.h's CatalogVerify. Its product is a
 // CatalogV2View — owned metadata plus spans into the caller's bytes for
-// the begin, sum and sumsq rows — whose rows the copying loader
+// the begin and sum rows — whose rows the copying loader
 // (DecodeCatalog) copies into an owned Histogram and the mmap tier borrows
 // (core/mapped_catalog.h). Internal header: not installed, no stability
 // promise.
@@ -52,9 +52,8 @@ struct CatalogMetadata {
 /// verified. Metadata is owned; bulk rows are spans into the input bytes,
 /// valid only while that buffer (or mapping) lives.
 struct CatalogV2View : CatalogMetadata {
-  // Section 4: the domain size and the rows every version has (begin and
-  // sum serve; sumsq feeds TotalSse). Bucket b ends at begin[b + 1], the
-  // last one at domain_size.
+  // Section 4: the domain size and the two rows every version has and
+  // serves. Bucket b ends at begin[b + 1], the last one at domain_size.
   Histogram::Rows rows;
 };
 

@@ -6,9 +6,9 @@ namespace pathest {
 
 namespace {
 
-// Size of the three rows of a β-bucket histogram.
+// Size of the two rows of a β-bucket histogram.
 size_t RowBytes(size_t beta) {
-  return beta * (sizeof(uint64_t) + 2 * sizeof(double));
+  return beta * (sizeof(uint64_t) + sizeof(double));
 }
 
 }  // namespace
@@ -28,25 +28,21 @@ Result<Histogram> Histogram::FromBoundaries(const std::vector<uint64_t>& data,
     begin.push_back(b);
   }
   std::vector<double> sum(begin.size(), 0.0);
-  std::vector<double> sumsq(begin.size(), 0.0);
   for (size_t b = 0; b < begin.size(); ++b) {
     const uint64_t end = b + 1 < begin.size() ? begin[b + 1] : n;
     for (uint64_t i = begin[b]; i < end; ++i) {
-      const double v = static_cast<double>(data[i]);
-      sum[b] += v;
-      sumsq[b] += v * v;
+      sum[b] += static_cast<double>(data[i]);
     }
   }
-  return FromRows(n, std::move(begin), std::move(sum), std::move(sumsq));
+  return FromRows(n, std::move(begin), std::move(sum));
 }
 
 Histogram Histogram::FromRows(uint64_t domain_size,
                               std::vector<uint64_t> begin,
-                              std::vector<double> sum,
-                              std::vector<double> sumsq) {
-  auto storage = std::make_shared<const Storage>(
-      Storage{std::move(begin), std::move(sum), std::move(sumsq)});
-  const Rows rows{domain_size, storage->begin, storage->sum, storage->sumsq};
+                              std::vector<double> sum) {
+  auto storage =
+      std::make_shared<const Storage>(Storage{std::move(begin), std::move(sum)});
+  const Rows rows{domain_size, storage->begin, storage->sum};
   CheckShape(rows);
   return Histogram(std::move(storage), rows);
 }
@@ -59,8 +55,7 @@ Histogram Histogram::Borrow(const Rows& rows) {
 void Histogram::CheckShape(const Rows& rows) {
   const size_t n = rows.begin.size();
   PATHEST_CHECK(n >= 1, "histogram needs at least one bucket");
-  PATHEST_CHECK(rows.sum.size() == n && rows.sumsq.size() == n,
-                "histogram row shapes inconsistent");
+  PATHEST_CHECK(rows.sum.size() == n, "histogram row shapes inconsistent");
   PATHEST_CHECK(rows.begin[0] == 0, "histogram begins must start at 0");
   PATHEST_CHECK(rows.domain_size > 0, "histogram domain must be non-empty");
 }
@@ -81,21 +76,28 @@ double Histogram::EstimateRange(uint64_t begin, uint64_t end) const {
   return total;
 }
 
-double Histogram::TotalSse() const {
-  double total = 0.0;
-  for (size_t b = 0; b < num_buckets(); ++b) {
-    const uint64_t width = BucketEnd(b) - rows_.begin[b];
-    total += rows_.sumsq[b] - (rows_.sum[b] * rows_.sum[b]) / width;
-  }
-  return total;
-}
-
 size_t Histogram::ResidentBytes() const {
   return owns_storage() ? RowBytes(num_buckets()) : 0;
 }
 
 size_t Histogram::MappedBytes() const {
   return owns_storage() ? 0 : RowBytes(num_buckets());
+}
+
+double TotalSse(const Histogram& h, std::span<const uint64_t> data) {
+  PATHEST_CHECK(data.size() == h.domain_size(),
+                "SSE data does not match the histogram domain");
+  double total = 0.0;
+  for (size_t b = 0; b < h.num_buckets(); ++b) {
+    // Squares in index order, as the builders once summed them: bit-exact.
+    double sumsq = 0.0;
+    for (uint64_t i = h.begins()[b]; i < h.BucketEnd(b); ++i) {
+      sumsq += static_cast<double>(data[i]) * static_cast<double>(data[i]);
+    }
+    total += sumsq - (h.sums()[b] * h.sums()[b]) /
+                         (h.BucketEnd(b) - h.begins()[b]);
+  }
+  return total;
 }
 
 }  // namespace pathest

@@ -1,17 +1,18 @@
 // pathest: serial histograms over an ordered frequency domain.
 //
 // A histogram partitions the domain [0, n) — the ordered label-path indexes —
-// into β contiguous buckets and stores, per bucket, the frequency sum (and
-// sum of squares, for variance diagnostics). The point estimate for a domain
-// position is its bucket's mean frequency, the standard uniform-frequency
-// assumption for serial histograms.
+// into β contiguous buckets and stores, per bucket, the frequency sum. The
+// point estimate for a domain position is its bucket's mean frequency, the
+// standard uniform-frequency assumption for serial histograms.
 //
-// A Histogram is three rows of β entries each, the rows binary catalog v2
+// A Histogram is two rows of β entries each, the rows binary catalog v2
 // persists (core/serialize.h):
 //
 //   begins()[b]  bucket begins, ascending; begins()[0] == 0
 //   sums()[b]    bucket frequency sum
-//   sumsqs()[b]  bucket sum of squared frequencies (SSE diagnostics only)
+//
+// No sum of squares is kept: the V-optimal objective is scored by the free
+// TotalSse below, from the data the histogram was built from.
 //
 // Bucket b ends at begins()[b + 1], the last one at domain_size(). The
 // builders emit it, the catalog writers read it, and the serving path
@@ -53,11 +54,11 @@
 //   27,993  35.8 → 36.9           85.9 → 90.8
 // Independent lookups overlap the division with the next search; a
 // lookup whose index waits on the last answer pays its latency. In
-// exchange a catalog's histogram section shrinks from 40 to 24 bytes per
-// bucket.
+// exchange a catalog's histogram section shrank from 40 to 24 bytes per
+// bucket; dropping the sum-of-squares row took it to 16.
 //
 // Storage comes in two forms behind the same interface:
-//   - OWNED (FromBoundaries, FromRows): the rows live in one immutable
+//   - OWNED (FromBoundaries, FromRows): both rows live in one immutable
 //     heap block held through a shared_ptr, so a copy is O(1) and shares
 //     it, and the default copy and move members are correct.
 //   - BORROWED (Borrow): the rows point into caller-owned memory — in
@@ -82,7 +83,7 @@
 
 namespace pathest {
 
-/// \brief Immutable begin/sum/sumsq rows with O(log β) point estimation.
+/// \brief Immutable begin/sum rows with O(log β) point estimation.
 class Histogram {
  public:
   /// \brief Row views: β entries each, begin[0] == 0.
@@ -90,7 +91,6 @@ class Histogram {
     uint64_t domain_size = 0;
     std::span<const uint64_t> begin;
     std::span<const double> sum;
-    std::span<const double> sumsq;
   };
 
   /// \brief Builds from explicit inner boundaries over `data`.
@@ -104,8 +104,7 @@ class Histogram {
   /// readers of untrusted bytes validate the values first — begins rising
   /// strictly from 0 below `domain_size`, sums finite and non-negative.
   static Histogram FromRows(uint64_t domain_size, std::vector<uint64_t> begin,
-                            std::vector<double> sum,
-                            std::vector<double> sumsq);
+                            std::vector<double> sum);
 
   /// \brief Zero-copy form over caller-owned rows (an mmap'ed catalog
   /// section): O(1) work, no allocation, shape checks only — callers on
@@ -166,28 +165,23 @@ class Histogram {
     return rows_.sum[b] / static_cast<double>(BucketEnd(b) - rows_.begin[b]);
   }
 
-  /// \brief Total within-bucket SSE (the V-optimal objective).
-  double TotalSse() const;
-
-  /// \brief Heap bytes this object holds: the three rows, 24 bytes per
+  /// \brief Heap bytes this object holds: the two rows, 16 bytes per
   /// bucket, when storage is owned (shared by every copy); zero when
   /// borrowed.
   size_t ResidentBytes() const;
 
   /// \brief Bytes served through borrowed views (a mapped catalog's
-  /// pages), 24 per bucket; zero for owned storage.
+  /// pages), 16 per bucket; zero for owned storage.
   size_t MappedBytes() const;
 
   // Row views: for a mapped catalog, the file's own rows.
   std::span<const uint64_t> begins() const { return rows_.begin; }
   std::span<const double> sums() const { return rows_.sum; }
-  std::span<const double> sumsqs() const { return rows_.sumsq; }
 
  private:
   struct Storage {
     std::vector<uint64_t> begin;
     std::vector<double> sum;
-    std::vector<double> sumsq;
   };
 
   Histogram(std::shared_ptr<const Storage> storage, const Rows& rows)
@@ -202,6 +196,10 @@ class Histogram {
   std::shared_ptr<const Storage> storage_;
   Rows rows_;
 };
+
+/// \brief The V-optimal objective of `h` over the `data` it was built from
+/// (one value per domain index): per bucket, sumsq − sum² / width. O(n).
+double TotalSse(const Histogram& h, std::span<const uint64_t> data);
 
 }  // namespace pathest
 

@@ -19,7 +19,7 @@ Result<SnapshotLoadResult> LoadCatalogSnapshots(const std::string& dir,
     // are deserialized into an owned copy. Either way a failure is
     // quarantined (path + implicated section + typed error) and the
     // remaining entries still become snapshots.
-    auto format = SniffCatalogFormat(path);
+    auto format = SniffCatalogFile(path);
     if (!format.ok()) {
       result.report.failures.push_back(
           MakeCatalogLoadFailure(path, format.status()));

@@ -117,11 +117,13 @@ TEST_F(CatalogTest, EveryLoadedGoldenHasItsEntryRow) {
   };
   const Want wants[] = {
       {"catalog_v1", "binary", binfmt::kVersion},
+      {"catalog_v1_zero_sumsq", "binary", binfmt::kVersion},
       {"catalog_v2", "binary-v2", binfmt::kVersionV2Eytzinger},
       {"catalog_v2_paged", "binary-v2", binfmt::kVersionV2Eytzinger},
       {"catalog_v2_version3", "binary-v2", binfmt::kVersionV2SumSections},
       {"catalog_v2_version4", "binary-v2", binfmt::kVersionV2MeanRows},
-      {"catalog_v2_version5", "binary-v2", binfmt::kVersionV2},
+      {"catalog_v2_version5", "binary-v2", binfmt::kVersionV2SumsqRow},
+      {"catalog_v2_version6", "binary-v2", binfmt::kVersionV2},
       {"text", "text", 0},
   };
   const fs::path golden = fs::path(PATHEST_SOURCE_DIR) / "tests" / "golden";

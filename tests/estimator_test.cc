@@ -298,7 +298,6 @@ TEST(HistogramLookupTest, RowsThatDoNotAscendKeepEveryReadInside) {
   rows.domain_size = 100;
   rows.begin = std::span<const uint64_t>(begins).subspan(1, 5);
   rows.sum = std::span<const double>(sums).subspan(1, 5);
-  rows.sumsq = std::span<const double>(sums).subspan(1, 5);
   const Histogram flat = Histogram::Borrow(rows);
   for (uint64_t i = 0; i < 100; ++i) {
     ASSERT_LT(flat.FindBucket(i), 5u) << i;
@@ -334,19 +333,18 @@ TEST(HistogramFootprintTest, ReportsOwnedAndBorrowedRowBytes) {
   auto h = BuildHistogram(HistogramType::kEquiWidth, data, 10);
   ASSERT_TRUE(h.ok());
   ASSERT_EQ(h->num_buckets(), 10u);
-  // Owned: the begin, sum and sumsq rows, 24 bytes per bucket — what the
+  // Owned: the begin and sum rows, 16 bytes per bucket — what the
   // builders emit, the estimator serves and catalog v2 persists.
   EXPECT_TRUE(h->owns_storage());
-  EXPECT_EQ(h->ResidentBytes(),
-            10 * (sizeof(uint64_t) + 2 * sizeof(double)));
+  EXPECT_EQ(h->ResidentBytes(), 10 * (sizeof(uint64_t) + sizeof(double)));
   EXPECT_EQ(h->MappedBytes(), 0u);
   // A copy shares the rows instead of duplicating them.
   const Histogram copy = *h;
   EXPECT_EQ(copy.begins().data(), h->begins().data());
-  EXPECT_EQ(copy.sumsqs().data(), h->sumsqs().data());
+  EXPECT_EQ(copy.sums().data(), h->sums().data());
   // Borrowed: the same bytes, charged to the caller's memory.
   const Histogram borrowed = Histogram::Borrow(
-      {h->domain_size(), h->begins(), h->sums(), h->sumsqs()});
+      {h->domain_size(), h->begins(), h->sums()});
   EXPECT_FALSE(borrowed.owns_storage());
   EXPECT_EQ(borrowed.ResidentBytes(), 0u);
   EXPECT_EQ(borrowed.MappedBytes(), h->ResidentBytes());
@@ -372,7 +370,6 @@ void ExpectMatchesOracle(const Histogram& h,
         << what << " [" << begin << ", " << end << ")";
   }
   EXPECT_EQ(h.EstimateRange(0, n), oracle.EstimateRange(0, n)) << what;
-  EXPECT_EQ(h.TotalSse(), oracle.TotalSse()) << what;
 }
 
 TEST(HistogramOracleTest, BuiltCopiedMappedAndDecodedFormsAgree) {
@@ -389,7 +386,7 @@ TEST(HistogramOracleTest, BuiltCopiedMappedAndDecodedFormsAgree) {
   EXPECT_EQ(copy.begins().data(), built.begins().data());
   ExpectMatchesOracle(copy, oracle, "copy");
   // The serving estimator shares the built rows too.
-  EXPECT_EQ(Estimator(*served).flat().sums().data(), built.sums().data());
+  EXPECT_EQ(Estimator(*served).histogram().sums().data(), built.sums().data());
 
   // Borrowed from a mapped v2 file of the built histogram.
   const std::string path = (std::filesystem::temp_directory_path() /
@@ -400,13 +397,13 @@ TEST(HistogramOracleTest, BuiltCopiedMappedAndDecodedFormsAgree) {
   {
     auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kChecksums);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    const Histogram& borrowed = (*mapped)->estimator().flat();
+    const Histogram& borrowed = (*mapped)->estimator().histogram();
     EXPECT_FALSE(borrowed.owns_storage());
     ExpectMatchesOracle(borrowed, oracle, "mapped");
   }
   std::filesystem::remove(path);
 
-  // Decoded from every golden (v1, v2 versions 2-5), and from text.
+  // Decoded from every golden (v1, v2 versions 2-6), and from text.
   size_t goldens = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::string(PATHEST_SOURCE_DIR) + "/tests/golden")) {
@@ -421,12 +418,11 @@ TEST(HistogramOracleTest, BuiltCopiedMappedAndDecodedFormsAgree) {
     EXPECT_TRUE(h.owns_storage()) << name;
     const oracles::HistogramOracle golden_oracle(h);
     ExpectMatchesOracle(h, golden_oracle, name);
-    if (SniffCatalogFormat(std::string_view(bytes)) ==
-        CatalogFormat::kBinaryV2) {
+    if (SniffCatalogFormat(bytes) == CatalogFormat::kBinaryV2) {
       auto mapped = MappedCatalogEntry::Open(entry.path().string(),
                                              CatalogVerify::kChecksums);
       ASSERT_TRUE(mapped.ok()) << name << ": " << mapped.status().ToString();
-      ExpectMatchesOracle((*mapped)->estimator().flat(), golden_oracle,
+      ExpectMatchesOracle((*mapped)->estimator().histogram(), golden_oracle,
                           name + " mapped");
     }
     std::string text;
@@ -441,7 +437,7 @@ TEST(HistogramOracleTest, BuiltCopiedMappedAndDecodedFormsAgree) {
                         name + " as text");
     ++goldens;
   }
-  EXPECT_EQ(goldens, 6u);
+  EXPECT_EQ(goldens, 8u);
 }
 
 // ------------------------------------------------------------- batch APIs
@@ -475,7 +471,7 @@ TEST_F(EstimateBatchTest, SerialBatchMatchesReferenceEstimates) {
 
 TEST_F(EstimateBatchTest, IndexRangeIsBitIdenticalToReference) {
   const Estimator estimator(*served_);
-  const uint64_t n = estimator.flat().domain_size();
+  const uint64_t n = estimator.histogram().domain_size();
   for (uint64_t begin : {uint64_t{0}, n / 3, n / 2}) {
     for (uint64_t end : {n / 2, n - 1, n}) {
       if (begin > end) continue;
@@ -488,7 +484,7 @@ TEST_F(EstimateBatchTest, IndexRangeIsBitIdenticalToReference) {
 
 TEST_F(EstimateBatchTest, ResidentBytesIsTheFlatFootprint) {
   const Estimator estimator(*served_);
-  EXPECT_EQ(estimator.ResidentBytes(), estimator.flat().ResidentBytes());
+  EXPECT_EQ(estimator.ResidentBytes(), estimator.histogram().ResidentBytes());
   EXPECT_GT(estimator.ResidentBytes(), 0u);
 }
 

@@ -891,7 +891,7 @@ TEST_F(FaultInjectionV2Test, CrashedV2SaveLeavesV1FileByteIdentical) {
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, v1_image);
-  auto format = SniffCatalogFormat(path);
+  auto format = SniffCatalogFile(path);
   ASSERT_TRUE(format.ok());
   EXPECT_EQ(*format, CatalogFormat::kBinary);
   size_t files = 0;
@@ -905,7 +905,7 @@ TEST_F(FaultInjectionV2Test, CrashedV2SaveLeavesV1FileByteIdentical) {
   // the exact same estimates.
   ASSERT_TRUE(
       SaveLoadedPathHistogram(*loaded, path, CatalogFormat::kBinaryV2).ok());
-  format = SniffCatalogFormat(path);
+  format = SniffCatalogFile(path);
   ASSERT_TRUE(format.ok());
   EXPECT_EQ(*format, CatalogFormat::kBinaryV2);
   auto v2 = LoadPathHistogram(path);

@@ -65,12 +65,30 @@ TEST(HistogramTest, FromBoundariesValidates) {
 
 TEST(HistogramTest, BucketSse) {
   // values 1, 1, 3, 3 -> mean 2, SSE = 4.
-  auto h = Histogram::FromBoundaries({1, 1, 3, 3}, {});
+  const std::vector<uint64_t> data = {1, 1, 3, 3};
+  auto h = Histogram::FromBoundaries(data, {});
   ASSERT_TRUE(h.ok());
   EXPECT_DOUBLE_EQ(h->sums()[0], 8.0);
-  EXPECT_DOUBLE_EQ(h->sumsqs()[0], 1 + 1 + 9 + 9);
-  EXPECT_DOUBLE_EQ(h->TotalSse(), 4.0);
+  EXPECT_DOUBLE_EQ(TotalSse(*h, data), 4.0);
   EXPECT_DOUBLE_EQ(h->BucketMean(0), 2.0);
+}
+
+TEST(HistogramTest, TotalSseMatchesOracleBitForBit) {
+  // The free TotalSse squares the data in index order per bucket, as the
+  // oracle's records do: bit-identical for every builder and bucket count.
+  const std::vector<uint64_t> data = RandomData(300, 4, 90);
+  for (HistogramType type :
+       {HistogramType::kEquiWidth, HistogramType::kEquiDepth,
+        HistogramType::kVOptimal, HistogramType::kVOptimalExact,
+        HistogramType::kMaxDiff, HistogramType::kEndBiased}) {
+    for (size_t beta : {1u, 7u, 64u, 300u}) {
+      auto h = BuildHistogram(type, data, beta);
+      ASSERT_TRUE(h.ok()) << HistogramTypeName(type);
+      EXPECT_EQ(TotalSse(*h, data),
+                oracles::HistogramOracle(*h, data).TotalSse())
+          << HistogramTypeName(type) << " beta " << beta;
+    }
+  }
 }
 
 TEST(HistogramTest, SingleBucketEstimateIsGlobalMean) {
@@ -159,7 +177,7 @@ TEST(VOptimalExactTest, MatchesBruteForce) {
       ASSERT_TRUE(h.ok());
       ExpectValidPartition(*h, data.size(), beta);
       double brute = BruteVOptimalSse(data, beta);
-      EXPECT_NEAR(h->TotalSse(), brute, 1e-6)
+      EXPECT_NEAR(TotalSse(*h, data), brute, 1e-6)
           << "seed " << seed << " beta " << beta;
     }
   }
@@ -172,7 +190,7 @@ TEST(VOptimalExactTest, MatchesBruteForce) {
       ASSERT_TRUE(h.ok());
       ExpectValidPartition(*h, data.size(), beta);
       double brute = BruteVOptimalSse(data, beta);
-      EXPECT_NEAR(h->TotalSse(), brute, 1e-6)
+      EXPECT_NEAR(TotalSse(*h, data), brute, 1e-6)
           << "seed " << seed << " beta " << beta;
     }
   }
@@ -188,7 +206,7 @@ TEST(VOptimalExactTest, DefaultCeilingAllowsMidSizeDomains) {
   ExpectValidPartition(*exact, data.size(), 16);
   auto greedy = BuildVOptimalGreedy(data, 16);
   ASSERT_TRUE(greedy.ok());
-  EXPECT_LE(exact->TotalSse(), greedy->TotalSse() + 1e-6);
+  EXPECT_LE(TotalSse(*exact, data), TotalSse(*greedy, data) + 1e-6);
 }
 
 TEST(VOptimalExactTest, PerfectFitWhenBetaCoversSteps) {
@@ -196,7 +214,7 @@ TEST(VOptimalExactTest, PerfectFitWhenBetaCoversSteps) {
   std::vector<uint64_t> data = {5, 5, 5, 9, 9, 9, 2, 2, 2};
   auto h = BuildVOptimalExact(data, 3);
   ASSERT_TRUE(h.ok());
-  EXPECT_NEAR(h->TotalSse(), 0.0, 1e-9);
+  EXPECT_NEAR(TotalSse(*h, data), 0.0, 1e-9);
 }
 
 TEST(VOptimalExactTest, RefusesHugeDomain) {
@@ -223,7 +241,7 @@ TEST(VOptimalGreedyTest, ZeroSseOnPlateaus) {
   }
   auto h = BuildVOptimalGreedy(data, 5);
   ASSERT_TRUE(h.ok());
-  EXPECT_NEAR(h->TotalSse(), 0.0, 1e-9);
+  EXPECT_NEAR(TotalSse(*h, data), 0.0, 1e-9);
 }
 
 TEST(VOptimalGreedyTest, CloseToExactOnSmallInputs) {
@@ -236,7 +254,8 @@ TEST(VOptimalGreedyTest, CloseToExactOnSmallInputs) {
       auto greedy = BuildVOptimalGreedy(data, beta);
       ASSERT_TRUE(exact.ok());
       ASSERT_TRUE(greedy.ok());
-      EXPECT_LE(greedy->TotalSse(), exact->TotalSse() * 2.0 + 1e-9)
+      EXPECT_LE(TotalSse(*greedy, data),
+                TotalSse(*exact, data) * 2.0 + 1e-9)
           << "seed " << seed << " beta " << beta;
     }
   }
@@ -271,12 +290,11 @@ std::vector<uint64_t> TieHeavyData(Rng& rng) {
   for (size_t i = 0; i < want.size(); ++i) {
     const Bucket& got = buckets[i];
     if (got.begin != want[i].begin || got.end != want[i].end ||
-        got.sum != want[i].sum || got.sumsq != want[i].sumsq) {
+        got.sum != want[i].sum) {
       return ::testing::AssertionFailure()
              << "bucket " << i << ": [" << got.begin << ", " << got.end
-             << ") sum " << got.sum << " sumsq " << got.sumsq
-             << ", oracle [" << want[i].begin << ", " << want[i].end
-             << ") sum " << want[i].sum << " sumsq " << want[i].sumsq;
+             << ") sum " << got.sum << ", oracle [" << want[i].begin << ", "
+             << want[i].end << ") sum " << want[i].sum;
     }
   }
   return ::testing::AssertionSuccess();
@@ -351,7 +369,7 @@ TEST(MaxDiffTest, CutsAtLargestGaps) {
   ASSERT_EQ(h->num_buckets(), 3u);
   EXPECT_EQ(h->BucketEnd(0), 3u);
   EXPECT_EQ(h->BucketEnd(1), 6u);
-  EXPECT_NEAR(h->TotalSse(), 0.0, 1e-9);
+  EXPECT_NEAR(TotalSse(*h, data), 0.0, 1e-9);
 }
 
 TEST(MaxDiffTest, SingleBucket) {
@@ -414,8 +432,8 @@ TEST(BuilderInvariantTest, MoreBucketsNeverIncreaseSse) {
   for (size_t beta : {2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
     auto h = BuildVOptimalGreedy(data, beta);
     ASSERT_TRUE(h.ok());
-    EXPECT_LE(h->TotalSse(), prev + 1e-9) << "beta " << beta;
-    prev = h->TotalSse();
+    EXPECT_LE(TotalSse(*h, data), prev + 1e-9) << "beta " << beta;
+    prev = TotalSse(*h, data);
   }
 }
 

@@ -596,7 +596,7 @@ TEST_F(MaintServeTest, MaintainedEntriesPersistAsV2AndServeMapped) {
                               const std::vector<maint::EdgeDelta>& deltas) {
     for (const char* name : {"alpha", "beta"}) {
       const std::string file = (catalog_ / name).string() + ".stats";
-      auto format = SniffCatalogFormat(file);
+      auto format = SniffCatalogFile(file);
       ASSERT_TRUE(format.ok()) << format.status().ToString();
       EXPECT_EQ(*format, CatalogFormat::kBinaryV2) << name;
       auto est = client.Call(std::string("estimate ") + name +

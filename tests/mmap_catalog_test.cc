@@ -139,7 +139,7 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
   // Zero-copy: the serving rows are borrowed from the mapping, and each
   // starts on a 64-byte boundary (64-aligned section offsets plus
   // 64-aligned interior offsets over a page-aligned mapping base).
-  const Histogram& flat = (*mapped)->estimator().flat();
+  const Histogram& flat = (*mapped)->estimator().histogram();
   EXPECT_FALSE(flat.owns_storage());
   EXPECT_GT(flat.MappedBytes(), 0u);
   EXPECT_EQ(flat.ResidentBytes(), 0u);
@@ -148,9 +148,8 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
   };
   EXPECT_TRUE(aligned(flat.begins().data()));
   EXPECT_TRUE(aligned(flat.sums().data()));
-  EXPECT_TRUE(aligned(flat.sumsqs().data()));
-  // All three rows are borrowed: begin, sum and sumsq.
-  EXPECT_EQ(flat.MappedBytes(), flat.num_buckets() * 24);
+  // Both rows are borrowed, begin and sum: 16 bytes per bucket.
+  EXPECT_EQ(flat.MappedBytes(), flat.num_buckets() * 16);
   if (method.rfind("sum-", 0) == 0) {
     // The stage-2/3 tables are not in the file: the mapped ordering takes
     // the shape's shared tables, the very ones the original ordering uses.
@@ -271,7 +270,10 @@ class VerifyTierTest : public ::testing::Test {
     const size_t sec = SectionOffset(binfmt::kSectionHistogram);
     uint64_t beta;
     std::memcpy(&beta, bytes.data() + sec, 8);
-    const binfmt::HistogramLayoutV2 hl = binfmt::HistogramLayout(beta);
+    uint32_t version;
+    std::memcpy(&version, bytes.data() + binfmt::kMagicBytes, 4);
+    const binfmt::HistogramLayoutV2 hl =
+        binfmt::HistogramLayout(beta, version);
     forge(bytes.data() + sec, beta, hl);
     uint32_t count;
     std::memcpy(&count, bytes.data() + 12, 4);
@@ -345,9 +347,9 @@ TEST_F(VerifyTierTest, MetadataFlipFailsEveryTier) {
 }
 
 TEST_F(VerifyTierTest, NonFiniteOrNegativeRowsFailFromChecksums) {
-  // Re-signed sum and sumsq rows that no count can produce: the section
-  // CRC matches, so only kChecksums' row scan can refuse them. kTrusted
-  // does not scan and opens them.
+  // A re-signed sum row that no count can produce: the section CRC
+  // matches, so only kChecksums' row scan can refuse it. kTrusted does not
+  // scan and opens it.
   const std::string pristine = [&] {
     std::string bytes;
     PATHEST_CHECK(ReadFileToString(path_, &bytes).ok(), "read failed");
@@ -355,21 +357,18 @@ TEST_F(VerifyTierTest, NonFiniteOrNegativeRowsFailFromChecksums) {
   }();
   struct Forgery {
     const char* what;
-    bool sumsq;  // which row: sumsq, else sum
     double value;
   };
   const Forgery forgeries[] = {
-      {"NaN sum", false, std::numeric_limits<double>::quiet_NaN()},
-      {"infinite sum", false, std::numeric_limits<double>::infinity()},
-      {"negative sum", false, -1.0},
-      {"negative sumsq", true, -0.5},
+      {"NaN sum", std::numeric_limits<double>::quiet_NaN()},
+      {"infinite sum", std::numeric_limits<double>::infinity()},
+      {"negative sum", -1.0},
   };
   for (const Forgery& f : forgeries) {
     ASSERT_TRUE(AtomicWriteFile(path_, pristine).ok());
     ForgeHistogramResigned([&](char* payload, uint64_t beta,
                                const binfmt::HistogramLayoutV2& hl) {
-      const uint64_t off = f.sumsq ? hl.sumsq_off : hl.sum_off;
-      std::memcpy(payload + off + (beta - 1) * 8, &f.value, 8);
+      std::memcpy(payload + hl.sum_off + (beta - 1) * 8, &f.value, 8);
     });
     EXPECT_TRUE(MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted).ok())
         << f.what;
@@ -377,11 +376,54 @@ TEST_F(VerifyTierTest, NonFiniteOrNegativeRowsFailFromChecksums) {
     ASSERT_FALSE(refused.ok()) << f.what;
     EXPECT_EQ(refused.status().code(), StatusCode::kIOError);
     EXPECT_NE(refused.status().message().find(
-                  "section histogram: sum or sumsq row not finite"),
+                  "section histogram: sum row not finite"),
               std::string::npos)
         << refused.status().ToString();
     EXPECT_FALSE(LoadPathHistogram(path_).ok()) << f.what;
   }
+}
+
+TEST_F(VerifyTierTest, Version5SumsqRowIsCoveredOnlyByTheSectionCrc) {
+  // The version-5 golden holds this fixture's estimator with a sumsq row
+  // after sum. No reader uses that row: a flipped byte in it is seen by
+  // the section CRC alone (kTrusted opens it), and a re-signed negative
+  // value opens at every tier and serves unchanged estimates.
+  std::string v5;
+  ASSERT_TRUE(ReadFileToString(std::string(PATHEST_SOURCE_DIR) +
+                                   "/tests/golden/catalog_v2_version5.stats",
+                               &v5)
+                  .ok());
+  ASSERT_TRUE(AtomicWriteFile(path_, v5).ok());
+  const uint64_t sumsq_off = binfmt::AlignUp(
+      binfmt::HistogramLayout(6, binfmt::kVersionV2SumsqRow).sum_off + 8 * 6,
+      binfmt::kArrayAlignBytes);
+  FlipByteAt(SectionOffset(binfmt::kSectionHistogram) + sumsq_off + 3);
+  EXPECT_TRUE(MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted).ok());
+  EXPECT_FALSE(
+      MappedCatalogEntry::Open(path_, CatalogVerify::kChecksums).ok());
+
+  ASSERT_TRUE(AtomicWriteFile(path_, v5).ok());
+  ForgeHistogramResigned([&](char* payload, uint64_t beta,
+                             const binfmt::HistogramLayoutV2&) {
+    const double negative = -1.0;
+    for (uint64_t b = 0; b < beta; ++b) {
+      std::memcpy(payload + sumsq_off + b * 8, &negative, 8);
+    }
+  });
+  PathSpace space(graph_.num_labels(), 3);
+  for (CatalogVerify tier :
+       {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
+    auto entry = MappedCatalogEntry::Open(path_, tier);
+    ASSERT_TRUE(entry.ok())
+        << CatalogVerifyName(tier) << ": " << entry.status().ToString();
+    RankScratch scratch;
+    space.ForEach([&](const LabelPath& p) {
+      ASSERT_EQ((*entry)->estimator().Estimate(p, scratch),
+                est_->Estimate(p));
+    });
+  }
+  auto copied = LoadPathHistogram(path_);
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
 }
 
 TEST_F(VerifyTierTest, WellFormedSumIsServedAsWrittenAtEveryTier) {
@@ -402,7 +444,7 @@ TEST_F(VerifyTierTest, WellFormedSumIsServedAsWrittenAtEveryTier) {
     auto entry = MappedCatalogEntry::Open(path_, tier);
     ASSERT_TRUE(entry.ok())
         << CatalogVerifyName(tier) << ": " << entry.status().ToString();
-    const Histogram& flat = (*entry)->estimator().flat();
+    const Histogram& flat = (*entry)->estimator().histogram();
     for (uint64_t i = 0; i < oracle.domain_size(); ++i) {
       ASSERT_EQ(flat.EstimatePoint(i),
                 forged / static_cast<double>(oracle.BucketFor(i).width()))
@@ -453,7 +495,7 @@ TEST_F(VerifyTierTest, TrustedTierLooksUpInsideTheRowsOverForgedBegins) {
 
     auto trusted = MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted);
     ASSERT_TRUE(trusted.ok()) << what << ": " << trusted.status().ToString();
-    const Histogram& flat = (*trusted)->estimator().flat();
+    const Histogram& flat = (*trusted)->estimator().histogram();
     const std::span<const uint64_t> begins = flat.begins();
     const std::span<const double> sums = flat.sums();
     for (uint64_t i = 0; i < domain; ++i) {

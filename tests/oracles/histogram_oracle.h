@@ -1,14 +1,15 @@
 // Reference for the histogram lookup (histogram/histogram.h).
 //
-// The library keeps a histogram as begin, sum and sumsq rows and finds a
-// bucket by a branchless predecessor search over the begin row. This
-// oracle keeps the same buckets as (begin, end, sum, sumsq) records and
-// finds one the plain way: std::upper_bound for the first bucket whose end
-// exceeds the index. Point estimates are the bucket mean, range estimates
-// the pro-rata walk over the overlapped buckets in order — the arithmetic
-// the library must reproduce bit for bit. It shares no lookup code with
-// the library, so agreement checks the search, the end derivation and the
-// range walk.
+// The library keeps a histogram as begin and sum rows and finds a bucket
+// by a branchless predecessor search over the begin row. This oracle keeps
+// the same buckets as (begin, end, sum, sumsq) records and finds one the
+// plain way: std::upper_bound for the first bucket whose end exceeds the
+// index. Point estimates are the bucket mean, range estimates the pro-rata
+// walk over the overlapped buckets in order — the arithmetic the library
+// must reproduce bit for bit. It shares no lookup code with the library,
+// so agreement checks the search, the end derivation and the range walk.
+// The library stores no sum of squares; given the data, the oracle
+// accumulates its own per record, so its SSE checks the free TotalSse.
 
 #ifndef PATHEST_TESTS_ORACLES_HISTOGRAM_ORACLE_H_
 #define PATHEST_TESTS_ORACLES_HISTOGRAM_ORACLE_H_
@@ -55,15 +56,22 @@ inline Bucket MakeBucket(const std::vector<uint64_t>& data, uint64_t begin,
 }
 
 /// \brief The bucket records of `h`, bucket b ending where b + 1 begins
-/// and the last at the domain size.
-inline std::vector<Bucket> BucketsOf(const Histogram& h) {
+/// and the last at the domain size. Each sumsq is accumulated from `data`
+/// when it is given (data.size() == h.domain_size()), else left 0.
+inline std::vector<Bucket> BucketsOf(const Histogram& h,
+                                     const std::vector<uint64_t>& data = {}) {
+  PATHEST_CHECK(data.empty() || data.size() == h.domain_size(),
+                "oracle data does not match the histogram domain");
   std::vector<Bucket> buckets(h.num_buckets());
   for (size_t b = 0; b < buckets.size(); ++b) {
     buckets[b].begin = h.begins()[b];
     buckets[b].end =
         b + 1 < buckets.size() ? h.begins()[b + 1] : h.domain_size();
     buckets[b].sum = h.sums()[b];
-    buckets[b].sumsq = h.sumsqs()[b];
+    if (!data.empty()) {
+      buckets[b].sumsq =
+          MakeBucket(data, buckets[b].begin, buckets[b].end).sumsq;
+    }
   }
   return buckets;
 }
@@ -71,7 +79,11 @@ inline std::vector<Bucket> BucketsOf(const Histogram& h) {
 /// \brief Array-of-records histogram with the upper_bound lookup.
 class HistogramOracle {
  public:
-  explicit HistogramOracle(const Histogram& h) : buckets_(BucketsOf(h)) {}
+  /// With `data`, the records carry their sums of squares and TotalSse
+  /// is the V-optimal objective; without, it is meaningless.
+  explicit HistogramOracle(const Histogram& h,
+                           const std::vector<uint64_t>& data = {})
+      : buckets_(BucketsOf(h, data)) {}
 
   const std::vector<Bucket>& buckets() const { return buckets_; }
   uint64_t domain_size() const { return buckets_.back().end; }

@@ -1,6 +1,7 @@
 // Tests for estimator persistence (core/serialize.h): format round-trips,
 // estimate preservation, and corruption handling.
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "path/selectivity.h"
 #include "test_util.h"
 #include "util/combinatorics.h"
+#include "util/fault_injection.h"
 
 namespace pathest {
 namespace {
@@ -102,8 +104,7 @@ TEST_F(SerializeTest, RoundTripPreservesBucketsExactly) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].begin, b[i].begin);
     EXPECT_EQ(a[i].end, b[i].end);
-    EXPECT_DOUBLE_EQ(a[i].sum, b[i].sum);      // hexfloat: bit-exact
-    EXPECT_DOUBLE_EQ(a[i].sumsq, b[i].sumsq);
+    EXPECT_EQ(a[i].sum, b[i].sum);  // hexfloat: bit-exact
   }
   EXPECT_EQ(loaded->estimator.histogram_type(), HistogramType::kVOptimal);
 }
@@ -273,8 +274,7 @@ TEST_P(BinaryRoundTripTest, TextThenBinaryPreservesEveryEstimateBitExact) {
                             from_text->label_cardinalities,
                             CatalogFormat::kBinary, &binary)
                   .ok());
-  ASSERT_EQ(SniffCatalogFormat(std::string_view(binary)),
-            CatalogFormat::kBinary);
+  ASSERT_EQ(SniffCatalogFormat(binary), CatalogFormat::kBinary);
   auto from_binary = DecodeCatalog(binary);
   ASSERT_TRUE(from_binary.ok()) << method << " k=" << k << ": "
                                 << from_binary.status().ToString();
@@ -314,8 +314,7 @@ TEST_P(BinaryRoundTripTest, V2RoundTripPreservesEveryEstimateBitExact) {
   ASSERT_TRUE(EncodeCatalog(*original, graph.labels(), cards,
                             CatalogFormat::kBinaryV2, &v2)
                   .ok());
-  ASSERT_EQ(SniffCatalogFormat(std::string_view(v2)),
-            CatalogFormat::kBinaryV2);
+  ASSERT_EQ(SniffCatalogFormat(v2), CatalogFormat::kBinaryV2);
   // The copying reader.
   auto loaded = DecodeCatalog(v2);
   ASSERT_TRUE(loaded.ok()) << method << " k=" << k << ": "
@@ -366,7 +365,7 @@ TEST_P(BinaryRoundTripTest, V2SectionsArePackedWithExactLayouts) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(v2.data());
   uint32_t section_count;
   std::memcpy(&section_count, bytes + 12, 4);
-  // Version 5: the four sections for every ordering (the sum family's
+  // Version 6: the four sections for every ordering (the sum family's
   // stage-2/3 tables are derived, not stored).
   ASSERT_EQ(section_count, 4u);
   uint64_t file_size;
@@ -412,14 +411,17 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_k" + std::to_string(std::get<1>(info.param));
     });
 
-// The committed golden file pins binary catalog v1: if an edit to the
-// writer changes a single byte of the layout, this test fails — version
-// bumps must be deliberate (new kVersion), never accidental drift.
+// The committed golden file pins binary catalog v1 as the writer emits it,
+// its sumsq row all 0.0: if an edit to the writer changes a single byte of
+// the layout, this test fails — version bumps must be deliberate (new
+// kVersion), never accidental drift. catalog_v1.stats, written when the
+// row held the built sums of squares, is a compat fixture: it serves the
+// same estimates and re-encodes to this golden.
 //
 // Regenerate deliberately with: PATHEST_REGEN_GOLDEN=1 ./serialize_test
 TEST(GoldenBinaryCatalog, V1LayoutIsPinned) {
-  const std::string path =
-      std::string(PATHEST_SOURCE_DIR) + "/tests/golden/catalog_v1.stats";
+  const std::string path = std::string(PATHEST_SOURCE_DIR) +
+                           "/tests/golden/catalog_v1_zero_sumsq.stats";
   // The golden is deterministic: SmallGraph, sum-based, k=3, beta=6 (the
   // build and both serializers are bit-reproducible).
   Graph graph = SmallGraph();
@@ -456,12 +458,28 @@ TEST(GoldenBinaryCatalog, V1LayoutIsPinned) {
   // the golden still loads to a working estimator.
   EXPECT_EQ(current, golden) << "binary catalog layout drifted from v1 — "
                                 "if intentional, bump binfmt::kVersion";
-  auto loaded = DecodeCatalog(golden);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // Section 4 is u64 beta, then the begin, end, sum and sumsq rows; the
+  // writer leaves the sumsq row all 0.0.
+  auto sections = ParseBinarySectionTable(golden);
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  ASSERT_EQ((*sections)[3].id, binfmt::kSectionHistogram);
+  ASSERT_EQ((*sections)[3].length, 8u + 4 * 6 * 8);
+  EXPECT_EQ(golden.substr((*sections)[3].offset + 8 + 3 * 6 * 8, 6 * 8),
+            std::string(6 * 8, '\0'));
   PathSpace space(graph.num_labels(), 3);
-  space.ForEach([&](const LabelPath& p) {
-    EXPECT_EQ(loaded->estimator.Estimate(p), est->Estimate(p));
-  });
+  for (const char* name :
+       {"catalog_v1_zero_sumsq.stats", "catalog_v1.stats"}) {
+    std::ifstream fixture(
+        std::string(PATHEST_SOURCE_DIR) + "/tests/golden/" + name,
+        std::ios::binary);
+    auto loaded = DecodeCatalog(
+        std::string((std::istreambuf_iterator<char>(fixture)),
+                    std::istreambuf_iterator<char>()));
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+    space.ForEach([&](const LabelPath& p) {
+      EXPECT_EQ(loaded->estimator.Estimate(p), est->Estimate(p)) << name;
+    });
+  }
 }
 
 // The estimator every binary v2 golden holds: SmallGraph, sum-based, k=3,
@@ -526,7 +544,7 @@ void ExpectServesLikeHistogram(const std::string& path,
   EXPECT_EQ(copied->estimator.histogram().num_buckets(),
             histogram.num_buckets());
   const Estimator serving(copied->estimator);
-  check_flat(serving.flat(), "copied");
+  check_flat(serving.histogram(), "copied");
   space.ForEach([&](const LabelPath& p) {
     EXPECT_EQ(copied->estimator.Estimate(p), est.Estimate(p));
   });
@@ -536,7 +554,7 @@ void ExpectServesLikeHistogram(const std::string& path,
     ASSERT_TRUE(mapped.ok())
         << CatalogVerifyName(tier) << ": " << mapped.status().ToString();
     EXPECT_EQ((*mapped)->mapped_bytes(), std::filesystem::file_size(path));
-    check_flat((*mapped)->estimator().flat(), CatalogVerifyName(tier));
+    check_flat((*mapped)->estimator().histogram(), CatalogVerifyName(tier));
     RankScratch scratch;
     space.ForEach([&](const LabelPath& p) {
       EXPECT_EQ((*mapped)->estimator().Estimate(p, scratch), est.Estimate(p));
@@ -568,7 +586,7 @@ void ExpectVerifiedAs(const std::string& path, uint32_t version) {
 //
 // Regenerate deliberately with: PATHEST_REGEN_GOLDEN=1 ./serialize_test
 TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
-  const std::string path = GoldenPath("catalog_v2_version5.stats");
+  const std::string path = GoldenPath("catalog_v2_version6.stats");
   Graph graph = SmallGraph();
   const PathHistogram est = GoldenEstimator(graph);
   std::vector<uint64_t> cards;
@@ -594,21 +612,32 @@ TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
   EXPECT_EQ(current, golden) << "binary catalog layout drifted from v2 — "
                                 "if intentional, bump binfmt::kVersionV2";
   EXPECT_EQ(HeaderVersion(golden), binfmt::kVersionV2);
+  // The offsets serialize.h and README draw: section 4 at 320, 176 bytes,
+  // begin at +64 and sum at +128 — 16 bytes per bucket.
+  auto sections = ParseBinarySectionTable(golden);
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  ASSERT_EQ(sections->size(), 4u);
+  EXPECT_EQ((*sections)[3].offset, 320u);
+  EXPECT_EQ((*sections)[3].length, 176u);
+  EXPECT_EQ(binfmt::HistogramLayout(6).begin_off, 64u);
+  EXPECT_EQ(binfmt::HistogramLayout(6).sum_off, 128u);
+  EXPECT_EQ(golden.size(), 496u);
   ExpectServesLikeHistogram(path, est);
   ExpectVerifiedAs(path, binfmt::kVersionV2);
 }
 
 // Read compatibility: the committed legacy fixtures hold the golden
-// estimator in older v2 versions — catalog_v2_version4.stats as version 4
-// (the mean and prefix rows stored after sumsq),
+// estimator in older v2 versions — catalog_v2_version5.stats as version 5
+// (a sumsq row stored after sum), catalog_v2_version4.stats as version 4
+// (also the mean and prefix rows stored after sumsq),
 // catalog_v2_version3.stats as version 3 (also the stage-2/3 tables as
 // sections 5 and 6), catalog_v2.stats (packed) and catalog_v2_paged.stats
 // (every section on a 4096-byte page, as written before sections were
 // packed) as version 2, which also carries the end row and the Eytzinger
 // rows. Each must keep loading at the strictest tier, mapping at every
 // tier, passing `catalog verify`, and serving bit-identical estimates —
-// the very values of its stored mean row; and rewriting any of them as v2
-// must give the version-5 golden's exact bytes.
+// the very values of its stored mean row, where it has one; and rewriting
+// any of them as v2 must give the version-6 golden's exact bytes.
 struct LegacyFixture {
   const char* name;
   uint32_t version;
@@ -618,7 +647,7 @@ struct LegacyFixture {
 
 class LegacyFixtureTest : public ::testing::TestWithParam<LegacyFixture> {};
 
-TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion5) {
+TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion6) {
   const LegacyFixture& fx = GetParam();
   const std::string path = GoldenPath(fx.name);
   Graph graph = SmallGraph();
@@ -649,16 +678,24 @@ TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion5) {
       const binfmt::HistogramLayoutV2 hl =
           binfmt::HistogramLayout(6, fx.version);
       EXPECT_EQ(length, hl.payload_bytes);
-      // Every legacy version stores its mean row right after sumsq.
+      // Every legacy version stores a sumsq row right after sum, and
+      // those before version 5 their mean row right after sumsq.
+      const uint64_t sumsq_off =
+          binfmt::AlignUp(hl.sum_off + 8 * 6, binfmt::kArrayAlignBytes);
       const uint64_t mean_off =
-          binfmt::AlignUp(hl.sumsq_off + 8 * 6, binfmt::kArrayAlignBytes);
-      stored_means.resize(6);
-      std::memcpy(stored_means.data(), fixture.data() + offset + mean_off,
-                  6 * sizeof(double));
+          binfmt::AlignUp(sumsq_off + 8 * 6, binfmt::kArrayAlignBytes);
+      if (fx.version == binfmt::kVersionV2SumsqRow) {
+        EXPECT_EQ(length, sumsq_off + 8 * 6);  // sumsq is the last row
+      } else {
+        stored_means.resize(6);
+        std::memcpy(stored_means.data(), fixture.data() + offset + mean_off,
+                    6 * sizeof(double));
+      }
     }
     prev_end = offset + length;
   }
-  ASSERT_EQ(stored_means.size(), 6u);
+  ASSERT_EQ(stored_means.size(),
+            fx.version == binfmt::kVersionV2SumsqRow ? 0u : 6u);
 
   ExpectServesLikeHistogram(path, est, stored_means);
   ExpectVerifiedAs(path, fx.version);
@@ -674,13 +711,15 @@ TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion5) {
       SaveLoadedPathHistogram(*loaded, converted, CatalogFormat::kBinaryV2)
           .ok());
   EXPECT_EQ(ReadGolden(converted),
-            ReadGolden(GoldenPath("catalog_v2_version5.stats")));
+            ReadGolden(GoldenPath("catalog_v2_version6.stats")));
   std::filesystem::remove(converted);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Goldens, LegacyFixtureTest,
     ::testing::Values(
+        LegacyFixture{"catalog_v2_version5.stats", binfmt::kVersionV2SumsqRow,
+                      4, false},
         LegacyFixture{"catalog_v2_version4.stats", binfmt::kVersionV2MeanRows,
                       4, false},
         LegacyFixture{"catalog_v2_version3.stats",
@@ -697,17 +736,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Every committed golden loads and re-encodes byte for byte in its own
-// format: v1 and the current v2 version to themselves, the legacy v2
-// versions to the version-5 golden.
+// format, as the writer emits it: every v1 golden to the zero-sumsq v1
+// golden, every v2 version to the version-6 golden.
 TEST(GoldenBinaryCatalog, EveryGoldenReencodesByteForByte) {
-  const std::string version5 =
-      ReadGolden(GoldenPath("catalog_v2_version5.stats"));
+  const std::string v1 = ReadGolden(GoldenPath("catalog_v1_zero_sumsq.stats"));
+  const std::string version6 =
+      ReadGolden(GoldenPath("catalog_v2_version6.stats"));
   size_t goldens = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::string(PATHEST_SOURCE_DIR) + "/tests/golden")) {
     if (entry.path().extension() != ".stats") continue;
     const std::string golden = ReadGolden(entry.path().string());
-    const CatalogFormat format = SniffCatalogFormat(std::string_view(golden));
+    const CatalogFormat format = SniffCatalogFormat(golden);
     ASSERT_NE(format, CatalogFormat::kText) << entry.path();
     auto loaded = DecodeCatalog(golden);
     ASSERT_TRUE(loaded.ok()) << entry.path() << ": "
@@ -716,11 +756,64 @@ TEST(GoldenBinaryCatalog, EveryGoldenReencodesByteForByte) {
     ASSERT_TRUE(EncodeCatalog(loaded->estimator, loaded->labels,
                               loaded->label_cardinalities, format, &again)
                     .ok());
-    EXPECT_EQ(again, format == CatalogFormat::kBinary ? golden : version5)
+    EXPECT_EQ(again, format == CatalogFormat::kBinary ? v1 : version6)
         << entry.path();
     ++goldens;
   }
-  EXPECT_EQ(goldens, 6u);
+  EXPECT_EQ(goldens, 8u);
+}
+
+// Text v1's bucket lines carry a fourth, sum-of-squares column; the reader
+// checks it and drops it, so a v1 text catalog and the v2 text of the same
+// estimator decode to identical rows and re-encode to the same v2 text.
+TEST_F(SerializeTest, TextV1FourColumnsAndTextV2DecodeToIdenticalRows) {
+  const std::string v2 = Serialized(BuildEstimator("sum-based", 6));
+  ASSERT_EQ(v2.rfind("pathest-histogram v2\n", 0), 0u);
+  std::string v1 = "pathest-histogram v1";
+  const size_t buckets = v2.find("buckets ");
+  ASSERT_NE(buckets, std::string::npos);
+  v1 += v2.substr(v2.find('\n'), buckets - v2.find('\n'));
+  size_t line = v2.find('\n', buckets) + 1;
+  v1 += v2.substr(buckets, line - buckets);
+  for (size_t next; line < v2.size(); line = next) {
+    next = v2.find('\n', line) + 1;
+    v1 += v2.substr(line, next - 1 - line) + " 0x1.8p+6\n";
+  }
+  auto from_v1 = DecodeCatalog(v1);
+  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+  auto from_v2 = DecodeCatalog(v2);
+  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
+  const Histogram& a = from_v1->estimator.histogram();
+  const Histogram& b = from_v2->estimator.histogram();
+  EXPECT_EQ(a.domain_size(), b.domain_size());
+  EXPECT_TRUE(std::ranges::equal(a.begins(), b.begins()));
+  EXPECT_TRUE(std::ranges::equal(a.sums(), b.sums()));
+  EXPECT_EQ(Serialized(from_v1->estimator), v2);
+
+  // The dropped column is still checked: finite and non-negative.
+  for (const char* bad : {"-0x1p+0", "nan", "inf"}) {
+    std::string forged = v1;
+    const size_t at = forged.rfind(" 0x1.8p+6\n");
+    forged.replace(at + 1, 8, bad);
+    auto refused = DecodeCatalog(forged);
+    ASSERT_FALSE(refused.ok()) << bad;
+    EXPECT_NE(refused.status().message().find(
+                  "bucket sums must be finite and non-negative"),
+              std::string::npos)
+        << refused.status().ToString();
+  }
+}
+
+TEST(SniffCatalogFormat, ClassifiesAStringOfCatalogBytes) {
+  // A std::string holding catalog bytes is classified as bytes: the file
+  // form has its own name, so it cannot be picked for a string argument.
+  const std::string bytes =
+      ReadGolden(GoldenPath("catalog_v2_version6.stats"));
+  uint32_t version = 0;
+  EXPECT_EQ(SniffCatalogFormat(bytes, &version), CatalogFormat::kBinaryV2);
+  EXPECT_EQ(version, binfmt::kVersionV2);
+  EXPECT_EQ(SniffCatalogFormat(std::string("pathest-histogram v2\n")),
+            CatalogFormat::kText);
 }
 
 TEST(SniffBinaryV2, DistinguishesFormatsWithoutSlurping) {

@@ -153,7 +153,7 @@ TEST(StructuredGraphTest, CycleDistributionNeedsOneBucket) {
   // All five paths a, a/a, ..., a^5 have f = 8: one bucket, zero SSE.
   auto h = BuildVOptimalGreedy(map->values(), 1);
   ASSERT_TRUE(h.ok());
-  EXPECT_DOUBLE_EQ(h->TotalSse(), 0.0);
+  EXPECT_DOUBLE_EQ(TotalSse(*h, map->values()), 0.0);
   EXPECT_DOUBLE_EQ(h->EstimatePoint(0), 8.0);
 }
 

@@ -218,10 +218,11 @@ void ExpectRefusedAtEveryTier(const std::string& path,
   }
 }
 
-TEST(SumTablesCatalogTest, Version4Or5WithSection5Or6IsRefusedAtEveryTier) {
+TEST(SumTablesCatalogTest, Version4OrLaterWithSection5Or6IsRefusedAtEveryTier) {
   const std::string v3 = ReadGolden("catalog_v2_version3.stats");
-  const std::string path = TempPath("v45.stats");
-  for (uint32_t version : {binfmt::kVersionV2MeanRows, binfmt::kVersionV2}) {
+  const std::string path = TempPath("v456.stats");
+  for (uint32_t version : {binfmt::kVersionV2MeanRows,
+                           binfmt::kVersionV2SumsqRow, binfmt::kVersionV2}) {
     const std::string golden =
         ReadGolden("catalog_v2_version" + std::to_string(version) + ".stats");
     const Sections sections = SectionsOf(golden, {1, 2, 3, 4});
@@ -243,21 +244,27 @@ TEST(SumTablesCatalogTest, Version4Or5WithSection5Or6IsRefusedAtEveryTier) {
   std::filesystem::remove(path);
 }
 
-TEST(SumTablesCatalogTest, Version5HeaderOverVersion4RowsIsRefusedAtEveryTier) {
-  // The version-4 golden relabelled as version 5: its histogram payload
+TEST(SumTablesCatalogTest, NextHeaderOverOlderRowsIsRefusedAtEveryTier) {
+  // Each golden relabelled as the next version: the version-4 payload
   // still carries the mean and prefix rows, which version 5's layout has
-  // no room for.
-  const Sections sections =
-      SectionsOf(ReadGolden("catalog_v2_version4.stats"), {1, 2, 3, 4});
-  const std::string path = TempPath("v4_as_v5.stats");
-  ASSERT_TRUE(
-      WriteFileBytes(path, AssembleV2(binfmt::kVersionV2, sections)).ok());
-  ExpectRefusedAtEveryTier(
-      path, "section histogram: payload is " +
-                std::to_string(sections[3].second.size()) +
-                " bytes but the layout for beta=6 needs " +
-                std::to_string(binfmt::HistogramLayout(6).payload_bytes));
-  std::filesystem::remove(path);
+  // no room for, and the version-5 payload its sumsq row, which version
+  // 6's has none for.
+  for (uint32_t version :
+       {binfmt::kVersionV2MeanRows, binfmt::kVersionV2SumsqRow}) {
+    const Sections sections = SectionsOf(
+        ReadGolden("catalog_v2_version" + std::to_string(version) + ".stats"),
+        {1, 2, 3, 4});
+    const std::string path = TempPath("relabelled.stats");
+    ASSERT_TRUE(WriteFileBytes(path, AssembleV2(version + 1, sections)).ok());
+    ExpectRefusedAtEveryTier(
+        path,
+        "section histogram: payload is " +
+            std::to_string(sections[3].second.size()) +
+            " bytes but the layout for beta=6 needs " +
+            std::to_string(
+                binfmt::HistogramLayout(6, version + 1).payload_bytes));
+    std::filesystem::remove(path);
+  }
 }
 
 TEST(SumTablesCatalogTest, Version3WithCorruptSection6IsRefusedFromChecksums) {
