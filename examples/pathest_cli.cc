@@ -189,9 +189,9 @@ int Usage() {
       "  pathest_cli catalog convert <dir> --format text|binary|binary-v2\n"
       "      (rewrite every entry to the target format in place via "
       "atomic rename;\n"
-      "       full verify on read; corrupt entries are reported and left "
-      "untouched;\n"
-      "       older binary-v2 versions are rewritten as the current one)\n"
+      "       full verify on read; corrupt entries and entries of an\n"
+      "       unsupported header version are reported and left "
+      "untouched)\n"
       "  pathest_cli serve <socket> <catalog-dir> [workers=N queue=N "
       "deadline_ms=N idle_ms=N graph=FILE maint_k=N compact_every=N "
       "mmap_budget=BYTES]\n"
@@ -330,11 +330,12 @@ int CmdEstimate(const std::vector<std::string>& args) {
 // `catalog convert <dir> --format F`: rewrites every entry to the target
 // format IN PLACE through the atomic-rename writer — a crash mid-convert
 // leaves each entry either fully old-format or fully new-format, never
-// torn. An entry already in the target format is skipped unless it is an
-// older binary-v2 version, which is rewritten as the current one. Every
-// entry is fully verified on the way in (LoadPathHistogram runs the
-// strictest tier for its format), so a corrupt entry is reported and left
-// untouched rather than laundered into a fresh file.
+// torn. An entry already in the target format is skipped; a binary-v2
+// entry counts as that only at the current version, so one of any other
+// version goes to the reader, which refuses it. Every entry is fully
+// verified on the way in (LoadPathHistogram runs the strictest tier for
+// its format), so a corrupt or unsupported entry is reported as failed
+// and left untouched rather than laundered into a fresh file.
 int CmdCatalogConvert(const std::string& dir) {
   if (!g_format_seen) {
     return Fail(Status::InvalidArgument(

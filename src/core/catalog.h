@@ -37,8 +37,7 @@ CatalogLoadFailure MakeCatalogLoadFailure(std::string path, Status status);
 /// format and, for binary v2, whether the 64-byte alignment rule held
 /// (every section offset a multiple of 64, so every mapped row is 64-byte
 /// aligned). Always true for a v2 entry that verified — the loader checks
-/// every section offset at every tier — whether it was written packed or
-/// with the older 4096-byte page padding; false for formats without the
+/// every section offset at every tier; false for formats without the
 /// invariant.
 struct CatalogEntryInfo {
   std::string name;

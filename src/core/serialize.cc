@@ -77,17 +77,15 @@ void AppendRaw(std::string* out, const T& value) {
 // parser and the assembler are one code path for both.
 struct FrameSpec {
   const unsigned char* magic;
-  uint32_t min_version;  // oldest header version readers accept
-  uint32_t version;      // what the writer emits; the newest accepted
+  uint32_t version;  // what the writer emits; the one version readers accept
   uint32_t max_section_id;
   uint64_t align;  // every section offset is a multiple of this
 };
 
 constexpr FrameSpec kFrameV1{binfmt::kMagic, binfmt::kVersion,
-                             binfmt::kVersion, binfmt::kSectionComposition,
-                             1};
-constexpr FrameSpec kFrameV2{binfmt::kMagicV2, binfmt::kVersionV2Eytzinger,
-                             binfmt::kVersionV2, binfmt::kSectionSumIndex,
+                             binfmt::kSectionComposition, 1};
+constexpr FrameSpec kFrameV2{binfmt::kMagicV2, binfmt::kVersionV2,
+                             binfmt::kSectionHistogram,
                              binfmt::kArrayAlignBytes};
 
 // Section payloads in id order, as the writers hand them to the assembler.
@@ -178,35 +176,17 @@ const char* SectionName(uint32_t id) {
       return "histogram";
     case kSectionComposition:
       return "composition";
-    case kSectionSumIndex:
-      return "sum-index";
   }
   return "?";
 }
 
-HistogramLayoutV2 HistogramLayout(uint64_t beta, uint32_t version) {
-  PATHEST_CHECK(version >= kVersionV2Eytzinger && version <= kVersionV2,
-                "no histogram layout for this v2 version");
-  uint64_t end = 16;  // u64 beta, u64 domain_size
-  // Places a row of `bytes` at the next 64-byte boundary: its offset.
-  auto row = [&end](uint64_t bytes) {
-    end = AlignUp(end, kArrayAlignBytes) + bytes;
-    return end - bytes;
-  };
+HistogramLayoutV2 HistogramLayout(uint64_t beta) {
+  // u64 beta and u64 domain_size, then each row at the next 64-byte
+  // boundary.
   HistogramLayoutV2 l;
-  l.begin_off = row(8 * beta);
-  if (version == kVersionV2Eytzinger) row(8 * beta);  // end
-  l.sum_off = row(8 * beta);
-  if (version < kVersionV2) row(8 * beta);  // sumsq
-  if (version < kVersionV2SumsqRow) {
-    row(8 * beta);        // mean
-    row(8 * (beta + 1));  // prefix
-  }
-  if (version == kVersionV2Eytzinger) {
-    row(8 * (beta + 1));  // Eytzinger begins
-    row(4 * (beta + 1));  // their slot -> rank map
-  }
-  l.payload_bytes = end;
+  l.begin_off = AlignUp(16, kArrayAlignBytes);
+  l.sum_off = AlignUp(l.begin_off + 8 * beta, kArrayAlignBytes);
+  l.payload_bytes = l.sum_off + 8 * beta;
   return l;
 }
 
@@ -448,9 +428,8 @@ struct SectionEntry {
 // A binary catalog's authenticated header and section table.
 struct Frame {
   std::string_view bytes;
-  uint32_t version = 0;
   // Indexed by section id; an absent section's entry has id 0.
-  std::array<SectionEntry, binfmt::kSectionSumIndex + 1> sections{};
+  std::array<SectionEntry, binfmt::kSectionComposition + 1> sections{};
 
   const SectionEntry* Find(uint32_t id) const {
     return id < sections.size() && sections[id].id == id ? &sections[id]
@@ -498,14 +477,10 @@ Status ParseFrame(std::string_view bytes, const FrameSpec& spec, Frame* frame,
     return Status::IOError("binary catalog: header checksum mismatch");
   }
   // Post-CRC: the header fields are authentic; now validate them.
-  if (version < spec.min_version || version > spec.version) {
-    std::string known = std::to_string(spec.min_version);
-    if (spec.min_version != spec.version) {
-      known += " to " + std::to_string(spec.version);
-    }
+  if (version != spec.version) {
     return Status::IOError("binary catalog: unsupported format version " +
                            std::to_string(version) + " (reader knows " +
-                           known + ")");
+                           std::to_string(spec.version) + ")");
   }
   if (file_size != bytes.size()) {
     return Status::IOError("binary catalog: file is " +
@@ -526,7 +501,6 @@ Status ParseFrame(std::string_view bytes, const FrameSpec& spec, Frame* frame,
     return Status::IOError("binary catalog: section table checksum mismatch");
   }
   frame->bytes = bytes;
-  frame->version = version;
 
   // ---- section table: known ids in ascending order, extents inside the
   // file, aligned, ascending and non-overlapping.
@@ -838,6 +812,12 @@ Result<LoadedPathHistogram> DecodeText(std::string_view content) {
                              std::to_string(i));
     }
   }
+  // The last bucket line ends the file: anything but whitespace after it
+  // is refused, as a stray token on an earlier line is.
+  if (const std::string_view extra = next_token(); !extra.empty()) {
+    return Status::IOError("unexpected '" + std::string(extra) +
+                           "' after the last bucket");
+  }
 
   auto histogram = HistogramFromBucketRows(std::move(begin), end_row,
                                            std::move(sum), sumsq, false);
@@ -970,7 +950,6 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   CatalogV2View view;
   Frame frame;
   PATHEST_RETURN_NOT_OK(ParseFrame(bytes, kFrameV2, &frame, &view));
-  const uint32_t version = frame.version;
 
   // ---- bulk shape prologs: validated at EVERY tier (they are a few bytes
   // and they gate all span construction), overflow-safely — this is
@@ -983,14 +962,13 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   PATHEST_RETURN_NOT_OK(his.ReadU64(&beta, "bucket count"));
   PATHEST_RETURN_NOT_OK(his.ReadU64(&rows.domain_size, "domain size"));
   if (beta == 0) return SectionError(kSectionHistogram, "zero buckets");
-  // Each bucket costs >= 16 bytes across the two rows every version has,
-  // so this bound both rejects forged counts and keeps the layout math far
-  // from u64 overflow.
+  // Each bucket costs 16 bytes across the two rows, so this bound both
+  // rejects forged counts and keeps the layout math far from u64 overflow.
   if (beta > bytes.size() / 16) {
     return SectionError(kSectionHistogram,
                         "implausible bucket count " + std::to_string(beta));
   }
-  const HistogramLayoutV2 hl = HistogramLayout(beta, version);
+  const HistogramLayoutV2 hl = HistogramLayout(beta);
   if (hl.payload_bytes != hist_entry.length) {
     return SectionError(
         kSectionHistogram,
@@ -1016,41 +994,17 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     return SectionError(kSectionHistogram, "first bucket must begin at 0");
   }
 
-  // ---- sections 5-6: the stage-2/3 tables versions 2 and 3 persisted
-  // for the sum family (both or neither); later versions have neither.
-  // No reader interprets them — orderings derive their tables — so the
-  // legacy sections are only checksummed, from kChecksums up.
-  const bool has_sum_sections = version <= kVersionV2SumSections &&
-                                IsSumFamilyOrdering(view.ordering_name);
-  for (uint32_t id : {kSectionComposition, kSectionSumIndex}) {
-    const SectionEntry* e = frame.Find(id);
-    if (e != nullptr && version > kVersionV2SumSections) {
-      return SectionError(id, "not part of a version-" +
-                                  std::to_string(version) + " file");
-    }
-    if ((e != nullptr) != has_sum_sections) {
-      return SectionError(id, e == nullptr ? "missing for sum-family ordering"
-                                           : "present for non-sum ordering");
-    }
-  }
-
   if (verify == CatalogVerify::kTrusted) return view;
 
   // ---- checksum tier: CRC every bulk byte, then structural scans of the
   // histogram rows that certify what the serving fast paths assume without
   // rebuilding anything.
   PATHEST_RETURN_NOT_OK(frame.Open(hist_entry, &payload));
-  if (has_sum_sections) {
-    std::string_view legacy;
-    for (uint32_t id : {kSectionComposition, kSectionSumIndex}) {
-      PATHEST_RETURN_NOT_OK(frame.Open(*frame.Find(id), &legacy));
-    }
-  }
 
   // begin[0] == 0 was checked above; every bucket must be non-empty, the
   // last ending at the domain size, and every sum a count (finite, >= 0).
   // That is all a Histogram's rows need, so a view that passes is served
-  // or copied as it is. No legacy row is read, so none is scanned.
+  // or copied as it is.
   for (uint64_t b = 0; b < beta; ++b) {
     const uint64_t end = b + 1 < beta ? rows.begin[b + 1] : rows.domain_size;
     if (rows.begin[b] >= end) {

@@ -25,8 +25,8 @@
 //
 //                          v1      v2
 //   magic                  PESTB1  PESTB2
-//   accepted versions      1       2-6
-//   highest section id     5       6
+//   accepted versions      1       6
+//   highest section id     5       4
 //   section alignment      1       64
 //
 // ---------------------------------------------------------------------------
@@ -39,6 +39,7 @@
 //   cardinalities <f_1> ... <f_n>            # for reconstructing rankings
 //   buckets <beta>
 //   <begin> <end> <sum>                      # beta lines, sums in hexfloat
+// Only whitespace may follow the last bucket line.
 // The reader also takes "pathest-histogram v1": its bucket lines add a
 // <sumsq> column, checked finite and >= 0 like the sum, then dropped.
 //
@@ -113,12 +114,6 @@
 //     INTRA-payload padding between a payload's prolog and its arrays is
 //     INSIDE the payload, hence covered by the section CRC — a flip there
 //     is detected.
-//   * Compat: files written before sections were packed start every
-//     section on a 4096-byte page. Page multiples are 64-byte multiples and
-//     those extents ascend, so such files meet the rule above and keep
-//     loading and serving mapped; the payloads, their interior offsets,
-//     the CRCs, the header and the version are unchanged. The writer never
-//     emits page padding.
 //   * Bulk data travels as full little-endian u64 / IEEE-754-bit rows that
 //     a mapped reader can point spans at with zero parsing.
 //
@@ -147,51 +142,21 @@
 // (DecodeCatalog) verifies at kChecksums and copies the two rows into an
 // owned estimator.
 //
-// Versioning/compat rules: the major version in the header is bumped on
-// ANY layout change to existing sections; readers reject versions they do
-// not know. New OPTIONAL sections may be added under new ids without a
-// version bump only once readers skip unknown ids — today's readers do
-// NOT (an id above the format's highest is an error), so writers must
-// emit exactly the sections above.
-//
-// v2 versions: the writer emits version 6 (kVersionV2). Readers also
-// accept four legacy versions:
-//   * version 5 (kVersionV2SumsqRow) is version 6 plus a sumsq f64[beta]
-//     row after sum, the sums of squared frequencies (24 bytes per bucket);
-//   * version 4 (kVersionV2MeanRows) is version 5 plus two rows derived
-//     from sum, after sumsq: mean f64[beta] (sum / width) and prefix
-//     f64[beta+1] (the running sum of sum, starting at 0);
-//   * version 3 (kVersionV2SumSections) has version 4's histogram layout,
-//     and a sum-family file also carries the stage-2/3 tables as
-//       5 composition  u32 |L|, u32 k, u64 value-count, then 64-aligned
-//                      rows counts u64[value-count] and prefix
-//                      u64[value-count + k],
-//       6 sum-index    u32 key-scheme, u32 key-bits, u64 num-cells,
-//                      u64 total-blocks, then 64-aligned rows cell-starts
-//                      u64[num-cells + 1], keys / offsets / nops
-//                      u64[total-blocks] each;
-//     both present iff the ordering is of the sum family;
-//   * version 2 (kVersionV2Eytzinger) is version 3 plus histogram rows
-//     version 3 dropped: end u64[beta] between begin and sum, and, after
-//     prefix, an Eytzinger copy of begin u64[beta+1] and a slot -> rank
-//     map u32[beta+1].
-// HistogramLayout(beta, version) is the one definition of every histogram
-// layout. Legacy files load and serve mapped at every tier from their
-// begin and sum rows, which every version has. No reader interprets
-// sections 5 and 6 or the legacy histogram rows (end, sumsq, mean,
-// prefix, Eytzinger): they get no layout offset and stay covered by their
-// section CRCs, and the legacy sections are checksummed from kChecksums
-// up. A file of version 4 or later carrying section 5 or 6 is a typed
-// section error at every tier. `catalog convert --format binary-v2`
-// rewrites version-2 to version-5 entries as version 6.
+// Versioning rules: the major version in the header is bumped on ANY
+// layout change to existing sections, and each reader accepts exactly the
+// version its writer emits (v1 1, v2 6); any other is a typed "unsupported
+// format version" error at every entry point. New OPTIONAL sections may be
+// added under new ids without a version bump only once readers skip
+// unknown ids — today's readers do NOT (an id above the format's highest
+// is an error), so writers must emit exactly the sections above.
+// HistogramLayout(beta) is the one definition of the histogram layout.
 //
 // The committed golden catalogs (tests/golden/) pin these layouts
 // byte-for-byte against accidental drift. The writers emit
 // catalog_v2_version6.stats and catalog_v1_zero_sumsq.stats (re-pin with
-// PATHEST_REGEN_GOLDEN=1 ./serialize_test). The compat fixtures are never
-// regenerated: catalog_v1.stats (its sumsq row as built), versions 5, 4
-// and 3 (catalog_v2_version{5,4,3}.stats) and version 2 (catalog_v2.stats
-// packed, catalog_v2_paged.stats page-aligned).
+// PATHEST_REGEN_GOLDEN=1 ./serialize_test). catalog_v1.stats, whose sumsq
+// row holds the built sums of squares, is a compat fixture and never
+// regenerated.
 //
 // Corruption contract (enforced by tests/fault_injection_test.cc): any
 // truncation, bit flip, or forged length/count in a catalog file yields a
@@ -234,17 +199,17 @@ Result<CatalogFormat> ParseCatalogFormat(const std::string& name);
 /// \brief How much of a binary catalog v2 to verify before serving it.
 ///
 /// Every tier ALWAYS verifies the header, the section table (64-byte
-/// aligned, ascending, non-overlapping extents), and the metadata sections (ordering/labels/cardinalities,
-/// CRC + full parse) plus the shape prologs of the bulk sections. The
-/// tiers differ in how the BULK bytes are treated:
+/// aligned, ascending, non-overlapping extents), and the metadata sections
+/// (ordering/labels/cardinalities, CRC + full parse) plus the histogram
+/// section's shape prolog. The tiers differ in how the BULK bytes (the
+/// histogram rows) are treated:
 ///
 ///   kTrusted   no bulk CRC, no scans — O(metadata) work, the fast-restart
 ///              mode. Safe ONLY for files this process (or its cache) has
 ///              already admitted at kChecksums or better: a flipped bulk
 ///              byte would serve wrong estimates undetected.
-///   kChecksums CRC32C over every bulk section (the legacy sum sections
-///              of versions 2 and 3 included) plus structural scans of the
-///              histogram rows (begins rising strictly below the domain
+///   kChecksums CRC32C over the histogram section plus structural scans
+///              of its rows (begins rising strictly below the domain
 ///              size, a finite non-negative sum row) — every check a
 ///              Histogram's rows need. The CatalogCache admission
 ///              tier (every byte generation is checked once), and what
@@ -267,19 +232,13 @@ inline constexpr unsigned char kMagic[kMagicBytes] = {0x89, 'P',  'E', 'S',
 inline constexpr unsigned char kMagicV2[kMagicBytes] = {0x89, 'P',  'E', 'S',
                                                         'T',  'B',  '2', 0x0A};
 inline constexpr uint32_t kVersion = 1;
-/// The v2 version the writer emits: sections 1-4 only, the histogram as
-/// its begin and sum rows.
+/// The one v2 version, written and read: sections 1-4 only, the histogram
+/// as its begin and sum rows.
 inline constexpr uint32_t kVersionV2 = 6;
-/// The older v2 versions readers still accept ("v2 versions" above).
-inline constexpr uint32_t kVersionV2SumsqRow = 5;
-inline constexpr uint32_t kVersionV2MeanRows = 4;
-inline constexpr uint32_t kVersionV2SumSections = 3;
-inline constexpr uint32_t kVersionV2Eytzinger = 2;
 inline constexpr size_t kHeaderBytes = 32;
 inline constexpr size_t kSectionEntryBytes = 24;
-/// Hard ceiling on the section count a reader will consider (v1 writes at
-/// most 5, v2 4, its legacy versions 6); anything larger is a forged
-/// header.
+/// Hard ceiling on the section count a reader will consider; anything
+/// larger is a forged header.
 inline constexpr uint32_t kMaxSections = 64;
 
 /// v2's one alignment rule: section offsets and interior arrays (relative
@@ -292,8 +251,7 @@ enum SectionId : uint32_t {
   kSectionLabels = 2,
   kSectionCardinalities = 3,
   kSectionHistogram = 4,
-  kSectionComposition = 5,
-  kSectionSumIndex = 6,  // v2 versions 2 and 3 only
+  kSectionComposition = 5,  // v1 only
 };
 
 /// \brief Stable name of a section id ("ordering", ...; "?" if unknown).
@@ -312,10 +270,7 @@ struct HistogramLayoutV2 {
   uint64_t begin_off, sum_off;  // 8 bytes x beta each
   uint64_t payload_bytes;
 };
-/// Every version has these two rows; the legacy rows of versions 2-5
-/// take room in the payload but get no offset, since no reader uses them.
-HistogramLayoutV2 HistogramLayout(uint64_t beta,
-                                  uint32_t version = kVersionV2);
+HistogramLayoutV2 HistogramLayout(uint64_t beta);
 
 }  // namespace binfmt
 

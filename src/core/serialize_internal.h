@@ -3,17 +3,17 @@
 // Binary catalogs v1 and v2 are one container: a 32-byte header and a
 // section table, then the section payloads (core/serialize.h has the
 // bytes). serialize.cc parses that container in ONE frame parser —
-// magic, header CRC, version window, the section table (CRC, ascending
-// known ids, extents inside the file, aligned and non-overlapping), the
+// magic, header CRC, version, the section table (CRC, ascending known
+// ids, extents inside the file, aligned and non-overlapping), the
 // required sections, and the metadata sections 1-3, each CRC-checked
 // before it is parsed. The formats differ only by four constants the
-// caller passes in (magic, accepted versions, highest section id, section
+// caller passes in (magic, version, highest section id, section
 // alignment). Every reader — text included — yields the metadata as a
 // CatalogMetadata.
 //
 // ParseCatalogV2 is the v2 reader built on the frame: the shape of the
-// histogram section, the legacy section rules, and the tiered bulk
-// verification of core/serialize.h's CatalogVerify. Its product is a
+// histogram section and the tiered bulk verification of
+// core/serialize.h's CatalogVerify. Its product is a
 // CatalogV2View — owned metadata plus spans into the caller's bytes for
 // the begin and sum rows — whose rows the copying loader
 // (DecodeCatalog) copies into an owned Histogram and the mmap tier borrows
@@ -52,8 +52,8 @@ struct CatalogMetadata {
 /// verified. Metadata is owned; bulk rows are spans into the input bytes,
 /// valid only while that buffer (or mapping) lives.
 struct CatalogV2View : CatalogMetadata {
-  // Section 4: the domain size and the two rows every version has and
-  // serves. Bucket b ends at begin[b + 1], the last one at domain_size.
+  // Section 4: the domain size and the two rows it serves. Bucket b ends
+  // at begin[b + 1], the last one at domain_size.
   Histogram::Rows rows;
 };
 

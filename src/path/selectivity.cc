@@ -22,11 +22,6 @@ uint64_t SelectivityMap::Get(const LabelPath& path) const {
   return values_[space_.CanonicalIndex(path)];
 }
 
-uint64_t SelectivityMap::GetByCanonicalIndex(uint64_t index) const {
-  PATHEST_CHECK(index < values_.size(), "canonical index out of range");
-  return values_[index];
-}
-
 void SelectivityMap::Set(const LabelPath& path, uint64_t value) {
   values_[space_.CanonicalIndex(path)] = value;
 }

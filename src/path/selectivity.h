@@ -81,9 +81,6 @@ class SelectivityMap {
   /// \brief f(ℓ). Path must be in the space.
   uint64_t Get(const LabelPath& path) const;
 
-  /// \brief f of the path with the given canonical index.
-  uint64_t GetByCanonicalIndex(uint64_t index) const;
-
   /// \brief Sets f(ℓ).
   void Set(const LabelPath& path, uint64_t value);
 

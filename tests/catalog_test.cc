@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <iterator>
 #include <fstream>
@@ -17,11 +18,13 @@
 
 #include "core/catalog.h"
 #include "core/catalog_cache.h"
+#include "core/mapped_catalog.h"
 #include "core/serialize.h"
 #include "ordering/factory.h"
 #include "path/selectivity.h"
 #include "serve/snapshot_registry.h"
 #include "test_util.h"
+#include "util/crc32c.h"
 
 namespace pathest {
 namespace {
@@ -118,11 +121,6 @@ TEST_F(CatalogTest, EveryLoadedGoldenHasItsEntryRow) {
   const Want wants[] = {
       {"catalog_v1", "binary", binfmt::kVersion},
       {"catalog_v1_zero_sumsq", "binary", binfmt::kVersion},
-      {"catalog_v2", "binary-v2", binfmt::kVersionV2Eytzinger},
-      {"catalog_v2_paged", "binary-v2", binfmt::kVersionV2Eytzinger},
-      {"catalog_v2_version3", "binary-v2", binfmt::kVersionV2SumSections},
-      {"catalog_v2_version4", "binary-v2", binfmt::kVersionV2MeanRows},
-      {"catalog_v2_version5", "binary-v2", binfmt::kVersionV2SumsqRow},
       {"catalog_v2_version6", "binary-v2", binfmt::kVersionV2},
       {"text", "text", 0},
   };
@@ -179,6 +177,62 @@ TEST_F(CatalogTest, SnapshotLoaderMapsV2AndCopiesTextAndV1) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(cache.Stats().hits, 1u);
   EXPECT_EQ(cache.Stats().misses, 1u);
+}
+
+TEST_F(CatalogTest, OtherV2VersionsAreRefusedAtEveryEntryPoint) {
+  // The version-6 golden relabelled as version 5 (an older layout) and 7
+  // (a newer one), its header re-signed so only the version check sees it.
+  std::ifstream in(fs::path(PATHEST_SOURCE_DIR) / "tests" / "golden" /
+                       "catalog_v2_version6.stats",
+                   std::ios::binary);
+  const std::string golden{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+  for (const uint32_t version : {5u, 7u}) {
+    std::string bytes = golden;
+    std::memcpy(bytes.data() + binfmt::kMagicBytes, &version, 4);
+    const uint32_t crc = Crc32c(bytes.data(), 24);
+    std::memcpy(bytes.data() + 24, &crc, 4);
+    const std::string path = (dir_ / "old.stats").string();
+    { std::ofstream(path, std::ios::binary) << bytes; }
+    const std::string error = "binary catalog: unsupported format version " +
+                              std::to_string(version) + " (reader knows 6)";
+    auto expect_refused = [&](const Status& status, const char* where) {
+      EXPECT_EQ(status.code(), StatusCode::kIOError) << where;
+      EXPECT_EQ(status.message(), error) << where;
+    };
+
+    expect_refused(DecodeCatalog(bytes).status(), "decode");
+    for (CatalogVerify tier :
+         {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
+      expect_refused(MappedCatalogEntry::Open(path, tier).status(),
+                     CatalogVerifyName(tier));
+    }
+    auto report = VerifyCatalogDir(dir_.string());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->loaded.empty());
+    ASSERT_EQ(report->failures.size(), 1u);
+    expect_refused(report->failures[0].status, "verify");
+    CatalogCache cache;
+    auto snapshots = serve::LoadCatalogSnapshots(dir_.string(), 1, cache);
+    ASSERT_TRUE(snapshots.ok()) << snapshots.status().ToString();
+    EXPECT_TRUE(snapshots->snapshots.empty());
+    ASSERT_EQ(snapshots->report.failures.size(), 1u);
+    expect_refused(snapshots->report.failures[0].status, "snapshot");
+
+    // What `catalog convert --format binary-v2` decides from: the sniffed
+    // version is not the current one, so the entry is not skipped; the
+    // reader refuses it, so it counts as failed and stays as it was.
+    uint32_t sniffed = 0;
+    auto format = SniffCatalogFile(path, &sniffed);
+    ASSERT_TRUE(format.ok());
+    EXPECT_EQ(*format, CatalogFormat::kBinaryV2);
+    EXPECT_EQ(sniffed, version);
+    expect_refused(LoadPathHistogram(path).status(), "convert");
+    std::ifstream after(path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(after),
+                          std::istreambuf_iterator<char>()),
+              bytes);
+  }
 }
 
 TEST_F(CatalogTest, FailureNamesTheImplicatedSection) {

@@ -646,8 +646,7 @@ TEST_F(FaultInjectionV2Test, TruncationAtEverySectionEdgeAndLineFailsTyped) {
   ASSERT_TRUE(sections.ok());
   ASSERT_EQ(sections->size(), 4u);
   // Every section start and end, each ± 1, plus every 64-byte multiple:
-  // the edges where a torn write of the packed layout would land (every
-  // section boundary of the older page-aligned layout is among them too).
+  // the edges where a torn write of the packed layout would land.
   std::vector<size_t> cuts;
   for (const BinarySectionInfo& sec : *sections) {
     for (size_t edge : {size_t(sec.offset), size_t(sec.offset + sec.length)}) {
@@ -779,7 +778,7 @@ TEST_F(FaultInjectionV2Test, PaddingFlipsIgnoredOutsideCrcsCaughtInside) {
   const std::string image = ValidImageV2();
   auto sections = ParseBinarySectionTable(image);
   ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->size(), 4u);  // version 5: four for every ordering
+  ASSERT_EQ(sections->size(), 4u);  // version 6: four for every ordering
   auto baseline = DecodeCatalog(image);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::vector<double> expect = AllEstimates(*baseline);

@@ -270,10 +270,7 @@ class VerifyTierTest : public ::testing::Test {
     const size_t sec = SectionOffset(binfmt::kSectionHistogram);
     uint64_t beta;
     std::memcpy(&beta, bytes.data() + sec, 8);
-    uint32_t version;
-    std::memcpy(&version, bytes.data() + binfmt::kMagicBytes, 4);
-    const binfmt::HistogramLayoutV2 hl =
-        binfmt::HistogramLayout(beta, version);
+    const binfmt::HistogramLayoutV2 hl = binfmt::HistogramLayout(beta);
     forge(bytes.data() + sec, beta, hl);
     uint32_t count;
     std::memcpy(&count, bytes.data() + 12, 4);
@@ -383,52 +380,9 @@ TEST_F(VerifyTierTest, NonFiniteOrNegativeRowsFailFromChecksums) {
   }
 }
 
-TEST_F(VerifyTierTest, Version5SumsqRowIsCoveredOnlyByTheSectionCrc) {
-  // The version-5 golden holds this fixture's estimator with a sumsq row
-  // after sum. No reader uses that row: a flipped byte in it is seen by
-  // the section CRC alone (kTrusted opens it), and a re-signed negative
-  // value opens at every tier and serves unchanged estimates.
-  std::string v5;
-  ASSERT_TRUE(ReadFileToString(std::string(PATHEST_SOURCE_DIR) +
-                                   "/tests/golden/catalog_v2_version5.stats",
-                               &v5)
-                  .ok());
-  ASSERT_TRUE(AtomicWriteFile(path_, v5).ok());
-  const uint64_t sumsq_off = binfmt::AlignUp(
-      binfmt::HistogramLayout(6, binfmt::kVersionV2SumsqRow).sum_off + 8 * 6,
-      binfmt::kArrayAlignBytes);
-  FlipByteAt(SectionOffset(binfmt::kSectionHistogram) + sumsq_off + 3);
-  EXPECT_TRUE(MappedCatalogEntry::Open(path_, CatalogVerify::kTrusted).ok());
-  EXPECT_FALSE(
-      MappedCatalogEntry::Open(path_, CatalogVerify::kChecksums).ok());
-
-  ASSERT_TRUE(AtomicWriteFile(path_, v5).ok());
-  ForgeHistogramResigned([&](char* payload, uint64_t beta,
-                             const binfmt::HistogramLayoutV2&) {
-    const double negative = -1.0;
-    for (uint64_t b = 0; b < beta; ++b) {
-      std::memcpy(payload + sumsq_off + b * 8, &negative, 8);
-    }
-  });
-  PathSpace space(graph_.num_labels(), 3);
-  for (CatalogVerify tier :
-       {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
-    auto entry = MappedCatalogEntry::Open(path_, tier);
-    ASSERT_TRUE(entry.ok())
-        << CatalogVerifyName(tier) << ": " << entry.status().ToString();
-    RankScratch scratch;
-    space.ForEach([&](const LabelPath& p) {
-      ASSERT_EQ((*entry)->estimator().Estimate(p, scratch),
-                est_->Estimate(p));
-    });
-  }
-  auto copied = LoadPathHistogram(path_);
-  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-}
-
 TEST_F(VerifyTierTest, WellFormedSumIsServedAsWrittenAtEveryTier) {
   // A WRONG but finite, non-negative, CRC-consistent sum row. No row of a
-  // version-5 file is derived from another, so there is nothing for any
+  // version-6 file is derived from another, so there is nothing for any
   // tier to compare it with: every tier opens it and serves the forged
   // sums divided by the bucket widths, as a lookup always does.
   const double forged = 42.0;

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <span>
 #include <string_view>
 #include <tuple>
 #include <vector>
@@ -514,13 +513,9 @@ uint32_t HeaderVersion(const std::string& bytes) {
 
 // The v2 file at `path` must answer every domain index, and every path,
 // bit for bit as `est` does (every index as the oracle over its rows):
-// copied, and mapped at every tier. A
-// legacy file also passes the mean row it stores, which readers served
-// before the mean was divided at lookup: every index must still get
-// exactly that value.
+// copied, and mapped at every tier.
 void ExpectServesLikeHistogram(const std::string& path,
-                               const PathHistogram& est,
-                               std::span<const double> stored_means = {}) {
+                               const PathHistogram& est) {
   const Histogram& histogram = est.histogram();
   const oracles::HistogramOracle oracle(histogram);
   const PathSpace& space = est.ordering().space();
@@ -530,10 +525,6 @@ void ExpectServesLikeHistogram(const std::string& path,
     for (uint64_t i = 0; i < histogram.domain_size(); ++i) {
       ASSERT_EQ(flat.EstimatePoint(i), oracle.Estimate(i))
           << what << " index " << i;
-      if (!stored_means.empty()) {
-        ASSERT_EQ(flat.EstimatePoint(i), stored_means[flat.FindBucket(i)])
-            << what << " index " << i;
-      }
       ASSERT_EQ(&oracle.buckets()[flat.FindBucket(i)], &oracle.BucketFor(i))
           << what << " index " << i;
     }
@@ -563,8 +554,8 @@ void ExpectServesLikeHistogram(const std::string& path,
 }
 
 // `catalog verify` on a directory holding only `path` reports one healthy
-// binary-v2 entry, aligned, at header version `version`.
-void ExpectVerifiedAs(const std::string& path, uint32_t version) {
+// binary-v2 entry, aligned, at header version 6.
+void ExpectVerifiedAsVersion6(const std::string& path) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "pathest_golden_verify";
   fs::remove_all(dir);
@@ -578,7 +569,7 @@ void ExpectVerifiedAs(const std::string& path, uint32_t version) {
   ASSERT_EQ(report->entries.size(), 1u);
   EXPECT_EQ(report->entries[0].format, "binary-v2");
   EXPECT_TRUE(report->entries[0].aligned);
-  EXPECT_EQ(report->entries[0].version, version);
+  EXPECT_EQ(report->entries[0].version, binfmt::kVersionV2);
 }
 
 // Same pin for v2 — its layout additionally carries the serving rows, so
@@ -623,121 +614,12 @@ TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
   EXPECT_EQ(binfmt::HistogramLayout(6).sum_off, 128u);
   EXPECT_EQ(golden.size(), 496u);
   ExpectServesLikeHistogram(path, est);
-  ExpectVerifiedAs(path, binfmt::kVersionV2);
+  ExpectVerifiedAsVersion6(path);
 }
-
-// Read compatibility: the committed legacy fixtures hold the golden
-// estimator in older v2 versions — catalog_v2_version5.stats as version 5
-// (a sumsq row stored after sum), catalog_v2_version4.stats as version 4
-// (also the mean and prefix rows stored after sumsq),
-// catalog_v2_version3.stats as version 3 (also the stage-2/3 tables as
-// sections 5 and 6), catalog_v2.stats (packed) and catalog_v2_paged.stats
-// (every section on a 4096-byte page, as written before sections were
-// packed) as version 2, which also carries the end row and the Eytzinger
-// rows. Each must keep loading at the strictest tier, mapping at every
-// tier, passing `catalog verify`, and serving bit-identical estimates —
-// the very values of its stored mean row, where it has one; and rewriting
-// any of them as v2 must give the version-6 golden's exact bytes.
-struct LegacyFixture {
-  const char* name;
-  uint32_t version;
-  uint32_t sections;
-  bool paged;
-};
-
-class LegacyFixtureTest : public ::testing::TestWithParam<LegacyFixture> {};
-
-TEST_P(LegacyFixtureTest, LoadsVerifiesServesMappedAndConvertsToVersion6) {
-  const LegacyFixture& fx = GetParam();
-  const std::string path = GoldenPath(fx.name);
-  Graph graph = SmallGraph();
-  const PathHistogram est = GoldenEstimator(graph);
-  const std::string fixture = ReadGolden(path);
-  ASSERT_EQ(HeaderVersion(fixture), fx.version);
-
-  uint32_t section_count;
-  std::memcpy(&section_count, fixture.data() + 12, 4);
-  ASSERT_EQ(section_count, fx.sections);
-  std::vector<double> stored_means;
-  uint64_t prev_end =
-      binfmt::kHeaderBytes + section_count * binfmt::kSectionEntryBytes;
-  for (uint32_t i = 0; i < section_count; ++i) {
-    const size_t at = binfmt::kHeaderBytes + i * binfmt::kSectionEntryBytes;
-    uint32_t id;
-    uint64_t offset, length;
-    std::memcpy(&id, fixture.data() + at, 4);
-    std::memcpy(&offset, fixture.data() + at + 8, 8);
-    std::memcpy(&length, fixture.data() + at + 16, 8);
-    EXPECT_EQ(id, i + 1);
-    // Still the placement it stands for: pages, or packed.
-    EXPECT_EQ(offset, fx.paged
-                          ? uint64_t{4096} * (i + 1)
-                          : binfmt::AlignUp(prev_end, binfmt::kArrayAlignBytes))
-        << "section " << id;
-    if (id == binfmt::kSectionHistogram) {
-      const binfmt::HistogramLayoutV2 hl =
-          binfmt::HistogramLayout(6, fx.version);
-      EXPECT_EQ(length, hl.payload_bytes);
-      // Every legacy version stores a sumsq row right after sum, and
-      // those before version 5 their mean row right after sumsq.
-      const uint64_t sumsq_off =
-          binfmt::AlignUp(hl.sum_off + 8 * 6, binfmt::kArrayAlignBytes);
-      const uint64_t mean_off =
-          binfmt::AlignUp(sumsq_off + 8 * 6, binfmt::kArrayAlignBytes);
-      if (fx.version == binfmt::kVersionV2SumsqRow) {
-        EXPECT_EQ(length, sumsq_off + 8 * 6);  // sumsq is the last row
-      } else {
-        stored_means.resize(6);
-        std::memcpy(stored_means.data(), fixture.data() + offset + mean_off,
-                    6 * sizeof(double));
-      }
-    }
-    prev_end = offset + length;
-  }
-  ASSERT_EQ(stored_means.size(),
-            fx.version == binfmt::kVersionV2SumsqRow ? 0u : 6u);
-
-  ExpectServesLikeHistogram(path, est, stored_means);
-  ExpectVerifiedAs(path, fx.version);
-
-  // The engine of `catalog convert --format binary-v2`.
-  auto loaded = DecodeCatalog(fixture);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const std::string converted =
-      (std::filesystem::temp_directory_path() /
-       ("converted_" + std::string(fx.name)))
-          .string();
-  ASSERT_TRUE(
-      SaveLoadedPathHistogram(*loaded, converted, CatalogFormat::kBinaryV2)
-          .ok());
-  EXPECT_EQ(ReadGolden(converted),
-            ReadGolden(GoldenPath("catalog_v2_version6.stats")));
-  std::filesystem::remove(converted);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Goldens, LegacyFixtureTest,
-    ::testing::Values(
-        LegacyFixture{"catalog_v2_version5.stats", binfmt::kVersionV2SumsqRow,
-                      4, false},
-        LegacyFixture{"catalog_v2_version4.stats", binfmt::kVersionV2MeanRows,
-                      4, false},
-        LegacyFixture{"catalog_v2_version3.stats",
-                      binfmt::kVersionV2SumSections, 6, false},
-        LegacyFixture{"catalog_v2.stats", binfmt::kVersionV2Eytzinger, 6,
-                      false},
-        LegacyFixture{"catalog_v2_paged.stats", binfmt::kVersionV2Eytzinger,
-                      6, true}),
-    [](const ::testing::TestParamInfo<LegacyFixture>& info) {
-      if (info.param.version != binfmt::kVersionV2Eytzinger) {
-        return "version" + std::to_string(info.param.version);
-      }
-      return std::string(info.param.paged ? "paged" : "packed");
-    });
 
 // Every committed golden loads and re-encodes byte for byte in its own
-// format, as the writer emits it: every v1 golden to the zero-sumsq v1
-// golden, every v2 version to the version-6 golden.
+// format, as the writer emits it: both v1 goldens to the zero-sumsq v1
+// golden, the v2 golden to itself.
 TEST(GoldenBinaryCatalog, EveryGoldenReencodesByteForByte) {
   const std::string v1 = ReadGolden(GoldenPath("catalog_v1_zero_sumsq.stats"));
   const std::string version6 =
@@ -760,7 +642,7 @@ TEST(GoldenBinaryCatalog, EveryGoldenReencodesByteForByte) {
         << entry.path();
     ++goldens;
   }
-  EXPECT_EQ(goldens, 8u);
+  EXPECT_EQ(goldens, 3u);
 }
 
 // Text v1's bucket lines carry a fourth, sum-of-squares column; the reader
@@ -801,6 +683,31 @@ TEST_F(SerializeTest, TextV1FourColumnsAndTextV2DecodeToIdenticalRows) {
                   "bucket sums must be finite and non-negative"),
               std::string::npos)
         << refused.status().ToString();
+  }
+}
+
+// A stray token after a bucket's columns is refused on the last line just
+// as on any earlier one (there it breaks the next bucket's parse); a
+// trailing newline or blank lines still load.
+TEST_F(SerializeTest, StrayTokenOnAnyBucketLineIsRefused) {
+  const std::string text = Serialized(BuildEstimator("sum-based", 6));
+  ASSERT_EQ(text.back(), '\n');
+  const size_t last_line = text.rfind('\n', text.size() - 2) + 1;
+  const size_t first_line = text.find('\n', text.find("buckets ")) + 1;
+  for (const size_t line : {first_line, last_line}) {
+    std::string forged = text;
+    forged.insert(forged.find('\n', line), " garbage");
+    auto refused = DecodeCatalog(forged);
+    ASSERT_FALSE(refused.ok()) << line;
+    EXPECT_EQ(refused.status().code(), StatusCode::kIOError);
+  }
+  std::string forged = text;
+  forged.insert(text.size() - 1, " 0x0p+0 0x1p+99 garbage");
+  EXPECT_EQ(DecodeCatalog(forged).status().message(),
+            "unexpected '0x0p+0' after the last bucket");
+  EXPECT_TRUE(DecodeCatalog(text.substr(0, text.size() - 1)).ok());
+  for (const char* tail : {"", "\n", "\n\n  \n"}) {
+    EXPECT_TRUE(DecodeCatalog(text + tail).ok()) << '"' << tail << '"';
   }
 }
 

@@ -1,8 +1,7 @@
 // The shared stage-2/3 tables of the sum-based ordering (SumTables in
 // ordering/sum_based.h) and the catalog rule that follows from them:
-// binary catalog v2 versions 4 and 5 store no tables, and the tables that
-// versions 2 and 3 persisted as sections 5 and 6 are checksummed from
-// kChecksums up but never read.
+// binary catalog v2 stores no tables, so its section table ends at id 4
+// and the ids 5 and 6 that once held the tables are refused.
 
 #include <filesystem>
 #include <fstream>
@@ -135,12 +134,9 @@ TEST(SumTablesTest, ShapeIsRebuiltAfterItsLastUserIsGone) {
 
 // ------------------------------------------------------ catalog v2 rules
 
-std::string GoldenPath(const std::string& name) {
-  return std::string(PATHEST_SOURCE_DIR) + "/tests/golden/" + name;
-}
-
 std::string ReadGolden(const std::string& name) {
-  std::ifstream in(GoldenPath(name), std::ios::binary);
+  std::ifstream in(std::string(PATHEST_SOURCE_DIR) + "/tests/golden/" + name,
+                   std::ios::binary);
   PATHEST_CHECK(in.is_open(), "golden fixture missing");
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
@@ -152,33 +148,29 @@ std::string TempPath(const std::string& name) {
       .string();
 }
 
-// The sections of `image` (a committed golden) whose ids are in `ids`, as
-// (id, payload) pairs.
+// The version-6 golden's sections as (id, payload) pairs, in id order.
 using Sections = std::vector<std::pair<uint32_t, std::string>>;
-Sections SectionsOf(const std::string& image,
-                    std::initializer_list<uint32_t> ids) {
+Sections GoldenSections() {
+  const std::string image = ReadGolden("catalog_v2_version6.stats");
   auto table = ParseBinarySectionTable(image);
   PATHEST_CHECK(table.ok(), "golden section table unreadable");
   Sections sections;
-  for (uint32_t id : ids) {
-    for (const BinarySectionInfo& s : *table) {
-      if (s.id == id) {
-        sections.emplace_back(id, image.substr(s.offset, s.length));
-      }
-    }
+  for (const BinarySectionInfo& s : *table) {
+    sections.emplace_back(s.id, image.substr(s.offset, s.length));
   }
-  PATHEST_CHECK(sections.size() == ids.size(), "golden section missing");
   return sections;
 }
 
-// A signed v2 image of header version `version` holding `sections` (id,
-// payload), packed on 64-byte boundaries the way the writer packs them.
-std::string AssembleV2(uint32_t version, const Sections& sections) {
+// A signed version-6 image holding `sections` (id, payload), each section
+// at the first multiple of `align` after the previous one: 64 packs them
+// the way the writer does.
+std::string AssembleV2(const Sections& sections,
+                       uint64_t align = binfmt::kArrayAlignBytes) {
   const uint64_t table_bytes = sections.size() * binfmt::kSectionEntryBytes;
   std::string table, body;
   uint64_t end = binfmt::kHeaderBytes + table_bytes;
   for (const auto& [id, payload] : sections) {
-    const uint64_t offset = binfmt::AlignUp(end, binfmt::kArrayAlignBytes);
+    const uint64_t offset = binfmt::AlignUp(end, align);
     body.resize(offset - binfmt::kHeaderBytes - table_bytes, '\0');
     body += payload;
     const uint32_t crc = Crc32c(payload.data(), payload.size());
@@ -191,6 +183,7 @@ std::string AssembleV2(uint32_t version, const Sections& sections) {
   }
   std::string image(reinterpret_cast<const char*>(binfmt::kMagicV2),
                     binfmt::kMagicBytes);
+  const uint32_t version = binfmt::kVersionV2;
   const uint32_t count = static_cast<uint32_t>(sections.size());
   image.append(reinterpret_cast<const char*>(&version), 4);
   image.append(reinterpret_cast<const char*>(&count), 4);
@@ -218,90 +211,67 @@ void ExpectRefusedAtEveryTier(const std::string& path,
   }
 }
 
-TEST(SumTablesCatalogTest, Version4OrLaterWithSection5Or6IsRefusedAtEveryTier) {
-  const std::string v3 = ReadGolden("catalog_v2_version3.stats");
-  const std::string path = TempPath("v456.stats");
-  for (uint32_t version : {binfmt::kVersionV2MeanRows,
-                           binfmt::kVersionV2SumsqRow, binfmt::kVersionV2}) {
-    const std::string golden =
-        ReadGolden("catalog_v2_version" + std::to_string(version) + ".stats");
-    const Sections sections = SectionsOf(golden, {1, 2, 3, 4});
-    // The control: the golden's own sections, reassembled, are the golden.
-    ASSERT_EQ(AssembleV2(version, sections), golden);
-    const std::string not_part =
-        ": not part of a version-" + std::to_string(version) + " file";
-    for (const auto& [extra, first] :
-         {std::pair{SectionsOf(v3, {5}), "composition"},
-          std::pair{SectionsOf(v3, {6}), "sum-index"},
-          std::pair{SectionsOf(v3, {5, 6}), "composition"}}) {
-      Sections forged = sections;
-      forged.insert(forged.end(), extra.begin(), extra.end());
-      ASSERT_TRUE(WriteFileBytes(path, AssembleV2(version, forged)).ok());
-      ExpectRefusedAtEveryTier(path,
-                               "section " + std::string(first) + not_part);
-    }
+TEST(SumTablesCatalogTest, Section5Or6IsRefusedAtEveryTier) {
+  const Sections sections = GoldenSections();
+  // The control: the golden's own sections, reassembled, are the golden.
+  ASSERT_EQ(AssembleV2(sections), ReadGolden("catalog_v2_version6.stats"));
+  const std::string path = TempPath("section56.stats");
+  for (const std::vector<uint32_t>& extra :
+       {std::vector<uint32_t>{5}, std::vector<uint32_t>{6},
+        std::vector<uint32_t>{5, 6}}) {
+    Sections forged = sections;
+    // The id alone is refused, before any payload byte is read.
+    for (uint32_t id : extra) forged.emplace_back(id, std::string(64, 'x'));
+    ASSERT_TRUE(WriteFileBytes(path, AssembleV2(forged)).ok());
+    ExpectRefusedAtEveryTier(
+        path, "binary catalog: unknown section id " + std::to_string(extra[0]));
   }
   std::filesystem::remove(path);
 }
 
-TEST(SumTablesCatalogTest, NextHeaderOverOlderRowsIsRefusedAtEveryTier) {
-  // Each golden relabelled as the next version: the version-4 payload
-  // still carries the mean and prefix rows, which version 5's layout has
-  // no room for, and the version-5 payload its sumsq row, which version
-  // 6's has none for.
-  for (uint32_t version :
-       {binfmt::kVersionV2MeanRows, binfmt::kVersionV2SumsqRow}) {
-    const Sections sections = SectionsOf(
-        ReadGolden("catalog_v2_version" + std::to_string(version) + ".stats"),
-        {1, 2, 3, 4});
-    const std::string path = TempPath("relabelled.stats");
-    ASSERT_TRUE(WriteFileBytes(path, AssembleV2(version + 1, sections)).ok());
-    ExpectRefusedAtEveryTier(
-        path,
-        "section histogram: payload is " +
-            std::to_string(sections[3].second.size()) +
-            " bytes but the layout for beta=6 needs " +
-            std::to_string(
-                binfmt::HistogramLayout(6, version + 1).payload_bytes));
-    std::filesystem::remove(path);
-  }
+TEST(SumTablesCatalogTest, HistogramPayloadOfOtherLayoutIsRefusedAtEveryTier) {
+  // One more 64-byte row after sum: the version-6 layout has no room for
+  // it, whatever the row holds.
+  Sections sections = GoldenSections();
+  sections[3].second += std::string(64, '\0');
+  const std::string path = TempPath("extra_row.stats");
+  ASSERT_TRUE(WriteFileBytes(path, AssembleV2(sections)).ok());
+  ExpectRefusedAtEveryTier(
+      path, "section histogram: payload is " +
+                std::to_string(sections[3].second.size()) +
+                " bytes but the layout for beta=6 needs " +
+                std::to_string(binfmt::HistogramLayout(6).payload_bytes));
+  std::filesystem::remove(path);
 }
 
-TEST(SumTablesCatalogTest, Version3WithCorruptSection6IsRefusedFromChecksums) {
-  const std::string v3 = ReadGolden("catalog_v2_version3.stats");
-  auto sections = ParseBinarySectionTable(v3);
-  ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->size(), 6u);
-  const BinarySectionInfo& index = (*sections)[5];
-  ASSERT_EQ(index.id, binfmt::kSectionSumIndex);
-  std::string corrupt = v3;
-  ASSERT_TRUE(FlipBit(&corrupt, index.offset + index.length / 2, 0).ok());
-  const std::string path = TempPath("v3.stats");
-  ASSERT_TRUE(WriteFileBytes(path, corrupt).ok());
-
-  const std::string error = "section sum-index: checksum mismatch over " +
-                            std::to_string(index.length) + " bytes";
+TEST(SumTablesCatalogTest, PageAlignedSectionsServeAsPackedOnesDo) {
+  // Readers ask for 64-byte aligned, ascending extents, not for packing:
+  // the golden's sections each on a 4096-byte page load at every tier and
+  // serve what the golden does.
+  const std::string golden = ReadGolden("catalog_v2_version6.stats");
+  const std::string path = TempPath("paged.stats");
+  ASSERT_TRUE(WriteFileBytes(path, AssembleV2(GoldenSections(), 4096)).ok());
+  auto want = DecodeCatalog(golden);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
   auto copied = LoadPathHistogram(path);
-  ASSERT_FALSE(copied.ok());
-  EXPECT_EQ(copied.status().message(), error);
-  auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kChecksums);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kIOError);
-  EXPECT_EQ(mapped.status().message(), error);
-
-  // kTrusted checks no bulk CRC, and no reader reads section 6, so the
-  // trusted entry serves exactly what the intact file does.
-  auto trusted = MappedCatalogEntry::Open(path, CatalogVerify::kTrusted);
-  ASSERT_TRUE(trusted.ok()) << trusted.status().ToString();
-  auto intact = DecodeCatalog(v3);
-  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
-  const PathSpace& space = intact->estimator.ordering().space();
-  RankScratch scratch;
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  const PathSpace& space = want->estimator.ordering().space();
   space.ForEach([&](const LabelPath& p) {
-    ASSERT_EQ((*trusted)->estimator().Estimate(p, scratch),
-              intact->estimator.Estimate(p))
-        << p.ToIdString();
+    ASSERT_EQ(copied->estimator.Estimate(p), want->estimator.Estimate(p));
   });
+  for (CatalogVerify tier :
+       {CatalogVerify::kTrusted, CatalogVerify::kChecksums}) {
+    auto mapped = MappedCatalogEntry::Open(path, tier);
+    ASSERT_TRUE(mapped.ok())
+        << CatalogVerifyName(tier) << ": " << mapped.status().ToString();
+    EXPECT_EQ((*mapped)->mapped_bytes(), 4 * 4096 + 176u);
+    RankScratch scratch;
+    space.ForEach([&](const LabelPath& p) {
+      ASSERT_EQ((*mapped)->estimator().Estimate(p, scratch),
+                want->estimator.Estimate(p))
+          << p.ToIdString();
+    });
+  }
   std::filesystem::remove(path);
 }
 
